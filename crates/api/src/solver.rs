@@ -2,7 +2,10 @@
 //! type-erased [`LinearSolver`] front-end.
 //!
 //! The lifecycle is the one every sparse direct solver shares (HYLU,
-//! KLU, Pardiso — and this workspace's three engines):
+//! KLU, Pardiso — and this workspace's engines: serial KLU, the
+//! supernodal solver, and the BTF block driver under its paper plan
+//! (`Engine::Basker`) or a classified per-block plan
+//! (`Engine::Hybrid`)):
 //!
 //! ```text
 //! analyze(A, cfg) ─► Symbolic ─ factor(A) ─► Numeric ─ solve_in_place(x, ws)
@@ -12,8 +15,9 @@
 //! ```
 //!
 //! [`SparseLuSolver`] is implemented directly by each engine's symbolic
-//! type (`KluSymbolic`, `Basker`, `Snlu`) for static dispatch, and by
-//! [`LinearSolver`] for engine-agnostic code and [`Engine::Auto`].
+//! type (`KluSymbolic`, `Basker`, `HybridLu`, `Snlu`) for static
+//! dispatch, and by [`LinearSolver`] for engine-agnostic code and
+//! [`Engine::Auto`].
 
 use crate::config::{Engine, SolverConfig};
 use crate::error::{map_analyze_error, map_engine_error, SolverError};
@@ -27,8 +31,10 @@ use std::time::Instant;
 /// Uniform post-factorization metrics across engines.
 ///
 /// Fields an engine does not track are zero (e.g. `perturbed_pivots` for
-/// the pivoting engines, `sync_fraction` outside Basker,
-/// `factor_seconds` outside [`LinearSolver`]/Basker).
+/// the pivoting engines, `sync_fraction` outside the block driver,
+/// `factor_seconds` outside [`LinearSolver`]/the block driver). "Block
+/// driver" below is [`Engine::Basker`] and [`Engine::Hybrid`] alike:
+/// one driver, two plans.
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// The engine that produced the factors.
@@ -43,24 +49,27 @@ pub struct SolverStats {
     pub btf_blocks: usize,
     /// Effective worker threads.
     pub threads: usize,
-    /// Statically perturbed pivots (supernodal engine only).
+    /// Statically perturbed pivots (the supernodal engine, and blocks a
+    /// plan routes to it).
     pub perturbed_pivots: usize,
-    /// Synchronization overhead fraction (Basker only).
+    /// Synchronization overhead fraction of the last (re)factorization
+    /// (block driver only; a refactorization is serial and reports 0).
     pub sync_fraction: f64,
     /// Per-thread nanoseconds spent blocked on synchronization during
-    /// the last (re)factorization (Basker only: one entry per worker
+    /// the last (re)factorization (block driver only: one entry per worker
     /// rank of the persistent team, `len() == threads`; empty for the
     /// other engines). Makes sync overhead observable per rank without
     /// the ablation harness.
     pub sync_wait_ns: Vec<u64>,
     /// Work items (pipeline columns, worklist jobs) executed by blocked
     /// threads through the scheduler's assist loop during the last
-    /// factorization (Basker only).
+    /// factorization (block driver only).
     pub columns_assisted: u64,
-    /// Distinct scheduler tasks joined by blocked threads (Basker only).
-    pub tasks_joined: u64,
-    /// Assist probes issued by blocked threads, hits and misses (Basker
+    /// Distinct scheduler tasks joined by blocked threads (block driver
     /// only).
+    pub tasks_joined: u64,
+    /// Assist probes issued by blocked threads, hits and misses (block
+    /// driver only).
     pub steal_attempts: u64,
     /// Wall-clock seconds of the last (re)factorization, when measured.
     pub factor_seconds: f64,
@@ -69,9 +78,10 @@ pub struct SolverStats {
     /// `SolverStats`. Selected once per process from
     /// `BASKER_KERNEL`/[`SolverConfig::kernel`](crate::SolverConfig::kernel).
     pub kernel: &'static str,
-    /// Per-BTF-block routing + timing of the last (re)factorization
-    /// ([`Engine::Hybrid`] only; empty for the single-strategy engines).
-    /// One entry per diagonal block, in block order.
+    /// Per-BTF-block routing of the last (re)factorization under a
+    /// classified plan ([`Engine::Hybrid`]; empty for every other
+    /// engine): one entry per diagonal block, in block order, with
+    /// `seconds` measured on contested blocks only.
     pub routing: Vec<basker::hybrid::BlockRoute>,
 }
 
@@ -314,7 +324,22 @@ impl LuNumeric for KluNumeric {
     }
 }
 
-// ------------------------------------------------------------- Basker --
+// ----------------------------------------- the BTF block driver --
+
+/// The engine label of a driver handle: the plan kind it was built with.
+fn driver_engine(sym: &Basker) -> Engine {
+    if sym.classified() {
+        Engine::Hybrid
+    } else {
+        Engine::Basker
+    }
+}
+
+fn driver_factor(sym: &Basker, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
+    let st = sym.structure();
+    Basker::factor(sym, a)
+        .map_err(|e| map_engine_error(driver_engine(sym), st.col_perm.as_slice(), &st.bounds, e))
+}
 
 impl SparseLuSolver for Basker {
     type Numeric = BaskerNumeric;
@@ -325,17 +350,40 @@ impl SparseLuSolver for Basker {
     }
 
     fn factor(&self, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
-        let st = self.structure();
-        Basker::factor(self, a)
-            .map_err(|e| map_engine_error(Engine::Basker, st.col_perm.as_slice(), &st.bounds, e))
+        driver_factor(self, a)
     }
 
     fn engine(&self) -> Engine {
-        Engine::Basker
+        driver_engine(self)
     }
 
     fn dim(&self) -> usize {
         self.structure().n
+    }
+}
+
+impl SparseLuSolver for HybridLu {
+    type Numeric = BaskerNumeric;
+
+    fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<Self, SolverError> {
+        HybridLu::analyze(a, &cfg.hybrid_options())
+            .map_err(|e| map_analyze_error(Engine::Hybrid, a.nrows(), e))
+    }
+
+    fn factor(&self, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
+        driver_factor(self, a)
+    }
+
+    fn engine(&self) -> Engine {
+        driver_engine(self)
+    }
+
+    fn dim(&self) -> usize {
+        self.structure().n
+    }
+
+    fn hybrid(&self) -> Option<&HybridLu> {
+        Some(self)
     }
 }
 
@@ -347,7 +395,7 @@ impl LuNumeric for BaskerNumeric {
             Err(e) => {
                 let st = self.symbolic().structure();
                 Err(map_engine_error(
-                    Engine::Basker,
+                    driver_engine(self.symbolic()),
                     st.col_perm.as_slice(),
                     &st.bounds,
                     e,
@@ -364,20 +412,21 @@ impl LuNumeric for BaskerNumeric {
 
     fn stats(&self) -> SolverStats {
         SolverStats {
-            engine: Some(Engine::Basker),
+            engine: Some(driver_engine(self.symbolic())),
             kernel: basker_kernels::active().name(),
             dimension: self.symbolic().structure().n,
             lu_nnz: self.stats.lu_nnz,
             flops: self.stats.flops,
             btf_blocks: self.stats.btf_blocks,
             threads: self.stats.threads,
+            perturbed_pivots: self.perturbed_pivots(),
             sync_fraction: self.stats.sync_fraction(),
             sync_wait_ns: self.stats.sync_wait_ns.clone(),
             columns_assisted: self.stats.columns_assisted,
             tasks_joined: self.stats.tasks_joined,
             steal_attempts: self.stats.steal_attempts,
             factor_seconds: self.stats.numeric_seconds,
-            ..SolverStats::default()
+            routing: self.stats.routes.clone(),
         }
     }
 
@@ -386,7 +435,7 @@ impl LuNumeric for BaskerNumeric {
         FactorQuality {
             min_pivot,
             max_pivot,
-            perturbed_pivots: 0,
+            perturbed_pivots: self.perturbed_pivots(),
         }
     }
 
@@ -459,88 +508,6 @@ impl LuNumeric for SnluNumeric {
     }
 }
 
-// ------------------------------------------------------------- Hybrid --
-
-impl SparseLuSolver for HybridLu {
-    type Numeric = HybridNumeric;
-
-    fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<Self, SolverError> {
-        HybridLu::analyze(a, &cfg.hybrid_options())
-            .map_err(|e| map_analyze_error(Engine::Hybrid, a.nrows(), e))
-    }
-
-    fn factor(&self, a: &CscMat) -> Result<HybridNumeric, SolverError> {
-        let st = self.structure();
-        HybridLu::factor(self, a)
-            .map_err(|e| map_engine_error(Engine::Hybrid, st.col_perm.as_slice(), &st.bounds, e))
-    }
-
-    fn engine(&self) -> Engine {
-        Engine::Hybrid
-    }
-
-    fn dim(&self) -> usize {
-        self.structure().n
-    }
-
-    fn hybrid(&self) -> Option<&HybridLu> {
-        Some(self)
-    }
-}
-
-impl LuNumeric for HybridNumeric {
-    fn refactor(&mut self, a: &CscMat) -> Result<(), SolverError> {
-        // As for KLU/Basker: resolve error context lazily, on failure only.
-        match HybridNumeric::refactor(self, a) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let st = self.symbolic().structure();
-                Err(map_engine_error(
-                    Engine::Hybrid,
-                    st.col_perm.as_slice(),
-                    &st.bounds,
-                    e,
-                ))
-            }
-        }
-    }
-
-    fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) -> Result<(), SolverError> {
-        check_rhs(self.symbolic().structure().n, x.len())?;
-        HybridNumeric::solve_in_place(self, x, ws);
-        Ok(())
-    }
-
-    fn stats(&self) -> SolverStats {
-        SolverStats {
-            engine: Some(Engine::Hybrid),
-            kernel: basker_kernels::active().name(),
-            dimension: self.symbolic().structure().n,
-            lu_nnz: self.stats.lu_nnz,
-            flops: self.stats.flops,
-            btf_blocks: self.stats.btf_blocks,
-            threads: self.stats.threads,
-            perturbed_pivots: self.perturbed_pivots(),
-            factor_seconds: self.stats.numeric_seconds,
-            routing: self.stats.routes.clone(),
-            ..SolverStats::default()
-        }
-    }
-
-    fn quality(&self) -> FactorQuality {
-        let (min_pivot, max_pivot) = self.pivot_range();
-        FactorQuality {
-            min_pivot,
-            max_pivot,
-            perturbed_pivots: self.perturbed_pivots(),
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.symbolic().structure().n
-    }
-}
-
 // ------------------------------------------------- type-erased facade --
 
 /// An engine-agnostic symbolic handle.
@@ -568,9 +535,9 @@ pub struct LinearSolver {
 
 enum SymbolicInner {
     Klu(KluSymbolic),
-    Basker(Basker),
+    /// The BTF block driver under either plan; `engine` names which.
+    Driver(HybridLu),
     Snlu(Snlu),
-    Hybrid(HybridLu),
 }
 
 impl LinearSolver {
@@ -582,9 +549,11 @@ impl LinearSolver {
         let engine = cfg.resolve_engine(a)?;
         let inner = match engine {
             Engine::Klu => SymbolicInner::Klu(<KluSymbolic as SparseLuSolver>::analyze(a, cfg)?),
-            Engine::Basker => SymbolicInner::Basker(<Basker as SparseLuSolver>::analyze(a, cfg)?),
+            Engine::Basker => {
+                SymbolicInner::Driver(<Basker as SparseLuSolver>::analyze(a, cfg)?.into())
+            }
             Engine::Snlu => SymbolicInner::Snlu(<Snlu as SparseLuSolver>::analyze(a, cfg)?),
-            Engine::Hybrid => SymbolicInner::Hybrid(<HybridLu as SparseLuSolver>::analyze(a, cfg)?),
+            Engine::Hybrid => SymbolicInner::Driver(<HybridLu as SparseLuSolver>::analyze(a, cfg)?),
             Engine::Auto => unreachable!("resolve_engine returns a concrete engine"),
         };
         Ok(LinearSolver { engine, inner })
@@ -596,11 +565,8 @@ impl LinearSolver {
         let t0 = Instant::now();
         let inner = match &self.inner {
             SymbolicInner::Klu(s) => NumericInner::Klu(SparseLuSolver::factor(s, a)?),
-            SymbolicInner::Basker(s) => NumericInner::Basker(SparseLuSolver::factor(s, a)?),
+            SymbolicInner::Driver(s) => NumericInner::Driver(SparseLuSolver::factor(s, a)?),
             SymbolicInner::Snlu(s) => NumericInner::Snlu(Box::new(SparseLuSolver::factor(s, a)?)),
-            SymbolicInner::Hybrid(s) => {
-                NumericInner::Hybrid(Box::new(SparseLuSolver::factor(s, a)?))
-            }
         };
         Ok(Factorization {
             engine: self.engine,
@@ -619,9 +585,8 @@ impl LinearSolver {
     pub fn dim(&self) -> usize {
         match &self.inner {
             SymbolicInner::Klu(s) => s.n(),
-            SymbolicInner::Basker(s) => s.structure().n,
+            SymbolicInner::Driver(s) => s.structure().n,
             SymbolicInner::Snlu(s) => s.n(),
-            SymbolicInner::Hybrid(s) => s.structure().n,
         }
     }
 
@@ -636,7 +601,7 @@ impl LinearSolver {
     /// Borrows the underlying Basker analysis when that engine was chosen.
     pub fn as_basker(&self) -> Option<&Basker> {
         match &self.inner {
-            SymbolicInner::Basker(s) => Some(s),
+            SymbolicInner::Driver(s) if self.engine == Engine::Basker => Some(s),
             _ => None,
         }
     }
@@ -654,7 +619,7 @@ impl LinearSolver {
     /// chosen.
     pub fn as_hybrid(&self) -> Option<&HybridLu> {
         match &self.inner {
-            SymbolicInner::Hybrid(s) => Some(s),
+            SymbolicInner::Driver(s) if self.engine == Engine::Hybrid => Some(s),
             _ => None,
         }
     }
@@ -711,9 +676,8 @@ pub struct Factorization {
 
 enum NumericInner {
     Klu(KluNumeric),
-    Basker(BaskerNumeric),
+    Driver(BaskerNumeric),
     Snlu(Box<SnluNumeric>),
-    Hybrid(Box<HybridNumeric>),
 }
 
 impl Factorization {
@@ -727,9 +691,8 @@ impl Factorization {
         let t0 = Instant::now();
         match &mut self.inner {
             NumericInner::Klu(n) => LuNumeric::refactor(n, a)?,
-            NumericInner::Basker(n) => LuNumeric::refactor(n, a)?,
+            NumericInner::Driver(n) => LuNumeric::refactor(n, a)?,
             NumericInner::Snlu(n) => LuNumeric::refactor(n.as_mut(), a)?,
-            NumericInner::Hybrid(n) => LuNumeric::refactor(n.as_mut(), a)?,
         }
         self.factor_seconds = t0.elapsed().as_secs_f64();
         Ok(())
@@ -743,9 +706,8 @@ impl Factorization {
     ) -> Result<(), SolverError> {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::solve_in_place(n, x, ws),
-            NumericInner::Basker(n) => LuNumeric::solve_in_place(n, x, ws),
+            NumericInner::Driver(n) => LuNumeric::solve_in_place(n, x, ws),
             NumericInner::Snlu(n) => LuNumeric::solve_in_place(n.as_ref(), x, ws),
-            NumericInner::Hybrid(n) => LuNumeric::solve_in_place(n.as_ref(), x, ws),
         }
     }
 
@@ -762,9 +724,8 @@ impl Factorization {
     pub fn stats(&self) -> SolverStats {
         let mut s = match &self.inner {
             NumericInner::Klu(n) => LuNumeric::stats(n),
-            NumericInner::Basker(n) => LuNumeric::stats(n),
+            NumericInner::Driver(n) => LuNumeric::stats(n),
             NumericInner::Snlu(n) => LuNumeric::stats(n.as_ref()),
-            NumericInner::Hybrid(n) => LuNumeric::stats(n.as_ref()),
         };
         s.factor_seconds = self.factor_seconds;
         s
@@ -774,9 +735,8 @@ impl Factorization {
     pub fn dim(&self) -> usize {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::dim(n),
-            NumericInner::Basker(n) => LuNumeric::dim(n),
+            NumericInner::Driver(n) => LuNumeric::dim(n),
             NumericInner::Snlu(n) => LuNumeric::dim(n.as_ref()),
-            NumericInner::Hybrid(n) => LuNumeric::dim(n.as_ref()),
         }
     }
 
@@ -785,16 +745,15 @@ impl Factorization {
     pub fn quality(&self) -> FactorQuality {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::quality(n),
-            NumericInner::Basker(n) => LuNumeric::quality(n),
+            NumericInner::Driver(n) => LuNumeric::quality(n),
             NumericInner::Snlu(n) => LuNumeric::quality(n.as_ref()),
-            NumericInner::Hybrid(n) => LuNumeric::quality(n.as_ref()),
         }
     }
 
     /// Borrows the Basker factors when that engine was chosen.
     pub fn as_basker(&self) -> Option<&BaskerNumeric> {
         match &self.inner {
-            NumericInner::Basker(n) => Some(n),
+            NumericInner::Driver(n) if self.engine == Engine::Basker => Some(n),
             _ => None,
         }
     }
@@ -802,7 +761,7 @@ impl Factorization {
     /// Borrows the hybrid per-block factors when that engine was chosen.
     pub fn as_hybrid(&self) -> Option<&HybridNumeric> {
         match &self.inner {
-            NumericInner::Hybrid(n) => Some(n),
+            NumericInner::Driver(n) if self.engine == Engine::Hybrid => Some(n),
             _ => None,
         }
     }
@@ -867,6 +826,8 @@ mod tests {
         let st = num.stats();
         assert_eq!(st.engine, Some(engine));
         assert!(st.lu_nnz > 0 && st.dimension == 30, "{engine}");
+        // Only the classified plan keeps per-block route records.
+        assert_eq!(st.routing.is_empty(), engine != Engine::Hybrid, "{engine}");
     }
 
     #[test]
@@ -887,6 +848,15 @@ mod tests {
         let st = num.stats();
         assert_eq!(st.routing.len(), st.btf_blocks);
         assert!(num.as_hybrid().is_some());
+        // One driver behind both engines: the accessors follow the plan
+        // kind the handle was built with.
+        assert!(solver.as_basker().is_none() && num.as_basker().is_none());
+        let cfg = SolverConfig::new().engine(Engine::Basker);
+        let solver = LinearSolver::analyze(&a, &cfg).unwrap();
+        assert!(solver.as_basker().is_some() && solver.as_hybrid().is_none());
+        assert!(SparseLuSolver::hybrid(&solver).is_none());
+        let num = SparseLuSolver::factor(&solver, &a).unwrap();
+        assert!(num.as_basker().is_some() && num.as_hybrid().is_none());
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!   re-pivots) are value-driven and must stay put (±10% / ±2);
 //! * **memory** — `|L+U|` and BTF statistics are deterministic and must
 //!   match exactly;
-//! * **invariants** — residual checks and the serving layer's
-//!   zero-threads-after-warm-up property are hard failures at any size.
+//! * **invariants** — residual checks and the shard tier's zero ticket
+//!   loss are hard failures at any size.
 //!
 //! Usage:
-//! `bench_check --kind
-//! {fig6|xyce|streams|fig5|table1|fig7|fig8|table2|shard|kernels|auto}
+//! `bench_check --kind {fig6|xyce|fig5|table1|fig7|fig8|table2|shard}
 //! BASELINE FRESH [--tolerance 0.25] [--summary PATH]`
 //!
 //! `--summary` appends one markdown table row (pass/fail + the worst
@@ -201,75 +200,6 @@ fn check_xyce(r: &mut Report, base: &Json, fresh: &Json, tol: f64) {
             num(f, "factor_seconds", "fresh"),
         );
     }
-}
-
-fn check_streams(r: &mut Report, base: &Json, fresh: &Json, tol: f64) {
-    // Hard invariants of the serving layer, at any scale.
-    r.check(num(fresh, "os_threads_delta", "fresh") == 0.0, || {
-        "streams: OS threads were spawned after warm-up".into()
-    });
-    r.check(
-        fresh.get("residual_ok").and_then(Json::bool) == Some(true),
-        || "streams: a refined residual missed the limit".into(),
-    );
-    r.check(num(fresh, "errors", "fresh") == 0.0, || {
-        "streams: a stream job errored".into()
-    });
-    let expected = num(fresh, "nstreams", "fresh") * num(fresh, "nsteps", "fresh");
-    gate_exact(r, "streams steps", expected, num(fresh, "steps", "fresh"));
-    r.check(num(fresh, "occupancy", "fresh") > 0.0, || {
-        "streams: scheduler never batched (occupancy 0)".into()
-    });
-    // Assist-loop observability: the counters must be reported, and a
-    // width-1 service must never touch the assist registry (the
-    // single-core zero-overhead contract).
-    let steals = num(fresh, "steal_attempts", "fresh");
-    let assisted = num(fresh, "columns_assisted", "fresh");
-    if num(fresh, "team_width", "fresh") == 1.0 {
-        r.check(steals == 0.0 && assisted == 0.0, || {
-            format!(
-                "streams: width-1 run probed the assist registry \
-                 (steal_attempts {steals}, columns_assisted {assisted})"
-            )
-        });
-    }
-    r.check(assisted <= steals, || {
-        format!(
-            "streams: columns_assisted {assisted} exceeds steal_attempts \
-             {steals} (every assisted item needs a probe)"
-        )
-    });
-
-    // Scale-dependent comparisons only when the fresh run matches the
-    // baseline's shape.
-    let same_shape = ["nstreams", "nsteps", "team_width"]
-        .iter()
-        .all(|k| num(base, k, "baseline") == num(fresh, k, "fresh"))
-        && base.str_field("scale") == fresh.str_field("scale");
-    if !same_shape {
-        eprintln!(
-            "bench_check: streams: fresh run shape differs from baseline; skipping ratio gates"
-        );
-        return;
-    }
-    let reuse = |row: &Json, which: &str| {
-        let f = num(row, "factors", which);
-        let rf = num(row, "refactors", which);
-        rf / (f + rf).max(1.0)
-    };
-    gate_not_worse_down(
-        r,
-        "streams refactor fraction",
-        reuse(base, "baseline"),
-        reuse(fresh, "fresh"),
-        tol,
-    );
-    gate_wall_loose(
-        r,
-        "streams wall_seconds",
-        num(base, "wall_seconds", "baseline"),
-        num(fresh, "wall_seconds", "fresh"),
-    );
 }
 
 fn check_fig5(r: &mut Report, base: &Json, fresh: &Json, _tol: f64) {
@@ -498,203 +428,16 @@ fn check_shard(r: &mut Report, base: &Json, fresh: &Json, tol: f64) {
     );
 }
 
-fn check_kernels(r: &mut Report, base: &Json, fresh: &Json, tol: f64) {
-    // Flop rates are host-dependent, so absolute GF/s is gated loosely
-    // (4×, like wall clock). What is hard at any size is the shape of
-    // the ladder: a scalar rung must exist, exactly one rung must be
-    // dispatched, and wherever runtime detection picks a SIMD rung it
-    // must actually pay — ≥2× the scalar rank-k flop rate (the
-    // tentpole invariant of the dense kernel ladder).
-    let _ = tol;
-    let brows = rows_of(base, "kernel_ladder", "baseline");
-    let frows = rows_of(fresh, "kernel_ladder", "fresh");
-
-    let scalar = find_row(frows, &[("kernel", "scalar")], &[]);
-    r.check(scalar.is_some(), || {
-        "kernels: scalar rung missing from fresh run".into()
-    });
-    let dispatched: Vec<&Json> = frows
-        .iter()
-        .filter(|row| row.get("dispatch").and_then(Json::bool) == Some(true))
-        .collect();
-    r.check(dispatched.len() == 1, || {
-        format!(
-            "kernels: expected exactly one dispatched rung, found {}",
-            dispatched.len()
-        )
-    });
-    if let (Some(s), [d]) = (scalar, dispatched.as_slice()) {
-        if d.str_field("kernel") != Some("scalar") {
-            let sr = num(s, "rank_k_gflops", "fresh");
-            let dr = num(d, "rank_k_gflops", "fresh");
-            r.check(dr >= 2.0 * sr, || {
-                format!(
-                    "kernels: dispatched rung '{}' rank-k {dr:.2} GF/s is under 2x scalar {sr:.2}",
-                    d.str_field("kernel").unwrap_or("?")
-                )
-            });
-        }
-    }
-
-    // Per-rung rate comparisons, only for rungs the fresh host also
-    // has (the SIMD rung differs across architectures).
-    for b in brows {
-        let kernel = b.str_field("kernel").expect("baseline row kernel");
-        let Some(f) = find_row(frows, &[("kernel", kernel)], &[]) else {
-            eprintln!("bench_check: kernels: rung '{kernel}' absent on this host; skipping");
-            continue;
-        };
-        for op in ["axpy_gflops", "dot_gflops", "rank_k_gflops", "trsv_gflops"] {
-            let (bv, fv) = (num(b, op, "baseline"), num(f, op, "fresh"));
-            r.check(fv >= bv / 4.0, || {
-                format!(
-                    "kernels {kernel} {op}: {fv:.2} GF/s collapsed below 1/4 of baseline {bv:.2}"
-                )
-            });
-        }
-    }
-}
-
-/// The per-block routing harness. Functional invariants are hard at
-/// any scale: refined residuals converge, the first hybrid session
-/// probes then settles a mixed plan, the sibling session inherits that
-/// exact plan from the routing cache without re-measuring. Probe
-/// counts and block totals are structure-driven (the classifier is
-/// deterministic) and gated exactly at matched shape; which strategy
-/// wins a contested block is timing-driven, so per-strategy counts are
-/// only compared *within* the fresh run (sibling == first), never
-/// against the baseline host. Wall clock stays on the loose 4× band.
-fn check_auto(r: &mut Report, base: &Json, fresh: &Json, _tol: f64) {
-    let brows = rows_of(base, "auto_routing", "baseline");
-    let frows = rows_of(fresh, "auto_routing", "fresh");
-    for f in frows {
-        let solver = f.str_field("solver").unwrap_or("?");
-        r.check(
-            f.get("residual_ok").and_then(Json::bool) == Some(true),
-            || format!("auto {solver}: a refined residual missed the target"),
-        );
-    }
-
-    let first = find_row(frows, &[("solver", "hybrid_first")], &[]);
-    let sibling = find_row(frows, &[("solver", "hybrid_sibling")], &[]);
-    r.check(first.is_some(), || {
-        "auto: hybrid_first row missing from fresh run".into()
-    });
-    r.check(sibling.is_some(), || {
-        "auto: hybrid_sibling row missing from fresh run".into()
-    });
-    if let Some(f) = first {
-        r.check(num(f, "routing_probes", "fresh") >= 1.0, || {
-            "auto hybrid_first: never probed a candidate plan".into()
-        });
-        r.check(
-            f.get("from_cache").and_then(Json::bool) == Some(false),
-            || "auto hybrid_first: first session of the pattern claims a cache hit".into(),
-        );
-        r.check(num(f, "distinct", "fresh") >= 2.0, || {
-            "auto hybrid_first: plan is not mixed (fewer than 2 distinct strategies)".into()
-        });
-        let total = num(f, "gp_blocks", "fresh")
-            + num(f, "sn_blocks", "fresh")
-            + num(f, "nd_blocks", "fresh");
-        gate_exact(
-            r,
-            "auto hybrid_first per-strategy blocks sum to btf_blocks",
-            num(f, "btf_blocks", "fresh"),
-            total,
-        );
-    }
-    if let (Some(f), Some(s)) = (first, sibling) {
-        gate_exact(
-            r,
-            "auto hybrid_sibling routing_probes",
-            0.0,
-            num(s, "routing_probes", "fresh"),
-        );
-        r.check(
-            s.get("from_cache").and_then(Json::bool) == Some(true),
-            || "auto hybrid_sibling: did not inherit the plan from the routing cache".into(),
-        );
-        for key in ["gp_blocks", "sn_blocks", "nd_blocks"] {
-            gate_exact(
-                r,
-                &format!("auto hybrid_sibling {key} == hybrid_first"),
-                num(f, key, "fresh"),
-                num(s, key, "fresh"),
-            );
-        }
-    }
-
-    // Convergence: a session running the learned plan must not be
-    // slower than 4× the best single global engine (the same loose
-    // build-problem band as wall clock — routing that *loses* to every
-    // global strategy by that much is a broken learner, not noise).
-    let best_global = ["klu", "basker", "snlu"]
-        .iter()
-        .filter_map(|g| find_row(frows, &[("solver", g)], &[]))
-        .map(|row| num(row, "seconds", "fresh"))
-        .fold(f64::INFINITY, f64::min);
-    if let Some(s) = sibling {
-        if best_global.is_finite() {
-            let sec = num(s, "seconds", "fresh");
-            r.check(sec <= best_global * 4.0 + 1e-9, || {
-                format!(
-                    "auto hybrid_sibling: {sec:.4}s is over 4x the best global \
-                     engine's {best_global:.4}s"
-                )
-            });
-        }
-    }
-
-    for b in brows {
-        let solver = b.str_field("solver").expect("baseline row solver");
-        let label = format!("auto {solver}");
-        let Some(f) = find_row(frows, &[("solver", solver)], &[]) else {
-            r.check(false, || format!("{label}: row missing from fresh run"));
-            continue;
-        };
-        gate_wall_loose(
-            r,
-            &format!("{label} seconds"),
-            num(b, "seconds", "baseline"),
-            num(f, "seconds", "fresh"),
-        );
-        for counter in ["factors", "refactors"] {
-            gate_counter(
-                r,
-                &format!("{label} {counter}"),
-                num(b, counter, "baseline"),
-                num(f, counter, "fresh"),
-            );
-        }
-        // Structure-driven at matched shape: BTF decomposition and the
-        // number of candidate plans the learner measures.
-        if num(b, "n", "baseline") == num(f, "n", "fresh") {
-            for key in ["btf_blocks", "routing_probes"] {
-                gate_exact(
-                    r,
-                    &format!("{label} {key}"),
-                    num(b, key, "baseline"),
-                    num(f, key, "fresh"),
-                );
-            }
-        }
-    }
-}
-
 fn run_kind(kind: &str, r: &mut Report, base: &Json, fresh: &Json, tol: f64) {
     match kind {
         "fig6" => check_fig6(r, base, fresh, tol),
         "xyce" => check_xyce(r, base, fresh, tol),
-        "streams" => check_streams(r, base, fresh, tol),
         "fig5" => check_fig5(r, base, fresh, tol),
         "table1" => check_table1(r, base, fresh, tol),
         "fig7" => check_fig7(r, base, fresh, tol),
         "fig8" => check_fig8(r, base, fresh, tol),
         "table2" => check_table2(r, base, fresh, tol),
         "shard" => check_shard(r, base, fresh, tol),
-        "kernels" => check_kernels(r, base, fresh, tol),
-        "auto" => check_auto(r, base, fresh, tol),
         other => {
             eprintln!("bench_check: unknown kind '{other}'");
             std::process::exit(2);
@@ -740,8 +483,7 @@ fn main() {
     let mut paths: Vec<String> = Vec::new();
     let usage = || -> ! {
         eprintln!(
-            "usage: bench_check --kind \
-             {{fig6|xyce|streams|fig5|table1|fig7|fig8|table2|shard|kernels|auto}} \
+            "usage: bench_check --kind {{fig6|xyce|fig5|table1|fig7|fig8|table2|shard}} \
              BASELINE FRESH [--tolerance 0.25] [--summary PATH]"
         );
         std::process::exit(2);
@@ -851,36 +593,6 @@ mod tests {
         assert!(r.failures.iter().any(|f| f.contains("row missing")));
     }
 
-    const STREAMS_BASE: &str = r#"{"nstreams": 8, "nsteps": 50, "team_width": 4,
-        "scale": "bench", "wall_seconds": 0.1, "serial_seconds": 0.09,
-        "steps_per_second": 4000.0, "os_threads_delta": 0, "worst_residual": 1e-12,
-        "residual_ok": true, "steps": 400, "errors": 0, "factors": 10,
-        "refactors": 390, "batches": 120, "occupancy": 0.8, "max_queue_depth": 1,
-        "columns_assisted": 12, "tasks_joined": 3, "steal_attempts": 40}"#;
-
-    #[test]
-    fn streams_hard_invariants() {
-        let r = report_for("streams", STREAMS_BASE, STREAMS_BASE, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-
-        let spawned = STREAMS_BASE.replace("\"os_threads_delta\": 0", "\"os_threads_delta\": 3");
-        let r = report_for("streams", STREAMS_BASE, &spawned, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("OS threads")));
-
-        let bad_resid = STREAMS_BASE.replace("\"residual_ok\": true", "\"residual_ok\": false");
-        let r = report_for("streams", STREAMS_BASE, &bad_resid, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("residual")));
-    }
-
-    #[test]
-    fn streams_shape_mismatch_keeps_only_invariants() {
-        let other_shape = STREAMS_BASE
-            .replace("\"nsteps\": 50", "\"nsteps\": 20")
-            .replace("\"steps\": 400", "\"steps\": 160");
-        let r = report_for("streams", STREAMS_BASE, &other_shape, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-    }
-
     const TABLE1_BASE: &str = r#"[{"matrix": "Power0_like", "n": 1000, "nnz": 5000,
         "klu_lu_nnz": 6000, "pmkl_lu_nnz": 9000, "basker_lu_nnz": 6100,
         "btf_pct": 95.0, "btf_blocks": 800}]"#;
@@ -909,27 +621,6 @@ mod tests {
         let slow = FIG5_BASE.replace("\"basker_seconds\": 0.01", "\"basker_seconds\": 0.2");
         let r = report_for("fig5", FIG5_BASE, &slow, 0.25);
         assert!(r.failures.iter().any(|f| f.contains("basker_seconds")));
-    }
-
-    #[test]
-    fn streams_assist_gates() {
-        // More assisted columns than probes is impossible by construction.
-        let bogus = STREAMS_BASE
-            .replace("\"columns_assisted\": 12", "\"columns_assisted\": 50")
-            .replace("\"steal_attempts\": 40", "\"steal_attempts\": 10");
-        let r = report_for("streams", STREAMS_BASE, &bogus, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("columns_assisted")));
-
-        // A width-1 run must never touch the assist registry.
-        let width1 = STREAMS_BASE.replace("\"team_width\": 4", "\"team_width\": 1");
-        let r = report_for("streams", STREAMS_BASE, &width1, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("width-1")));
-        let width1_clean = width1
-            .replace("\"columns_assisted\": 12", "\"columns_assisted\": 0")
-            .replace("\"tasks_joined\": 3", "\"tasks_joined\": 0")
-            .replace("\"steal_attempts\": 40", "\"steal_attempts\": 0");
-        let r = report_for("streams", STREAMS_BASE, &width1_clean, 0.25);
-        assert!(!r.failures.iter().any(|f| f.contains("width-1")));
     }
 
     const FIG7_BASE: &str = r#"[{"matrix": "Power0_like", "threads": 2,
@@ -983,57 +674,6 @@ mod tests {
         assert!(r.failures.iter().any(|f| f.contains("pmkl_lu_nnz")));
     }
 
-    const KERNELS_BASE: &str = r#"[
-        {"kernel": "scalar", "dispatch": false, "axpy_gflops": 3.0,
-         "dot_gflops": 4.0, "rank_k_gflops": 6.0, "trsv_gflops": 2.0},
-        {"kernel": "unrolled", "dispatch": false, "axpy_gflops": 3.1,
-         "dot_gflops": 4.2, "rank_k_gflops": 4.4, "trsv_gflops": 2.1},
-        {"kernel": "avx2+fma", "dispatch": true, "axpy_gflops": 6.0,
-         "dot_gflops": 8.0, "rank_k_gflops": 17.0, "trsv_gflops": 3.0}]"#;
-
-    #[test]
-    fn kernels_dispatch_must_beat_scalar_twofold() {
-        let r = report_for("kernels", KERNELS_BASE, KERNELS_BASE, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-
-        // Dispatched SIMD rung sagging under 2x scalar is a hard fail.
-        let sagged = KERNELS_BASE.replace("\"rank_k_gflops\": 17.0", "\"rank_k_gflops\": 11.0");
-        let r = report_for("kernels", KERNELS_BASE, &sagged, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("under 2x scalar")));
-
-        // A scalar-only host (dispatch falls back to scalar) skips it.
-        let scalar_only = r#"[
-            {"kernel": "scalar", "dispatch": true, "axpy_gflops": 3.0,
-             "dot_gflops": 4.0, "rank_k_gflops": 6.0, "trsv_gflops": 2.0}]"#;
-        let r = report_for("kernels", scalar_only, scalar_only, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-    }
-
-    #[test]
-    fn kernels_ladder_shape_and_loose_rates() {
-        // Exactly one rung may be dispatched.
-        let doubled = KERNELS_BASE.replace(
-            "\"kernel\": \"unrolled\", \"dispatch\": false",
-            "\"kernel\": \"unrolled\", \"dispatch\": true",
-        );
-        let r = report_for("kernels", KERNELS_BASE, &doubled, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("exactly one")));
-
-        // Host noise (half the rate) passes; a 5x collapse fails.
-        let noisy = KERNELS_BASE.replace("\"dot_gflops\": 4.0", "\"dot_gflops\": 2.1");
-        let r = report_for("kernels", KERNELS_BASE, &noisy, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-        let collapsed = KERNELS_BASE.replace("\"axpy_gflops\": 3.0", "\"axpy_gflops\": 0.5");
-        let r = report_for("kernels", KERNELS_BASE, &collapsed, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("collapsed")));
-
-        // A different architecture's SIMD rung: the baseline avx2 row
-        // has no fresh counterpart (skipped), the neon rung dispatches.
-        let other_arch = KERNELS_BASE.replace("avx2+fma", "neon");
-        let r = report_for("kernels", KERNELS_BASE, &other_arch, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-    }
-
     const SHARD_BASE: &str = r#"{"shards": 3, "clients": 16, "streams": 1024,
         "steps_per_stream": 4, "scale": "bench", "kill_one": false,
         "wall_seconds": 1.5, "steps_per_second": 2700.0,
@@ -1064,87 +704,6 @@ mod tests {
         assert!(r.failures.iter().any(|f| f.contains("respawns")));
     }
 
-    const AUTO_BASE: &str = r#"[
-        {"solver": "klu", "nsteps": 6, "n": 420, "seconds": 0.020, "factors": 1,
-         "refactors": 5, "routing_probes": 0, "from_cache": false, "btf_blocks": 97,
-         "gp_blocks": 0, "sn_blocks": 0, "nd_blocks": 0, "distinct": 0,
-         "worst_residual": 1.0e-12, "residual_ok": true},
-        {"solver": "basker", "nsteps": 6, "n": 420, "seconds": 0.025, "factors": 1,
-         "refactors": 5, "routing_probes": 0, "from_cache": false, "btf_blocks": 97,
-         "gp_blocks": 0, "sn_blocks": 0, "nd_blocks": 0, "distinct": 0,
-         "worst_residual": 1.0e-12, "residual_ok": true},
-        {"solver": "snlu", "nsteps": 6, "n": 420, "seconds": 0.030, "factors": 1,
-         "refactors": 5, "routing_probes": 0, "from_cache": false, "btf_blocks": 97,
-         "gp_blocks": 0, "sn_blocks": 0, "nd_blocks": 0, "distinct": 0,
-         "worst_residual": 1.0e-12, "residual_ok": true},
-        {"solver": "hybrid_first", "nsteps": 6, "n": 420, "seconds": 0.040, "factors": 3,
-         "refactors": 3, "routing_probes": 2, "from_cache": false, "btf_blocks": 97,
-         "gp_blocks": 96, "sn_blocks": 0, "nd_blocks": 1, "distinct": 2,
-         "worst_residual": 1.0e-12, "residual_ok": true},
-        {"solver": "hybrid_sibling", "nsteps": 6, "n": 420, "seconds": 0.022, "factors": 1,
-         "refactors": 5, "routing_probes": 0, "from_cache": true, "btf_blocks": 97,
-         "gp_blocks": 96, "sn_blocks": 0, "nd_blocks": 1, "distinct": 2,
-         "worst_residual": 1.0e-12, "residual_ok": true}]"#;
-
-    #[test]
-    fn auto_routing_invariants_hold_and_break_loudly() {
-        let r = report_for("auto", AUTO_BASE, AUTO_BASE, 0.25);
-        assert!(r.failures.is_empty(), "{:?}", r.failures);
-
-        // A sibling that re-probed did not inherit: hard fail.
-        let reprobed = AUTO_BASE.replace(
-            r#""solver": "hybrid_sibling", "nsteps": 6, "n": 420, "seconds": 0.022, "factors": 1,
-         "refactors": 5, "routing_probes": 0, "from_cache": true"#,
-            r#""solver": "hybrid_sibling", "nsteps": 6, "n": 420, "seconds": 0.022, "factors": 3,
-         "refactors": 3, "routing_probes": 2, "from_cache": false"#,
-        );
-        let r = report_for("auto", AUTO_BASE, &reprobed, 0.25);
-        assert!(r
-            .failures
-            .iter()
-            .any(|f| f.contains("hybrid_sibling routing_probes")));
-        assert!(r.failures.iter().any(|f| f.contains("routing cache")));
-
-        // A single-strategy plan means the classifier stopped mixing.
-        let unmixed = AUTO_BASE.replace(
-            r#""gp_blocks": 96, "sn_blocks": 0, "nd_blocks": 1, "distinct": 2"#,
-            r#""gp_blocks": 97, "sn_blocks": 0, "nd_blocks": 0, "distinct": 1"#,
-        );
-        let r = report_for("auto", AUTO_BASE, &unmixed, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("not mixed")));
-
-        // A missed residual is a hard failure at any scale.
-        let bad = AUTO_BASE.replacen("\"residual_ok\": true", "\"residual_ok\": false", 1);
-        let r = report_for("auto", AUTO_BASE, &bad, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("residual")));
-    }
-
-    #[test]
-    fn auto_sibling_must_execute_the_first_sessions_plan() {
-        // Sibling routed a contested block differently from what it
-        // claims to have inherited — counts diverge within the fresh
-        // run, independent of host timing.
-        let diverged = AUTO_BASE.replace(
-            r#""from_cache": true, "btf_blocks": 97,
-         "gp_blocks": 96, "sn_blocks": 0, "nd_blocks": 1"#,
-            r#""from_cache": true, "btf_blocks": 97,
-         "gp_blocks": 95, "sn_blocks": 1, "nd_blocks": 1"#,
-        );
-        let r = report_for("auto", AUTO_BASE, &diverged, 0.25);
-        assert!(r
-            .failures
-            .iter()
-            .any(|f| f.contains("hybrid_sibling gp_blocks == hybrid_first")));
-
-        // A learner that loses 4x to every global engine is broken.
-        let slow = AUTO_BASE.replace(
-            r#""solver": "hybrid_sibling", "nsteps": 6, "n": 420, "seconds": 0.022"#,
-            r#""solver": "hybrid_sibling", "nsteps": 6, "n": 420, "seconds": 0.30"#,
-        );
-        let r = report_for("auto", AUTO_BASE, &slow, 0.25);
-        assert!(r.failures.iter().any(|f| f.contains("best global")));
-    }
-
     #[test]
     fn summary_appends_rows_with_one_header() {
         let path = std::env::temp_dir().join(format!(
@@ -1159,7 +718,7 @@ mod tests {
             checks: 12,
             ..Report::default()
         };
-        write_summary(&path, "auto", &ok);
+        write_summary(&path, "fig6", &ok);
         let mut failing = Report {
             checks: 9,
             worst_drift: 0.183,
@@ -1175,7 +734,7 @@ mod tests {
             1,
             "exactly one header:\n{text}"
         );
-        assert!(text.contains("| auto | 12 | pass ✅ | 0.0% |"), "{text}");
+        assert!(text.contains("| fig6 | 12 | pass ✅ | 0.0% |"), "{text}");
         assert!(
             text.contains("| xyce | 9 | **1 FAIL** ❌ | 18.3% |"),
             "{text}"

@@ -1,17 +1,19 @@
-//! Per-BTF-block hybrid factorization: one factorization, three
-//! numeric strategies.
+//! Per-BTF-block routing: the plan vocabulary of the block driver and
+//! the classifier that writes plans.
 //!
 //! The paper's three engine families each win on a *shape*, not a
 //! matrix: fill-less Gilbert–Peierls on tiny circuit blocks, the
 //! supernodal engine's dense panels on fill-heavy blocks, the pipelined
 //! ND team on large blocks with good separators. But real matrices mix
 //! shapes — a power-grid Jacobian is thousands of tiny BTF blocks
-//! *plus* one large irreducible mesh-like core. A single global engine
-//! pick (what `Engine::Auto` did through PR 9) loses on one half of
-//! every such matrix.
+//! *plus* one large irreducible mesh-like core — and a single global
+//! pick loses on one half of every such matrix.
 //!
-//! [`HybridLu`] instead classifies **each BTF diagonal block by its own
-//! structure** ([`classify_block`]) and routes it independently:
+//! The driver behind [`Basker`] therefore executes one
+//! [`BlockStrategy`] per BTF diagonal block. [`Basker::analyze`] fills
+//! the plan in from the layout alone (the paper's plan);
+//! [`HybridLu::analyze`] classifies **each block by its own structure**
+//! ([`classify_block`]):
 //!
 //! ```text
 //!               ┌── size ≤ gp_small ───────────────────────► Gp
@@ -24,28 +26,25 @@
 //!                              └─ otherwise ───────────────► Gp
 //! ```
 //!
-//! The off-diagonal BTF couplings are untouched: the block
-//! backward-substitution solve is exactly Basker's, whatever mix of
-//! strategies produced the diagonal factors.
+//! Nothing else differs: the permutations, the factor/refactor loops,
+//! the off-diagonal BTF couplings and the block back-substitution are
+//! the driver's, whatever mix of strategies produced the diagonal
+//! factors, and uncontested small blocks still factor in parallel on
+//! the team (paper Alg. 2).
 //!
 //! The classifier also records a **runner-up strategy** per contested
 //! block ([`HybridLu::probe_plan`]), and the whole plan is switchable
 //! at runtime ([`HybridLu::set_plan`]) — the hooks the session layer's
 //! feedback-driven `Engine::Auto` uses to *measure* candidate routings
 //! on the first factors of a stream and settle on the per-block winner.
+//! Only contested blocks are timed; they are all the learner compares.
 
-use crate::parnum::{factor_nd_parallel, NdFactors};
-use crate::refactor::refactor_nd_serial;
-use crate::solve::solve_nd_in_place;
-use crate::structure::{BlockKind, NdBlocks, Structure};
-use crate::{upper_block_part, BaskerOptions};
-use basker_klu::gp::BlockFactor;
-use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
-use basker_sparse::blocks::extract_range;
+use crate::structure::BlockKind;
+use crate::{Basker, BaskerNumeric, BaskerOptions};
+use basker_snlu::SnluOptions;
 use basker_sparse::metrics::BlockMetrics;
-use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use basker_sparse::{CscMat, Result};
+use std::sync::Arc;
 
 /// The numeric strategy one BTF diagonal block is routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,286 +154,6 @@ pub fn classify_block(
     }
 }
 
-struct HybridInner {
-    opts: HybridOptions,
-    structure: Structure,
-    pool: rayon::ThreadPool,
-    threads: usize,
-    /// Classifier outputs per BTF block.
-    primary: Vec<BlockStrategy>,
-    alternative: Vec<Option<BlockStrategy>>,
-    /// The active routing plan. Interior-mutable so a measuring session
-    /// can switch strategies between factorizations without re-running
-    /// the symbolic phase; every `factor` snapshots it once up front.
-    plan: Mutex<Vec<BlockStrategy>>,
-    /// Lazily built per-block supernodal analyses (pattern-stable, so
-    /// one analysis serves every factorization of the stream).
-    sn_sym: Mutex<Vec<Option<Snlu>>>,
-}
-
-/// The hybrid symbolic handle: one BTF structure, a per-block routing
-/// plan, and every per-block symbolic artifact the mixed numeric phase
-/// needs. Cheap to clone (shared behind an [`Arc`]).
-#[derive(Clone)]
-pub struct HybridLu {
-    inner: Arc<HybridInner>,
-}
-
-impl HybridLu {
-    /// Analyzes `a`: BTF + per-block layout exactly as
-    /// [`Basker::analyze`](crate::Basker::analyze) (so GP↔supernodal
-    /// re-routing never changes the global permutations), then
-    /// classifies every diagonal block.
-    pub fn analyze(a: &CscMat, opts: &HybridOptions) -> Result<HybridLu> {
-        let threads = opts.base.nthreads.max(1);
-        let threads = if threads.is_power_of_two() {
-            threads
-        } else {
-            threads.next_power_of_two() / 2
-        };
-        let structure = Structure::build(
-            a,
-            opts.base.use_btf,
-            opts.base.use_mwcm,
-            opts.base.nd_threshold,
-            threads,
-        )?;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .pin_threads(opts.base.pin_threads)
-            .build()
-            .map_err(|e| SparseError::InvalidStructure(format!("thread pool: {e}")))?;
-
-        let ap = Perm::permute_both(&structure.row_perm, &structure.col_perm, a);
-        let nblocks = structure.nblocks();
-        let mut primary = Vec::with_capacity(nblocks);
-        let mut alternative = Vec::with_capacity(nblocks);
-        for b in 0..nblocks {
-            let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
-            let size = hi - lo;
-            let metrics = if size > 1 {
-                Some(BlockMetrics::compute(&extract_range(&ap, lo..hi, lo..hi)))
-            } else {
-                None
-            };
-            let (nd_capable, sep_frac) = match &structure.kinds[b] {
-                BlockKind::NdBig(nds) => {
-                    let root = nds.nnodes() - 1;
-                    let sep = nds.nd.nodes[root].len();
-                    (true, sep as f64 / size.max(1) as f64)
-                }
-                BlockKind::Small => (false, 0.0),
-            };
-            let (p, alt) =
-                classify_block(size, metrics.as_ref(), nd_capable, sep_frac, threads, opts);
-            primary.push(p);
-            alternative.push(alt);
-        }
-
-        Ok(HybridLu {
-            inner: Arc::new(HybridInner {
-                opts: opts.clone(),
-                structure,
-                pool,
-                threads,
-                plan: Mutex::new(primary.clone()),
-                primary,
-                alternative,
-                sn_sym: Mutex::new(vec![None; nblocks]),
-            }),
-        })
-    }
-
-    /// The effective (power-of-two) thread count.
-    pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
-
-    /// The underlying block structure.
-    pub fn structure(&self) -> &Structure {
-        &self.inner.structure
-    }
-
-    /// The classifier's primary routing (the plan every fresh handle
-    /// starts from).
-    pub fn primary_plan(&self) -> &[BlockStrategy] {
-        &self.inner.primary
-    }
-
-    /// The classifier's runner-up strategy per block (`None` where the
-    /// primary is beyond doubt).
-    pub fn alternatives(&self) -> &[Option<BlockStrategy>] {
-        &self.inner.alternative
-    }
-
-    /// A snapshot of the active routing plan.
-    pub fn plan(&self) -> Vec<BlockStrategy> {
-        self.inner.plan.lock().expect("plan lock poisoned").clone()
-    }
-
-    /// Candidate plan `k` for a measuring session: `0` is the
-    /// classifier's primary, `1` flips every contested block to its
-    /// runner-up. `None` once the candidates are exhausted (and for
-    /// `k = 1` when no block is contested — nothing to measure).
-    pub fn probe_plan(&self, k: usize) -> Option<Vec<BlockStrategy>> {
-        match k {
-            0 => Some(self.inner.primary.clone()),
-            1 => {
-                if self.inner.alternative.iter().all(|a| a.is_none()) {
-                    return None;
-                }
-                Some(
-                    self.inner
-                        .primary
-                        .iter()
-                        .zip(&self.inner.alternative)
-                        .map(|(&p, alt)| alt.unwrap_or(p))
-                        .collect(),
-                )
-            }
-            _ => None,
-        }
-    }
-
-    /// Installs a routing plan; subsequent [`factor`](Self::factor)
-    /// calls execute it. Returns `false` (and installs nothing) if the
-    /// plan is malformed: wrong length, or [`BlockStrategy::Nd`] on a
-    /// block the symbolic phase did not lay out for ND.
-    pub fn set_plan(&self, plan: &[BlockStrategy]) -> bool {
-        let st = &self.inner.structure;
-        if plan.len() != st.nblocks() {
-            return false;
-        }
-        for (b, s) in plan.iter().enumerate() {
-            if *s == BlockStrategy::Nd && !matches!(st.kinds[b], BlockKind::NdBig(_)) {
-                return false;
-            }
-        }
-        *self.inner.plan.lock().expect("plan lock poisoned") = plan.to_vec();
-        true
-    }
-
-    /// Gets or lazily builds the supernodal analysis of block `b` over
-    /// its extracted diagonal block.
-    fn snlu_symbolic(&self, b: usize, diag: &CscMat) -> Result<Snlu> {
-        let mut cache = self.inner.sn_sym.lock().expect("snlu cache lock poisoned");
-        if let Some(sym) = &cache[b] {
-            return Ok(sym.clone());
-        }
-        let mut opts = self.inner.opts.snlu.clone();
-        opts.nthreads = self.inner.threads;
-        let sym = Snlu::analyze(diag, &opts)?;
-        cache[b] = Some(sym.clone());
-        Ok(sym)
-    }
-
-    /// Numeric factorization of `a` under the active plan, with fresh
-    /// pivoting and per-block wall-clock timing (the measurements the
-    /// feedback-driven router learns from).
-    ///
-    /// Blocks factor in plan order on the caller's thread — only the ND
-    /// strategy fans out over the team — so the per-block timings are
-    /// honest even on a 1-CPU host; the lost cross-block parallelism of
-    /// the all-Basker path is the price of measurability, and the ND
-    /// blocks (where the real work is) still run parallel.
-    pub fn factor(&self, a: &CscMat) -> Result<HybridNumeric> {
-        let t0 = Instant::now();
-        let inner = &self.inner;
-        let st = &inner.structure;
-        let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
-        let plan = self.plan();
-
-        let mut factors = Vec::with_capacity(st.nblocks());
-        let mut routes = Vec::with_capacity(st.nblocks());
-        for b in 0..st.nblocks() {
-            let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
-            let tb = Instant::now();
-            let f = match plan[b] {
-                BlockStrategy::Gp => HybridBlockFactor::Gp(BlockFactor::factor_range(
-                    &ap,
-                    lo,
-                    hi,
-                    inner.opts.base.pivot_tol,
-                )?),
-                BlockStrategy::Supernodal => {
-                    let diag = extract_range(&ap, lo..hi, lo..hi);
-                    let sym = self.snlu_symbolic(b, &diag)?;
-                    let num = sym.factor(&diag)?;
-                    HybridBlockFactor::Sn {
-                        num: Box::new(num),
-                        ws: Mutex::new(SolveWorkspace::for_dim(hi - lo)),
-                    }
-                }
-                BlockStrategy::Nd => {
-                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!("set_plan keeps Nd off non-ND blocks");
-                    };
-                    let blocks = NdBlocks::extract(&ap, lo, nds);
-                    let f = factor_nd_parallel(
-                        &blocks,
-                        nds,
-                        inner.opts.base.pivot_tol,
-                        inner.opts.base.sync_mode,
-                        lo,
-                        &inner.pool,
-                    )?;
-                    HybridBlockFactor::Nd { blocks, f }
-                }
-            };
-            routes.push(BlockRoute {
-                block: b,
-                rows: hi - lo,
-                strategy: plan[b],
-                seconds: tb.elapsed().as_secs_f64(),
-            });
-            factors.push(f);
-        }
-
-        let offdiag = upper_block_part(&ap, &st.block_of);
-        let mut num = HybridNumeric {
-            sym: self.clone(),
-            factors,
-            offdiag,
-            stats: HybridStats::default(),
-        };
-        num.stats = HybridStats {
-            lu_nnz: num.lu_nnz(),
-            flops: num.flops(),
-            numeric_seconds: t0.elapsed().as_secs_f64(),
-            btf_blocks: st.nblocks(),
-            threads: inner.threads,
-            routes,
-        };
-        Ok(num)
-    }
-}
-
-impl std::fmt::Debug for HybridLu {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HybridLu")
-            .field("n", &self.inner.structure.n)
-            .field("blocks", &self.inner.structure.nblocks())
-            .field("plan", &self.plan())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Numeric factors of one BTF block under its routed strategy.
-enum HybridBlockFactor {
-    /// Gilbert–Peierls over the block's range of the permuted matrix.
-    Gp(BlockFactor),
-    /// Supernodal factors of the extracted diagonal block, with a
-    /// dedicated solve workspace (the supernodal solve needs its own;
-    /// the mutex is uncontended and the workspace stays warm, so block
-    /// solves remain allocation-free after the first).
-    Sn {
-        num: Box<SnluNumeric>,
-        ws: Mutex<SolveWorkspace>,
-    },
-    /// The pipelined-ND factors (as in the Basker engine).
-    Nd { blocks: NdBlocks, f: NdFactors },
-}
-
 /// One row of the per-block routing report: which strategy factored the
 /// block and how long it took — the evidence stream the learned
 /// `Engine::Auto` routing builds on.
@@ -446,299 +165,142 @@ pub struct BlockRoute {
     pub rows: usize,
     /// The strategy that factored it.
     pub strategy: BlockStrategy,
-    /// Wall-clock seconds of this block's factorization.
+    /// Wall-clock seconds of this block's last (re)factorization when
+    /// the block is contested; `0.0` where the classifier left no
+    /// runner-up to compare against.
     pub seconds: f64,
 }
 
-/// Statistics of one hybrid (re)factorization.
-#[derive(Debug, Clone, Default)]
-pub struct HybridStats {
-    /// `|L+U|` over the factored blocks.
-    pub lu_nnz: usize,
-    /// Numeric flops of the factorization kernels.
-    pub flops: f64,
-    /// Wall-clock seconds of the whole (re)factorization.
-    pub numeric_seconds: f64,
-    /// Number of BTF diagonal blocks.
-    pub btf_blocks: usize,
-    /// Effective worker threads.
-    pub threads: usize,
-    /// Per-block routing + timing of the last (re)factorization.
-    pub routes: Vec<BlockRoute>,
-}
+/// The driver has one numeric type under either plan.
+pub type HybridNumeric = BaskerNumeric;
 
-impl HybridStats {
-    /// `(gp, supernodal, nd)` block counts of the executed plan.
-    pub fn strategy_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0usize, 0usize, 0usize);
-        for r in &self.routes {
-            match r.strategy {
-                BlockStrategy::Gp => c.0 += 1,
-                BlockStrategy::Supernodal => c.1 += 1,
-                BlockStrategy::Nd => c.2 += 1,
-            }
-        }
-        c
-    }
+/// A [`Basker`] driver handle with its plan controls exposed:
+/// [`analyze`](Self::analyze) builds one with a classified plan, and
+/// `From<Basker>` opens the controls of a paper-plan handle (on which
+/// nothing is contested). Dereferences to the driver for
+/// [`factor`](Basker::factor), `threads` and `structure`; cheap to
+/// clone, and clones share one active plan.
+#[derive(Clone)]
+pub struct HybridLu(Basker);
 
-    /// Number of distinct strategies in the executed plan.
-    pub fn distinct_strategies(&self) -> usize {
-        let (g, s, n) = self.strategy_counts();
-        [g, s, n].iter().filter(|&&c| c > 0).count()
+impl From<Basker> for HybridLu {
+    fn from(driver: Basker) -> HybridLu {
+        HybridLu(driver)
     }
 }
 
-/// The mixed-strategy numeric factorization: per-block factors (each
-/// under its routed strategy) + the untouched BTF couplings.
-pub struct HybridNumeric {
-    sym: HybridLu,
-    factors: Vec<HybridBlockFactor>,
-    offdiag: CscMat,
-    /// Statistics of the (re)factorization that produced these factors.
-    pub stats: HybridStats,
+impl std::ops::Deref for HybridLu {
+    type Target = Basker;
+
+    fn deref(&self) -> &Basker {
+        &self.0
+    }
 }
 
-impl HybridNumeric {
-    /// The symbolic handle.
-    pub fn symbolic(&self) -> &HybridLu {
-        &self.sym
+impl HybridLu {
+    /// Analyzes `a`: BTF + per-block layout exactly as
+    /// [`Basker::analyze`] (so re-routing never changes the global
+    /// permutations), then classifies every diagonal block.
+    pub fn analyze(a: &CscMat, opts: &HybridOptions) -> Result<HybridLu> {
+        Basker::analyze_with(a, &opts.base, Some(opts)).map(HybridLu)
     }
 
-    /// `|L+U|` over the factored blocks.
-    pub fn lu_nnz(&self) -> usize {
-        self.factors
-            .iter()
-            .map(|f| match f {
-                HybridBlockFactor::Gp(b) => b.lu_nnz(),
-                HybridBlockFactor::Sn { num, .. } => num.lu_nnz,
-                HybridBlockFactor::Nd { f, .. } => f.lu_nnz(),
-            })
-            .sum()
+    /// The plan every fresh handle starts from: the classifier's
+    /// primary routing, or the paper's plan.
+    pub fn primary_plan(&self) -> &[BlockStrategy] {
+        &self.0.inner.primary
     }
 
-    /// Numeric flops of the factorization kernels.
-    pub fn flops(&self) -> f64 {
-        self.factors
-            .iter()
-            .map(|f| match f {
-                HybridBlockFactor::Gp(b) => b.flops(),
-                HybridBlockFactor::Sn { num, .. } => num.flops,
-                HybridBlockFactor::Nd { f, .. } => f.flops,
-            })
-            .sum()
+    /// The classifier's runner-up strategy per block (`None` where the
+    /// primary is beyond doubt).
+    pub fn alternatives(&self) -> &[Option<BlockStrategy>] {
+        &self.0.inner.alternative
     }
 
-    /// Statically perturbed pivots across the supernodal-routed blocks
-    /// (the GP/ND strategies pivot, never perturb).
-    pub fn perturbed_pivots(&self) -> usize {
-        self.factors
-            .iter()
-            .map(|f| match f {
-                HybridBlockFactor::Sn { num, .. } => num.perturbed_pivots,
-                _ => 0,
-            })
-            .sum()
+    /// A snapshot of the active routing plan.
+    pub fn plan(&self) -> Vec<BlockStrategy> {
+        self.0
+            .inner
+            .plan
+            .lock()
+            .expect("plan lock poisoned")
+            .to_vec()
     }
 
-    /// `(min |pivot|, max |pivot|)` over every factored block.
-    pub fn pivot_range(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        let mut fold = |(l, h): (f64, f64)| {
-            lo = lo.min(l);
-            hi = hi.max(h);
-        };
-        for f in &self.factors {
-            match f {
-                HybridBlockFactor::Gp(b) => fold(b.pivot_range()),
-                HybridBlockFactor::Sn { num, .. } => fold(num.pivot_range()),
-                HybridBlockFactor::Nd { f, .. } => {
-                    for blu in &f.fact_diag {
-                        fold(blu.pivot_range());
-                    }
-                }
-            }
-        }
-        (lo, hi)
-    }
-
-    /// Solves `A·x = b` in place — the block backward substitution of
-    /// the Basker engine, dispatching each diagonal block to its
-    /// strategy's solve; off-diagonal coupling updates are identical.
-    /// Allocation-free once the workspaces are warm.
-    pub fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) {
-        let st = &self.sym.inner.structure;
-        assert_eq!(x.len(), st.n);
-        let (y, scratch) = ws.split2(st.n);
-        st.row_perm.apply_vec_into(x, y);
-        for blk in (0..st.nblocks()).rev() {
-            let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
-            match &self.factors[blk] {
-                HybridBlockFactor::Gp(blu) => {
-                    blu.solve_in_place_with(&mut y[lo..hi], &mut scratch[..hi - lo])
-                }
-                HybridBlockFactor::Sn { num, ws } => {
-                    let mut sws = ws.lock().expect("supernodal ws lock poisoned");
-                    num.solve_in_place(&mut y[lo..hi], &mut sws);
-                }
-                HybridBlockFactor::Nd { f, .. } => {
-                    let BlockKind::NdBig(nds) = &st.kinds[blk] else {
-                        unreachable!("factor kind mismatch");
-                    };
-                    solve_nd_in_place(nds, f, &mut y[lo..hi], &mut scratch[..hi - lo]);
-                }
-            }
-            // push contributions into earlier blocks
-            for c in lo..hi {
-                let xc = y[c];
-                if xc != 0.0 {
-                    basker_kernels::active().scatter_axpy(
-                        &mut y[..],
-                        self.offdiag.col_rows(c),
-                        self.offdiag.col_values(c),
-                        -xc,
-                    );
-                }
-            }
-        }
-        for (k, &orig) in st.col_perm.as_slice().iter().enumerate() {
-            x[orig] = y[k];
+    /// Candidate plan `k` for a measuring session: `0` is the primary,
+    /// `1` flips every contested block to its runner-up. `None` once
+    /// the candidates are exhausted (and for `k = 1` when no block is
+    /// contested — nothing to measure).
+    pub fn probe_plan(&self, k: usize) -> Option<Vec<BlockStrategy>> {
+        let inner = &self.0.inner;
+        match k {
+            0 => Some(inner.primary.clone()),
+            1 if inner.alternative.iter().any(|a| a.is_some()) => Some(
+                inner
+                    .primary
+                    .iter()
+                    .zip(&inner.alternative)
+                    .map(|(&p, alt)| alt.unwrap_or(p))
+                    .collect(),
+            ),
+            _ => None,
         }
     }
 
-    /// Solves several right-hand sides packed column-major in `xs`.
-    pub fn solve_multi_in_place(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
-        basker_sparse::workspace::for_each_rhs(self.sym.inner.structure.n, xs, |rhs| {
-            self.solve_in_place(rhs, ws)
-        });
-    }
-
-    /// Refactorizes with new values (identical pattern), reusing each
-    /// block's factors **under the strategy that built them** — the
-    /// active plan only applies at the next fresh
-    /// [`factor`](HybridLu::factor). Fails with
-    /// [`SparseError::ZeroPivot`] if a frozen pivot collapses.
-    pub fn refactor(&mut self, a: &CscMat) -> Result<()> {
-        let t0 = Instant::now();
-        let sym = self.sym.clone();
-        let st = &sym.inner.structure;
-        let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
-        for b in 0..st.nblocks() {
-            let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
-            let tb = Instant::now();
-            match &mut self.factors[b] {
-                HybridBlockFactor::Gp(blu) => {
-                    blu.refactor_range(&ap, lo, hi)?;
-                }
-                HybridBlockFactor::Sn { num, .. } => {
-                    let diag = extract_range(&ap, lo..hi, lo..hi);
-                    num.refactor(&diag)?;
-                }
-                HybridBlockFactor::Nd { blocks, f } => {
-                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!();
-                    };
-                    *blocks = NdBlocks::extract(&ap, lo, nds);
-                    refactor_nd_serial(blocks, nds, f, lo)?;
-                }
-            }
-            if let Some(r) = self.stats.routes.get_mut(b) {
-                r.seconds = tb.elapsed().as_secs_f64();
+    /// Installs a routing plan; subsequent [`factor`](Basker::factor)
+    /// calls execute it. Returns `false` (and installs nothing) if the
+    /// plan is malformed: wrong length, [`BlockStrategy::Nd`] on a
+    /// block the symbolic phase did not lay out for ND, or anything but
+    /// [`BlockStrategy::Gp`] on a block of the fine-BTF set (small,
+    /// uncontested — its place in the team's partition is fixed at
+    /// analyze time).
+    pub fn set_plan(&self, plan: &[BlockStrategy]) -> bool {
+        let inner = &self.0.inner;
+        let st = &inner.structure;
+        if plan.len() != st.nblocks() {
+            return false;
+        }
+        for (b, &s) in plan.iter().enumerate() {
+            let nd_capable = matches!(st.kinds[b], BlockKind::NdBig(_));
+            if (s == BlockStrategy::Nd && !nd_capable)
+                || (s != BlockStrategy::Gp && inner.on_team(b))
+            {
+                return false;
             }
         }
-        self.offdiag = upper_block_part(&ap, &st.block_of);
-        self.stats.numeric_seconds = t0.elapsed().as_secs_f64();
-        self.stats.lu_nnz = self.lu_nnz();
-        self.stats.flops = self.flops();
-        Ok(())
+        *inner.plan.lock().expect("plan lock poisoned") = Arc::new(plan.to_vec());
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basker_sparse::spmv::spmv;
-    use basker_sparse::util::relative_residual;
-    use basker_sparse::TripletMat;
+    use crate::testmat::*;
 
-    fn grid2d(k: usize) -> CscMat {
-        let n = k * k;
-        let idx = |r: usize, c: usize| r * k + c;
-        let mut t = TripletMat::new(n, n);
-        for r in 0..k {
-            for c in 0..k {
-                let u = idx(r, c);
-                t.push(u, u, 8.0 + (u % 3) as f64);
-                if r + 1 < k {
-                    t.push(u, idx(r + 1, c), -1.0);
-                    t.push(idx(r + 1, c), u, -2.0);
-                }
-                if c + 1 < k {
-                    t.push(u, idx(r, c + 1), -1.5);
-                    t.push(idx(r, c + 1), u, -0.5);
-                }
-            }
-        }
-        t.to_csc()
-    }
-
-    /// Heterogeneous BTF: one large grid block + a run of tiny blocks,
-    /// coupled strictly upper-triangular.
-    fn heterogeneous(k: usize, tiny: usize) -> CscMat {
-        let g = grid2d(k);
-        let n = g.nrows() + tiny;
-        let mut t = TripletMat::new(n, n);
-        for (i, j, v) in g.iter() {
-            t.push(i, j, v);
-        }
-        for q in g.nrows()..n {
-            t.push(q, q, 5.0 + (q % 4) as f64);
-            if q + 1 < n {
-                t.push(q, q + 1, -0.25);
-            }
-        }
-        t.push(3, g.nrows() + 1, 0.5);
-        t.to_csc()
-    }
-
-    fn opts(threads: usize, nd_threshold: usize) -> HybridOptions {
+    fn hybrid_opts(threads: usize, nd_threshold: usize, gp_small: usize) -> HybridOptions {
         HybridOptions {
-            base: BaskerOptions {
-                nthreads: threads,
-                nd_threshold,
-                ..BaskerOptions::default()
-            },
+            base: opts(threads, nd_threshold),
+            gp_small,
             ..HybridOptions::default()
         }
     }
 
     fn check(a: &CscMat, o: &HybridOptions) -> HybridNumeric {
-        let sym = HybridLu::analyze(a, o).unwrap();
-        let num = sym.factor(a).unwrap();
-        let xtrue: Vec<f64> = (0..a.ncols()).map(|i| 0.5 + (i % 5) as f64).collect();
-        let b = spmv(a, &xtrue);
-        let mut x = b.clone();
-        num.solve_in_place(&mut x, &mut SolveWorkspace::new());
-        assert!(
-            relative_residual(a, &x, &b) < 1e-8,
-            "residual {}",
-            relative_residual(a, &x, &b)
-        );
+        let num = HybridLu::analyze(a, o).unwrap().factor(a).unwrap();
+        check_solve(&num, a, 1e-8);
         num
     }
 
     #[test]
     fn mixed_plan_on_heterogeneous_matrix() {
         let a = heterogeneous(12, 40); // 144-row grid + 40 tiny blocks
-        let mut o = opts(2, 64);
-        o.gp_small = 32;
-        let num = check(&a, &o);
+        let num = check(&a, &hybrid_opts(2, 64, 32));
         let (gp, _sn, nd) = num.stats.strategy_counts();
         assert!(gp > 0, "tiny blocks must route to GP");
         assert!(nd > 0, "the grid block must route to ND");
         assert!(num.stats.distinct_strategies() >= 2, "plan must be mixed");
         assert_eq!(num.stats.routes.len(), num.stats.btf_blocks);
-        assert!(num.stats.routes.iter().all(|r| r.seconds >= 0.0));
     }
 
     #[test]
@@ -794,9 +356,7 @@ mod tests {
     #[test]
     fn plan_switching_and_probe_plans() {
         let a = heterogeneous(12, 40);
-        let mut o = opts(2, 64);
-        o.gp_small = 32;
-        let sym = HybridLu::analyze(&a, &o).unwrap();
+        let sym = HybridLu::analyze(&a, &hybrid_opts(2, 64, 32)).unwrap();
         let p0 = sym.probe_plan(0).unwrap();
         assert_eq!(p0, sym.primary_plan());
         let p1 = sym.probe_plan(1).unwrap();
@@ -807,75 +367,68 @@ mod tests {
         for plan in [&p0, &p1] {
             assert!(sym.set_plan(plan));
             let num = sym.factor(&a).unwrap();
-            let b = vec![1.0; a.ncols()];
-            let mut x = b.clone();
-            num.solve_in_place(&mut x, &mut SolveWorkspace::new());
-            assert!(relative_residual(&a, &x, &b) < 1e-8);
-            assert_eq!(
-                num.stats
-                    .routes
-                    .iter()
-                    .map(|r| r.strategy)
-                    .collect::<Vec<_>>(),
-                *plan
-            );
+            check_solve(&num, &a, 1e-8);
+            let routed: Vec<_> = num.stats.routes.iter().map(|r| r.strategy).collect();
+            assert_eq!(routed, *plan);
         }
 
-        // Malformed plans are rejected.
+        // Malformed plans are rejected: wrong length, ND on a block not
+        // laid out for it, a fine-BTF block taken off Gilbert–Peierls.
         assert!(!sym.set_plan(&p0[1..]));
-        let mut bad = p0.clone();
-        // Find a Small-laid-out block and demand ND on it.
         let small_b = (0..sym.structure().nblocks())
             .find(|&b| matches!(sym.structure().kinds[b], BlockKind::Small))
             .unwrap();
-        bad[small_b] = BlockStrategy::Nd;
-        assert!(!sym.set_plan(&bad));
+        for s in [BlockStrategy::Nd, BlockStrategy::Supernodal] {
+            let mut bad = p0.clone();
+            bad[small_b] = s;
+            assert!(!sym.set_plan(&bad));
+        }
+        assert_eq!(sym.plan(), p1, "a rejected plan installs nothing");
     }
 
+    /// Under every candidate plan, not just the primary.
     #[test]
     fn refactor_matches_factor() {
         let a = heterogeneous(10, 24);
-        let mut o = opts(2, 64);
-        o.gp_small = 16;
-        let sym = HybridLu::analyze(&a, &o).unwrap();
-        let mut num = sym.factor(&a).unwrap();
-        // SAFETY: pattern arrays are copied from the valid matrix `a`;
-        // values map 1:1.
-        let a2 = unsafe {
-            CscMat::from_parts_unchecked(
-                a.nrows(),
-                a.ncols(),
-                a.colptr().to_vec(),
-                a.rowind().to_vec(),
-                a.values().iter().map(|v| v * 1.2 + 0.003).collect(),
-            )
-        };
-        num.refactor(&a2).unwrap();
-        let xtrue: Vec<f64> = (0..a.ncols())
-            .map(|i| (i as f64 * 0.2).sin() + 1.5)
-            .collect();
-        let b = spmv(&a2, &xtrue);
-        let mut x = b.clone();
-        num.solve_in_place(&mut x, &mut SolveWorkspace::new());
-        assert!(relative_residual(&a2, &x, &b) < 1e-8);
+        let sym = HybridLu::analyze(&a, &hybrid_opts(2, 64, 16)).unwrap();
+        let mut k = 0;
+        while let Some(plan) = sym.probe_plan(k) {
+            assert!(sym.set_plan(&plan));
+            assert_refactor_matches_factor(&sym, &a);
+            k += 1;
+        }
+        assert_eq!(k, 2);
     }
 
     #[test]
     fn pure_mesh_still_works() {
         // One irreducible block: the hybrid plan has a single entry.
-        let a = grid2d(9);
-        let num = check(&a, &opts(2, 32));
+        let a = grid2d_unsym(9);
+        let num = check(&a, &hybrid_opts(2, 32, 64));
         assert_eq!(num.stats.btf_blocks, 1);
         assert!(num.stats.distinct_strategies() == 1);
     }
 
+    /// The quality folds see supernodal blocks like any other.
     #[test]
     fn quality_metrics_populated() {
         let a = heterogeneous(12, 40);
-        let num = check(&a, &opts(2, 64));
+        let sym = HybridLu::analyze(&a, &hybrid_opts(2, 64, 64)).unwrap();
+        assert!(sym.set_plan(&sym.probe_plan(1).unwrap()));
+        let num = sym.factor(&a).unwrap();
+        assert_eq!(
+            num.stats.strategy_counts().1,
+            1,
+            "the grid block went supernodal"
+        );
         let (lo, hi) = num.pivot_range();
         assert!(lo > 0.0 && lo <= hi);
         assert!(num.lu_nnz() > 0);
         assert!(num.flops() > 0.0);
+        assert_eq!(
+            num.perturbed_pivots(),
+            0,
+            "dominant matrix: nothing perturbed"
+        );
     }
 }

@@ -13,6 +13,12 @@
 //!   where a static thread team runs the first *parallel* Gilbert–Peierls
 //!   factorization (paper Alg. 3–4), synchronizing point-to-point.
 //!
+//! Both levels run under **one BTF block driver** executing a per-block
+//! plan of [`BlockStrategy`] entries. [`Basker`]
+//! builds it with the paper's plan; [`hybrid::HybridLu`] builds the same
+//! driver with a plan classified block by block, which may also route a
+//! block to the supernodal engine. Both produce a [`BaskerNumeric`].
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -50,14 +56,18 @@ pub use stats::BaskerStats;
 pub use sync::{AssistTally, SyncMode};
 
 use crate::fine_btf::{factor_small_blocks, partition_by_flops, SmallBlock};
+use crate::hybrid::{classify_block, BlockRoute, BlockStrategy, HybridOptions};
 use crate::parnum::{factor_nd_parallel, NdFactors};
 use crate::solve::solve_nd_in_place;
 use crate::structure::{BlockKind, NdBlocks, Structure};
 use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
+use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
 use basker_sparse::blocks::extract_range;
+use basker_sparse::metrics::BlockMetrics;
 use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Reads the `BASKER_NUM_THREADS` environment override used by the
@@ -112,27 +122,69 @@ impl Default for BaskerOptions {
     }
 }
 
+/// What one handle shares with every factorization made from it.
 struct SymInner {
     opts: BaskerOptions,
     structure: Structure,
     pool: rayon::ThreadPool,
+    threads: usize,
+    /// Alg. 2's fine-BTF set — the `Small`-layout blocks nothing
+    /// contests, pinned to Gilbert–Peierls — with their flop estimates,
+    /// and its static partition over the team.
     small_blocks: Vec<SmallBlock>,
     small_chunks: Vec<Vec<usize>>,
-    threads: usize,
-    estimates: symbolic::SymbolicEstimates,
+    /// The plan every fresh handle starts from and, per block, the
+    /// strategy worth measuring against it (all `None` on the paper
+    /// plan: nothing is contested, so nothing is timed).
+    primary: Vec<BlockStrategy>,
+    alternative: Vec<Option<BlockStrategy>>,
+    /// A classified plan was asked for: factorizations record one
+    /// [`BlockRoute`] per block.
+    classified: bool,
+    /// The active plan. Interior-mutable so a measuring session can
+    /// switch strategies between factorizations without re-running the
+    /// symbolic phase; every `factor` snapshots it once up front.
+    plan: Mutex<Arc<Vec<BlockStrategy>>>,
+    /// Options (at this handle's thread count) and lazily built analyses
+    /// of the supernodal-routed blocks (pattern-stable, so one analysis
+    /// serves the whole stream).
+    snlu: SnluOptions,
+    sn_sym: Mutex<HashMap<usize, Snlu>>,
 }
 
-/// The symbolic handle: orderings, block structure, thread pool and fill
-/// estimates, reusable across a sequence of matrices with one pattern.
+impl SymInner {
+    /// Block `b` belongs to the fine-BTF set factored on the team.
+    fn on_team(&self, b: usize) -> bool {
+        matches!(self.structure.kinds[b], BlockKind::Small) && self.alternative[b].is_none()
+    }
+}
+
+/// The symbolic handle of the BTF block driver: orderings, block
+/// structure, thread pool and a per-block plan, reusable across a
+/// sequence of matrices with one pattern. [`Basker::analyze`] installs
+/// the paper's plan (fine-BTF blocks to Gilbert–Peierls, fine-ND blocks
+/// to the team); [`HybridLu::analyze`](hybrid::HybridLu::analyze) builds
+/// the same handle with a classified plan. Cheap to clone.
 #[derive(Clone)]
 pub struct Basker {
     inner: Arc<SymInner>,
 }
 
 impl Basker {
-    /// Analyzes the pattern of `a` (paper Alg. 2 + Alg. 3): BTF, AMD/ND
-    /// refinement, symbolic estimates and thread partitioning.
+    /// Analyzes the pattern of `a` (paper Alg. 2): BTF, AMD/ND
+    /// refinement and thread partitioning, under the paper's plan.
     pub fn analyze(a: &CscMat, opts: &BaskerOptions) -> Result<Basker> {
+        Basker::analyze_with(a, opts, None)
+    }
+
+    /// The one analyze. With `classify`, every diagonal block is also
+    /// measured and routed by [`classify_block`]; the structure and the
+    /// global permutations do not depend on it.
+    fn analyze_with(
+        a: &CscMat,
+        opts: &BaskerOptions,
+        classify: Option<&HybridOptions>,
+    ) -> Result<Basker> {
         let threads = opts.nthreads.max(1);
         let threads = if threads.is_power_of_two() {
             threads
@@ -151,39 +203,67 @@ impl Basker {
             .build()
             .map_err(|e| SparseError::InvalidStructure(format!("thread pool: {e}")))?;
 
-        // Per-small-block flop estimates (Alg. 2 line 3) drive the static
-        // partition of blocks over threads (line 5).
         let ap = Perm::permute_both(&structure.row_perm, &structure.col_perm, a);
+        let nblocks = structure.nblocks();
+        let mut primary = Vec::with_capacity(nblocks);
+        let mut alternative = Vec::with_capacity(nblocks);
         let mut small_blocks = Vec::new();
-        for b in 0..structure.nblocks() {
-            if let BlockKind::Small = structure.kinds[b] {
-                let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
-                let est_flops = if hi - lo > 1 {
-                    let diag = extract_range(&ap, lo..hi, lo..hi);
-                    symbolic_gp(&diag).flops
-                } else {
-                    1.0
-                };
+        for b in 0..nblocks {
+            let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
+            let nds = match &structure.kinds[b] {
+                BlockKind::Small => None,
+                BlockKind::NdBig(nds) => Some(nds),
+            };
+            let diag = (hi - lo > 1 && (nds.is_none() || classify.is_some()))
+                .then(|| extract_range(&ap, lo..hi, lo..hi));
+            let (p, alt) = match (classify, nds) {
+                (None, None) => (BlockStrategy::Gp, None),
+                (None, Some(_)) => (BlockStrategy::Nd, None),
+                (Some(o), _) => {
+                    let metrics = diag.as_ref().map(BlockMetrics::compute);
+                    let sep = nds.map_or(0, |s| s.nd.nodes[s.nnodes() - 1].len());
+                    classify_block(
+                        hi - lo,
+                        metrics.as_ref(),
+                        nds.is_some(),
+                        sep as f64 / (hi - lo).max(1) as f64,
+                        threads,
+                        o,
+                    )
+                }
+            };
+            if nds.is_none() && alt.is_none() {
+                // Per-block flop estimates (Alg. 2 line 3) drive the
+                // static partition of blocks over threads (line 5).
                 small_blocks.push(SmallBlock {
                     btf_index: b,
                     lo,
                     hi,
-                    est_flops,
+                    est_flops: diag.as_ref().map_or(1.0, |d| symbolic_gp(d).flops),
                 });
             }
+            primary.push(p);
+            alternative.push(alt);
         }
         let small_chunks = partition_by_flops(&small_blocks, threads);
-        let estimates = symbolic::SymbolicEstimates::compute(&ap, &structure, &pool);
 
         Ok(Basker {
             inner: Arc::new(SymInner {
                 opts: opts.clone(),
                 structure,
                 pool,
+                threads,
                 small_blocks,
                 small_chunks,
-                threads,
-                estimates,
+                plan: Mutex::new(Arc::new(primary.clone())),
+                primary,
+                alternative,
+                classified: classify.is_some(),
+                snlu: SnluOptions {
+                    nthreads: threads,
+                    ..classify.map_or_else(SnluOptions::default, |o| o.snlu.clone())
+                },
+                sn_sym: Mutex::new(HashMap::new()),
             }),
         })
     }
@@ -198,45 +278,84 @@ impl Basker {
         &self.inner.structure
     }
 
-    /// Symbolic fill estimates (paper Alg. 3).
-    pub fn estimates(&self) -> &symbolic::SymbolicEstimates {
-        &self.inner.estimates
+    /// Whether this handle was built with a classified plan
+    /// ([`HybridLu::analyze`](hybrid::HybridLu::analyze)) rather than
+    /// the paper's.
+    pub fn classified(&self) -> bool {
+        self.inner.classified
     }
 
-    /// Numeric factorization of `a` (same pattern as analyzed), with fresh
-    /// pivoting. This is the call a circuit simulator makes for every
-    /// matrix of a transient sequence (paper §V-F) — the symbolic phase is
-    /// reused, the numeric phase redone.
+    /// Gets or lazily builds the supernodal analysis of block `b` over
+    /// its extracted diagonal block.
+    fn snlu_symbolic(&self, b: usize, diag: &CscMat) -> Result<Snlu> {
+        let mut cache = self.inner.sn_sym.lock().expect("snlu cache lock poisoned");
+        if let Some(sym) = cache.get(&b) {
+            return Ok(sym.clone());
+        }
+        let sym = Snlu::analyze(diag, &self.inner.snlu)?;
+        cache.insert(b, sym.clone());
+        Ok(sym)
+    }
+
+    /// Numeric factorization of `a` (same pattern as analyzed) under the
+    /// active plan, with fresh pivoting. This is the call a circuit
+    /// simulator makes for every matrix of a transient sequence (paper
+    /// §V-F) — the symbolic phase is reused, the numeric phase redone.
+    ///
+    /// The fine-BTF set factors in parallel on the team; every other
+    /// block runs in plan order on the caller's thread, where only the
+    /// ND strategy fans out. Blocks with a runner-up strategy — and
+    /// only those — are timed: they are what the routing learner
+    /// compares.
     pub fn factor(&self, a: &CscMat) -> Result<BaskerNumeric> {
         let t0 = Instant::now();
-        let inner = &self.inner;
+        let inner = &*self.inner;
         let st = &inner.structure;
         let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
+        let plan = Arc::clone(&inner.plan.lock().expect("plan lock poisoned"));
 
-        // Fine BTF path: all small blocks in parallel.
-        let small = factor_small_blocks(
+        let mut small = factor_small_blocks(
             &ap,
             &inner.small_blocks,
             &inner.small_chunks,
             inner.opts.pivot_tol,
             &inner.pool,
-        )?;
-        let mut small_iter = small.into_iter();
+        )?
+        .into_iter();
 
-        // Fine ND path: each large block with the whole team.
         let mut factors: Vec<BlockFactors> = Vec::with_capacity(st.nblocks());
+        let mut routes = Vec::with_capacity(if inner.classified { st.nblocks() } else { 0 });
         let mut sync_wait = vec![0u64; inner.threads];
         let mut assist = AssistTally::default();
-        let mut nd_blocks_ct = 0usize;
+        let (mut sn_blocks, mut nd_blocks) = (0usize, 0usize);
         for b in 0..st.nblocks() {
-            match &st.kinds[b] {
-                BlockKind::Small => {
-                    let (bi, blu) = small_iter.next().expect("small factor missing");
+            let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
+            let timer = inner.alternative[b].map(|_| Instant::now());
+            let f = match plan[b] {
+                BlockStrategy::Gp if inner.on_team(b) => {
+                    let (bi, blu) = small.next().expect("small factor missing");
                     debug_assert_eq!(bi, b);
-                    factors.push(BlockFactors::Small(blu));
+                    BlockFactors::Gp(blu)
                 }
-                BlockKind::NdBig(nds) => {
-                    let lo = st.bounds[b];
+                BlockStrategy::Gp => BlockFactors::Gp(BlockFactor::factor_range(
+                    &ap,
+                    lo,
+                    hi,
+                    inner.opts.pivot_tol,
+                )?),
+                BlockStrategy::Supernodal => {
+                    let diag = extract_range(&ap, lo..hi, lo..hi);
+                    let num = self.snlu_symbolic(b, &diag)?.factor(&diag)?;
+                    sn_blocks += 1;
+                    BlockFactors::Sn {
+                        num: Box::new(num),
+                        ws: Mutex::new(SolveWorkspace::for_dim(hi - lo)),
+                    }
+                }
+                BlockStrategy::Nd => {
+                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
+                        unreachable!("set_plan keeps Nd off non-ND blocks");
+                    };
                     let blocks = NdBlocks::extract(&ap, lo, nds);
                     let f = factor_nd_parallel(
                         &blocks,
@@ -250,39 +369,47 @@ impl Basker {
                         sync_wait[t] += w;
                     }
                     assist.merge(f.assist);
-                    nd_blocks_ct += 1;
-                    factors.push(BlockFactors::Nd { blocks, f });
+                    nd_blocks += 1;
+                    BlockFactors::Nd { blocks, f }
                 }
+            };
+            if inner.classified {
+                routes.push(BlockRoute {
+                    block: b,
+                    rows: hi - lo,
+                    strategy: plan[b],
+                    seconds: timer.map_or(0.0, |t| t.elapsed().as_secs_f64()),
+                });
             }
+            factors.push(f);
         }
 
-        let offdiag = upper_block_part(&ap, &st.block_of);
         let mut num = BaskerNumeric {
             sym: self.clone(),
             factors,
-            offdiag,
+            offdiag: upper_block_part(&ap, &st.block_of),
             stats: BaskerStats::default(),
         };
-        let lu_nnz = num.lu_nnz();
-        let flops = num.flops();
         num.stats = BaskerStats {
-            lu_nnz,
-            flops,
+            lu_nnz: num.lu_nnz(),
+            flops: num.flops(),
             numeric_seconds: t0.elapsed().as_secs_f64(),
             sync_wait_ns: sync_wait,
             columns_assisted: assist.columns_assisted,
             tasks_joined: assist.tasks_joined,
             steal_attempts: assist.steal_attempts,
             btf_blocks: st.nblocks(),
-            nd_blocks: nd_blocks_ct,
+            sn_blocks,
+            nd_blocks,
             threads: inner.threads,
+            routes,
         };
         Ok(num)
     }
 }
 
 /// Extracts the strictly-upper-block couplings between BTF blocks.
-pub(crate) fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
+fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
     let n = ap.ncols();
     let mut colptr = Vec::with_capacity(n + 1);
     let mut rowind = Vec::new();
@@ -303,18 +430,40 @@ pub(crate) fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
     unsafe { CscMat::from_parts_unchecked(n, n, colptr, rowind, values) }
 }
 
-/// Numeric factors of one BTF block.
-pub enum BlockFactors {
-    /// A small block factored serially (scalar fast path for 1×1 blocks).
-    Small(BlockFactor),
-    /// A large block factored by the team; the extracted `A` blocks are
-    /// retained for refactorization.
-    Nd {
-        /// The extracted 2-D `A` blocks.
-        blocks: NdBlocks,
-        /// The factors.
-        f: NdFactors,
+/// Numeric factors of one BTF block under the strategy that built them.
+enum BlockFactors {
+    /// Gilbert–Peierls over the block's range of the permuted matrix
+    /// (scalar fast path for 1×1 blocks).
+    Gp(BlockFactor),
+    /// Supernodal factors of the extracted diagonal block, with a
+    /// dedicated solve workspace (the supernodal solve needs its own;
+    /// the mutex is uncontended and the workspace stays warm, so block
+    /// solves remain allocation-free after the first).
+    Sn {
+        num: Box<SnluNumeric>,
+        ws: Mutex<SolveWorkspace>,
     },
+    /// A block factored by the team; the extracted 2-D `A` blocks are
+    /// retained for refactorization.
+    Nd { blocks: NdBlocks, f: NdFactors },
+}
+
+impl BlockFactors {
+    fn lu_nnz(&self) -> usize {
+        match self {
+            BlockFactors::Gp(b) => b.lu_nnz(),
+            BlockFactors::Sn { num, .. } => num.lu_nnz,
+            BlockFactors::Nd { f, .. } => f.lu_nnz(),
+        }
+    }
+
+    fn flops(&self) -> f64 {
+        match self {
+            BlockFactors::Gp(b) => b.flops(),
+            BlockFactors::Sn { num, .. } => num.flops,
+            BlockFactors::Nd { f, .. } => f.flops,
+        }
+    }
 }
 
 /// The numeric factorization: factors per BTF block + BTF couplings.
@@ -332,22 +481,11 @@ impl BaskerNumeric {
         &self.sym
     }
 
-    /// Per-block factors (tests/diagnostics).
-    pub fn factors(&self) -> &[BlockFactors] {
-        &self.factors
-    }
-
     /// `|L+U|` over the factored blocks only (the paper's Table I memory
     /// metric; off-diagonal BTF couplings are reused from `A`, not
     /// factored, so fill density can fall below 1).
     pub fn lu_nnz(&self) -> usize {
-        self.factors
-            .iter()
-            .map(|f| match f {
-                BlockFactors::Small(b) => b.lu_nnz(),
-                BlockFactors::Nd { f, .. } => f.lu_nnz(),
-            })
-            .sum()
+        self.factors.iter().map(BlockFactors::lu_nnz).sum()
     }
 
     /// Total stored entries including the retained off-diagonal couplings.
@@ -357,20 +495,29 @@ impl BaskerNumeric {
 
     /// Numeric flops of the factorization kernels.
     pub fn flops(&self) -> f64 {
+        self.factors.iter().map(BlockFactors::flops).sum()
+    }
+
+    /// Statically perturbed pivots across the supernodal-routed blocks
+    /// (the GP/ND strategies pivot, never perturb).
+    pub fn perturbed_pivots(&self) -> usize {
+        if self.stats.sn_blocks == 0 {
+            return 0;
+        }
         self.factors
             .iter()
             .map(|f| match f {
-                BlockFactors::Small(b) => b.flops(),
-                BlockFactors::Nd { f, .. } => f.flops,
+                BlockFactors::Sn { num, .. } => num.perturbed_pivots,
+                _ => 0,
             })
             .sum()
     }
 
-    /// `(min |pivot|, max |pivot|)` over every factored block (small BTF
-    /// blocks and the ND tree's diagonal factors alike). `min/max` is the
-    /// KLU-style reciprocal condition estimate; the extremes feed the
-    /// session layer's refactor-path quality gates. `(∞, 0)` for an empty
-    /// matrix.
+    /// `(min |pivot|, max |pivot|)` over every factored block (GP and
+    /// supernodal blocks and the ND tree's diagonal factors alike).
+    /// `min/max` is the KLU-style reciprocal condition estimate; the
+    /// extremes feed the session layer's refactor-path quality gates.
+    /// `(∞, 0)` for an empty matrix.
     pub fn pivot_range(&self) -> (f64, f64) {
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
@@ -380,7 +527,8 @@ impl BaskerNumeric {
         };
         for f in &self.factors {
             match f {
-                BlockFactors::Small(b) => fold(b.pivot_range()),
+                BlockFactors::Gp(b) => fold(b.pivot_range()),
+                BlockFactors::Sn { num, .. } => fold(num.pivot_range()),
                 BlockFactors::Nd { f, .. } => {
                     for blu in &f.fact_diag {
                         fold(blu.pivot_range());
@@ -391,10 +539,12 @@ impl BaskerNumeric {
         (lo, hi)
     }
 
-    /// Solves `A·x = b` in place: on entry `x` holds `b`, on exit the
-    /// solution. After the workspace's first use at this dimension the
-    /// call performs **no heap allocation** — the path a transient
-    /// simulation hammers thousands of times per pattern.
+    /// Solves `A·x = b` in place by block back-substitution, each
+    /// diagonal block through its strategy's solve: on entry `x` holds
+    /// `b`, on exit the solution. After the workspace's first use at
+    /// this dimension the call performs **no heap allocation** — the
+    /// path a transient simulation hammers thousands of times per
+    /// pattern.
     pub fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) {
         let st = &self.sym.inner.structure;
         assert_eq!(x.len(), st.n);
@@ -403,8 +553,12 @@ impl BaskerNumeric {
         for blk in (0..st.nblocks()).rev() {
             let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
             match &self.factors[blk] {
-                BlockFactors::Small(blu) => {
+                BlockFactors::Gp(blu) => {
                     blu.solve_in_place_with(&mut y[lo..hi], &mut scratch[..hi - lo])
+                }
+                BlockFactors::Sn { num, ws } => {
+                    let mut sws = ws.lock().expect("supernodal ws lock poisoned");
+                    num.solve_in_place(&mut y[lo..hi], &mut sws);
                 }
                 BlockFactors::Nd { f, .. } => {
                     let BlockKind::NdBig(nds) = &st.kinds[blk] else {
@@ -441,128 +595,77 @@ impl BaskerNumeric {
     }
 
     /// Refactorizes with new values (identical pattern), reusing patterns
-    /// **and pivot sequences** — no graph search, no new pivoting. Fails
-    /// with [`SparseError::ZeroPivot`] if a pivot collapses; callers then
+    /// **and pivot sequences** — no graph search, no new pivoting — each
+    /// block under the strategy that built it (the active plan only
+    /// applies at the next fresh [`Basker::factor`]). Fails with
+    /// [`SparseError::ZeroPivot`] if a pivot collapses; callers then
     /// fall back to [`Basker::factor`].
     pub fn refactor(&mut self, a: &CscMat) -> Result<()> {
         let t0 = Instant::now();
         let sym = self.sym.clone();
-        let inner = &sym.inner;
+        let inner = &*sym.inner;
         let st = &inner.structure;
         let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
         for b in 0..st.nblocks() {
             let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
+            let timer = inner.alternative[b].map(|_| Instant::now());
             match &mut self.factors[b] {
-                BlockFactors::Small(blu) => {
-                    blu.refactor_range(&ap, lo, hi)?;
+                BlockFactors::Gp(blu) => blu.refactor_range(&ap, lo, hi)?,
+                BlockFactors::Sn { num, .. } => {
+                    num.refactor(&extract_range(&ap, lo..hi, lo..hi))?
                 }
                 BlockFactors::Nd { blocks, f } => {
                     let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!();
+                        unreachable!("factor kind mismatch");
                     };
                     *blocks = NdBlocks::extract(&ap, lo, nds);
                     refactor::refactor_nd_serial(blocks, nds, f, lo)?;
                 }
+            }
+            if let Some(t) = timer {
+                // Only a classified plan contests blocks, and it keeps
+                // one route per block.
+                self.stats.routes[b].seconds = t.elapsed().as_secs_f64();
             }
         }
         self.offdiag = upper_block_part(&ap, &st.block_of);
         self.stats.numeric_seconds = t0.elapsed().as_secs_f64();
         self.stats.lu_nnz = self.lu_nnz();
         self.stats.flops = self.flops();
+        // The sweep above is serial: it waited on nothing, and the
+        // fresh factor's counters must not be read against its time.
+        self.stats.sync_wait_ns.fill(0);
+        self.stats.columns_assisted = 0;
+        self.stats.tasks_joined = 0;
+        self.stats.steal_attempts = 0;
         Ok(())
     }
 }
 
 #[cfg(test)]
+mod testmat;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use basker_sparse::spmv::spmv;
-    use basker_sparse::util::relative_residual;
+    use crate::testmat::*;
     use basker_sparse::TripletMat;
 
-    /// Test-side allocating convenience over the in-place path (the
-    /// legacy `solve` wrapper removed from the public API).
-    fn solve(num: &BaskerNumeric, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        num.solve_in_place(&mut x, &mut SolveWorkspace::new());
-        x
-    }
-
-    fn grid2d_unsym(k: usize) -> CscMat {
-        let n = k * k;
-        let idx = |r: usize, c: usize| r * k + c;
-        let mut t = TripletMat::new(n, n);
-        for r in 0..k {
-            for c in 0..k {
-                let u = idx(r, c);
-                t.push(u, u, 8.0 + (u % 3) as f64);
-                if r + 1 < k {
-                    t.push(u, idx(r + 1, c), -1.0);
-                    t.push(idx(r + 1, c), u, -2.0);
-                }
-                if c + 1 < k {
-                    t.push(u, idx(r, c + 1), -1.5);
-                    t.push(idx(r, c + 1), u, -0.5);
-                }
-            }
-        }
-        t.to_csc()
-    }
-
-    fn mixed_matrix() -> CscMat {
-        // grid (irreducible, big) + tiny blocks + couplings
-        let g = grid2d_unsym(7); // 49
-        let n = 49 + 8;
-        let mut t = TripletMat::new(n, n);
-        for (i, j, v) in g.iter() {
-            t.push(i, j, v);
-        }
-        for k in 49..n {
-            t.push(k, k, 5.0 + (k % 4) as f64);
-        }
-        t.push(5, 50, 1.0);
-        t.push(20, 53, -0.5);
-        t.push(49, 55, 0.25);
-        t.to_csc()
-    }
-
     fn check_solver(a: &CscMat, opts: &BaskerOptions) {
-        let sym = Basker::analyze(a, opts).unwrap();
-        let num = sym.factor(a).unwrap();
-        let xtrue: Vec<f64> = (0..a.ncols()).map(|i| 0.5 + (i % 5) as f64).collect();
-        let b = spmv(a, &xtrue);
-        let x = solve(&num, &b);
-        assert!(
-            relative_residual(a, &x, &b) < 1e-11,
-            "residual too large (threads={})",
-            opts.nthreads
-        );
+        let num = Basker::analyze(a, opts).unwrap().factor(a).unwrap();
+        check_solve(&num, a, 1e-11);
     }
 
     #[test]
     fn nd_path_end_to_end() {
         for p in [1usize, 2, 4] {
-            check_solver(
-                &grid2d_unsym(8),
-                &BaskerOptions {
-                    nthreads: p,
-                    nd_threshold: 16,
-                    ..BaskerOptions::default()
-                },
-            );
+            check_solver(&grid2d_unsym(8), &opts(p, 16));
         }
     }
 
     #[test]
     fn mixed_structure_end_to_end() {
-        check_solver(
-            &mixed_matrix(),
-            &BaskerOptions {
-                nthreads: 2,
-                nd_threshold: 32,
-                ..BaskerOptions::default()
-            },
-        );
+        check_solver(&heterogeneous(7, 8), &opts(2, 32));
     }
 
     #[test]
@@ -570,10 +673,8 @@ mod tests {
         check_solver(
             &grid2d_unsym(8),
             &BaskerOptions {
-                nthreads: 4,
-                nd_threshold: 16,
                 sync_mode: SyncMode::Barrier,
-                ..BaskerOptions::default()
+                ..opts(4, 16)
             },
         );
     }
@@ -587,99 +688,126 @@ mod tests {
         }
         t.push(0, 1, 1.0);
         t.push(1, 0, 0.5);
-        let a = t.to_csc();
-        check_solver(
-            &a,
-            &BaskerOptions {
-                nthreads: 2,
-                ..BaskerOptions::default()
-            },
-        );
+        check_solver(&t.to_csc(), &opts(2, 128));
     }
 
     #[test]
     fn thread_rounding() {
         let a = grid2d_unsym(4);
-        let sym = Basker::analyze(
-            &a,
-            &BaskerOptions {
-                nthreads: 3,
-                ..BaskerOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sym.threads(), 2);
-        let sym = Basker::analyze(
-            &a,
-            &BaskerOptions {
-                nthreads: 6,
-                ..BaskerOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sym.threads(), 4);
+        for (asked, got) in [(3, 2), (6, 4)] {
+            assert_eq!(
+                Basker::analyze(&a, &opts(asked, 128)).unwrap().threads(),
+                got
+            );
+        }
     }
 
     #[test]
     fn results_deterministic_across_factor_calls() {
         let a = grid2d_unsym(8);
-        let opts = BaskerOptions {
-            nthreads: 2,
-            nd_threshold: 16,
-            ..BaskerOptions::default()
-        };
-        let sym = Basker::analyze(&a, &opts).unwrap();
+        let sym = Basker::analyze(&a, &opts(2, 16)).unwrap();
         let n1 = sym.factor(&a).unwrap();
         let n2 = sym.factor(&a).unwrap();
         let b = vec![1.0; a.ncols()];
         assert_eq!(solve(&n1, &b), solve(&n2, &b));
     }
 
+    /// A `HybridLu` handle with the paper plan installed is the `Basker`
+    /// handle: bit-identical solutions and equal counts, after `factor`
+    /// and after `refactor`.
+    #[test]
+    fn plans_are_equivalent() {
+        let a = heterogeneous(12, 40);
+        let a2 = revalued(&a, |v| v * 1.2 + 0.003);
+        let b: Vec<f64> = (0..a.ncols())
+            .map(|i| (i as f64 * 0.2).sin() + 1.5)
+            .collect();
+        for p in [1usize, 2, 4] {
+            let [paper, classified] = both_plan_kinds(&a, &opts(p, 64), 32);
+            assert!(classified.set_plan(paper.primary_plan()));
+            let (mut n1, mut n2) = (paper.factor(&a).unwrap(), classified.factor(&a).unwrap());
+            for m in [&a, &a2] {
+                assert_eq!(solve(&n1, &b), solve(&n2, &b), "p={p}");
+                assert_eq!(n1.stats.lu_nnz, n2.stats.lu_nnz);
+                assert_eq!(n1.stats.flops, n2.stats.flops);
+                assert_eq!(n1.pivot_range(), n2.pivot_range());
+                check_solve(&n1, m, 1e-11);
+                n1.refactor(&a2).unwrap();
+                n2.refactor(&a2).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn refactor_matches_factor() {
-        let a = mixed_matrix();
-        let opts = BaskerOptions {
-            nthreads: 2,
-            nd_threshold: 32,
-            ..BaskerOptions::default()
-        };
-        let sym = Basker::analyze(&a, &opts).unwrap();
-        let mut num = sym.factor(&a).unwrap();
-        // scale values, same pattern
-        // SAFETY: pattern arrays are copied from the valid matrix `a`;
-        // values map 1:1.
-        let a2 = unsafe {
-            CscMat::from_parts_unchecked(
-                a.nrows(),
-                a.ncols(),
-                a.colptr().to_vec(),
-                a.rowind().to_vec(),
-                a.values().iter().map(|v| v * 1.25 + 0.001).collect(),
-            )
-        };
-        num.refactor(&a2).unwrap();
-        let xtrue: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).cos()).collect();
-        let b = spmv(&a2, &xtrue);
-        let x = solve(&num, &b);
-        assert!(relative_residual(&a2, &x, &b) < 1e-11);
+        let a = heterogeneous(10, 24);
+        for sym in both_plan_kinds(&a, &opts(2, 64), 16) {
+            assert_refactor_matches_factor(&sym, &a);
+        }
     }
 
     #[test]
     fn stats_populated() {
         let a = grid2d_unsym(8);
-        let opts = BaskerOptions {
-            nthreads: 2,
-            nd_threshold: 16,
-            ..BaskerOptions::default()
-        };
-        let sym = Basker::analyze(&a, &opts).unwrap();
-        let num = sym.factor(&a).unwrap();
-        assert!(num.stats.lu_nnz >= a.nnz() / 2);
-        assert!(num.stats.flops > 0.0);
-        assert!(num.stats.numeric_seconds > 0.0);
-        assert_eq!(num.stats.threads, 2);
+        for sym in both_plan_kinds(&a, &opts(2, 16), 8) {
+            let num = sym.factor(&a).unwrap();
+            assert!(num.stats.lu_nnz >= a.nnz() / 2);
+            assert!(num.stats.flops > 0.0);
+            assert!(num.stats.numeric_seconds > 0.0);
+            assert_eq!(num.stats.threads, 2);
+            assert_eq!(num.stats.strategy_counts(), (0, 0, 1));
+            assert!(num.stats.fill_density(a.nnz()) > 0.0);
+            let (lo, hi) = num.pivot_range();
+            assert!(lo > 0.0 && lo <= hi);
+            assert_eq!(num.perturbed_pivots(), 0);
+        }
+    }
+
+    /// Only a classified plan keeps route records, and only contested
+    /// blocks are timed.
+    #[test]
+    fn routes_recorded_only_for_classified_plans() {
+        let a = heterogeneous(12, 40);
+        let [paper, classified] = both_plan_kinds(&a, &opts(2, 64), 32);
+        assert!(paper.factor(&a).unwrap().stats.routes.is_empty());
+        assert!(
+            paper.probe_plan(1).is_none(),
+            "the paper plan contests nothing"
+        );
+        let mut num = classified.factor(&a).unwrap();
+        for pass in 0..2 {
+            assert_eq!(num.stats.routes.len(), num.stats.btf_blocks);
+            for (r, alt) in num.stats.routes.iter().zip(classified.alternatives()) {
+                assert_eq!(
+                    r.seconds > 0.0,
+                    alt.is_some(),
+                    "pass {pass} block {}",
+                    r.block
+                );
+            }
+            num.refactor(&a).unwrap();
+        }
+    }
+
+    /// The serial refactor waits on nothing: the fresh factor's wait and
+    /// assist counters must not survive into its statistics.
+    #[test]
+    fn refactor_zeroes_sync_counters() {
+        let a = grid2d_unsym(12);
+        let sym = Basker::analyze(&a, &opts(2, 16)).unwrap();
+        let mut num = sym.factor(&a).unwrap();
         assert_eq!(num.stats.nd_blocks, 1);
-        assert!(num.stats.fill_density(a.nnz()) > 0.0);
+        // Whatever the team measured, make the stale state unmistakable.
+        num.stats.sync_wait_ns.fill(u64::MAX / 4);
+        num.stats.columns_assisted = 7;
+        num.stats.tasks_joined = 7;
+        num.stats.steal_attempts = 7;
+        num.refactor(&a).unwrap();
+        assert_eq!(num.stats.sync_fraction(), 0.0);
+        assert_eq!(num.stats.sync_wait_ns, vec![0; 2]);
+        assert_eq!(num.stats.columns_assisted, 0);
+        assert_eq!(num.stats.tasks_joined, 0);
+        assert_eq!(num.stats.steal_attempts, 0);
     }
 
     #[test]
@@ -688,9 +816,11 @@ mod tests {
         t.push(0, 0, 1.0);
         t.push(0, 1, 1.0);
         let a = t.to_csc();
-        assert!(matches!(
-            Basker::analyze(&a, &BaskerOptions::default()),
-            Err(SparseError::StructurallySingular { .. })
-        ));
+        for classify in [None, Some(&HybridOptions::default())] {
+            assert!(matches!(
+                Basker::analyze_with(&a, &BaskerOptions::default(), classify),
+                Err(SparseError::StructurallySingular { .. })
+            ));
+        }
     }
 }

@@ -675,29 +675,8 @@ fn owner_factor_columns<'a>(
 mod tests {
     use super::*;
     use crate::structure::{BlockKind, Structure};
+    use crate::testmat::grid2d_unsym;
     use basker_sparse::{Perm, TripletMat};
-
-    fn grid2d_unsym(k: usize) -> CscMat {
-        // Diagonally dominant 5-point grid with unsymmetric values.
-        let n = k * k;
-        let idx = |r: usize, c: usize| r * k + c;
-        let mut t = TripletMat::new(n, n);
-        for r in 0..k {
-            for c in 0..k {
-                let u = idx(r, c);
-                t.push(u, u, 8.0 + (u % 3) as f64);
-                if r + 1 < k {
-                    t.push(u, idx(r + 1, c), -1.0);
-                    t.push(idx(r + 1, c), u, -2.0);
-                }
-                if c + 1 < k {
-                    t.push(u, idx(r, c + 1), -1.5);
-                    t.push(idx(r, c + 1), u, -0.5);
-                }
-            }
-        }
-        t.to_csc()
-    }
 
     fn pool(p: usize) -> rayon::ThreadPool {
         rayon::ThreadPoolBuilder::new()

@@ -96,30 +96,10 @@ mod tests {
     use crate::parnum::factor_nd_parallel;
     use crate::structure::{BlockKind, Structure};
     use crate::sync::SyncMode;
+    use crate::testmat::grid2d_unsym;
     use basker_sparse::spmv::spmv;
     use basker_sparse::util::relative_residual;
-    use basker_sparse::{Perm, TripletMat};
-
-    fn grid2d_unsym(k: usize) -> CscMat {
-        let n = k * k;
-        let idx = |r: usize, c: usize| r * k + c;
-        let mut t = TripletMat::new(n, n);
-        for r in 0..k {
-            for c in 0..k {
-                let u = idx(r, c);
-                t.push(u, u, 8.0 + (u % 3) as f64);
-                if r + 1 < k {
-                    t.push(u, idx(r + 1, c), -1.0);
-                    t.push(idx(r + 1, c), u, -2.0);
-                }
-                if c + 1 < k {
-                    t.push(u, idx(r, c + 1), -1.5);
-                    t.push(idx(r, c + 1), u, -0.5);
-                }
-            }
-        }
-        t.to_csc()
-    }
+    use basker_sparse::Perm;
 
     #[test]
     fn nd_refactor_matches_fresh_factor() {

@@ -1,7 +1,10 @@
-//! Factorization statistics reported by Basker.
+//! Factorization statistics reported by the block driver.
 
-/// Metrics collected during a numeric factorization, used by the paper's
-//  experiment harnesses (Table I memory, §IV sync overhead, speedups).
+use crate::hybrid::BlockRoute;
+
+/// Metrics of one (re)factorization, used by the paper's experiment
+/// harnesses (Table I memory, §IV sync overhead, speedups) and by the
+/// routing learner.
 #[derive(Debug, Clone, Default)]
 pub struct BaskerStats {
     /// `|L+U|` over all diagonal blocks plus retained BTF off-diagonals.
@@ -23,10 +26,16 @@ pub struct BaskerStats {
     pub steal_attempts: u64,
     /// Number of BTF blocks.
     pub btf_blocks: usize,
+    /// Number of BTF blocks factored by the supernodal strategy.
+    pub sn_blocks: usize,
     /// Number of BTF blocks handled by the ND path.
     pub nd_blocks: usize,
     /// Effective thread count (power of two).
     pub threads: usize,
+    /// Per-block routing of a classified plan, one entry per block with
+    /// the contested blocks' wall-clock seconds of the last
+    /// (re)factorization; empty under the paper plan.
+    pub routes: Vec<BlockRoute>,
 }
 
 impl BaskerStats {
@@ -44,6 +53,18 @@ impl BaskerStats {
     /// Fill density `|L+U| / |A|` (Table I's sorting key).
     pub fn fill_density(&self, nnz_a: usize) -> f64 {
         self.lu_nnz as f64 / nnz_a.max(1) as f64
+    }
+
+    /// `(gp, supernodal, nd)` block counts of the executed plan.
+    pub fn strategy_counts(&self) -> (usize, usize, usize) {
+        let gp = self.btf_blocks - self.sn_blocks - self.nd_blocks;
+        (gp, self.sn_blocks, self.nd_blocks)
+    }
+
+    /// Number of distinct strategies in the executed plan.
+    pub fn distinct_strategies(&self) -> usize {
+        let (g, s, n) = self.strategy_counts();
+        [g, s, n].iter().filter(|&&c| c > 0).count()
     }
 }
 

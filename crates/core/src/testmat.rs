@@ -1,0 +1,111 @@
+//! Matrices and checks shared by this crate's unit tests.
+
+use crate::hybrid::{HybridLu, HybridOptions};
+use crate::{Basker, BaskerNumeric, BaskerOptions};
+use basker_sparse::spmv::spmv;
+use basker_sparse::util::relative_residual;
+use basker_sparse::{CscMat, SolveWorkspace, TripletMat};
+
+/// Diagonally dominant 5-point grid with unsymmetric values: one
+/// irreducible block of `k²` rows.
+pub(crate) fn grid2d_unsym(k: usize) -> CscMat {
+    let n = k * k;
+    let idx = |r: usize, c: usize| r * k + c;
+    let mut t = TripletMat::new(n, n);
+    for r in 0..k {
+        for c in 0..k {
+            let u = idx(r, c);
+            t.push(u, u, 8.0 + (u % 3) as f64);
+            if r + 1 < k {
+                t.push(u, idx(r + 1, c), -1.0);
+                t.push(idx(r + 1, c), u, -2.0);
+            }
+            if c + 1 < k {
+                t.push(u, idx(r, c + 1), -1.5);
+                t.push(idx(r, c + 1), u, -0.5);
+            }
+        }
+    }
+    t.to_csc()
+}
+
+/// Heterogeneous BTF: one large grid block + a run of tiny blocks,
+/// coupled strictly upper-triangular.
+pub(crate) fn heterogeneous(k: usize, tiny: usize) -> CscMat {
+    let g = grid2d_unsym(k);
+    let n = g.nrows() + tiny;
+    let mut t = TripletMat::new(n, n);
+    for (i, j, v) in g.iter() {
+        t.push(i, j, v);
+    }
+    for q in g.nrows()..n {
+        t.push(q, q, 5.0 + (q % 4) as f64);
+        if q + 1 < n {
+            t.push(q, q + 1, -0.25);
+        }
+    }
+    t.push(3, g.nrows() + 1, 0.5);
+    t.to_csc()
+}
+
+/// `a`'s pattern with every value mapped through `f`.
+pub(crate) fn revalued(a: &CscMat, f: impl Fn(f64) -> f64) -> CscMat {
+    let mut m = a.clone();
+    for v in m.values_mut() {
+        *v = f(*v);
+    }
+    m
+}
+
+pub(crate) fn opts(nthreads: usize, nd_threshold: usize) -> BaskerOptions {
+    BaskerOptions {
+        nthreads,
+        nd_threshold,
+        ..BaskerOptions::default()
+    }
+}
+
+/// One handle per plan kind over the same options: the paper plan and
+/// the classified plan (tiny blocks up to `gp_small` rows pinned to GP).
+pub(crate) fn both_plan_kinds(a: &CscMat, base: &BaskerOptions, gp_small: usize) -> [HybridLu; 2] {
+    let classified = HybridOptions {
+        base: base.clone(),
+        gp_small,
+        ..HybridOptions::default()
+    };
+    [
+        Basker::analyze(a, base).unwrap().into(),
+        HybridLu::analyze(a, &classified).unwrap(),
+    ]
+}
+
+pub(crate) fn solve(num: &BaskerNumeric, b: &[f64]) -> Vec<f64> {
+    let mut x = b.to_vec();
+    num.solve_in_place(&mut x, &mut SolveWorkspace::new());
+    x
+}
+
+/// Solves against a known solution and bounds the residual.
+pub(crate) fn check_solve(num: &BaskerNumeric, a: &CscMat, tol: f64) {
+    let xtrue: Vec<f64> = (0..a.ncols()).map(|i| 0.5 + (i % 5) as f64).collect();
+    let b = spmv(a, &xtrue);
+    let res = relative_residual(a, &solve(num, &b), &b);
+    assert!(res < tol, "residual {res}");
+}
+
+/// The refactor contract under `sym`'s active plan: after `factor(a)`,
+/// a value-only `refactor(a2)` solves like a fresh `factor(a2)`.
+pub(crate) fn assert_refactor_matches_factor(sym: &Basker, a: &CscMat) {
+    let a2 = revalued(a, |v| v * 1.25 + 0.001);
+    let mut num = sym.factor(a).unwrap();
+    num.refactor(&a2).unwrap();
+    let fresh = sym.factor(&a2).unwrap();
+    check_solve(&num, &a2, 1e-8);
+    let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).cos()).collect();
+    let (x, y) = (solve(&num, &b), solve(&fresh, &b));
+    let scale = y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    for (xi, yi) in x.iter().zip(&y) {
+        assert!((xi - yi).abs() <= 1e-12 * scale, "{xi} vs {yi}");
+    }
+    assert_eq!(num.stats.lu_nnz, fresh.stats.lu_nnz);
+}

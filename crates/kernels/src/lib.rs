@@ -409,9 +409,8 @@ pub fn request(choice: KernelChoice) -> &'static Kernels {
 
 /// Looks a rung up by name (`"scalar"`, `"unrolled"`, `"simd"`),
 /// independent of the process-wide selection — the differential tests
-/// and `kernel_bench` compare rungs side by side through this. Returns
-/// `None` for `"simd"` on CPUs without the features, and for unknown
-/// names.
+/// compare rungs side by side through this. Returns `None` for
+/// `"simd"` on CPUs without the features, and for unknown names.
 pub fn by_name(name: &str) -> Option<&'static Kernels> {
     match name.trim().to_ascii_lowercase().as_str() {
         "scalar" => Some(&SCALAR),

@@ -149,6 +149,20 @@ struct Shared {
     /// Pin ranks to cores (workers at spawn; rank 0 per job).
     pin: bool,
     mailboxes: Vec<Mailbox>,
+    /// OS threads spawned on behalf of this team (its workers plus any
+    /// transient nested-broadcast ranks).
+    spawned: AtomicUsize,
+}
+
+impl Shared {
+    /// Records one OS-thread spawn, on this team and process-wide.
+    fn count_spawn(&self) {
+        // ORDER: Relaxed — monotonic diagnostic counters (see
+        // `os_threads_spawned`); the spawn itself, or the scope join
+        // for transient ranks, is the real synchronization point.
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        SPAWNED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A cell written by exactly one rank and read by the submitter only
@@ -241,6 +255,7 @@ impl WorkerTeam {
             width: config.width,
             pin: config.pin,
             mailboxes: (1..config.width).map(|_| Mailbox::new()).collect(),
+            spawned: AtomicUsize::new(0),
         });
         let mut handles = Vec::new();
         let ncores = std::thread::available_parallelism()
@@ -249,10 +264,7 @@ impl WorkerTeam {
         for rank in 1..config.width {
             let sh = shared.clone();
             let pin = config.pin;
-            // ORDER: Relaxed — monotonic counter (see
-            // `os_threads_spawned`); the spawn below is the real
-            // synchronization point for the worker itself.
-            SPAWNED.fetch_add(1, Ordering::Relaxed);
+            shared.count_spawn();
             let h = std::thread::Builder::new()
                 .name(format!("basker-worker-{rank}"))
                 .spawn(move || {
@@ -275,6 +287,17 @@ impl WorkerTeam {
     /// The team's width (number of ranks).
     pub fn width(&self) -> usize {
         self.shared.width
+    }
+
+    /// OS threads spawned on behalf of **this team** since it was
+    /// built: its `width − 1` workers plus every transient rank of a
+    /// nested [`broadcast`](Self::broadcast). The per-team view of
+    /// [`os_threads_spawned`], for callers that share their process
+    /// with other teams (concurrently running tests, for one).
+    pub fn threads_spawned(&self) -> usize {
+        // ORDER: Relaxed — diagnostic counter; readers look at it after
+        // the job that could have spawned has been joined.
+        self.shared.spawned.load(Ordering::Relaxed)
     }
 
     /// True when the calling thread is one of this team's workers.
@@ -311,7 +334,7 @@ impl WorkerTeam {
             return vec![op(TeamContext { rank: 0, width: 1 })];
         }
         if self.on_worker_thread() {
-            return nested_scoped_broadcast(n, &op);
+            return nested_scoped_broadcast(&self.shared, &op);
         }
         let results: Vec<ResultCell<R>> =
             (0..n).map(|_| ResultCell(UnsafeCell::new(None))).collect();
@@ -432,21 +455,20 @@ impl WorkerTeam {
 /// Fallback for a broadcast issued from inside one of the team's own
 /// jobs: the persistent ranks are occupied, so run the nested region on
 /// transient scoped threads (rank 0 inline on the caller). Counted in
-/// [`os_threads_spawned`] — warm-path code never takes this branch, and
+/// [`os_threads_spawned`] and [`WorkerTeam::threads_spawned`] —
+/// warm-path code never takes this branch, and
 /// queue-style work should use [`WorkerTeam::run_worklist`], whose
 /// re-entrant fallback executes inline without spawning at all.
-fn nested_scoped_broadcast<OP, R>(n: usize, op: &OP) -> Vec<R>
+fn nested_scoped_broadcast<OP, R>(team: &Shared, op: &OP) -> Vec<R>
 where
     OP: Fn(TeamContext) -> R + Sync,
     R: Send,
 {
+    let n = team.width;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (1..n)
             .map(|rank| {
-                // ORDER: Relaxed — monotonic counter (see
-                // `os_threads_spawned`); the scope join orders it for
-                // readers.
-                SPAWNED.fetch_add(1, Ordering::Relaxed);
+                team.count_spawn();
                 scope.spawn(move || op(TeamContext { rank, width: n }))
             })
             .collect();
@@ -644,7 +666,7 @@ mod tests {
             |v: Vec<std::thread::ThreadId>| v.into_iter().collect::<std::collections::HashSet<_>>();
         let ids1 = sorted(team.broadcast(|_| std::thread::current().id()));
         let caller = std::thread::current().id();
-        let before = os_threads_spawned();
+        assert_eq!(team.threads_spawned(), 2);
         for _ in 0..50 {
             let ids: Vec<std::thread::ThreadId> = team.broadcast(|_| std::thread::current().id());
             // Ranks are claimed, not bound: which worker serves rank 2
@@ -654,16 +676,11 @@ mod tests {
             assert_eq!(ids[0], caller, "rank 0 must run on the caller");
             assert_eq!(sorted(ids), ids1, "jobs must reuse the same threads");
         }
-        assert_eq!(
-            os_threads_spawned(),
-            before,
-            "no new OS threads after warm-up"
-        );
+        assert_eq!(team.threads_spawned(), 2, "no new OS threads after warm-up");
     }
 
     #[test]
     fn width_one_runs_inline_without_threads() {
-        let before = os_threads_spawned();
         let team = WorkerTeam::new(TeamConfig::new(1));
         let caller = std::thread::current().id();
         let ids = team.broadcast(|ctx| {
@@ -671,7 +688,7 @@ mod tests {
             std::thread::current().id()
         });
         assert_eq!(ids, vec![caller]);
-        assert_eq!(os_threads_spawned(), before);
+        assert_eq!(team.threads_spawned(), 0);
     }
 
     #[test]
@@ -711,6 +728,11 @@ mod tests {
             ctx.rank()
         });
         assert_eq!(sums, vec![0, 1]);
+        assert_eq!(
+            team.threads_spawned(),
+            3,
+            "one worker, plus one transient rank per nested region"
+        );
     }
 
     #[test]
@@ -770,7 +792,6 @@ mod tests {
         // (the serving-layer re-entrance scenario) must complete without
         // deadlock and without creating any OS thread.
         let team = Arc::new(WorkerTeam::new(TeamConfig::new(2)));
-        let before = os_threads_spawned();
         let inner_runs = AtomicUsize::new(0);
         let t2 = team.clone();
         team.run_worklist(2, |_| {
@@ -781,15 +802,14 @@ mod tests {
         });
         assert_eq!(inner_runs.load(Ordering::SeqCst), 6);
         assert_eq!(
-            os_threads_spawned(),
-            before,
+            team.threads_spawned(),
+            1,
             "re-entrant worklists must take the inline guard, not spawn"
         );
     }
 
     #[test]
     fn worklist_on_width_one_team_runs_inline() {
-        let before = os_threads_spawned();
         let team = WorkerTeam::new(TeamConfig::new(1));
         let caller = std::thread::current().id();
         let ran = AtomicUsize::new(0);
@@ -798,7 +818,7 @@ mod tests {
             ran.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 5);
-        assert_eq!(os_threads_spawned(), before);
+        assert_eq!(team.threads_spawned(), 0);
     }
 
     #[test]

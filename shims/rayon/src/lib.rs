@@ -333,12 +333,11 @@ mod tests {
     #[test]
     fn pools_of_equal_width_share_one_team() {
         let a = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let before = basker_runtime::os_threads_spawned();
         let b = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         assert!(std::sync::Arc::ptr_eq(a.team(), b.team()));
         assert_eq!(
-            basker_runtime::os_threads_spawned(),
-            before,
+            b.team().threads_spawned(),
+            2,
             "second pool of the same width must not spawn threads"
         );
     }

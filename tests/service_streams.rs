@@ -3,7 +3,6 @@
 //! threads, and the zero-OS-threads-after-warm-up property of the
 //! shared-team scheduler.
 
-use basker_repro::basker_runtime::os_threads_spawned;
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
 
@@ -155,7 +154,10 @@ fn concurrent_callers_share_one_warm_team() {
             h
         })
         .collect();
-    let spawned = os_threads_spawned();
+    // Per team, not process-wide: sibling tests in this binary build
+    // services meanwhile. Streams run their engines serially, so the
+    // service's team is the only one this traffic can spawn on.
+    let spawned = service.team().threads_spawned();
 
     std::thread::scope(|scope| {
         for (k, mut h) in handles.drain(..).enumerate() {
@@ -188,7 +190,7 @@ fn concurrent_callers_share_one_warm_team() {
     });
 
     assert_eq!(
-        os_threads_spawned(),
+        service.team().threads_spawned(),
         spawned,
         "steady-state service traffic must not spawn OS threads"
     );
