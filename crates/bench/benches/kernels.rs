@@ -3,7 +3,9 @@
 //! reduction, SpMV and the triangular solves.
 
 use basker::reduce::reduce_block;
-use basker_klu::gp::{factor_block_column, lsolve_panel, refactor_block_column};
+use basker_klu::gp::{
+    factor_block_column, lsolve_panel, refactor_block_column, ColsView, RefactorWorkspace,
+};
 use basker_matgen::mesh2d;
 use basker_sparse::blocks::extract_range;
 use basker_sparse::spmv::spmv;
@@ -19,8 +21,9 @@ fn bench_gp(c: &mut Criterion) {
         b.iter(|| factor_block_column(&a, &[], 0.001, 0).unwrap())
     });
     let mut blu = factor_block_column(&a, &[], 0.001, 0).unwrap();
+    let mut ws = RefactorWorkspace::new();
     g.bench_function("refactor_block_column", |b| {
-        b.iter(|| refactor_block_column(&mut blu, &a, &[], 0).unwrap())
+        b.iter(|| refactor_block_column(&mut blu, ColsView::of(&a), &[], 0, &mut ws).unwrap())
     });
     let panel_cols = extract_range(&a, 0..a.nrows(), 0..64);
     g.bench_function("lsolve_panel_64cols", |b| {

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod fine_btf;
+pub mod frozen;
 pub mod hybrid;
 pub mod parnum;
 pub mod reduce;
@@ -56,18 +57,21 @@ pub use stats::BaskerStats;
 pub use sync::{AssistTally, SyncMode};
 
 use crate::fine_btf::{factor_small_blocks, partition_by_flops, SmallBlock};
+use crate::frozen::get_or_record;
 use crate::hybrid::{classify_block, BlockRoute, BlockStrategy, HybridOptions};
 use crate::parnum::{factor_nd_parallel, NdFactors};
+use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
 use crate::structure::{BlockKind, NdBlocks, Structure};
 use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
+use basker_runtime::{assist_counters, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
 use basker_sparse::blocks::extract_range;
 use basker_sparse::metrics::BlockMetrics;
 use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Reads the `BASKER_NUM_THREADS` environment override used by the
@@ -150,6 +154,9 @@ struct SymInner {
     /// serves the whole stream).
     snlu: SnluOptions,
     sn_sym: Mutex<HashMap<usize, Snlu>>,
+    /// The value map of the analyzed pattern, recorded by the first
+    /// refactorization of any numeric made from this handle.
+    frozen: OnceLock<Frozen>,
 }
 
 impl SymInner {
@@ -264,6 +271,7 @@ impl Basker {
                     ..classify.map_or_else(SnluOptions::default, |o| o.snlu.clone())
                 },
                 sn_sym: Mutex::new(HashMap::new()),
+                frozen: OnceLock::new(),
             }),
         })
     }
@@ -347,10 +355,11 @@ impl Basker {
                     let diag = extract_range(&ap, lo..hi, lo..hi);
                     let num = self.snlu_symbolic(b, &diag)?.factor(&diag)?;
                     sn_blocks += 1;
-                    BlockFactors::Sn {
-                        num: Box::new(num),
+                    BlockFactors::Sn(Box::new(SnFactors {
+                        num,
                         ws: Mutex::new(SolveWorkspace::for_dim(hi - lo)),
-                    }
+                        diag,
+                    }))
                 }
                 BlockStrategy::Nd => {
                     let BlockKind::NdBig(nds) = &st.kinds[b] else {
@@ -370,7 +379,10 @@ impl Basker {
                     }
                     assist.merge(f.assist);
                     nd_blocks += 1;
-                    BlockFactors::Nd { blocks, f }
+                    BlockFactors::Nd(Box::new(NdPart {
+                        blocks: Some(blocks),
+                        f,
+                    }))
                 }
             };
             if inner.classified {
@@ -388,6 +400,7 @@ impl Basker {
             sym: self.clone(),
             factors,
             offdiag: upper_block_part(&ap, &st.block_of),
+            replay: None,
             stats: BaskerStats::default(),
         };
         num.stats = BaskerStats {
@@ -431,37 +444,50 @@ fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
 }
 
 /// Numeric factors of one BTF block under the strategy that built them.
-enum BlockFactors {
+/// The two rare, heavy variants are boxed: a power grid has 10⁵ of
+/// these and nearly all are the first.
+pub(crate) enum BlockFactors {
     /// Gilbert–Peierls over the block's range of the permuted matrix
     /// (scalar fast path for 1×1 blocks).
     Gp(BlockFactor),
-    /// Supernodal factors of the extracted diagonal block, with a
-    /// dedicated solve workspace (the supernodal solve needs its own;
-    /// the mutex is uncontended and the workspace stays warm, so block
-    /// solves remain allocation-free after the first).
-    Sn {
-        num: Box<SnluNumeric>,
-        ws: Mutex<SolveWorkspace>,
-    },
-    /// A block factored by the team; the extracted 2-D `A` blocks are
-    /// retained for refactorization.
-    Nd { blocks: NdBlocks, f: NdFactors },
+    /// Supernodal factors of the extracted diagonal block.
+    Sn(Box<SnFactors>),
+    /// A block factored by the team.
+    Nd(Box<NdPart>),
+}
+
+/// A supernodal block: its factors, a dedicated solve workspace (the
+/// supernodal solve needs its own; the mutex is uncontended and the
+/// workspace stays warm, so block solves remain allocation-free after
+/// the first), and the extracted block itself, whose values a
+/// refactorization refreshes in place.
+pub(crate) struct SnFactors {
+    pub(crate) num: SnluNumeric,
+    ws: Mutex<SolveWorkspace>,
+    pub(crate) diag: CscMat,
+}
+
+/// An ND block: its factors and, until the first refactorization
+/// records their patterns, the extracted 2-D `A` blocks.
+pub(crate) struct NdPart {
+    pub(crate) blocks: Option<NdBlocks>,
+    pub(crate) f: NdFactors,
 }
 
 impl BlockFactors {
     fn lu_nnz(&self) -> usize {
         match self {
             BlockFactors::Gp(b) => b.lu_nnz(),
-            BlockFactors::Sn { num, .. } => num.lu_nnz,
-            BlockFactors::Nd { f, .. } => f.lu_nnz(),
+            BlockFactors::Sn(sn) => sn.num.lu_nnz,
+            BlockFactors::Nd(part) => part.f.lu_nnz(),
         }
     }
 
     fn flops(&self) -> f64 {
         match self {
             BlockFactors::Gp(b) => b.flops(),
-            BlockFactors::Sn { num, .. } => num.flops,
-            BlockFactors::Nd { f, .. } => f.flops,
+            BlockFactors::Sn(sn) => sn.num.flops,
+            BlockFactors::Nd(part) => part.f.flops(),
         }
     }
 }
@@ -471,6 +497,8 @@ pub struct BaskerNumeric {
     sym: Basker,
     factors: Vec<BlockFactors>,
     offdiag: CscMat,
+    /// The recorded refactorization; `None` until the first one.
+    replay: Option<Box<Replay>>,
     /// Statistics of the (re)factorization that produced these factors.
     pub stats: BaskerStats,
 }
@@ -507,7 +535,7 @@ impl BaskerNumeric {
         self.factors
             .iter()
             .map(|f| match f {
-                BlockFactors::Sn { num, .. } => num.perturbed_pivots,
+                BlockFactors::Sn(sn) => sn.num.perturbed_pivots,
                 _ => 0,
             })
             .sum()
@@ -528,9 +556,9 @@ impl BaskerNumeric {
         for f in &self.factors {
             match f {
                 BlockFactors::Gp(b) => fold(b.pivot_range()),
-                BlockFactors::Sn { num, .. } => fold(num.pivot_range()),
-                BlockFactors::Nd { f, .. } => {
-                    for blu in &f.fact_diag {
+                BlockFactors::Sn(sn) => fold(sn.num.pivot_range()),
+                BlockFactors::Nd(part) => {
+                    for blu in &part.f.fact_diag {
                         fold(blu.pivot_range());
                     }
                 }
@@ -556,15 +584,15 @@ impl BaskerNumeric {
                 BlockFactors::Gp(blu) => {
                     blu.solve_in_place_with(&mut y[lo..hi], &mut scratch[..hi - lo])
                 }
-                BlockFactors::Sn { num, ws } => {
-                    let mut sws = ws.lock().expect("supernodal ws lock poisoned");
-                    num.solve_in_place(&mut y[lo..hi], &mut sws);
+                BlockFactors::Sn(sn) => {
+                    let mut sws = sn.ws.lock().expect("supernodal ws lock poisoned");
+                    sn.num.solve_in_place(&mut y[lo..hi], &mut sws);
                 }
-                BlockFactors::Nd { f, .. } => {
+                BlockFactors::Nd(part) => {
                     let BlockKind::NdBig(nds) = &st.kinds[blk] else {
                         unreachable!("factor kind mismatch");
                     };
-                    solve_nd_in_place(nds, f, &mut y[lo..hi], &mut scratch[..hi - lo]);
+                    solve_nd_in_place(nds, &part.f, &mut y[lo..hi], &mut scratch[..hi - lo]);
                 }
             }
             // push contributions into earlier blocks
@@ -600,44 +628,88 @@ impl BaskerNumeric {
     /// applies at the next fresh [`Basker::factor`]). Fails with
     /// [`SparseError::ZeroPivot`] if a pivot collapses; callers then
     /// fall back to [`Basker::factor`].
+    ///
+    /// The work is the replay of a recorded stage list on the handle's
+    /// team (see the [`refactor`] module): the handle's first
+    /// refactorization records where `a`'s values go, this numeric's
+    /// first records its stage list, and every call after that performs
+    /// no heap allocation of its own.
     pub fn refactor(&mut self, a: &CscMat) -> Result<()> {
+        let team = Arc::clone(self.sym.inner.pool.team());
+        self.refactor_on(a, &team)
+    }
+
+    /// [`refactor`](Self::refactor) on an explicit team (a width-1 team
+    /// replays the same list inline).
+    fn refactor_on(&mut self, a: &CscMat, team: &WorkerTeam) -> Result<()> {
         let t0 = Instant::now();
         let sym = self.sym.clone();
         let inner = &*sym.inner;
-        let st = &inner.structure;
-        let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
-        for b in 0..st.nblocks() {
-            let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
-            let timer = inner.alternative[b].map(|_| Instant::now());
-            match &mut self.factors[b] {
-                BlockFactors::Gp(blu) => blu.refactor_range(&ap, lo, hi)?,
-                BlockFactors::Sn { num, .. } => {
-                    num.refactor(&extract_range(&ap, lo..hi, lo..hi))?
-                }
-                BlockFactors::Nd { blocks, f } => {
-                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!("factor kind mismatch");
-                    };
-                    *blocks = NdBlocks::extract(&ap, lo, nds);
-                    refactor::refactor_nd_serial(blocks, nds, f, lo)?;
-                }
-            }
-            if let Some(t) = timer {
-                // Only a classified plan contests blocks, and it keeps
-                // one route per block.
-                self.stats.routes[b].seconds = t.elapsed().as_secs_f64();
-            }
+        let frozen = get_or_record(&inner.frozen, || Frozen::record(a, &inner.structure))?;
+        frozen.btf.check(a)?;
+        if self.replay.is_none() {
+            self.replay = Some(Box::new(Replay::record(
+                &inner.structure,
+                frozen,
+                &inner.alternative,
+                &mut self.factors,
+            )));
         }
-        self.offdiag = upper_block_part(&ap, &st.block_of);
-        self.stats.numeric_seconds = t0.elapsed().as_secs_f64();
-        self.stats.lu_nnz = self.lu_nnz();
-        self.stats.flops = self.flops();
-        // The sweep above is serial: it waited on nothing, and the
-        // fresh factor's counters must not be read against its time.
-        self.stats.sync_wait_ns.fill(0);
-        self.stats.columns_assisted = 0;
-        self.stats.tasks_joined = 0;
-        self.stats.steal_attempts = 0;
+        self.replay_on(frozen, a, team, t0)
+    }
+
+    /// The steady-state refactorization: replay, then the statistics
+    /// that are the refactorization's own.
+    // basker-lint: deny-alloc
+    fn replay_on(
+        &mut self,
+        frozen: &Frozen,
+        a: &CscMat,
+        team: &WorkerTeam,
+        t0: Instant,
+    ) -> Result<()> {
+        let replay = self.replay.as_mut().expect("recorded by refactor_on");
+        let assist0 = (team.width() > 1).then(assist_counters);
+        let joined = replay.run(
+            a,
+            &self.sym.inner.structure,
+            frozen,
+            &mut self.factors,
+            self.offdiag.values_mut(),
+            team,
+        )?;
+        let stats = &mut self.stats;
+        stats.numeric_seconds = t0.elapsed().as_secs_f64();
+        // Singletons count no flops, so the fold over the rest is the
+        // fold over all; `lu_nnz` is a fact of the pattern.
+        stats.flops = replay
+            .heavy_blocks()
+            .iter()
+            .map(|&b| self.factors[b].flops())
+            .sum();
+        replay.fold_seconds(&mut stats.routes);
+        // The fresh factor's pipeline waits are not this call's. What
+        // is: the caller's time blocked in stage joins, and whatever the
+        // process's assist loop did meanwhile — both nothing when every
+        // stage ran inline, as at width 1.
+        stats.sync_wait_ns.fill(0);
+        let assisted = match (joined, assist0) {
+            (Some(wait), Some(before)) => {
+                stats.sync_wait_ns[0] = wait;
+                let now = assist_counters();
+                [
+                    now.items_assisted - before.items_assisted,
+                    now.tasks_joined - before.tasks_joined,
+                    now.steal_attempts - before.steal_attempts,
+                ]
+            }
+            _ => [0; 3],
+        };
+        [
+            stats.columns_assisted,
+            stats.tasks_joined,
+            stats.steal_attempts,
+        ] = assisted;
         Ok(())
     }
 }
@@ -746,6 +818,25 @@ mod tests {
         }
     }
 
+    /// A matrix with another pattern is turned away — before the value
+    /// map exists (nothing is recorded from it) and after.
+    #[test]
+    fn refactor_rejects_a_different_pattern() {
+        let a = heterogeneous(10, 24);
+        let sym = Basker::analyze(&a, &opts(2, 64)).unwrap();
+        let mut num = sym.factor(&a).unwrap();
+        let wrong = a.transpose();
+        for _ in 0..2 {
+            assert!(matches!(
+                num.refactor(&wrong),
+                Err(SparseError::InvalidStructure(_))
+            ));
+            num.refactor(&a).unwrap();
+        }
+        assert!(num.refactor(&CscMat::identity(a.ncols())).is_err());
+        check_solve(&num, &a, 1e-11);
+    }
+
     #[test]
     fn stats_populated() {
         let a = grid2d_unsym(8);
@@ -789,25 +880,45 @@ mod tests {
         }
     }
 
-    /// The serial refactor waits on nothing: the fresh factor's wait and
-    /// assist counters must not survive into its statistics.
+    /// A refactorization's sync counters are its own: the fresh
+    /// factor's never survive it, a width-1 replay reads all zeros, and
+    /// what a dispatched replay measured — the caller's time blocked in
+    /// stage joins — is a fraction of the call.
     #[test]
-    fn refactor_zeroes_sync_counters() {
-        let a = grid2d_unsym(12);
-        let sym = Basker::analyze(&a, &opts(2, 16)).unwrap();
-        let mut num = sym.factor(&a).unwrap();
-        assert_eq!(num.stats.nd_blocks, 1);
-        // Whatever the team measured, make the stale state unmistakable.
-        num.stats.sync_wait_ns.fill(u64::MAX / 4);
-        num.stats.columns_assisted = 7;
-        num.stats.tasks_joined = 7;
-        num.stats.steal_attempts = 7;
-        num.refactor(&a).unwrap();
-        assert_eq!(num.stats.sync_fraction(), 0.0);
-        assert_eq!(num.stats.sync_wait_ns, vec![0; 2]);
-        assert_eq!(num.stats.columns_assisted, 0);
-        assert_eq!(num.stats.tasks_joined, 0);
-        assert_eq!(num.stats.steal_attempts, 0);
+    fn refactor_owns_its_sync_counters() {
+        const STALE: u64 = u64::MAX / 4;
+        // Big enough that the leaf stage is dispatched at two threads.
+        let a = grid2d_unsym(40);
+        for p in [1usize, 2] {
+            let sym = Basker::analyze(&a, &opts(p, 16)).unwrap();
+            let mut num = sym.factor(&a).unwrap();
+            assert_eq!(num.stats.nd_blocks, 1);
+            for _ in 0..2 {
+                // Whatever the team measured, make the stale state
+                // unmistakable.
+                num.stats.sync_wait_ns.fill(STALE);
+                num.stats.columns_assisted = STALE;
+                num.stats.tasks_joined = STALE;
+                num.stats.steal_attempts = STALE;
+                num.refactor(&a).unwrap();
+                let st = &num.stats;
+                let counters = [st.columns_assisted, st.tasks_joined, st.steal_attempts];
+                assert!(st.sync_fraction() <= 1.0, "p={p}: {}", st.sync_fraction());
+                assert_eq!(st.sync_wait_ns.len(), p);
+                assert!(
+                    st.sync_wait_ns[1..].iter().all(|&w| w == 0),
+                    "only the caller waits on a join"
+                );
+                assert!(
+                    counters.iter().all(|&c| c < STALE / 2),
+                    "p={p}: {counters:?}"
+                );
+                if p == 1 {
+                    assert_eq!(st.sync_wait_ns, vec![0]);
+                    assert_eq!(counters, [0; 3]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! drains without deadlock, and the error is returned.
 
 use crate::reduce::{reduce_col, ReduceWorkspace};
+use crate::refactor::ItemCell;
 use crate::structure::{NdBlocks, NdStructure};
 use crate::sync::{AssistTally, ColumnSlots, Slot, SyncMode, TeamSync, WaitCtx};
 use basker_klu::gp::{lsolve_col, BlockColumnFactorizer, BlockLu, LsolveWorkspace};
@@ -41,21 +42,21 @@ use basker_sparse::col::cols_to_csc;
 use basker_sparse::{CscMat, Result, SparseCol, SparseError};
 use std::sync::Mutex;
 
-/// Factors of one ND block.
+/// Factors of one ND block. Each block column and each panel sits in
+/// an [`ItemCell`] — it reads like the plain value, and the refactor
+/// replay's stage items each rewrite their own in parallel.
 #[derive(Debug, Clone)]
 pub struct NdFactors {
     /// Per node `v`: `LU_vv` plus the below parts `L_{a,v}` (ancestors
     /// ascending) inside [`BlockLu::below`].
-    pub fact_diag: Vec<BlockLu>,
+    pub fact_diag: Vec<ItemCell<BlockLu>>,
     /// Per node `v`, per descendant `k` (ascending over `descendants(v)`):
     /// the panel `U_{k,v}` in `k`'s pivotal row coordinates.
-    pub fact_upper: Vec<Vec<CscMat>>,
+    pub fact_upper: Vec<Vec<ItemCell<CscMat>>>,
     /// Per-thread nanoseconds spent blocked on synchronization (one
     /// entry per rank of the team that produced these factors). Time a
     /// blocked rank spent *assisting* other work is excluded.
     pub wait_ns: Vec<u64>,
-    /// Numeric flops of the factorization kernels.
-    pub flops: f64,
     /// Assist-loop activity summed over the team's ranks.
     pub assist: AssistTally,
 }
@@ -71,6 +72,12 @@ impl NdFactors {
             .flat_map(|v| v.iter().map(|m| m.nnz()))
             .sum();
         d + u
+    }
+
+    /// Numeric flops of the kernels that last (re)factored the block
+    /// columns.
+    pub fn flops(&self) -> f64 {
+        self.fact_diag.iter().map(|b| b.flops).sum()
     }
 
     /// Size of the team that produced these factors (one [`wait_ns`]
@@ -160,12 +167,12 @@ pub fn factor_nd_parallel(
         return Err(e);
     }
 
-    let fact_diag: Vec<BlockLu> = slots
+    let fact_diag: Vec<ItemCell<BlockLu>> = slots
         .diag
         .into_iter()
-        .map(|s| s.into_inner().flatten().expect("missing diagonal factor"))
+        .map(|s| ItemCell::new(s.into_inner().flatten().expect("missing diagonal factor")))
         .collect();
-    let fact_upper: Vec<Vec<CscMat>> = slots
+    let fact_upper: Vec<Vec<ItemCell<CscMat>>> = slots
         .upper
         .into_iter()
         .enumerate()
@@ -180,12 +187,11 @@ pub fn factor_nd_parallel(
                         .into_columns()
                         .map(|c| c.expect("missing U panel column"))
                         .collect();
-                    cols_to_csc(krows, gathered)
+                    ItemCell::new(cols_to_csc(krows, gathered))
                 })
                 .collect()
         })
         .collect();
-    let flops = fact_diag.iter().map(|b| b.flops).sum();
     let mut assist = AssistTally::default();
     for c in &ctxs {
         assist.merge(c.tally());
@@ -194,16 +200,8 @@ pub fn factor_nd_parallel(
         fact_diag,
         fact_upper,
         wait_ns: ctxs.iter().map(|c| c.wait_ns()).collect(),
-        flops,
         assist,
     })
-}
-
-/// Position of ancestor `s` within `ancestors[k]` (paths ascend one tree
-/// level per step, so the index is the level gap minus one).
-#[inline]
-fn anc_pos(st: &NdStructure, k: usize, s: usize) -> usize {
-    st.nd.tree_level(s) - st.nd.tree_level(k) - 1
 }
 
 /// Per-thread scratch reused across every column of every block.
@@ -462,7 +460,7 @@ fn separator_panel_columns(
     let mut lblocks: Vec<&CscMat> = Vec::with_capacity(s - st.subtree_start[s]);
     for k in st.descendants(s) {
         match slots.diag[k].wait(ctx).as_ref() {
-            Some(d_k) => lblocks.push(&d_k.below[anc_pos(st, k, s)]),
+            Some(d_k) => lblocks.push(&d_k.below[st.anc_pos(k, s)]),
             None => {
                 for c in 0..nb {
                     out.publish(c, None);
@@ -539,7 +537,7 @@ fn prepare_target<'a>(
     let mut lblocks: Vec<&CscMat> = Vec::with_capacity(j - st.subtree_start[j]);
     for k in st.descendants(j) {
         match slots.diag[k].wait(ctx).as_ref() {
-            Some(d_k) => lblocks.push(&d_k.below[anc_pos(st, k, tgt)]),
+            Some(d_k) => lblocks.push(&d_k.below[st.anc_pos(k, tgt)]),
             None => {
                 return TargetReduction {
                     idx,
@@ -893,7 +891,7 @@ mod tests {
         let f = factor_nd_parallel(&blocks, st, 0.001, SyncMode::Barrier, 0, &pl).unwrap();
         assert_eq!(f.wait_ns.len(), 4);
         assert_eq!(f.team_size(), 4);
-        assert!(f.flops > 0.0);
+        assert!(f.flops() > 0.0);
         assert!(f.lu_nnz() > 0);
     }
 }

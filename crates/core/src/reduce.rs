@@ -6,9 +6,13 @@
 //! followed by a subtraction; here both phases are fused column by column
 //! through a sparse accumulator. [`reduce_col`] is the single-column
 //! unit the pipelined schedule hands between threads; [`reduce_block`]
-//! the whole-block wrapper the serial refactorization path uses.
+//! the whole-block wrapper that forms a reduced block's pattern once,
+//! when a refactorization is recorded; [`reduce_cols_into`] the value
+//! rewrite into that retained pattern every refactorization after.
 
+use basker_klu::gp::ColsView;
 use basker_sparse::{CscMat, SparseCol};
+use std::ops::Range;
 
 /// Reusable scratch for [`reduce_col`]: dense accumulator + stamp marks,
 /// grown lazily to the largest target block seen. One per worker thread.
@@ -126,7 +130,7 @@ pub fn reduce_col(
 /// Computes `A − Σᵢ Lᵢ·Uᵢ` where every `Lᵢ` is `m x kᵢ` and every `Uᵢ` is
 /// `kᵢ x nc`, with `A` of shape `m x nc`. Returns the result with sorted
 /// columns, assembled column by column directly into the output buffers
-/// (the whole-block wrapper the serial refactorization hot path uses).
+/// (how the refactor replay records a reduced block's pattern).
 pub fn reduce_block(a: &CscMat, terms: &[(&CscMat, &CscMat)]) -> CscMat {
     let m = a.nrows();
     let nc = a.ncols();
@@ -162,6 +166,44 @@ pub fn reduce_block(a: &CscMat, terms: &[(&CscMat, &CscMat)]) -> CscMat {
     // SAFETY: `reduce_col_into` emits each column's rows ascending and `<
     // m`; `colptr` tracks `rowind.len()`.
     unsafe { CscMat::from_parts_unchecked(m, nc, colptr, rowind, values) }
+}
+
+/// Rewrites columns `cols` of a reduced block whose pattern
+/// (`colptr`/`rowind`, as [`reduce_block`] formed it) is retained:
+/// `out` receives the values of exactly those columns, `Â(:,c) =
+/// A(:,c) − Σ L·U(:,c)` with the terms subtracted in the order given.
+/// `x` is an all-zero accumulator at least as long as the block has
+/// rows, and is handed back all zero. With the pattern known up front
+/// there is no stamp bookkeeping and nothing to sort or allocate —
+/// every update is an indexed axpy on the kernel ladder.
+// basker-lint: deny-alloc
+pub fn reduce_cols_into<'t>(
+    a: ColsView<'_>,
+    terms: impl Iterator<Item = (&'t CscMat, &'t CscMat)> + Clone,
+    cols: Range<usize>,
+    colptr: &[usize],
+    rowind: &[usize],
+    out: &mut [f64],
+    x: &mut [f64],
+) {
+    let ks = basker_kernels::active();
+    let base = colptr[cols.start];
+    for c in cols {
+        for (r, v) in a.col(c) {
+            x[r] = v;
+        }
+        for (l, u) in terms.clone() {
+            for (t, uv) in u.col_iter(c) {
+                if uv != 0.0 {
+                    ks.scatter_axpy(x, l.col_rows(t), l.col_values(t), -uv);
+                }
+            }
+        }
+        for p in colptr[c]..colptr[c + 1] {
+            out[p - base] = x[rowind[p]];
+            x[rowind[p]] = 0.0;
+        }
+    }
 }
 
 /// Estimated flop count of a reduction (2 per multiply-add).
@@ -243,6 +285,34 @@ mod tests {
         let r = reduce_block(&a, &[(&l, &u)]);
         assert_eq!(r.nnz(), 1);
         assert_eq!(r.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn value_rewrite_matches_reduce_block() {
+        let a = dense(&[vec![1.0, 2.0], vec![3.0, 0.0], vec![5.0, 6.0]]);
+        let l = dense(&[vec![1.0, 0.0], vec![0.0, 2.0], vec![1.0, 1.0]]);
+        let u = dense(&[vec![1.0, 1.0], vec![0.0, 1.0]]);
+        let l2 = dense(&[vec![0.5], vec![0.0], vec![0.25]]);
+        let u2 = dense(&[vec![0.0, 4.0]]);
+        let terms = [(&l, &u), (&l2, &u2)];
+        let want = reduce_block(&a, &terms);
+        // Column by column, in either order, into NaN-filled storage.
+        let mut vals = vec![f64::NAN; want.nnz()];
+        let mut x = vec![0.0; 3];
+        for c in [1usize, 0] {
+            let (lo, hi) = (want.colptr()[c], want.colptr()[c + 1]);
+            reduce_cols_into(
+                ColsView::of(&a),
+                terms.iter().copied(),
+                c..c + 1,
+                want.colptr(),
+                want.rowind(),
+                &mut vals[lo..hi],
+                &mut x,
+            );
+        }
+        assert_eq!(vals, want.values());
+        assert_eq!(x, vec![0.0; 3]);
     }
 
     #[test]

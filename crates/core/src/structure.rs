@@ -16,6 +16,8 @@
 //! are composed here into one global row and one global column
 //! permutation, so numeric factorization sees a single permuted matrix.
 
+use crate::frozen::FrozenBtf;
+use basker_klu::gp::ColsView;
 use basker_ordering::amd::amd_order;
 use basker_ordering::btf::btf_form_with;
 use basker_ordering::nd::{nested_dissection, NdDecomposition};
@@ -93,6 +95,13 @@ impl NdStructure {
     /// Descendant node range of `v` (excluding `v`).
     pub fn descendants(&self, v: usize) -> std::ops::Range<usize> {
         self.subtree_start[v]..v
+    }
+
+    /// Position of ancestor `s` within `ancestors[k]` (paths ascend one
+    /// tree level per step, so the index is the level gap minus one).
+    #[inline]
+    pub fn anc_pos(&self, k: usize, s: usize) -> usize {
+        self.nd.tree_level(s) - self.nd.tree_level(k) - 1
     }
 }
 
@@ -294,6 +303,91 @@ impl NdBlocks {
     }
 }
 
+/// Where the 2-D blocks of one ND-laid-out BTF block sit inside the
+/// frozen block-diagonal store ([`FrozenBtf`]): a pattern-only fact,
+/// recorded once, that lets a refactorization read `A_{r,v}` in place
+/// instead of extracting [`NdBlocks`] from a fresh permuted matrix
+/// every step.
+///
+/// A column of node `v` holds, in ascending row order, its entries in
+/// the row ranges of `v`'s descendants, of `v` itself and of `v`'s
+/// ancestors — the separator property leaves nothing anywhere else —
+/// so each 2-D block is one contiguous run of every column and the
+/// split is a table of run boundaries.
+#[derive(Debug, Clone)]
+pub struct NdSplit {
+    /// Per node `v`, per column, the `nblk + 1` boundaries between its
+    /// `nblk` blocks (descendants ascending, `v`, ancestors ascending)
+    /// as offsets into the store.
+    tables: Vec<Vec<usize>>,
+}
+
+impl NdSplit {
+    /// Records the split of the ND block starting at permuted index
+    /// `offset`. Panics if a column has an entry outside its node's
+    /// relatives (the separator property [`NdBlocks::extract`] also
+    /// relies on).
+    pub fn record(frozen: &FrozenBtf, offset: usize, st: &NdStructure) -> NdSplit {
+        let (colptr, rowind) = (frozen.diag_colptr(), frozen.diag_rowind());
+        let tables = (0..st.nnodes())
+            .map(|v| {
+                let relatives = || {
+                    st.descendants(v)
+                        .chain(std::iter::once(v))
+                        .chain(st.ancestors[v].iter().copied())
+                };
+                let mut table =
+                    Vec::with_capacity(st.nd.nodes[v].len() * (relatives().count() + 1));
+                for j in st.nd.nodes[v].range.clone() {
+                    let (mut pos, end) = (colptr[offset + j], colptr[offset + j + 1]);
+                    for r in relatives() {
+                        let rows = &st.nd.nodes[r].range;
+                        assert!(
+                            pos == end || rowind[pos] >= offset + rows.start,
+                            "ND blocks must cover every entry of the diagonal block \
+                             (separator property violated)"
+                        );
+                        table.push(pos);
+                        pos += rowind[pos..end].partition_point(|&i| i < offset + rows.end);
+                    }
+                    assert_eq!(pos, end, "separator property violated");
+                    table.push(pos);
+                }
+                table
+            })
+            .collect();
+        NdSplit { tables }
+    }
+
+    /// `A_{r,v}` — rows of node `r` (a descendant or an ancestor of `v`,
+    /// or `v` itself), columns of node `v` — read in place from the
+    /// store's values `vals`.
+    pub fn block<'a>(
+        &'a self,
+        frozen: &'a FrozenBtf,
+        vals: &'a [f64],
+        offset: usize,
+        st: &NdStructure,
+        v: usize,
+        r: usize,
+    ) -> ColsView<'a> {
+        let ndesc = v - st.subtree_start[v];
+        let slot = match r.cmp(&v) {
+            std::cmp::Ordering::Less => r - st.subtree_start[v],
+            std::cmp::Ordering::Equal => ndesc,
+            std::cmp::Ordering::Greater => ndesc + 1 + st.anc_pos(v, r),
+        };
+        ColsView::new(
+            self.tables[v].get(slot..).unwrap_or(&[]),
+            ndesc + 2 + st.ancestors[v].len(),
+            st.nd.nodes[v].len(),
+            frozen.diag_rowind(),
+            vals,
+            offset + st.nd.nodes[r].range.start,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +468,38 @@ mod tests {
         for (v, node) in st.nd.nodes.iter().enumerate() {
             assert_eq!(blocks.diag[v].nrows(), node.len());
             assert_eq!(blocks.diag[v].ncols(), node.len());
+        }
+    }
+
+    /// Every 2-D block read in place from the frozen store is the block
+    /// `NdBlocks::extract` copies out of the permuted matrix.
+    #[test]
+    fn nd_split_views_match_extracted_blocks() {
+        let a = grid2d(9);
+        let s = Structure::build(&a, true, true, 16, 4).unwrap();
+        let BlockKind::NdBig(st) = &s.kinds[0] else {
+            panic!("expected ND block");
+        };
+        let frozen = FrozenBtf::record(&a, &s.row_perm, &s.col_perm, &s.bounds).unwrap();
+        let split = NdSplit::record(&frozen, 0, st);
+        let mut vals = vec![0.0; frozen.diag_nnz()];
+        frozen.gather(&a, &mut vals, &mut []);
+        let blocks = NdBlocks::extract(&Perm::permute_both(&s.row_perm, &s.col_perm, &a), 0, st);
+        let same = |m: &CscMat, v: usize, r: usize| {
+            let view = split.block(&frozen, &vals, 0, st, v, r);
+            assert_eq!(view.ncols(), m.ncols());
+            for c in 0..m.ncols() {
+                assert!(view.col(c).eq(m.col_iter(c)), "A[{r},{v}] column {c}");
+            }
+        };
+        for v in 0..st.nnodes() {
+            same(&blocks.diag[v], v, v);
+            for (ai, &anc) in st.ancestors[v].iter().enumerate() {
+                same(&blocks.lower[v][ai], v, anc);
+            }
+            for (ki, k) in st.descendants(v).enumerate() {
+                same(&blocks.upper[v][ki], v, k);
+            }
         }
     }
 

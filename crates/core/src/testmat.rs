@@ -48,6 +48,26 @@ pub(crate) fn heterogeneous(k: usize, tiny: usize) -> CscMat {
     t.to_csc()
 }
 
+/// Nothing but tiny BTF blocks: `count` two-by-two blocks, each
+/// followed by a singleton, coupled strictly upper-triangular.
+pub(crate) fn tiny_blocks(count: usize) -> CscMat {
+    let n = 3 * count;
+    let mut t = TripletMat::new(n, n);
+    for q in 0..count {
+        let i = 3 * q;
+        t.push(i, i, 6.0 + (q % 5) as f64);
+        t.push(i, i + 1, 1.0);
+        t.push(i + 1, i, -2.0);
+        t.push(i + 1, i + 1, 4.0);
+        t.push(i + 2, i + 2, 3.0 + (q % 3) as f64);
+        if i + 3 < n {
+            t.push(i + 1, i + 2, 0.5);
+            t.push(i + 2, i + 4, -0.25);
+        }
+    }
+    t.to_csc()
+}
+
 /// `a`'s pattern with every value mapped through `f`.
 pub(crate) fn revalued(a: &CscMat, f: impl Fn(f64) -> f64) -> CscMat {
     let mut m = a.clone();
@@ -99,10 +119,15 @@ pub(crate) fn assert_refactor_matches_factor(sym: &Basker, a: &CscMat) {
     let a2 = revalued(a, |v| v * 1.25 + 0.001);
     let mut num = sym.factor(a).unwrap();
     num.refactor(&a2).unwrap();
-    let fresh = sym.factor(&a2).unwrap();
-    check_solve(&num, &a2, 1e-8);
-    let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).cos()).collect();
-    let (x, y) = (solve(&num, &b), solve(&fresh, &b));
+    assert_solves_like_fresh(&num, &sym.factor(&a2).unwrap(), &a2);
+}
+
+/// `num`, refactored to `a2`'s values, against a fresh factor of `a2`:
+/// both solve `a2`, to within 1e-12 of each other.
+pub(crate) fn assert_solves_like_fresh(num: &BaskerNumeric, fresh: &BaskerNumeric, a2: &CscMat) {
+    check_solve(num, a2, 1e-8);
+    let b: Vec<f64> = (0..a2.ncols()).map(|i| (i as f64 * 0.1).cos()).collect();
+    let (x, y) = (solve(num, &b), solve(fresh, &b));
     let scale = y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     for (xi, yi) in x.iter().zip(&y) {
         assert!((xi - yi).abs() <= 1e-12 * scale, "{xi} vs {yi}");

@@ -465,97 +465,229 @@ pub fn factor_block_column(
     Ok(fac.finish())
 }
 
+/// Borrowed columns of a CSC store: a block of a larger matrix read in
+/// place, without an owner.
+///
+/// Column `c` holds entries `ptr[c * stride]..ptr[c * stride + 1]` of
+/// `rowind`/`values`, its rows shifted down by `row0`. A whole
+/// [`CscMat`] is the view with stride 1 and `row0` 0
+/// ([`ColsView::of`]); a diagonal block of a block-diagonal store is a
+/// window of its column pointers with `row0` at the block's first row;
+/// a 2-D block of an ND-laid-out block column strides over a table of
+/// per-column block boundaries. The refactorization kernels read their
+/// `A` operands through this type, so pattern-frozen callers hand them
+/// slices of one retained store instead of a fresh matrix per block.
+#[derive(Debug, Clone, Copy)]
+pub struct ColsView<'a> {
+    ptr: &'a [usize],
+    stride: usize,
+    ncols: usize,
+    rowind: &'a [usize],
+    values: &'a [f64],
+    row0: usize,
+}
+
+impl<'a> ColsView<'a> {
+    /// The view with no columns.
+    pub const EMPTY: ColsView<'static> = ColsView {
+        ptr: &[],
+        stride: 1,
+        ncols: 0,
+        rowind: &[],
+        values: &[],
+        row0: 0,
+    };
+
+    /// A view of `ncols` columns over `rowind`/`values` (see the type
+    /// docs for the meaning of `ptr`, `stride` and `row0`).
+    pub fn new(
+        ptr: &'a [usize],
+        stride: usize,
+        ncols: usize,
+        rowind: &'a [usize],
+        values: &'a [f64],
+        row0: usize,
+    ) -> ColsView<'a> {
+        assert!(ncols == 0 || ptr.len() >= (ncols - 1) * stride + 2);
+        assert_eq!(rowind.len(), values.len());
+        ColsView {
+            ptr,
+            stride,
+            ncols,
+            rowind,
+            values,
+            row0,
+        }
+    }
+
+    /// The whole of `m`.
+    pub fn of(m: &'a CscMat) -> ColsView<'a> {
+        ColsView::new(m.colptr(), 1, m.ncols(), m.rowind(), m.values(), 0)
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// `(row, value)` pairs of column `c`, rows local to the view.
+    #[inline]
+    pub fn col(&self, c: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let (lo, hi) = (self.ptr[c * self.stride], self.ptr[c * self.stride + 1]);
+        let row0 = self.row0;
+        let (rows, vals): (&'a [usize], &'a [f64]) = (&self.rowind[lo..hi], &self.values[lo..hi]);
+        rows.iter().zip(vals).map(move |(&r, &v)| (r - row0, v))
+    }
+}
+
+/// Reusable dense accumulators of the refactorization kernels
+/// ([`refactor_block_column`], [`lsolve_panel_refresh`]), grown lazily
+/// to the largest block seen and **all-zero between calls** — every
+/// kernel clears exactly what it touched. One per thread (or per serial
+/// solver) serves every block.
+#[derive(Debug, Default, Clone)]
+pub struct RefactorWorkspace {
+    xd: Vec<f64>,
+    xb: Vec<f64>,
+}
+
+impl RefactorWorkspace {
+    /// A fresh, empty workspace.
+    pub fn new() -> RefactorWorkspace {
+        RefactorWorkspace::default()
+    }
+
+    /// The first `n` entries of the primary accumulator, all zero; the
+    /// borrower must hand them back all zero.
+    pub fn accumulator(&mut self, n: usize) -> &mut [f64] {
+        if self.xd.len() < n {
+            self.xd.resize(n, 0.0);
+        }
+        &mut self.xd[..n]
+    }
+
+    /// Zeroes both accumulators — for a workspace some kernel may have
+    /// been torn out of mid-column.
+    pub fn reset(&mut self) {
+        self.xd.fill(0.0);
+        self.xb.fill(0.0);
+    }
+
+    /// Both accumulators: `nd` entries for the diagonal block, `nb` for
+    /// the stacked trailing blocks.
+    fn split(&mut self, nd: usize, nb: usize) -> (&mut [f64], &mut [f64]) {
+        if self.xd.len() < nd {
+            self.xd.resize(nd, 0.0);
+        }
+        if self.xb.len() < nb {
+            self.xb.resize(nb, 0.0);
+        }
+        (&mut self.xd[..nd], &mut self.xb[..nb])
+    }
+}
+
 /// Refactorizes in place: same pattern and pivot sequence as `factors`,
 /// fresh values from `diag` / `below`. Runs without any graph search —
-/// this is KLU's fast path for matrix sequences with fixed structure.
+/// this is KLU's fast path for matrix sequences with fixed structure —
+/// and, once `ws` has seen a block this large, without allocating.
+// basker-lint: deny-alloc
 pub fn refactor_block_column(
     factors: &mut BlockLu,
-    diag: &CscMat,
-    below: &[&CscMat],
+    diag: ColsView<'_>,
+    below: &[ColsView<'_>],
     col_offset: usize,
+    ws: &mut RefactorWorkspace,
 ) -> Result<()> {
     let nb = diag.ncols();
     assert_eq!(factors.l.ncols(), nb);
     assert_eq!(below.len(), factors.below.len());
-    let pinv = &factors.pinv;
-
-    let mut xd = vec![0.0f64; nb];
-    let mut xb: Vec<Vec<f64>> = below.iter().map(|b| vec![0.0f64; b.nrows()]).collect();
+    let BlockLu {
+        l,
+        u,
+        below: fbelow,
+        pinv,
+        flops: factor_flops,
+        ..
+    } = factors;
+    let nbelow: usize = fbelow.iter().map(|m| m.nrows()).sum();
+    // The trailing blocks' accumulators sit back to back in `xb`.
+    let (xd, xb) = ws.split(nb, nbelow);
+    let ks = basker_kernels::active();
     let mut flops = 0.0f64;
 
     for j in 0..nb {
         // scatter in pivotal coordinates
-        for (r, v) in diag.col_iter(j) {
+        for (r, v) in diag.col(j) {
             xd[pinv[r]] = v;
         }
-        for (bi, b) in below.iter().enumerate() {
-            for (r, v) in b.col_iter(j) {
-                xb[bi][r] = v;
+        let mut off = 0;
+        for (b, fb) in below.iter().zip(fbelow.iter()) {
+            for (r, v) in b.col(j) {
+                xb[off + r] = v;
             }
+            off += fb.nrows();
         }
         // ascending pivotal order is a valid topological order
-        let urows = factors.u.col_rows(j);
-        let uvals_len = urows.len();
-        debug_assert!(uvals_len >= 1 && urows[uvals_len - 1] == j);
-        for k in 0..uvals_len - 1 {
-            let t = urows[k];
+        let urows = u.col_rows(j);
+        debug_assert!(urows.last() == Some(&j));
+        for &t in &urows[..urows.len() - 1] {
             let xt = xd[t];
             if xt != 0.0 {
-                let ks = basker_kernels::active();
-                let lr = factors.l.col_rows(t);
-                let lv = factors.l.col_values(t);
-                ks.scatter_axpy(&mut xd, &lr[1..], &lv[1..], -xt);
+                let lr = l.col_rows(t);
+                let lv = l.col_values(t);
+                ks.scatter_axpy(xd, &lr[1..], &lv[1..], -xt);
                 flops += 2.0 * (lr.len() - 1) as f64;
-                for (bi, bm) in factors.below.iter().enumerate() {
+                let mut off = 0;
+                for bm in fbelow.iter() {
                     let br = bm.col_rows(t);
-                    let bv = bm.col_values(t);
-                    ks.scatter_axpy(&mut xb[bi], br, bv, -xt);
+                    ks.scatter_axpy(&mut xb[off..off + bm.nrows()], br, bm.col_values(t), -xt);
                     flops += 2.0 * br.len() as f64;
+                    off += bm.nrows();
                 }
             }
         }
         let pivot = xd[j];
         if pivot == 0.0 {
+            // Leave the accumulators clean for the workspace's next user.
+            xd.fill(0.0);
+            xb.fill(0.0);
             return Err(SparseError::ZeroPivot {
                 column: col_offset + j,
             });
         }
         // gather new values into the fixed patterns, clearing as we go
         {
-            let lo = factors.u.colptr()[j];
-            let rows: Vec<usize> = factors.u.col_rows(j).to_vec();
-            let vals = factors.u.values_mut();
-            for (k, &t) in rows.iter().enumerate() {
-                vals[lo + k] = xd[t];
-                xd[t] = 0.0;
+            let (colptr, rows, vals) = u.parts_mut();
+            for p in colptr[j]..colptr[j + 1] {
+                vals[p] = xd[rows[p]];
+                xd[rows[p]] = 0.0;
             }
         }
         {
-            let lo = factors.l.colptr()[j];
-            let rows: Vec<usize> = factors.l.col_rows(j).to_vec();
-            let vals = factors.l.values_mut();
-            for (k, &r) in rows.iter().enumerate() {
-                if k == 0 {
-                    vals[lo] = 1.0;
-                } else {
-                    vals[lo + k] = xd[r] / pivot;
-                    flops += 1.0;
-                }
-                xd[r] = 0.0;
-            }
-        }
-        for bi in 0..below.len() {
-            let lo = factors.below[bi].colptr()[j];
-            let rows: Vec<usize> = factors.below[bi].col_rows(j).to_vec();
-            let vals = factors.below[bi].values_mut();
-            for (k, &r) in rows.iter().enumerate() {
-                vals[lo + k] = xb[bi][r] / pivot;
-                xb[bi][r] = 0.0;
+            let (colptr, rows, vals) = l.parts_mut();
+            let lo = colptr[j];
+            vals[lo] = 1.0;
+            xd[rows[lo]] = 0.0;
+            for p in lo + 1..colptr[j + 1] {
+                vals[p] = xd[rows[p]] / pivot;
+                xd[rows[p]] = 0.0;
                 flops += 1.0;
             }
         }
+        let mut off = 0;
+        for bm in fbelow.iter_mut() {
+            let nrows = bm.nrows();
+            let (colptr, rows, vals) = bm.parts_mut();
+            for p in colptr[j]..colptr[j + 1] {
+                vals[p] = xb[off + rows[p]] / pivot;
+                xb[off + rows[p]] = 0.0;
+                flops += 1.0;
+            }
+            off += nrows;
+        }
     }
-    factors.flops = flops;
+    *factor_flops = flops;
     Ok(())
 }
 
@@ -657,8 +789,7 @@ pub fn lsolve_col(
 }
 
 /// Sparse panel solve: returns `X = L⁻¹ · P · B` (the all-at-once
-/// wrapper over [`lsolve_col`], used by the serial refactorization path
-/// and tests).
+/// wrapper over [`lsolve_col`], for tests and benches).
 pub fn lsolve_panel(blu: &BlockLu, b: &CscMat) -> CscMat {
     let nb = blu.l.ncols();
     assert_eq!(b.nrows(), nb, "panel rows must match the diagonal block");
@@ -670,38 +801,40 @@ pub fn lsolve_panel(blu: &BlockLu, b: &CscMat) -> CscMat {
 }
 
 /// Refreshes the values of an existing panel solve result in place, reusing
-/// its pattern (the refactorization path for separator panels).
-pub fn lsolve_panel_refresh(blu: &BlockLu, b: &CscMat, out: &mut CscMat) {
-    let nb = blu.l.ncols();
+/// its pattern (the refactorization path for separator panels). Like
+/// [`refactor_block_column`], allocation-free once `ws` is warm.
+// basker-lint: deny-alloc
+pub fn lsolve_panel_refresh(
+    blu: &BlockLu,
+    b: ColsView<'_>,
+    out: &mut CscMat,
+    ws: &mut RefactorWorkspace,
+) {
     let l = &blu.l;
     let pinv = &blu.pinv;
-    let mut x = vec![0.0f64; nb];
+    let x = ws.accumulator(l.ncols());
+    let ks = basker_kernels::active();
+    let (colptr, rows, vals) = out.parts_mut();
     for j in 0..b.ncols() {
-        for (r0, v) in b.col_iter(j) {
+        for (r0, v) in b.col(j) {
             x[pinv[r0]] = v;
         }
-        let lo = out.colptr()[j];
-        let rows: Vec<usize> = out.col_rows(j).to_vec();
+        let (lo, hi) = (colptr[j], colptr[j + 1]);
         // ascending pivotal order is topologically valid
-        for (k, &t) in rows.iter().enumerate() {
+        for &t in &rows[lo..hi] {
             let xt = x[t];
-            let _ = k;
             if xt != 0.0 {
                 let lr = l.col_rows(t);
                 let lv = l.col_values(t);
-                basker_kernels::active().scatter_axpy(&mut x, &lr[1..], &lv[1..], -xt);
+                ks.scatter_axpy(x, &lr[1..], &lv[1..], -xt);
             }
         }
-        let vals = out.values_mut();
-        for (k, &t) in rows.iter().enumerate() {
-            vals[lo + k] = x[t];
-            x[t] = 0.0;
+        for p in lo..hi {
+            vals[p] = x[rows[p]];
+            x[rows[p]] = 0.0;
         }
     }
 }
-
-/// Legacy alias retained for API compatibility in early revisions.
-pub type GpWorkspace = ();
 
 /// A factored BTF diagonal block with a fast path for 1×1 blocks.
 ///
@@ -737,8 +870,15 @@ impl BlockFactor {
         )?)))
     }
 
-    /// Refreshes values from the same pattern (fast refactorization).
-    pub fn refactor_range(&mut self, ap: &CscMat, lo: usize, hi: usize) -> Result<()> {
+    /// Refreshes values from the `lo..hi` diagonal block of the permuted
+    /// matrix `ap` (fast refactorization).
+    pub fn refactor_range(
+        &mut self,
+        ap: &CscMat,
+        lo: usize,
+        hi: usize,
+        ws: &mut RefactorWorkspace,
+    ) -> Result<()> {
         match self {
             BlockFactor::Singleton(v) => {
                 let nv = ap.get(lo, lo);
@@ -750,8 +890,31 @@ impl BlockFactor {
             }
             BlockFactor::Full(blu) => {
                 let diag = basker_sparse::blocks::extract_range(ap, lo..hi, lo..hi);
-                refactor_block_column(blu, &diag, &[], lo)
+                refactor_block_column(blu, ColsView::of(&diag), &[], lo, ws)
             }
+        }
+    }
+
+    /// [`refactor_range`](Self::refactor_range) for callers that keep
+    /// the permuted matrix in retained storage: `diag` is the block read
+    /// in place, `lo` its first permuted column.
+    // basker-lint: deny-alloc
+    pub fn refactor_cols(
+        &mut self,
+        diag: ColsView<'_>,
+        lo: usize,
+        ws: &mut RefactorWorkspace,
+    ) -> Result<()> {
+        match self {
+            BlockFactor::Singleton(v) => {
+                let nv = diag.col(0).next().map_or(0.0, |(_, nv)| nv);
+                if nv == 0.0 {
+                    return Err(SparseError::ZeroPivot { column: lo });
+                }
+                *v = nv;
+                Ok(())
+            }
+            BlockFactor::Full(blu) => refactor_block_column(blu, diag, &[], lo, ws),
         }
     }
 
@@ -944,7 +1107,14 @@ mod tests {
             [0.0, 3.0, 18.0, 1.0],
             [4.0, 0.0, 3.0, 16.0],
         ]);
-        refactor_block_column(&mut blu, &a2, &[], 0).unwrap();
+        refactor_block_column(
+            &mut blu,
+            ColsView::of(&a2),
+            &[],
+            0,
+            &mut RefactorWorkspace::new(),
+        )
+        .unwrap();
         let xtrue = [1.0, 1.0, 1.0, 1.0];
         let b = spmv(&a2, &xtrue);
         let mut x = b.clone();
@@ -959,7 +1129,61 @@ mod tests {
         let bad = CscMat::from_dense(&[vec![0.0, 0.0], vec![0.0, 1.0]]);
         // Same pattern? a has entries only on the diagonal; bad stores a
         // structural zero at (0,0).
-        assert!(refactor_block_column(&mut blu, &bad, &[], 0).is_err());
+        let mut ws = RefactorWorkspace::new();
+        let err = refactor_block_column(&mut blu, ColsView::of(&bad), &[], 3, &mut ws);
+        assert!(matches!(err, Err(SparseError::ZeroPivot { column: 3 })));
+        // The failed call hands the workspace back clean: the next user
+        // of the same accumulators gets the right factors.
+        refactor_block_column(&mut blu, ColsView::of(&a), &[], 0, &mut ws).unwrap();
+        assert_eq!(blu.u.values(), &[1.0, 1.0]);
+    }
+
+    /// A stacked block column read in place from one store — a window
+    /// of column pointers, shifted rows, a strided boundary table —
+    /// refactors to the same values as from extracted matrices, and a
+    /// warmed workspace serves blocks of any smaller size.
+    #[test]
+    fn views_into_one_store_match_extracted_blocks() {
+        // 5x2 store: rows 0..1 belong to someone else, rows 1..3 are the
+        // diagonal block, rows 3..5 a trailing block.
+        let store = CscMat::from_dense(&[
+            vec![9.0, 0.0],
+            vec![4.0, 1.0],
+            vec![2.0, 5.0],
+            vec![1.0, 2.0],
+            vec![0.0, 7.0],
+        ]);
+        let d = basker_sparse::blocks::extract_range(&store, 1..3, 0..2);
+        let b = basker_sparse::blocks::extract_range(&store, 3..5, 0..2);
+        let mut blu = factor_block_column(&d, &[&b], 0.001, 0).unwrap();
+        let fresh = blu.clone();
+        for m in [&mut blu.l, &mut blu.u, &mut blu.below[0]] {
+            m.values_mut().fill(f64::NAN);
+        }
+        // Per column: [start of diag rows, start of trailing rows, end].
+        let table = [1usize, 3, 4, 4, 6, 8];
+        let view = |slot: usize, row0: usize| {
+            ColsView::new(&table[slot..], 3, 2, store.rowind(), store.values(), row0)
+        };
+        let mut ws = RefactorWorkspace::new();
+        ws.accumulator(64).fill(0.0);
+        refactor_block_column(&mut blu, view(0, 1), &[view(1, 3)], 0, &mut ws).unwrap();
+        assert_eq!(blu.l.values(), fresh.l.values());
+        assert_eq!(blu.u.values(), fresh.u.values());
+        assert_eq!(blu.below[0].values(), fresh.below[0].values());
+        assert!(ws.accumulator(64).iter().all(|&v| v == 0.0));
+
+        // 1x1 fast path reads its pivot through the same kind of view.
+        let mut one = BlockFactor::Singleton(1.0);
+        let ptr = [7usize, 8];
+        let v = ColsView::new(&ptr, 1, 1, store.rowind(), store.values(), 4);
+        one.refactor_cols(v, 11, &mut ws).unwrap();
+        assert_eq!(one.pivot_range(), (7.0, 7.0));
+        let empty = ColsView::new(&[4, 4], 1, 1, store.rowind(), store.values(), 4);
+        assert!(matches!(
+            one.refactor_cols(empty, 11, &mut ws),
+            Err(SparseError::ZeroPivot { column: 11 })
+        ));
     }
 
     #[test]
@@ -994,7 +1218,13 @@ mod tests {
         }
         // Refresh path gives the same values.
         let mut x2 = x.clone();
-        lsolve_panel_refresh(&blu, &b, &mut x2);
+        x2.values_mut().fill(f64::NAN);
+        lsolve_panel_refresh(
+            &blu,
+            ColsView::of(&b),
+            &mut x2,
+            &mut RefactorWorkspace::new(),
+        );
         assert_eq!(x.values(), x2.values());
     }
 

@@ -39,5 +39,5 @@
 pub mod gp;
 pub mod solver;
 
-pub use gp::{BlockLu, GpWorkspace};
+pub use gp::BlockLu;
 pub use solver::{KluNumeric, KluOptions, KluSymbolic};

@@ -6,7 +6,7 @@
 //! exercises across a transient simulation, paper §V-F); `solve` performs
 //! the block back-substitution.
 
-use crate::gp::BlockFactor;
+use crate::gp::{BlockFactor, RefactorWorkspace};
 use basker_ordering::amd::amd_order;
 use basker_ordering::btf::btf_form_with;
 use basker_sparse::blocks::extract_range;
@@ -171,6 +171,7 @@ impl KluSymbolic {
             sym: self.clone(),
             blocks,
             offdiag,
+            ws: RefactorWorkspace::new(),
         })
     }
 }
@@ -204,6 +205,8 @@ pub struct KluNumeric {
     sym: KluSymbolic,
     blocks: Vec<BlockFactor>,
     offdiag: CscMat,
+    /// The refactorization kernels' accumulators.
+    ws: RefactorWorkspace,
 }
 
 impl KluNumeric {
@@ -255,7 +258,7 @@ impl KluNumeric {
         let ap = Perm::permute_both(&self.sym.row_perm, &self.sym.col_perm, a);
         for b in 0..self.sym.nblocks() {
             let (lo, hi) = (self.sym.bounds[b], self.sym.bounds[b + 1]);
-            self.blocks[b].refactor_range(&ap, lo, hi)?;
+            self.blocks[b].refactor_range(&ap, lo, hi, &mut self.ws)?;
         }
         self.offdiag = upper_block_part(&ap, &self.sym.block_of);
         Ok(())

@@ -201,6 +201,14 @@ impl CscMat {
         &mut self.values
     }
 
+    /// The pattern borrowed beside the mutable values, as
+    /// `(colptr, rowind, values)` — for value refreshes that walk the
+    /// fixed pattern while writing.
+    #[inline]
+    pub fn parts_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+        (&self.colptr, &self.rowind, &mut self.values)
+    }
+
     /// Row indices of column `j`.
     #[inline]
     pub fn col_rows(&self, j: usize) -> &[usize] {

@@ -1,11 +1,14 @@
 //! Integration: repeated `solve_in_place` calls with a warmed-up
-//! `SolveWorkspace` perform **zero heap allocation**, for every engine.
+//! `SolveWorkspace` perform **zero heap allocation**, for every engine —
+//! and so do warmed refactorizations of the block driver.
 //!
 //! A counting global allocator records every `alloc`/`realloc` in the
 //! process; the single test in this binary (kept alone so no concurrent
 //! test thread can allocate in the measurement window) warms the
 //! workspace once per engine, then snapshots the counter around a burst
-//! of solves and requires it unchanged.
+//! of solves and requires it unchanged; the same for bursts of Basker
+//! refactorizations with drifting values once two of them have recorded
+//! the value map and the stage list.
 
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
@@ -40,6 +43,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The fewest allocations any of three runs of `burst` made. The
+/// counter is process-global, so a runtime thread (test harness
+/// watchdog, lazily initialized std state) can bump it once in a
+/// window; a per-call leak shows up in *every* window.
+fn cleanest_of_three(mut burst: impl FnMut()) -> u64 {
+    let mut cleanest = u64::MAX;
+    for _attempt in 0..3 {
+        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        burst();
+        cleanest = cleanest.min(ALLOC_CALLS.load(Ordering::SeqCst) - before);
+        if cleanest == 0 {
+            break;
+        }
+    }
+    cleanest
+}
+
+/// `a`'s pattern under four value sets drifting a few percent apart.
+fn drifting(a: &CscMat) -> Vec<CscMat> {
+    (0..4)
+        .map(|k| {
+            let mut m = a.clone();
+            for (i, v) in m.values_mut().iter_mut().enumerate() {
+                *v *= 1.0 + 0.01 * (k as f64 + (i % 3) as f64);
+            }
+            m
+        })
+        .collect()
+}
+
 #[test]
 fn warmed_solves_do_not_allocate_for_any_engine() {
     // Mixed structure so Basker exercises both its small-block and ND
@@ -65,27 +98,109 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
         x.copy_from_slice(&b);
         num.solve_in_place(&mut x, &mut ws).unwrap();
 
-        // The counter is process-global, so a runtime thread (test
-        // harness watchdog, lazily initialized std state) can bump it
-        // once in a window. A per-call leak shows up in *every* window;
-        // accept the engine as allocation-free if any window is clean.
-        let mut cleanest = u64::MAX;
-        for _attempt in 0..3 {
-            let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        // Accept the engine as allocation-free if any window is clean.
+        let cleanest = cleanest_of_three(|| {
             for _ in 0..100 {
                 x.copy_from_slice(&b);
                 num.solve_in_place(&mut x, &mut ws).unwrap();
             }
-            let after = ALLOC_CALLS.load(Ordering::SeqCst);
-            cleanest = cleanest.min(after - before);
-            if cleanest == 0 {
-                break;
-            }
-        }
+        });
         assert_eq!(
             cleanest, 0,
             "{engine}: at least {cleanest} allocation(s) in every 100-solve window"
         );
         assert!(relative_residual(&a, &x, &b) < 1e-8, "{engine}");
     }
+
+    // ---- refactorizations -------------------------------------------
+    // The mixed circuit again, and one irreducible mesh block: an ND
+    // block with a real separator at two threads (panels, reductions
+    // and an elimination in the stage list), a single leaf at one.
+    let mesh = mesh2d(12, 5);
+    let lanes = [(Engine::Basker, 2), (Engine::Basker, 1), (Engine::Klu, 1)];
+    for (m, what) in [(&a, "circuit"), (&mesh, "mesh")] {
+        let ring = drifting(m);
+        let xtrue = vec![1.0; m.ncols()];
+        for (engine, threads) in lanes {
+            let cfg = SolverConfig::new()
+                .engine(engine)
+                .threads(threads)
+                .nd_threshold(64);
+            let mut num = LinearSolver::analyze(m, &cfg).unwrap().factor(m).unwrap();
+            if let Some(basker) = num.as_basker() {
+                assert!(basker.stats.nd_blocks >= 1, "{what}: no ND block to replay");
+            }
+            // Warm-up: the first refactorization records the value map
+            // and the stage list, the second grows the scratch.
+            num.refactor(&ring[0]).unwrap();
+            num.refactor(&ring[1]).unwrap();
+            let mut step = 0;
+            let cleanest = cleanest_of_three(|| {
+                for _ in 0..20 {
+                    step += 1;
+                    num.refactor(&ring[step % ring.len()]).unwrap();
+                }
+            });
+            if engine == Engine::Klu {
+                // The reference lane keeps its own data movement (a
+                // fresh permuted matrix and block extraction per step);
+                // what it shares is the kernels, which used to allocate
+                // two or three times per column.
+                assert!(
+                    cleanest < 20 * m.ncols() as u64,
+                    "{engine} on the {what}: {cleanest} allocations in every 20-refactor \
+                     window of a {}-column matrix",
+                    m.ncols()
+                );
+                continue;
+            }
+            assert_eq!(
+                cleanest, 0,
+                "{engine} x{threads} on the {what}: at least {cleanest} allocation(s) \
+                 in every 20-refactor window"
+            );
+            // The burst left usable factors behind.
+            let last = &ring[step % ring.len()];
+            let rhs = spmv(last, &xtrue);
+            let mut sol = rhs.clone();
+            num.solve_in_place(&mut sol, &mut SolveWorkspace::for_dim(m.ncols()))
+                .unwrap();
+            assert!(
+                relative_residual(last, &sol, &rhs) < 1e-8,
+                "{engine} x{threads} on the {what}"
+            );
+        }
+    }
+
+    // Past the break-even a stage is dispatched to the team, which
+    // costs the scheduler its task entries — a handful per stage,
+    // nothing per block or column.
+    let big = mesh2d(48, 5);
+    let ring = drifting(&big);
+    let cfg = SolverConfig::new().engine(Engine::Basker).threads(2);
+    let mut num = LinearSolver::analyze(&big, &cfg)
+        .unwrap()
+        .factor(&big)
+        .unwrap();
+    num.refactor(&ring[0]).unwrap();
+    num.refactor(&ring[1]).unwrap();
+    assert!(
+        num.stats().sync_wait_ns.len() == 2,
+        "the big mesh runs on the two-rank team"
+    );
+    let mut step = 0;
+    let cleanest = cleanest_of_three(|| {
+        for _ in 0..20 {
+            step += 1;
+            num.refactor(&ring[step % ring.len()]).unwrap();
+        }
+    });
+    // At two threads the list has four stages; a dispatch allocates
+    // two task cores and the ranks' result cells.
+    assert!(
+        cleanest <= 20 * 4 * 3,
+        "dispatched replay: {cleanest} allocations in every 20-refactor window \
+         of a {}-column mesh",
+        big.ncols()
+    );
 }

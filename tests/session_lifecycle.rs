@@ -89,6 +89,61 @@ fn hard_pivot_collapse_triggers_fallback_without_escaping() {
     }
 }
 
+/// The same collapse where the refactorization runs as stage items on
+/// the team: one irreducible mesh block at two threads is an ND block
+/// of two leaves under a separator, and the entry driven through zero
+/// is the first pivot of the **second leaf** (no update touches a
+/// leaf's first column, so the frozen pivot is that entry exactly). The
+/// item that hits it reports the column, the other leaf's item runs to
+/// its end, and the session re-pivots once — the mesh stays
+/// nonsingular, so the fresh factorization picks another row.
+#[test]
+fn nd_leaf_pivot_collapse_on_the_team_triggers_one_fallback() {
+    use basker_repro::basker::structure::BlockKind;
+    use basker_repro::basker::Basker;
+
+    // 1 296 rows: each leaf carries enough recorded flops that the
+    // leaf stage is dispatched to the team, not run inline.
+    let a0 = mesh2d(36, 3);
+    let solver = SolverConfig::new()
+        .engine(Engine::Basker)
+        .threads(2)
+        .nd_threshold(32);
+    let sym = Basker::analyze(&a0, &solver.basker_options()).unwrap();
+    let st = sym.structure();
+    let BlockKind::NdBig(nds) = &st.kinds[0] else {
+        panic!("the mesh must be one ND-laid-out block");
+    };
+    assert_eq!(nds.nnodes(), 3, "two leaves under one separator");
+    let k = st.bounds[0] + nds.nd.nodes[nds.leaf_of_thread[1]].range.start;
+    let (row, col) = (st.row_perm.as_slice()[k], st.col_perm.as_slice()[k]);
+    let slot = a0.colptr()[col]
+        + a0.col_rows(col)
+            .iter()
+            .position(|&r| r == row)
+            .expect("the permuted diagonal is structurally nonzero");
+
+    let cfg = SessionConfig::new()
+        .solver(solver)
+        .policy(ReusePolicy::AlwaysRefactor)
+        .target_residual(1e-9);
+    let mut session = SolveSession::new(&a0, &cfg).unwrap();
+    let b = vec![1.0; a0.ncols()];
+    let mut x = b.clone();
+    for s in 0..=6 {
+        // The entry scales by 1 − s/4: exactly zero at s = 4.
+        let mut m = a0.clone();
+        m.values_mut()[slot] *= 1.0 - s as f64 / 4.0;
+        session.step(&m).unwrap_or_else(|e| panic!("step {s}: {e}"));
+        x.copy_from_slice(&b);
+        let q = session.solve_refined(&mut x).unwrap();
+        assert!(q.residual < 1e-8, "step {s}: residual {}", q.residual);
+    }
+    let st = session.stats();
+    assert_eq!((st.steps, st.factors), (7, 2), "{st:?}");
+    assert_eq!(st.repivot_fallbacks, 1, "{st:?}");
+}
+
 /// Satellite: an exponential decay makes the frozen pivot *unstable*
 /// without ever reaching exact zero — refactorization keeps succeeding,
 /// but with explosive pivot growth. The adaptive policy must notice
