@@ -624,7 +624,7 @@ mod tests {
             "# comment\n\norder crates/serve/src/bin/\nsafety crates/x/src/lib.rs\n",
         );
         let d = check_file(
-            "crates/serve/src/bin/loadgen.rs",
+            "crates/serve/src/bin/shardd.rs",
             "let x = a.load(Ordering::Relaxed);\n",
             &allow,
         );

@@ -3,10 +3,9 @@
 use crate::error::{map_analyze_error, SolverError};
 use basker::hybrid::HybridOptions;
 use basker::{BaskerOptions, SyncMode};
-use basker_kernels::KernelChoice;
 use basker_klu::KluOptions;
 use basker_ordering::btf::btf_form_with;
-use basker_snlu::{SnluMode, SnluOptions};
+use basker_snlu::SnluOptions;
 use basker_sparse::{CscMat, SparseError};
 
 /// Which factorization engine drives the lifecycle.
@@ -99,6 +98,15 @@ impl Default for BlockRouting {
     }
 }
 
+/// [`Engine::Auto`]: a BTF block counts as "small" up to this size
+/// (Table I counts rows in blocks ≤ 64). Capped at `n/2` so a small
+/// matrix that is one irreducible block is never "all small blocks".
+const AUTO_SMALL_BLOCK: usize = 64;
+
+/// [`Engine::Auto`]: minimum fraction of rows in small BTF blocks for a
+/// matrix to be treated as circuit-like.
+const AUTO_CIRCUIT_FRACTION: f64 = 0.5;
+
 /// Builder-style configuration shared by every engine.
 ///
 /// ```
@@ -120,11 +128,6 @@ pub struct SolverConfig {
     use_mwcm: bool,
     nd_threshold: usize,
     sync_mode: SyncMode,
-    snlu_mode: SnluMode,
-    refine_steps: usize,
-    auto_small_block: usize,
-    auto_circuit_fraction: f64,
-    kernel: KernelChoice,
     routing: BlockRouting,
 }
 
@@ -139,11 +142,6 @@ impl Default for SolverConfig {
             use_mwcm: true,
             nd_threshold: 128,
             sync_mode: SyncMode::PointToPoint,
-            snlu_mode: SnluMode::Pardiso,
-            refine_steps: 2,
-            auto_small_block: 64,
-            auto_circuit_fraction: 0.5,
-            kernel: KernelChoice::Auto,
             routing: BlockRouting::default(),
         }
     }
@@ -210,43 +208,6 @@ impl SolverConfig {
         self
     }
 
-    /// Blocking/scheduling flavour of the supernodal engine.
-    pub fn snlu_mode(mut self, m: SnluMode) -> Self {
-        self.snlu_mode = m;
-        self
-    }
-
-    /// Iterative-refinement sweeps of the supernodal solve.
-    pub fn refine_steps(mut self, k: usize) -> Self {
-        self.refine_steps = k;
-        self
-    }
-
-    /// [`Engine::Auto`]: a BTF block counts as "small" up to this size
-    /// (Table I counts rows in blocks ≤ 64). Capped at `n/2` so a small
-    /// matrix that is one irreducible block is never "all small blocks".
-    pub fn auto_small_block(mut self, size: usize) -> Self {
-        self.auto_small_block = size;
-        self
-    }
-
-    /// [`Engine::Auto`]: minimum fraction of rows in small BTF blocks for
-    /// a matrix to be treated as circuit-like.
-    pub fn auto_circuit_fraction(mut self, frac: f64) -> Self {
-        self.auto_circuit_fraction = frac;
-        self
-    }
-
-    /// Requests a dense micro-kernel rung for the process-wide ladder
-    /// (default [`KernelChoice::Auto`]: the best rung the CPU supports).
-    /// The rung is pinned once per process at the first analyze — the
-    /// `BASKER_KERNEL` environment variable or an earlier request wins
-    /// over later configs.
-    pub fn kernel(mut self, k: KernelChoice) -> Self {
-        self.kernel = k;
-        self
-    }
-
     /// Per-block classifier thresholds of [`Engine::Hybrid`] and the
     /// learned-routing switch.
     pub fn block_routing(mut self, r: BlockRouting) -> Self {
@@ -262,11 +223,6 @@ impl SolverConfig {
     /// The engine as requested (possibly [`Engine::Auto`]).
     pub fn requested_engine(&self) -> Engine {
         self.engine
-    }
-
-    /// The requested dense-kernel rung.
-    pub fn requested_kernel(&self) -> KernelChoice {
-        self.kernel
     }
 
     /// Requested worker threads.
@@ -301,8 +257,6 @@ impl SolverConfig {
     pub fn snlu_options(&self) -> SnluOptions {
         SnluOptions {
             nthreads: self.nthreads,
-            mode: self.snlu_mode,
-            refine_steps: self.refine_steps,
             ..SnluOptions::default()
         }
     }
@@ -329,9 +283,9 @@ impl SolverConfig {
     /// wins (Basker when threads are available, KLU serially). Mesh-like
     /// matrices are one big irreducible block whose separators fill in,
     /// where the supernodal engine's dense panels win. A matrix counts
-    /// as circuit-like when its small-block row fraction reaches
-    /// [`auto_circuit_fraction`](Self::auto_circuit_fraction) **or** its
-    /// largest BTF block covers at most half the rows.
+    /// as circuit-like when at least half its rows sit in small blocks
+    /// (`AUTO_CIRCUIT_FRACTION`) **or** its largest BTF block covers at
+    /// most half the rows.
     ///
     /// Matrices that are **both** — a large irreducible block *and* a
     /// meaningful share of rows in small blocks — are heterogeneous:
@@ -354,7 +308,7 @@ impl SolverConfig {
         // A plain maximum transversal is enough to expose the block shape
         // (the chosen engine redoes its own analysis with MWCM anyway).
         let btf = btf_form_with(a, false).map_err(|e| map_analyze_error(Engine::Auto, n, e))?;
-        let small = self.auto_small_block.min(n / 2).max(1);
+        let small = AUTO_SMALL_BLOCK.min(n / 2).max(1);
         let mut small_rows = 0usize;
         let mut largest = 0usize;
         for w in btf.bounds.windows(2) {
@@ -371,7 +325,7 @@ impl SolverConfig {
         if largest >= self.nd_threshold && small_rows * 10 >= n {
             return Ok(Engine::Hybrid);
         }
-        Ok(if frac >= self.auto_circuit_fraction || decomposes {
+        Ok(if frac >= AUTO_CIRCUIT_FRACTION || decomposes {
             if self.nthreads > 1 {
                 Engine::Basker
             } else {

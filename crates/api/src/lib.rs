@@ -95,7 +95,6 @@ pub mod session;
 pub mod solver;
 
 pub use basker::hybrid::{BlockRoute, BlockStrategy};
-pub use basker_kernels::KernelChoice;
 pub use config::{BlockRouting, Engine, SolverConfig};
 pub use error::SolverError;
 pub use service::{

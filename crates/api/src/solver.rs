@@ -58,8 +58,7 @@ pub struct SolverStats {
     /// Per-thread nanoseconds spent blocked on synchronization during
     /// the last (re)factorization (block driver only: one entry per worker
     /// rank of the persistent team, `len() == threads`; empty for the
-    /// other engines). Makes sync overhead observable per rank without
-    /// the ablation harness.
+    /// other engines). Makes sync overhead observable per rank.
     pub sync_wait_ns: Vec<u64>,
     /// Work items (pipeline columns, worklist jobs) executed by blocked
     /// threads through the scheduler's assist loop during the last
@@ -74,9 +73,8 @@ pub struct SolverStats {
     /// Wall-clock seconds of the last (re)factorization, when measured.
     pub factor_seconds: f64,
     /// The dense micro-kernel rung the process dispatched (`"scalar"`,
-    /// `"unrolled"`, `"avx2+fma"`, `"neon"`); empty on a default
-    /// `SolverStats`. Selected once per process from
-    /// `BASKER_KERNEL`/[`SolverConfig::kernel`](crate::SolverConfig::kernel).
+    /// `"avx2+fma"`, `"neon"`); empty on a default `SolverStats`.
+    /// Selected once per process from `BASKER_KERNEL`.
     pub kernel: &'static str,
     /// Per-BTF-block routing of the last (re)factorization under a
     /// classified plan ([`Engine::Hybrid`]; empty for every other
@@ -543,9 +541,6 @@ enum SymbolicInner {
 impl LinearSolver {
     /// Analyzes `a`, resolving [`Engine::Auto`] from the BTF structure.
     pub fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<LinearSolver, SolverError> {
-        // Pin the process-wide dense-kernel rung before any numeric work
-        // (first `request` wins; later calls observe the pinned rung).
-        basker_kernels::request(cfg.requested_kernel());
         let engine = cfg.resolve_engine(a)?;
         let inner = match engine {
             Engine::Klu => SymbolicInner::Klu(<KluSymbolic as SparseLuSolver>::analyze(a, cfg)?),

@@ -1,17 +1,17 @@
-//! A minimal JSON reader for the benchmark baselines.
+//! A minimal JSON reader for the benchmark's result files.
 //!
 //! The workspace has no registry access, so there is no `serde`; the
-//! harnesses *write* JSON with `format!` and this module reads it back
-//! for the regression gate (`bench_check`). It parses the full JSON
-//! grammar the baselines use — objects, arrays, strings (with escapes),
+//! benchmark *writes* JSON with `format!` and this module reads it back
+//! for `basker-benchmark compare`. It parses the full JSON
+//! grammar those files use — objects, arrays, strings (with escapes),
 //! numbers, booleans, null — into a small [`Json`] tree with typed
 //! accessors. It is a reader for trusted, machine-written files, not a
 //! hardened general-purpose parser — but it must **fail loudly, never
-//! panic**, on malformed input: the regression gate and the serving
-//! tier's tooling both read files that can be truncated or corrupted on
-//! disk, and a garbled baseline should surface as a clean error, not a
-//! process abort. Nesting is capped at [`MAX_DEPTH`] so adversarially
-//! deep documents error out instead of overflowing the stack.
+//! panic**, on malformed input: a result file can be truncated or
+//! corrupted on disk, and a garbled one should surface as a clean
+//! error, not a process abort. Nesting is capped at [`MAX_DEPTH`] so
+//! adversarially deep documents error out instead of overflowing the
+//! stack.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +21,7 @@ pub enum Json {
     /// `true` / `false`
     Bool(bool),
     /// Any JSON number (kept as `f64`, which covers every value the
-    /// harnesses emit).
+    /// benchmark emits).
     Num(f64),
     /// A string, unescaped.
     Str(String),

@@ -1,382 +1,4 @@
-//! Shared harness for the paper-reproduction experiments.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper; this library provides the solver drivers (uniform timing of the
-//! *numeric* phase, which is what the paper compares), the synthetic
-//! suites (via `basker-matgen`) and markdown table output helpers.
-//!
-//! Every solver is driven through the unified
-//! [`basker_api::LinearSolver`] lifecycle — the harness is exactly the
-//! kind of engine-agnostic caller the API exists for: one `analyze`,
-//! repeated `factor`/`refactor`, allocation-free `solve_in_place`.
+//! The JSON value type the whole-stack benchmark (`benchmark/`, see
+//! `BENCHMARK.json`) reads and writes its result files with.
 
 pub mod json;
-
-use basker::SyncMode;
-use basker_api::{
-    Engine, Factorization, LinearSolver, ReusePolicy, SessionConfig, SolveSession, SolverConfig,
-};
-use basker_snlu::SnluMode;
-use basker_sparse::spmv::spmv;
-use basker_sparse::util::relative_residual;
-use basker_sparse::{CscMat, SolveWorkspace};
-use std::time::Instant;
-
-/// Which solver to drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// This paper's solver.
-    Basker {
-        /// Thread-team size (power of two).
-        threads: usize,
-        /// Synchronization mode for the ND numeric phase.
-        sync: SyncMode,
-    },
-    /// The serial Gilbert–Peierls baseline (KLU work-alike).
-    Klu,
-    /// The supernodal comparator in Pardiso-like mode (PMKL stand-in).
-    Pmkl {
-        /// Level-set worker threads.
-        threads: usize,
-    },
-    /// The supernodal comparator in SuperLU-MT-like 1-D mode.
-    SluMt {
-        /// Level-set worker threads.
-        threads: usize,
-    },
-    /// Let [`Engine::Auto`] pick from the matrix structure.
-    Auto {
-        /// Worker threads for whichever engine is chosen.
-        threads: usize,
-    },
-}
-
-impl SolverKind {
-    /// Short display name matching the paper's legends.
-    pub fn label(&self) -> String {
-        match self {
-            SolverKind::Basker { threads, sync } => match sync {
-                SyncMode::PointToPoint => format!("Basker(p={threads})"),
-                SyncMode::Backoff => format!("Basker-backoff(p={threads})"),
-                SyncMode::Barrier => format!("Basker-barrier(p={threads})"),
-            },
-            SolverKind::Klu => "KLU".to_string(),
-            SolverKind::Pmkl { threads } => format!("PMKL(p={threads})"),
-            SolverKind::SluMt { threads } => format!("SLU-MT(p={threads})"),
-            SolverKind::Auto { threads } => format!("Auto(p={threads})"),
-        }
-    }
-
-    /// The unified configuration that drives this solver kind.
-    pub fn config(&self) -> SolverConfig {
-        match *self {
-            SolverKind::Basker { threads, sync } => SolverConfig::new()
-                .engine(Engine::Basker)
-                .threads(threads)
-                .sync_mode(sync),
-            SolverKind::Klu => SolverConfig::new().engine(Engine::Klu),
-            SolverKind::Pmkl { threads } => SolverConfig::new()
-                .engine(Engine::Snlu)
-                .threads(threads)
-                .snlu_mode(SnluMode::Pardiso),
-            SolverKind::SluMt { threads } => SolverConfig::new()
-                .engine(Engine::Snlu)
-                .threads(threads)
-                .snlu_mode(SnluMode::SluMt),
-            SolverKind::Auto { threads } => {
-                SolverConfig::new().engine(Engine::Auto).threads(threads)
-            }
-        }
-    }
-}
-
-/// One measured run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Seconds in the symbolic/analysis phase (once).
-    pub analyze_seconds: f64,
-    /// Best-of-k seconds of the numeric factorization.
-    pub factor_seconds: f64,
-    /// `|L+U|` as the solver reports it.
-    pub lu_nnz: usize,
-    /// Relative residual of a solve against a random right-hand side.
-    pub residual: f64,
-    /// Synchronization overhead fraction (Basker only, 0 otherwise).
-    pub sync_fraction: f64,
-}
-
-/// Pre-analyzed solver handle so sequences can reuse the symbolic phase.
-/// A thin alias over the unified API's symbolic handle.
-pub type SolverHandle = LinearSolver;
-
-/// Factored product of one numeric run.
-pub type NumericHandle = Factorization;
-
-/// Analyzes once.
-pub fn analyze(a: &CscMat, kind: SolverKind) -> Result<SolverHandle, String> {
-    LinearSolver::analyze(a, &kind.config()).map_err(|e| e.to_string())
-}
-
-/// Opens a [`SolveSession`] for this solver kind under `policy` — the
-/// entry point for sequence-style harnesses (`xyce_sequence`,
-/// `fig6_speedup`): the session owns every factor/refactor/re-pivot
-/// decision, the harness just steps.
-pub fn open_session(
-    a: &CscMat,
-    kind: SolverKind,
-    policy: ReusePolicy,
-) -> Result<SolveSession, String> {
-    let cfg = SessionConfig::new().solver(kind.config()).policy(policy);
-    SolveSession::new(a, &cfg).map_err(|e| e.to_string())
-}
-
-/// Times the numeric phase: repeats until `min_secs` total or `max_reps`,
-/// reports the minimum.
-pub fn run_solver(
-    a: &CscMat,
-    kind: SolverKind,
-    min_secs: f64,
-    max_reps: usize,
-) -> Result<RunResult, String> {
-    let t0 = Instant::now();
-    let handle = analyze(a, kind)?;
-    let analyze_seconds = t0.elapsed().as_secs_f64();
-
-    let mut best = f64::INFINITY;
-    let mut reps = 0usize;
-    let mut last = None;
-    let tstart = Instant::now();
-    while reps < max_reps && (reps < 1 || tstart.elapsed().as_secs_f64() < min_secs) {
-        let t = Instant::now();
-        let num = handle.factor(a).map_err(|e| e.to_string())?;
-        best = best.min(t.elapsed().as_secs_f64());
-        last = Some(num);
-        reps += 1;
-    }
-    let num = last.expect("at least one rep");
-
-    let xtrue: Vec<f64> = (0..a.ncols())
-        .map(|i| 1.0 + (i % 9) as f64 * 0.25)
-        .collect();
-    let b = spmv(a, &xtrue);
-    let mut x = b.clone();
-    let mut ws = SolveWorkspace::for_dim(a.ncols());
-    num.solve_in_place(&mut x, &mut ws)
-        .map_err(|e| e.to_string())?;
-    let residual = relative_residual(a, &x, &b);
-    let stats = num.stats();
-
-    Ok(RunResult {
-        analyze_seconds,
-        factor_seconds: best,
-        lu_nnz: stats.lu_nnz,
-        residual,
-        sync_fraction: stats.sync_fraction,
-    })
-}
-
-/// Geometric mean of a nonempty slice.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Performance-profile points: for each solver (row of `times`), the
-/// fraction of problems solved within factor `tau` of the per-problem
-/// best, evaluated at each `tau` in `taus`. `f64::INFINITY` marks a
-/// failed run (never within any factor).
-pub fn performance_profile(times: &[Vec<f64>], taus: &[f64]) -> Vec<Vec<f64>> {
-    let nsolvers = times.len();
-    let nprobs = times.first().map_or(0, |t| t.len());
-    let best: Vec<f64> = (0..nprobs)
-        .map(|p| {
-            (0..nsolvers)
-                .map(|s| times[s][p])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
-    (0..nsolvers)
-        .map(|s| {
-            taus.iter()
-                .map(|&tau| {
-                    let within = (0..nprobs)
-                        .filter(|&p| best[p].is_finite() && times[s][p] <= tau * best[p])
-                        .count();
-                    within as f64 / nprobs.max(1) as f64
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Parses the common `[test|bench]` scale argument of the bin
-/// harnesses. Unknown values abort with a usage message instead of
-/// silently running the (expensive) bench scale.
-pub fn scale_from_args(bin_name: &str) -> basker_matgen::Scale {
-    BenchArgs::parse(bin_name, false).scale
-}
-
-/// Common command-line surface of the measurement bins:
-/// `[test|bench] [--json PATH]`, plus `--matrix NAME` for bins that
-/// support per-matrix isolation.
-pub struct BenchArgs {
-    /// Problem-size scale.
-    pub scale: basker_matgen::Scale,
-    /// Write machine-readable rows here as well.
-    pub json: Option<String>,
-    /// Restrict to one suite entry (only when the bin allows it).
-    pub matrix: Option<String>,
-}
-
-impl BenchArgs {
-    /// Parses `std::env::args()`, exiting with usage on anything
-    /// unknown. `with_matrix` enables the `--matrix NAME` flag.
-    pub fn parse(bin_name: &str, with_matrix: bool) -> BenchArgs {
-        let usage = || -> ! {
-            let m = if with_matrix { " [--matrix NAME]" } else { "" };
-            eprintln!("usage: {bin_name} [test|bench] [--json PATH]{m}");
-            std::process::exit(2);
-        };
-        let mut out = BenchArgs {
-            scale: basker_matgen::Scale::Bench,
-            json: None,
-            matrix: None,
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "test" => out.scale = basker_matgen::Scale::Test,
-                "bench" => out.scale = basker_matgen::Scale::Bench,
-                "--json" => out.json = Some(args.next().unwrap_or_else(|| usage())),
-                "--matrix" if with_matrix => {
-                    out.matrix = Some(args.next().unwrap_or_else(|| usage()))
-                }
-                _ => usage(),
-            }
-        }
-        out
-    }
-}
-
-/// Formats seconds compactly.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{:.1}µs", s * 1e6)
-    }
-}
-
-/// Formats a count in engineering notation like the paper ("6.9E5").
-pub fn fmt_eng(x: f64) -> String {
-    if x == 0.0 {
-        return "0".to_string();
-    }
-    let exp = x.abs().log10().floor();
-    let mant = x / 10f64.powf(exp);
-    format!("{mant:.1}E{exp:.0}")
-}
-
-/// Prints a markdown table.
-pub fn print_markdown_table(headers: &[&str], rows: &[Vec<String>]) {
-    println!("| {} |", headers.join(" | "));
-    println!(
-        "|{}|",
-        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        println!("| {} |", row.join(" | "));
-    }
-}
-
-/// Least-squares slope of `y` against `x` through the origin (speedup
-/// trend lines of Fig. 8).
-pub fn trend_slope(x: &[f64], y: &[f64]) -> f64 {
-    let num: f64 = x.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
-    let den: f64 = x.iter().map(|a| a * a).sum();
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use basker_matgen::{mesh2d, powergrid, PowergridParams};
-
-    #[test]
-    fn run_all_solvers_on_small_inputs() {
-        let grid = mesh2d(8, 1);
-        let pg = powergrid(&PowergridParams {
-            nfeeders: 5,
-            feeder_len: 12,
-            loop_prob: 0.2,
-            seed: 3,
-        });
-        for a in [&grid, &pg] {
-            for kind in [
-                SolverKind::Klu,
-                SolverKind::Basker {
-                    threads: 2,
-                    sync: SyncMode::PointToPoint,
-                },
-                SolverKind::Pmkl { threads: 2 },
-                SolverKind::SluMt { threads: 2 },
-                SolverKind::Auto { threads: 2 },
-            ] {
-                let r = run_solver(a, kind, 0.0, 1).unwrap_or_else(|e| {
-                    panic!("{} failed: {e}", kind.label());
-                });
-                assert!(
-                    r.residual < 1e-8,
-                    "{}: residual {}",
-                    kind.label(),
-                    r.residual
-                );
-                assert!(r.lu_nnz > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn auto_kind_picks_structurally() {
-        let mesh = mesh2d(10, 1);
-        let pg = powergrid(&PowergridParams {
-            nfeeders: 6,
-            feeder_len: 15,
-            loop_prob: 0.2,
-            seed: 3,
-        });
-        let m = analyze(&mesh, SolverKind::Auto { threads: 2 }).unwrap();
-        let p = analyze(&pg, SolverKind::Auto { threads: 2 }).unwrap();
-        assert_ne!(
-            m.engine(),
-            p.engine(),
-            "auto must split mesh vs powergrid (got {} for both)",
-            m.engine()
-        );
-    }
-
-    #[test]
-    fn geometric_mean_and_profiles() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        let times = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-        let prof = performance_profile(&times, &[1.0, 2.0]);
-        assert_eq!(prof[0], vec![0.5, 1.0]);
-        assert_eq!(prof[1], vec![0.5, 1.0]);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_eng(690000.0), "6.9E5");
-        assert_eq!(fmt_secs(2.0), "2.00s");
-        assert!(fmt_secs(0.002).contains("ms"));
-        assert!((trend_slope(&[1.0, 2.0], &[2.0, 4.0]) - 2.0).abs() < 1e-12);
-    }
-}

@@ -2,9 +2,9 @@
 
 use crate::hybrid::BlockRoute;
 
-/// Metrics of one (re)factorization, used by the paper's experiment
-/// harnesses (Table I memory, §IV sync overhead, speedups) and by the
-/// routing learner.
+/// Metrics of one (re)factorization: what the paper's experiments
+/// report (Table I memory, §IV sync overhead, speedups) and what the
+/// routing learner reads.
 #[derive(Debug, Clone, Default)]
 pub struct BaskerStats {
     /// `|L+U|` over all diagonal blocks plus retained BTF off-diagonals.

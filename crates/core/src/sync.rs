@@ -20,15 +20,14 @@
 //! consumer picks up column `c` while the producer works on `c + 1`.
 //!
 //! Waiting is parameterized by [`WaitCtx`], which carries the wait clock,
-//! the per-rank assist counters, and the strategy: [`SyncMode::
-//! PointToPoint`] waits assist; [`SyncMode::Backoff`] keeps the legacy
-//! escalating spin → yield → sleep loop (the pre-scheduler behavior,
-//! retained as an ablation flag during the transition); [`SyncMode::
-//! Barrier`] also uses the legacy loop for its (barrier-bounded) slot
-//! waits. The barrier comparison mode itself is provided by [`TeamSync`],
-//! which either no-ops (point-to-point modes) or runs a full team barrier
-//! (`Barrier`) at every structural phase boundary, mimicking a naive
-//! sequence of parallel-for launches.
+//! the per-rank assist counters, and the strategy — the two schemes §IV
+//! compares: [`SyncMode::PointToPoint`] waits assist; [`SyncMode::
+//! Barrier`]'s (barrier-bounded) slot waits never assist and run an
+//! escalating spin → yield → sleep loop instead, which is the barrier
+//! baseline's wait and nothing else. The barrier itself is provided by
+//! [`TeamSync`], which either no-ops (`PointToPoint`) or runs a full
+//! team barrier (`Barrier`) at every structural phase boundary,
+//! mimicking a naive sequence of parallel-for launches.
 //!
 //! # Memory-ordering audit
 //!
@@ -142,11 +141,6 @@ pub enum SyncMode {
     /// scheme), with blocked ranks **assisting** in-flight tasks instead
     /// of backing off. The default.
     PointToPoint,
-    /// Producer/consumer flags with the legacy escalating
-    /// spin → yield → sleep backoff instead of assists — the
-    /// pre-scheduler behavior, kept behind this flag as an ablation
-    /// point during the work-assisting transition.
-    Backoff,
     /// Full team barrier at every dependency level (the naive
     /// data-parallel baseline the paper measures against).
     Barrier,
@@ -275,11 +269,10 @@ impl<T> Slot<T> {
                         }
                     }
                 } else {
-                    // Legacy escalating backoff (SyncMode::Backoff ablation,
-                    // and the barrier baseline's slot waits): a brief spin, a
-                    // yield phase, then sleeps — essential when ranks
-                    // outnumber cores, where a spinning waiter would
-                    // otherwise steal the producer's timeslices.
+                    // The barrier baseline's slot wait (SyncMode::Barrier):
+                    // a brief spin, a yield phase, then sleeps — essential
+                    // when ranks outnumber cores, where a spinning waiter
+                    // would otherwise steal the producer's timeslices.
                     if spins < 64 {
                         std::hint::spin_loop();
                     } else if spins < 256 {
@@ -484,7 +477,7 @@ impl TeamSync {
     }
 
     /// In `Barrier` mode, blocks until all `p` threads arrive (counting
-    /// the wait); in the point-to-point modes this is a no-op — the slots
+    /// the wait); in point-to-point mode this is a no-op — the slots
     /// carry all ordering.
     pub fn phase(&self, ctx: &WaitCtx) {
         if self.mode == SyncMode::Barrier {
@@ -570,6 +563,19 @@ mod tests {
             s.publish(42);
             assert_eq!(h.join().unwrap(), 42);
         }
+        // The barrier baseline's wait never probes the assist registry,
+        // however long it blocks (the delay only gives a wrongly
+        // assisting wait time to get past its spin phase and be caught).
+        let s: Arc<Slot<u64>> = Arc::new(Slot::new());
+        let s2 = s.clone();
+        let h = std::thread::spawn(move || {
+            let w = WaitCtx::new(SyncMode::Barrier);
+            s2.wait(&w);
+            w.tally()
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        s.publish(42);
+        assert_eq!(h.join().unwrap(), AssistTally::default());
     }
 
     #[test]

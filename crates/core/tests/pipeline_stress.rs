@@ -73,7 +73,7 @@ fn hundreds_of_random_pipelined_factorizations() {
         let a = random_grid(k, &mut rng);
         for p in [2usize, 4] {
             let pl = pool(p);
-            for mode in [SyncMode::PointToPoint, SyncMode::Backoff, SyncMode::Barrier] {
+            for mode in [SyncMode::PointToPoint, SyncMode::Barrier] {
                 factor_and_check(&a, p, mode, &pl);
             }
         }
@@ -116,7 +116,7 @@ fn poisoned_pipeline_drains_without_deadlock() {
             let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
             let blocks = NdBlocks::extract(&ap, 0, st);
             let pl = pool(p);
-            for mode in [SyncMode::PointToPoint, SyncMode::Backoff, SyncMode::Barrier] {
+            for mode in [SyncMode::PointToPoint, SyncMode::Barrier] {
                 let r = factor_nd_parallel(&blocks, st, 0.001, mode, 0, &pl);
                 match r {
                     Err(SparseError::ZeroPivot { .. }) => {}

@@ -4,19 +4,19 @@
 //! supernode panels, separator fronts, dense accumulation tails — and
 //! every engine in this workspace bottoms out in the same handful of
 //! dense operations. This crate owns those operations behind a
-//! [`Kernels`] vtable with three rungs:
+//! [`Kernels`] vtable with two rungs:
 //!
 //! ```text
 //!             ┌─ BASKER_KERNEL=scalar ──► scalar   (portable loops)
-//!  active() ──┼─ BASKER_KERNEL=unrolled ► unrolled (4×-unrolled FMA)
-//!             ├─ BASKER_KERNEL=simd ────► avx2+fma (x86-64) / neon (aarch64)
-//!             └─ BASKER_KERNEL=auto ────► best rung the CPU supports
-//!                 (selected once per process, at first use)
+//!  active() ──┼─ BASKER_KERNEL=simd ────► avx2+fma (x86-64) / neon (aarch64),
+//!             │                           scalar where the CPU has neither
+//!             └─ BASKER_KERNEL=auto ────► same as simd (also: unset, empty
+//!                 or any unknown value; selected once per process, at
+//!                 first use)
 //! ```
 //!
 //! The selection happens exactly once (a [`std::sync::OnceLock`]), from
-//! the `BASKER_KERNEL` environment variable or an explicit
-//! [`request`] made before first use; the chosen rung's name is
+//! the `BASKER_KERNEL` environment variable; the chosen rung's name is
 //! surfaced through the solver stats so a production deployment can
 //! verify what it is actually running.
 //!
@@ -41,7 +41,6 @@
 //! the CSC column slices everywhere else.
 
 mod scalar;
-mod unrolled;
 
 #[cfg(target_arch = "aarch64")]
 mod neon;
@@ -92,8 +91,7 @@ const RUN_MIN: usize = 8;
 const SCAN_MIN: usize = 16;
 
 impl Kernels {
-    /// The rung's name: `"scalar"`, `"unrolled"`, `"avx2+fma"` or
-    /// `"neon"`.
+    /// The rung's name: `"scalar"`, `"avx2+fma"` or `"neon"`.
     #[inline]
     pub fn name(&self) -> &'static str {
         self.name
@@ -300,17 +298,6 @@ static SCALAR: Kernels = Kernels {
     gemm_tile: scalar::gemm_tile,
 };
 
-/// The 4×-unrolled rung: independent accumulator chains and
-/// `f64::mul_add` where the compile target has native FMA (without it,
-/// `mul_add` lowers to a libm call, so the plain multiply-add form is
-/// used instead).
-static UNROLLED: Kernels = Kernels {
-    name: "unrolled",
-    axpy: unrolled::axpy,
-    dot: unrolled::dot,
-    gemm_tile: unrolled::gemm_tile,
-};
-
 #[cfg(target_arch = "x86_64")]
 static SIMD: Kernels = Kernels {
     name: "avx2+fma",
@@ -351,14 +338,12 @@ fn simd_rung() -> Option<&'static Kernels> {
 /// A requested rung of the ladder (`BASKER_KERNEL` values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
-    /// Best rung the CPU supports (SIMD if detected, else unrolled).
+    /// Best rung the CPU supports (SIMD if detected, else scalar).
     Auto,
     /// Portable scalar baseline.
     Scalar,
-    /// 4×-unrolled portable variant.
-    Unrolled,
-    /// Explicit SIMD (AVX2+FMA / NEON); falls back to unrolled when
-    /// the CPU lacks the features.
+    /// Explicit SIMD (AVX2+FMA / NEON); falls back to scalar when the
+    /// CPU lacks the features.
     Simd,
 }
 
@@ -368,7 +353,6 @@ impl KernelChoice {
     pub fn parse(s: &str) -> KernelChoice {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => KernelChoice::Scalar,
-            "unrolled" => KernelChoice::Unrolled,
             "simd" => KernelChoice::Simd,
             _ => KernelChoice::Auto,
         }
@@ -377,8 +361,7 @@ impl KernelChoice {
     fn resolve(self) -> &'static Kernels {
         match self {
             KernelChoice::Scalar => &SCALAR,
-            KernelChoice::Unrolled => &UNROLLED,
-            KernelChoice::Simd | KernelChoice::Auto => simd_rung().unwrap_or(&UNROLLED),
+            KernelChoice::Simd | KernelChoice::Auto => simd_rung().unwrap_or(&SCALAR),
         }
     }
 }
@@ -386,8 +369,8 @@ impl KernelChoice {
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// The process-wide selected kernel rung. Selected exactly once at
-/// first use: from [`request`] if one was made earlier, else from the
-/// `BASKER_KERNEL` environment variable, else [`KernelChoice::Auto`].
+/// first use, from the `BASKER_KERNEL` environment variable
+/// ([`KernelChoice::Auto`] when unset).
 #[inline]
 pub fn active() -> &'static Kernels {
     ACTIVE.get_or_init(|| {
@@ -398,23 +381,13 @@ pub fn active() -> &'static Kernels {
     })
 }
 
-/// Requests a rung for the process-wide selection. Wins only if made
-/// before the first [`active`] call (the selection is once-per-process
-/// so hot loops pay no dispatch cost); afterwards it is a no-op.
-/// Returns the rung actually active.
-pub fn request(choice: KernelChoice) -> &'static Kernels {
-    let _ = ACTIVE.set(choice.resolve());
-    active()
-}
-
-/// Looks a rung up by name (`"scalar"`, `"unrolled"`, `"simd"`),
+/// Looks a rung up by name (`"scalar"`, `"simd"`),
 /// independent of the process-wide selection — the differential tests
 /// compare rungs side by side through this. Returns `None` for
 /// `"simd"` on CPUs without the features, and for unknown names.
 pub fn by_name(name: &str) -> Option<&'static Kernels> {
     match name.trim().to_ascii_lowercase().as_str() {
         "scalar" => Some(&SCALAR),
-        "unrolled" => Some(&UNROLLED),
         "simd" => simd_rung(),
         _ => None,
     }
@@ -422,7 +395,7 @@ pub fn by_name(name: &str) -> Option<&'static Kernels> {
 
 /// Every rung this CPU supports, scalar first.
 pub fn supported() -> Vec<&'static Kernels> {
-    let mut v = vec![&SCALAR, &UNROLLED];
+    let mut v = vec![&SCALAR];
     if let Some(s) = simd_rung() {
         v.push(s);
     }
@@ -440,7 +413,7 @@ mod tests {
     #[test]
     fn dispatch_is_stable_and_named() {
         let k = active();
-        assert!(["scalar", "unrolled", "avx2+fma", "neon"].contains(&k.name()));
+        assert!(["scalar", "avx2+fma", "neon"].contains(&k.name()));
         // Second call returns the same rung (once-per-process).
         assert!(std::ptr::eq(k, active()));
     }
@@ -448,11 +421,10 @@ mod tests {
     #[test]
     fn by_name_round_trips_supported_rungs() {
         assert_eq!(by_name("scalar").unwrap().name(), "scalar");
-        assert_eq!(by_name("unrolled").unwrap().name(), "unrolled");
         assert!(by_name("frobnicate").is_none());
         for k in supported() {
             // every supported rung is reachable by one of the knob values
-            assert!(["scalar", "unrolled", "simd"]
+            assert!(["scalar", "simd"]
                 .iter()
                 .any(|n| by_name(n).map(|r| r.name()) == Some(k.name())));
         }
@@ -462,7 +434,9 @@ mod tests {
     fn choice_parse_is_permissive() {
         assert_eq!(KernelChoice::parse(" SIMD "), KernelChoice::Simd);
         assert_eq!(KernelChoice::parse("scalar"), KernelChoice::Scalar);
-        assert_eq!(KernelChoice::parse("unrolled"), KernelChoice::Unrolled);
+        // A retired or mistyped value must not abort a solver: it means
+        // `auto`, and `SolverStats::kernel` names the rung in effect.
+        assert_eq!(KernelChoice::parse("unrolled"), KernelChoice::Auto);
         assert_eq!(KernelChoice::parse("???"), KernelChoice::Auto);
     }
 

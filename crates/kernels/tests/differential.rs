@@ -7,7 +7,7 @@
 //! demanding bitwise equality.
 //!
 //! Slice lengths are drawn small enough to cover the width-shorter-
-//! than-a-lane edge and the unrolled/vector remainder loops, and the
+//! than-a-lane edge and the vector remainder loops, and the
 //! vector ops additionally run at a drawn sub-slice offset so the
 //! unaligned path is exercised (slices of a `Vec<f64>` are only
 //! 8-byte aligned; the SIMD rungs must use unaligned loads).
@@ -224,13 +224,11 @@ fn gemm_blocked_path_matches_scalar() {
 fn ladder_registry_is_consistent() {
     let rungs = supported();
     assert_eq!(rungs[0].name(), "scalar");
-    assert_eq!(rungs[1].name(), "unrolled");
     let mut names: Vec<_> = rungs.iter().map(|k| k.name()).collect();
     names.dedup();
     assert_eq!(names.len(), rungs.len(), "duplicate rung names");
     assert!(by_name("nope").is_none());
     assert_eq!(by_name("scalar").unwrap().name(), "scalar");
-    assert_eq!(by_name("unrolled").unwrap().name(), "unrolled");
     if let Some(s) = by_name("simd") {
         assert!(s.name() == "avx2+fma" || s.name() == "neon");
     }

@@ -19,7 +19,6 @@
 //! with them it is the primitive from which Basker's 2-D algorithm factors
 //! leaf and separator block columns (paper Alg. 4 lines 4–5 and 26–28).
 
-use basker_sparse::col::cols_to_csc;
 use basker_sparse::{CscMat, Perm, Result, SparseCol, SparseError};
 
 /// LU factors of one stacked block column.
@@ -79,15 +78,6 @@ impl BlockLu {
         x.copy_from_slice(&scratch[..n]);
         basker_sparse::trisolve::lower_solve_in_place(&self.l, x, true);
         basker_sparse::trisolve::upper_solve_in_place(&self.u, x);
-    }
-
-    /// Applies `x ← Pᵀ L⁻ᵀ U⁻ᵀ x` (transpose solve for the diagonal block).
-    pub fn solve_transpose_in_place(&self, x: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.l.ncols());
-        basker_sparse::trisolve::upper_solve_t_in_place(&self.u, x);
-        basker_sparse::trisolve::lower_solve_t_in_place(&self.l, x, true);
-        let unpermuted = self.row_perm.apply_inv_vec(x);
-        x.copy_from_slice(&unpermuted);
     }
 }
 
@@ -788,18 +778,6 @@ pub fn lsolve_col(
     SparseCol { rows, vals }
 }
 
-/// Sparse panel solve: returns `X = L⁻¹ · P · B` (the all-at-once
-/// wrapper over [`lsolve_col`], for tests and benches).
-pub fn lsolve_panel(blu: &BlockLu, b: &CscMat) -> CscMat {
-    let nb = blu.l.ncols();
-    assert_eq!(b.nrows(), nb, "panel rows must match the diagonal block");
-    let mut ws = LsolveWorkspace::new();
-    let cols: Vec<SparseCol> = (0..b.ncols())
-        .map(|j| lsolve_col(blu, b.col_rows(j), b.col_values(j), &mut ws))
-        .collect();
-    cols_to_csc(nb, cols)
-}
-
 /// Refreshes the values of an existing panel solve result in place, reusing
 /// its pattern (the refactorization path for separator panels). Like
 /// [`refactor_block_column`], allocation-free once `ws` is warm.
@@ -1049,23 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_solve() {
-        let a = dense(&[
-            [10.0, 2.0, 0.0, 1.0],
-            [3.0, 12.0, 4.0, 0.0],
-            [0.0, 1.0, 9.0, 2.0],
-            [2.0, 0.0, 1.0, 8.0],
-        ]);
-        let blu = factor_block_column(&a, &[], 0.001, 0).unwrap();
-        let xtrue = [0.5, 1.5, -1.0, 2.0];
-        let at = a.transpose();
-        let b = spmv(&at, &xtrue);
-        let mut x = b.clone();
-        blu.solve_transpose_in_place(&mut x);
-        assert!(relative_residual(&at, &x, &b) < 1e-13);
-    }
-
-    #[test]
     fn stacked_below_blocks_match_schur_expectation() {
         // Factor [D; B] and verify B_factored == B · U⁻¹ (columnwise):
         // L_below(:,c)·U(c,c) + Σ_{t<c} L_below(:,t)·U(t,c) = B(:,c).
@@ -1201,7 +1162,12 @@ mod tests {
             vec![3.0, 0.0],
             vec![0.0, 0.0],
         ]);
-        let x = lsolve_panel(&blu, &b);
+        // X = L⁻¹ · P · B, one `lsolve_col` per panel column.
+        let mut ws = LsolveWorkspace::new();
+        let cols = (0..b.ncols())
+            .map(|j| lsolve_col(&blu, b.col_rows(j), b.col_values(j), &mut ws))
+            .collect();
+        let x = basker_sparse::col::cols_to_csc(4, cols);
         // Verify L·X == P·B column by column.
         let pb = blu.row_perm.permute_rows(&b);
         let ld = blu.l.to_dense();

@@ -4,8 +4,8 @@
 //! synchronously ([`request`](Client::request)) or pipelined
 //! ([`send`](Client::send) N frames, then [`recv`](Client::recv) N
 //! replies — the server answers in order). The router uses the
-//! split form to keep a shard's scheduler batch full; the loadgen
-//! harness opens many clients instead.
+//! split form to keep a shard's scheduler batch full; the benchmark's
+//! `shard_fleet` workload opens many clients instead.
 
 use crate::proto::{
     decode_response, encode_request, OpenRequest, Request, Response, WireError, WireStats,

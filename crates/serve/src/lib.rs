@@ -33,11 +33,11 @@
 //! * [`client`] — the blocking [`Client`] used by routers, harnesses,
 //!   and tests.
 //!
-//! The `shardd` and `loadgen` binaries wrap these: `shardd --listen
-//! uds:/path` hosts one shard; `loadgen` spawns a fleet plus router and
-//! drives thousands of concurrent streams, reporting steps/s and
-//! p50/p95/p99 step latency (and, with `--kill-one`, proving the
-//! zero-ticket-loss failover contract by crashing a shard mid-load).
+//! The `shardd` binary wraps these: `shardd --listen uds:/path` hosts
+//! one shard. A fleet plus router under load is the benchmark's
+//! `shard_fleet` workload (steps/s, p50/p95/p99 step latency); the
+//! zero-ticket-loss failover contract — crash a shard mid-load — is
+//! `tests/shard_tier.rs::induced_shard_crash_loses_no_tickets`.
 
 pub mod client;
 pub mod proto;

@@ -18,8 +18,7 @@
 //!   (meshes), pure overhead when they degenerate to single columns
 //!   (circuits). This is the crossover the paper's evaluation pivots on;
 //! * **level-set threading** over the supernodal elimination tree
-//!   (Pardiso-like mode), or a 1-D column variant with supernodes
-//!   disabled (SuperLU-MT-like mode).
+//!   (Pardiso-like).
 //!
 //! ```
 //! use basker_snlu::{Snlu, SnluOptions};
@@ -44,4 +43,4 @@ pub mod numeric;
 pub mod symbolic;
 
 pub use numeric::SnluNumeric;
-pub use symbolic::{Snlu, SnluInner, SnluMode, SnluOptions};
+pub use symbolic::{Snlu, SnluInner, SnluOptions};

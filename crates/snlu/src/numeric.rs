@@ -615,7 +615,7 @@ impl SnluNumeric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbolic::{SnluMode, SnluOptions};
+    use crate::symbolic::SnluOptions;
     use basker_sparse::spmv::spmv;
     use basker_sparse::util::relative_residual;
     use basker_sparse::TripletMat;
@@ -674,17 +674,6 @@ mod tests {
                 },
             );
         }
-    }
-
-    #[test]
-    fn slumt_mode_solves() {
-        check(
-            &grid2d(7),
-            &SnluOptions {
-                mode: SnluMode::SluMt,
-                ..SnluOptions::default()
-            },
-        );
     }
 
     #[test]

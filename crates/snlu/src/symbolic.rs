@@ -7,22 +7,11 @@ use basker_ordering::mwcm::mwcm_bottleneck;
 use basker_ordering::symbolic::{fundamental_supernodes, symbolic_cholesky, FactorPattern};
 use basker_sparse::{CscMat, Perm, Result, SparseError};
 
-/// Scheduling / blocking flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnluMode {
-    /// Supernode panels + level-set threading (the PMKL stand-in).
-    Pardiso,
-    /// Single-column "supernodes", 1-D layout (the SuperLU-MT stand-in).
-    SluMt,
-}
-
 /// Options for the supernodal solver.
 #[derive(Debug, Clone)]
 pub struct SnluOptions {
     /// Worker threads for the level-set schedule.
     pub nthreads: usize,
-    /// Blocking/scheduling flavour.
-    pub mode: SnluMode,
     /// Relaxation for supernode merging (rows of slack).
     pub supernode_relax: usize,
     /// Static pivot threshold: pivots smaller than
@@ -37,7 +26,6 @@ impl Default for SnluOptions {
     fn default() -> Self {
         SnluOptions {
             nthreads: 2,
-            mode: SnluMode::Pardiso,
             supernode_relax: 0,
             pivot_eps: 1e-10,
             refine_steps: 2,
@@ -150,10 +138,7 @@ impl Snlu {
         let upat_colptr = ucount;
 
         // Supernodes.
-        let sn_bounds = match opts.mode {
-            SnluMode::Pardiso => fundamental_supernodes(&lpat, opts.supernode_relax),
-            SnluMode::SluMt => (0..=n).collect(),
-        };
+        let sn_bounds = fundamental_supernodes(&lpat, opts.supernode_relax);
         let nsn = sn_bounds.len() - 1;
         let mut sn_of_col = vec![0usize; n];
         for s in 0..nsn {
@@ -291,20 +276,6 @@ mod tests {
             "width {}",
             sym.mean_supernode_width()
         );
-    }
-
-    #[test]
-    fn slumt_mode_has_singleton_columns() {
-        let a = grid2d(8);
-        let sym = Snlu::analyze(
-            &a,
-            &SnluOptions {
-                mode: SnluMode::SluMt,
-                ..SnluOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sym.nsupernodes(), 64);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //!
 //! * [`CscMat`] — compressed sparse column storage, the layout Basker's 2-D
 //!   blocks use (paper §IV, "Data Layout").
-//! * [`CsrMat`] — compressed sparse row storage, used by graph algorithms
-//!   that need row-wise adjacency.
 //! * [`TripletMat`] — coordinate-format builder with duplicate summing.
 //! * [`Perm`] — permutations with forward and inverse views, composition and
 //!   application to matrices and vectors.
@@ -25,7 +23,6 @@
 pub mod blocks;
 pub mod col;
 pub mod csc;
-pub mod csr;
 pub mod io;
 pub mod metrics;
 pub mod permutation;
@@ -37,7 +34,6 @@ pub mod workspace;
 
 pub use col::SparseCol;
 pub use csc::CscMat;
-pub use csr::CsrMat;
 pub use permutation::Perm;
 pub use triplet::TripletMat;
 pub use workspace::SolveWorkspace;

@@ -32,14 +32,13 @@
 //! transient streams at once, multiplexing their factor/refactor/solve
 //! jobs over one shared worker team — and [`basker_serve`] puts that
 //! seam on the network: a wire protocol, a pattern-hash router over a
-//! supervised fleet of shard processes, and the `shardd`/`loadgen`
-//! binaries.
+//! supervised fleet of shard processes, and the `shardd` binary.
 
 /// One-stop imports for applications.
 pub mod prelude {
     pub use basker::{Basker, BaskerNumeric, BaskerOptions, BaskerStats, SyncMode};
     pub use basker_api::{
-        Engine, FactorQuality, Factorization, KernelChoice, LinearSolver, LuNumeric, ReusePolicy,
+        Engine, FactorQuality, Factorization, LinearSolver, LuNumeric, ReusePolicy,
         SchedulingPolicy, ServiceConfig, ServiceStats, SessionConfig, SessionState, SessionStats,
         SolveQuality, SolveSession, SolverConfig, SolverError, SolverService, SolverStats,
         SparseLuSolver, StepResult, StepTicket, StreamHandle, StreamStats,
@@ -49,9 +48,9 @@ pub mod prelude {
         circuit, mesh2d, mesh3d, powergrid, CircuitParams, PowergridParams, Scale, XyceSequence,
         XyceSequenceParams,
     };
-    pub use basker_snlu::{Snlu, SnluMode, SnluNumeric, SnluOptions};
+    pub use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
     pub use basker_sparse::util::relative_residual;
-    pub use basker_sparse::{CscMat, CsrMat, Perm, SolveWorkspace, SparseError, TripletMat};
+    pub use basker_sparse::{CscMat, Perm, SolveWorkspace, SparseError, TripletMat};
 }
 
 pub use basker;

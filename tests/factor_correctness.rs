@@ -87,16 +87,11 @@ fn klu_all_classes() {
 }
 
 #[test]
-fn snlu_all_classes_both_modes() {
+fn snlu_all_classes() {
     let mut ws = SolveWorkspace::new();
     for (name, a) in workloads() {
-        for mode in [SnluMode::Pardiso, SnluMode::SluMt] {
-            let cfg = SolverConfig::new()
-                .engine(Engine::Snlu)
-                .threads(2)
-                .snlu_mode(mode);
-            check(&cfg, name, &a, 1e-8, &mut ws);
-        }
+        let cfg = SolverConfig::new().engine(Engine::Snlu).threads(2);
+        check(&cfg, name, &a, 1e-8, &mut ws);
     }
 }
 
@@ -140,9 +135,10 @@ fn basker_barrier_mode_agrees_with_p2p() {
 
 #[test]
 fn table1_suite_factors_at_test_scale() {
-    use basker_matgen::table1_suite;
+    use basker_matgen::{mesh_suite, table1_suite};
     let mut ws = SolveWorkspace::new();
-    for e in table1_suite() {
+    // Table I's circuit/powergrid analogues, then Table II's meshes.
+    for e in table1_suite().into_iter().chain(mesh_suite()) {
         let a = e.generate(Scale::Test);
         let cfg = SolverConfig::new().engine(Engine::Basker).threads(2);
         check(&cfg, e.name, &a, 1e-9, &mut ws);
