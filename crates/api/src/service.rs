@@ -268,6 +268,12 @@ pub struct ServiceStats {
     pub factors: usize,
     /// Value-only refactorizations summed over every stream's session.
     pub refactors: usize,
+    /// Right-hand sides solved, summed over every stream's session.
+    pub solves: usize,
+    /// Sweeps over the factors those solves took (see
+    /// [`SessionStats::solve_sweeps`]); `solves / solve_sweeps` is the
+    /// mean right-hand-side panel width the service ran at.
+    pub solve_sweeps: usize,
     /// Worst refined residual any stream's session has reported.
     pub worst_residual: f64,
     /// Work items executed through the scheduler's assist loop since the
@@ -628,6 +634,8 @@ impl SolverService {
             },
             factors: per_stream.iter().map(|s| s.session.factors).sum(),
             refactors: per_stream.iter().map(|s| s.session.refactors).sum(),
+            solves: per_stream.iter().map(|s| s.session.solves).sum(),
+            solve_sweeps: per_stream.iter().map(|s| s.session.solve_sweeps).sum(),
             worst_residual: per_stream
                 .iter()
                 .map(|s| s.session.worst_residual)
@@ -1194,6 +1202,12 @@ mod tests {
         assert!(stats.batches >= 4, "stats: {stats:?}");
         assert!(stats.occupancy > 0.0 && stats.occupancy <= 1.0);
         assert_eq!(stats.factors + stats.refactors, nstreams * 4);
+        // Every job carried one right-hand side: one panel sweep each.
+        assert_eq!((stats.solves, stats.solve_sweeps), (20, 20));
+        assert!(stats
+            .per_stream
+            .iter()
+            .all(|s| (s.session.solves, s.session.solve_sweeps) == (4, 4)));
         drop(handles);
         assert_eq!(service.stats().streams, 0, "dropped handles close streams");
     }

@@ -60,11 +60,14 @@
 use crate::config::{Engine, SolverConfig};
 use crate::error::SolverError;
 use crate::routing;
-use crate::solver::{FactorQuality, LinearSolver, LuNumeric, SolverStats, SparseLuSolver};
+use crate::solver::{
+    packed_rhs_count, FactorQuality, LinearSolver, LuNumeric, SolverStats, SparseLuSolver,
+};
 use basker::hybrid::BlockStrategy;
 use basker_sparse::metrics::pattern_hash;
-use basker_sparse::spmv::spmv_sub;
+use basker_sparse::spmv::{spmv_sub, spmv_sub_cols};
 use basker_sparse::util::{mat_norm_inf_with, norm_inf};
+use basker_sparse::workspace::panel_chunks;
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
 
 /// How the session reuses factors across same-pattern steps.
@@ -257,6 +260,14 @@ pub struct SessionStats {
     pub quality_repivots: usize,
     /// Right-hand sides solved (plain + refined, single + batched).
     pub solves: usize,
+    /// Sweeps over the factors those solves took: the BTF engines walk
+    /// `L`, `U` and the couplings once per row-major panel of up to 8
+    /// right-hand sides, so `solves / solve_sweeps` is the mean panel
+    /// width (8 right-hand sides are 1 sweep, 13 are 3; a single solve
+    /// is 1). Counts a gate-discarded pass too; the one-column
+    /// correction sweeps of refinement are
+    /// [`refine_iterations`](Self::refine_iterations), not these.
+    pub solve_sweeps: usize,
     /// Total iterative-refinement sweeps across all refined solves.
     pub refine_iterations: usize,
     /// Worst relative residual any refined solve returned (plain solves
@@ -692,18 +703,21 @@ impl<S: SparseLuSolver> SolveSession<S> {
         let num = self.num.as_ref().expect("checked above");
         num.solve_in_place(x, &mut self.ws)?;
         self.stats.solves += 1;
+        self.stats.solve_sweeps += 1;
         Ok(())
     }
 
     /// Batched plain solve: `xs` packs right-hand sides column-major
     /// (`xs.len()` must be a multiple of [`dim`](Self::dim)); every
     /// chunk is overwritten with its solution through the one pooled
-    /// workspace.
+    /// workspace. The BTF engines solve the columns in row-major panels
+    /// of up to 8 — one sweep over the factors per panel, counted in
+    /// [`solve_sweeps`](SessionStats::solve_sweeps).
     pub fn solve_multi(&mut self, xs: &mut [f64]) -> Result<(), SolverError> {
         self.require_factors()?;
         let n = self.solver.dim();
         let num = self.num.as_ref().expect("checked above");
-        num.solve_multi_in_place(xs, &mut self.ws)?;
+        self.stats.solve_sweeps += num.solve_multi_in_place(xs, &mut self.ws)?;
         self.stats.solves += xs.len().checked_div(n).unwrap_or(0);
         Ok(())
     }
@@ -714,113 +728,211 @@ impl<S: SparseLuSolver> SolveSession<S> {
     /// [`ReusePolicy::Adaptive`], a refined solve on **reused** factors
     /// that still misses the policy's `residual_limit` re-pivots and
     /// retries once (counted in
-    /// [`quality_repivots`](SessionStats::quality_repivots)).
+    /// [`quality_repivots`](SessionStats::quality_repivots)). The
+    /// one-column case of
+    /// [`solve_refined_multi`](Self::solve_refined_multi), without its
+    /// returned `Vec`.
     pub fn solve_refined(&mut self, x: &mut [f64]) -> Result<SolveQuality, SolverError> {
-        let mut q = self.refined_pass(x)?;
-        let mut sweeps = q.iterations;
-        if let ReusePolicy::Adaptive { residual_limit, .. } = self.policy {
-            if q.residual > residual_limit && self.state == SessionState::Refactored {
-                // Reuse cost too much accuracy: re-pivot and redo the
-                // solve from the saved right-hand side. (The refactored
-                // factors are valid, just inaccurate, so a fresh-factor
-                // failure here keeps them installed and propagates —
-                // with `x` restored to `b` so the caller can retry, and
-                // the re-pivot counted only when one was installed.)
-                let n = x.len();
-                if let Err(e) = self.fresh_factor() {
-                    x.copy_from_slice(&self.rhs[..n]);
-                    return Err(e);
-                }
-                self.stats.quality_repivots += 1;
-                self.router_invalidate();
-                self.state = SessionState::Repivoted;
-                self.stats.last_factor = self.num.as_ref().expect("factors exist").stats();
-                x.copy_from_slice(&self.rhs[..n]);
-                q = self.refined_pass(x)?;
-                sweeps += q.iterations;
-            }
+        if x.len() != self.solver.dim() {
+            return Err(SolverError::Sparse(SparseError::DimensionMismatch {
+                expected: (self.solver.dim(), 1),
+                found: (x.len(), 1),
+            }));
         }
-        // Stats commit: one solve per caller call, sweeps for all work
-        // performed, but worst_residual only for the solution actually
-        // returned (a gate-discarded pass must not poison it).
-        self.stats.solves += 1;
-        self.stats.refine_iterations += sweeps;
-        self.stats.worst_residual = self.stats.worst_residual.max(q.residual);
-        Ok(q)
+        let mut q = [UNSOLVED];
+        self.refined_batch(x, &mut q)?;
+        Ok(q[0])
     }
 
     /// Batched refined solve: one [`SolveQuality`] per packed right-hand
     /// side (see [`solve_multi`](Self::solve_multi) for the layout).
+    ///
+    /// One batched pass, not a loop of [`solve_refined`](Self::solve_refined):
+    /// every `b` is retained, each panel of up to 8 columns takes one
+    /// sweep over the factors and its residuals **one** pass over `A`,
+    /// and only columns still above the target go on through the
+    /// single-column correction loop.
+    ///
+    /// * **On `Err`** every column of `xs` holds its `b` again and
+    ///   nothing is counted in [`SessionStats`].
+    /// * **The residual gate fires at most once per call**: if any
+    ///   column solved on *reused* factors misses the adaptive policy's
+    ///   `residual_limit`, the session re-pivots and re-solves the whole
+    ///   batch, so every returned column and quality comes from the
+    ///   factors installed at return.
+    ///   [`quality_repivots`](SessionStats::quality_repivots) goes up by
+    ///   one and [`worst_residual`](SessionStats::worst_residual) folds
+    ///   in the returned columns only.
     pub fn solve_refined_multi(
         &mut self,
         xs: &mut [f64],
     ) -> Result<Vec<SolveQuality>, SolverError> {
-        let n = self.solver.dim();
-        if (n == 0 && !xs.is_empty()) || (n != 0 && xs.len() % n != 0) {
-            return Err(SolverError::Sparse(SparseError::DimensionMismatch {
-                expected: (n, xs.len().div_ceil(n.max(1))),
-                found: (xs.len(), 1),
-            }));
-        }
-        let mut out = Vec::with_capacity(xs.len().checked_div(n).unwrap_or(0));
-        for rhs in xs.chunks_exact_mut(n.max(1)) {
-            out.push(self.solve_refined(rhs)?);
-        }
+        let k = packed_rhs_count(self.solver.dim(), xs.len())?;
+        let mut out = vec![UNSOLVED; k];
+        self.refined_batch(xs, &mut out)?;
         Ok(out)
     }
 
-    /// One solve + refinement loop against the current factors and the
-    /// retained matrix. `x` holds `b` on entry; `self.rhs` holds `b` on
-    /// exit (the residual-gate retry depends on that). Does **not**
-    /// touch the stats — the public entry points commit once per caller
-    /// call, for the returned solution only.
-    fn refined_pass(&mut self, x: &mut [f64]) -> Result<SolveQuality, SolverError> {
+    /// The refined solve of the `out.len()` columns packed in `xs`, the
+    /// residual gate, and the one stats commit of the call — for the
+    /// returned solutions only. Restores `xs` on any error.
+    fn refined_batch(
+        &mut self,
+        xs: &mut [f64],
+        out: &mut [SolveQuality],
+    ) -> Result<(), SolverError> {
         self.require_factors()?;
-        let n = x.len();
-        if n != self.solver.dim() {
-            // The engine's own check would reject this too, but only
-            // after `self.rhs[..n]` had panicked on an oversized `x` —
-            // report it as the same recoverable error `solve()` gives.
-            return Err(SolverError::Sparse(SparseError::DimensionMismatch {
-                expected: (self.solver.dim(), 1),
-                found: (n, 1),
-            }));
+        if self.rhs.len() < xs.len() {
+            self.rhs.resize(xs.len(), 0.0);
+            self.resid.resize(xs.len(), 0.0);
         }
-        let num = self.num.as_ref().expect("checked above");
+        let mut work = BatchWork::default();
+        let mut pass = self.refined_pass(xs, out, &mut work);
+        if pass.is_ok() && self.residual_gate_trips(out) {
+            // Reuse cost too much accuracy: re-pivot and redo the whole
+            // batch from the retained right-hand sides, so no returned
+            // column comes from factors no longer installed. (The
+            // refactored factors are valid, just inaccurate, so a
+            // fresh-factor failure here keeps them installed and
+            // propagates; the re-pivot is counted only when one was
+            // installed.)
+            pass = self.fresh_factor().and_then(|()| {
+                self.stats.quality_repivots += 1;
+                self.router_invalidate();
+                self.state = SessionState::Repivoted;
+                self.stats.last_factor = self.num.as_ref().expect("factors exist").stats();
+                xs.copy_from_slice(&self.rhs[..xs.len()]);
+                self.refined_pass(xs, out, &mut work)
+            });
+        }
+        if let Err(e) = pass {
+            // Columns the failed pass never reached were never
+            // retained — and still hold their `b`.
+            xs[..work.retained].copy_from_slice(&self.rhs[..work.retained]);
+            return Err(e);
+        }
+        // One solve per column, sweeps for all work performed, but
+        // worst_residual only for the solutions actually returned (a
+        // gate-discarded pass must not poison it).
+        self.stats.solves += out.len();
+        self.stats.solve_sweeps += work.sweeps;
+        self.stats.refine_iterations += work.iterations;
+        for q in out.iter() {
+            self.stats.worst_residual = self.stats.worst_residual.max(q.residual);
+        }
+        Ok(())
+    }
+
+    /// The adaptive residual gate: did any column just solved on
+    /// **reused** factors miss the policy's `residual_limit`? Never
+    /// twice in a call — the re-pivot it triggers leaves the `Refactored`
+    /// state.
+    fn residual_gate_trips(&self, out: &[SolveQuality]) -> bool {
+        matches!(self.policy, ReusePolicy::Adaptive { residual_limit, .. }
+            if self.state == SessionState::Refactored
+                && out.iter().any(|q| q.residual > residual_limit))
+    }
+
+    /// One solve + refinement pass over every column against the
+    /// current factors and the retained matrix, panel by panel. Does
+    /// **not** touch the stats.
+    fn refined_pass(
+        &mut self,
+        xs: &mut [f64],
+        out: &mut [SolveQuality],
+        work: &mut BatchWork,
+    ) -> Result<(), SolverError> {
+        let n = self.solver.dim();
+        for (first, w) in panel_chunks(out.len()) {
+            let cols = first * n..(first + w) * n;
+            let out = &mut out[first..first + w];
+            basker_sparse::with_panel_width!(
+                w,
+                K => self.refined_panel::<K>(&mut xs[cols.clone()], cols.start, out, work)
+            )?;
+        }
+        Ok(())
+    }
+
+    /// One panel of `K` columns (`xs`, starting at offset `at` of the
+    /// batch): retain the `K` `b`, one panel solve, the `K` residuals
+    /// from one pass over `A` (which also yields every `‖x‖∞`), then
+    /// the single-column correction loop for every column still above
+    /// the target.
+    fn refined_panel<const K: usize>(
+        &mut self,
+        xs: &mut [f64],
+        at: usize,
+        out: &mut [SolveQuality],
+        work: &mut BatchWork,
+    ) -> Result<(), SolverError> {
+        let n = self.solver.dim();
+        let num = self.num.as_ref().expect("refined_batch checked");
         let a = self
             .current
             .as_ref()
             .expect("factors imply a retained matrix");
         let target = self.refine.target_residual;
         let a_norm = self.a_norm;
+        let b = &mut self.rhs[at..at + K * n];
+        let resid = &mut self.resid[at..at + K * n];
 
-        self.rhs[..n].copy_from_slice(x);
-        let b = &self.rhs[..n];
-        let bnorm = norm_inf(b);
-        num.solve_in_place(x, &mut self.ws)?;
+        // Two bulk copies and a read-only norm pass: measured faster
+        // than one fused loop, whose plain stores read every
+        // destination line before overwriting it.
+        b.copy_from_slice(xs);
+        resid.copy_from_slice(xs);
+        let bnorm: [f64; K] = std::array::from_fn(|c| norm_inf(&xs[c * n..(c + 1) * n]));
+        work.retained = at + K * n;
+        work.sweeps += num.solve_multi_in_place(xs, &mut self.ws)?;
+        let xnorm = spmv_sub_cols::<K>(a, xs, resid);
 
-        let resid = &mut self.resid[..n];
-        let mut rel = residual_into(a, x, b, resid, a_norm, bnorm);
-        let initial_residual = rel;
-        let mut iterations = 0usize;
-        while rel > target && iterations < self.refine.max_iterations {
-            // d = A⁻¹ r, then x += d and re-measure.
-            num.solve_in_place(resid, &mut self.ws)?;
-            for (xi, di) in x.iter_mut().zip(resid.iter()) {
-                *xi += *di;
+        for c in 0..K {
+            let col = c * n..(c + 1) * n;
+            let (x, b, resid) = (&mut xs[col.clone()], &b[col.clone()], &mut resid[col]);
+            let mut rel = relative_to(norm_inf(resid), a_norm * xnorm[c] + bnorm[c]);
+            let initial_residual = rel;
+            let mut iterations = 0usize;
+            while rel > target && iterations < self.refine.max_iterations {
+                // d = A⁻¹ r, then x += d and re-measure.
+                num.solve_in_place(resid, &mut self.ws)?;
+                for (xi, di) in x.iter_mut().zip(resid.iter()) {
+                    *xi += *di;
+                }
+                rel = residual_into(a, x, b, resid, a_norm, bnorm[c]);
+                iterations += 1;
             }
-            rel = residual_into(a, x, b, resid, a_norm, bnorm);
-            iterations += 1;
+            work.iterations += iterations;
+            out[c] = SolveQuality {
+                iterations,
+                initial_residual,
+                residual: rel,
+                converged: rel <= target,
+            };
         }
-
-        Ok(SolveQuality {
-            iterations,
-            initial_residual,
-            residual: rel,
-            converged: rel <= target,
-        })
+        Ok(())
     }
 }
+
+/// What one `refined_batch` call has done so far, across both passes
+/// of a gated call.
+#[derive(Default)]
+struct BatchWork {
+    /// Leading values of `xs` whose `b` is retained in `self.rhs`.
+    retained: usize,
+    /// Panel sweeps over the factors.
+    sweeps: usize,
+    /// Correction sweeps of the refinement loops.
+    iterations: usize,
+}
+
+/// Placeholder a refined solve overwrites for every column it returns.
+const UNSOLVED: SolveQuality = SolveQuality {
+    iterations: 0,
+    initial_residual: f64::NAN,
+    residual: f64::NAN,
+    converged: false,
+};
 
 impl<S: SparseLuSolver> std::fmt::Debug for SolveSession<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -863,8 +975,11 @@ fn residual_into(
 ) -> f64 {
     resid.copy_from_slice(b);
     spmv_sub(a, x, resid);
-    let r = norm_inf(resid);
-    let denom = a_norm * norm_inf(x) + bnorm;
+    relative_to(norm_inf(resid), a_norm * norm_inf(x) + bnorm)
+}
+
+/// `r / denom`, or `r` itself for an all-zero system.
+fn relative_to(r: f64, denom: f64) -> f64 {
     if denom == 0.0 {
         r
     } else {

@@ -25,6 +25,7 @@ use basker::hybrid::{HybridLu, HybridNumeric};
 use basker::{Basker, BaskerNumeric};
 use basker_klu::{KluNumeric, KluSymbolic};
 use basker_snlu::{Snlu, SnluNumeric};
+use basker_sparse::workspace::panel_chunks;
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
 use std::time::Instant;
 
@@ -196,7 +197,12 @@ pub trait LuNumeric {
     fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) -> Result<(), SolverError>;
 
     /// Solves several right-hand sides packed column-major in `xs`
-    /// (`xs.len()` must be a multiple of [`LuNumeric::dim`]).
+    /// (`xs.len()` must be a multiple of [`LuNumeric::dim`]) and
+    /// returns the number of **sweeps** over the factors that took: the
+    /// BTF engines (KLU, Basker, hybrid) solve the columns in row-major
+    /// panels of up to 8, one walk over `L`, `U` and the couplings per
+    /// panel (13 columns are 3 sweeps: 8 + 4 + 1); this default — the
+    /// supernodal engine's path — solves them one by one.
     ///
     /// Unlike the engines' inherent `solve_multi_in_place` methods
     /// (which `assert!` on a ragged `xs`, treating it as a programmer
@@ -206,21 +212,12 @@ pub trait LuNumeric {
         &self,
         xs: &mut [f64],
         ws: &mut SolveWorkspace,
-    ) -> Result<(), SolverError> {
-        let n = self.dim();
-        if (n == 0 && !xs.is_empty()) || (n != 0 && xs.len() % n != 0) {
-            return Err(SolverError::Sparse(SparseError::DimensionMismatch {
-                expected: (n, xs.len().div_ceil(n.max(1))),
-                found: (xs.len(), 1),
-            }));
-        }
-        if n == 0 {
-            return Ok(());
-        }
-        for rhs in xs.chunks_exact_mut(n) {
+    ) -> Result<usize, SolverError> {
+        let k = packed_rhs_count(self.dim(), xs.len())?;
+        for rhs in xs.chunks_exact_mut(self.dim().max(1)) {
             self.solve_in_place(rhs, ws)?;
         }
-        Ok(())
+        Ok(k)
     }
 
     /// Metrics of the last (re)factorization.
@@ -233,6 +230,18 @@ pub trait LuNumeric {
 
     /// Matrix dimension.
     fn dim(&self) -> usize;
+}
+
+/// The number of length-`n` columns in a packed right-hand-side block
+/// of `len` values, or the `DimensionMismatch` a ragged block is.
+pub(crate) fn packed_rhs_count(n: usize, len: usize) -> Result<usize, SolverError> {
+    if (n == 0 && len != 0) || (n != 0 && len % n != 0) {
+        return Err(SolverError::Sparse(SparseError::DimensionMismatch {
+            expected: (n, len.div_ceil(n.max(1))),
+            found: (len, 1),
+        }));
+    }
+    Ok(len.checked_div(n).unwrap_or(0))
 }
 
 fn check_rhs(n: usize, got: usize) -> Result<(), SolverError> {
@@ -293,6 +302,16 @@ impl LuNumeric for KluNumeric {
         check_rhs(self.symbolic().n(), x.len())?;
         KluNumeric::solve_in_place(self, x, ws);
         Ok(())
+    }
+
+    fn solve_multi_in_place(
+        &self,
+        xs: &mut [f64],
+        ws: &mut SolveWorkspace,
+    ) -> Result<usize, SolverError> {
+        let k = packed_rhs_count(self.symbolic().n(), xs.len())?;
+        KluNumeric::solve_multi_in_place(self, xs, ws);
+        Ok(panel_chunks(k).count())
     }
 
     fn stats(&self) -> SolverStats {
@@ -406,6 +425,16 @@ impl LuNumeric for BaskerNumeric {
         check_rhs(self.symbolic().structure().n, x.len())?;
         BaskerNumeric::solve_in_place(self, x, ws);
         Ok(())
+    }
+
+    fn solve_multi_in_place(
+        &self,
+        xs: &mut [f64],
+        ws: &mut SolveWorkspace,
+    ) -> Result<usize, SolverError> {
+        let k = packed_rhs_count(self.symbolic().structure().n, xs.len())?;
+        BaskerNumeric::solve_multi_in_place(self, xs, ws);
+        Ok(panel_chunks(k).count())
     }
 
     fn stats(&self) -> SolverStats {
@@ -711,8 +740,12 @@ impl Factorization {
         &self,
         xs: &mut [f64],
         ws: &mut SolveWorkspace,
-    ) -> Result<(), SolverError> {
-        LuNumeric::solve_multi_in_place(self, xs, ws)
+    ) -> Result<usize, SolverError> {
+        match &self.inner {
+            NumericInner::Klu(n) => LuNumeric::solve_multi_in_place(n, xs, ws),
+            NumericInner::Driver(n) => LuNumeric::solve_multi_in_place(n, xs, ws),
+            NumericInner::Snlu(n) => LuNumeric::solve_multi_in_place(n.as_ref(), xs, ws),
+        }
     }
 
     /// Metrics of the last (re)factorization.
@@ -769,6 +802,14 @@ impl LuNumeric for Factorization {
 
     fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) -> Result<(), SolverError> {
         Factorization::solve_in_place(self, x, ws)
+    }
+
+    fn solve_multi_in_place(
+        &self,
+        xs: &mut [f64],
+        ws: &mut SolveWorkspace,
+    ) -> Result<usize, SolverError> {
+        Factorization::solve_multi_in_place(self, xs, ws)
     }
 
     fn stats(&self) -> SolverStats {

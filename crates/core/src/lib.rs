@@ -69,6 +69,8 @@ use basker_runtime::{assist_counters, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
 use basker_sparse::blocks::extract_range;
 use basker_sparse::metrics::BlockMetrics;
+use basker_sparse::trisolve::push_columns;
+use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
 use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -572,54 +574,70 @@ impl BaskerNumeric {
     /// `b`, on exit the solution. After the workspace's first use at
     /// this dimension the call performs **no heap allocation** — the
     /// path a transient simulation hammers thousands of times per
-    /// pattern.
+    /// pattern. The `K = 1` instance of the panel sweep behind
+    /// [`solve_multi_in_place`](Self::solve_multi_in_place).
     pub fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) {
+        assert_eq!(x.len(), self.sym.inner.structure.n);
+        self.solve_panel::<1>(x, ws);
+    }
+
+    /// Solves several right-hand sides packed column-major in `xs`
+    /// (`xs.len()` must be a multiple of `n`); each length-`n` chunk is
+    /// overwritten with its solution. The columns are solved in
+    /// row-major panels of [`PANEL_WIDTHS`](basker_sparse::workspace::PANEL_WIDTHS)
+    /// — one walk over the factors per panel, not per column (see the
+    /// [`solve`] module) — allocation-free once the workspace has grown
+    /// to the widest panel used.
+    pub fn solve_multi_in_place(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
+        let n = self.sym.inner.structure.n;
+        for (first, w) in panel_chunks(packed_columns(n, xs)) {
+            let cols = &mut xs[first * n..(first + w) * n];
+            basker_sparse::with_panel_width!(w, K => self.solve_panel::<K>(cols, ws));
+        }
+    }
+
+    /// One sweep over the factors for the `K` columns packed in `xs`:
+    /// the row permutation gathers them into the workspace's row-major
+    /// panel, BTF blocks are solved in reverse order with each solution
+    /// row pushed into the earlier blocks `K` lanes at a time, and the
+    /// column permutation scatters the panel back out column-major.
+    // basker-lint: deny-alloc
+    fn solve_panel<const K: usize>(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
         let st = &self.sym.inner.structure;
-        assert_eq!(x.len(), st.n);
-        let (y, scratch) = ws.split2(st.n);
-        st.row_perm.apply_vec_into(x, y);
+        let n = st.n;
+        debug_assert_eq!(xs.len(), K * n);
+        let (y, scratch) = ws.panels::<K>(n, st.max_block);
+        gather_panel(xs, st.row_perm.as_slice(), y);
         for blk in (0..st.nblocks()).rev() {
             let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
             match &self.factors[blk] {
-                BlockFactors::Gp(blu) => {
-                    blu.solve_in_place_with(&mut y[lo..hi], &mut scratch[..hi - lo])
-                }
+                BlockFactors::Gp(blu) => blu.solve_in_place_with(&mut y[lo..hi], scratch),
                 BlockFactors::Sn(sn) => {
+                    // The supernodal solve takes one plain vector:
+                    // gather each lane out of the panel and back.
                     let mut sws = sn.ws.lock().expect("supernodal ws lock poisoned");
-                    sn.num.solve_in_place(&mut y[lo..hi], &mut sws);
+                    let lane = &mut basker_kernels::flat_mut(scratch)[..hi - lo];
+                    for c in 0..K {
+                        for (t, row) in lane.iter_mut().zip(&y[lo..hi]) {
+                            *t = row[c];
+                        }
+                        sn.num.solve_in_place(lane, &mut sws);
+                        for (row, t) in y[lo..hi].iter_mut().zip(lane.iter()) {
+                            row[c] = *t;
+                        }
+                    }
                 }
                 BlockFactors::Nd(part) => {
                     let BlockKind::NdBig(nds) = &st.kinds[blk] else {
                         unreachable!("factor kind mismatch");
                     };
-                    solve_nd_in_place(nds, &part.f, &mut y[lo..hi], &mut scratch[..hi - lo]);
+                    solve_nd_in_place(nds, &part.f, &mut y[lo..hi], scratch);
                 }
             }
             // push contributions into earlier blocks
-            for c in lo..hi {
-                let xc = y[c];
-                if xc != 0.0 {
-                    basker_kernels::active().scatter_axpy(
-                        &mut y[..],
-                        self.offdiag.col_rows(c),
-                        self.offdiag.col_values(c),
-                        -xc,
-                    );
-                }
-            }
+            push_columns(&self.offdiag, lo..hi, y, lo, 0);
         }
-        for (k, &orig) in st.col_perm.as_slice().iter().enumerate() {
-            x[orig] = y[k];
-        }
-    }
-
-    /// Solves several right-hand sides packed column-major in `xs`
-    /// (`xs.len()` must be a multiple of `n`); each length-`n` chunk is
-    /// overwritten with its solution.
-    pub fn solve_multi_in_place(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
-        basker_sparse::workspace::for_each_rhs(self.sym.inner.structure.n, xs, |rhs| {
-            self.solve_in_place(rhs, ws)
-        });
+        scatter_panel(y, st.col_perm.as_slice(), xs);
     }
 
     /// Refactorizes with new values (identical pattern), reusing patterns

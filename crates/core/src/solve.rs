@@ -7,21 +7,36 @@
 //! ascends it. Across BTF blocks the usual block back-substitution runs in
 //! reverse block order using the retained off-diagonal entries.
 //!
-//! The production sweeps work entirely in the caller's `z`/`scratch`
-//! buffers:
+//! Every sweep is written once, generic over `const K: usize`, on a
+//! **row-major panel** `&mut [[f64; K]]`: row `i` holds entry `i` of `K`
+//! right-hand sides, so each index loaded from a factor column updates
+//! `K` solutions with one `K`-lane multiply-add
+//! ([`basker_kernels::Kernels::scatter_axpy_rows`]) and pivot
+//! permutations move whole rows. A single solve is the `K = 1` instance
+//! (which bottoms out in the kernel rung's `scatter_axpy`, run
+//! detection included); `BaskerNumeric::solve_multi_in_place` cuts its
+//! columns into panels of `basker_sparse::workspace::PANEL_WIDTHS`.
+//! The sweep is serial — its result does not depend on the team width
+//! — and works entirely in the caller's `z`/`scratch` buffers:
 //!
 //! basker-lint: deny-alloc
 
 use crate::parnum::NdFactors;
 use crate::structure::NdStructure;
-use basker_sparse::trisolve::{lower_solve_in_place, upper_solve_in_place};
+use basker_sparse::trisolve::{lower_solve_in_place, push_columns, upper_solve_in_place};
 
-/// Solves the ND block system in place: on entry `z` holds the right-hand
-/// side of this block in permuted (pre-pivot) local coordinates; on exit
-/// it holds the solution in the block's column coordinates. `scratch`
-/// must be at least `z.len()` long (it carries per-node pivot
-/// permutations, keeping the sweep allocation-free).
-pub fn solve_nd_in_place(st: &NdStructure, f: &NdFactors, z: &mut [f64], scratch: &mut [f64]) {
+/// Solves the ND block system in place for a row-major panel of `K`
+/// right-hand sides: on entry `z` holds the right-hand sides of this
+/// block in permuted (pre-pivot) local coordinates; on exit it holds the
+/// solutions in the block's column coordinates. `scratch` must be at
+/// least `z.len()` rows long (it carries per-node pivot permutations,
+/// keeping the sweep allocation-free).
+pub fn solve_nd_in_place<const K: usize>(
+    st: &NdStructure,
+    f: &NdFactors,
+    z: &mut [[f64; K]],
+    scratch: &mut [[f64; K]],
+) {
     let nn = st.nnodes();
     debug_assert_eq!(z.len(), st.nd.perm.len());
     debug_assert!(scratch.len() >= z.len());
@@ -41,19 +56,14 @@ pub fn solve_nd_in_place(st: &NdStructure, f: &NdFactors, z: &mut [f64], scratch
         // push contributions into ancestor row blocks (their original
         // local coordinates — ancestors have not been pivoted yet)
         for (ai, &a) in st.ancestors[v].iter().enumerate() {
-            let a0 = st.nd.nodes[a].range.start;
             let below = &blu.below[ai];
-            for c in 0..below.ncols() {
-                let xc = z[r.start + c];
-                if xc != 0.0 {
-                    basker_kernels::active().scatter_axpy(
-                        &mut z[a0..],
-                        below.col_rows(c),
-                        below.col_values(c),
-                        -xc,
-                    );
-                }
-            }
+            push_columns(
+                below,
+                0..below.ncols(),
+                z,
+                r.start,
+                st.nd.nodes[a].range.start,
+            );
         }
     }
 
@@ -68,20 +78,14 @@ pub fn solve_nd_in_place(st: &NdStructure, f: &NdFactors, z: &mut [f64], scratch
         let start = st.subtree_start[j];
         for k in st.descendants(j) {
             let panel = &f.fact_upper[j][k - start];
-            if panel.nnz() == 0 {
-                continue;
-            }
-            let k0 = st.nd.nodes[k].range.start;
-            for c in 0..panel.ncols() {
-                let xc = z[r.start + c];
-                if xc != 0.0 {
-                    basker_kernels::active().scatter_axpy(
-                        &mut z[k0..],
-                        panel.col_rows(c),
-                        panel.col_values(c),
-                        -xc,
-                    );
-                }
+            if panel.nnz() != 0 {
+                push_columns(
+                    panel,
+                    0..panel.ncols(),
+                    z,
+                    r.start,
+                    st.nd.nodes[k].range.start,
+                );
             }
         }
     }
@@ -120,8 +124,8 @@ mod tests {
                 .collect();
             let b = spmv(&ap, &xtrue);
             let mut z = b.clone();
-            let mut scratch = vec![0.0; z.len()];
-            solve_nd_in_place(st, &f, &mut z, &mut scratch);
+            let mut scratch = vec![[0.0]; z.len()];
+            solve_nd_in_place(st, &f, basker_kernels::rows_mut::<1>(&mut z), &mut scratch);
             assert!(
                 relative_residual(&ap, &z, &b) < 1e-12,
                 "k={k} p={p} residual too large"

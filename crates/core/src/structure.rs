@@ -120,6 +120,8 @@ pub struct Structure {
     pub kinds: Vec<BlockKind>,
     /// block id of each permuted index
     pub block_of: Vec<usize>,
+    /// Rows of the largest BTF block (sizes the solve's pivot scratch).
+    pub max_block: usize,
     /// Bottleneck value of the MWCM transversal (diagnostic).
     pub bottleneck: f64,
 }
@@ -198,10 +200,12 @@ impl Structure {
         let col_perm = Perm::from_vec(col_total).expect("composed col perm invalid");
 
         let mut block_of = vec![0usize; n];
+        let mut max_block = 0;
         for b in 0..bounds.len() - 1 {
             for k in bounds[b]..bounds[b + 1] {
                 block_of[k] = b;
             }
+            max_block = max_block.max(bounds[b + 1] - bounds[b]);
         }
 
         Ok(Structure {
@@ -211,6 +215,7 @@ impl Structure {
             bounds,
             kinds,
             block_of,
+            max_block,
             bottleneck,
         })
     }

@@ -57,8 +57,8 @@ fn factor_and_check(a: &CscMat, p: usize, mode: SyncMode, pl: &rayon::ThreadPool
     let xtrue: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
     let b = basker_sparse::spmv::spmv(&ap, &xtrue);
     let mut z = b.clone();
-    let mut scratch = vec![0.0; n];
-    basker::solve::solve_nd_in_place(st, &f, &mut z, &mut scratch);
+    let mut scratch = vec![[0.0]; n];
+    basker::solve::solve_nd_in_place(st, &f, basker_kernels::rows_mut::<1>(&mut z), &mut scratch);
     let res = basker_sparse::util::relative_residual(&ap, &z, &b);
     assert!(res < 1e-10, "residual {res} too large (p={p}, {mode:?})");
 }

@@ -34,7 +34,19 @@
 //! * [`Kernels::scatter_axpy`] / [`Kernels::gather_dot`] — indexed
 //!   variants that detect runs of consecutive row indices (the dense
 //!   accumulation tails of factor columns) and route those runs through
-//!   the contiguous kernels.
+//!   the contiguous kernels,
+//! * [`Kernels::scatter_axpy_rows`] — the same indexed update on a
+//!   row-major panel of `K` right-hand sides. It is an inline
+//!   const-generic loop, **not** a rung entry: a multi-RHS triangular
+//!   sweep is bound by the latency of the indexed row loads, each row
+//!   is one `K`-lane multiply-add the compiler already vectorizes at
+//!   the baseline target, and a function-pointer call per factor
+//!   column would cost more than the lanes save. At `K = 1` it *is*
+//!   [`Kernels::scatter_axpy`], so single-RHS solves keep the rung's
+//!   run-detecting path.
+//!
+//! [`rows_mut`] / [`flat_mut`] are the one place the workspace's
+//! `&mut [f64]` ↔ `&mut [[f64; K]]` layout cast is written.
 //!
 //! All matrices are column-major `f64` with an explicit leading
 //! dimension, matching the supernode panel layout in `basker_snlu` and
@@ -246,6 +258,33 @@ impl Kernels {
         }
     }
 
+    /// `K`-wide indexed row update `x[rows[t]][l] += α[l]·vals[t]` on a
+    /// row-major panel (one row per unknown, `K` right-hand sides per
+    /// row): one pass over a factor column updates all `K` columns of
+    /// the panel. An inline generic rather than a rung entry (see the
+    /// module docs); `K = 1` delegates to
+    /// [`scatter_axpy`](Kernels::scatter_axpy), bit for bit.
+    // basker-lint: deny-alloc
+    #[inline]
+    pub fn scatter_axpy_rows<const K: usize>(
+        &self,
+        x: &mut [[f64; K]],
+        rows: &[usize],
+        vals: &[f64],
+        alpha: &[f64; K],
+    ) {
+        debug_assert_eq!(rows.len(), vals.len());
+        if K == 1 {
+            return self.scatter_axpy(flat_mut(x), rows, vals, alpha[0]);
+        }
+        for (&r, &v) in rows.iter().zip(vals) {
+            let row = &mut x[r];
+            for l in 0..K {
+                row[l] += alpha[l] * v;
+            }
+        }
+    }
+
     /// Indexed dot `Σ_t vals[t]·b[rows[t]]`, with the same
     /// consecutive-run routing (and O(1) span guard) as
     /// [`scatter_axpy`](Kernels::scatter_axpy).
@@ -287,6 +326,38 @@ impl Kernels {
         }
         acc
     }
+}
+
+/// Views a packed buffer as rows of `K` values — the row-major
+/// right-hand-side panel of a multi-RHS solve. Panics unless
+/// `flat.len()` is a multiple of `K` (and `K > 0`).
+///
+/// With [`flat_mut`] this is the workspace's one layout cast; the
+/// workspace MSRV (1.75) predates `as_chunks_mut` / `as_flattened_mut`.
+#[inline]
+pub fn rows_mut<const K: usize>(flat: &mut [f64]) -> &mut [[f64; K]] {
+    assert!(
+        K > 0 && flat.len() % K == 0,
+        "panel length must be a multiple of K"
+    );
+    let rows = flat.len() / K;
+    // SAFETY: `[f64; K]` has the size of `K` `f64`s and the alignment
+    // of `f64`, so `rows` of them cover exactly the `rows * K ==
+    // flat.len()` initialized elements behind `flat`'s pointer; the
+    // returned borrow takes over `flat`'s exclusive lifetime, so no
+    // other reference to those elements exists while it lives.
+    unsafe { std::slice::from_raw_parts_mut(flat.as_mut_ptr().cast::<[f64; K]>(), rows) }
+}
+
+/// The inverse of [`rows_mut`]: a row-major panel as its packed values.
+#[inline]
+pub fn flat_mut<const K: usize>(rows: &mut [[f64; K]]) -> &mut [f64] {
+    let len = rows.len() * K;
+    // SAFETY: a slice of `[f64; K]` is `rows.len() * K` contiguous,
+    // initialized `f64`s at `f64` alignment (the product cannot
+    // overflow: the slice already occupies that many elements); the
+    // returned borrow takes over `rows`' exclusive lifetime.
+    unsafe { std::slice::from_raw_parts_mut(rows.as_mut_ptr().cast::<f64>(), len) }
 }
 
 /// The portable scalar rung (always available; the differential-test
@@ -583,5 +654,30 @@ mod tests {
                 k.name()
             );
         }
+    }
+
+    #[test]
+    fn layout_casts_round_trip() {
+        let mut flat = seq(12, 1.0);
+        let want = flat.clone();
+        {
+            let rows = rows_mut::<4>(&mut flat);
+            assert_eq!(rows.len(), 3);
+            assert_eq!(rows[1], [want[4], want[5], want[6], want[7]]);
+            rows[2][3] = -1.0;
+            assert_eq!(flat_mut(rows).len(), 12);
+        }
+        assert_eq!(flat[11], -1.0);
+        assert_eq!(&flat[..11], &want[..11]);
+        // Width one is the single right-hand side itself; empty is fine.
+        assert_eq!(rows_mut::<1>(&mut flat).len(), 12);
+        assert!(rows_mut::<8>(&mut []).is_empty());
+        assert!(flat_mut::<8>(&mut []).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of K")]
+    fn ragged_panel_is_rejected() {
+        rows_mut::<8>(&mut [0.0; 12]);
     }
 }

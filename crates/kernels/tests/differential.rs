@@ -193,6 +193,62 @@ proptest! {
     }
 }
 
+/// The `K`-wide row update against `K` independent scalar-rung
+/// `scatter_axpy` calls, on every rung: ascending lists with long runs
+/// (which the `K = 1` delegation routes through the rung's `axpy`),
+/// shuffled and descending lists, a repeated index, and the empty list.
+#[test]
+fn row_update_matches_column_by_column_scatter() {
+    fn check<const K: usize>(ks: &Kernels, rows: &[usize], m: usize, what: &str) {
+        let vals = fill(21, rows.len());
+        let alpha: [f64; K] = std::array::from_fn(|c| val(22, c) * 2.0);
+        let x0 = fill(23, m * K);
+        let mut panel = x0.clone();
+        ks.scatter_axpy_rows(
+            basker_kernels::rows_mut::<K>(&mut panel),
+            rows,
+            &vals,
+            &alpha,
+        );
+        for c in 0..K {
+            let mut col: Vec<f64> = (0..m).map(|i| x0[i * K + c]).collect();
+            scalar().scatter_axpy(&mut col, rows, &vals, alpha[c]);
+            for i in 0..m {
+                assert_close(
+                    col[i],
+                    panel[i * K + c],
+                    3.0,
+                    2 * rows.len(),
+                    &format!("{} K={K} {what} col {c} row {i}", ks.name()),
+                );
+            }
+        }
+    }
+    let m = 96;
+    let ascending: Vec<usize> = [3, 9, 17].into_iter().chain(30..80).collect();
+    let descending: Vec<usize> = ascending.iter().rev().copied().collect();
+    let mut unsorted = ascending.clone();
+    for i in 0..unsorted.len() {
+        unsorted.swap(i, (i * 7 + 3) % ascending.len());
+    }
+    let repeated = vec![5, 40, 5, 41, 5];
+    let lists: [(&str, &[usize]); 5] = [
+        ("ascending", &ascending),
+        ("descending", &descending),
+        ("unsorted", &unsorted),
+        ("repeated", &repeated),
+        ("empty", &[]),
+    ];
+    for ks in supported() {
+        for (what, rows) in lists {
+            check::<1>(ks, rows, m, what);
+            check::<2>(ks, rows, m, what);
+            check::<4>(ks, rows, m, what);
+            check::<8>(ks, rows, m, what);
+        }
+    }
+}
+
 /// Deterministic case big enough to cross the gemm cache-blocking
 /// boundaries (MC/KC = 128): every rung must still agree with scalar.
 #[test]

@@ -65,13 +65,21 @@ impl BlockLu {
     /// Allocates a temporary for the pivot permutation; hot paths should
     /// prefer [`BlockLu::solve_in_place_with`] with caller-owned scratch.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        let mut scratch = vec![0.0; x.len()];
-        self.solve_in_place_with(x, &mut scratch);
+        let mut scratch = vec![[0.0]; x.len()];
+        self.solve_in_place_with(basker_kernels::rows_mut::<1>(x), &mut scratch);
     }
 
-    /// Allocation-free variant of [`BlockLu::solve_in_place`]: `scratch`
-    /// must be at least as long as `x` and is clobbered.
-    pub fn solve_in_place_with(&self, x: &mut [f64], scratch: &mut [f64]) {
+    /// Allocation-free variant of [`BlockLu::solve_in_place`] on a
+    /// row-major panel of `K` right-hand sides (`K = 1`: one plain
+    /// vector): the pivot permutation moves whole rows, then one pass
+    /// over `L` and one over `U` serve every column. `scratch` must be
+    /// at least as long as `x` and is clobbered.
+    // basker-lint: deny-alloc
+    pub fn solve_in_place_with<const K: usize>(
+        &self,
+        x: &mut [[f64; K]],
+        scratch: &mut [[f64; K]],
+    ) {
         debug_assert_eq!(x.len(), self.l.ncols());
         let n = x.len();
         self.row_perm.apply_vec_into(x, &mut scratch[..n]);
@@ -921,18 +929,19 @@ impl BlockFactor {
         }
     }
 
-    /// In-place block solve `x ← (LU)⁻¹ P x`.
-    pub fn solve_in_place(&self, x: &mut [f64]) {
+    /// Allocation-free in-place block solve `x ← (LU)⁻¹ P x` on a
+    /// row-major panel of `K` right-hand sides (a 1×1 block divides
+    /// all `K` lanes of its row); `scratch` must be at least `x.len()`
+    /// rows.
+    // basker-lint: deny-alloc
+    #[inline]
+    pub fn solve_in_place_with<const K: usize>(
+        &self,
+        x: &mut [[f64; K]],
+        scratch: &mut [[f64; K]],
+    ) {
         match self {
-            BlockFactor::Singleton(v) => x[0] /= v,
-            BlockFactor::Full(blu) => blu.solve_in_place(x),
-        }
-    }
-
-    /// Allocation-free block solve; `scratch` must be at least `x.len()`.
-    pub fn solve_in_place_with(&self, x: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            BlockFactor::Singleton(v) => x[0] /= v,
+            BlockFactor::Singleton(v) => x[0] = x[0].map(|b| b / v),
             BlockFactor::Full(blu) => blu.solve_in_place_with(x, scratch),
         }
     }

@@ -10,6 +10,8 @@ use crate::gp::{BlockFactor, RefactorWorkspace};
 use basker_ordering::amd::amd_order;
 use basker_ordering::btf::btf_form_with;
 use basker_sparse::blocks::extract_range;
+use basker_sparse::trisolve::push_columns;
+use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
 use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
 
 /// Tuning options for the KLU pipeline.
@@ -48,6 +50,8 @@ pub struct KluSymbolic {
     bounds: Vec<usize>,
     /// block id of each permuted index
     block_of: Vec<usize>,
+    /// rows of the largest block (sizes the solve's pivot scratch)
+    max_block: usize,
     /// bottleneck value of the transversal (diagnostic)
     pub bottleneck: f64,
 }
@@ -99,10 +103,12 @@ impl KluSymbolic {
         }
 
         let mut block_of = vec![0usize; n];
+        let mut max_block = 0;
         for b in 0..bounds.len() - 1 {
             for k in bounds[b]..bounds[b + 1] {
                 block_of[k] = b;
             }
+            max_block = max_block.max(bounds[b + 1] - bounds[b]);
         }
 
         Ok(KluSymbolic {
@@ -112,6 +118,7 @@ impl KluSymbolic {
             col_perm,
             bounds,
             block_of,
+            max_block,
             bottleneck,
         })
     }
@@ -266,37 +273,48 @@ impl KluNumeric {
 
     /// Solves `A·x = b` in place: on entry `x` holds `b`, on exit the
     /// solution. After the workspace's first use at this dimension the
-    /// call performs **no heap allocation**.
+    /// call performs **no heap allocation**. The `K = 1` instance of the
+    /// panel sweep behind [`solve_multi_in_place`](Self::solve_multi_in_place).
     pub fn solve_in_place(&self, x: &mut [f64], ws: &mut SolveWorkspace) {
         assert_eq!(x.len(), self.sym.n);
-        let (y, scratch) = ws.split2(self.sym.n);
-        // to permuted coordinates
-        self.sym.row_perm.apply_vec_into(x, y);
-        // blocks in reverse order: solve, then push contributions left
-        for blk in (0..self.sym.nblocks()).rev() {
-            let (lo, hi) = (self.sym.bounds[blk], self.sym.bounds[blk + 1]);
-            self.blocks[blk].solve_in_place_with(&mut y[lo..hi], &mut scratch[..hi - lo]);
-            for c in lo..hi {
-                let xc = y[c];
-                if xc != 0.0 {
-                    for (i, v) in self.offdiag.col_iter(c) {
-                        y[i] -= v * xc;
-                    }
-                }
-            }
-        }
-        // out of permuted coordinates: position k holds x[col_perm[k]]
-        for (k, &orig) in self.sym.col_perm.as_slice().iter().enumerate() {
-            x[orig] = y[k];
-        }
+        self.solve_panel::<1>(x, ws);
     }
 
     /// Solves several right-hand sides packed column-major in `xs`
     /// (`xs.len()` must be a multiple of `n`); each length-`n` chunk is
-    /// overwritten with its solution. Allocation-free like
-    /// [`KluNumeric::solve_in_place`].
+    /// overwritten with its solution. The columns are solved in
+    /// row-major panels of [`PANEL_WIDTHS`](basker_sparse::workspace::PANEL_WIDTHS)
+    /// — one walk over the factors per panel, not per column — and the
+    /// call is allocation-free once the workspace has grown to the
+    /// widest panel used.
     pub fn solve_multi_in_place(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
-        basker_sparse::workspace::for_each_rhs(self.sym.n, xs, |rhs| self.solve_in_place(rhs, ws));
+        let n = self.sym.n;
+        for (first, w) in panel_chunks(packed_columns(n, xs)) {
+            let cols = &mut xs[first * n..(first + w) * n];
+            basker_sparse::with_panel_width!(w, K => self.solve_panel::<K>(cols, ws));
+        }
+    }
+
+    /// One sweep over the factors for the `K` columns packed in `xs`:
+    /// the row permutation gathers them into the workspace's row-major
+    /// panel, blocks are solved in reverse order with each solution row
+    /// pushed into the earlier blocks `K` lanes at a time, and the
+    /// column permutation scatters the panel back out column-major.
+    // basker-lint: deny-alloc
+    fn solve_panel<const K: usize>(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
+        let n = self.sym.n;
+        debug_assert_eq!(xs.len(), K * n);
+        let (y, scratch) = ws.panels::<K>(n, self.sym.max_block);
+        // to permuted coordinates: position k holds b[row_perm[k]]
+        gather_panel(xs, self.sym.row_perm.as_slice(), y);
+        // blocks in reverse order: solve, then push contributions left
+        for blk in (0..self.sym.nblocks()).rev() {
+            let (lo, hi) = (self.sym.bounds[blk], self.sym.bounds[blk + 1]);
+            self.blocks[blk].solve_in_place_with(&mut y[lo..hi], scratch);
+            push_columns(&self.offdiag, lo..hi, y, lo, 0);
+        }
+        // out of permuted coordinates: position k holds x[col_perm[k]]
+        scatter_panel(y, self.sym.col_perm.as_slice(), xs);
     }
 }
 

@@ -580,8 +580,9 @@ impl SnluNumeric {
     /// alias (`rhs` is always a workspace buffer here).
     fn solve_once_into(&self, rhs: &[f64], work: &mut [f64], out: &mut [f64], add: bool) {
         self.sym.row_perm.apply_vec_into(rhs, work);
-        lower_solve_in_place(&self.l, work, true);
-        upper_solve_in_place(&self.u, work);
+        let rows = basker_kernels::rows_mut::<1>(work);
+        lower_solve_in_place(&self.l, rows, true);
+        upper_solve_in_place(&self.u, rows);
         for (k, &orig) in self.sym.col_perm.as_slice().iter().enumerate() {
             if add {
                 out[orig] += work[k];

@@ -9,11 +9,16 @@
 
 use crate::csc::CscMat;
 
-/// Solves `L·x = b` in place (`b` becomes `x`).
+/// Solves `L·X = B` in place for a row-major panel of `K` right-hand
+/// sides (`b[i]` holds row `i` of all `K` columns; `B` becomes `X`):
+/// one pass over `L` serves every column. `K = 1` is the classic
+/// single-RHS forward substitution (view a `&mut [f64]` through
+/// [`basker_kernels::rows_mut`]).
 ///
 /// `unit_diag`: when true the diagonal is implicitly 1 and any stored
 /// diagonal entry is ignored.
-pub fn lower_solve_in_place(l: &CscMat, b: &mut [f64], unit_diag: bool) {
+// basker-lint: deny-alloc
+pub fn lower_solve_in_place<const K: usize>(l: &CscMat, b: &mut [[f64; K]], unit_diag: bool) {
     let n = l.ncols();
     assert_eq!(l.nrows(), n);
     assert_eq!(b.len(), n);
@@ -25,16 +30,20 @@ pub fn lower_solve_in_place(l: &CscMat, b: &mut [f64], unit_diag: bool) {
             continue;
         }
         debug_assert_eq!(rows[0], j, "L column {j} must start at the diagonal");
-        let xj = if unit_diag { b[j] } else { b[j] / vals[0] };
-        b[j] = xj;
-        if xj != 0.0 {
-            ks.scatter_axpy(b, &rows[1..], &vals[1..], -xj);
+        if !unit_diag {
+            b[j] = b[j].map(|v| v / vals[0]);
+        }
+        let xj = b[j];
+        if xj.iter().any(|&v| v != 0.0) {
+            ks.scatter_axpy_rows(b, &rows[1..], &vals[1..], &xj.map(|v| -v));
         }
     }
 }
 
-/// Solves `U·x = b` in place (backward substitution).
-pub fn upper_solve_in_place(u: &CscMat, b: &mut [f64]) {
+/// Solves `U·X = B` in place (backward substitution) on a row-major
+/// panel of `K` right-hand sides; see [`lower_solve_in_place`].
+// basker-lint: deny-alloc
+pub fn upper_solve_in_place<const K: usize>(u: &CscMat, b: &mut [[f64; K]]) {
     let n = u.ncols();
     assert_eq!(u.nrows(), n);
     assert_eq!(b.len(), n);
@@ -47,10 +56,38 @@ pub fn upper_solve_in_place(u: &CscMat, b: &mut [f64]) {
         }
         let last = rows.len() - 1;
         debug_assert_eq!(rows[last], j, "U column {j} must end at the diagonal");
-        let xj = b[j] / vals[last];
+        let xj = b[j].map(|v| v / vals[last]);
         b[j] = xj;
-        if xj != 0.0 {
-            ks.scatter_axpy(b, &rows[..last], &vals[..last], -xj);
+        if xj.iter().any(|&v| v != 0.0) {
+            ks.scatter_axpy_rows(b, &rows[..last], &vals[..last], &xj.map(|v| -v));
+        }
+    }
+}
+
+/// The off-diagonal half of a block substitution on a row-major panel:
+/// for each column `c` of `a` in `cols`, whose solved row is
+/// `x_c = y[x_at + (c − cols.start)]`, subtracts `a[i, c]·x_c` from
+/// `y[base + i]` over the column's rows `i` — a solved block pushed
+/// into the rows that still wait for it.
+// basker-lint: deny-alloc
+#[inline]
+pub fn push_columns<const K: usize>(
+    a: &CscMat,
+    cols: std::ops::Range<usize>,
+    y: &mut [[f64; K]],
+    x_at: usize,
+    base: usize,
+) {
+    let ks = basker_kernels::active();
+    for (t, c) in cols.enumerate() {
+        let xc = y[x_at + t];
+        if xc.iter().any(|&v| v != 0.0) {
+            ks.scatter_axpy_rows(
+                &mut y[base..],
+                a.col_rows(c),
+                a.col_values(c),
+                &xc.map(|v| -v),
+            );
         }
     }
 }
@@ -96,6 +133,8 @@ pub fn upper_solve_t_in_place(u: &CscMat, b: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::spmv::spmv;
+    use crate::triplet::TripletMat;
+    use basker_kernels::rows_mut;
 
     fn lower() -> CscMat {
         CscMat::from_dense(&[
@@ -118,7 +157,7 @@ mod tests {
         let l = lower();
         let x = [1.0, -2.0, 0.5];
         let mut b = spmv(&l, &x);
-        lower_solve_in_place(&l, &mut b, false);
+        lower_solve_in_place(&l, rows_mut::<1>(&mut b), false);
         for (got, want) in b.iter().zip(x.iter()) {
             assert!((got - want).abs() < 1e-12);
         }
@@ -132,7 +171,7 @@ mod tests {
             vec![7.0, 1.0], // the 7 is the only meaningful off-diag
         ]);
         let mut b = vec![2.0, 15.0];
-        lower_solve_in_place(&l, &mut b, true);
+        lower_solve_in_place(&l, rows_mut::<1>(&mut b), true);
         assert_eq!(b, vec![2.0, 1.0]);
     }
 
@@ -141,10 +180,113 @@ mod tests {
         let u = upper();
         let x = [3.0, 0.0, -1.0];
         let mut b = spmv(&u, &x);
-        upper_solve_in_place(&u, &mut b);
+        upper_solve_in_place(&u, rows_mut::<1>(&mut b));
         for (got, want) in b.iter().zip(x.iter()) {
             assert!((got - want).abs() < 1e-12);
         }
+    }
+
+    /// A sparse lower-triangular matrix with a few scattered entries
+    /// per column and, when `dense_tail`, full columns at the end (the
+    /// consecutive runs the `K = 1` path hands to the rung's `axpy`).
+    fn sparse_lower(n: usize, dense_tail: bool) -> CscMat {
+        let mut t = TripletMat::new(n, n);
+        for j in 0..n {
+            t.push(j, j, 2.0 + (j % 5) as f64);
+            let dense = dense_tail && j < 3;
+            for i in j + 1..n {
+                if dense || (i * 7 + j * 3) % 11 == 0 {
+                    t.push(i, j, 0.1 + ((i + 2 * j) % 9) as f64 * 0.05);
+                }
+            }
+        }
+        t.to_csc()
+    }
+
+    /// Column `c` of the test panel; column 1 is all zeros so the
+    /// mixed zero/non-zero lane case is covered.
+    fn rhs(n: usize, c: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                if c == 1 {
+                    0.0
+                } else {
+                    ((i * (c + 3)) % 13) as f64 - 6.0
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `solve` on a `K`-wide panel and on each column alone, and
+    /// requires agreement: bit for bit when no column of the matrix is
+    /// long enough for run detection, else to rounding.
+    fn panel_matches_columns<const K: usize>(
+        n: usize,
+        exact: bool,
+        solve1: impl Fn(&mut [[f64; 1]]),
+        solve_k: impl Fn(&mut [[f64; K]]),
+    ) {
+        let mut panel = vec![0.0; n * K];
+        for c in 0..K {
+            for (i, v) in rhs(n, c).into_iter().enumerate() {
+                panel[i * K + c] = v;
+            }
+        }
+        solve_k(rows_mut::<K>(&mut panel));
+        for c in 0..K {
+            let mut x = rhs(n, c);
+            solve1(rows_mut::<1>(&mut x));
+            let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for i in 0..n {
+                let got = panel[i * K + c];
+                if exact {
+                    assert_eq!(got.to_bits(), x[i].to_bits(), "K={K} col {c} row {i}");
+                } else {
+                    assert!(
+                        (got - x[i]).abs() <= 1e-12 * scale.max(1.0),
+                        "K={K} col {c} row {i}: {got} vs {}",
+                        x[i]
+                    );
+                }
+            }
+        }
+    }
+
+    fn all_widths(n: usize, dense_tail: bool) {
+        let l = sparse_lower(n, dense_tail);
+        let u = l.transpose();
+        let exact = !dense_tail;
+        macro_rules! width {
+            ($K:literal) => {
+                for unit in [false, true] {
+                    panel_matches_columns::<$K>(
+                        n,
+                        exact,
+                        |b| lower_solve_in_place(&l, b, unit),
+                        |b| lower_solve_in_place(&l, b, unit),
+                    );
+                }
+                panel_matches_columns::<$K>(
+                    n,
+                    exact,
+                    |b| upper_solve_in_place(&u, b),
+                    |b| upper_solve_in_place(&u, b),
+                );
+            };
+        }
+        width!(1);
+        width!(2);
+        width!(4);
+        width!(8);
+    }
+
+    #[test]
+    fn panel_solves_match_single_column_solves() {
+        all_widths(23, false);
+        // Columns of 40 consecutive rows: the `K = 1` path routes
+        // them through the rung's contiguous `axpy` (FMA on the SIMD
+        // rungs), the panel path never does — agreement to rounding.
+        all_widths(40, true);
     }
 
     #[test]
@@ -171,7 +313,7 @@ mod tests {
     #[test]
     fn empty_matrix_solves_trivially() {
         let l = CscMat::zero(0, 0);
-        let mut b: Vec<f64> = vec![];
+        let mut b: Vec<[f64; 8]> = vec![];
         lower_solve_in_place(&l, &mut b, false);
         upper_solve_in_place(&l, &mut b);
     }

@@ -1,6 +1,7 @@
 //! Integration: repeated `solve_in_place` calls with a warmed-up
 //! `SolveWorkspace` perform **zero heap allocation**, for every engine —
-//! and so do warmed refactorizations of the block driver.
+//! and so do warmed multi-RHS panel solves of the BTF engines and warmed
+//! refactorizations of the block driver.
 //!
 //! A counting global allocator records every `alloc`/`realloc` in the
 //! process; the single test in this binary (kept alone so no concurrent
@@ -111,6 +112,62 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
         );
         assert!(relative_residual(&a, &x, &b) < 1e-8, "{engine}");
     }
+
+    // ---- multi-RHS panel solves --------------------------------------
+    // 8 right-hand sides are one panel, 5 a panel of 4 and one of 1;
+    // the first call at each width may grow the workspace's panel.
+    for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid] {
+        let cfg = SolverConfig::new().engine(engine).threads(2);
+        let num = LinearSolver::analyze(&a, &cfg).unwrap().factor(&a).unwrap();
+        let mut ws = SolveWorkspace::for_dim(n);
+        for k in [8usize, 5] {
+            let bs: Vec<f64> = (0..k).flat_map(|_| b.iter().copied()).collect();
+            let mut xs = bs.clone();
+            num.solve_multi_in_place(&mut xs, &mut ws).unwrap();
+            let cleanest = cleanest_of_three(|| {
+                for _ in 0..100 {
+                    xs.copy_from_slice(&bs);
+                    num.solve_multi_in_place(&mut xs, &mut ws).unwrap();
+                }
+            });
+            assert_eq!(
+                cleanest, 0,
+                "{engine}: at least {cleanest} allocation(s) in every window of 100 \
+                 {k}-column solves"
+            );
+            assert!(
+                relative_residual(&a, &xs[(k - 1) * n..], &b) < 1e-8,
+                "{engine}"
+            );
+        }
+    }
+    // The batched refined solve allocates its returned qualities and
+    // nothing else.
+    let mut session = SolveSession::new(&a, &SessionConfig::new().engine(Engine::Basker)).unwrap();
+    session.step(&a).unwrap();
+    let bs: Vec<f64> = (0..8).flat_map(|_| b.iter().copied()).collect();
+    let mut xs = bs.clone();
+    session.solve_refined_multi(&mut xs).unwrap();
+    let cleanest = cleanest_of_three(|| {
+        for _ in 0..100 {
+            xs.copy_from_slice(&bs);
+            let qs = session.solve_refined_multi(&mut xs).unwrap();
+            assert!(qs.iter().all(|q| q.converged));
+        }
+    });
+    assert!(
+        cleanest <= 100,
+        "solve_refined_multi: {cleanest} allocations in every 100-call window"
+    );
+    x.copy_from_slice(&b);
+    session.solve_refined(&mut x).unwrap();
+    let cleanest = cleanest_of_three(|| {
+        for _ in 0..100 {
+            x.copy_from_slice(&b);
+            session.solve_refined(&mut x).unwrap();
+        }
+    });
+    assert_eq!(cleanest, 0, "solve_refined allocates");
 
     // ---- refactorizations -------------------------------------------
     // The mixed circuit again, and one irreducible mesh block: an ND

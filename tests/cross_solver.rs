@@ -73,23 +73,153 @@ fn agreement_on_mesh3d() {
     agree_on(&mesh3d(6, 5), 1e-8);
 }
 
+/// A circuit, then one irreducible mesh block, then a run of 1×1
+/// blocks, coupled strictly upper-triangular: every block kind the
+/// driver has (fine-BTF GP blocks, an ND block, and — under the hybrid
+/// engine's runner-up plan — a supernodal block) in one matrix.
+fn circuit_with_mesh_tail() -> CscMat {
+    let c = circuit(&CircuitParams {
+        nsub: 4,
+        sub_size: 40,
+        feedthrough: 0.4,
+        ..CircuitParams::default()
+    });
+    let m = mesh2d(12, 3);
+    let (nc, nm, tiny) = (c.nrows(), m.nrows(), 30);
+    let n = nc + nm + tiny;
+    let mut t = TripletMat::new(n, n);
+    for (i, j, v) in c.iter() {
+        t.push(i, j, v);
+    }
+    for (i, j, v) in m.iter() {
+        t.push(nc + i, nc + j, v);
+    }
+    for q in 0..tiny {
+        t.push(nc + nm + q, nc + nm + q, 4.0 + (q % 3) as f64);
+        t.push((q * 11) % nc, nc + nm + q, 0.25);
+        t.push(nc + (q * 7) % nm, nc + nm + q, -0.5);
+    }
+    for q in 0..24 {
+        t.push((q * 5) % nc, nc + (q * 13) % nm, 0.3);
+    }
+    t.to_csc()
+}
+
+/// `k` right-hand sides packed column-major; column 1 (when there is
+/// one) is all zeros, so panels mix zero and non-zero lanes.
+fn packed_rhs(n: usize, k: usize) -> Vec<f64> {
+    (0..k * n)
+        .map(|t| match (t / n, t % n) {
+            (1, _) => 0.0,
+            (c, i) => ((i * (2 * c + 3) + c) % 17) as f64 * 0.25 - 2.0,
+        })
+        .collect()
+}
+
+/// The panel solve against the same factors' single solves, for every
+/// panel width and remainder, engine, block kind and team width.
 #[test]
 fn multi_rhs_consistency() {
-    let a = mesh2d(12, 2);
-    let solver = LinearSolver::analyze(&a, &SolverConfig::new().engine(Engine::Basker)).unwrap();
-    let num = solver.factor(&a).unwrap();
+    let cases = [
+        (
+            "power grid of tiny blocks",
+            powergrid(&PowergridParams {
+                nfeeders: 12,
+                feeder_len: 20,
+                loop_prob: 0.15,
+                seed: 5,
+            }),
+        ),
+        ("circuit + mesh + tiny tail", circuit_with_mesh_tail()),
+        ("one-block mesh", mesh2d(14, 2)),
+    ];
+    let mut sn_blocks_solved = 0;
+    for (what, a) in &cases {
+        let n = a.ncols();
+        for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid, Engine::Snlu] {
+            for threads in [1, 2, 4] {
+                let cfg = SolverConfig::new()
+                    .engine(engine)
+                    .threads(threads)
+                    .nd_threshold(64);
+                let solver = LinearSolver::analyze(a, &cfg).unwrap();
+                // Every candidate plan of the hybrid engine; the one
+                // plan of the others.
+                let plans = match solver.as_hybrid() {
+                    Some(h) => (0..).map_while(|i| h.probe_plan(i)).map(Some).collect(),
+                    None => vec![None],
+                };
+                for plan in plans {
+                    if let Some(plan) = &plan {
+                        assert!(solver.as_hybrid().unwrap().set_plan(plan));
+                    }
+                    let num = solver.factor(a).unwrap();
+                    if let Some(h) = num.as_hybrid() {
+                        sn_blocks_solved += h.stats.sn_blocks;
+                    }
+                    let mut ws = SolveWorkspace::new();
+                    for k in [1usize, 2, 3, 7, 8, 9, 17] {
+                        let at = format!("{what}, {engine} x{threads}, k = {k}");
+                        let b = packed_rhs(n, k);
+                        let mut panel = b.clone();
+                        let sweeps = num.solve_multi_in_place(&mut panel, &mut ws).unwrap();
+                        match engine {
+                            Engine::Snlu => assert_eq!(sweeps, k, "{at}"),
+                            _ => assert_eq!(sweeps, k / 8 + (k % 8).count_ones() as usize, "{at}"),
+                        }
+                        // Repeatable bit for bit on the same factors.
+                        let mut again = b.clone();
+                        num.solve_multi_in_place(&mut again, &mut ws).unwrap();
+                        assert_eq!(panel, again, "{at}: not repeatable");
+                        for c in 0..k {
+                            let mut x = b[c * n..(c + 1) * n].to_vec();
+                            num.solve_in_place(&mut x, &mut ws).unwrap();
+                            let got = &panel[c * n..(c + 1) * n];
+                            if k == 1 {
+                                assert_eq!(got, &x[..], "{at}: k = 1 is the single solve");
+                            }
+                            let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                            for i in 0..n {
+                                assert!(
+                                    (got[i] - x[i]).abs() <= 1e-12 * scale,
+                                    "{at}: column {c} row {i}: {} vs {}",
+                                    got[i],
+                                    x[i]
+                                );
+                            }
+                        }
+                    }
+                    // A ragged block is an error through the trait...
+                    let mut ragged = vec![1.0; 2 * n + 1];
+                    assert!(matches!(
+                        num.solve_multi_in_place(&mut ragged, &mut ws),
+                        Err(SolverError::Sparse(SparseError::DimensionMismatch { .. }))
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        sn_blocks_solved > 0,
+        "no hybrid plan routed a block to the supernodal kernel"
+    );
+
+    // ... and a panic through the engines' inherent methods.
+    let a = &cases[0].1;
     let n = a.ncols();
-    let b1 = vec![1.0; n];
-    let b2: Vec<f64> = (0..n).map(|i| i as f64 * 0.01).collect();
-
-    let mut ws = SolveWorkspace::for_dim(n);
-    let mut packed: Vec<f64> = b1.iter().chain(b2.iter()).copied().collect();
-    num.solve_multi_in_place(&mut packed, &mut ws).unwrap();
-
-    let mut x1 = b1.clone();
-    num.solve_in_place(&mut x1, &mut ws).unwrap();
-    let mut x2 = b2.clone();
-    num.solve_in_place(&mut x2, &mut ws).unwrap();
-    assert_eq!(&packed[..n], &x1[..]);
-    assert_eq!(&packed[n..], &x2[..]);
+    let klu = KluSymbolic::analyze(a, &KluOptions::default())
+        .unwrap()
+        .factor(a)
+        .unwrap();
+    let basker = Basker::analyze(a, &BaskerOptions::default())
+        .unwrap()
+        .factor(a)
+        .unwrap();
+    let ragged = |solve: &dyn Fn(&mut [f64], &mut SolveWorkspace)| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solve(&mut vec![1.0; n + 1], &mut SolveWorkspace::new())
+        }))
+    };
+    assert!(ragged(&|xs, ws| klu.solve_multi_in_place(xs, ws)).is_err());
+    assert!(ragged(&|xs, ws| basker.solve_multi_in_place(xs, ws)).is_err());
 }

@@ -2,7 +2,9 @@
 //! drift — hard pivot collapse mid-stream (singular-pivot fallback),
 //! gradual pivot decay (adaptive quality gates), and iterative
 //! refinement rescuing an ill-conditioned solve. No error may escape the
-//! session in any of these scenarios.
+//! session in any of these scenarios. Also the batched refined solve's
+//! contract: one residual-gate re-pivot per call with every column
+//! re-solved, and `xs` restored on an error.
 
 use basker_repro::prelude::*;
 
@@ -263,4 +265,204 @@ fn session_exposes_quality_and_stats() {
     assert_eq!(session.stats().last_factor.engine, Some(Engine::Basker));
     assert_eq!(session.state(), SessionState::Factored);
     assert_eq!(session.dim(), 13);
+}
+
+/// Right-hand side `c` of the gate tests: only column 2 loads block 0
+/// (rows 0 and 1); the others reach it through a chain of five weak
+/// couplings, too faintly for its pivot to cost them accuracy.
+fn gate_rhs(c: usize) -> Vec<f64> {
+    let mut b = vec![0.0; 13];
+    b[2] = 1.0 + c as f64;
+    b[11] = 2.0 - c as f64;
+    if c == 2 {
+        b[0] = 1.0;
+        b[1] = 1.0;
+    }
+    b
+}
+
+/// A session two steps in, on factors reused across a collapse of
+/// block 0's frozen pivot (10 → 1e-9) that the step-time gates are told
+/// to tolerate — only the residual gate can object — with refinement
+/// off so it has to.
+fn on_decayed_pivot<S: SparseLuSolver>(solver: S) -> (SolveSession<S>, CscMat) {
+    let cfg = SessionConfig::new()
+        .policy(ReusePolicy::Adaptive {
+            growth_limit: f64::INFINITY,
+            residual_limit: 1e-10,
+        })
+        .max_refine_iterations(0);
+    let mut session = solver.into_session(&cfg);
+    session.step(&drifting(10.0, 8.0)).unwrap();
+    let m = drifting(1e-9, 8.0);
+    assert_eq!(session.step(&m).unwrap(), SessionState::Refactored);
+    (session, m)
+}
+
+/// Satellite: the residual gate trips on the middle column of five. It
+/// fires once, re-pivots, and re-solves the *whole* batch — every
+/// returned column and quality comes from the fresh factors.
+#[test]
+fn residual_gate_fires_once_and_resolves_the_whole_batch() {
+    for engine in [Engine::Klu, Engine::Basker] {
+        let cfg = SolverConfig::new().engine(engine).threads(2);
+        let solver = LinearSolver::analyze(&drifting(10.0, 8.0), &cfg).unwrap();
+        let (mut session, m) = on_decayed_pivot(solver);
+        let b: Vec<f64> = (0..5).flat_map(gate_rhs).collect();
+
+        // The scenario is what it claims: on the reused factors only
+        // column 2 misses the limit.
+        let reused = session.numeric().unwrap();
+        for c in 0..5 {
+            let mut x = gate_rhs(c);
+            reused
+                .solve_in_place(&mut x, &mut SolveWorkspace::new())
+                .unwrap();
+            let missed = relative_residual(&m, &x, &gate_rhs(c)) > 1e-10;
+            assert_eq!(missed, c == 2, "{engine}: column {c} on reused factors");
+        }
+
+        let mut xs = b.clone();
+        let qs = session.solve_refined_multi(&mut xs).unwrap();
+        let st = session.stats();
+        assert_eq!(st.quality_repivots, 1, "{engine}: {st:?}");
+        assert_eq!(session.state(), SessionState::Repivoted);
+        assert_eq!((st.solves, st.factors), (5, 2), "{engine}: {st:?}");
+        // Two passes of a 4-panel and a 1-panel.
+        assert_eq!(st.solve_sweeps, 4, "{engine}: {st:?}");
+        assert!(qs.iter().all(|q| q.converged), "{engine}: {qs:?}");
+        let worst = qs.iter().fold(0.0f64, |w, q| w.max(q.residual));
+        assert_eq!(st.worst_residual, worst, "returned columns only");
+
+        let fresh = session.solver().factor(&m).unwrap();
+        for c in 0..5 {
+            let mut want = gate_rhs(c);
+            fresh
+                .solve_in_place(&mut want, &mut SolveWorkspace::new())
+                .unwrap();
+            for (got, want) in xs[c * 13..(c + 1) * 13].iter().zip(&want) {
+                assert!(
+                    (got - want).abs() <= 1e-10,
+                    "{engine}: column {c}: {got} vs fresh {want}"
+                );
+            }
+        }
+
+        // The gate is spent for this step: a second call stays put.
+        let mut again = b.clone();
+        session.solve_refined_multi(&mut again).unwrap();
+        assert_eq!(session.stats().quality_repivots, 1);
+        assert_eq!(again, xs, "{engine}: same factors, same bits");
+    }
+}
+
+/// KLU, except that `factor` fails while the switch is on.
+struct FailingFactor {
+    inner: KluSymbolic,
+    fail: std::rc::Rc<std::cell::Cell<bool>>,
+}
+
+impl SparseLuSolver for FailingFactor {
+    type Numeric = KluNumeric;
+
+    fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<Self, SolverError> {
+        Ok(FailingFactor {
+            inner: <KluSymbolic as SparseLuSolver>::analyze(a, cfg)?,
+            fail: Default::default(),
+        })
+    }
+
+    fn factor(&self, a: &CscMat) -> Result<KluNumeric, SolverError> {
+        if self.fail.get() {
+            return Err(SolverError::Config("factor switched off".into()));
+        }
+        SparseLuSolver::factor(&self.inner, a)
+    }
+
+    fn engine(&self) -> Engine {
+        Engine::Klu
+    }
+
+    fn dim(&self) -> usize {
+        SparseLuSolver::dim(&self.inner)
+    }
+}
+
+/// Satellite: the gate's fresh factorization fails mid-call. The error
+/// propagates with every column of `xs` holding its `b` again, nothing
+/// counted, and the (valid, inaccurate) reused factors still installed.
+#[test]
+fn failed_gate_repivot_restores_every_column() {
+    let solver = FailingFactor::analyze(&drifting(10.0, 8.0), &SolverConfig::new()).unwrap();
+    let fail = solver.fail.clone();
+    let (mut session, _) = on_decayed_pivot(solver);
+    let before = session.stats().clone();
+
+    let b: Vec<f64> = (0..5).flat_map(gate_rhs).collect();
+    let mut xs = b.clone();
+    fail.set(true);
+    let err = session.solve_refined_multi(&mut xs).unwrap_err();
+    assert!(matches!(err, SolverError::Config(_)), "{err}");
+    assert_eq!(
+        xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "xs must hold b again, bit for bit"
+    );
+    let st = session.stats();
+    assert_eq!(
+        (st.solves, st.solve_sweeps, st.quality_repivots, st.factors),
+        (
+            before.solves,
+            before.solve_sweeps,
+            before.quality_repivots,
+            before.factors
+        )
+    );
+    assert_eq!(st.worst_residual, before.worst_residual);
+    assert_eq!(session.state(), SessionState::Refactored);
+
+    // The same call succeeds once factoring works again.
+    fail.set(false);
+    let qs = session.solve_refined_multi(&mut xs).unwrap();
+    assert!(qs.iter().all(|q| q.converged));
+    assert_eq!(session.stats().solves, before.solves + 5);
+}
+
+/// Observability: `solve_sweeps` shows the panel path ran — 8
+/// right-hand sides are one walk over the factors, 13 are three
+/// (8 + 4 + 1), and a single solve is one.
+#[test]
+fn solve_sweeps_count_panels_not_columns() {
+    let a = drifting(10.0, 8.0);
+    for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid, Engine::Snlu] {
+        let mut session =
+            SolveSession::new(&a, &SessionConfig::new().engine(engine).threads(2)).unwrap();
+        session.step(&a).unwrap();
+        let panels = |k: usize| match engine {
+            Engine::Snlu => k, // no panel sweep: column by column
+            _ => k / 8 + (k % 8).count_ones() as usize,
+        };
+        let mut expect = (0, 0);
+        let mut check = |session: &SolveSession, k: usize, what: &str| {
+            expect = (expect.0 + k, expect.1 + panels(k));
+            let st = session.stats();
+            assert_eq!(
+                (st.solves, st.solve_sweeps),
+                expect,
+                "{engine} after {what}"
+            );
+        };
+        let rhs = |k: usize| -> Vec<f64> { (0..k).flat_map(gate_rhs).collect() };
+        session.solve_refined_multi(&mut rhs(8)).unwrap();
+        check(&session, 8, "8 refined");
+        session.solve_refined_multi(&mut rhs(13)).unwrap();
+        check(&session, 13, "13 refined");
+        session.solve_multi(&mut rhs(13)).unwrap();
+        check(&session, 13, "13 plain");
+        session.solve_refined(&mut rhs(1)).unwrap();
+        check(&session, 1, "1 refined");
+        session.solve(&mut rhs(1)).unwrap();
+        check(&session, 1, "1 plain");
+        assert_eq!(session.stats().refine_iterations, 0, "{engine}");
+    }
 }
