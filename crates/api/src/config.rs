@@ -28,7 +28,8 @@ pub enum Engine {
     Snlu,
     /// Per-BTF-block mixed-strategy factorization: each diagonal block
     /// is classified by its own structure and routed to GP, supernodal
-    /// or pipelined-ND independently (see [`BlockRouting`]).
+    /// or pipelined-ND independently, once, at analyze (see
+    /// [`basker::hybrid::classify_block`]).
     Hybrid,
 }
 
@@ -63,41 +64,6 @@ fn parse_engine(v: &str) -> Option<Engine> {
     }
 }
 
-/// Thresholds of the per-block classifier behind [`Engine::Hybrid`]
-/// (defaults mirror [`basker::hybrid::HybridOptions`]).
-#[derive(Debug, Clone)]
-pub struct BlockRouting {
-    /// Blocks up to this size always route to GP.
-    pub gp_small: usize,
-    /// Mid-size blocks at least this dense route to the supernodal
-    /// strategy.
-    pub dense_threshold: f64,
-    /// Mid-size blocks whose supernodal pattern fraction reaches this
-    /// route to the supernodal strategy.
-    pub supernodal_min: f64,
-    /// ND-laid-out blocks keep the pipelined-ND strategy only while the
-    /// root separator covers at most this fraction of the block.
-    pub max_separator_fraction: f64,
-    /// Let multi-step sessions measure contested blocks and install the
-    /// per-block winner (and share it across same-pattern streams via
-    /// the process-wide routing cache). `false` pins the classifier's
-    /// static plan.
-    pub learn: bool,
-}
-
-impl Default for BlockRouting {
-    fn default() -> Self {
-        let h = HybridOptions::default();
-        BlockRouting {
-            gp_small: h.gp_small,
-            dense_threshold: h.dense_threshold,
-            supernodal_min: h.supernodal_min,
-            max_separator_fraction: h.max_separator_fraction,
-            learn: true,
-        }
-    }
-}
-
 /// [`Engine::Auto`]: a BTF block counts as "small" up to this size
 /// (Table I counts rows in blocks ≤ 64). Capped at `n/2` so a small
 /// matrix that is one irreducible block is never "all small blocks".
@@ -128,7 +94,6 @@ pub struct SolverConfig {
     use_mwcm: bool,
     nd_threshold: usize,
     sync_mode: SyncMode,
-    routing: BlockRouting,
 }
 
 impl Default for SolverConfig {
@@ -142,7 +107,6 @@ impl Default for SolverConfig {
             use_mwcm: true,
             nd_threshold: 128,
             sync_mode: SyncMode::PointToPoint,
-            routing: BlockRouting::default(),
         }
     }
 }
@@ -208,18 +172,6 @@ impl SolverConfig {
         self
     }
 
-    /// Per-block classifier thresholds of [`Engine::Hybrid`] and the
-    /// learned-routing switch.
-    pub fn block_routing(mut self, r: BlockRouting) -> Self {
-        self.routing = r;
-        self
-    }
-
-    /// The configured [`BlockRouting`].
-    pub fn requested_routing(&self) -> &BlockRouting {
-        &self.routing
-    }
-
     /// The engine as requested (possibly [`Engine::Auto`]).
     pub fn requested_engine(&self) -> Engine {
         self.engine
@@ -261,15 +213,13 @@ impl SolverConfig {
         }
     }
 
-    /// The derived hybrid-engine options.
+    /// The derived hybrid-engine options: the classifier's default
+    /// thresholds over this configuration's structural knobs.
     pub fn hybrid_options(&self) -> HybridOptions {
         HybridOptions {
             base: self.basker_options(),
-            gp_small: self.routing.gp_small,
-            dense_threshold: self.routing.dense_threshold,
-            supernodal_min: self.routing.supernodal_min,
-            max_separator_fraction: self.routing.max_separator_fraction,
             snlu: self.snlu_options(),
+            ..HybridOptions::default()
         }
     }
 

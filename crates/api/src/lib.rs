@@ -27,12 +27,12 @@
 //! * [`Engine::Snlu`] — the supernodal level-scheduled comparator,
 //! * [`Engine::Hybrid`] — per-BTF-block mixed-strategy factorization:
 //!   each diagonal block is classified by its own structure and routed
-//!   to GP, supernodal or pipelined-ND independently,
+//!   to GP, supernodal or pipelined-ND independently — a plan fixed at
+//!   analyze ([`LinearSolver::as_hybrid`] → `plan()`), never measured
+//!   or switched at run time,
 //! * [`Engine::Auto`] — pick per matrix from the BTF structure (the
 //!   paper's circuit-vs-mesh crossover heuristic); heterogeneous
-//!   matrices resolve to [`Engine::Hybrid`], and multi-step sessions
-//!   *measure* contested blocks and cache the per-pattern winner in
-//!   [`routing`] for sibling same-pattern streams to inherit.
+//!   matrices resolve to [`Engine::Hybrid`].
 //!
 //! The design goals, in order:
 //!
@@ -89,17 +89,15 @@
 
 pub mod config;
 pub mod error;
-pub mod routing;
 pub mod service;
 pub mod session;
 pub mod solver;
 
-pub use basker::hybrid::{BlockRoute, BlockStrategy};
-pub use config::{BlockRouting, Engine, SolverConfig};
+pub use basker::hybrid::BlockStrategy;
+pub use config::{Engine, SolverConfig};
 pub use error::SolverError;
 pub use service::{
-    SchedulingPolicy, ServiceConfig, ServiceStats, SolverService, StepResult, StepTicket,
-    StreamHandle, StreamStats,
+    ServiceConfig, ServiceStats, SolverService, StepResult, StepTicket, StreamHandle, StreamStats,
 };
 pub use session::{
     ReusePolicy, SessionConfig, SessionState, SessionStats, SolveQuality, SolveSession,

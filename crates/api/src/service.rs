@@ -19,7 +19,7 @@
 //!                               ▼            ▼
 //!                        ┌─────────────────────────┐
 //!                        │  scheduler (round-robin │
-//!                        │   or small-jobs-first)  │
+//!                        │   across streams)       │
 //!                        └───────────┬─────────────┘
 //!                                    │ batch of ≤ width jobs
 //!                                    ▼
@@ -41,8 +41,10 @@
 //!   solves) runs serially on one rank while sibling streams' jobs run
 //!   on the other ranks — independent factorizations in parallel instead
 //!   of nested parallelism inside each. Per-stream engines are therefore
-//!   configured serial by default
-//!   ([`ServiceConfig::serialize_streams`]).
+//!   forced serial: nested parallelism inside a job would only
+//!   oversubscribe, and a job that broadcasts on the very team it is
+//!   running on falls back to transient threads, forfeiting the
+//!   zero-spawn property.
 //! * **Per-stream policy, shared memory.** Every stream keeps its own
 //!   [`ReusePolicy`](crate::ReusePolicy) and [`SessionStats`]; solve
 //!   scratch comes from a pool of [`SolveWorkspace`]s sized by the team
@@ -51,8 +53,8 @@
 //! * **Fairness and backpressure.** Per-stream queues are bounded
 //!   ([`ServiceConfig::queue_capacity`]); a submitter hitting the bound
 //!   blocks (helping dispatch if nobody else is). The scheduler picks
-//!   round-robin across streams, or smallest-dimension-first under
-//!   [`SchedulingPolicy::SmallJobsFirst`].
+//!   round-robin across streams in creation order: every stream with a
+//!   pending job gets a rank before any stream gets two.
 //! * **Failure isolation.** A singular pivot (or even a panic) in one
 //!   stream's job errors **that stream's** ticket only; sibling streams
 //!   keep stepping. A panicked stream is poisoned (its queue drained
@@ -87,47 +89,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// How the scheduler picks the next jobs when more streams have work
-/// than the team has ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulingPolicy {
-    /// Rotate fairly across streams in creation order (default): every
-    /// stream with a pending job gets a rank before any stream gets two.
-    #[default]
-    RoundRobin,
-    /// Prefer streams with the smallest matrix dimension — short jobs
-    /// first keeps latency low for small tenants sharing the team with
-    /// big ones. Every 4th batch is picked round-robin so a busy small
-    /// tenant cannot starve a large one.
-    SmallJobsFirst,
-}
-
 /// Builder-style configuration of a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     threads: usize,
-    pin_threads: bool,
     queue_capacity: usize,
-    scheduling: SchedulingPolicy,
-    serialize_streams: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: basker::env_default_threads().unwrap_or(2),
-            pin_threads: false,
             queue_capacity: 4,
-            scheduling: SchedulingPolicy::RoundRobin,
-            serialize_streams: true,
         }
     }
 }
 
 impl ServiceConfig {
     /// The default service: a shared team of `BASKER_NUM_THREADS` (or 2)
-    /// ranks, round-robin scheduling, 4 queued steps per stream,
-    /// serial per-stream engines.
+    /// ranks and 4 queued steps per stream.
     pub fn new() -> ServiceConfig {
         ServiceConfig::default()
     }
@@ -139,35 +119,11 @@ impl ServiceConfig {
         self
     }
 
-    /// Pin the shared team's workers to cores (best-effort).
-    pub fn pin_threads(mut self, pin: bool) -> Self {
-        self.pin_threads = pin;
-        self
-    }
-
     /// Maximum steps a stream may have queued before
     /// [`StreamHandle::submit`] exerts backpressure (blocks; minimum 1,
     /// default 4).
     pub fn queue_capacity(mut self, cap: usize) -> Self {
         self.queue_capacity = cap.max(1);
-        self
-    }
-
-    /// Scheduler pick order (default [`SchedulingPolicy::RoundRobin`]).
-    pub fn scheduling(mut self, policy: SchedulingPolicy) -> Self {
-        self.scheduling = policy;
-        self
-    }
-
-    /// When `true` (the default), every stream's engine is forced to one
-    /// thread: the service's parallelism is *across* streams (one job
-    /// per rank), so nested parallelism inside a job would only
-    /// oversubscribe — and a job that broadcasts on the very team it is
-    /// running on falls back to transient threads, forfeiting the
-    /// zero-spawn property. Disable only for a service whose streams are
-    /// few and large enough to want intra-factorization threading.
-    pub fn serialize_streams(mut self, yes: bool) -> Self {
-        self.serialize_streams = yes;
         self
     }
 }
@@ -356,8 +312,6 @@ impl Drop for SolverService {
 struct ServiceInner {
     team: Arc<WorkerTeam>,
     queue_capacity: usize,
-    scheduling: SchedulingPolicy,
-    serialize_streams: bool,
     state: Mutex<SchedState>,
     /// Signalled after every committed batch (results landed, the driver
     /// seat freed) — step waiters and `drain` park here.
@@ -476,10 +430,8 @@ impl SolverService {
     pub fn new(cfg: &ServiceConfig) -> SolverService {
         SolverService {
             inner: Arc::new(ServiceInner {
-                team: shared_team(cfg.threads, cfg.pin_threads),
+                team: shared_team(cfg.threads, false),
                 queue_capacity: cfg.queue_capacity,
-                scheduling: cfg.scheduling,
-                serialize_streams: cfg.serialize_streams,
                 state: Mutex::new(SchedState {
                     streams: HashMap::new(),
                     order: Vec::new(),
@@ -500,17 +452,11 @@ impl SolverService {
     }
 
     /// Registers a new stream: analyzes `a`'s pattern under `cfg` (with
-    /// the engine forced serial unless
-    /// [`ServiceConfig::serialize_streams`] was disabled) and returns
-    /// the submission handle. Each stream keeps its own session, policy
-    /// and stats; no numeric work happens until the first step.
+    /// the engine forced serial) and returns the submission handle. Each
+    /// stream keeps its own session, policy and stats; no numeric work
+    /// happens until the first step.
     pub fn stream(&self, a: &CscMat, cfg: &SessionConfig) -> Result<StreamHandle, SolverError> {
-        let scfg = if self.inner.serialize_streams {
-            cfg.clone().threads(1)
-        } else {
-            cfg.clone()
-        };
-        let mut session = SolveSession::new(a, &scfg)?;
+        let mut session = SolveSession::new(a, &cfg.clone().threads(1))?;
         let dim = session.dim();
         let engine = session.engine();
         // Strip the session's embedded solve workspace: jobs always run
@@ -908,7 +854,7 @@ impl ServiceInner {
         mut st: MutexGuard<'a, SchedState>,
     ) -> (MutexGuard<'a, SchedState>, bool) {
         debug_assert!(!st.driver, "dispatch requires a free driver seat");
-        let batch = st.pick_batch(self.team.width(), self.scheduling);
+        let batch = st.pick_batch(self.team.width());
         if batch.is_empty() {
             return (st, false);
         }
@@ -944,32 +890,12 @@ impl ServiceInner {
 
 impl SchedState {
     /// Checks out up to `width` runnable jobs, at most one per stream
-    /// (per-stream order is strict), in scheduler-policy order.
-    fn pick_batch(&mut self, width: usize, policy: SchedulingPolicy) -> Vec<RunnableJob> {
-        let ids: Vec<u64> = match policy {
-            SchedulingPolicy::RoundRobin => {
-                let k = self.order.len();
-                let start = if k == 0 { 0 } else { self.rr_next % k };
-                (0..k).map(|i| self.order[(start + i) % k]).collect()
-            }
-            SchedulingPolicy::SmallJobsFirst => {
-                // Every 4th batch falls back to round-robin order: a
-                // small tenant submitting full-speed may otherwise fill
-                // every batch and starve a large tenant forever (its
-                // backpressured submitter would spin without progress).
-                // The fairness pass bounds any stream's wait to a few
-                // batches while keeping the latency preference.
-                if self.stats.batches % 4 == 3 {
-                    let k = self.order.len();
-                    let start = if k == 0 { 0 } else { self.rr_next % k };
-                    (0..k).map(|i| self.order[(start + i) % k]).collect()
-                } else {
-                    let mut ids = self.order.clone();
-                    ids.sort_by_key(|id| self.streams.get(id).map(|e| e.dim).unwrap_or(usize::MAX));
-                    ids
-                }
-            }
-        };
+    /// (per-stream order is strict), round-robin from where the last
+    /// batch started.
+    fn pick_batch(&mut self, width: usize) -> Vec<RunnableJob> {
+        let k = self.order.len();
+        let start = if k == 0 { 0 } else { self.rr_next % k };
+        let ids: Vec<u64> = (0..k).map(|i| self.order[(start + i) % k]).collect();
         let mut batch = Vec::new();
         for id in ids {
             if batch.len() == width {
@@ -1265,28 +1191,6 @@ mod tests {
             "queue overflowed: {}",
             stats.max_queue_depth
         );
-    }
-
-    #[test]
-    fn small_jobs_first_schedules_and_completes() {
-        let service = SolverService::new(
-            &ServiceConfig::new()
-                .threads(2)
-                .scheduling(SchedulingPolicy::SmallJobsFirst),
-        );
-        let big = circuitish(40, 0.0);
-        let small = circuitish(8, 0.0);
-        let mut hb = service
-            .stream(&big, &SessionConfig::new().engine(Engine::Klu))
-            .unwrap();
-        let mut hs = service
-            .stream(&small, &SessionConfig::new().engine(Engine::Klu))
-            .unwrap();
-        let tb = hb.submit(&big, vec![1.0; 40]).unwrap();
-        let ts = hs.submit(&small, vec![1.0; 8]).unwrap();
-        ts.wait().unwrap();
-        tb.wait().unwrap();
-        assert_eq!(service.stats().steps, 2);
     }
 
     #[test]

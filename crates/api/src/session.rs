@@ -59,12 +59,9 @@
 
 use crate::config::{Engine, SolverConfig};
 use crate::error::SolverError;
-use crate::routing;
 use crate::solver::{
     packed_rhs_count, FactorQuality, LinearSolver, LuNumeric, SolverStats, SparseLuSolver,
 };
-use basker::hybrid::BlockStrategy;
-use basker_sparse::metrics::pattern_hash;
 use basker_sparse::spmv::{spmv_sub, spmv_sub_cols};
 use basker_sparse::util::{mat_norm_inf_with, norm_inf};
 use basker_sparse::workspace::panel_chunks;
@@ -273,15 +270,10 @@ pub struct SessionStats {
     /// Worst relative residual any refined solve returned (plain solves
     /// are not measured).
     pub worst_residual: f64,
-    /// Hybrid-engine routing probes this session ran: fresh
-    /// factorizations spent measuring a candidate per-block plan before
-    /// settling (zero for non-hybrid engines and for sessions that
-    /// inherited a learned plan).
+    /// Always 0: a per-block plan is fixed at analyze and no session
+    /// spends a factorization measuring one. The field stays because the
+    /// whole-stack benchmark publishes it (`api.session.routing_probes`).
     pub routing_probes: usize,
-    /// Whether this session inherited its per-block plan from the
-    /// process-wide [`routing`] cache (a sibling same-pattern session
-    /// measured it earlier) instead of probing.
-    pub routing_from_cache: bool,
     /// Engine metrics of the most recent (re)factorization.
     pub last_factor: SolverStats,
 }
@@ -293,27 +285,6 @@ struct QualityBaseline {
     growth: f64,
     rcond: f64,
     perturbed: usize,
-}
-
-/// The feedback-driven routing state of a hybrid-engine session: the
-/// first factor(s) of the stream each measure one candidate per-block
-/// plan, then the per-block winner is installed and published to the
-/// process-wide [`routing`] cache for sibling same-pattern streams.
-#[derive(Debug)]
-struct RoutingLearner {
-    phase: RoutingPhase,
-    /// [`pattern_hash`] of the session's pattern — the cache key.
-    hash: u64,
-    /// Measured candidates: `(plan, per-block seconds)` per probe step.
-    probes: Vec<(Vec<BlockStrategy>, Vec<f64>)>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RoutingPhase {
-    /// Candidate plan `k` is measured by the next step's factorization.
-    Probing { next: usize },
-    /// A plan is installed; no further measuring.
-    Settled,
 }
 
 /// A long-lived solving session over a stream of same-pattern matrices.
@@ -336,12 +307,6 @@ pub struct SolveSession<S: SparseLuSolver = LinearSolver> {
     /// `‖A‖∞` of the current step's matrix.
     a_norm: f64,
     baseline: Option<QualityBaseline>,
-    /// Hybrid block-routing learner (`None` until the first step of a
-    /// hybrid session, and forever for the single-strategy engines or
-    /// with learning disabled).
-    router: Option<RoutingLearner>,
-    /// Whether the config enabled learned routing.
-    learn_routing: bool,
     /// Pooled engine scratch shared by every solve.
     ws: SolveWorkspace,
     /// Refinement scratch: the saved right-hand side and the residual.
@@ -379,8 +344,6 @@ impl<S: SparseLuSolver> SolveSession<S> {
             current: None,
             a_norm: 0.0,
             baseline: None,
-            router: None,
-            learn_routing: cfg.solver.requested_routing().learn,
             ws: SolveWorkspace::for_dim(n),
             rhs: vec![0.0; n],
             resid: vec![0.0; n],
@@ -456,7 +419,6 @@ impl<S: SparseLuSolver> SolveSession<S> {
     /// leaves the current factors untouched.
     pub fn step(&mut self, m: &CscMat) -> Result<SessionState, SolverError> {
         self.retain(m)?;
-        self.init_router();
         self.stats.steps += 1;
 
         match self.factor_phase(m) {
@@ -481,9 +443,6 @@ impl<S: SparseLuSolver> SolveSession<S> {
     /// here may leave `self.num` partially overwritten (in-place
     /// refactorization) — `step` invalidates the factors on that path.
     fn factor_phase(&mut self, m: &CscMat) -> Result<SessionState, SolverError> {
-        if let Some(state) = self.probe_step()? {
-            return Ok(state);
-        }
         if self.num.is_none() || self.policy == ReusePolicy::AlwaysFactor {
             // First step, or pivoting rerun on schedule (not as a
             // recovery) — either way a plain Factored.
@@ -504,7 +463,6 @@ impl<S: SparseLuSolver> SolveSession<S> {
                         // failed forced factorization installs nothing.
                         self.fresh_factor()?;
                         self.stats.quality_repivots += 1;
-                        self.router_invalidate();
                         return Ok(SessionState::Repivoted);
                     }
                 }
@@ -516,112 +474,6 @@ impl<S: SparseLuSolver> SolveSession<S> {
                 Ok(SessionState::Repivoted)
             }
             Err(e) => Err(e),
-        }
-    }
-
-    /// Initializes the hybrid routing learner on the first step: inherit
-    /// a measured same-pattern plan from the process-wide [`routing`]
-    /// cache if a sibling session already learned one, otherwise
-    /// schedule probe factorizations over the classifier's candidate
-    /// plans. A no-op for the single-strategy engines, for sessions with
-    /// learning disabled, and after the first step.
-    fn init_router(&mut self) {
-        if self.router.is_some() || !self.learn_routing {
-            return;
-        }
-        let Some(h) = self.solver.hybrid().cloned() else {
-            return;
-        };
-        let a = self.current.as_ref().expect("step() retains before this");
-        let hash = pattern_hash(a);
-        if let Some(plan) = routing::learned(hash) {
-            if h.set_plan(&plan) {
-                self.stats.routing_from_cache = true;
-                self.router = Some(RoutingLearner {
-                    phase: RoutingPhase::Settled,
-                    hash,
-                    probes: Vec::new(),
-                });
-                return;
-            }
-            // Structurally invalid for this matrix — a hash collision
-            // with another pattern. Drop the entry and measure afresh.
-            routing::forget(hash);
-        }
-        let phase = if h.probe_plan(1).is_some() {
-            RoutingPhase::Probing { next: 0 }
-        } else {
-            // No block is contested: the classifier's plan stands.
-            // Publish it so sibling sessions skip even this much.
-            routing::learn(hash, h.primary_plan().to_vec());
-            RoutingPhase::Settled
-        };
-        self.router = Some(RoutingLearner {
-            phase,
-            hash,
-            probes: Vec::new(),
-        });
-    }
-
-    /// Runs one routing-probe factorization when the learner is in its
-    /// measuring phase: install candidate plan `next`, factor fresh, and
-    /// record the per-block timings. After the last candidate, the
-    /// per-block winner (smallest measured seconds, block by block) is
-    /// installed, published to the [`routing`] cache, and — if it
-    /// differs from the plan just executed — factored once more so the
-    /// session's factors match it. Returns `None` outside the measuring
-    /// phase, handing control to the normal reuse policy.
-    fn probe_step(&mut self) -> Result<Option<SessionState>, SolverError> {
-        let Some(RoutingPhase::Probing { next }) = self.router.as_ref().map(|r| r.phase) else {
-            return Ok(None);
-        };
-        let h = self
-            .solver
-            .hybrid()
-            .cloned()
-            .expect("a probing router implies a hybrid handle");
-        let plan = h
-            .probe_plan(next)
-            .expect("the probing phase stays within the candidate range");
-        h.set_plan(&plan);
-        self.fresh_factor()?;
-        self.stats.routing_probes += 1;
-        let secs: Vec<f64> = self
-            .num
-            .as_ref()
-            .expect("just factored")
-            .stats()
-            .routing
-            .iter()
-            .map(|r| r.seconds)
-            .collect();
-        let (winner, changed, hash) = {
-            let router = self.router.as_mut().expect("checked above");
-            router.probes.push((plan, secs));
-            if h.probe_plan(next + 1).is_some() {
-                router.phase = RoutingPhase::Probing { next: next + 1 };
-                return Ok(Some(SessionState::Factored));
-            }
-            router.phase = RoutingPhase::Settled;
-            let winner = winning_plan(&router.probes);
-            let changed = router.probes.last().expect("probe just pushed").0 != winner;
-            (winner, changed, router.hash)
-        };
-        routing::learn(hash, winner.clone());
-        let installed = h.set_plan(&winner);
-        debug_assert!(installed, "per-block winners come from executed plans");
-        if installed && changed {
-            self.fresh_factor()?;
-        }
-        Ok(Some(SessionState::Factored))
-    }
-
-    /// A quality gate tripped: the learned plan's assumptions went stale
-    /// — drop the cache entry so later same-pattern sessions re-measure
-    /// instead of inheriting it.
-    fn router_invalidate(&mut self) {
-        if let Some(r) = &self.router {
-            routing::forget(r.hash);
         }
     }
 
@@ -798,7 +650,6 @@ impl<S: SparseLuSolver> SolveSession<S> {
             // installed.)
             pass = self.fresh_factor().and_then(|()| {
                 self.stats.quality_repivots += 1;
-                self.router_invalidate();
                 self.state = SessionState::Repivoted;
                 self.stats.last_factor = self.num.as_ref().expect("factors exist").stats();
                 xs.copy_from_slice(&self.rhs[..xs.len()]);
@@ -944,23 +795,6 @@ impl<S: SparseLuSolver> std::fmt::Debug for SolveSession<S> {
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
-}
-
-/// The per-block winner across measured candidate plans: for each block
-/// the strategy of the probe that factored it fastest. Contested blocks
-/// genuinely differ across probes; uncontested ones are identical
-/// everywhere, so any probe's entry is the right answer.
-fn winning_plan(probes: &[(Vec<BlockStrategy>, Vec<f64>)]) -> Vec<BlockStrategy> {
-    let nblocks = probes[0].0.len();
-    (0..nblocks)
-        .map(|b| {
-            probes
-                .iter()
-                .min_by(|x, y| x.1[b].total_cmp(&y.1[b]))
-                .expect("at least one probe ran")
-                .0[b]
-        })
-        .collect()
 }
 
 /// `resid ← b − A·x`; returns the scaled relative residual
@@ -1167,106 +1001,6 @@ mod tests {
         s.step(&a).unwrap();
         let mut x = vec![1.0, 1.0];
         s.solve(&mut x).unwrap();
-    }
-
-    /// One large mesh-like block plus a tail of tiny blocks: the hybrid
-    /// classifier routes them differently, and the big block is
-    /// contested (ND vs supernodal), so a learning session probes.
-    fn heterogeneous(k: usize, tiny: usize) -> CscMat {
-        let n0 = k * k;
-        let idx = |r: usize, c: usize| r * k + c;
-        let mut t = TripletMat::new(n0 + tiny, n0 + tiny);
-        for r in 0..k {
-            for c in 0..k {
-                let u = idx(r, c);
-                t.push(u, u, 8.0 + (u % 3) as f64);
-                if r + 1 < k {
-                    t.push(u, idx(r + 1, c), -1.0);
-                    t.push(idx(r + 1, c), u, -2.0);
-                }
-                if c + 1 < k {
-                    t.push(u, idx(r, c + 1), -1.5);
-                    t.push(idx(r, c + 1), u, -0.5);
-                }
-            }
-        }
-        for q in n0..n0 + tiny {
-            t.push(q, q, 5.0 + (q % 4) as f64);
-            if q + 1 < n0 + tiny {
-                t.push(q, q + 1, -0.25);
-            }
-        }
-        t.to_csc()
-    }
-
-    #[test]
-    fn hybrid_session_probes_then_sibling_inherits() {
-        let a = heterogeneous(12, 40);
-        let cfg = SessionConfig::new().engine(Engine::Hybrid).threads(2);
-
-        // First session of the pattern: measures candidates, settles.
-        let mut s1 = SolveSession::new(&a, &cfg).unwrap();
-        for k in 0..3 {
-            s1.step(&scaled(&a, 1.0 + 0.01 * k as f64)).unwrap();
-            let mut x = vec![1.0; a.nrows()];
-            let q = s1.solve_refined(&mut x).unwrap();
-            assert!(q.converged, "step {k}: residual {}", q.residual);
-        }
-        let st1 = s1.stats().clone();
-        assert!(st1.routing_probes > 0, "contested blocks must be probed");
-        assert!(!st1.routing_from_cache);
-        // The executed plan is visible in the routing stats and mixed.
-        let routes = &st1.last_factor.routing;
-        assert!(!routes.is_empty());
-        let distinct: std::collections::HashSet<_> = routes.iter().map(|r| r.strategy).collect();
-        assert!(
-            distinct.len() >= 2,
-            "expected a mixed plan, got {distinct:?}"
-        );
-
-        // Sibling session over the same pattern: inherits, never probes.
-        let mut s2 = SolveSession::new(&a, &cfg).unwrap();
-        s2.step(&a).unwrap();
-        let mut x = vec![1.0; a.nrows()];
-        s2.solve_refined(&mut x).unwrap();
-        assert!(s2.stats().routing_from_cache, "sibling must inherit");
-        assert_eq!(s2.stats().routing_probes, 0);
-        assert_eq!(
-            s2.stats()
-                .last_factor
-                .routing
-                .iter()
-                .map(|r| r.strategy)
-                .collect::<Vec<_>>(),
-            routes.iter().map(|r| r.strategy).collect::<Vec<_>>(),
-            "sibling executes the measured plan"
-        );
-    }
-
-    #[test]
-    fn routing_learning_can_be_disabled() {
-        use crate::config::BlockRouting;
-        // A different size from the other test: the cache is
-        // process-global and keyed by pattern.
-        let a = heterogeneous(11, 33);
-        let cfg = SessionConfig::new().solver(
-            SolverConfig::new()
-                .engine(Engine::Hybrid)
-                .threads(2)
-                .block_routing(BlockRouting {
-                    learn: false,
-                    ..BlockRouting::default()
-                }),
-        );
-        let mut s = SolveSession::new(&a, &cfg).unwrap();
-        for k in 0..2 {
-            s.step(&scaled(&a, 1.0 + 0.01 * k as f64)).unwrap();
-        }
-        assert_eq!(s.stats().routing_probes, 0);
-        assert!(!s.stats().routing_from_cache);
-        // The classifier's static plan still factors and solves.
-        let mut x = vec![1.0; a.nrows()];
-        assert!(s.solve_refined(&mut x).unwrap().converged);
     }
 
     #[test]

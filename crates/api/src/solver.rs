@@ -77,11 +77,6 @@ pub struct SolverStats {
     /// `"avx2+fma"`, `"neon"`); empty on a default `SolverStats`.
     /// Selected once per process from `BASKER_KERNEL`.
     pub kernel: &'static str,
-    /// Per-BTF-block routing of the last (re)factorization under a
-    /// classified plan ([`Engine::Hybrid`]; empty for every other
-    /// engine): one entry per diagonal block, in block order, with
-    /// `seconds` measured on contested blocks only.
-    pub routing: Vec<basker::hybrid::BlockRoute>,
 }
 
 impl SolverStats {
@@ -157,14 +152,6 @@ pub trait SparseLuSolver: Sized {
 
     /// Matrix dimension this analysis is for.
     fn dim(&self) -> usize;
-
-    /// Borrows the hybrid per-block routing handle when this symbolic
-    /// analysis is [`Engine::Hybrid`]'s — the hook the session layer's
-    /// feedback-driven router uses to probe and install per-block plans.
-    /// `None` for the single-strategy engines.
-    fn hybrid(&self) -> Option<&HybridLu> {
-        None
-    }
 
     /// Lifts this symbolic handle into a [`SolveSession`] — the
     /// policy-driven transient-simulation surface (statically dispatched
@@ -398,10 +385,6 @@ impl SparseLuSolver for HybridLu {
     fn dim(&self) -> usize {
         self.structure().n
     }
-
-    fn hybrid(&self) -> Option<&HybridLu> {
-        Some(self)
-    }
 }
 
 impl LuNumeric for BaskerNumeric {
@@ -453,7 +436,6 @@ impl LuNumeric for BaskerNumeric {
             tasks_joined: self.stats.tasks_joined,
             steal_attempts: self.stats.steal_attempts,
             factor_seconds: self.stats.numeric_seconds,
-            routing: self.stats.routes.clone(),
         }
     }
 
@@ -562,8 +544,10 @@ pub struct LinearSolver {
 
 enum SymbolicInner {
     Klu(KluSymbolic),
-    /// The BTF block driver under either plan; `engine` names which.
-    Driver(HybridLu),
+    /// The BTF block driver under the paper plan…
+    Basker(Basker),
+    /// …and under a classified one.
+    Hybrid(HybridLu),
     Snlu(Snlu),
 }
 
@@ -573,11 +557,9 @@ impl LinearSolver {
         let engine = cfg.resolve_engine(a)?;
         let inner = match engine {
             Engine::Klu => SymbolicInner::Klu(<KluSymbolic as SparseLuSolver>::analyze(a, cfg)?),
-            Engine::Basker => {
-                SymbolicInner::Driver(<Basker as SparseLuSolver>::analyze(a, cfg)?.into())
-            }
+            Engine::Basker => SymbolicInner::Basker(<Basker as SparseLuSolver>::analyze(a, cfg)?),
             Engine::Snlu => SymbolicInner::Snlu(<Snlu as SparseLuSolver>::analyze(a, cfg)?),
-            Engine::Hybrid => SymbolicInner::Driver(<HybridLu as SparseLuSolver>::analyze(a, cfg)?),
+            Engine::Hybrid => SymbolicInner::Hybrid(<HybridLu as SparseLuSolver>::analyze(a, cfg)?),
             Engine::Auto => unreachable!("resolve_engine returns a concrete engine"),
         };
         Ok(LinearSolver { engine, inner })
@@ -589,7 +571,8 @@ impl LinearSolver {
         let t0 = Instant::now();
         let inner = match &self.inner {
             SymbolicInner::Klu(s) => NumericInner::Klu(SparseLuSolver::factor(s, a)?),
-            SymbolicInner::Driver(s) => NumericInner::Driver(SparseLuSolver::factor(s, a)?),
+            SymbolicInner::Basker(s) => NumericInner::Driver(SparseLuSolver::factor(s, a)?),
+            SymbolicInner::Hybrid(s) => NumericInner::Driver(SparseLuSolver::factor(s, a)?),
             SymbolicInner::Snlu(s) => NumericInner::Snlu(Box::new(SparseLuSolver::factor(s, a)?)),
         };
         Ok(Factorization {
@@ -609,7 +592,8 @@ impl LinearSolver {
     pub fn dim(&self) -> usize {
         match &self.inner {
             SymbolicInner::Klu(s) => s.n(),
-            SymbolicInner::Driver(s) => s.structure().n,
+            SymbolicInner::Basker(s) => s.structure().n,
+            SymbolicInner::Hybrid(s) => s.structure().n,
             SymbolicInner::Snlu(s) => s.n(),
         }
     }
@@ -625,7 +609,7 @@ impl LinearSolver {
     /// Borrows the underlying Basker analysis when that engine was chosen.
     pub fn as_basker(&self) -> Option<&Basker> {
         match &self.inner {
-            SymbolicInner::Driver(s) if self.engine == Engine::Basker => Some(s),
+            SymbolicInner::Basker(s) => Some(s),
             _ => None,
         }
     }
@@ -640,10 +624,11 @@ impl LinearSolver {
     }
 
     /// Borrows the underlying hybrid analysis when that engine was
-    /// chosen.
+    /// chosen; its `plan()` is the per-block routing every factorization
+    /// from this handle executes.
     pub fn as_hybrid(&self) -> Option<&HybridLu> {
         match &self.inner {
-            SymbolicInner::Driver(s) if self.engine == Engine::Hybrid => Some(s),
+            SymbolicInner::Hybrid(s) => Some(s),
             _ => None,
         }
     }
@@ -666,10 +651,6 @@ impl SparseLuSolver for LinearSolver {
 
     fn dim(&self) -> usize {
         LinearSolver::dim(self)
-    }
-
-    fn hybrid(&self) -> Option<&HybridLu> {
-        self.as_hybrid()
     }
 }
 
@@ -862,8 +843,6 @@ mod tests {
         let st = num.stats();
         assert_eq!(st.engine, Some(engine));
         assert!(st.lu_nnz > 0 && st.dimension == 30, "{engine}");
-        // Only the classified plan keeps per-block route records.
-        assert_eq!(st.routing.is_empty(), engine != Engine::Hybrid, "{engine}");
     }
 
     #[test]
@@ -878,11 +857,9 @@ mod tests {
         let a = circuitish(30);
         let cfg = SolverConfig::new().engine(Engine::Hybrid);
         let solver = LinearSolver::analyze(&a, &cfg).unwrap();
-        assert!(solver.as_hybrid().is_some());
-        assert!(SparseLuSolver::hybrid(&solver).is_some());
+        let plan = solver.as_hybrid().expect("hybrid handle").plan();
         let num = SparseLuSolver::factor(&solver, &a).unwrap();
-        let st = num.stats();
-        assert_eq!(st.routing.len(), st.btf_blocks);
+        assert_eq!(plan.len(), num.stats().btf_blocks);
         assert!(num.as_hybrid().is_some());
         // One driver behind both engines: the accessors follow the plan
         // kind the handle was built with.
@@ -890,7 +867,6 @@ mod tests {
         let cfg = SolverConfig::new().engine(Engine::Basker);
         let solver = LinearSolver::analyze(&a, &cfg).unwrap();
         assert!(solver.as_basker().is_some() && solver.as_hybrid().is_none());
-        assert!(SparseLuSolver::hybrid(&solver).is_none());
         let num = SparseLuSolver::factor(&solver, &a).unwrap();
         assert!(num.as_basker().is_some() && num.as_hybrid().is_none());
     }

@@ -50,7 +50,6 @@ pub mod refactor;
 pub mod solve;
 pub mod stats;
 pub mod structure;
-pub mod symbolic;
 pub mod sync;
 
 pub use stats::BaskerStats;
@@ -58,7 +57,7 @@ pub use sync::{AssistTally, SyncMode};
 
 use crate::fine_btf::{factor_small_blocks, partition_by_flops, SmallBlock};
 use crate::frozen::get_or_record;
-use crate::hybrid::{classify_block, BlockRoute, BlockStrategy, HybridOptions};
+use crate::hybrid::{classify_block, BlockStrategy, HybridOptions};
 use crate::parnum::{factor_nd_parallel, NdFactors};
 use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
@@ -67,7 +66,7 @@ use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
 use basker_runtime::{assist_counters, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
-use basker_sparse::blocks::extract_range;
+use basker_sparse::blocks::{extract_range, upper_block_part};
 use basker_sparse::metrics::BlockMetrics;
 use basker_sparse::trisolve::push_columns;
 use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
@@ -134,23 +133,15 @@ struct SymInner {
     structure: Structure,
     pool: rayon::ThreadPool,
     threads: usize,
-    /// Alg. 2's fine-BTF set — the `Small`-layout blocks nothing
-    /// contests, pinned to Gilbert–Peierls — with their flop estimates,
-    /// and its static partition over the team.
+    /// Alg. 2's fine-BTF set — the `Small`-layout blocks the plan leaves
+    /// on Gilbert–Peierls — with their flop estimates, and its static
+    /// partition over the team.
     small_blocks: Vec<SmallBlock>,
     small_chunks: Vec<Vec<usize>>,
-    /// The plan every fresh handle starts from and, per block, the
-    /// strategy worth measuring against it (all `None` on the paper
-    /// plan: nothing is contested, so nothing is timed).
-    primary: Vec<BlockStrategy>,
-    alternative: Vec<Option<BlockStrategy>>,
-    /// A classified plan was asked for: factorizations record one
-    /// [`BlockRoute`] per block.
+    /// One strategy per BTF block, fixed by `analyze`.
+    plan: Vec<BlockStrategy>,
+    /// The plan came from [`classify_block`], not from the layout alone.
     classified: bool,
-    /// The active plan. Interior-mutable so a measuring session can
-    /// switch strategies between factorizations without re-running the
-    /// symbolic phase; every `factor` snapshots it once up front.
-    plan: Mutex<Arc<Vec<BlockStrategy>>>,
     /// Options (at this handle's thread count) and lazily built analyses
     /// of the supernodal-routed blocks (pattern-stable, so one analysis
     /// serves the whole stream).
@@ -164,7 +155,7 @@ struct SymInner {
 impl SymInner {
     /// Block `b` belongs to the fine-BTF set factored on the team.
     fn on_team(&self, b: usize) -> bool {
-        matches!(self.structure.kinds[b], BlockKind::Small) && self.alternative[b].is_none()
+        matches!(self.structure.kinds[b], BlockKind::Small) && self.plan[b] == BlockStrategy::Gp
     }
 }
 
@@ -214,8 +205,7 @@ impl Basker {
 
         let ap = Perm::permute_both(&structure.row_perm, &structure.col_perm, a);
         let nblocks = structure.nblocks();
-        let mut primary = Vec::with_capacity(nblocks);
-        let mut alternative = Vec::with_capacity(nblocks);
+        let mut plan = Vec::with_capacity(nblocks);
         let mut small_blocks = Vec::new();
         for b in 0..nblocks {
             let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
@@ -225,9 +215,9 @@ impl Basker {
             };
             let diag = (hi - lo > 1 && (nds.is_none() || classify.is_some()))
                 .then(|| extract_range(&ap, lo..hi, lo..hi));
-            let (p, alt) = match (classify, nds) {
-                (None, None) => (BlockStrategy::Gp, None),
-                (None, Some(_)) => (BlockStrategy::Nd, None),
+            let strategy = match (classify, nds) {
+                (None, None) => BlockStrategy::Gp,
+                (None, Some(_)) => BlockStrategy::Nd,
                 (Some(o), _) => {
                     let metrics = diag.as_ref().map(BlockMetrics::compute);
                     let sep = nds.map_or(0, |s| s.nd.nodes[s.nnodes() - 1].len());
@@ -241,7 +231,7 @@ impl Basker {
                     )
                 }
             };
-            if nds.is_none() && alt.is_none() {
+            if nds.is_none() && strategy == BlockStrategy::Gp {
                 // Per-block flop estimates (Alg. 2 line 3) drive the
                 // static partition of blocks over threads (line 5).
                 small_blocks.push(SmallBlock {
@@ -251,8 +241,7 @@ impl Basker {
                     est_flops: diag.as_ref().map_or(1.0, |d| symbolic_gp(d).flops),
                 });
             }
-            primary.push(p);
-            alternative.push(alt);
+            plan.push(strategy);
         }
         let small_chunks = partition_by_flops(&small_blocks, threads);
 
@@ -264,9 +253,7 @@ impl Basker {
                 threads,
                 small_blocks,
                 small_chunks,
-                plan: Mutex::new(Arc::new(primary.clone())),
-                primary,
-                alternative,
+                plan,
                 classified: classify.is_some(),
                 snlu: SnluOptions {
                     nthreads: threads,
@@ -286,6 +273,12 @@ impl Basker {
     /// The underlying block structure.
     pub fn structure(&self) -> &Structure {
         &self.inner.structure
+    }
+
+    /// The per-block plan fixed by `analyze`, one strategy per BTF block
+    /// in block order (zip with `structure().bounds` for the rows).
+    pub fn plan(&self) -> &[BlockStrategy] {
+        &self.inner.plan
     }
 
     /// Whether this handle was built with a classified plan
@@ -308,21 +301,18 @@ impl Basker {
     }
 
     /// Numeric factorization of `a` (same pattern as analyzed) under the
-    /// active plan, with fresh pivoting. This is the call a circuit
+    /// handle's plan, with fresh pivoting. This is the call a circuit
     /// simulator makes for every matrix of a transient sequence (paper
     /// §V-F) — the symbolic phase is reused, the numeric phase redone.
     ///
     /// The fine-BTF set factors in parallel on the team; every other
     /// block runs in plan order on the caller's thread, where only the
-    /// ND strategy fans out. Blocks with a runner-up strategy — and
-    /// only those — are timed: they are what the routing learner
-    /// compares.
+    /// ND strategy fans out.
     pub fn factor(&self, a: &CscMat) -> Result<BaskerNumeric> {
         let t0 = Instant::now();
         let inner = &*self.inner;
         let st = &inner.structure;
         let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
-        let plan = Arc::clone(&inner.plan.lock().expect("plan lock poisoned"));
 
         let mut small = factor_small_blocks(
             &ap,
@@ -334,14 +324,12 @@ impl Basker {
         .into_iter();
 
         let mut factors: Vec<BlockFactors> = Vec::with_capacity(st.nblocks());
-        let mut routes = Vec::with_capacity(if inner.classified { st.nblocks() } else { 0 });
         let mut sync_wait = vec![0u64; inner.threads];
         let mut assist = AssistTally::default();
         let (mut sn_blocks, mut nd_blocks) = (0usize, 0usize);
         for b in 0..st.nblocks() {
             let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
-            let timer = inner.alternative[b].map(|_| Instant::now());
-            let f = match plan[b] {
+            let f = match inner.plan[b] {
                 BlockStrategy::Gp if inner.on_team(b) => {
                     let (bi, blu) = small.next().expect("small factor missing");
                     debug_assert_eq!(bi, b);
@@ -365,7 +353,7 @@ impl Basker {
                 }
                 BlockStrategy::Nd => {
                     let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!("set_plan keeps Nd off non-ND blocks");
+                        unreachable!("analyze plans Nd on ND-laid-out blocks only");
                     };
                     let blocks = NdBlocks::extract(&ap, lo, nds);
                     let f = factor_nd_parallel(
@@ -387,14 +375,6 @@ impl Basker {
                     }))
                 }
             };
-            if inner.classified {
-                routes.push(BlockRoute {
-                    block: b,
-                    rows: hi - lo,
-                    strategy: plan[b],
-                    seconds: timer.map_or(0.0, |t| t.elapsed().as_secs_f64()),
-                });
-            }
             factors.push(f);
         }
 
@@ -417,32 +397,9 @@ impl Basker {
             sn_blocks,
             nd_blocks,
             threads: inner.threads,
-            routes,
         };
         Ok(num)
     }
-}
-
-/// Extracts the strictly-upper-block couplings between BTF blocks.
-fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
-    let n = ap.ncols();
-    let mut colptr = Vec::with_capacity(n + 1);
-    let mut rowind = Vec::new();
-    let mut values = Vec::new();
-    colptr.push(0);
-    for j in 0..n {
-        for (i, v) in ap.col_iter(j) {
-            if block_of[i] < block_of[j] {
-                rowind.push(i);
-                values.push(v);
-            }
-        }
-        colptr.push(rowind.len());
-    }
-    // SAFETY: `col_iter` yields strictly ascending in-bounds rows; the
-    // filter keeps that order and `colptr` tracks `rowind.len()` per
-    // column.
-    unsafe { CscMat::from_parts_unchecked(n, n, colptr, rowind, values) }
 }
 
 /// Numeric factors of one BTF block under the strategy that built them.
@@ -642,8 +599,7 @@ impl BaskerNumeric {
 
     /// Refactorizes with new values (identical pattern), reusing patterns
     /// **and pivot sequences** — no graph search, no new pivoting — each
-    /// block under the strategy that built it (the active plan only
-    /// applies at the next fresh [`Basker::factor`]). Fails with
+    /// block under the strategy that built it. Fails with
     /// [`SparseError::ZeroPivot`] if a pivot collapses; callers then
     /// fall back to [`Basker::factor`].
     ///
@@ -669,7 +625,6 @@ impl BaskerNumeric {
             self.replay = Some(Box::new(Replay::record(
                 &inner.structure,
                 frozen,
-                &inner.alternative,
                 &mut self.factors,
             )));
         }
@@ -705,7 +660,6 @@ impl BaskerNumeric {
             .iter()
             .map(|&b| self.factors[b].flops())
             .sum();
-        replay.fold_seconds(&mut stats.routes);
         // The fresh factor's pipeline waits are not this call's. What
         // is: the caller's time blocked in stage joins, and whatever the
         // process's assist loop did meanwhile — both nothing when every
@@ -802,24 +756,38 @@ mod tests {
         assert_eq!(solve(&n1, &b), solve(&n2, &b));
     }
 
-    /// A `HybridLu` handle with the paper plan installed is the `Basker`
-    /// handle: bit-identical solutions and equal counts, after `factor`
-    /// and after `refactor`.
+    /// A classified handle whose plan equals the paper plan is the
+    /// `Basker` handle: the same fine-BTF partition on the team — the
+    /// 70–90-row blocks included — and bit-identical factors and equal
+    /// counts, after `factor` and after `refactor`.
     #[test]
     fn plans_are_equivalent() {
-        let a = heterogeneous(12, 40);
+        let a = with_mid_blocks(12, 4, 40);
         let a2 = revalued(&a, |v| v * 1.2 + 0.003);
         let b: Vec<f64> = (0..a.ncols())
             .map(|i| (i as f64 * 0.2).sin() + 1.5)
             .collect();
         for p in [1usize, 2, 4] {
-            let [paper, classified] = both_plan_kinds(&a, &opts(p, 64), 32);
-            assert!(classified.set_plan(paper.primary_plan()));
+            // A serial classified plan never routes to the team, so at
+            // one thread the grid stays a fine-BTF block in both.
+            let nd_threshold = if p == 1 { usize::MAX } else { 128 };
+            let [paper, classified] = both_plan_kinds(&a, &opts(p, nd_threshold), 64);
+            assert_eq!(paper.plan(), classified.plan(), "p={p}");
+            let mids = (0..paper.plan().len())
+                .filter(|&b| {
+                    let rows = paper.structure().bounds[b + 1] - paper.structure().bounds[b];
+                    (65..128).contains(&rows) && paper.inner.on_team(b)
+                })
+                .count();
+            assert_eq!(mids, 4, "p={p}: the mid-size blocks are on the team");
+            assert_eq!(paper.inner.small_chunks, classified.inner.small_chunks);
             let (mut n1, mut n2) = (paper.factor(&a).unwrap(), classified.factor(&a).unwrap());
             for m in [&a, &a2] {
+                assert_eq!(factor_values(&n1), factor_values(&n2), "p={p}");
                 assert_eq!(solve(&n1, &b), solve(&n2, &b), "p={p}");
                 assert_eq!(n1.stats.lu_nnz, n2.stats.lu_nnz);
                 assert_eq!(n1.stats.flops, n2.stats.flops);
+                assert_eq!(n1.stats.strategy_counts(), n2.stats.strategy_counts());
                 assert_eq!(n1.pivot_range(), n2.pivot_range());
                 check_solve(&n1, m, 1e-11);
                 n1.refactor(&a2).unwrap();
@@ -869,32 +837,6 @@ mod tests {
             let (lo, hi) = num.pivot_range();
             assert!(lo > 0.0 && lo <= hi);
             assert_eq!(num.perturbed_pivots(), 0);
-        }
-    }
-
-    /// Only a classified plan keeps route records, and only contested
-    /// blocks are timed.
-    #[test]
-    fn routes_recorded_only_for_classified_plans() {
-        let a = heterogeneous(12, 40);
-        let [paper, classified] = both_plan_kinds(&a, &opts(2, 64), 32);
-        assert!(paper.factor(&a).unwrap().stats.routes.is_empty());
-        assert!(
-            paper.probe_plan(1).is_none(),
-            "the paper plan contests nothing"
-        );
-        let mut num = classified.factor(&a).unwrap();
-        for pass in 0..2 {
-            assert_eq!(num.stats.routes.len(), num.stats.btf_blocks);
-            for (r, alt) in num.stats.routes.iter().zip(classified.alternatives()) {
-                assert_eq!(
-                    r.seconds > 0.0,
-                    alt.is_some(),
-                    "pass {pass} block {}",
-                    r.block
-                );
-            }
-            num.refactor(&a).unwrap();
         }
     }
 

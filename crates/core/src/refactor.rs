@@ -70,7 +70,6 @@
 //! every team width.
 
 use crate::frozen::FrozenBtf;
-use crate::hybrid::{BlockRoute, BlockStrategy};
 use crate::parnum::NdFactors;
 use crate::reduce::{reduce_block, reduce_cols_into};
 use crate::structure::{BlockKind, NdBlocks, NdSplit, NdStructure, Structure};
@@ -357,17 +356,12 @@ struct Item {
     /// Recorded flops (for a run of tiny blocks, plus two per gathered
     /// entry so that flop-less singletons still weigh something).
     flops: f64,
-    /// The contested block this item belongs to, whose route record
-    /// sums its items' seconds.
-    timed: Option<usize>,
 }
 
 struct Stage {
     /// Descending by recorded flops: the claim order.
     items: Vec<Item>,
     flops: f64,
-    /// Index of the stage's first item among all items.
-    first: usize,
 }
 
 /// What one numeric records on its first refactorization and replays
@@ -382,63 +376,47 @@ pub(crate) struct Replay {
     /// The blocks whose factors count flops (all but singletons),
     /// ascending.
     heavy: Vec<usize>,
-    /// Seconds of every item's last run; empty unless some block is
-    /// contested.
-    item_secs: Vec<f64>,
 }
 
 impl Replay {
     /// Records the stage list of `factors` — and takes the ND blocks'
     /// retained `A` blocks, whose patterns it needs once and whose
     /// values the frozen store replaces.
-    pub(crate) fn record(
-        st: &Structure,
-        frozen: &Frozen,
-        contested: &[Option<BlockStrategy>],
-        factors: &mut [BlockFactors],
-    ) -> Replay {
+    pub(crate) fn record(st: &Structure, frozen: &Frozen, factors: &mut [BlockFactors]) -> Replay {
         let colptr = frozen.btf.diag_colptr();
         let mut stages: Vec<Vec<Item>> = vec![Vec::new()];
         let mut nd = Vec::new();
         let mut heavy = Vec::new();
         let mut red_len = 0;
-        // The open run of uncontested Gilbert–Peierls blocks.
+        // The open run of Gilbert–Peierls blocks.
         let mut run: Option<(usize, f64)> = None;
         fn close(run: &mut Option<(usize, f64)>, b1: usize, stage: &mut Vec<Item>) {
             if let Some((b0, flops)) = run.take() {
                 stage.push(Item {
                     work: Work::Gp { b0, b1 },
                     flops,
-                    timed: None,
                 });
             }
         }
         for (b, f) in factors.iter_mut().enumerate() {
             let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
-            let timed = contested[b].map(|_| b);
             if !matches!(f, BlockFactors::Gp(BlockFactor::Singleton(_))) {
                 heavy.push(b);
             }
-            if let (BlockFactors::Gp(blu), None) = (&*f, timed) {
-                let (_, flops) = run.get_or_insert((b, 0.0));
-                *flops += blu.flops() + 2.0 * (colptr[hi] - colptr[lo]) as f64;
-                if *flops >= DISPATCH_BREAK_EVEN_FLOPS {
-                    close(&mut run, b + 1, &mut stages[0]);
-                }
-                continue;
+            if !matches!(f, BlockFactors::Gp(_)) {
+                close(&mut run, b, &mut stages[0]);
             }
-            close(&mut run, b, &mut stages[0]);
             match f {
-                // A contested block is timed, so it is an item of its own.
-                BlockFactors::Gp(blu) => stages[0].push(Item {
-                    work: Work::Gp { b0: b, b1: b + 1 },
-                    flops: blu.flops(),
-                    timed,
-                }),
+                BlockFactors::Gp(blu) => {
+                    let (_, flops) = run.get_or_insert((b, 0.0));
+                    *flops += blu.flops() + 2.0 * (colptr[hi] - colptr[lo]) as f64;
+                    if *flops >= DISPATCH_BREAK_EVEN_FLOPS {
+                        close(&mut run, b + 1, &mut stages[0]);
+                    }
+                }
                 BlockFactors::Sn(sn) => stages[0].push(Item {
                     work: Work::Sn { b },
                     flops: sn.num.flops,
-                    timed,
                 }),
                 BlockFactors::Nd(part) => {
                     let BlockKind::NdBig(nds) = &st.kinds[b] else {
@@ -460,7 +438,6 @@ impl Replay {
                         nds,
                         &blocks,
                         &part.f,
-                        timed,
                         &mut stages,
                         &mut red_len,
                     );
@@ -470,7 +447,6 @@ impl Replay {
         }
         close(&mut run, factors.len(), &mut stages[0]);
 
-        let mut first = 0;
         let stages: Vec<Stage> = stages
             .into_iter()
             .filter(|items| !items.is_empty())
@@ -478,52 +454,24 @@ impl Replay {
                 // Stable, so ties keep block order: the list is the
                 // same on every run.
                 items.sort_by(|x, y| y.flops.total_cmp(&x.flops));
-                let stage = Stage {
+                Stage {
                     flops: items.iter().map(|i| i.flops).sum(),
-                    first,
                     items,
-                };
-                first += stage.items.len();
-                stage
+                }
             })
             .collect();
-        let any_timed = contested.iter().any(Option::is_some);
         Replay {
             diag_vals: vec![0.0; frozen.btf.diag_nnz()],
             red_vals: vec![0.0; red_len],
             nd,
             stages,
             heavy,
-            item_secs: vec![0.0; if any_timed { first } else { 0 }],
         }
     }
 
     /// The blocks whose factors count flops, ascending.
     pub(crate) fn heavy_blocks(&self) -> &[usize] {
         &self.heavy
-    }
-
-    /// Writes the contested blocks' seconds of the last run — the sum
-    /// over each block's items — into their route records.
-    // basker-lint: deny-alloc
-    pub(crate) fn fold_seconds(&self, routes: &mut [BlockRoute]) {
-        if self.item_secs.is_empty() {
-            return;
-        }
-        let timed = || {
-            self.stages.iter().flat_map(|s| {
-                s.items
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(i, item)| item.timed.map(|b| (b, s.first + i)))
-            })
-        };
-        for (b, _) in timed() {
-            routes[b].seconds = 0.0;
-        }
-        for (b, i) in timed() {
-            routes[b].seconds += self.item_secs[i];
-        }
     }
 
     /// Replays the stage list on `team` over the values of `a`, which
@@ -550,7 +498,6 @@ impl Replay {
             red_vals: ItemCell::from_mut_slice(&mut self.red_vals),
             nd: &self.nd,
         };
-        let secs = ItemCell::from_mut_slice(&mut self.item_secs);
         let failed: Mutex<Option<SparseError>> = Mutex::new(None);
         let column_of = |e: &SparseError| match e {
             SparseError::ZeroPivot { column } => *column,
@@ -559,18 +506,10 @@ impl Replay {
         let mut joined = None;
         for stage in &self.stages {
             let run = |i: usize| {
-                let item = &stage.items[i];
-                let t0 = item.timed.map(|_| Instant::now());
                 let outcome = WORKSPACE.with(|ws| {
                     let mut ws = ScrubOnUnwind(ws.borrow_mut());
-                    run_item(&cx, item.work, &mut ws.0)
+                    run_item(&cx, stage.items[i].work, &mut ws.0)
                 });
-                if let Some(t0) = t0 {
-                    // SAFETY: one slot per item, and each item runs once.
-                    unsafe {
-                        *secs[stage.first + i].get_mut_unchecked() = t0.elapsed().as_secs_f64()
-                    };
-                }
                 if let Err(e) = outcome {
                     let mut first = failed.lock().expect("nothing panics under this lock");
                     if first
@@ -624,7 +563,6 @@ impl NdRecord {
         st: &NdStructure,
         blocks: &NdBlocks,
         f: &NdFactors,
-        timed: Option<usize>,
         stages: &mut Vec<Vec<Item>>,
         red_len: &mut usize,
     ) -> NdRecord {
@@ -641,7 +579,7 @@ impl NdRecord {
             if stages.len() <= stage {
                 stages.resize_with(stage + 1, Vec::new);
             }
-            stages[stage].push(Item { work, flops, timed });
+            stages[stage].push(Item { work, flops });
         };
         for v in 0..nn {
             let column = (Work::Column { nd, v }, f.fact_diag[v].flops);
@@ -877,43 +815,11 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
 #[cfg(test)]
 mod tests {
     use super::DISPATCH_BREAK_EVEN_FLOPS;
+    use crate::hybrid::HybridOptions;
     use crate::testmat::*;
-    use crate::{Basker, BlockFactors};
-    use basker_klu::gp::BlockFactor;
+    use crate::Basker;
     use basker_runtime::shared_team;
     use basker_sparse::SparseError;
-
-    /// Every factor value of a numeric, in storage order.
-    fn factor_values(num: &crate::BaskerNumeric) -> Vec<f64> {
-        let mut out = Vec::new();
-        for f in &num.factors {
-            match f {
-                BlockFactors::Gp(BlockFactor::Singleton(pivot)) => out.push(*pivot),
-                BlockFactors::Gp(BlockFactor::Full(blu)) => {
-                    out.extend_from_slice(blu.l.values());
-                    out.extend_from_slice(blu.u.values());
-                }
-                BlockFactors::Sn(sn) => {
-                    out.extend_from_slice(sn.num.l().values());
-                    out.extend_from_slice(sn.num.u().values());
-                }
-                BlockFactors::Nd(part) => {
-                    for blu in &part.f.fact_diag {
-                        out.extend_from_slice(blu.l.values());
-                        out.extend_from_slice(blu.u.values());
-                        for b in &blu.below {
-                            out.extend_from_slice(b.values());
-                        }
-                    }
-                    for panel in part.f.fact_upper.iter().flatten() {
-                        out.extend_from_slice(panel.values());
-                    }
-                }
-            }
-        }
-        out.extend_from_slice(num.offdiag.values());
-        out
-    }
 
     /// After a value-only refresh an ND block solves the new system —
     /// from the recording call and from the replays after it.
@@ -940,51 +846,72 @@ mod tests {
 
     /// Inline on a width-1 team and dispatched on the handle's own, the
     /// replay writes the same bits — on an ND block with a wide
-    /// separator, on an ND block with a tail of tiny blocks and on
-    /// nothing but tiny blocks, under the paper plan and every
-    /// candidate of a classified one — and what it writes solves like
-    /// a fresh factor.
+    /// separator, on an ND block with a tail of tiny blocks, with
+    /// mid-size blocks in between and on nothing but tiny blocks, under
+    /// the paper plan, the classified plan and classified plans whose
+    /// thresholds send the ND-laid-out or the mid-size blocks to the
+    /// supernodal engine — and what it writes solves like a fresh
+    /// factor.
     #[test]
     fn replay_is_bit_identical_at_every_width() {
         let inline = shared_team(1, false);
-        // A matrix of tiny blocks contests nothing: its classified plan
-        // is the paper plan again.
+        // A matrix of tiny blocks classifies to the paper plan again.
         let cases = [
             (grid2d_unsym(32), true),
             (heterogeneous(28, 60), true),
+            (with_mid_blocks(28, 4, 60), true),
             (tiny_blocks(9_000), false),
         ];
         for (a, classify) in cases {
             let a2 = revalued(&a, |v| v * 1.25 + 0.001);
             for p in [1usize, 2, 4] {
-                let handles = match classify {
-                    true => both_plan_kinds(&a, &opts(p, 64), 16).to_vec(),
-                    false => vec![Basker::analyze(&a, &opts(p, 64)).unwrap().into()],
+                let default = HybridOptions {
+                    base: opts(p, 64),
+                    gp_small: 16,
+                    ..HybridOptions::default()
                 };
-                for sym in handles {
-                    let mut k = 0;
-                    while let Some(plan) = sym.probe_plan(k) {
-                        assert!(sym.set_plan(&plan));
-                        let mut serial = sym.factor(&a).unwrap();
-                        let mut team = sym.factor(&a).unwrap();
-                        for m in [&a2, &a, &a2] {
-                            serial.refactor_on(m, &inline).unwrap();
-                            team.refactor(m).unwrap();
-                            assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
-                            assert_eq!(serial.stats.flops, team.stats.flops);
-                        }
-                        assert_solves_like_fresh(&team, &sym.factor(&a2).unwrap(), &a2);
-                        // The comparison means something: past one
-                        // thread, the team's replay of the primary plan
-                        // dispatched stages the other ran inline.
-                        let wide =
-                            team.replay.as_ref().unwrap().stages.iter().filter(|s| {
-                                s.items.len() > 1 && s.flops >= DISPATCH_BREAK_EVEN_FLOPS
-                            });
-                        assert!(p == 1 || k > 0 || wide.count() > 0, "p={p}");
-                        k += 1;
+                let mut handles = vec![Basker::analyze(&a, &default.base).unwrap()];
+                if classify {
+                    let grid_supernodal = HybridOptions {
+                        max_separator_fraction: 0.0,
+                        ..default.clone()
+                    };
+                    let mids_supernodal = HybridOptions {
+                        dense_threshold: 0.0,
+                        ..default.clone()
+                    };
+                    for o in [&default, &grid_supernodal, &mids_supernodal] {
+                        handles.push(classified(&a, o));
                     }
                 }
+                let (mut sn_seen, mut nd_seen) = (0, 0);
+                for (k, sym) in handles.iter().enumerate() {
+                    let mut serial = sym.factor(&a).unwrap();
+                    let mut team = sym.factor(&a).unwrap();
+                    for m in [&a2, &a, &a2] {
+                        serial.refactor_on(m, &inline).unwrap();
+                        team.refactor(m).unwrap();
+                        assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
+                        assert_eq!(serial.stats.flops, team.stats.flops);
+                    }
+                    assert_solves_like_fresh(&team, &sym.factor(&a2).unwrap(), &a2);
+                    sn_seen += team.stats.sn_blocks;
+                    nd_seen += team.stats.nd_blocks;
+                    // The comparison means something: past one thread,
+                    // the team's replay of the paper plan and of the
+                    // default classified one dispatched stages the
+                    // other ran inline.
+                    let wide = team
+                        .replay
+                        .as_ref()
+                        .unwrap()
+                        .stages
+                        .iter()
+                        .filter(|s| s.items.len() > 1 && s.flops >= DISPATCH_BREAK_EVEN_FLOPS);
+                    assert!(p == 1 || k > 1 || wide.count() > 0, "p={p}");
+                }
+                // Supernodal and team items were replayed, not only runs.
+                assert!(!classify || (sn_seen > 0 && nd_seen > 0), "p={p}");
             }
         }
     }

@@ -1,10 +1,7 @@
 //! Factorization statistics reported by the block driver.
 
-use crate::hybrid::BlockRoute;
-
 /// Metrics of one (re)factorization: what the paper's experiments
-/// report (Table I memory, §IV sync overhead, speedups) and what the
-/// routing learner reads.
+/// report (Table I memory, §IV sync overhead, speedups).
 #[derive(Debug, Clone, Default)]
 pub struct BaskerStats {
     /// `|L+U|` over all diagonal blocks plus retained BTF off-diagonals.
@@ -32,10 +29,6 @@ pub struct BaskerStats {
     pub nd_blocks: usize,
     /// Effective thread count (power of two).
     pub threads: usize,
-    /// Per-block routing of a classified plan, one entry per block with
-    /// the contested blocks' wall-clock seconds of the last
-    /// (re)factorization; empty under the paper plan.
-    pub routes: Vec<BlockRoute>,
 }
 
 impl BaskerStats {

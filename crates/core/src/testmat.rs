@@ -1,7 +1,8 @@
 //! Matrices and checks shared by this crate's unit tests.
 
 use crate::hybrid::{HybridLu, HybridOptions};
-use crate::{Basker, BaskerNumeric, BaskerOptions};
+use crate::{Basker, BaskerNumeric, BaskerOptions, BlockFactors};
+use basker_klu::gp::BlockFactor;
 use basker_sparse::spmv::spmv;
 use basker_sparse::util::relative_residual;
 use basker_sparse::{CscMat, SolveWorkspace, TripletMat};
@@ -48,6 +49,31 @@ pub(crate) fn heterogeneous(k: usize, tiny: usize) -> CscMat {
     t.to_csc()
 }
 
+/// [`heterogeneous`] with `mids` irreducible ring blocks of 70, 77, …
+/// rows (above the classifier's default `gp_small`, below the default
+/// `nd_threshold`; sparse, so classified Gilbert–Peierls) between the
+/// grid and the tiny tail.
+pub(crate) fn with_mid_blocks(k: usize, mids: usize, tiny: usize) -> CscMat {
+    let h = heterogeneous(k, tiny);
+    let sizes: Vec<usize> = (0..mids).map(|q| 70 + 7 * q).collect();
+    let n = h.nrows() + sizes.iter().sum::<usize>();
+    let mut t = TripletMat::new(n, n);
+    for (i, j, v) in h.iter() {
+        t.push(i, j, v);
+    }
+    let mut o = h.nrows();
+    for m in sizes {
+        for i in 0..m {
+            t.push(o + i, o + i, 6.0 + (i % 3) as f64);
+            t.push(o + i, o + (i + 1) % m, -1.0);
+            t.push(o + (i + 5) % m, o + i, 0.5);
+        }
+        t.push(7, o + 2, 0.25);
+        o += m;
+    }
+    t.to_csc()
+}
+
 /// Nothing but tiny BTF blocks: `count` two-by-two blocks, each
 /// followed by a singleton, coupled strictly upper-triangular.
 pub(crate) fn tiny_blocks(count: usize) -> CscMat {
@@ -87,16 +113,50 @@ pub(crate) fn opts(nthreads: usize, nd_threshold: usize) -> BaskerOptions {
 
 /// One handle per plan kind over the same options: the paper plan and
 /// the classified plan (tiny blocks up to `gp_small` rows pinned to GP).
-pub(crate) fn both_plan_kinds(a: &CscMat, base: &BaskerOptions, gp_small: usize) -> [HybridLu; 2] {
-    let classified = HybridOptions {
+pub(crate) fn both_plan_kinds(a: &CscMat, base: &BaskerOptions, gp_small: usize) -> [Basker; 2] {
+    let o = HybridOptions {
         base: base.clone(),
         gp_small,
         ..HybridOptions::default()
     };
-    [
-        Basker::analyze(a, base).unwrap().into(),
-        HybridLu::analyze(a, &classified).unwrap(),
-    ]
+    [Basker::analyze(a, base).unwrap(), classified(a, &o)]
+}
+
+/// The driver handle of a plan classified under `o`.
+pub(crate) fn classified(a: &CscMat, o: &HybridOptions) -> Basker {
+    Basker::clone(&HybridLu::analyze(a, o).unwrap())
+}
+
+/// Every factor value of a numeric, in storage order.
+pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
+    let mut out = Vec::new();
+    for f in &num.factors {
+        match f {
+            BlockFactors::Gp(BlockFactor::Singleton(pivot)) => out.push(*pivot),
+            BlockFactors::Gp(BlockFactor::Full(blu)) => {
+                out.extend_from_slice(blu.l.values());
+                out.extend_from_slice(blu.u.values());
+            }
+            BlockFactors::Sn(sn) => {
+                out.extend_from_slice(sn.num.l().values());
+                out.extend_from_slice(sn.num.u().values());
+            }
+            BlockFactors::Nd(part) => {
+                for blu in &part.f.fact_diag {
+                    out.extend_from_slice(blu.l.values());
+                    out.extend_from_slice(blu.u.values());
+                    for b in &blu.below {
+                        out.extend_from_slice(b.values());
+                    }
+                }
+                for panel in part.f.fact_upper.iter().flatten() {
+                    out.extend_from_slice(panel.values());
+                }
+            }
+        }
+    }
+    out.extend_from_slice(num.offdiag.values());
+    out
 }
 
 pub(crate) fn solve(num: &BaskerNumeric, b: &[f64]) -> Vec<f64> {
@@ -113,7 +173,7 @@ pub(crate) fn check_solve(num: &BaskerNumeric, a: &CscMat, tol: f64) {
     assert!(res < tol, "residual {res}");
 }
 
-/// The refactor contract under `sym`'s active plan: after `factor(a)`,
+/// The refactor contract under `sym`'s plan: after `factor(a)`,
 /// a value-only `refactor(a2)` solves like a fresh `factor(a2)`.
 pub(crate) fn assert_refactor_matches_factor(sym: &Basker, a: &CscMat) {
     let a2 = revalued(a, |v| v * 1.25 + 0.001);

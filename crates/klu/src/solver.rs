@@ -9,7 +9,7 @@
 use crate::gp::{BlockFactor, RefactorWorkspace};
 use basker_ordering::amd::amd_order;
 use basker_ordering::btf::btf_form_with;
-use basker_sparse::blocks::extract_range;
+use basker_sparse::blocks::{extract_range, upper_block_part};
 use basker_sparse::trisolve::push_columns;
 use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
 use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
@@ -181,29 +181,6 @@ impl KluSymbolic {
             ws: RefactorWorkspace::new(),
         })
     }
-}
-
-/// Extracts the strictly-upper-block part of a permuted matrix (the BTF
-/// couplings that feed the block back-substitution).
-fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
-    let n = ap.ncols();
-    let mut colptr = Vec::with_capacity(n + 1);
-    let mut rowind = Vec::new();
-    let mut values = Vec::new();
-    colptr.push(0);
-    for j in 0..n {
-        for (i, v) in ap.col_iter(j) {
-            if block_of[i] < block_of[j] {
-                rowind.push(i);
-                values.push(v);
-            }
-        }
-        colptr.push(rowind.len());
-    }
-    // SAFETY: `col_iter` yields strictly ascending in-bounds rows; the
-    // filter keeps that order and `colptr` tracks `rowind.len()` per
-    // column.
-    unsafe { CscMat::from_parts_unchecked(n, n, colptr, rowind, values) }
 }
 
 /// Numeric LU factors over the BTF structure.

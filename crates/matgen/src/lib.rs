@@ -32,5 +32,5 @@ pub mod xyce_seq;
 pub use circuit::{circuit, CircuitParams};
 pub use mesh::{mesh2d, mesh3d};
 pub use powergrid::{powergrid, PowergridParams};
-pub use suite::{mesh_suite, table1_suite, Scale, SuiteEntry};
+pub use suite::{mesh_suite, table1_suite, SuiteEntry};
 pub use xyce_seq::{XyceSequence, XyceSequenceParams};

@@ -1,10 +1,10 @@
-//! The benchmark suites: synthetic analogues of the paper's Table I
+//! The test suites: synthetic analogues of the paper's Table I
 //! (circuit/powergrid matrices) and Table II (2/3-D mesh problems).
 //!
-//! Every entry records the paper's reported statistics for the original
-//! matrix next to a generator reproducing its *class* — BTF regime, fill
-//! regime, pattern irregularity — at a container-friendly size (see
-//! DESIGN.md §3 for why class fidelity is the right substitution).
+//! Every entry is a generator reproducing the *class* of one of the
+//! paper's matrices — BTF regime, fill regime, pattern irregularity — at
+//! a size a unit test factors in milliseconds (n ≈ 200–800); Table I's
+//! order, by increasing fill density of the original, is kept.
 
 use crate::circuit::{circuit, CircuitParams};
 use crate::mesh::{mesh2d, mesh3d};
@@ -13,56 +13,17 @@ use basker_sparse::{CscMat, TripletMat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Generation size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Tiny instances for unit/integration tests (n ≈ 200–800).
-    Test,
-    /// Instances for the benchmark harness (n ≈ 2 000–12 000).
-    Bench,
-}
-
-impl Scale {
-    fn pick(self, test: usize, bench: usize) -> usize {
-        match self {
-            Scale::Test => test,
-            Scale::Bench => bench,
-        }
-    }
-}
-
-/// The paper's reported statistics for the original matrix (Table I).
-#[derive(Debug, Clone, Copy)]
-pub struct PaperRow {
-    /// Dimension.
-    pub n: f64,
-    /// Nonzeros of `A`.
-    pub nnz: f64,
-    /// KLU fill density `|L+U|/|A|`.
-    pub fill_klu: f64,
-    /// Percent of rows in small BTF blocks.
-    pub btf_pct: f64,
-    /// Number of BTF blocks.
-    pub btf_blocks: f64,
-}
-
-/// One suite entry: name, paper statistics, generator.
+/// One suite entry: name and generator.
 pub struct SuiteEntry {
     /// Matrix name, suffixed `_like` to signal it is a synthetic analogue.
     pub name: &'static str,
-    /// The paper's reported statistics for the original.
-    pub paper: PaperRow,
-    /// `true` for the high-fill group below Table I's double line.
-    pub high_fill: bool,
-    /// `true` when the entry is one of the six matrices of Figs. 5/6.
-    pub fig56: bool,
-    gen: Box<dyn Fn(Scale) -> CscMat + Send + Sync>,
+    gen: fn() -> CscMat,
 }
 
 impl SuiteEntry {
-    /// Generates the analogue at the given scale.
-    pub fn generate(&self, scale: Scale) -> CscMat {
-        (self.gen)(scale)
+    /// Generates the analogue.
+    pub fn generate(&self) -> CscMat {
+        (self.gen)()
     }
 }
 
@@ -122,485 +83,167 @@ fn cp(
 /// The Table I analogue suite, ordered by increasing paper fill density.
 pub fn table1_suite() -> Vec<SuiteEntry> {
     let mut v: Vec<SuiteEntry> = Vec::new();
-    let mut push = |name: &'static str,
-                    paper: PaperRow,
-                    high_fill: bool,
-                    fig56: bool,
-                    gen: Box<dyn Fn(Scale) -> CscMat + Send + Sync>| {
-        v.push(SuiteEntry {
-            name,
-            paper,
-            high_fill,
-            fig56,
-            gen,
-        });
-    };
+    let mut push = |name: &'static str, gen: fn() -> CscMat| v.push(SuiteEntry { name, gen });
 
     // --- low fill-in group (fill density < 4) ---
-    push(
-        "RS_b39c30_like",
-        PaperRow {
-            n: 6.0e4,
-            nnz: 1.1e6,
-            fill_klu: 0.6,
-            btf_pct: 100.0,
-            btf_blocks: 3e3,
-        },
-        false,
-        false,
-        Box::new(|s| {
-            powergrid(&PowergridParams {
-                nfeeders: s.pick(20, 300),
-                feeder_len: s.pick(16, 48),
-                loop_prob: 0.25,
-                seed: 101,
-            })
-        }),
-    );
-    push(
-        "RS_b678c2_like",
-        PaperRow {
-            n: 3.6e4,
-            nnz: 8.8e6,
-            fill_klu: 0.7,
-            btf_pct: 100.0,
-            btf_blocks: 271.0,
-        },
-        false,
-        false,
-        Box::new(|s| {
-            powergrid(&PowergridParams {
-                nfeeders: s.pick(6, 60),
-                feeder_len: s.pick(60, 200),
-                loop_prob: 0.45,
-                seed: 102,
-            })
-        }),
-    );
-    push(
-        "Power0_like",
-        PaperRow {
-            n: 9.8e4,
-            nnz: 4.8e5,
-            fill_klu: 1.3,
-            btf_pct: 100.0,
-            btf_blocks: 7.7e3,
-        },
-        false,
-        true,
-        Box::new(|s| {
-            powergrid(&PowergridParams {
-                nfeeders: s.pick(24, 400),
-                feeder_len: s.pick(20, 60),
-                loop_prob: 0.1,
-                seed: 103,
-            })
-        }),
-    );
-    push(
-        "circuit5M_like",
-        PaperRow {
-            n: 5.6e6,
-            nnz: 6.0e7,
-            fill_klu: 1.3,
-            btf_pct: 0.0,
-            btf_blocks: 1.0,
-        },
-        false,
-        false,
-        Box::new(|s| circuit(&cp(s.pick(4, 24), s.pick(100, 360), 1.0, true, 2.2, 104))),
-    );
-    push(
-        "memplus_like",
-        PaperRow {
-            n: 1.2e4,
-            nnz: 9.9e4,
-            fill_klu: 1.4,
-            btf_pct: 0.1,
-            btf_blocks: 23.0,
-        },
-        false,
-        false,
-        Box::new(|s| circuit(&cp(s.pick(3, 12), s.pick(130, 400), 0.95, true, 2.0, 105))),
-    );
-    push(
-        "rajat21_like",
-        PaperRow {
-            n: 4.1e5,
-            nnz: 1.9e6,
-            fill_klu: 1.5,
-            btf_pct: 2.0,
-            btf_blocks: 5.9e3,
-        },
-        false,
-        true,
-        Box::new(|s| {
-            let big = circuit(&cp(s.pick(3, 16), s.pick(120, 400), 1.0, true, 2.2, 106));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(4, 16),
-                feeder_len: s.pick(8, 16),
-                loop_prob: 0.1,
-                seed: 106,
-            });
-            compose(&[big, tail], 30, 106)
-        }),
-    );
-    push(
-        "trans5_like",
-        PaperRow {
-            n: 1.2e5,
-            nnz: 7.5e5,
-            fill_klu: 1.6,
-            btf_pct: 0.0,
-            btf_blocks: 1.0,
-        },
-        false,
-        false,
-        Box::new(|s| circuit(&cp(s.pick(4, 20), s.pick(90, 320), 1.0, true, 2.4, 107))),
-    );
-    push(
-        "circuit_4_like",
-        PaperRow {
-            n: 8.0e4,
-            nnz: 3.1e5,
-            fill_klu: 1.6,
-            btf_pct: 34.8,
-            btf_blocks: 2.8e4,
-        },
-        false,
-        false,
-        Box::new(|s| {
-            let big = circuit(&cp(s.pick(3, 12), s.pick(90, 340), 1.0, true, 2.2, 108));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(10, 60),
-                feeder_len: s.pick(15, 36),
-                loop_prob: 0.1,
-                seed: 108,
-            });
-            compose(&[big, tail], 40, 108)
-        }),
-    );
-    push(
-        "Xyce0_like",
-        PaperRow {
-            n: 6.8e5,
-            nnz: 3.9e6,
-            fill_klu: 1.8,
-            btf_pct: 85.0,
-            btf_blocks: 5.8e5,
-        },
-        false,
-        false,
-        Box::new(|s| {
-            let big = circuit(&cp(2, s.pick(80, 600), 1.0, true, 2.2, 109));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(30, 340),
-                feeder_len: s.pick(12, 24),
-                loop_prob: 0.08,
-                seed: 109,
-            });
-            compose(&[big, tail], 50, 109)
-        }),
-    );
-    push(
-        "Xyce4_like",
-        PaperRow {
-            n: 6.2e6,
-            nnz: 7.3e7,
-            fill_klu: 2.0,
-            btf_pct: 12.0,
-            btf_blocks: 7.5e5,
-        },
-        false,
-        false,
-        Box::new(|s| {
-            let big = circuit(&cp(s.pick(3, 14), s.pick(100, 360), 1.0, true, 2.6, 122));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(5, 26),
-                feeder_len: s.pick(10, 22),
-                loop_prob: 0.1,
-                seed: 122,
-            });
-            compose(&[big, tail], 30, 122)
-        }),
-    );
-    push(
-        "Xyce1_like",
-        PaperRow {
-            n: 4.3e5,
-            nnz: 2.4e6,
-            fill_klu: 2.4,
-            btf_pct: 21.0,
-            btf_blocks: 9.9e4,
-        },
-        false,
-        false,
-        Box::new(|s| {
-            let big = circuit(&cp(s.pick(3, 14), s.pick(110, 380), 1.0, true, 2.8, 110));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(8, 40),
-                feeder_len: s.pick(12, 28),
-                loop_prob: 0.12,
-                seed: 110,
-            });
-            compose(&[big, tail], 35, 110)
-        }),
-    );
-    push(
-        "asic_680ks_like",
-        PaperRow {
-            n: 6.8e5,
-            nnz: 1.7e6,
-            fill_klu: 2.6,
-            btf_pct: 86.0,
-            btf_blocks: 5.8e5,
-        },
-        false,
-        true,
-        Box::new(|s| {
-            let big = circuit(&cp(2, s.pick(70, 600), 1.0, true, 2.6, 111));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(28, 320),
-                feeder_len: s.pick(12, 26),
-                loop_prob: 0.1,
-                seed: 111,
-            });
-            compose(&[big, tail], 45, 111)
-        }),
-    );
-    push(
-        "bcircuit_like",
-        PaperRow {
-            n: 6.9e4,
-            nnz: 3.8e5,
-            fill_klu: 2.8,
-            btf_pct: 0.0,
-            btf_blocks: 1.0,
-        },
-        false,
-        false,
-        Box::new(|s| circuit(&cp(s.pick(4, 18), s.pick(100, 330), 1.0, true, 3.0, 112))),
-    );
-    push(
-        "scircuit_like",
-        PaperRow {
-            n: 1.7e5,
-            nnz: 9.6e5,
-            fill_klu: 2.8,
-            btf_pct: 0.3,
-            btf_blocks: 48.0,
-        },
-        false,
-        false,
-        Box::new(|s| circuit(&cp(s.pick(4, 18), s.pick(110, 350), 0.97, true, 3.0, 113))),
-    );
-    push(
-        "hvdc2_like",
-        PaperRow {
-            n: 1.9e5,
-            nnz: 1.3e6,
-            fill_klu: 2.8,
-            btf_pct: 100.0,
-            btf_blocks: 67.0,
-        },
-        false,
-        true,
-        Box::new(|s| {
-            // Dozens of medium blocks, feed-forward coupled.
-            let nblk = s.pick(8, 32);
-            let parts: Vec<CscMat> = (0..nblk)
-                .map(|i| circuit(&cp(1, s.pick(48, 280), 1.0, true, 2.5, 114 + i as u64)))
-                .collect();
-            compose(&parts, 3 * nblk, 114)
-        }),
-    );
-    push(
-        "Freescale1_like",
-        PaperRow {
-            n: 3.4e6,
-            nnz: 1.7e7,
-            fill_klu: 4.1,
-            btf_pct: 0.0,
-            btf_blocks: 1.0,
-        },
-        false,
-        true,
-        Box::new(|s| circuit(&cp(s.pick(4, 16), s.pick(110, 400), 1.0, true, 3.6, 115))),
-    );
+    push("RS_b39c30_like", || {
+        powergrid(&PowergridParams {
+            nfeeders: 20,
+            feeder_len: 16,
+            loop_prob: 0.25,
+            seed: 101,
+        })
+    });
+    push("RS_b678c2_like", || {
+        powergrid(&PowergridParams {
+            nfeeders: 6,
+            feeder_len: 60,
+            loop_prob: 0.45,
+            seed: 102,
+        })
+    });
+    push("Power0_like", || {
+        powergrid(&PowergridParams {
+            nfeeders: 24,
+            feeder_len: 20,
+            loop_prob: 0.1,
+            seed: 103,
+        })
+    });
+    push("circuit5M_like", || {
+        circuit(&cp(4, 100, 1.0, true, 2.2, 104))
+    });
+    push("memplus_like", || {
+        circuit(&cp(3, 130, 0.95, true, 2.0, 105))
+    });
+    push("rajat21_like", || {
+        let big = circuit(&cp(3, 120, 1.0, true, 2.2, 106));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 4,
+            feeder_len: 8,
+            loop_prob: 0.1,
+            seed: 106,
+        });
+        compose(&[big, tail], 30, 106)
+    });
+    push("trans5_like", || circuit(&cp(4, 90, 1.0, true, 2.4, 107)));
+    push("circuit_4_like", || {
+        let big = circuit(&cp(3, 90, 1.0, true, 2.2, 108));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 10,
+            feeder_len: 15,
+            loop_prob: 0.1,
+            seed: 108,
+        });
+        compose(&[big, tail], 40, 108)
+    });
+    push("Xyce0_like", || {
+        let big = circuit(&cp(2, 80, 1.0, true, 2.2, 109));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 30,
+            feeder_len: 12,
+            loop_prob: 0.08,
+            seed: 109,
+        });
+        compose(&[big, tail], 50, 109)
+    });
+    push("Xyce4_like", || {
+        let big = circuit(&cp(3, 100, 1.0, true, 2.6, 122));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 5,
+            feeder_len: 10,
+            loop_prob: 0.1,
+            seed: 122,
+        });
+        compose(&[big, tail], 30, 122)
+    });
+    push("Xyce1_like", || {
+        let big = circuit(&cp(3, 110, 1.0, true, 2.8, 110));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 8,
+            feeder_len: 12,
+            loop_prob: 0.12,
+            seed: 110,
+        });
+        compose(&[big, tail], 35, 110)
+    });
+    push("asic_680ks_like", || {
+        let big = circuit(&cp(2, 70, 1.0, true, 2.6, 111));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 28,
+            feeder_len: 12,
+            loop_prob: 0.1,
+            seed: 111,
+        });
+        compose(&[big, tail], 45, 111)
+    });
+    push("bcircuit_like", || {
+        circuit(&cp(4, 100, 1.0, true, 3.0, 112))
+    });
+    push("scircuit_like", || {
+        circuit(&cp(4, 110, 0.97, true, 3.0, 113))
+    });
+    push("hvdc2_like", || {
+        // Dozens of medium blocks, feed-forward coupled.
+        let nblk = 8;
+        let parts: Vec<CscMat> = (0..nblk)
+            .map(|i| circuit(&cp(1, 48, 1.0, true, 2.5, 114 + i as u64)))
+            .collect();
+        compose(&parts, 3 * nblk, 114)
+    });
+    push("Freescale1_like", || {
+        circuit(&cp(4, 110, 1.0, true, 3.6, 115))
+    });
 
     // --- high fill-in group (fill density > 4) ---
-    push(
-        "hcircuit_like",
-        PaperRow {
-            n: 1.1e5,
-            nnz: 5.1e5,
-            fill_klu: 6.9,
-            btf_pct: 13.0,
-            btf_blocks: 1.4e3,
-        },
-        true,
-        false,
-        Box::new(|s| {
-            let big = circuit(&cp(s.pick(2, 6), s.pick(130, 420), 1.0, false, 2.0, 116));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(4, 20),
-                feeder_len: s.pick(10, 20),
-                loop_prob: 0.1,
-                seed: 116,
-            });
-            compose(&[big, tail], 25, 116)
-        }),
-    );
-    push(
-        "Xyce3_like",
-        PaperRow {
-            n: 1.9e6,
-            nnz: 9.5e6,
-            fill_klu: 9.2,
-            btf_pct: 20.0,
-            btf_blocks: 4.0e5,
-        },
-        true,
-        true,
-        Box::new(|s| {
-            let big = circuit(&cp(s.pick(2, 5), s.pick(160, 520), 1.0, false, 2.4, 117));
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(6, 30),
-                feeder_len: s.pick(10, 22),
-                loop_prob: 0.1,
-                seed: 117,
-            });
-            compose(&[big, tail], 25, 117)
-        }),
-    );
-    push(
-        "memchip_like",
-        PaperRow {
-            n: 2.7e6,
-            nnz: 1.3e7,
-            fill_klu: 9.9,
-            btf_pct: 0.0,
-            btf_blocks: 1.0,
-        },
-        true,
-        false,
-        Box::new(|s| circuit(&cp(s.pick(2, 5), s.pick(170, 560), 1.0, false, 2.6, 118))),
-    );
-    push(
-        "G2_Circuit_like",
-        PaperRow {
-            n: 1.5e5,
-            nnz: 7.3e5,
-            fill_klu: 27.7,
-            btf_pct: 0.0,
-            btf_blocks: 1.0,
-        },
-        true,
-        false,
-        Box::new(|s| mesh2d(s.pick(22, 90), 119)),
-    );
-    push(
-        "twotone_like",
-        PaperRow {
-            n: 1.2e5,
-            nnz: 1.2e6,
-            fill_klu: 39.9,
-            btf_pct: 0.0,
-            btf_blocks: 5.0,
-        },
-        true,
-        false,
-        Box::new(|s| mesh3d(s.pick(8, 19), 120)),
-    );
-    push(
-        "onetone1_like",
-        PaperRow {
-            n: 3.6e4,
-            nnz: 3.4e5,
-            fill_klu: 40.8,
-            btf_pct: 1.1,
-            btf_blocks: 203.0,
-        },
-        true,
-        false,
-        Box::new(|s| {
-            let big = mesh3d(s.pick(7, 17), 121);
-            let tail = powergrid(&PowergridParams {
-                nfeeders: s.pick(3, 10),
-                feeder_len: s.pick(8, 14),
-                loop_prob: 0.1,
-                seed: 121,
-            });
-            compose(&[big, tail], 12, 121)
-        }),
-    );
+    push("hcircuit_like", || {
+        let big = circuit(&cp(2, 130, 1.0, false, 2.0, 116));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 4,
+            feeder_len: 10,
+            loop_prob: 0.1,
+            seed: 116,
+        });
+        compose(&[big, tail], 25, 116)
+    });
+    push("Xyce3_like", || {
+        let big = circuit(&cp(2, 160, 1.0, false, 2.4, 117));
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 6,
+            feeder_len: 10,
+            loop_prob: 0.1,
+            seed: 117,
+        });
+        compose(&[big, tail], 25, 117)
+    });
+    push("memchip_like", || {
+        circuit(&cp(2, 170, 1.0, false, 2.6, 118))
+    });
+    push("G2_Circuit_like", || mesh2d(22, 119));
+    push("twotone_like", || mesh3d(8, 120));
+    push("onetone1_like", || {
+        let big = mesh3d(7, 121);
+        let tail = powergrid(&PowergridParams {
+            nfeeders: 3,
+            feeder_len: 8,
+            loop_prob: 0.1,
+            seed: 121,
+        });
+        compose(&[big, tail], 12, 121)
+    });
     v
 }
 
 /// The Table II analogue suite: 2/3-D mesh problems, PMKL's ideal inputs.
 pub fn mesh_suite() -> Vec<SuiteEntry> {
     let mut v: Vec<SuiteEntry> = Vec::new();
-    let mut push = |name: &'static str,
-                    n: f64,
-                    nnz: f64,
-                    lu: f64,
-                    gen: Box<dyn Fn(Scale) -> CscMat + Send + Sync>| {
-        v.push(SuiteEntry {
-            name,
-            paper: PaperRow {
-                n,
-                nnz,
-                fill_klu: lu / nnz,
-                btf_pct: 0.0,
-                btf_blocks: 1.0,
-            },
-            high_fill: true,
-            fig56: false,
-            gen,
-        });
-    };
-    push(
-        "pwtk_like",
-        2.2e5,
-        1.2e7,
-        9.7e7,
-        Box::new(|s| mesh2d(s.pick(24, 95), 201)),
-    );
-    push(
-        "ecology_like",
-        1.0e6,
-        5.0e6,
-        7.1e7,
-        Box::new(|s| mesh2d(s.pick(26, 105), 202)),
-    );
-    push(
-        "apache2_like",
-        7.2e5,
-        4.8e6,
-        2.8e8,
-        Box::new(|s| mesh3d(s.pick(9, 20), 203)),
-    );
-    push(
-        "bmwcra1_like",
-        1.5e5,
-        1.1e7,
-        1.4e8,
-        Box::new(|s| mesh3d(s.pick(8, 18), 204)),
-    );
-    push(
-        "parabolic_fem_like",
-        5.3e5,
-        3.7e6,
-        5.2e7,
-        Box::new(|s| mesh2d(s.pick(23, 88), 205)),
-    );
-    push(
-        "helm2d03_like",
-        3.9e5,
-        2.7e6,
-        3.7e7,
-        Box::new(|s| mesh2d(s.pick(21, 80), 206)),
-    );
+    let mut push = |name: &'static str, gen: fn() -> CscMat| v.push(SuiteEntry { name, gen });
+    push("pwtk_like", || mesh2d(24, 201));
+    push("ecology_like", || mesh2d(26, 202));
+    push("apache2_like", || mesh3d(9, 203));
+    push("bmwcra1_like", || mesh3d(8, 204));
+    push("parabolic_fem_like", || mesh2d(23, 205));
+    push("helm2d03_like", || mesh2d(21, 206));
     v
 }
 
@@ -612,7 +255,7 @@ mod tests {
     #[test]
     fn all_table1_entries_generate_and_are_nonsingular() {
         for e in table1_suite() {
-            let a = e.generate(Scale::Test);
+            let a = e.generate();
             assert!(a.nrows() >= 200, "{} too small: {}", e.name, a.nrows());
             assert!(a.nrows() <= 2500, "{} too big: {}", e.name, a.nrows());
             assert!(
@@ -627,18 +270,17 @@ mod tests {
     fn suite_has_expected_structure() {
         let s = table1_suite();
         assert_eq!(s.len(), 22);
-        assert_eq!(s.iter().filter(|e| e.fig56).count(), 6);
-        assert!(s.iter().filter(|e| e.high_fill).count() >= 6);
-        // paper fill densities ascend (the table's sort order)
-        for w in s.windows(2) {
-            assert!(w[0].paper.fill_klu <= w[1].paper.fill_klu);
-        }
+        // Table I's order: the lowest- and the highest-fill originals.
+        assert_eq!(s[0].name, "RS_b39c30_like");
+        assert_eq!(s[21].name, "onetone1_like");
+        let names: std::collections::HashSet<_> = s.iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), 22, "names are unique");
     }
 
     #[test]
     fn mesh_suite_generates() {
         for e in mesh_suite() {
-            let a = e.generate(Scale::Test);
+            let a = e.generate();
             assert!(max_transversal(&a).is_perfect(), "{}", e.name);
         }
     }

@@ -672,9 +672,7 @@ pub fn step_response(result: &Result<StepResult, SolverError>) -> Response {
 /// ignoring values): two matrices of the same pattern hash identically,
 /// which is the property the router shards on — same-pattern streams
 /// co-locate on one shard and share its symbolic analysis and
-/// workspace pools. The same hash keys the session layer's learned
-/// block-routing cache, so a shard's sibling streams inherit measured
-/// routings too.
+/// workspace pools.
 pub use basker_sparse::metrics::pattern_hash;
 
 #[cfg(test)]

@@ -37,6 +37,31 @@ pub fn extract_range(a: &CscMat, rows: Range<usize>, cols: Range<usize>) -> CscM
     unsafe { CscMat::from_parts_unchecked(nr, nc, colptr, rowind, values) }
 }
 
+/// Extracts the strictly-upper-block part of a BTF-permuted matrix: the
+/// entries whose row lies in an earlier diagonal block than their column
+/// (`block_of[i]` is the block of permuted index `i`) — the couplings
+/// that feed the block back-substitution. Same shape as `ap`.
+pub fn upper_block_part(ap: &CscMat, block_of: &[usize]) -> CscMat {
+    let n = ap.ncols();
+    let mut colptr = Vec::with_capacity(n + 1);
+    let mut rowind = Vec::new();
+    let mut values = Vec::new();
+    colptr.push(0);
+    for j in 0..n {
+        for (i, v) in ap.col_iter(j) {
+            if block_of[i] < block_of[j] {
+                rowind.push(i);
+                values.push(v);
+            }
+        }
+        colptr.push(rowind.len());
+    }
+    // SAFETY: `col_iter` yields strictly ascending in-bounds rows; the
+    // filter keeps that order and `colptr` tracks `rowind.len()` per
+    // column.
+    unsafe { CscMat::from_parts_unchecked(n, n, colptr, rowind, values) }
+}
+
 /// Extracts `A[rows, cols]` for arbitrary index sets (must be duplicate
 /// free); result entry `(i, j)` is `A[rows[i], cols[j]]`.
 pub fn extract_general(a: &CscMat, rows: &[usize], cols: &[usize]) -> CscMat {
@@ -125,6 +150,25 @@ mod tests {
         let b = extract_range(&a, 2..2, 0..4);
         assert_eq!(b.nrows(), 0);
         assert_eq!(b.nnz(), 0);
+    }
+
+    #[test]
+    fn upper_block_part_keeps_only_earlier_block_rows() {
+        // Blocks {0}, {1, 2}, {3}; upper block triangular.
+        let ap = CscMat::from_dense(&[
+            vec![1.0, 2.0, 0.0, 3.0],
+            vec![0.0, 4.0, 5.0, 6.0],
+            vec![0.0, 7.0, 8.0, 9.0],
+            vec![0.0, 0.0, 0.0, 1.5],
+        ]);
+        let u = upper_block_part(&ap, &[0, 1, 1, 2]);
+        assert_eq!((u.nrows(), u.ncols()), (4, 4));
+        // Column 0 has nothing above its block and column 2 only
+        // entries inside its own: both come out empty.
+        assert_eq!(u.colptr(), &[0, 0, 1, 1, 4]);
+        // Rows stay ascending; the diagonal blocks' entries are gone.
+        assert_eq!(u.rowind(), &[0, 0, 1, 2]);
+        assert_eq!(u.values(), &[2.0, 3.0, 6.0, 9.0]);
     }
 
     #[test]

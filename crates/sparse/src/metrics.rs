@@ -15,11 +15,9 @@ use crate::CscMat;
 /// FNV-1a over the sparsity pattern (dimensions + colptr + rowind),
 /// ignoring values: two matrices of the same pattern hash identically.
 ///
-/// This is the property both routing layers key on — the serving tier
-/// co-locates same-pattern streams on one shard (shared symbolic
-/// analysis and workspace pools), and the session layer's learned
-/// block-routing cache lets sibling same-pattern streams inherit a
-/// measured per-block plan without re-probing.
+/// This is the property the serving tier routes on: it co-locates
+/// same-pattern streams on one shard (shared symbolic analysis and
+/// workspace pools).
 pub fn pattern_hash(m: &CscMat) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     let mut eat = |x: u64| {

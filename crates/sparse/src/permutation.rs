@@ -115,16 +115,6 @@ impl Perm {
         }
     }
 
-    /// Scatters into a vector: `y[inv[k]] = x[k]`, i.e. applies the inverse.
-    pub fn apply_inv_vec<T: Copy + Default>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.perm.len());
-        let mut y = vec![T::default(); x.len()];
-        for (new, &old) in self.perm.iter().enumerate() {
-            y[old] = x[new];
-        }
-        y
-    }
-
     /// Row-permutes: returns `P·A` (row `k` of the result is row `perm[k]`
     /// of `A`).
     pub fn permute_rows(&self, a: &CscMat) -> CscMat {
@@ -206,7 +196,9 @@ mod tests {
         let x = [10.0, 20.0, 30.0];
         assert_eq!(p.apply_vec(&x), vec![30.0, 10.0, 20.0]);
         let y = p.apply_vec(&x);
-        assert_eq!(p.apply_inv_vec(&y), x.to_vec());
+        let mut back = [0.0; 3];
+        p.apply_inv_vec_into(&y, &mut back);
+        assert_eq!(back, x);
     }
 
     #[test]

@@ -38,14 +38,14 @@
 pub mod prelude {
     pub use basker::{Basker, BaskerNumeric, BaskerOptions, BaskerStats, SyncMode};
     pub use basker_api::{
-        Engine, FactorQuality, Factorization, LinearSolver, LuNumeric, ReusePolicy,
-        SchedulingPolicy, ServiceConfig, ServiceStats, SessionConfig, SessionState, SessionStats,
-        SolveQuality, SolveSession, SolverConfig, SolverError, SolverService, SolverStats,
-        SparseLuSolver, StepResult, StepTicket, StreamHandle, StreamStats,
+        Engine, FactorQuality, Factorization, LinearSolver, LuNumeric, ReusePolicy, ServiceConfig,
+        ServiceStats, SessionConfig, SessionState, SessionStats, SolveQuality, SolveSession,
+        SolverConfig, SolverError, SolverService, SolverStats, SparseLuSolver, StepResult,
+        StepTicket, StreamHandle, StreamStats,
     };
     pub use basker_klu::{KluNumeric, KluOptions, KluSymbolic};
     pub use basker_matgen::{
-        circuit, mesh2d, mesh3d, powergrid, CircuitParams, PowergridParams, Scale, XyceSequence,
+        circuit, mesh2d, mesh3d, powergrid, CircuitParams, PowergridParams, XyceSequence,
         XyceSequenceParams,
     };
     pub use basker_snlu::{Snlu, SnluNumeric, SnluOptions};

@@ -3,7 +3,6 @@
 
 mod common;
 
-use basker::symbolic::SymbolicEstimates;
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
 use common::solve_fresh as solved;
@@ -133,14 +132,4 @@ fn stats_reflect_structure() {
     assert_eq!(num.stats.threads, 2);
     assert!(num.stats.lu_nnz > 0);
     assert!(num.total_storage_nnz() > num.lu_nnz());
-    // symbolic estimates (Alg. 3, on demand) exist for the ND block
-    let st = sym.structure();
-    let ap = Perm::permute_both(&st.row_perm, &st.col_perm, &a);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .unwrap();
-    let est = SymbolicEstimates::compute(&ap, st, &pool);
-    assert_eq!(est.nd.iter().filter(|e| e.is_some()).count(), 1);
-    assert!(est.nd_total_est > 0);
 }

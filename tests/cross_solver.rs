@@ -4,6 +4,7 @@
 
 mod common;
 
+use basker::hybrid::{HybridLu, HybridOptions};
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
 use basker_sparse::util::approx_eq_vec;
@@ -75,8 +76,9 @@ fn agreement_on_mesh3d() {
 
 /// A circuit, then one irreducible mesh block, then a run of 1×1
 /// blocks, coupled strictly upper-triangular: every block kind the
-/// driver has (fine-BTF GP blocks, an ND block, and — under the hybrid
-/// engine's runner-up plan — a supernodal block) in one matrix.
+/// driver has (fine-BTF GP blocks, an ND block, and — under a
+/// classified plan whose thresholds send it there — a supernodal
+/// block) in one matrix.
 fn circuit_with_mesh_tail() -> CscMat {
     let c = circuit(&CircuitParams {
         nsub: 4,
@@ -116,6 +118,49 @@ fn packed_rhs(n: usize, k: usize) -> Vec<f64> {
         .collect()
 }
 
+/// The panel solves of `num` against its own single solves, for every
+/// panel width and remainder.
+fn check_panels(num: &impl LuNumeric, n: usize, by_column: bool, what: &str) {
+    let mut ws = SolveWorkspace::new();
+    for k in [1usize, 2, 3, 7, 8, 9, 17] {
+        let at = format!("{what}, k = {k}");
+        let b = packed_rhs(n, k);
+        let mut panel = b.clone();
+        let sweeps = num.solve_multi_in_place(&mut panel, &mut ws).unwrap();
+        match by_column {
+            true => assert_eq!(sweeps, k, "{at}"),
+            false => assert_eq!(sweeps, k / 8 + (k % 8).count_ones() as usize, "{at}"),
+        }
+        // Repeatable bit for bit on the same factors.
+        let mut again = b.clone();
+        num.solve_multi_in_place(&mut again, &mut ws).unwrap();
+        assert_eq!(panel, again, "{at}: not repeatable");
+        for c in 0..k {
+            let mut x = b[c * n..(c + 1) * n].to_vec();
+            num.solve_in_place(&mut x, &mut ws).unwrap();
+            let got = &panel[c * n..(c + 1) * n];
+            if k == 1 {
+                assert_eq!(got, &x[..], "{at}: k = 1 is the single solve");
+            }
+            let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for i in 0..n {
+                assert!(
+                    (got[i] - x[i]).abs() <= 1e-12 * scale,
+                    "{at}: column {c} row {i}: {} vs {}",
+                    got[i],
+                    x[i]
+                );
+            }
+        }
+    }
+    // A ragged block is an error through the trait...
+    let mut ragged = vec![1.0; 2 * n + 1];
+    assert!(matches!(
+        num.solve_multi_in_place(&mut ragged, &mut ws),
+        Err(SolverError::Sparse(SparseError::DimensionMismatch { .. }))
+    ));
+}
+
 /// The panel solve against the same factors' single solves, for every
 /// panel width and remainder, engine, block kind and team width.
 #[test]
@@ -133,76 +178,53 @@ fn multi_rhs_consistency() {
         ("circuit + mesh + tiny tail", circuit_with_mesh_tail()),
         ("one-block mesh", mesh2d(14, 2)),
     ];
-    let mut sn_blocks_solved = 0;
-    for (what, a) in &cases {
-        let n = a.ncols();
-        for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid, Engine::Snlu] {
-            for threads in [1, 2, 4] {
-                let cfg = SolverConfig::new()
+    for threads in [1, 2, 4] {
+        let mut sn_blocks_solved = 0;
+        for (what, a) in &cases {
+            let n = a.ncols();
+            let cfg = |engine| {
+                SolverConfig::new()
                     .engine(engine)
                     .threads(threads)
-                    .nd_threshold(64);
-                let solver = LinearSolver::analyze(a, &cfg).unwrap();
-                // Every candidate plan of the hybrid engine; the one
-                // plan of the others.
-                let plans = match solver.as_hybrid() {
-                    Some(h) => (0..).map_while(|i| h.probe_plan(i)).map(Some).collect(),
-                    None => vec![None],
-                };
-                for plan in plans {
-                    if let Some(plan) = &plan {
-                        assert!(solver.as_hybrid().unwrap().set_plan(plan));
-                    }
-                    let num = solver.factor(a).unwrap();
-                    if let Some(h) = num.as_hybrid() {
-                        sn_blocks_solved += h.stats.sn_blocks;
-                    }
-                    let mut ws = SolveWorkspace::new();
-                    for k in [1usize, 2, 3, 7, 8, 9, 17] {
-                        let at = format!("{what}, {engine} x{threads}, k = {k}");
-                        let b = packed_rhs(n, k);
-                        let mut panel = b.clone();
-                        let sweeps = num.solve_multi_in_place(&mut panel, &mut ws).unwrap();
-                        match engine {
-                            Engine::Snlu => assert_eq!(sweeps, k, "{at}"),
-                            _ => assert_eq!(sweeps, k / 8 + (k % 8).count_ones() as usize, "{at}"),
-                        }
-                        // Repeatable bit for bit on the same factors.
-                        let mut again = b.clone();
-                        num.solve_multi_in_place(&mut again, &mut ws).unwrap();
-                        assert_eq!(panel, again, "{at}: not repeatable");
-                        for c in 0..k {
-                            let mut x = b[c * n..(c + 1) * n].to_vec();
-                            num.solve_in_place(&mut x, &mut ws).unwrap();
-                            let got = &panel[c * n..(c + 1) * n];
-                            if k == 1 {
-                                assert_eq!(got, &x[..], "{at}: k = 1 is the single solve");
-                            }
-                            let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                            for i in 0..n {
-                                assert!(
-                                    (got[i] - x[i]).abs() <= 1e-12 * scale,
-                                    "{at}: column {c} row {i}: {} vs {}",
-                                    got[i],
-                                    x[i]
-                                );
-                            }
-                        }
-                    }
-                    // A ragged block is an error through the trait...
-                    let mut ragged = vec![1.0; 2 * n + 1];
-                    assert!(matches!(
-                        num.solve_multi_in_place(&mut ragged, &mut ws),
-                        Err(SolverError::Sparse(SparseError::DimensionMismatch { .. }))
-                    ));
+                    .nd_threshold(64)
+            };
+            for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid, Engine::Snlu] {
+                let num = LinearSolver::analyze(a, &cfg(engine))
+                    .unwrap()
+                    .factor(a)
+                    .unwrap();
+                if let Some(h) = num.as_hybrid() {
+                    sn_blocks_solved += h.stats.sn_blocks;
                 }
+                let at = format!("{what}, {engine} x{threads}");
+                check_panels(&num, n, engine == Engine::Snlu, &at);
+            }
+            // The classified plan again, under thresholds that send
+            // the ND-laid-out blocks, then the mid-size ones, to the
+            // supernodal engine.
+            let default = cfg(Engine::Hybrid).hybrid_options();
+            let forced = [
+                HybridOptions {
+                    max_separator_fraction: 0.0,
+                    ..default.clone()
+                },
+                HybridOptions {
+                    dense_threshold: 0.0,
+                    ..default
+                },
+            ];
+            for (i, o) in forced.iter().enumerate() {
+                let num = HybridLu::analyze(a, o).unwrap().factor(a).unwrap();
+                sn_blocks_solved += num.stats.sn_blocks;
+                let at = format!("{what}, forced plan {i} x{threads}");
+                check_panels(&num, n, false, &at);
             }
         }
+        assert!(
+            sn_blocks_solved > 0,
+            "x{threads}: no plan routed a block to the supernodal kernel"
+        );
     }
-    assert!(
-        sn_blocks_solved > 0,
-        "no hybrid plan routed a block to the supernodal kernel"
-    );
 
     // ... and a panic through the engines' inherent methods.
     let a = &cases[0].1;

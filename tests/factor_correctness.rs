@@ -139,7 +139,7 @@ fn table1_suite_factors_at_test_scale() {
     let mut ws = SolveWorkspace::new();
     // Table I's circuit/powergrid analogues, then Table II's meshes.
     for e in table1_suite().into_iter().chain(mesh_suite()) {
-        let a = e.generate(Scale::Test);
+        let a = e.generate();
         let cfg = SolverConfig::new().engine(Engine::Basker).threads(2);
         check(&cfg, e.name, &a, 1e-9, &mut ws);
     }

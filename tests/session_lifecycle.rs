@@ -466,3 +466,85 @@ fn solve_sweeps_count_panels_not_columns() {
         assert_eq!(session.stats().refine_iterations, 0, "{engine}");
     }
 }
+
+/// One irreducible mesh block, then a tail of 1×1 blocks: the shapes
+/// the classifier routes apart.
+fn heterogeneous() -> CscMat {
+    let g = mesh2d(12, 3);
+    let (gn, tiny) = (g.nrows(), 40);
+    let mut t = TripletMat::new(gn + tiny, gn + tiny);
+    for (i, j, v) in g.iter() {
+        t.push(i, j, v);
+    }
+    for q in gn..gn + tiny {
+        t.push(q, q, 5.0 + (q % 4) as f64);
+        t.push(q % gn, q, -0.25);
+    }
+    t.to_csc()
+}
+
+/// `a`'s pattern with every value scaled by `f`.
+fn scaled(a: &CscMat, f: f64) -> CscMat {
+    let mut m = a.clone();
+    m.values_mut().iter_mut().for_each(|v| *v *= f);
+    m
+}
+
+/// The `(gp, supernodal, nd)` counts of a plan.
+fn counts(plan: &[basker::hybrid::BlockStrategy]) -> (usize, usize, usize) {
+    use basker::hybrid::BlockStrategy::*;
+    let of = |s| plan.iter().filter(|&&p| p == s).count();
+    (of(Gp), of(Supernodal), of(Nd))
+}
+
+/// A hybrid session's first step is an ordinary factor and every later
+/// one an ordinary refactor: no step is spent measuring a plan.
+#[test]
+fn hybrid_session_steps_are_the_reuse_policy_and_nothing_else() {
+    let a = heterogeneous();
+    let cfg = SessionConfig::new()
+        .engine(Engine::Hybrid)
+        .threads(2)
+        .policy(ReusePolicy::adaptive());
+    let mut session = SolveSession::new(&a, &cfg).unwrap();
+    for k in 0..3 {
+        session.step(&scaled(&a, 1.0 + 0.01 * k as f64)).unwrap();
+        let mut x = vec![1.0; a.nrows()];
+        assert!(session.solve_refined(&mut x).unwrap().converged);
+    }
+    let st = session.stats();
+    assert_eq!((st.factors, st.refactors), (1, 2));
+    assert_eq!(st.routing_probes, 0);
+    let num = session.numeric().unwrap().as_hybrid().unwrap();
+    let (gp, sn, nd) = num.stats.strategy_counts();
+    assert!(gp > 0 && sn + nd > 0, "mixed plan: {:?}", (gp, sn, nd));
+}
+
+/// Same-pattern sessions at different thread counts, opened in either
+/// order, each execute `classify_block`'s plan for their own thread
+/// count: nothing learned by one session reaches another.
+#[test]
+fn hybrid_sessions_execute_their_own_analyze_time_plan() {
+    use basker::hybrid::HybridLu;
+    let a = heterogeneous();
+    let mut executed = Vec::new();
+    for threads in [1, 2, 2, 1] {
+        let cfg = SessionConfig::new().engine(Engine::Hybrid).threads(threads);
+        let mut session = SolveSession::new(&a, &cfg).unwrap();
+        for k in 0..2 {
+            session.step(&scaled(&a, 1.0 + 0.01 * k as f64)).unwrap();
+        }
+        let plan = session.solver().as_hybrid().unwrap().plan().to_vec();
+        let own = HybridLu::analyze(&a, &cfg.solver_config().hybrid_options()).unwrap();
+        assert_eq!(plan, own.plan(), "x{threads}");
+        let num = session.numeric().unwrap().as_hybrid().unwrap();
+        assert_eq!(num.stats.strategy_counts(), counts(&plan), "x{threads}");
+        assert_eq!(session.stats().routing_probes, 0);
+        executed.push(plan);
+    }
+    assert_eq!(executed[0], executed[3], "one plan per thread count");
+    assert_eq!(executed[1], executed[2]);
+    // The mesh block goes to the team only where there is one.
+    assert_eq!(counts(&executed[0]).2, 0);
+    assert_eq!(counts(&executed[1]).2, 1);
+}
