@@ -88,7 +88,6 @@ const AUTO_CIRCUIT_FRACTION: f64 = 0.5;
 pub struct SolverConfig {
     engine: Engine,
     nthreads: usize,
-    pin_threads: bool,
     pivot_tol: f64,
     use_btf: bool,
     use_mwcm: bool,
@@ -101,7 +100,6 @@ impl Default for SolverConfig {
         SolverConfig {
             engine: env_default_engine().unwrap_or(Engine::Auto),
             nthreads: basker::env_default_threads().unwrap_or(2),
-            pin_threads: false,
             pivot_tol: 0.001,
             use_btf: true,
             use_mwcm: true,
@@ -129,13 +127,6 @@ impl SolverConfig {
     /// `BASKER_NUM_THREADS` environment override.
     pub fn threads(mut self, nthreads: usize) -> Self {
         self.nthreads = nthreads.max(1);
-        self
-    }
-
-    /// Pin the persistent worker team's threads to cores (best-effort;
-    /// a no-op on targets without an affinity binding).
-    pub fn pin_threads(mut self, pin: bool) -> Self {
-        self.pin_threads = pin;
         self
     }
 
@@ -201,7 +192,6 @@ impl SolverConfig {
             use_mwcm: self.use_mwcm,
             nd_threshold: self.nd_threshold,
             sync_mode: self.sync_mode,
-            pin_threads: self.pin_threads,
         }
     }
 

@@ -5,9 +5,11 @@
 //! partitioned among threads by *estimated operation count* (line 5) and
 //! each partition runs serial Gilbert–Peierls factorizations.
 
+use crate::keep_smallest_column;
 use basker_klu::gp::BlockFactor;
+use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result};
-use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// One small block's position in the BTF structure.
 #[derive(Debug, Clone)]
@@ -52,33 +54,43 @@ pub fn partition_by_flops(blocks: &[SmallBlock], p: usize) -> Vec<Vec<usize>> {
     chunks
 }
 
-/// Factors all small blocks in parallel (Alg. 2's numeric phase): the
-/// pre-computed partition maps chunks to pool threads.
+/// Factors all small blocks in parallel (Alg. 2's numeric phase):
+/// chunk `i` of the pre-computed partition is job `i` of the team's
+/// worklist. A chunk lists its blocks in ascending order, so it stops at
+/// its own smallest failing column; every chunk runs, so the error names
+/// the smallest failing column of the whole set at every width.
 pub fn factor_small_blocks(
     ap: &CscMat,
     blocks: &[SmallBlock],
     chunks: &[Vec<usize>],
     pivot_tol: f64,
-    pool: &rayon::ThreadPool,
+    team: &WorkerTeam,
 ) -> Result<Vec<(usize, BlockFactor)>> {
-    let results: Vec<Result<Vec<(usize, BlockFactor)>>> = pool.install(|| {
-        chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut out = Vec::with_capacity(chunk.len());
-                for &bi in chunk {
-                    let b = &blocks[bi];
-                    let f = BlockFactor::factor_range(ap, b.lo, b.hi, pivot_tol)?;
-                    out.push((b.btf_index, f));
+    let outs: Vec<Mutex<Vec<(usize, BlockFactor)>>> = chunks
+        .iter()
+        .map(|c| Mutex::new(Vec::with_capacity(c.len())))
+        .collect();
+    let failed = Mutex::new(None);
+    team.run_worklist(chunks.len(), |i| {
+        let mut out = outs[i].lock().expect("one job per chunk");
+        for &bi in &chunks[i] {
+            let b = &blocks[bi];
+            match BlockFactor::factor_range(ap, b.lo, b.hi, pivot_tol) {
+                Ok(f) => out.push((b.btf_index, f)),
+                Err(e) => {
+                    keep_smallest_column(&failed, e);
+                    return;
                 }
-                Ok(out)
-            })
-            .collect()
+            }
+        }
     });
-    let mut all = Vec::new();
-    for r in results {
-        all.extend(r?);
+    if let Some(e) = failed.into_inner().expect("nothing panics under this lock") {
+        return Err(e);
     }
+    let mut all: Vec<(usize, BlockFactor)> = outs
+        .into_iter()
+        .flat_map(|o| o.into_inner().expect("one job per chunk"))
+        .collect();
     all.sort_by_key(|&(bi, _)| bi);
     Ok(all)
 }
@@ -86,7 +98,8 @@ pub fn factor_small_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basker_sparse::TripletMat;
+    use basker_runtime::shared_team;
+    use basker_sparse::{SparseError, TripletMat};
 
     #[test]
     fn partition_balances_loads() {
@@ -148,12 +161,8 @@ mod tests {
                 est_flops: 8.0,
             })
             .collect();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
         let chunks = partition_by_flops(&blocks, 2);
-        let f = factor_small_blocks(&ap, &blocks, &chunks, 0.001, &pool).unwrap();
+        let f = factor_small_blocks(&ap, &blocks, &chunks, 0.001, &shared_team(2, false)).unwrap();
         assert_eq!(f.len(), 3);
         // results sorted by block index
         assert!(f.windows(2).all(|w| w[0].0 < w[1].0));
@@ -202,11 +211,48 @@ mod tests {
                 est_flops: 1.0,
             },
         ];
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
         let chunks = partition_by_flops(&blocks, 2);
-        assert!(factor_small_blocks(&ap, &blocks, &chunks, 0.001, &pool).is_err());
+        assert!(factor_small_blocks(&ap, &blocks, &chunks, 0.001, &shared_team(2, false)).is_err());
+    }
+
+    /// Blocks 1 and 3 are singular, and at two threads LPT puts block 3
+    /// in the first chunk: the error still names block 1's column, at
+    /// every width.
+    #[test]
+    fn error_names_smallest_failing_column_at_every_width() {
+        let mut t = TripletMat::new(10, 10);
+        for b in 0..5 {
+            let o = 2 * b;
+            let [a00, a01, a10, a11] = if b == 1 || b == 3 {
+                [1.0; 4]
+            } else {
+                [4.0, 1.0, 2.0, 5.0]
+            };
+            t.push(o, o, a00);
+            t.push(o, o + 1, a01);
+            t.push(o + 1, o, a10);
+            t.push(o + 1, o + 1, a11);
+        }
+        let ap = t.to_csc();
+        let blocks: Vec<SmallBlock> = [10.0, 50.0, 1.0, 60.0, 1.0]
+            .into_iter()
+            .enumerate()
+            .map(|(b, est_flops)| SmallBlock {
+                btf_index: b,
+                lo: 2 * b,
+                hi: 2 * b + 2,
+                est_flops,
+            })
+            .collect();
+        assert_eq!(partition_by_flops(&blocks, 2), [vec![2, 3], vec![0, 1, 4]]);
+        for p in [1usize, 2, 4] {
+            let chunks = partition_by_flops(&blocks, p);
+            let r = factor_small_blocks(&ap, &blocks, &chunks, 0.001, &shared_team(p, false));
+            assert!(
+                matches!(r, Err(SparseError::ZeroPivot { column: 3 })),
+                "p={p}: {:?}",
+                r.err()
+            );
+        }
     }
 }

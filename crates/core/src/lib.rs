@@ -64,7 +64,7 @@ use crate::solve::solve_nd_in_place;
 use crate::structure::{BlockKind, NdBlocks, Structure};
 use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
-use basker_runtime::{assist_counters, WorkerTeam};
+use basker_runtime::{assist_counters, shared_team, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
 use basker_sparse::blocks::{extract_range, upper_block_part};
 use basker_sparse::metrics::BlockMetrics;
@@ -89,6 +89,21 @@ pub fn env_default_threads() -> Option<usize> {
         .filter(|&n| n >= 1)
 }
 
+/// Keeps in `slot` whichever of its error and `e` names the smaller
+/// zero-pivot column (any other error sorts last; ties keep the first).
+/// A team whose items all run to their end then reports the same error
+/// at every width, whichever rank failed first.
+pub(crate) fn keep_smallest_column(slot: &Mutex<Option<SparseError>>, e: SparseError) {
+    let column_of = |e: &SparseError| match e {
+        SparseError::ZeroPivot { column } => *column,
+        _ => usize::MAX,
+    };
+    let mut kept = slot.lock().expect("nothing panics under this lock");
+    if kept.as_ref().map_or(true, |k| column_of(&e) < column_of(k)) {
+        *kept = Some(e);
+    }
+}
+
 /// Tuning options for Basker.
 #[derive(Debug, Clone)]
 pub struct BaskerOptions {
@@ -108,9 +123,6 @@ pub struct BaskerOptions {
     pub nd_threshold: usize,
     /// Synchronization strategy for the ND numeric phase.
     pub sync_mode: SyncMode,
-    /// Pin the worker team's threads to cores (best-effort; rank `r`
-    /// goes to core `r mod cores`).
-    pub pin_threads: bool,
 }
 
 impl Default for BaskerOptions {
@@ -122,7 +134,6 @@ impl Default for BaskerOptions {
             use_mwcm: true,
             nd_threshold: 128,
             sync_mode: SyncMode::PointToPoint,
-            pin_threads: false,
         }
     }
 }
@@ -131,7 +142,8 @@ impl Default for BaskerOptions {
 struct SymInner {
     opts: BaskerOptions,
     structure: Structure,
-    pool: rayon::ThreadPool,
+    /// The process-shared team of `threads` ranks.
+    team: Arc<WorkerTeam>,
     threads: usize,
     /// Alg. 2's fine-BTF set — the `Small`-layout blocks the plan leaves
     /// on Gilbert–Peierls — with their flop estimates, and its static
@@ -160,7 +172,7 @@ impl SymInner {
 }
 
 /// The symbolic handle of the BTF block driver: orderings, block
-/// structure, thread pool and a per-block plan, reusable across a
+/// structure, worker team and a per-block plan, reusable across a
 /// sequence of matrices with one pattern. [`Basker::analyze`] installs
 /// the paper's plan (fine-BTF blocks to Gilbert–Peierls, fine-ND blocks
 /// to the team); [`HybridLu::analyze`](hybrid::HybridLu::analyze) builds
@@ -193,16 +205,6 @@ impl Basker {
         };
         let structure =
             Structure::build(a, opts.use_btf, opts.use_mwcm, opts.nd_threshold, threads)?;
-        // The builder hands back a pool over the process-shared
-        // persistent worker team of this width: threads are spawned at
-        // most once per (width, pinning) pair for the process lifetime
-        // and parked between jobs.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .pin_threads(opts.pin_threads)
-            .build()
-            .map_err(|e| SparseError::InvalidStructure(format!("thread pool: {e}")))?;
-
         let ap = Perm::permute_both(&structure.row_perm, &structure.col_perm, a);
         let nblocks = structure.nblocks();
         let mut plan = Vec::with_capacity(nblocks);
@@ -249,7 +251,9 @@ impl Basker {
             inner: Arc::new(SymInner {
                 opts: opts.clone(),
                 structure,
-                pool,
+                // Threads are spawned at most once per width for the
+                // process lifetime and parked between jobs.
+                team: shared_team(threads, false),
                 threads,
                 small_blocks,
                 small_chunks,
@@ -319,7 +323,7 @@ impl Basker {
             &inner.small_blocks,
             &inner.small_chunks,
             inner.opts.pivot_tol,
-            &inner.pool,
+            &inner.team,
         )?
         .into_iter();
 
@@ -362,7 +366,7 @@ impl Basker {
                         inner.opts.pivot_tol,
                         inner.opts.sync_mode,
                         lo,
-                        &inner.pool,
+                        &inner.team,
                     )?;
                     for (t, w) in f.wait_ns.iter().enumerate() {
                         sync_wait[t] += w;
@@ -609,7 +613,7 @@ impl BaskerNumeric {
     /// first records its stage list, and every call after that performs
     /// no heap allocation of its own.
     pub fn refactor(&mut self, a: &CscMat) -> Result<()> {
-        let team = Arc::clone(self.sym.inner.pool.team());
+        let team = Arc::clone(&self.sym.inner.team);
         self.refactor_on(a, &team)
     }
 
@@ -878,6 +882,47 @@ mod tests {
                     assert_eq!(counters, [0; 3]);
                 }
             }
+        }
+    }
+
+    /// Two singular 2×2 blocks bracket a singular dense 8×8 block, which
+    /// LPT puts alone in the first chunk: every width reports the column
+    /// a serial factor meets first, in a 2×2 block.
+    #[test]
+    fn fine_btf_error_column_is_width_independent() {
+        let mut t = TripletMat::new(20, 20);
+        let mut pair = |o: usize, singular: bool| {
+            let [a00, a01, a10, a11] = if singular {
+                [1.0; 4]
+            } else {
+                [4.0, 1.0, 2.0, 5.0]
+            };
+            t.push(o, o, a00);
+            t.push(o, o + 1, a01);
+            t.push(o + 1, o, a10);
+            t.push(o + 1, o + 1, a11);
+        };
+        for q in 0..3 {
+            pair(2 * q, q == 0);
+            pair(14 + 2 * q, q == 2);
+        }
+        for i in 6..14 {
+            for j in 6..14 {
+                t.push(i, j, 1.0);
+            }
+        }
+        let a = t.to_csc();
+        let column = |p: usize| match Basker::analyze(&a, &opts(p, 128)).unwrap().factor(&a) {
+            Err(SparseError::ZeroPivot { column }) => column,
+            other => panic!("p={p}: {:?}", other.err()),
+        };
+        let serial = column(1);
+        let serial_sym = Basker::analyze(&a, &opts(1, 128)).unwrap();
+        let bounds = &serial_sym.structure().bounds;
+        let b = bounds.partition_point(|&lo| lo <= serial) - 1;
+        assert_eq!(bounds[b + 1] - bounds[b], 2, "a 2x2 block fails first");
+        for p in [2usize, 4] {
+            assert_eq!(column(p), serial, "p={p}");
         }
     }
 

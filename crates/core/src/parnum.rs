@@ -31,13 +31,16 @@
 //! level-synchronous whole-sub-block phases with a full team barrier at
 //! every dependency level, mimicking a naive sequence of parallel-for
 //! launches. Worker errors (zero pivots) poison their slots so the team
-//! drains without deadlock, and the error is returned.
+//! drains without deadlock, and the error naming the smallest failing
+//! column is returned — the same one whichever rank failed first.
 
+use crate::keep_smallest_column;
 use crate::reduce::{reduce_col, ReduceWorkspace};
 use crate::refactor::ItemCell;
 use crate::structure::{NdBlocks, NdStructure};
 use crate::sync::{AssistTally, ColumnSlots, Slot, SyncMode, TeamSync, WaitCtx};
 use basker_klu::gp::{lsolve_col, BlockColumnFactorizer, BlockLu, LsolveWorkspace};
+use basker_runtime::WorkerTeam;
 use basker_sparse::col::cols_to_csc;
 use basker_sparse::{CscMat, Result, SparseCol, SparseError};
 use std::sync::Mutex;
@@ -133,33 +136,32 @@ impl PipelineSlots {
     }
 }
 
-/// Runs Algorithm 4 on the extracted blocks with a team of `p` threads
-/// drawn from `pool` (`pool` must have at least `p` threads; `p` must be
-/// `st`'s leaf count).
+/// Runs Algorithm 4 on the extracted blocks with `p` ranks of `team`
+/// (`team` must be at least `p` wide; `p` must be `st`'s leaf count).
 pub fn factor_nd_parallel(
     blocks: &NdBlocks,
     st: &NdStructure,
     pivot_tol: f64,
     mode: SyncMode,
     col_offset: usize,
-    pool: &rayon::ThreadPool,
+    team: &WorkerTeam,
 ) -> Result<NdFactors> {
     let p = st.leaf_of_thread.len();
-    assert!(pool.current_num_threads() >= p, "thread pool too small");
+    assert!(team.width() >= p, "worker team too small");
     let levels = st.nd.levels;
 
     let slots = PipelineSlots::new(st);
-    let team = TeamSync::new(mode, p);
+    let sync = TeamSync::new(mode, p);
     let error: Mutex<Option<SparseError>> = Mutex::new(None);
     let ctxs: Vec<WaitCtx> = (0..p).map(|_| WaitCtx::new(mode)).collect();
 
-    pool.broadcast(|bctx| {
-        let t = bctx.index();
+    team.broadcast(|tctx| {
+        let t = tctx.rank();
         if t >= p {
             return;
         }
         worker(
-            t, blocks, st, pivot_tol, col_offset, &slots, &team, &error, &ctxs[t], levels,
+            t, blocks, st, pivot_tol, col_offset, &slots, &sync, &error, &ctxs[t], levels,
         );
     });
 
@@ -235,12 +237,10 @@ fn worker(
     levels: usize,
 ) {
     let my_leaf = st.leaf_of_thread[t];
-    let record_err = |e: SparseError| {
-        let mut g = error.lock().unwrap();
-        if g.is_none() {
-            *g = Some(e);
-        }
-    };
+    // Only genuine pivot failures land here (poisoned inputs publish
+    // `None` and record nothing), so the smallest column is the same
+    // whichever rank fails first.
+    let record_err = |e: SparseError| keep_smallest_column(error, e);
     let mut scratch = WorkerScratch {
         lsolve: LsolveWorkspace::new(),
         reduce: ReduceWorkspace::new(),
@@ -674,14 +674,8 @@ mod tests {
     use super::*;
     use crate::structure::{BlockKind, Structure};
     use crate::testmat::grid2d_unsym;
+    use basker_runtime::shared_team;
     use basker_sparse::{Perm, TripletMat};
-
-    fn pool(p: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(p)
-            .build()
-            .unwrap()
-    }
 
     /// Reconstructs the permuted block from its factors and compares to
     /// the original (dense, for small tests): verifies P_blocked A = L U
@@ -760,8 +754,8 @@ mod tests {
         };
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
         let blocks = NdBlocks::extract(&ap, 0, st);
-        let pl = pool(p);
-        let f = factor_nd_parallel(&blocks, st, 0.001, mode, 0, &pl).unwrap();
+        let team = shared_team(p, false);
+        let f = factor_nd_parallel(&blocks, st, 0.001, mode, 0, &team).unwrap();
         verify_nd_factorization(&ap, st, &f, 1e-9);
     }
 
@@ -795,8 +789,8 @@ mod tests {
         };
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
         let blocks = NdBlocks::extract(&ap, 0, st);
-        let pl = pool(1);
-        let f = factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &pl).unwrap();
+        let team = shared_team(1, false);
+        let f = factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team).unwrap();
         verify_nd_factorization(&ap, st, &f, 1e-9);
     }
 
@@ -811,9 +805,9 @@ mod tests {
         };
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
         let blocks = NdBlocks::extract(&ap, 0, st);
-        let fp =
-            factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &pool(4)).unwrap();
-        let fb = factor_nd_parallel(&blocks, st, 0.001, SyncMode::Barrier, 0, &pool(4)).unwrap();
+        let team = shared_team(4, false);
+        let fp = factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team).unwrap();
+        let fb = factor_nd_parallel(&blocks, st, 0.001, SyncMode::Barrier, 0, &team).unwrap();
         for v in 0..st.nnodes() {
             assert_eq!(fp.fact_diag[v].u.values(), fb.fact_diag[v].u.values());
             assert_eq!(fp.fact_diag[v].l.values(), fb.fact_diag[v].l.values());
@@ -827,7 +821,7 @@ mod tests {
     fn deterministic_across_thread_counts() {
         // The column schedule performs identical arithmetic per block
         // regardless of team size when the tree shape is fixed: factor
-        // with the same structure using different pools and compare.
+        // with the same structure using different teams and compare.
         let a = grid2d_unsym(7);
         let s = Structure::build(&a, false, false, 0, 4).unwrap();
         let BlockKind::NdBig(st) = &s.kinds[0] else {
@@ -835,10 +829,10 @@ mod tests {
         };
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
         let blocks = NdBlocks::extract(&ap, 0, st);
-        let f4 =
-            factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &pool(4)).unwrap();
-        let f8 =
-            factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &pool(8)).unwrap();
+        let [f4, f8] = [4, 8].map(|p| {
+            let team = shared_team(p, false);
+            factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team).unwrap()
+        });
         for v in 0..st.nnodes() {
             assert_eq!(f4.fact_diag[v].u.values(), f8.fact_diag[v].u.values());
             assert_eq!(f4.fact_diag[v].l.values(), f8.fact_diag[v].l.values());
@@ -865,9 +859,47 @@ mod tests {
         };
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
         let blocks = NdBlocks::extract(&ap, 0, st);
-        let pl = pool(2);
-        let r = factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &pl);
+        let team = shared_team(2, false);
+        let r = factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team);
         assert!(matches!(r, Err(SparseError::ZeroPivot { .. })));
+    }
+
+    /// Zero pivots in two leaves: the first leaf's last column and the
+    /// last leaf's first column. The last leaf fails sooner, yet every
+    /// run reports the first leaf's smaller column.
+    #[test]
+    fn two_failing_leaves_report_the_smaller_column() {
+        let a = grid2d_unsym(40);
+        for p in [2usize, 4] {
+            let s = Structure::build(&a, false, false, 0, p).unwrap();
+            let BlockKind::NdBig(st) = &s.kinds[0] else {
+                panic!();
+            };
+            let mut ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
+            let leaves = st.leaf_of_thread.iter().map(|&v| &st.nd.nodes[v].range);
+            let first = leaves.clone().min_by_key(|r| r.start).unwrap();
+            let last = leaves.max_by_key(|r| r.start).unwrap();
+            // Numerically zero those columns inside their leaf's diagonal
+            // block; the pattern stays.
+            for (c, rows) in [(first.end - 1, first), (last.start, last)] {
+                let hits: Vec<usize> = (ap.colptr()[c]..ap.colptr()[c + 1])
+                    .filter(|&k| rows.contains(&ap.rowind()[k]))
+                    .collect();
+                for k in hits {
+                    ap.values_mut()[k] = 0.0;
+                }
+            }
+            let blocks = NdBlocks::extract(&ap, 0, st);
+            let team = shared_team(p, false);
+            for rep in 0..50 {
+                let r = factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team);
+                assert!(
+                    matches!(r, Err(SparseError::ZeroPivot { column }) if column == first.end - 1),
+                    "p={p} rep={rep}: {:?}",
+                    r.err()
+                );
+            }
+        }
     }
 
     #[test]
@@ -879,8 +911,8 @@ mod tests {
         };
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
         let blocks = NdBlocks::extract(&ap, 0, st);
-        let pl = pool(4);
-        let f = factor_nd_parallel(&blocks, st, 0.001, SyncMode::Barrier, 0, &pl).unwrap();
+        let team = shared_team(4, false);
+        let f = factor_nd_parallel(&blocks, st, 0.001, SyncMode::Barrier, 0, &team).unwrap();
         assert_eq!(f.wait_ns.len(), 4);
         assert_eq!(f.team_size(), 4);
         assert!(f.flops() > 0.0);

@@ -73,7 +73,7 @@ use crate::frozen::FrozenBtf;
 use crate::parnum::NdFactors;
 use crate::reduce::{reduce_block, reduce_cols_into};
 use crate::structure::{BlockKind, NdBlocks, NdSplit, NdStructure, Structure};
-use crate::BlockFactors;
+use crate::{keep_smallest_column, BlockFactors};
 use basker_klu::gp::{
     lsolve_panel_refresh, refactor_block_column, BlockFactor, ColsView, RefactorWorkspace,
 };
@@ -499,10 +499,6 @@ impl Replay {
             nd: &self.nd,
         };
         let failed: Mutex<Option<SparseError>> = Mutex::new(None);
-        let column_of = |e: &SparseError| match e {
-            SparseError::ZeroPivot { column } => *column,
-            _ => usize::MAX,
-        };
         let mut joined = None;
         for stage in &self.stages {
             let run = |i: usize| {
@@ -511,13 +507,7 @@ impl Replay {
                     run_item(&cx, stage.items[i].work, &mut ws.0)
                 });
                 if let Err(e) = outcome {
-                    let mut first = failed.lock().expect("nothing panics under this lock");
-                    if first
-                        .as_ref()
-                        .map_or(true, |f| column_of(&e) < column_of(f))
-                    {
-                        *first = Some(e);
-                    }
+                    keep_smallest_column(&failed, e);
                 }
                 // On the thread that dispatched the stage: when its
                 // last item ended is when its wait for the join began.

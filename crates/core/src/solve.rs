@@ -112,12 +112,9 @@ mod tests {
             };
             let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
             let blocks = NdBlocks::extract(&ap, 0, st);
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(p)
-                .build()
-                .unwrap();
+            let team = basker_runtime::shared_team(p, false);
             let f =
-                factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &pool).unwrap();
+                factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team).unwrap();
             // Solve ap · x = b
             let xtrue: Vec<f64> = (0..a.ncols())
                 .map(|i| 1.0 + (i % 7) as f64 * 0.25)

@@ -57,7 +57,7 @@
 //!   (`model_checks::relaxed_ready_store_is_caught_as_race`).
 //! * [`WaitClock`] uses **Relaxed** throughout, deliberately: each clock
 //!   is written by one worker and aggregated only after
-//!   `ThreadPool::broadcast` returns, and joining the team's threads
+//!   `WorkerTeam::broadcast` returns, and joining the team's threads
 //!   already gives the reader a happens-before edge covering every
 //!   Relaxed increment. The counters are diagnostics and impose no
 //!   ordering on the factorization itself.

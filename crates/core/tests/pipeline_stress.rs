@@ -6,6 +6,7 @@
 
 use basker::structure::{BlockKind, NdBlocks, Structure};
 use basker::{parnum::factor_nd_parallel, SyncMode};
+use basker_runtime::{shared_team, WorkerTeam};
 use basker_sparse::{CscMat, Perm, SparseError, TripletMat};
 use rand::{Rng, SeedableRng};
 
@@ -33,24 +34,17 @@ fn random_grid(k: usize, rng: &mut rand::rngs::StdRng) -> CscMat {
     t.to_csc()
 }
 
-fn pool(p: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(p)
-        .build()
-        .unwrap()
-}
-
 /// Factors one random matrix and checks the solve residual end to end
 /// through the raw ND pipeline (structure → blocks → parallel factor →
 /// hierarchical solve).
-fn factor_and_check(a: &CscMat, p: usize, mode: SyncMode, pl: &rayon::ThreadPool) {
+fn factor_and_check(a: &CscMat, p: usize, mode: SyncMode, team: &WorkerTeam) {
     let s = Structure::build(a, false, false, 0, p).unwrap();
     let BlockKind::NdBig(st) = &s.kinds[0] else {
         panic!("expected one ND block");
     };
     let ap = Perm::permute_both(&s.row_perm, &s.col_perm, a);
     let blocks = NdBlocks::extract(&ap, 0, st);
-    let f = factor_nd_parallel(&blocks, st, 0.001, mode, 0, pl).unwrap();
+    let f = factor_nd_parallel(&blocks, st, 0.001, mode, 0, team).unwrap();
     assert_eq!(f.team_size(), p);
 
     let n = a.ncols();
@@ -72,9 +66,9 @@ fn hundreds_of_random_pipelined_factorizations() {
         let k = 5 + round % 4; // 5..=8
         let a = random_grid(k, &mut rng);
         for p in [2usize, 4] {
-            let pl = pool(p);
+            let team = shared_team(p, false);
             for mode in [SyncMode::PointToPoint, SyncMode::Barrier] {
-                factor_and_check(&a, p, mode, &pl);
+                factor_and_check(&a, p, mode, &team);
             }
         }
     }
@@ -115,9 +109,9 @@ fn poisoned_pipeline_drains_without_deadlock() {
             };
             let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
             let blocks = NdBlocks::extract(&ap, 0, st);
-            let pl = pool(p);
+            let team = shared_team(p, false);
             for mode in [SyncMode::PointToPoint, SyncMode::Barrier] {
-                let r = factor_nd_parallel(&blocks, st, 0.001, mode, 0, &pl);
+                let r = factor_nd_parallel(&blocks, st, 0.001, mode, 0, &team);
                 match r {
                     Err(SparseError::ZeroPivot { .. }) => {}
                     Err(other) => panic!("expected ZeroPivot, got {other:?}"),

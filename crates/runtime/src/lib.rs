@@ -5,18 +5,17 @@
 //! threads cooperate on one factorization through point-to-point
 //! synchronization, and the paper's speedups assume those threads already
 //! exist, stay pinned to their cores, and cost nothing to re-enter. A
-//! pool that spawns fresh OS threads per parallel region (what the
-//! original `rayon` shim did) pays a `clone(2)` + page-fault storm on
-//! every `factor`/`refactor` call — fatal for the transient-simulation
-//! workloads that call `refactor` thousands of times per second.
+//! pool that spawns fresh OS threads per parallel region pays a
+//! `clone(2)` + page-fault storm on every `factor`/`refactor` call —
+//! fatal for the transient-simulation workloads that call `refactor`
+//! thousands of times per second.
 //!
 //! [`WorkerTeam`] provides:
 //!
 //! * `p − 1` long-lived OS threads created **once**, parked on their
 //!   own mailbox condvars between jobs (zero CPU when idle); the
-//!   submitting thread itself serves as rank 0, exactly as `rayon`'s
-//!   `install` reuses the caller — it is the thread that just built the
-//!   job's inputs and still has them in cache;
+//!   submitting thread itself serves as rank 0 — it is the thread that
+//!   just built the job's inputs and still has them in cache;
 //! * a job **mailbox per worker**: [`WorkerTeam::broadcast`] posts one
 //!   job to every mailbox, runs rank 0 inline, and blocks until all
 //!   workers report done — a scoped join, so the job closure may borrow
@@ -223,8 +222,7 @@ where
 }
 
 /// A persistent team of `width` ranks: the submitting thread serves as
-/// rank 0 (as `rayon`'s `install` does — it is usually cache-warm from
-/// preparing the job's inputs) and `width − 1` parked worker threads
+/// rank 0 (it is usually cache-warm from preparing the job's inputs) and `width − 1` parked worker threads
 /// serve ranks `1..width`.
 ///
 /// ```

@@ -91,7 +91,7 @@ pub struct AssistCounters {
     /// started helping a task it was not already part of.
     pub tasks_joined: u64,
     /// Work items executed through [`try_assist`] (columns, worklist
-    /// jobs, `par_iter` chunks — whatever the task's items are).
+    /// jobs, level chunks — whatever the task's items are).
     pub items_assisted: u64,
     /// Calls to [`try_assist`] that scanned the registry (productive or
     /// not). `steal_attempts − items_assisted` is the number of empty

@@ -18,7 +18,6 @@ use basker_sparse::spmv::spmv_sub;
 use basker_sparse::trisolve::{lower_solve_in_place, upper_solve_in_place};
 use basker_sparse::util::mat_norm_inf_with;
 use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::Mutex;
 
@@ -70,7 +69,7 @@ struct SnodeScratch {
 }
 
 thread_local! {
-    /// One arena per worker thread; the rayon shim's teams park workers
+    /// One arena per worker thread; the runtime's teams park workers
     /// between jobs instead of respawning them, so this persists across
     /// level sets and refactorizations.
     static SCRATCH: RefCell<SnodeScratch> = RefCell::new(SnodeScratch::default());
@@ -229,14 +228,17 @@ impl Snlu {
 
     /// Runs the numeric kernels over the etree level sets; each level's
     /// supernodes factor in parallel against the already-filled slots of
-    /// earlier levels.
+    /// earlier levels, as at most team-width contiguous chunks on the
+    /// team's worklist.
     fn run_levels(&self, ap: &CscMat, pivot_floor: f64, snodes: &[Mutex<Option<SnodeFactor>>]) {
         for level in &self.levels {
-            self.pool.install(|| {
-                level.par_iter().for_each(|&s| {
-                    SCRATCH.with(|c| {
-                        self.factor_snode_into(s, ap, pivot_floor, snodes, &mut c.borrow_mut())
-                    });
+            let chunk = level.len().div_ceil(self.team.width()).max(1);
+            self.team.run_worklist(level.len().div_ceil(chunk), |i| {
+                SCRATCH.with(|c| {
+                    let ws = &mut c.borrow_mut();
+                    for &s in level.iter().skip(i * chunk).take(chunk) {
+                        self.factor_snode_into(s, ap, pivot_floor, snodes, ws);
+                    }
                 });
             });
         }

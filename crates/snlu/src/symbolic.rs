@@ -5,7 +5,9 @@ use basker_ordering::amd::amd_order;
 use basker_ordering::etree::{level_sets, NONE};
 use basker_ordering::mwcm::mwcm_bottleneck;
 use basker_ordering::symbolic::{fundamental_supernodes, symbolic_cholesky, FactorPattern};
+use basker_runtime::{shared_team, WorkerTeam};
 use basker_sparse::{CscMat, Perm, Result, SparseError};
+use std::sync::Arc;
 
 /// Options for the supernodal solver.
 #[derive(Debug, Clone)]
@@ -36,12 +38,12 @@ impl Default for SnluOptions {
 /// The symbolic analysis: permutations, factor pattern, supernodes and the
 /// level-set schedule.
 ///
-/// Cheap to clone (the analysis and thread pool are shared behind an
-/// [`std::sync::Arc`]), so numeric factorizations can retain their
-/// symbolic handle — the hook [`crate::SnluNumeric::refactor`] needs.
+/// Cheap to clone (the analysis and worker team are shared behind an
+/// [`Arc`]), so numeric factorizations can retain their symbolic handle
+/// — the hook [`crate::SnluNumeric::refactor`] needs.
 #[derive(Clone)]
 pub struct Snlu {
-    pub(crate) inner: std::sync::Arc<SnluInner>,
+    pub(crate) inner: Arc<SnluInner>,
 }
 
 impl std::ops::Deref for Snlu {
@@ -71,7 +73,8 @@ pub struct SnluInner {
     pub(crate) sn_of_col: Vec<usize>,
     /// Supernode ids grouped by etree level (the parallel schedule).
     pub(crate) levels: Vec<Vec<usize>>,
-    pub(crate) pool: rayon::ThreadPool,
+    /// The process-shared team of `opts.nthreads` ranks the levels run on.
+    pub(crate) team: Arc<WorkerTeam>,
 }
 
 impl Snlu {
@@ -159,14 +162,8 @@ impl Snlu {
         }
         let levels = level_sets(&sn_parent);
 
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(opts.nthreads.max(1))
-            .thread_name(|i| format!("snlu-{i}"))
-            .build()
-            .map_err(|e| SparseError::InvalidStructure(format!("thread pool: {e}")))?;
-
         Ok(Snlu {
-            inner: std::sync::Arc::new(SnluInner {
+            inner: Arc::new(SnluInner {
                 opts: opts.clone(),
                 n,
                 row_perm,
@@ -177,7 +174,7 @@ impl Snlu {
                 sn_bounds,
                 sn_of_col,
                 levels,
-                pool,
+                team: shared_team(opts.nthreads, false),
             }),
         })
     }

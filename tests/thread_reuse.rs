@@ -39,7 +39,8 @@ fn warm_team_spawns_no_new_threads() {
     };
 
     // Warm-up: bring up the teams every later call will reuse (Basker at
-    // 4 and 2 threads exercises both widths the loop below touches).
+    // 4 and 2 threads exercises both widths the loop below touches; the
+    // supernodal engine's level sets run on the width-2 team).
     let cfg4 = SolverConfig::new()
         .engine(Engine::Basker)
         .threads(4)
@@ -48,10 +49,13 @@ fn warm_team_spawns_no_new_threads() {
         .engine(Engine::Basker)
         .threads(2)
         .nd_threshold(32);
+    let cfg_sn = SolverConfig::new().engine(Engine::Snlu).threads(2);
     let solver4 = LinearSolver::analyze(&a, &cfg4).unwrap();
     let solver2 = LinearSolver::analyze(&a, &cfg2).unwrap();
+    let solver_sn = LinearSolver::analyze(&a, &cfg_sn).unwrap();
     let mut num = solver4.factor(&a).unwrap();
     let _ = solver2.factor(&a).unwrap();
+    let mut sn = solver_sn.factor(&a).unwrap();
 
     let spawned_before = basker_repro::basker_runtime::os_threads_spawned();
     let os_before = os_thread_count();
@@ -69,6 +73,10 @@ fn warm_team_spawns_no_new_threads() {
         let re = LinearSolver::analyze(&a2, &cfg2).unwrap();
         let n2 = re.factor(&a2).unwrap();
         assert!(n2.stats().lu_nnz > 0);
+        sn.refactor(&a2).unwrap();
+        let mut y = spmv(&a2, &vec![1.0; a.ncols()]);
+        sn.solve_in_place(&mut y, &mut ws).unwrap();
+        assert!(solver_sn.factor(&a2).unwrap().stats().lu_nnz > 0);
     }
 
     assert_eq!(
