@@ -142,9 +142,8 @@ impl Default for BaskerOptions {
 struct SymInner {
     opts: BaskerOptions,
     structure: Structure,
-    /// The process-shared team of `threads` ranks.
+    /// The process-shared team; its width is the effective thread count.
     team: Arc<WorkerTeam>,
-    threads: usize,
     /// Alg. 2's fine-BTF set — the `Small`-layout blocks the plan leaves
     /// on Gilbert–Peierls — with their flop estimates, and its static
     /// partition over the team.
@@ -254,7 +253,6 @@ impl Basker {
                 // Threads are spawned at most once per width for the
                 // process lifetime and parked between jobs.
                 team: shared_team(threads, false),
-                threads,
                 small_blocks,
                 small_chunks,
                 plan,
@@ -271,7 +269,7 @@ impl Basker {
 
     /// The effective (power-of-two) thread count.
     pub fn threads(&self) -> usize {
-        self.inner.threads
+        self.inner.team.width()
     }
 
     /// The underlying block structure.
@@ -328,7 +326,7 @@ impl Basker {
         .into_iter();
 
         let mut factors: Vec<BlockFactors> = Vec::with_capacity(st.nblocks());
-        let mut sync_wait = vec![0u64; inner.threads];
+        let mut sync_wait = vec![0u64; inner.team.width()];
         let mut assist = AssistTally::default();
         let (mut sn_blocks, mut nd_blocks) = (0usize, 0usize);
         for b in 0..st.nblocks() {
@@ -400,7 +398,7 @@ impl Basker {
             btf_blocks: st.nblocks(),
             sn_blocks,
             nd_blocks,
-            threads: inner.threads,
+            threads: inner.team.width(),
         };
         Ok(num)
     }

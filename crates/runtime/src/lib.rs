@@ -222,8 +222,8 @@ where
 }
 
 /// A persistent team of `width` ranks: the submitting thread serves as
-/// rank 0 (it is usually cache-warm from preparing the job's inputs) and `width − 1` parked worker threads
-/// serve ranks `1..width`.
+/// rank 0 (it is usually cache-warm from preparing the job's inputs) and
+/// `width − 1` parked worker threads serve ranks `1..width`.
 ///
 /// ```
 /// use basker_runtime::{TeamConfig, WorkerTeam};

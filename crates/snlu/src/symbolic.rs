@@ -5,8 +5,10 @@ use basker_ordering::amd::amd_order;
 use basker_ordering::etree::{level_sets, NONE};
 use basker_ordering::mwcm::mwcm_bottleneck;
 use basker_ordering::symbolic::{fundamental_supernodes, symbolic_cholesky, FactorPattern};
-use basker_runtime::{shared_team, WorkerTeam};
 use basker_sparse::{CscMat, Perm, Result, SparseError};
+// `basker_runtime`'s own items, by way of the lockfile placeholder (see
+// `crates/snlu/Cargo.toml`).
+use rayon::{shared_team, WorkerTeam};
 use std::sync::Arc;
 
 /// Options for the supernodal solver.

@@ -1,1 +1,5 @@
-//! Empty placeholder: exists only because `benchmark/Cargo.lock` names a `rayon` package.
+//! Placeholder named by `benchmark/Cargo.lock`, which records `basker_snlu → rayon` but not
+//! `basker_snlu → basker_runtime`; until that lockfile changes, `basker_snlu` reaches the
+//! runtime's team through this one re-export.
+
+pub use basker_runtime::{shared_team, WorkerTeam};
