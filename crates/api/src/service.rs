@@ -23,10 +23,9 @@
 //!                        └───────────┬─────────────┘
 //!                                    │ batch of ≤ width jobs
 //!                                    ▼
-//!              one assistable task over the shared worker team
-//!              (WorkerTeam::run_worklist → atomically-claimed
-//!               work index; blocked ranks anywhere in the
-//!               process can `try_assist` the remaining jobs)
+//!                one worklist on the shared worker team
+//!              (WorkerTeam::run_worklist: one broadcast whose
+//!               ranks pop jobs from a shared atomic cursor)
 //!                      rank 0   rank 1   …   rank p−1
 //! ```
 //!
@@ -82,7 +81,7 @@
 use crate::config::Engine;
 use crate::error::SolverError;
 use crate::session::{SessionConfig, SessionState, SessionStats, SolveQuality, SolveSession};
-use basker_runtime::{assist_counters, shared_team, AssistCounters, WorkerTeam};
+use basker_runtime::{shared_team, WorkerTeam};
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -232,16 +231,12 @@ pub struct ServiceStats {
     pub solve_sweeps: usize,
     /// Worst refined residual any stream's session has reported.
     pub worst_residual: f64,
-    /// Work items executed through the scheduler's assist loop since the
-    /// service opened (process-wide: blocked ranks of *any* pool joining
-    /// any task — cross-stream jobs and factorization-internal columns
-    /// share one assist registry).
+    /// Always 0: a blocked rank waits and never runs another stream's
+    /// job. Kept because the benchmark's `api.service.columns_assisted`
+    /// row reads it.
     pub columns_assisted: u64,
-    /// Distinct scheduler tasks joined by assisting threads since the
-    /// service opened (process-wide, like `columns_assisted`).
-    pub tasks_joined: u64,
-    /// Assist probes (hits and misses) since the service opened
-    /// (process-wide, like `columns_assisted`).
+    /// Always 0, for the same reason; read by
+    /// `api.service.steal_attempts`.
     pub steal_attempts: u64,
     /// The dense micro-kernel rung the process dispatched (see
     /// [`SolverStats::kernel`](crate::SolverStats)).
@@ -319,9 +314,6 @@ struct ServiceInner {
     /// Signalled when queue room may have appeared — backpressured
     /// submitters park here.
     room: Condvar,
-    /// Process-wide assist counters at service creation; `stats()`
-    /// reports the delta since then.
-    assist_baseline: AssistCounters,
     /// Live `SolverService` handles (clones); the last one to drop
     /// triggers `shutdown`.
     service_handles: AtomicUsize,
@@ -445,7 +437,6 @@ impl SolverService {
                 }),
                 done: Condvar::new(),
                 room: Condvar::new(),
-                assist_baseline: assist_counters(),
                 service_handles: AtomicUsize::new(1),
             }),
         }
@@ -561,8 +552,6 @@ impl SolverService {
             .filter_map(|id| st.streams.get(id).map(|e| e.stats_for(*id)))
             .collect();
         let c = &st.stats;
-        let assist = assist_counters();
-        let base = &self.inner.assist_baseline;
         ServiceStats {
             team_width: self.inner.team.width(),
             streams: per_stream.len(),
@@ -586,9 +575,8 @@ impl SolverService {
                 .iter()
                 .map(|s| s.session.worst_residual)
                 .fold(0.0, f64::max),
-            columns_assisted: assist.items_assisted - base.items_assisted,
-            tasks_joined: assist.tasks_joined - base.tasks_joined,
-            steal_attempts: assist.steal_attempts - base.steal_attempts,
+            columns_assisted: 0,
+            steal_attempts: 0,
             kernel: basker_kernels::active().name(),
             per_stream,
         }

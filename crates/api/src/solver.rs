@@ -54,23 +54,14 @@ pub struct SolverStats {
     /// plan routes to it).
     pub perturbed_pivots: usize,
     /// Synchronization overhead fraction of the last (re)factorization
-    /// (block driver only; a refactorization is serial and reports 0).
+    /// (block driver only): the ranks' slot and barrier waits after a
+    /// factor, the caller's stage-join waits after a refactor.
     pub sync_fraction: f64,
     /// Per-thread nanoseconds spent blocked on synchronization during
     /// the last (re)factorization (block driver only: one entry per worker
     /// rank of the persistent team, `len() == threads`; empty for the
     /// other engines). Makes sync overhead observable per rank.
     pub sync_wait_ns: Vec<u64>,
-    /// Work items (pipeline columns, worklist jobs) executed by blocked
-    /// threads through the scheduler's assist loop during the last
-    /// factorization (block driver only).
-    pub columns_assisted: u64,
-    /// Distinct scheduler tasks joined by blocked threads (block driver
-    /// only).
-    pub tasks_joined: u64,
-    /// Assist probes issued by blocked threads, hits and misses (block
-    /// driver only).
-    pub steal_attempts: u64,
     /// Wall-clock seconds of the last (re)factorization, when measured.
     pub factor_seconds: f64,
     /// The dense micro-kernel rung the process dispatched (`"scalar"`,
@@ -432,9 +423,6 @@ impl LuNumeric for BaskerNumeric {
             perturbed_pivots: self.perturbed_pivots(),
             sync_fraction: self.stats.sync_fraction(),
             sync_wait_ns: self.stats.sync_wait_ns.clone(),
-            columns_assisted: self.stats.columns_assisted,
-            tasks_joined: self.stats.tasks_joined,
-            steal_attempts: self.stats.steal_attempts,
             factor_seconds: self.stats.numeric_seconds,
         }
     }

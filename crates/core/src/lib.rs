@@ -53,7 +53,7 @@ pub mod structure;
 pub mod sync;
 
 pub use stats::BaskerStats;
-pub use sync::{AssistTally, SyncMode};
+pub use sync::SyncMode;
 
 use crate::fine_btf::{factor_small_blocks, partition_by_flops, SmallBlock};
 use crate::frozen::get_or_record;
@@ -64,7 +64,7 @@ use crate::solve::solve_nd_in_place;
 use crate::structure::{BlockKind, NdBlocks, Structure};
 use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
-use basker_runtime::{assist_counters, shared_team, WorkerTeam};
+use basker_runtime::{shared_team, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
 use basker_sparse::blocks::{extract_range, upper_block_part};
 use basker_sparse::metrics::BlockMetrics;
@@ -327,7 +327,6 @@ impl Basker {
 
         let mut factors: Vec<BlockFactors> = Vec::with_capacity(st.nblocks());
         let mut sync_wait = vec![0u64; inner.team.width()];
-        let mut assist = AssistTally::default();
         let (mut sn_blocks, mut nd_blocks) = (0usize, 0usize);
         for b in 0..st.nblocks() {
             let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
@@ -369,7 +368,6 @@ impl Basker {
                     for (t, w) in f.wait_ns.iter().enumerate() {
                         sync_wait[t] += w;
                     }
-                    assist.merge(f.assist);
                     nd_blocks += 1;
                     BlockFactors::Nd(Box::new(NdPart {
                         blocks: Some(blocks),
@@ -392,13 +390,11 @@ impl Basker {
             flops: num.flops(),
             numeric_seconds: t0.elapsed().as_secs_f64(),
             sync_wait_ns: sync_wait,
-            columns_assisted: assist.columns_assisted,
-            tasks_joined: assist.tasks_joined,
-            steal_attempts: assist.steal_attempts,
             btf_blocks: st.nblocks(),
             sn_blocks,
             nd_blocks,
             threads: inner.team.width(),
+            ..BaskerStats::default()
         };
         Ok(num)
     }
@@ -644,7 +640,6 @@ impl BaskerNumeric {
         t0: Instant,
     ) -> Result<()> {
         let replay = self.replay.as_mut().expect("recorded by refactor_on");
-        let assist0 = (team.width() > 1).then(assist_counters);
         let joined = replay.run(
             a,
             &self.sym.inner.structure,
@@ -663,27 +658,12 @@ impl BaskerNumeric {
             .map(|&b| self.factors[b].flops())
             .sum();
         // The fresh factor's pipeline waits are not this call's. What
-        // is: the caller's time blocked in stage joins, and whatever the
-        // process's assist loop did meanwhile — both nothing when every
-        // stage ran inline, as at width 1.
+        // is: the caller's time blocked in stage joins — nothing when
+        // every stage ran inline, as at width 1.
         stats.sync_wait_ns.fill(0);
-        let assisted = match (joined, assist0) {
-            (Some(wait), Some(before)) => {
-                stats.sync_wait_ns[0] = wait;
-                let now = assist_counters();
-                [
-                    now.items_assisted - before.items_assisted,
-                    now.tasks_joined - before.tasks_joined,
-                    now.steal_attempts - before.steal_attempts,
-                ]
-            }
-            _ => [0; 3],
-        };
-        [
-            stats.columns_assisted,
-            stats.tasks_joined,
-            stats.steal_attempts,
-        ] = assisted;
+        if let Some(wait) = joined {
+            stats.sync_wait_ns[0] = wait;
+        }
         Ok(())
     }
 }
@@ -859,25 +839,16 @@ mod tests {
                 // Whatever the team measured, make the stale state
                 // unmistakable.
                 num.stats.sync_wait_ns.fill(STALE);
-                num.stats.columns_assisted = STALE;
-                num.stats.tasks_joined = STALE;
-                num.stats.steal_attempts = STALE;
                 num.refactor(&a).unwrap();
                 let st = &num.stats;
-                let counters = [st.columns_assisted, st.tasks_joined, st.steal_attempts];
                 assert!(st.sync_fraction() <= 1.0, "p={p}: {}", st.sync_fraction());
                 assert_eq!(st.sync_wait_ns.len(), p);
                 assert!(
                     st.sync_wait_ns[1..].iter().all(|&w| w == 0),
                     "only the caller waits on a join"
                 );
-                assert!(
-                    counters.iter().all(|&c| c < STALE / 2),
-                    "p={p}: {counters:?}"
-                );
                 if p == 1 {
                     assert_eq!(st.sync_wait_ns, vec![0]);
-                    assert_eq!(counters, [0; 3]);
                 }
             }
         }

@@ -38,7 +38,7 @@ use crate::keep_smallest_column;
 use crate::reduce::{reduce_col, ReduceWorkspace};
 use crate::refactor::ItemCell;
 use crate::structure::{NdBlocks, NdStructure};
-use crate::sync::{AssistTally, ColumnSlots, Slot, SyncMode, TeamSync, WaitCtx};
+use crate::sync::{ColumnSlots, Slot, SyncMode, TeamSync, WaitClock};
 use basker_klu::gp::{lsolve_col, BlockColumnFactorizer, BlockLu, LsolveWorkspace};
 use basker_runtime::WorkerTeam;
 use basker_sparse::col::cols_to_csc;
@@ -57,11 +57,8 @@ pub struct NdFactors {
     /// the panel `U_{k,v}` in `k`'s pivotal row coordinates.
     pub fact_upper: Vec<Vec<ItemCell<CscMat>>>,
     /// Per-thread nanoseconds spent blocked on synchronization (one
-    /// entry per rank of the team that produced these factors). Time a
-    /// blocked rank spent *assisting* other work is excluded.
+    /// entry per rank of the team that produced these factors).
     pub wait_ns: Vec<u64>,
-    /// Assist-loop activity summed over the team's ranks.
-    pub assist: AssistTally,
 }
 
 impl NdFactors {
@@ -153,7 +150,7 @@ pub fn factor_nd_parallel(
     let slots = PipelineSlots::new(st);
     let sync = TeamSync::new(mode, p);
     let error: Mutex<Option<SparseError>> = Mutex::new(None);
-    let ctxs: Vec<WaitCtx> = (0..p).map(|_| WaitCtx::new(mode)).collect();
+    let clocks: Vec<WaitClock> = (0..p).map(|_| WaitClock::new()).collect();
 
     team.broadcast(|tctx| {
         let t = tctx.rank();
@@ -161,7 +158,7 @@ pub fn factor_nd_parallel(
             return;
         }
         worker(
-            t, blocks, st, pivot_tol, col_offset, &slots, &sync, &error, &ctxs[t], levels,
+            t, blocks, st, pivot_tol, col_offset, &slots, &sync, &error, &clocks[t], levels,
         );
     });
 
@@ -194,15 +191,10 @@ pub fn factor_nd_parallel(
                 .collect()
         })
         .collect();
-    let mut assist = AssistTally::default();
-    for c in &ctxs {
-        assist.merge(c.tally());
-    }
     Ok(NdFactors {
         fact_diag,
         fact_upper,
-        wait_ns: ctxs.iter().map(|c| c.wait_ns()).collect(),
-        assist,
+        wait_ns: clocks.iter().map(WaitClock::total_ns).collect(),
     })
 }
 
@@ -210,17 +202,6 @@ pub fn factor_nd_parallel(
 struct WorkerScratch {
     lsolve: LsolveWorkspace,
     reduce: ReduceWorkspace,
-}
-
-thread_local! {
-    /// Lsolve scratch for assistable leaf-panel columns. Thread-local
-    /// (rather than the rank's [`WorkerScratch`]) because an *assisting*
-    /// thread is a foreign rank — or a service worker — that arrives
-    /// without the owner's scratch; and the owner itself may hold a
-    /// `&mut` borrow of its `WorkerScratch` elsewhere on the stack. Leaf
-    /// items never wait, so the `RefCell` borrow cannot re-enter.
-    static ASSIST_LSOLVE: std::cell::RefCell<LsolveWorkspace> =
-        std::cell::RefCell::new(LsolveWorkspace::new());
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -233,7 +214,7 @@ fn worker(
     slots: &PipelineSlots,
     team: &TeamSync,
     error: &Mutex<Option<SparseError>>,
-    ctx: &WaitCtx,
+    clock: &WaitClock,
     levels: usize,
 ) {
     let my_leaf = st.leaf_of_thread[t];
@@ -263,7 +244,7 @@ fn worker(
             }
         }
     }
-    team.phase(ctx);
+    team.phase(clock);
 
     // ---- separator block columns, bottom-up (lines 9-31) ----
     for slevel in 1..=levels {
@@ -276,33 +257,12 @@ fn worker(
         {
             let panel = &slots.upper[j][my_leaf - start];
             let a = &blocks.upper[j][my_leaf - start];
-            match slots.diag[my_leaf].wait(ctx).as_ref() {
+            match slots.diag[my_leaf].wait(clock).as_ref() {
                 Some(blu) => {
-                    if team.mode() == SyncMode::PointToPoint && nb > 1 {
-                        // Register the remaining panel columns as
-                        // assistable work: a rank blocked on one of these
-                        // columns claims and solves it itself instead of
-                        // spinning on the slot. Columns are independent
-                        // (lsolve + publish, no waits inside), so an
-                        // assister can never re-enter the scheduler from
-                        // within an item.
-                        basker_runtime::run_assistable(nb, |c| {
-                            ASSIST_LSOLVE.with(|ws| {
-                                let mut ws = ws.borrow_mut();
-                                let col = lsolve_col(blu, a.col_rows(c), a.col_values(c), &mut ws);
-                                panel.publish(c, Some(col));
-                            });
-                        });
-                    } else {
-                        for c in 0..nb {
-                            let col = lsolve_col(
-                                blu,
-                                a.col_rows(c),
-                                a.col_values(c),
-                                &mut scratch.lsolve,
-                            );
-                            panel.publish(c, Some(col));
-                        }
+                    for c in 0..nb {
+                        let col =
+                            lsolve_col(blu, a.col_rows(c), a.col_values(c), &mut scratch.lsolve);
+                        panel.publish(c, Some(col));
                     }
                 }
                 None => {
@@ -312,16 +272,16 @@ fn worker(
                 }
             }
         }
-        team.phase(ctx);
+        team.phase(clock);
 
         // treelevels 1..slevel-1: inner separator panels (lines 15-21),
         // streamed per column over the descendants' panel columns.
         for lv in 1..slevel {
             let s = st.ancestors[my_leaf][lv - 1];
             if st.owner[s] == t {
-                separator_panel_columns(blocks, st, j, s, start, slots, ctx, &mut scratch);
+                separator_panel_columns(blocks, st, j, s, start, slots, clock, &mut scratch);
             }
-            team.phase(ctx);
+            team.phase(clock);
         }
 
         // treelevel slevel: distributed reductions (lines 18 & 24) and
@@ -334,7 +294,7 @@ fn worker(
         // waits + L-block lookups), then stream columns through them.
         let my_targets: Vec<TargetReduction<'_>> = (0..ntargets)
             .filter(|i| i % gsize == my_rank)
-            .map(|idx| prepare_target(blocks, st, j, idx, slots, ctx))
+            .map(|idx| prepare_target(blocks, st, j, idx, slots, clock))
             .collect();
 
         if team.mode() == SyncMode::Barrier {
@@ -350,13 +310,13 @@ fn worker(
                         start,
                         c,
                         slots,
-                        ctx,
+                        clock,
                         &mut scratch,
                         &mut red_terms,
                     );
                 }
             }
-            team.phase(ctx);
+            team.phase(clock);
             if is_owner {
                 owner_factor_columns(
                     st,
@@ -366,12 +326,12 @@ fn worker(
                     pivot_tol,
                     col_offset,
                     slots,
-                    ctx,
+                    clock,
                     &record_err,
                     &mut below_cols,
                 );
             }
-            team.phase(ctx);
+            team.phase(clock);
         } else if is_owner {
             // Pipelined: the owner interleaves its reduction columns
             // with the elimination of each column the moment that
@@ -393,7 +353,7 @@ fn worker(
                         start,
                         c,
                         slots,
-                        ctx,
+                        clock,
                         &mut scratch,
                         &mut red_terms,
                     );
@@ -405,7 +365,7 @@ fn worker(
                         c,
                         ntargets,
                         slots,
-                        ctx,
+                        clock,
                         &record_err,
                         &mut below_cols,
                     );
@@ -426,7 +386,7 @@ fn worker(
                         start,
                         c,
                         slots,
-                        ctx,
+                        clock,
                         &mut scratch,
                         &mut red_terms,
                     );
@@ -449,7 +409,7 @@ fn separator_panel_columns(
     s: usize,
     start: usize,
     slots: &PipelineSlots,
-    ctx: &WaitCtx,
+    clock: &WaitClock,
     scratch: &mut WorkerScratch,
 ) {
     let out = &slots.upper[j][s - start];
@@ -459,7 +419,7 @@ fn separator_panel_columns(
     // are (or will shortly be) published by earlier tree levels.
     let mut lblocks: Vec<&CscMat> = Vec::with_capacity(s - st.subtree_start[s]);
     for k in st.descendants(s) {
-        match slots.diag[k].wait(ctx).as_ref() {
+        match slots.diag[k].wait(clock).as_ref() {
             Some(d_k) => lblocks.push(&d_k.below[st.anc_pos(k, s)]),
             None => {
                 for c in 0..nb {
@@ -469,7 +429,7 @@ fn separator_panel_columns(
             }
         }
     }
-    let Some(d_s) = slots.diag[s].wait(ctx).as_ref() else {
+    let Some(d_s) = slots.diag[s].wait(clock).as_ref() else {
         for c in 0..nb {
             out.publish(c, None);
         }
@@ -480,7 +440,7 @@ fn separator_panel_columns(
     'col: for c in 0..nb {
         terms.clear();
         for (ki, k) in st.descendants(s).enumerate() {
-            match slots.upper[j][k - start].wait(c, ctx) {
+            match slots.upper[j][k - start].wait(c, clock) {
                 Some(ucol) => {
                     if lblocks[ki].nnz() > 0 && !ucol.rows.is_empty() {
                         terms.push((lblocks[ki], &ucol.rows, &ucol.vals));
@@ -526,7 +486,7 @@ fn prepare_target<'a>(
     j: usize,
     idx: usize,
     slots: &'a PipelineSlots,
-    ctx: &WaitCtx,
+    clock: &WaitClock,
 ) -> TargetReduction<'a> {
     let (tgt, a_tgt) = if idx == 0 {
         (j, &blocks.diag[j])
@@ -536,7 +496,7 @@ fn prepare_target<'a>(
     let trows = st.nd.nodes[tgt].len();
     let mut lblocks: Vec<&CscMat> = Vec::with_capacity(j - st.subtree_start[j]);
     for k in st.descendants(j) {
-        match slots.diag[k].wait(ctx).as_ref() {
+        match slots.diag[k].wait(clock).as_ref() {
             Some(d_k) => lblocks.push(&d_k.below[st.anc_pos(k, tgt)]),
             None => {
                 return TargetReduction {
@@ -568,7 +528,7 @@ fn reduce_target_col<'a>(
     start: usize,
     c: usize,
     slots: &'a PipelineSlots,
-    ctx: &WaitCtx,
+    clock: &WaitClock,
     scratch: &mut WorkerScratch,
     terms: &mut Vec<(&'a CscMat, &'a [usize], &'a [f64])>,
 ) {
@@ -579,7 +539,7 @@ fn reduce_target_col<'a>(
     };
     terms.clear();
     for (ki, k) in st.descendants(j).enumerate() {
-        match slots.upper[j][k - start].wait(c, ctx) {
+        match slots.upper[j][k - start].wait(c, clock) {
             Some(ucol) => {
                 if lblocks[ki].nnz() > 0 && !ucol.rows.is_empty() {
                     terms.push((lblocks[ki], &ucol.rows, &ucol.vals));
@@ -614,17 +574,17 @@ fn owner_factor_one<'a>(
     c: usize,
     ntargets: usize,
     slots: &'a PipelineSlots,
-    ctx: &WaitCtx,
+    clock: &WaitClock,
     record_err: &impl Fn(SparseError),
     below_cols: &mut Vec<(&'a [usize], &'a [f64])>,
 ) -> bool {
-    let diag_col = match slots.red[j][0].wait(c, ctx) {
+    let diag_col = match slots.red[j][0].wait(c, clock) {
         Some(col) => col,
         None => return false,
     };
     below_cols.clear();
     for idx in 1..ntargets {
-        match slots.red[j][idx].wait(c, ctx) {
+        match slots.red[j][idx].wait(c, clock) {
             Some(col) => below_cols.push((col.rows.as_slice(), col.vals.as_slice())),
             None => return false,
         }
@@ -650,7 +610,7 @@ fn owner_factor_columns<'a>(
     pivot_tol: f64,
     col_offset: usize,
     slots: &'a PipelineSlots,
-    ctx: &WaitCtx,
+    clock: &WaitClock,
     record_err: &impl Fn(SparseError),
     below_cols: &mut Vec<(&'a [usize], &'a [f64])>,
 ) {
@@ -661,7 +621,9 @@ fn owner_factor_columns<'a>(
     let off = col_offset + st.nd.nodes[j].range.start;
     let mut fac = BlockColumnFactorizer::new(nb, &below_nrows, pivot_tol, off);
     for c in 0..nb {
-        if !owner_factor_one(&mut fac, j, c, ntargets, slots, ctx, record_err, below_cols) {
+        if !owner_factor_one(
+            &mut fac, j, c, ntargets, slots, clock, record_err, below_cols,
+        ) {
             slots.diag[j].publish(None);
             return;
         }
@@ -812,9 +774,6 @@ mod tests {
             assert_eq!(fp.fact_diag[v].u.values(), fb.fact_diag[v].u.values());
             assert_eq!(fp.fact_diag[v].l.values(), fb.fact_diag[v].l.values());
         }
-        // Only the assist mode performs steal probes; the barrier
-        // baseline must leave the counters untouched.
-        assert_eq!(fb.assist, AssistTally::default());
     }
 
     #[test]
@@ -917,7 +876,5 @@ mod tests {
         assert_eq!(f.team_size(), 4);
         assert!(f.flops() > 0.0);
         assert!(f.lu_nnz() > 0);
-        // A non-assist mode never probes the assist registry.
-        assert!(f.assist.columns_assisted == 0 && f.assist.steal_attempts == 0);
     }
 }

@@ -613,8 +613,8 @@ impl NdRecord {
 
 thread_local! {
     /// The kernels' accumulators. Thread-local because an item runs on
-    /// whichever rank claims it — or on a foreign thread assisting the
-    /// stage — and items never wait, so the borrow cannot re-enter.
+    /// whichever rank claims it, and items never wait, so the borrow
+    /// cannot re-enter.
     static WORKSPACE: RefCell<RefactorWorkspace> = RefCell::new(RefactorWorkspace::new());
 
     /// Set on the thread that dispatched a stage, for the stage's

@@ -10,16 +10,17 @@ pub struct BaskerStats {
     pub flops: f64,
     /// Wall-clock seconds of the numeric phase.
     pub numeric_seconds: f64,
-    /// Per-thread nanoseconds spent blocked on synchronization (summed
-    /// over all ND blocks); empty when no ND block exists. Time a
-    /// blocked thread spent assisting other work is excluded.
+    /// Per-thread nanoseconds spent blocked on synchronization: slot
+    /// waits and barriers summed over all ND blocks after a factor, the
+    /// caller's stage joins (entry 0) after a refactor. One entry per
+    /// rank of the team.
     pub sync_wait_ns: Vec<u64>,
-    /// Work items (pipeline columns, worklist jobs) executed by blocked
-    /// threads through the assist loop, summed over all ND blocks.
+    /// Always 0: blocked ranks wait and never run other work. Kept
+    /// because the benchmark's `core.columns_assisted` row reads it.
     pub columns_assisted: u64,
-    /// Distinct scheduler tasks joined by blocked threads.
+    /// Always 0, for the same reason; read by `core.tasks_joined`.
     pub tasks_joined: u64,
-    /// Assist probes issued by blocked threads (hits and misses).
+    /// Always 0, for the same reason; read by `core.steal_attempts`.
     pub steal_attempts: u64,
     /// Number of BTF blocks.
     pub btf_blocks: usize,

@@ -7,27 +7,21 @@
 //! (Release) and spin-read (Acquire) by consumers.
 //!
 //! [`Slot`] packages that protocol: `publish` stores the value and flips
-//! the flag; `wait` runs an **assist-then-wait** loop — a brief spin
-//! catches the fast hand-off, after which the blocked rank joins any
-//! in-flight assistable task ([`basker_runtime::try_assist`]) instead of
-//! sleeping, so waiting threads contribute work (another column, another
-//! BTF block, another stream's job) rather than burn timeslices. Time
-//! spent genuinely idle is counted (assist run time is excluded) so the
-//! sync-overhead ablation (paper: barrier 11 % vs point-to-point 2.3 %
-//! on `G2_Circuit`) can be measured. [`ColumnSlots`] arranges one slot
-//! **per column** of a pipelined block-column producer — the layout
-//! behind the paper's column-at-a-time separator factorization, where a
-//! consumer picks up column `c` while the producer works on `c + 1`.
+//! the flag; `wait` spins briefly to catch the fast hand-off, then
+//! yields its timeslice between polls, so a waiter that shares a core
+//! with its producer does not starve it. The time blocked is added to a
+//! [`WaitClock`] so the sync-overhead ablation (paper: barrier 11 % vs
+//! point-to-point 2.3 % on `G2_Circuit`) can be measured. [`ColumnSlots`]
+//! arranges one slot **per column** of a pipelined block-column
+//! producer — the layout behind the paper's column-at-a-time separator
+//! factorization, where a consumer picks up column `c` while the
+//! producer works on `c + 1`.
 //!
-//! Waiting is parameterized by [`WaitCtx`], which carries the wait clock,
-//! the per-rank assist counters, and the strategy — the two schemes §IV
-//! compares: [`SyncMode::PointToPoint`] waits assist; [`SyncMode::
-//! Barrier`]'s (barrier-bounded) slot waits never assist and run an
-//! escalating spin → yield → sleep loop instead, which is the barrier
-//! baseline's wait and nothing else. The barrier itself is provided by
-//! [`TeamSync`], which either no-ops (`PointToPoint`) or runs a full
-//! team barrier (`Barrier`) at every structural phase boundary,
-//! mimicking a naive sequence of parallel-for launches.
+//! [`SyncMode`] names the two schemes §IV compares. Slot waits are the
+//! same under both; the barrier is provided by [`TeamSync`], which
+//! either no-ops (`PointToPoint`) or runs a full team barrier
+//! (`Barrier`) at every structural phase boundary, mimicking a naive
+//! sequence of parallel-for launches.
 //!
 //! # Memory-ordering audit
 //!
@@ -67,9 +61,8 @@
 //! Under `--cfg basker_model` (passed via `RUSTFLAGS` by the
 //! model-checking CI leg) the slot's state atomic and value cell swap
 //! onto [`basker_model`]'s schedule-explored facades, and `wait`
-//! becomes a plain poll/yield loop (the assist path and timing
-//! instrumentation are out of scope for the model — they are std-only
-//! side bands). Run the suites with:
+//! becomes a plain poll/yield loop (the timing instrumentation is out
+//! of scope for the model — a std-only side band). Run the suites with:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg basker_model" cargo test -p basker --lib model_checks
@@ -138,8 +131,7 @@ use basker_model::cell::ValueCell;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
     /// Producer/consumer flags between dependent threads only (Basker's
-    /// scheme), with blocked ranks **assisting** in-flight tasks instead
-    /// of backing off. The default.
+    /// scheme). The default.
     PointToPoint,
     /// Full team barrier at every dependency level (the naive
     /// data-parallel baseline the paper measures against).
@@ -213,18 +205,16 @@ impl<T> Slot<T> {
         }
     }
 
-    /// Blocks until the value is published, accumulating *idle* time into
-    /// `ctx`'s clock. In assist mode (the [`SyncMode::PointToPoint`]
-    /// default) the blocked thread joins in-flight assistable tasks
-    /// between polls; time spent running assisted work is useful work and
-    /// is **excluded** from the recorded wait.
-    pub fn wait<'a>(&'a self, ctx: &WaitCtx) -> &'a T {
+    /// Blocks until the value is published, adding the time blocked to
+    /// `clock`: 64 spins catch the fast hand-off, then the waiter yields
+    /// between polls.
+    pub fn wait<'a>(&'a self, clock: &WaitClock) -> &'a T {
         // Under the model checker the wait is a plain poll/yield loop:
         // the protocol under test is the Release/Acquire hand-off, and
-        // the assist path and timing side band are std-only concerns.
+        // the timing side band is a std-only concern.
         #[cfg(basker_model)]
         {
-            let _ = ctx;
+            let _ = clock;
             loop {
                 if let Some(v) = self.try_get() {
                     return v;
@@ -237,50 +227,18 @@ impl<T> Slot<T> {
             if let Some(v) = self.try_get() {
                 return v;
             }
-            let mut idle = 0u64;
-            let mut seg = Instant::now();
+            let start = Instant::now();
             let mut spins = 0u32;
             loop {
                 if let Some(v) = self.try_get() {
-                    ctx.clock.add(idle + seg.elapsed().as_nanos() as u64);
+                    clock.add(start.elapsed().as_nanos() as u64);
                     return v;
                 }
-                spins = spins.saturating_add(1);
-                if ctx.assist {
-                    // Assist-then-wait: a brief spin catches the fast
-                    // hand-off; past that, join someone else's in-flight
-                    // work instead of sleeping. `spins` resets after an
-                    // assist so the cheap poll phase runs again — the
-                    // awaited column may have landed meanwhile.
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        let pre = seg.elapsed().as_nanos() as u64;
-                        // ORDER: Relaxed — diagnostic counter, read only
-                        // after the team joins (see WaitCtx docs).
-                        ctx.steal_attempts.fetch_add(1, Ordering::Relaxed);
-                        if let Some(id) = basker_runtime::try_assist() {
-                            idle += pre;
-                            ctx.note_assist(id);
-                            seg = Instant::now();
-                            spins = 0;
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
+                if spins < 64 {
+                    spins += 1;
+                    std::hint::spin_loop();
                 } else {
-                    // The barrier baseline's slot wait (SyncMode::Barrier):
-                    // a brief spin, a yield phase, then sleeps — essential
-                    // when ranks outnumber cores, where a spinning waiter
-                    // would otherwise steal the producer's timeslices.
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else if spins < 256 {
-                        std::thread::yield_now();
-                    } else {
-                        let us = (spins - 255).min(50) as u64;
-                        std::thread::sleep(std::time::Duration::from_micros(us));
-                    }
+                    std::thread::yield_now();
                 }
             }
         }
@@ -325,10 +283,10 @@ impl<T> ColumnSlots<T> {
         self.cols[c].publish(value);
     }
 
-    /// Blocks (assisting) until column `c` is published; `None` means the
-    /// producer poisoned it (upstream numeric failure).
-    pub fn wait<'a>(&'a self, c: usize, ctx: &WaitCtx) -> Option<&'a T> {
-        self.cols[c].wait(ctx).as_ref()
+    /// Blocks until column `c` is published; `None` means the producer
+    /// poisoned it (upstream numeric failure).
+    pub fn wait<'a>(&'a self, c: usize, clock: &WaitClock) -> Option<&'a T> {
+        self.cols[c].wait(clock).as_ref()
     }
 
     /// Consumes the slots, yielding each column in order (`None` for
@@ -338,7 +296,10 @@ impl<T> ColumnSlots<T> {
     }
 }
 
-/// Per-thread accumulator of time spent blocked on synchronization.
+/// Per-rank accumulator of time spent blocked on synchronization. One
+/// per team rank; every blocking primitive in the numeric phase
+/// ([`Slot::wait`], [`ColumnSlots::wait`], [`TeamSync::phase`]) threads
+/// a `&WaitClock` so waits are observable.
 #[derive(Default)]
 pub struct WaitClock {
     nanos: AtomicU64,
@@ -361,98 +322,6 @@ impl WaitClock {
     pub fn total_ns(&self) -> u64 {
         // ORDER: Relaxed — see `add`.
         self.nanos.load(Ordering::Relaxed)
-    }
-}
-
-/// Snapshot of one rank's (or one factorization's, when summed)
-/// assist-loop activity: how much foreign work was run while blocked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AssistTally {
-    /// Work items (pipeline columns, worklist jobs) executed while
-    /// blocked on a slot.
-    pub columns_assisted: u64,
-    /// Distinct tasks joined by the assist loop.
-    pub tasks_joined: u64,
-    /// Assist probes issued (hits and misses) — the analogue of a
-    /// work-stealing scheduler's steal attempts.
-    pub steal_attempts: u64,
-}
-
-impl AssistTally {
-    /// Component-wise sum.
-    pub fn merge(&mut self, other: AssistTally) {
-        self.columns_assisted += other.columns_assisted;
-        self.tasks_joined += other.tasks_joined;
-        self.steal_attempts += other.steal_attempts;
-    }
-}
-
-/// Per-rank wait context: the wait clock plus the assist strategy and
-/// counters. One per team rank; every blocking primitive in the numeric
-/// phase ([`Slot::wait`], [`ColumnSlots::wait`], [`TeamSync::phase`])
-/// threads a `&WaitCtx` so waits are observable and, in assist mode,
-/// productive.
-///
-/// All counters are Relaxed atomics for the same reason as [`WaitClock`]:
-/// each context is written by one rank and aggregated only after the team
-/// joins, which supplies the happens-before edge.
-pub struct WaitCtx {
-    clock: WaitClock,
-    /// Whether blocked waits should join in-flight assistable tasks
-    /// (true only for [`SyncMode::PointToPoint`]). Unread under the
-    /// model checker, whose `wait` branch is a plain yield loop.
-    #[cfg_attr(basker_model, allow(dead_code))]
-    assist: bool,
-    columns_assisted: AtomicU64,
-    tasks_joined: AtomicU64,
-    steal_attempts: AtomicU64,
-    /// Id of the last task assisted (0 = none yet) — detects joins of a
-    /// *new* task vs repeat items of the same one. Unread under the
-    /// model checker (no assist path).
-    #[cfg_attr(basker_model, allow(dead_code))]
-    last_task: AtomicU64,
-}
-
-impl WaitCtx {
-    /// A fresh context using `mode`'s wait strategy.
-    pub fn new(mode: SyncMode) -> Self {
-        WaitCtx {
-            clock: WaitClock::new(),
-            assist: mode == SyncMode::PointToPoint,
-            columns_assisted: AtomicU64::new(0),
-            tasks_joined: AtomicU64::new(0),
-            steal_attempts: AtomicU64::new(0),
-            last_task: AtomicU64::new(0),
-        }
-    }
-
-    /// Total idle nanoseconds recorded (assist run time excluded).
-    pub fn wait_ns(&self) -> u64 {
-        self.clock.total_ns()
-    }
-
-    /// The assist counters recorded so far.
-    pub fn tally(&self) -> AssistTally {
-        // ORDER: Relaxed ×3 — single-writer diagnostics, read after the
-        // team joins (see struct docs).
-        AssistTally {
-            columns_assisted: self.columns_assisted.load(Ordering::Relaxed),
-            tasks_joined: self.tasks_joined.load(Ordering::Relaxed),
-            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records one successfully assisted work item of task `id`.
-    /// Unused under the model checker, whose `wait` branch never
-    /// assists.
-    #[cfg_attr(basker_model, allow(dead_code))]
-    fn note_assist(&self, id: u64) {
-        // ORDER: Relaxed — same single-writer diagnostic contract as
-        // `tally`; `last_task` is only ever read by this rank.
-        self.columns_assisted.fetch_add(1, Ordering::Relaxed);
-        if self.last_task.swap(id, Ordering::Relaxed) != id {
-            self.tasks_joined.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -479,11 +348,11 @@ impl TeamSync {
     /// In `Barrier` mode, blocks until all `p` threads arrive (counting
     /// the wait); in point-to-point mode this is a no-op — the slots
     /// carry all ordering.
-    pub fn phase(&self, ctx: &WaitCtx) {
+    pub fn phase(&self, clock: &WaitClock) {
         if self.mode == SyncMode::Barrier {
             let start = Instant::now();
             self.barrier.wait();
-            ctx.clock.add(start.elapsed().as_nanos() as u64);
+            clock.add(start.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -499,14 +368,9 @@ mod tests {
         assert!(s.try_get().is_none());
         s.publish(vec![1, 2, 3]);
         assert_eq!(s.try_get().unwrap(), &vec![1, 2, 3]);
-        let w = WaitCtx::new(SyncMode::PointToPoint);
+        let w = WaitClock::new();
         assert_eq!(s.wait(&w), &vec![1, 2, 3]);
-        assert_eq!(w.wait_ns(), 0, "no waiting when already published");
-        assert_eq!(
-            w.tally(),
-            AssistTally::default(),
-            "no assist activity on the fast path"
-        );
+        assert_eq!(w.total_ns(), 0, "no waiting when already published");
         assert_eq!(s.into_inner(), Some(vec![1, 2, 3]));
     }
 
@@ -544,7 +408,7 @@ mod tests {
                 1,
                 "exactly one publish must win"
             );
-            let w = WaitCtx::new(SyncMode::PointToPoint);
+            let w = WaitClock::new();
             let got = *s.wait(&w);
             assert!(got == 1 || got == 2);
         }
@@ -556,26 +420,13 @@ mod tests {
             let s: Arc<Slot<u64>> = Arc::new(Slot::new());
             let s2 = s.clone();
             let h = std::thread::spawn(move || {
-                let w = WaitCtx::new(SyncMode::PointToPoint);
+                let w = WaitClock::new();
                 *s2.wait(&w)
             });
             std::thread::yield_now();
             s.publish(42);
             assert_eq!(h.join().unwrap(), 42);
         }
-        // The barrier baseline's wait never probes the assist registry,
-        // however long it blocks (the delay only gives a wrongly
-        // assisting wait time to get past its spin phase and be caught).
-        let s: Arc<Slot<u64>> = Arc::new(Slot::new());
-        let s2 = s.clone();
-        let h = std::thread::spawn(move || {
-            let w = WaitCtx::new(SyncMode::Barrier);
-            s2.wait(&w);
-            w.tally()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        s.publish(42);
-        assert_eq!(h.join().unwrap(), AssistTally::default());
     }
 
     #[test]
@@ -587,7 +438,7 @@ mod tests {
             for t in 0..4 {
                 let slots = slots.clone();
                 scope.spawn(move || {
-                    let w = WaitCtx::new(SyncMode::PointToPoint);
+                    let w = WaitClock::new();
                     // produce my slots
                     for i in (0..64).filter(|i| i % 4 == t) {
                         slots[i].publish(i * 10);
@@ -611,7 +462,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
-                    let w = WaitCtx::new(SyncMode::Barrier);
+                    let w = WaitClock::new();
                     counter.fetch_add(1, Ordering::SeqCst);
                     ts.phase(&w);
                     // After the barrier every increment is visible.
@@ -624,9 +475,9 @@ mod tests {
     #[test]
     fn p2p_mode_phase_is_noop() {
         let ts = TeamSync::new(SyncMode::PointToPoint, 8);
-        let w = WaitCtx::new(SyncMode::PointToPoint);
+        let w = WaitClock::new();
         ts.phase(&w); // would deadlock in Barrier mode with 1 caller
-        assert_eq!(w.wait_ns(), 0);
+        assert_eq!(w.total_ns(), 0);
     }
 }
 
@@ -664,7 +515,7 @@ mod model_checks {
             let s: Arc<Slot<u64>> = Arc::new(Slot::new());
             let s2 = s.clone();
             let producer = model::thread::spawn(move || s2.publish(42));
-            let w = WaitCtx::new(SyncMode::PointToPoint);
+            let w = WaitClock::new();
             assert_eq!(*s.wait(&w), 42);
             producer.join().unwrap();
         });
@@ -691,7 +542,7 @@ mod model_checks {
                 .map(|h| h.join().is_err() as usize)
                 .sum::<usize>();
             assert_eq!(losses, 1, "exactly one publisher must lose the claim");
-            let w = WaitCtx::new(SyncMode::PointToPoint);
+            let w = WaitClock::new();
             let got = *s.wait(&w);
             assert!(got == 1 || got == 2);
         });
@@ -709,7 +560,7 @@ mod model_checks {
                 s2.publish(0, Some(10));
                 s2.publish(1, Some(20));
             });
-            let w = WaitCtx::new(SyncMode::PointToPoint);
+            let w = WaitClock::new();
             assert_eq!(slots.wait(0, &w), Some(&10));
             assert_eq!(slots.wait(1, &w), Some(&20));
             producer.join().unwrap();

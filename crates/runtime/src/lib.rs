@@ -33,19 +33,16 @@
 //! caller): Basker's slot hand-off requires all team members to make
 //! progress at once, so no sequential fallback is possible.
 //!
-//! Since the work-assisting refactor, both entry points execute through
-//! the **single task loop** of the `task` module: a broadcast is an
-//! SPMD `TaskCore` whose participants claim their rank from the
-//! shared work index, and a worklist is a claim-loop task *registered
-//! for assistance*, so a rank blocked elsewhere (e.g. on a
-//! not-yet-published pipeline column) can [`try_assist`] and run queued
-//! jobs instead of spinning.
+//! Both entry points run on **one SPMD task loop** (the `task` module):
+//! a broadcast is a `TaskCore` whose participants claim their rank from
+//! a shared atomic index, and a worklist is one broadcast whose ranks
+//! pop job indices from a shared cursor until it runs dry. A rank that
+//! waits on another (a pipeline slot, a stage join) just waits; nothing
+//! outside a task's own ranks ever runs its items.
 
 #![warn(missing_docs)]
 
 mod task;
-
-pub use task::{assist_counters, run_assistable, try_assist, AssistCounters};
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
@@ -117,8 +114,8 @@ pub fn os_threads_spawned() -> usize {
 }
 
 struct MailSlot {
-    /// The next task this worker should participate in (SPMD broadcasts
-    /// post the same `TaskCore` to every mailbox). The submitter keeps
+    /// The next task this worker should claim its rank of (a broadcast
+    /// posts the same `TaskCore` to every mailbox). The submitter keeps
     /// the task's borrowed payload alive until the task's done latch,
     /// which is what makes borrowing jobs (scoped join) sound.
     task: Option<Arc<TaskCore>>,
@@ -198,27 +195,6 @@ where
     let p = unsafe { &*(data as *const BroadcastPayload<'_, OP, R>) };
     let v = (p.op)(TeamContext { rank, width });
     unsafe { *p.results[rank].0.get() = Some(v) };
-}
-
-/// Payload of a worklist task: item index = job index.
-struct WorklistPayload<'a, OP> {
-    op: &'a OP,
-}
-
-/// Type-erased trampoline running one worklist job.
-///
-/// # Safety
-///
-/// `data` must point at a live `WorklistPayload<'_, OP>` (the
-/// submitter blocks on the done latch before releasing it).
-unsafe fn run_worklist_item<OP>(data: *const (), index: usize, _size: usize)
-where
-    OP: Fn(usize) + Sync,
-{
-    // SAFETY: the submitter keeps the payload alive until the done
-    // latch (run_worklist blocks on `wait_done` before returning).
-    let p = unsafe { &*(data as *const WorklistPayload<'_, OP>) };
-    (p.op)(index);
 }
 
 /// A persistent team of `width` ranks: the submitting thread serves as
@@ -308,8 +284,8 @@ impl WorkerTeam {
     /// from the caller's stack). Rank 0 runs **on the calling thread**;
     /// ranks `1..width` on the parked workers.
     ///
-    /// Internally this is an SPMD task on the work-assisting substrate:
-    /// the caller and the woken workers each **claim one index** of the
+    /// Internally this is one SPMD task: the caller and the woken
+    /// workers each **claim one index** of the
     /// task's shared work cursor, and the claimed index *is* the rank
     /// (the caller claims first, so rank 0 stays on the submitting
     /// thread). Every rank is live at once on its own OS thread, so
@@ -344,7 +320,6 @@ impl WorkerTeam {
             &payload as *const BroadcastPayload<'_, OP, R> as *const (),
             run_rank::<OP, R>,
             n,
-            true,
         );
 
         let guard = self.submit.lock().unwrap();
@@ -392,61 +367,47 @@ impl WorkerTeam {
     /// layer multiplexing factorizations from many sessions) rather than
     /// one SPMD region.
     ///
-    /// Every rank — the caller as rank 0 plus the parked workers — pops
-    /// job indices from a shared atomic cursor and runs `op(index)` until
-    /// the queue drains, so up to `width` jobs execute concurrently with
-    /// no per-job thread creation. The call blocks until all jobs have
-    /// run (a scoped join: `op` may borrow from the caller's stack).
-    ///
-    /// The worklist is a claim-loop task **registered for assistance**:
-    /// while it runs, any rank blocked at an assist point elsewhere in
-    /// the process (e.g. a pipeline rank waiting on a not-yet-published
-    /// column) may [`try_assist`] and run queued jobs — factorization
-    /// columns and cross-stream service jobs genuinely share one pool.
+    /// It is one [`broadcast`](Self::broadcast) whose ranks — the
+    /// caller as rank 0 plus the parked workers — pop job indices from
+    /// a shared atomic cursor and run `op(index)` until the queue
+    /// drains, so up to `width` jobs execute concurrently with no
+    /// per-job thread creation. The call blocks until all jobs have run
+    /// (a scoped join: `op` may borrow from the caller's stack). A job's
+    /// panic is re-raised here, as a rank's is by `broadcast`; a panic
+    /// ends the loop of the rank that ran the job, so the jobs after
+    /// it may not run. Callers that need every job to run catch their
+    /// jobs' panics themselves.
     ///
     /// Unlike `broadcast`, jobs must not rely on cross-job concurrency:
-    /// when the queue is a single job or the team has width 1, the
-    /// whole list executes inline on the calling thread with no task
-    /// entry (the zero-overhead sequential path). When the caller **is
-    /// already one of this team's ranks** (a job submitting more jobs),
-    /// the caller drains the registered task itself — no deadlock on
-    /// the busy ranks, no transient threads, which is what keeps a warm
-    /// serving layer at zero OS-thread creation even under re-entrant
-    /// jobs — while other ranks remain free to assist.
+    /// the whole list executes inline on the calling thread, with no
+    /// task entry, when the queue holds one job, when the team has
+    /// width 1 (the zero-overhead sequential path), and when the caller
+    /// **is already one of this team's ranks** (a job submitting more
+    /// jobs) — no deadlock on the busy ranks and no transient threads,
+    /// which is what keeps a warm serving layer at zero OS-thread
+    /// creation even under re-entrant jobs.
     pub fn run_worklist<OP>(&self, njobs: usize, op: OP)
     where
         OP: Fn(usize) + Sync,
     {
-        if njobs == 0 {
+        if self.shared.width == 1 || njobs <= 1 || self.on_worker_thread() {
+            // Sound because worklist jobs are independent by contract
+            // (no cross-job synchronization).
+            (0..njobs).for_each(op);
             return;
         }
-        if self.shared.width == 1 || njobs == 1 {
-            // Zero-overhead sequential path: sound because worklist
-            // jobs are independent by contract (no cross-job
-            // synchronization).
-            for i in 0..njobs {
-                op(i);
+        let next = AtomicUsize::new(0);
+        self.broadcast(|_ctx| loop {
+            // ORDER: Relaxed — the pop only needs atomicity (each job
+            // handed out once); the jobs' inputs reach the ranks through
+            // the broadcast's mailbox hand-off, and their effects reach
+            // the caller through its done latch.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= njobs {
+                break;
             }
-            return;
-        }
-        let payload = WorklistPayload { op: &op };
-        let core = TaskCore::new(
-            &payload as *const WorklistPayload<'_, OP> as *const (),
-            run_worklist_item::<OP>,
-            njobs,
-            false,
-        );
-        let registration = task::register(&core);
-        if self.on_worker_thread() {
-            // Re-entrant: this rank drains the task inline; idle ranks
-            // elsewhere may still pick jobs up through the registry.
-            core.participate();
-        } else {
-            self.broadcast(|_ctx| core.participate());
-        }
-        core.wait_done();
-        drop(registration);
-        core.rethrow_panic();
+            op(i);
+        });
     }
 }
 
@@ -533,15 +494,9 @@ fn worker_loop(shared: &Shared, rank: usize) {
                 slot = mb.cv.wait(slot).unwrap();
             }
         };
-        // The single work-assisting task loop: an SPMD task hands this
-        // worker exactly one claimed index (its rank for this job);
-        // any other task is drained claim-by-claim. Completion is
-        // reported through the task's own done latch.
-        if core.is_spmd() {
-            core.run_one();
-        } else {
-            core.participate();
-        }
+        // Claim exactly one index — this worker's rank for the job.
+        // Completion is reported through the task's own done latch.
+        core.run_one();
     }
 }
 
@@ -782,6 +737,25 @@ mod tests {
             }
         });
         assert_eq!(arrived.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn worklist_panic_surfaces_at_the_caller() {
+        let team = WorkerTeam::new(TeamConfig::new(2));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            team.run_worklist(4, |i| {
+                if i == 2 {
+                    panic!("job exploded");
+                }
+            })
+        }));
+        assert!(caught.is_err(), "the caller must re-raise a job's panic");
+        // The team still works after a job panicked.
+        let hits: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        team.run_worklist(hits.len(), |i| {
+            hits[i].fetch_add(1, Ordering::SeqCst);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! load reordering are not simulated) and `SeqCst` is modeled as
 //! `AcqRel`; what *is* modeled precisely is the happens-before
 //! structure of Acquire/Release/Relaxed — which is exactly what the
-//! `Slot` publish/claim and `TaskCore` assist protocols rely on, and
-//! exactly what a wrong `Ordering` breaks. A protocol that passes here
+//! `Slot` publish/claim and `TaskCore` claim/latch protocols rely on,
+//! and exactly what a wrong `Ordering` breaks. A protocol that passes here
 //! is race-free in its synchronization skeleton; the orderings it uses
 //! are thereby *proven necessary-or-sufficient* against the explored
 //! schedules (see the ordering-audit tests in `basker::sync`).

@@ -253,9 +253,9 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
         }
     });
     // At two threads the list has four stages; a dispatch allocates
-    // two task cores and the ranks' result cells.
+    // one task core and the ranks' result cells.
     assert!(
-        cleanest <= 20 * 4 * 3,
+        cleanest <= 20 * 4 * 2,
         "dispatched replay: {cleanest} allocations in every 20-refactor window \
          of a {}-column mesh",
         big.ncols()

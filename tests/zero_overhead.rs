@@ -4,11 +4,9 @@
 //! session-style factor/refactor sequences, and a [`SolverService`]
 //! stream — must execute the pure sequential path: **zero** OS threads
 //! spawned (runtime counter and, where procfs exists, the kernel's
-//! view), zero slot-wait time on every rank, and zero traffic through
-//! the assist registry (`steal_attempts == 0` means the wait loop was
-//! never even entered). The single test in this binary is kept alone so
-//! the env var and the process thread count cannot be perturbed by a
-//! concurrent test thread.
+//! view) and zero slot-wait time on every rank. The single test in
+//! this binary is kept alone so the env var and the process thread
+//! count cannot be perturbed by a concurrent test thread.
 
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
@@ -28,12 +26,6 @@ fn assert_sequential(stats: &SolverStats, what: &str) {
         "{what}: non-zero slot-wait time {:?}",
         stats.sync_wait_ns
     );
-    assert_eq!(
-        stats.steal_attempts, 0,
-        "{what}: single-thread run entered the assist wait loop"
-    );
-    assert_eq!(stats.columns_assisted, 0, "{what}: assisted columns at p=1");
-    assert_eq!(stats.tasks_joined, 0, "{what}: joined tasks at p=1");
 }
 
 #[test]
@@ -104,11 +96,6 @@ fn single_thread_is_pure_sequential() {
     }
     let sstats = service.stats();
     assert_eq!(sstats.errors, 0);
-    assert_eq!(
-        sstats.steal_attempts, 0,
-        "width-1 service entered the assist wait loop"
-    );
-    assert_eq!(sstats.columns_assisted, 0, "width-1 service assisted work");
 
     // --- the headline: nothing above spawned a single OS thread --------
     assert_eq!(
