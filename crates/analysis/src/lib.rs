@@ -17,7 +17,7 @@
 //! * [`walk`] — which files the binary visits.
 //!
 //! The semantic complement — that the documented orderings actually
-//! uphold the publish/claim protocols — is checked exhaustively by the
+//! uphold the task latch protocol — is checked exhaustively by the
 //! `basker_model` interleaving explorer; see the workspace README's
 //! "Analysis layer" section.
 //!
@@ -52,8 +52,8 @@ mod workspace_self_test {
         };
         let files = walk::workspace_files(&root).expect("workspace walk");
         assert!(
-            files.iter().any(|f| f.ends_with("core/src/sync.rs")),
-            "walker must see the sync core, got {} files",
+            files.iter().any(|f| f.ends_with("runtime/src/task.rs")),
+            "walker must see the task core, got {} files",
             files.len()
         );
         let mut bad = Vec::new();

@@ -28,7 +28,7 @@ pub enum Engine {
     Snlu,
     /// Per-BTF-block mixed-strategy factorization: each diagonal block
     /// is classified by its own structure and routed to GP, supernodal
-    /// or pipelined-ND independently, once, at analyze (see
+    /// or the ND team independently, once, at analyze (see
     /// [`basker::hybrid::classify_block`]).
     Hybrid,
 }
@@ -92,7 +92,6 @@ pub struct SolverConfig {
     use_btf: bool,
     use_mwcm: bool,
     nd_threshold: usize,
-    sync_mode: SyncMode,
 }
 
 impl Default for SolverConfig {
@@ -104,7 +103,6 @@ impl Default for SolverConfig {
             use_btf: true,
             use_mwcm: true,
             nd_threshold: 128,
-            sync_mode: SyncMode::PointToPoint,
         }
     }
 }
@@ -157,9 +155,9 @@ impl SolverConfig {
         self
     }
 
-    /// Synchronization strategy for Basker's ND numeric phase.
-    pub fn sync_mode(mut self, m: SyncMode) -> Self {
-        self.sync_mode = m;
+    /// Accepts either [`SyncMode`] and changes nothing: both values run
+    /// the same stage list, which synchronizes only at stage joins.
+    pub fn sync_mode(self, _mode: SyncMode) -> Self {
         self
     }
 
@@ -191,7 +189,6 @@ impl SolverConfig {
             use_btf: self.use_btf,
             use_mwcm: self.use_mwcm,
             nd_threshold: self.nd_threshold,
-            sync_mode: self.sync_mode,
         }
     }
 

@@ -27,7 +27,7 @@
 //! * [`Engine::Snlu`] — the supernodal level-scheduled comparator,
 //! * [`Engine::Hybrid`] — per-BTF-block mixed-strategy factorization:
 //!   each diagonal block is classified by its own structure and routed
-//!   to GP, supernodal or pipelined-ND independently — a plan fixed at
+//!   to GP, supernodal or the ND team independently — a plan fixed at
 //!   analyze ([`LinearSolver::as_hybrid`] → `plan()`), never measured
 //!   or switched at run time,
 //! * [`Engine::Auto`] — pick per matrix from the BTF structure (the

@@ -40,10 +40,9 @@
 //!   solves) runs serially on one rank while sibling streams' jobs run
 //!   on the other ranks — independent factorizations in parallel instead
 //!   of nested parallelism inside each. Per-stream engines are therefore
-//!   forced serial: nested parallelism inside a job would only
-//!   oversubscribe, and a job that broadcasts on the very team it is
-//!   running on falls back to transient threads, forfeiting the
-//!   zero-spawn property.
+//!   forced serial: the team's ranks are already busy with sibling jobs,
+//!   so parallelism inside a job could only oversubscribe — a job's own
+//!   worklists on the team it runs on execute inline anyway.
 //! * **Per-stream policy, shared memory.** Every stream keeps its own
 //!   [`ReusePolicy`](crate::ReusePolicy) and [`SessionStats`]; solve
 //!   scratch comes from a pool of [`SolveWorkspace`]s sized by the team

@@ -54,13 +54,14 @@ pub struct SolverStats {
     /// plan routes to it).
     pub perturbed_pivots: usize,
     /// Synchronization overhead fraction of the last (re)factorization
-    /// (block driver only): the ranks' slot and barrier waits after a
-    /// factor, the caller's stage-join waits after a refactor.
+    /// (block driver only): the caller's stage-join waits, after a factor
+    /// as after a refactor.
     pub sync_fraction: f64,
     /// Per-thread nanoseconds spent blocked on synchronization during
     /// the last (re)factorization (block driver only: one entry per worker
-    /// rank of the persistent team, `len() == threads`; empty for the
-    /// other engines). Makes sync overhead observable per rank.
+    /// rank of the persistent team, `len() == threads`, of which only
+    /// the caller's — entry 0 — waits on stage joins; empty for the
+    /// other engines).
     pub sync_wait_ns: Vec<u64>,
     /// Wall-clock seconds of the last (re)factorization, when measured.
     pub factor_seconds: f64,

@@ -3,8 +3,8 @@
 //!
 //! The paper's three engine families each win on a *shape*, not a
 //! matrix: fill-less Gilbert–Peierls on tiny circuit blocks, the
-//! supernodal engine's dense panels on fill-heavy blocks, the pipelined
-//! ND team on large blocks with good separators. But real matrices mix
+//! supernodal engine's dense panels on fill-heavy blocks, the ND team
+//! on large blocks with good separators. But real matrices mix
 //! shapes — a power-grid Jacobian is thousands of tiny BTF blocks
 //! *plus* one large irreducible mesh-like core — and a single global
 //! pick loses on one half of every such matrix.
@@ -29,8 +29,9 @@
 //! Nothing else differs: the permutations, the factor/refactor loops,
 //! the off-diagonal BTF couplings and the block back-substitution are
 //! the driver's, whatever mix of strategies produced the diagonal
-//! factors, and every small block the plan leaves on Gilbert–Peierls
-//! still factors in parallel on the team (paper Alg. 2).
+//! factors, and the small blocks the plan leaves on Gilbert–Peierls
+//! still factor in parallel on the team (paper Alg. 2), as runs of the
+//! stage list.
 //!
 //! The plan is a value: `analyze` computes it once from the structure,
 //! nothing times a block or switches a strategy afterwards, and
@@ -52,7 +53,7 @@ pub enum BlockStrategy {
     /// The supernodal engine over the extracted diagonal block (its own
     /// internal ordering + static pivoting; dense rank-k panels).
     Supernodal,
-    /// The paper's pipelined-ND team factorization (only available on
+    /// The paper's ND team factorization (only available on
     /// blocks the symbolic phase laid out with nested dissection).
     Nd,
 }
@@ -72,7 +73,7 @@ impl std::fmt::Display for BlockStrategy {
 #[derive(Debug, Clone)]
 pub struct HybridOptions {
     /// The structural/parallel knobs shared with the Basker engine
-    /// (threads, pivot tolerance, BTF/MWCM, `nd_threshold`, sync mode).
+    /// (threads, pivot tolerance, BTF/MWCM, `nd_threshold`).
     pub base: BaskerOptions,
     /// Blocks up to this size always route to [`BlockStrategy::Gp`] —
     /// below it even a fully dense block factors faster serially than
@@ -87,8 +88,8 @@ pub struct HybridOptions {
     pub supernodal_min: f64,
     /// ND-laid-out blocks keep [`BlockStrategy::Nd`] only while the
     /// root separator covers at most this fraction of the block (a fat
-    /// separator serializes the pipeline and fills in — the supernodal
-    /// engine handles it better).
+    /// separator serializes the root elimination and fills in — the
+    /// supernodal engine handles it better).
     pub max_separator_fraction: f64,
     /// Options for per-block supernodal factorizations.
     pub snlu: SnluOptions,

@@ -10,8 +10,10 @@
 //! * a **coarse BTF** structure whose small diagonal blocks factor
 //!   independently (paper Alg. 2), and
 //! * a **fine ND** 2-D block structure over each large diagonal block,
-//!   where a static thread team runs the first *parallel* Gilbert–Peierls
-//!   factorization (paper Alg. 3–4), synchronizing point-to-point.
+//!   whose *parallel* Gilbert–Peierls factorization (paper Alg. 3–4)
+//!   runs as stages of independent block tasks on a thread team,
+//!   synchronizing only at the joins between stages (the [`stages`]
+//!   module; the paper hands columns between threads point-to-point).
 //!
 //! Both levels run under **one BTF block driver** executing a per-block
 //! plan of [`BlockStrategy`] entries. [`Basker`]
@@ -41,26 +43,25 @@
 
 #![warn(missing_docs)]
 
-pub mod fine_btf;
+mod factor;
 pub mod frozen;
 pub mod hybrid;
 pub mod parnum;
 pub mod reduce;
 pub mod refactor;
 pub mod solve;
+pub mod stages;
 pub mod stats;
 pub mod structure;
-pub mod sync;
 
 pub use stats::BaskerStats;
-pub use sync::SyncMode;
 
-use crate::fine_btf::{factor_small_blocks, partition_by_flops, SmallBlock};
 use crate::frozen::get_or_record;
 use crate::hybrid::{classify_block, BlockStrategy, HybridOptions};
-use crate::parnum::{factor_nd_parallel, NdFactors};
+use crate::parnum::NdFactors;
 use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
+use crate::stages::gp_runs;
 use crate::structure::{BlockKind, NdBlocks, Structure};
 use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
@@ -121,8 +122,19 @@ pub struct BaskerOptions {
     /// BTF blocks at least this large get the fine ND treatment; smaller
     /// ones use the fine BTF path.
     pub nd_threshold: usize,
-    /// Synchronization strategy for the ND numeric phase.
-    pub sync_mode: SyncMode,
+}
+
+/// The two synchronization schemes paper §IV compares. Both values run
+/// the same stage list, which synchronizes only at the joins between
+/// stages; the name stays for callers that still pass one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncMode {
+    /// Producer/consumer flags between dependent threads (the paper's
+    /// scheme).
+    PointToPoint,
+    /// A full team barrier at every dependency level (the baseline the
+    /// paper measures against).
+    Barrier,
 }
 
 impl Default for BaskerOptions {
@@ -133,7 +145,6 @@ impl Default for BaskerOptions {
             use_btf: true,
             use_mwcm: true,
             nd_threshold: 128,
-            sync_mode: SyncMode::PointToPoint,
         }
     }
 }
@@ -144,11 +155,10 @@ struct SymInner {
     structure: Structure,
     /// The process-shared team; its width is the effective thread count.
     team: Arc<WorkerTeam>,
-    /// Alg. 2's fine-BTF set — the `Small`-layout blocks the plan leaves
-    /// on Gilbert–Peierls — with their flop estimates, and its static
-    /// partition over the team.
-    small_blocks: Vec<SmallBlock>,
-    small_chunks: Vec<Vec<usize>>,
+    /// Alg. 2's fine-BTF set — the blocks the plan leaves on
+    /// Gilbert–Peierls — as the fresh factor's runs: `(first block, end
+    /// block, estimated flops)`.
+    runs: Vec<(usize, usize, f64)>,
     /// One strategy per BTF block, fixed by `analyze`.
     plan: Vec<BlockStrategy>,
     /// The plan came from [`classify_block`], not from the layout alone.
@@ -161,13 +171,6 @@ struct SymInner {
     /// The value map of the analyzed pattern, recorded by the first
     /// refactorization of any numeric made from this handle.
     frozen: OnceLock<Frozen>,
-}
-
-impl SymInner {
-    /// Block `b` belongs to the fine-BTF set factored on the team.
-    fn on_team(&self, b: usize) -> bool {
-        matches!(self.structure.kinds[b], BlockKind::Small) && self.plan[b] == BlockStrategy::Gp
-    }
 }
 
 /// The symbolic handle of the BTF block driver: orderings, block
@@ -207,7 +210,7 @@ impl Basker {
         let ap = Perm::permute_both(&structure.row_perm, &structure.col_perm, a);
         let nblocks = structure.nblocks();
         let mut plan = Vec::with_capacity(nblocks);
-        let mut small_blocks = Vec::new();
+        let mut gp_flops = Vec::with_capacity(nblocks);
         for b in 0..nblocks {
             let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
             let nds = match &structure.kinds[b] {
@@ -232,19 +235,14 @@ impl Basker {
                     )
                 }
             };
-            if nds.is_none() && strategy == BlockStrategy::Gp {
-                // Per-block flop estimates (Alg. 2 line 3) drive the
-                // static partition of blocks over threads (line 5).
-                small_blocks.push(SmallBlock {
-                    btf_index: b,
-                    lo,
-                    hi,
-                    est_flops: diag.as_ref().map_or(1.0, |d| symbolic_gp(d).flops),
-                });
-            }
+            // Per-block flop estimates (Alg. 2 line 3), plus two per
+            // entry read so that flop-less singletons weigh something.
+            gp_flops.push((strategy == BlockStrategy::Gp).then(|| {
+                diag.as_ref()
+                    .map_or(2.0, |d| symbolic_gp(d).flops + 2.0 * d.nnz() as f64)
+            }));
             plan.push(strategy);
         }
-        let small_chunks = partition_by_flops(&small_blocks, threads);
 
         Ok(Basker {
             inner: Arc::new(SymInner {
@@ -253,8 +251,7 @@ impl Basker {
                 // Threads are spawned at most once per width for the
                 // process lifetime and parked between jobs.
                 team: shared_team(threads, false),
-                small_blocks,
-                small_chunks,
+                runs: gp_runs(gp_flops),
                 plan,
                 classified: classify.is_some(),
                 snlu: SnluOptions {
@@ -307,77 +304,20 @@ impl Basker {
     /// simulator makes for every matrix of a transient sequence (paper
     /// §V-F) — the symbolic phase is reused, the numeric phase redone.
     ///
-    /// The fine-BTF set factors in parallel on the team; every other
-    /// block runs in plan order on the caller's thread, where only the
-    /// ND strategy fans out.
+    /// The work is the stage list of the [`stages`] module on the
+    /// handle's team, every item pivoting inside its own diagonal block.
     pub fn factor(&self, a: &CscMat) -> Result<BaskerNumeric> {
+        self.factor_on(a, &self.inner.team)
+    }
+
+    /// [`factor`](Self::factor) on an explicit team (a width-1 team runs
+    /// the same stages inline).
+    fn factor_on(&self, a: &CscMat, team: &WorkerTeam) -> Result<BaskerNumeric> {
         let t0 = Instant::now();
         let inner = &*self.inner;
         let st = &inner.structure;
         let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
-
-        let mut small = factor_small_blocks(
-            &ap,
-            &inner.small_blocks,
-            &inner.small_chunks,
-            inner.opts.pivot_tol,
-            &inner.team,
-        )?
-        .into_iter();
-
-        let mut factors: Vec<BlockFactors> = Vec::with_capacity(st.nblocks());
-        let mut sync_wait = vec![0u64; inner.team.width()];
-        let (mut sn_blocks, mut nd_blocks) = (0usize, 0usize);
-        for b in 0..st.nblocks() {
-            let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
-            let f = match inner.plan[b] {
-                BlockStrategy::Gp if inner.on_team(b) => {
-                    let (bi, blu) = small.next().expect("small factor missing");
-                    debug_assert_eq!(bi, b);
-                    BlockFactors::Gp(blu)
-                }
-                BlockStrategy::Gp => BlockFactors::Gp(BlockFactor::factor_range(
-                    &ap,
-                    lo,
-                    hi,
-                    inner.opts.pivot_tol,
-                )?),
-                BlockStrategy::Supernodal => {
-                    let diag = extract_range(&ap, lo..hi, lo..hi);
-                    let num = self.snlu_symbolic(b, &diag)?.factor(&diag)?;
-                    sn_blocks += 1;
-                    BlockFactors::Sn(Box::new(SnFactors {
-                        num,
-                        ws: Mutex::new(SolveWorkspace::for_dim(hi - lo)),
-                        diag,
-                    }))
-                }
-                BlockStrategy::Nd => {
-                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!("analyze plans Nd on ND-laid-out blocks only");
-                    };
-                    let blocks = NdBlocks::extract(&ap, lo, nds);
-                    let f = factor_nd_parallel(
-                        &blocks,
-                        nds,
-                        inner.opts.pivot_tol,
-                        inner.opts.sync_mode,
-                        lo,
-                        &inner.team,
-                    )?;
-                    for (t, w) in f.wait_ns.iter().enumerate() {
-                        sync_wait[t] += w;
-                    }
-                    nd_blocks += 1;
-                    BlockFactors::Nd(Box::new(NdPart {
-                        blocks: Some(blocks),
-                        f,
-                    }))
-                }
-            };
-            factors.push(f);
-        }
-
+        let (factors, joined) = factor::factor_blocks(self, &ap, team)?;
         let mut num = BaskerNumeric {
             sym: self.clone(),
             factors,
@@ -385,15 +325,19 @@ impl Basker {
             replay: None,
             stats: BaskerStats::default(),
         };
+        let count = |s: BlockStrategy| inner.plan.iter().filter(|&&p| p == s).count();
+        // Only the caller waits on a stage join.
+        let mut sync_wait_ns = vec![0; self.threads()];
+        sync_wait_ns[0] = joined;
         num.stats = BaskerStats {
             lu_nnz: num.lu_nnz(),
             flops: num.flops(),
             numeric_seconds: t0.elapsed().as_secs_f64(),
-            sync_wait_ns: sync_wait,
+            sync_wait_ns,
             btf_blocks: st.nblocks(),
-            sn_blocks,
-            nd_blocks,
-            threads: inner.team.width(),
+            sn_blocks: count(BlockStrategy::Supernodal),
+            nd_blocks: count(BlockStrategy::Nd),
+            threads: self.threads(),
             ..BaskerStats::default()
         };
         Ok(num)
@@ -657,9 +601,9 @@ impl BaskerNumeric {
             .iter()
             .map(|&b| self.factors[b].flops())
             .sum();
-        // The fresh factor's pipeline waits are not this call's. What
-        // is: the caller's time blocked in stage joins — nothing when
-        // every stage ran inline, as at width 1.
+        // The factorization's join waits are not this call's. What is:
+        // the caller's time blocked in stage joins — nothing when every
+        // stage ran inline, as at width 1.
         stats.sync_wait_ns.fill(0);
         if let Some(wait) = joined {
             stats.sync_wait_ns[0] = wait;
@@ -695,17 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_mode_end_to_end() {
-        check_solver(
-            &grid2d_unsym(8),
-            &BaskerOptions {
-                sync_mode: SyncMode::Barrier,
-                ..opts(4, 16)
-            },
-        );
-    }
-
-    #[test]
     fn pure_small_block_path() {
         // diagonal-ish matrix: everything below nd_threshold
         let mut t = TripletMat::new(12, 12);
@@ -738,10 +671,74 @@ mod tests {
         assert_eq!(solve(&n1, &b), solve(&n2, &b));
     }
 
+    /// On a width-1 team and on the handle's own, the fresh factor
+    /// writes the same factors — values, pivots and flops — under the
+    /// paper plan and classified plans that route the grid or the
+    /// mid-size blocks to the supernodal engine.
+    #[test]
+    fn fresh_factor_is_bit_identical_at_every_width() {
+        let inline = basker_runtime::shared_team(1, false);
+        let cases = [
+            (grid2d_unsym(32), true),
+            (heterogeneous(28, 60), true),
+            (with_mid_blocks(28, 4, 60), true),
+            (tiny_blocks(9_000), false),
+        ];
+        for (a, classify) in cases {
+            for p in [1usize, 2, 4] {
+                let default = HybridOptions {
+                    base: opts(p, 64),
+                    gp_small: 16,
+                    ..HybridOptions::default()
+                };
+                let mut handles = vec![Basker::analyze(&a, &default.base).unwrap()];
+                if classify {
+                    let grid_supernodal = HybridOptions {
+                        max_separator_fraction: 0.0,
+                        ..default.clone()
+                    };
+                    let mids_supernodal = HybridOptions {
+                        dense_threshold: 0.0,
+                        ..default.clone()
+                    };
+                    for o in [&default, &grid_supernodal, &mids_supernodal] {
+                        handles.push(classified(&a, o));
+                    }
+                }
+                for sym in &handles {
+                    let serial = sym.factor_on(&a, &inline).unwrap();
+                    let team = sym.factor(&a).unwrap();
+                    assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
+                    assert_eq!(factor_pivots(&serial), factor_pivots(&team), "p={p}");
+                    assert_eq!(serial.stats.flops, team.stats.flops, "p={p}");
+                    assert_eq!(serial.stats.lu_nnz, team.stats.lu_nnz, "p={p}");
+                    check_solve(&team, &a, 1e-10);
+                }
+            }
+        }
+    }
+
+    /// A factor issued from inside a job on the handle's own team runs
+    /// its stages inline instead of spawning ranks for them.
+    #[test]
+    fn factor_from_a_rank_of_its_own_team_spawns_no_thread() {
+        let a = grid2d_unsym(16);
+        let sym = Basker::analyze(&a, &opts(2, 32)).unwrap();
+        assert_eq!(sym.plan(), [BlockStrategy::Nd]);
+        let team = &sym.inner.team;
+        let before = team.threads_spawned();
+        team.run_worklist(2, |_| {
+            for _ in 0..5 {
+                check_solve(&sym.factor(&a).unwrap(), &a, 1e-11);
+            }
+        });
+        assert_eq!(team.threads_spawned(), before);
+    }
+
     /// A classified handle whose plan equals the paper plan is the
-    /// `Basker` handle: the same fine-BTF partition on the team — the
-    /// 70–90-row blocks included — and bit-identical factors and equal
-    /// counts, after `factor` and after `refactor`.
+    /// `Basker` handle: the same fine-BTF runs — the 70–90-row blocks
+    /// included — and bit-identical factors and equal counts, after
+    /// `factor` and after `refactor`.
     #[test]
     fn plans_are_equivalent() {
         let a = with_mid_blocks(12, 4, 40);
@@ -758,11 +755,11 @@ mod tests {
             let mids = (0..paper.plan().len())
                 .filter(|&b| {
                     let rows = paper.structure().bounds[b + 1] - paper.structure().bounds[b];
-                    (65..128).contains(&rows) && paper.inner.on_team(b)
+                    (65..128).contains(&rows) && paper.plan()[b] == BlockStrategy::Gp
                 })
                 .count();
-            assert_eq!(mids, 4, "p={p}: the mid-size blocks are on the team");
-            assert_eq!(paper.inner.small_chunks, classified.inner.small_chunks);
+            assert_eq!(mids, 4, "p={p}: the mid-size blocks are in the runs");
+            assert_eq!(paper.inner.runs, classified.inner.runs);
             let (mut n1, mut n2) = (paper.factor(&a).unwrap(), classified.factor(&a).unwrap());
             for m in [&a, &a2] {
                 assert_eq!(factor_values(&n1), factor_values(&n2), "p={p}");

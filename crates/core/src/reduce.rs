@@ -4,18 +4,19 @@
 //! with freshly computed `U` panel blocks from a block of `A`. The paper
 //! describes it as "multiple parallel sparse matrix–vector multiplication"
 //! followed by a subtraction; here both phases are fused column by column
-//! through a sparse accumulator. [`reduce_col`] is the single-column
-//! unit the pipelined schedule hands between threads; [`reduce_block`]
-//! the whole-block wrapper that forms a reduced block's pattern once,
-//! when a refactorization is recorded; [`reduce_cols_into`] the value
-//! rewrite into that retained pattern every refactorization after.
+//! through a sparse accumulator. [`reduce_col_into`] is the single-column
+//! unit; [`reduce_block_cols`] forms a run of a reduced block's columns,
+//! pattern and values — a column chunk of the fresh factorization, or
+//! the whole block when a refactorization records its pattern
+//! ([`reduce_block`]); [`reduce_cols_into`] the value rewrite into that
+//! retained pattern every refactorization after.
 
 use basker_klu::gp::ColsView;
-use basker_sparse::{CscMat, SparseCol};
+use basker_sparse::CscMat;
 use std::ops::Range;
 
-/// Reusable scratch for [`reduce_col`]: dense accumulator + stamp marks,
-/// grown lazily to the largest target block seen. One per worker thread.
+/// Reusable scratch for [`reduce_col_into`]: dense accumulator + stamp
+/// marks, grown lazily to the largest target block seen.
 #[derive(Default)]
 pub struct ReduceWorkspace {
     x: Vec<f64>,
@@ -46,8 +47,7 @@ impl ReduceWorkspace {
 /// intermediate column): `a` is the target's original column (sorted
 /// rows + values), each term pairs an `L` block with the matching
 /// `U`-panel *column* as `(rows, values)` slices (the sparse SpMV
-/// accumulation of paper Fig. 4(d), at the hand-off granularity of the
-/// pipelined schedule). Patterns are formed exactly — no cancellation
+/// accumulation of paper Fig. 4(d), one column at a time). Patterns are formed exactly — no cancellation
 /// pruning — so a refactorization with different values reuses the same
 /// pattern.
 #[allow(clippy::too_many_arguments)]
@@ -112,40 +112,30 @@ pub fn reduce_col_into(
     }
 }
 
-/// [`reduce_col_into`] producing an owned [`SparseCol`] — the hand-off
-/// unit the pipelined schedule publishes across threads.
-pub fn reduce_col(
-    m: usize,
-    a_rows: &[usize],
-    a_vals: &[f64],
-    terms: &[(&CscMat, &[usize], &[f64])],
-    ws: &mut ReduceWorkspace,
-) -> SparseCol {
-    let mut rows = Vec::new();
-    let mut vals = Vec::new();
-    reduce_col_into(m, a_rows, a_vals, terms, ws, &mut rows, &mut vals);
-    SparseCol { rows, vals }
+/// Computes `A − Σᵢ Lᵢ·Uᵢ` where every `Lᵢ` is `m x kᵢ` and every `Uᵢ` is
+/// `kᵢ x nc`, with `A` of shape `m x nc` (how the refactor replay
+/// records a reduced block's pattern).
+pub fn reduce_block(a: &CscMat, terms: &[(&CscMat, &CscMat)]) -> CscMat {
+    reduce_block_cols(a, terms, 0..a.ncols())
 }
 
-/// Computes `A − Σᵢ Lᵢ·Uᵢ` where every `Lᵢ` is `m x kᵢ` and every `Uᵢ` is
-/// `kᵢ x nc`, with `A` of shape `m x nc`. Returns the result with sorted
-/// columns, assembled column by column directly into the output buffers
-/// (how the refactor replay records a reduced block's pattern).
-pub fn reduce_block(a: &CscMat, terms: &[(&CscMat, &CscMat)]) -> CscMat {
+/// Columns `cols` of [`reduce_block`]`(a, terms)` as an `m x cols.len()`
+/// matrix with sorted columns, assembled column by column directly into
+/// the output buffers.
+pub fn reduce_block_cols(a: &CscMat, terms: &[(&CscMat, &CscMat)], cols: Range<usize>) -> CscMat {
     let m = a.nrows();
-    let nc = a.ncols();
     for (l, u) in terms {
         assert_eq!(l.nrows(), m, "L term row mismatch");
-        assert_eq!(u.ncols(), nc, "U term col mismatch");
+        assert_eq!(u.ncols(), a.ncols(), "U term col mismatch");
         assert_eq!(l.ncols(), u.nrows(), "L/U inner dimension mismatch");
     }
     let mut ws = ReduceWorkspace::new();
-    let mut colptr = Vec::with_capacity(nc + 1);
+    let mut colptr = Vec::with_capacity(cols.len() + 1);
     let mut rowind: Vec<usize> = Vec::new();
     let mut values: Vec<f64> = Vec::new();
     colptr.push(0);
     let mut term_cols: Vec<(&CscMat, &[usize], &[f64])> = Vec::with_capacity(terms.len());
-    for c in 0..nc {
+    for c in cols.clone() {
         term_cols.clear();
         term_cols.extend(
             terms
@@ -165,7 +155,7 @@ pub fn reduce_block(a: &CscMat, terms: &[(&CscMat, &CscMat)]) -> CscMat {
     }
     // SAFETY: `reduce_col_into` emits each column's rows ascending and `<
     // m`; `colptr` tracks `rowind.len()`.
-    unsafe { CscMat::from_parts_unchecked(m, nc, colptr, rowind, values) }
+    unsafe { CscMat::from_parts_unchecked(m, cols.len(), colptr, rowind, values) }
 }
 
 /// Rewrites columns `cols` of a reduced block whose pattern
@@ -204,6 +194,19 @@ pub fn reduce_cols_into<'t>(
             x[rowind[p]] = 0.0;
         }
     }
+}
+
+/// Multiply-adds of column `c` of `Σᵢ Lᵢ·Uᵢ`, two per entry of each `L`
+/// column a `U` entry selects.
+pub fn product_flops<'t>(terms: impl Iterator<Item = (&'t CscMat, &'t CscMat)>, c: usize) -> f64 {
+    terms
+        .map(|(l, u)| {
+            u.col_rows(c)
+                .iter()
+                .map(|&t| 2.0 * (l.colptr()[t + 1] - l.colptr()[t]) as f64)
+                .sum::<f64>()
+        })
+        .sum()
 }
 
 /// Estimated flop count of a reduction (2 per multiply-add).

@@ -9,41 +9,12 @@
 //!
 //! # The stage list
 //!
-//! With patterns and pivots frozen, a refactorization is a fixed set of
-//! kernel calls with static dependencies — Kim et al.'s partitioned
-//! block tasks, read off Basker's own 2-D structure. `Replay` records
-//! them as a list of **stages**, each a bag of independent items:
-//!
-//! 1. every ND leaf's stacked block column `[A_ll; A_{a,l}…]`, every
-//!    fine-BTF block (tiny ones coalesced, in BTF order, into runs worth
-//!    a dispatch) and every supernodal block — nothing here depends on
-//!    anything;
-//! 2. then per separator level `ℓ`, for every separator `v` on it:
-//!    the panel refreshes `U_{k,v}`, one stage per tree level of the
-//!    descendant `k` (an inner separator's panel reduces over its own
-//!    descendants' panels, so it runs after them — Alg. 4's tree-level
-//!    order); the reductions `Â_{t,v} = A_{t,v} − Σ L_{t,k}·U_{k,v}`,
-//!    one item per target and column chunk; and one elimination item
-//!    per node.
-//!
-//! A stage runs through [`WorkerTeam::run_worklist`] in descending
-//! recorded-flop order, so the big items are claimed first and the
-//! small ones fill the tail. A stage whose recorded flops do not cover
-//! a dispatch ([`DISPATCH_BREAK_EVEN_FLOPS`]) — and every stage of a
-//! width-1 team — runs inline on the caller: the same list, not a
-//! second sweep.
-//!
-//! # Why joins, not a counter DAG
-//!
-//! The only synchronization is `run_worklist`'s own scoped join between
-//! stages: model-checked already, parked on a condvar while it waits,
-//! drained inline when the caller is itself a rank of the team (a
-//! service worker), never spawning. A per-task dependency-counter DAG
-//! would overlap the tail of one stage with the head of the next, but
-//! the measured shape does not pay for a new lock-free protocol: the
-//! separator stages are a sliver of the work on circuits (a 3-column
-//! separator under two 15 000-column leaves) and wide enough to fill
-//! the team on meshes.
+//! With patterns and pivots frozen, a refactorization is the fresh
+//! factorization's stage list (the [`stages`](crate::stages) module)
+//! again — the same items in the same stages, laid out by the same rule
+//! — with every item a value refresh that chooses no pivot. `Replay`
+//! records it with each item's flops, so a stage whose recorded flops
+//! do not cover a dispatch runs inline on the caller.
 //!
 //! # What is recorded when
 //!
@@ -71,25 +42,16 @@
 
 use crate::frozen::FrozenBtf;
 use crate::parnum::NdFactors;
-use crate::reduce::{reduce_block, reduce_cols_into};
+use crate::reduce::{product_flops, reduce_block, reduce_cols_into};
+use crate::stages::{column_chunks, gp_runs, layout_nd, run_stage, Item, NdItem, Stage, Work};
 use crate::structure::{BlockKind, NdBlocks, NdSplit, NdStructure, Structure};
-use crate::{keep_smallest_column, BlockFactors};
+use crate::BlockFactors;
 use basker_klu::gp::{
     lsolve_panel_refresh, refactor_block_column, BlockFactor, ColsView, RefactorWorkspace,
 };
 use basker_runtime::WorkerTeam;
-use basker_sparse::{CscMat, Result, SparseError};
-use std::cell::{Cell, RefCell, RefMut, UnsafeCell};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Recorded flops a stage must carry before the team is woken for it.
-/// A dispatch costs up to ≈ 40 µs on a loaded host (the benchmark's
-/// `runtime.broadcast_us`), the refactor kernels retire 1–2 flops per
-/// nanosecond, and splitting a stage saves at most `1 − 1/width` of it:
-/// below ≈ 10⁵ flops (50–100 µs) the join costs more than it buys. The
-/// same figure sizes the runs tiny fine-BTF blocks are coalesced into.
-pub const DISPATCH_BREAK_EVEN_FLOPS: f64 = 1.0e5;
+use basker_sparse::{CscMat, Result};
+use std::cell::{RefCell, RefMut, UnsafeCell};
 
 /// Deepest separator tree the replay keeps trailing-block views for on
 /// the stack (2¹⁶ leaves).
@@ -272,22 +234,13 @@ impl Reduction {
     /// Splits the columns into chunks of about one dispatch's worth of
     /// work: `(first column, end column, flops)`.
     fn chunks(&self, st: &NdStructure, f: &NdFactors) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::new();
-        let (mut c0, mut acc) = (0, 0.0);
-        for c in 0..self.ncols() {
-            acc += (self.colptr[c + 1] - self.colptr[c]) as f64;
-            for &k in &self.terms {
-                let (l, u) = operands(st, f, self.v, self.tgt, k);
-                for &t in u.col_rows(c) {
-                    acc += 2.0 * (l.colptr()[t + 1] - l.colptr()[t]) as f64;
-                }
-            }
-            if acc >= DISPATCH_BREAK_EVEN_FLOPS || c + 1 == self.ncols() {
-                out.push((c0, c + 1, acc));
-                (c0, acc) = (c + 1, 0.0);
-            }
-        }
-        out
+        let terms = self
+            .terms
+            .iter()
+            .map(|&k| operands(st, f, self.v, self.tgt, k));
+        column_chunks(self.ncols(), |c| {
+            (self.colptr[c + 1] - self.colptr[c]) as f64 + product_flops(terms.clone(), c)
+        })
     }
 }
 
@@ -329,41 +282,6 @@ struct NdRecord {
     panel_of: Vec<Vec<usize>>,
 }
 
-/// What one item does. Items of one stage touch disjoint factor
-/// storage and read only what earlier stages wrote.
-#[derive(Debug, Clone, Copy)]
-enum Work {
-    /// Fine-BTF blocks `b0..b1`, Gilbert–Peierls, in BTF order.
-    Gp { b0: usize, b1: usize },
-    /// One supernodal block.
-    Sn { b: usize },
-    /// The stacked block column of node `v`: a leaf over `A`'s blocks,
-    /// a separator over its reduced blocks.
-    Column { nd: usize, v: usize },
-    /// The panel `U_{k,v}`.
-    Panel { nd: usize, v: usize, k: usize },
-    /// Columns `c0..c1` of reduction `r`.
-    Reduce {
-        nd: usize,
-        r: usize,
-        c0: usize,
-        c1: usize,
-    },
-}
-
-struct Item {
-    work: Work,
-    /// Recorded flops (for a run of tiny blocks, plus two per gathered
-    /// entry so that flop-less singletons still weigh something).
-    flops: f64,
-}
-
-struct Stage {
-    /// Descending by recorded flops: the claim order.
-    items: Vec<Item>,
-    flops: f64,
-}
-
 /// What one numeric records on its first refactorization and replays
 /// on every one (see the module docs).
 pub(crate) struct Replay {
@@ -384,36 +302,30 @@ impl Replay {
     /// values the frozen store replaces.
     pub(crate) fn record(st: &Structure, frozen: &Frozen, factors: &mut [BlockFactors]) -> Replay {
         let colptr = frozen.btf.diag_colptr();
-        let mut stages: Vec<Vec<Item>> = vec![Vec::new()];
+        // Gilbert–Peierls runs weigh their flops plus two per gathered
+        // entry, so that flop-less singletons still weigh something.
+        let runs = gp_runs(factors.iter().enumerate().map(|(b, f)| match f {
+            BlockFactors::Gp(blu) => {
+                Some(blu.flops() + 2.0 * (colptr[st.bounds[b + 1]] - colptr[st.bounds[b]]) as f64)
+            }
+            _ => None,
+        }));
+        let mut stages: Vec<Vec<Item>> = vec![runs
+            .into_iter()
+            .map(|(b0, b1, flops)| Item {
+                work: Work::Gp { b0, b1 },
+                flops,
+            })
+            .collect()];
         let mut nd = Vec::new();
         let mut heavy = Vec::new();
         let mut red_len = 0;
-        // The open run of Gilbert–Peierls blocks.
-        let mut run: Option<(usize, f64)> = None;
-        fn close(run: &mut Option<(usize, f64)>, b1: usize, stage: &mut Vec<Item>) {
-            if let Some((b0, flops)) = run.take() {
-                stage.push(Item {
-                    work: Work::Gp { b0, b1 },
-                    flops,
-                });
-            }
-        }
         for (b, f) in factors.iter_mut().enumerate() {
-            let (lo, hi) = (st.bounds[b], st.bounds[b + 1]);
             if !matches!(f, BlockFactors::Gp(BlockFactor::Singleton(_))) {
                 heavy.push(b);
             }
-            if !matches!(f, BlockFactors::Gp(_)) {
-                close(&mut run, b, &mut stages[0]);
-            }
             match f {
-                BlockFactors::Gp(blu) => {
-                    let (_, flops) = run.get_or_insert((b, 0.0));
-                    *flops += blu.flops() + 2.0 * (colptr[hi] - colptr[lo]) as f64;
-                    if *flops >= DISPATCH_BREAK_EVEN_FLOPS {
-                        close(&mut run, b + 1, &mut stages[0]);
-                    }
-                }
+                BlockFactors::Gp(_) => {}
                 BlockFactors::Sn(sn) => stages[0].push(Item {
                     work: Work::Sn { b },
                     flops: sn.num.flops,
@@ -445,20 +357,10 @@ impl Replay {
                 }
             }
         }
-        close(&mut run, factors.len(), &mut stages[0]);
-
         let stages: Vec<Stage> = stages
             .into_iter()
             .filter(|items| !items.is_empty())
-            .map(|mut items| {
-                // Stable, so ties keep block order: the list is the
-                // same on every run.
-                items.sort_by(|x, y| y.flops.total_cmp(&x.flops));
-                Stage {
-                    flops: items.iter().map(|i| i.flops).sum(),
-                    items,
-                }
-            })
+            .map(Stage::new)
             .collect();
         Replay {
             diag_vals: vec![0.0; frozen.btf.diag_nnz()],
@@ -498,44 +400,16 @@ impl Replay {
             red_vals: ItemCell::from_mut_slice(&mut self.red_vals),
             nd: &self.nd,
         };
-        let failed: Mutex<Option<SparseError>> = Mutex::new(None);
         let mut joined = None;
         for stage in &self.stages {
-            let run = |i: usize| {
-                let outcome = WORKSPACE.with(|ws| {
+            let idle = run_stage(stage, team, |work| {
+                WORKSPACE.with(|ws| {
                     let mut ws = ScrubOnUnwind(ws.borrow_mut());
-                    run_item(&cx, stage.items[i].work, &mut ws.0)
-                });
-                if let Err(e) = outcome {
-                    keep_smallest_column(&failed, e);
-                }
-                // On the thread that dispatched the stage: when its
-                // last item ended is when its wait for the join began.
-                CALLER_IDLE_SINCE.with(|c| {
-                    if c.get().is_some() {
-                        c.set(Some(Instant::now()));
-                    }
-                });
-            };
-            let n = stage.items.len();
-            if team.width() > 1 && n > 1 && stage.flops >= DISPATCH_BREAK_EVEN_FLOPS {
-                CALLER_IDLE_SINCE.with(|c| c.set(Some(Instant::now())));
-                team.run_worklist(n, run);
-                let idle = CALLER_IDLE_SINCE
-                    .with(Cell::take)
-                    .map_or(0, |since| since.elapsed().as_nanos() as u64);
+                    run_item(&cx, work, &mut ws.0)
+                })
+            })?;
+            if let Some(idle) = idle {
                 joined = Some(joined.unwrap_or(0) + idle);
-            } else {
-                (0..n).for_each(run);
-            }
-            // Every item of the stage has run to its end, so this is
-            // the smallest failing column at any width.
-            if let Some(e) = failed
-                .lock()
-                .expect("nothing panics under this lock")
-                .take()
-            {
-                return Err(e);
             }
         }
         Ok(joined)
@@ -563,50 +437,44 @@ impl NdRecord {
             split,
             reductions: Vec::new(),
             target_of: vec![NONE; nn],
-            panel_of: vec![Vec::new(); nn],
+            panel_of: (0..nn)
+                .map(|v| vec![NONE; v - st.subtree_start[v]])
+                .collect(),
         };
-        let mut file = |stage: usize, work: Work, flops: f64| {
-            if stages.len() <= stage {
-                stages.resize_with(stage + 1, Vec::new);
-            }
-            stages[stage].push(Item { work, flops });
-        };
-        for v in 0..nn {
-            let column = (Work::Column { nd, v }, f.fact_diag[v].flops);
-            if st.nd.nodes[v].is_leaf() {
-                file(0, column.0, column.1);
-                continue;
-            }
-            // Level ℓ takes ℓ + 2 stages after those of every level
-            // below it: ℓ of panels (by the descendant's tree level),
-            // the reductions, the eliminations.
-            let level = st.nd.tree_level(v);
-            let base = 1 + (1..level).map(|m| m + 2).sum::<usize>();
-            let start = st.subtree_start[v];
-            rec.panel_of[v] = vec![NONE; v - start];
-            for k in st.descendants(v) {
+        layout_nd(st, stages, |item, stage| match item {
+            NdItem::Column(v) => stage.push(Item {
+                work: Work::Column { nd, v },
+                flops: f.fact_diag[v].flops,
+            }),
+            NdItem::Panel(v, k) => {
+                let start = st.subtree_start[v];
                 let mut flops = panel_flops(&f.fact_diag[k].l, &f.fact_upper[v][k - start]);
                 if !st.nd.nodes[k].is_leaf() {
-                    let red = Reduction::record(st, f, v, k, &blocks.upper[v][k - start], red_len);
+                    let red = Reduction::record(st, f, v, k, blocks.block(st, v, k), red_len);
                     flops += red.chunks(st, f).iter().map(|c| c.2).sum::<f64>();
                     rec.panel_of[v][k - start] = rec.reductions.len();
                     rec.reductions.push(red);
                 }
-                file(base + st.nd.tree_level(k), Work::Panel { nd, v, k }, flops);
+                stage.push(Item {
+                    work: Work::Panel { nd, v, k },
+                    flops,
+                });
             }
-            rec.target_of[v] = rec.reductions.len();
-            let targets = std::iter::once((v, &blocks.diag[v]))
-                .chain(st.ancestors[v].iter().copied().zip(&blocks.lower[v]));
-            for (tgt, a_tgt) in targets {
-                let red = Reduction::record(st, f, v, tgt, a_tgt, red_len);
+            NdItem::Reduce(v, t) => {
+                if t == v {
+                    rec.target_of[v] = rec.reductions.len();
+                }
+                let red = Reduction::record(st, f, v, t, blocks.block(st, v, t), red_len);
                 let r = rec.reductions.len();
                 for (c0, c1, flops) in red.chunks(st, f) {
-                    file(base + level, Work::Reduce { nd, r, c0, c1 }, flops);
+                    stage.push(Item {
+                        work: Work::Reduce { nd, r, c0, c1 },
+                        flops,
+                    });
                 }
                 rec.reductions.push(red);
             }
-            file(base + level + 1, column.0, column.1);
-        }
+        });
         rec
     }
 }
@@ -616,11 +484,6 @@ thread_local! {
     /// whichever rank claims it, and items never wait, so the borrow
     /// cannot re-enter.
     static WORKSPACE: RefCell<RefactorWorkspace> = RefCell::new(RefactorWorkspace::new());
-
-    /// Set on the thread that dispatched a stage, for the stage's
-    /// duration: the end of the last item it ran itself (see
-    /// [`Replay::run`]).
-    static CALLER_IDLE_SINCE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
 /// The thread's accumulators are shared by every refactorization the
@@ -804,8 +667,8 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
 
 #[cfg(test)]
 mod tests {
-    use super::DISPATCH_BREAK_EVEN_FLOPS;
     use crate::hybrid::HybridOptions;
+    use crate::stages::DISPATCH_BREAK_EVEN_FLOPS;
     use crate::testmat::*;
     use crate::Basker;
     use basker_runtime::shared_team;

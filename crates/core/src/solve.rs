@@ -94,10 +94,9 @@ pub fn solve_nd_in_place<const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parnum::factor_nd_parallel;
-    use crate::structure::{BlockKind, NdBlocks, Structure};
-    use crate::sync::SyncMode;
-    use crate::testmat::grid2d_unsym;
+    use crate::structure::BlockKind;
+    use crate::testmat::{grid2d_unsym, nd_factors, opts};
+    use crate::{Basker, BaskerOptions};
     use basker_sparse::spmv::spmv;
     use basker_sparse::util::relative_residual;
     use basker_sparse::Perm;
@@ -106,15 +105,18 @@ mod tests {
     fn nd_solve_matches_direct_solution() {
         for (k, p) in [(5usize, 2usize), (7, 4), (8, 4)] {
             let a = grid2d_unsym(k);
-            let s = Structure::build(&a, false, false, 0, p).unwrap();
+            let o = BaskerOptions {
+                use_btf: false,
+                use_mwcm: false,
+                ..opts(p, 0)
+            };
+            let sym = Basker::analyze(&a, &o).unwrap();
+            let s = sym.structure();
             let BlockKind::NdBig(st) = &s.kinds[0] else {
                 panic!();
             };
             let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
-            let blocks = NdBlocks::extract(&ap, 0, st);
-            let team = basker_runtime::shared_team(p, false);
-            let f =
-                factor_nd_parallel(&blocks, st, 0.001, SyncMode::PointToPoint, 0, &team).unwrap();
+            let num = sym.factor(&a).unwrap();
             // Solve ap · x = b
             let xtrue: Vec<f64> = (0..a.ncols())
                 .map(|i| 1.0 + (i % 7) as f64 * 0.25)
@@ -122,7 +124,8 @@ mod tests {
             let b = spmv(&ap, &xtrue);
             let mut z = b.clone();
             let mut scratch = vec![[0.0]; z.len()];
-            solve_nd_in_place(st, &f, basker_kernels::rows_mut::<1>(&mut z), &mut scratch);
+            let z1 = basker_kernels::rows_mut::<1>(&mut z);
+            solve_nd_in_place(st, nd_factors(&num, 0), z1, &mut scratch);
             assert!(
                 relative_residual(&ap, &z, &b) < 1e-12,
                 "k={k} p={p} residual too large"

@@ -4,16 +4,19 @@
 /// report (Table I memory, §IV sync overhead, speedups).
 #[derive(Debug, Clone, Default)]
 pub struct BaskerStats {
-    /// `|L+U|` over all diagonal blocks plus retained BTF off-diagonals.
+    /// `|L+U|` over the factored diagonal blocks only
+    /// ([`BaskerNumeric::lu_nnz`](crate::BaskerNumeric::lu_nnz)); the
+    /// retained BTF off-diagonals are in
+    /// [`total_storage_nnz`](crate::BaskerNumeric::total_storage_nnz).
     pub lu_nnz: usize,
     /// Numeric flops of the factorization kernels.
     pub flops: f64,
     /// Wall-clock seconds of the numeric phase.
     pub numeric_seconds: f64,
-    /// Per-thread nanoseconds spent blocked on synchronization: slot
-    /// waits and barriers summed over all ND blocks after a factor, the
-    /// caller's stage joins (entry 0) after a refactor. One entry per
-    /// rank of the team.
+    /// Per-thread nanoseconds spent blocked on synchronization: the
+    /// caller's time in stage joins (entry 0), after a factor as after a
+    /// refactor — the other ranks never wait. One entry per rank of the
+    /// team.
     pub sync_wait_ns: Vec<u64>,
     /// Always 0: blocked ranks wait and never run other work. Kept
     /// because the benchmark's `core.columns_assisted` row reads it.

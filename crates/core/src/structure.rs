@@ -291,6 +291,16 @@ impl NdBlocks {
         blocks
     }
 
+    /// `A_{r,v}`: rows of node `r` — `v` itself, an ancestor or a
+    /// descendant of `v` — in the columns of node `v`.
+    pub fn block(&self, st: &NdStructure, v: usize, r: usize) -> &CscMat {
+        match r.cmp(&v) {
+            std::cmp::Ordering::Less => &self.upper[v][r - st.subtree_start[v]],
+            std::cmp::Ordering::Equal => &self.diag[v],
+            std::cmp::Ordering::Greater => &self.lower[v][st.anc_pos(v, r)],
+        }
+    }
+
     /// Total entries stored across all blocks.
     pub fn total_nnz(&self) -> usize {
         let d: usize = self.diag.iter().map(|m| m.nnz()).sum();

@@ -1,6 +1,7 @@
 //! Matrices and checks shared by this crate's unit tests.
 
 use crate::hybrid::{HybridLu, HybridOptions};
+use crate::parnum::NdFactors;
 use crate::{Basker, BaskerNumeric, BaskerOptions, BlockFactors};
 use basker_klu::gp::BlockFactor;
 use basker_sparse::spmv::spmv;
@@ -157,6 +158,32 @@ pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
     }
     out.extend_from_slice(num.offdiag.values());
     out
+}
+
+/// Every pivot sequence of a numeric's Gilbert–Peierls and ND blocks,
+/// in storage order.
+pub(crate) fn factor_pivots(num: &BaskerNumeric) -> Vec<usize> {
+    let mut out = Vec::new();
+    for f in &num.factors {
+        match f {
+            BlockFactors::Gp(BlockFactor::Full(blu)) => out.extend_from_slice(&blu.pinv),
+            BlockFactors::Nd(part) => {
+                for blu in &part.f.fact_diag {
+                    out.extend_from_slice(&blu.pinv);
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The factors of ND block `b`.
+pub(crate) fn nd_factors(num: &BaskerNumeric, b: usize) -> &NdFactors {
+    match &num.factors[b] {
+        BlockFactors::Nd(part) => &part.f,
+        _ => panic!("block {b} is not an ND block"),
+    }
 }
 
 pub(crate) fn solve(num: &BaskerNumeric, b: &[f64]) -> Vec<f64> {

@@ -92,16 +92,9 @@ impl BlockLu {
 const UNSET: usize = usize::MAX;
 
 /// Incremental Gilbert–Peierls factorization of a stacked block column,
-/// fed **one column at a time**.
-///
-/// This is the kernel behind Basker's pipelined separator factorization
-/// (paper §IV): the separator owner calls [`factor_col`] with column `c`
-/// of the reduced block column as soon as that column's distributed
-/// reductions arrive, while the rest of the team is already producing
-/// column `c + 1` — no need to wait for the whole block to be reduced.
+/// fed **one column at a time** through
+/// [`factor_col`](BlockColumnFactorizer::factor_col).
 /// [`factor_block_column`] is the all-at-once wrapper over this type.
-///
-/// [`factor_col`]: BlockColumnFactorizer::factor_col
 pub struct BlockColumnFactorizer {
     nb: usize,
     pivot_tol: f64,
@@ -175,11 +168,6 @@ impl BlockColumnFactorizer {
             bpat: below_nrows.iter().map(|_| Vec::new()).collect(),
             flops: 0.0,
         }
-    }
-
-    /// The index of the next column to be fed.
-    pub fn next_col(&self) -> usize {
-        self.next_col
     }
 
     /// Eliminates the next column. `diag_rows`/`diag_vals` hold the
@@ -724,10 +712,9 @@ impl LsolveWorkspace {
 /// coordinates.
 ///
 /// This is the per-column unit of Basker's "factor upper off-diagonal
-/// submatrices `A_ij → U_ij`" step (paper Alg. 4 line 14), the
-/// granularity at which panels are published in the pipelined schedule:
-/// the DFS over `L` discovers the output pattern in time proportional to
-/// the arithmetic.
+/// submatrices `A_ij → U_ij`" step (paper Alg. 4 line 14): the DFS over
+/// `L` discovers the output pattern in time proportional to the
+/// arithmetic.
 pub fn lsolve_col(
     blu: &BlockLu,
     b_rows: &[usize],

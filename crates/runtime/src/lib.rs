@@ -1,14 +1,13 @@
 //! Persistent worker-team runtime (the Kokkos-style "hot" thread pool of
 //! the paper's execution model).
 //!
-//! Basker's parallel numeric phase is a *static team* algorithm: `p`
-//! threads cooperate on one factorization through point-to-point
-//! synchronization, and the paper's speedups assume those threads already
-//! exist, stay pinned to their cores, and cost nothing to re-enter. A
-//! pool that spawns fresh OS threads per parallel region pays a
-//! `clone(2)` + page-fault storm on every `factor`/`refactor` call —
-//! fatal for the transient-simulation workloads that call `refactor`
-//! thousands of times per second.
+//! Basker's parallel numeric phase runs on a *static team*: `p` threads
+//! share the stages of one factorization, and the paper's speedups
+//! assume those threads already exist, stay pinned to their cores, and
+//! cost nothing to re-enter. A pool that spawns fresh OS threads per
+//! parallel region pays a `clone(2)` + page-fault storm on every
+//! `factor`/`refactor` call — fatal for the transient-simulation
+//! workloads that call `refactor` thousands of times per second.
 //!
 //! [`WorkerTeam`] provides:
 //!
@@ -30,15 +29,15 @@
 //!
 //! Every concurrently-live rank of a broadcast genuinely runs on its own
 //! OS thread (except the width-1 fast path, which runs inline on the
-//! caller): Basker's slot hand-off requires all team members to make
-//! progress at once, so no sequential fallback is possible.
+//! caller), so a broadcast's ranks may wait on one another. The solver
+//! itself only submits worklists, whose jobs never do.
 //!
 //! Both entry points run on **one SPMD task loop** (the `task` module):
-//! a broadcast is a `TaskCore` whose participants claim their rank from
-//! a shared atomic index, and a worklist is one broadcast whose ranks
-//! pop job indices from a shared cursor until it runs dry. A rank that
-//! waits on another (a pipeline slot, a stage join) just waits; nothing
-//! outside a task's own ranks ever runs its items.
+//! a broadcast is a `TaskCore` whose participants each run the item of
+//! their own rank, and a worklist is one broadcast whose ranks pop job
+//! indices from a shared cursor until it runs dry. A caller that waits
+//! for a task parks on its done latch; nothing outside a task's own
+//! ranks ever runs its items.
 
 #![warn(missing_docs)]
 
@@ -108,13 +107,13 @@ pub fn os_threads_spawned() -> usize {
     // ORDER: Relaxed — SPAWNED is a monotonic diagnostic counter; the
     // thread-reuse test reads it only after `factor` returns, and the
     // team teardown's join supplies the happens-before edge. The model
-    // checker's task suite covers the claim/latch protocol this count
-    // rides on; nothing orders *through* it.
+    // checker's task suite covers the latch protocol this count rides
+    // on; nothing orders *through* it.
     SPAWNED.load(Ordering::Relaxed)
 }
 
 struct MailSlot {
-    /// The next task this worker should claim its rank of (a broadcast
+    /// The next task this worker should run its rank of (a broadcast
     /// posts the same `TaskCore` to every mailbox). The submitter keeps
     /// the task's borrowed payload alive until the task's done latch,
     /// which is what makes borrowing jobs (scoped join) sound.
@@ -165,9 +164,9 @@ impl Shared {
 /// after the done latch — no concurrent access despite the `Sync` impl.
 struct ResultCell<R>(UnsafeCell<Option<R>>);
 
-// SAFETY: each cell is written by exactly one rank (the task claim
-// hands out each index once) and read by the submitter only after the
-// done latch, so no two threads ever access a cell concurrently.
+// SAFETY: each cell is written by exactly one rank (every participant
+// runs its own rank) and read by the submitter only after the done
+// latch, so no two threads ever access a cell concurrently.
 unsafe impl<R: Send> Sync for ResultCell<R> {}
 
 /// Payload of an SPMD broadcast task: item index = rank.
@@ -181,8 +180,8 @@ struct BroadcastPayload<'a, OP, R> {
 /// # Safety
 ///
 /// `data` must point at a live `BroadcastPayload<'_, OP, R>` and
-/// `rank` must be an index the task's claim cursor handed out exactly
-/// once (it addresses that rank's private `ResultCell`).
+/// `rank` must be run by exactly one participant (it addresses that
+/// rank's private `ResultCell`).
 unsafe fn run_rank<OP, R>(data: *const (), rank: usize, width: usize)
 where
     OP: Fn(TeamContext) -> R + Sync,
@@ -190,7 +189,7 @@ where
 {
     // SAFETY: the submitter keeps the payload alive until the done latch
     // releases it, and `rank` indexes a cell no other thread touches
-    // (the task's claim made this thread the unique executor of `rank`).
+    // (this thread is the one participant of `rank`).
     // Panics are caught by the task loop and re-raised at the submitter.
     let p = unsafe { &*(data as *const BroadcastPayload<'_, OP, R>) };
     let v = (p.op)(TeamContext { rank, width });
@@ -284,14 +283,11 @@ impl WorkerTeam {
     /// from the caller's stack). Rank 0 runs **on the calling thread**;
     /// ranks `1..width` on the parked workers.
     ///
-    /// Internally this is one SPMD task: the caller and the woken
-    /// workers each **claim one index** of the
-    /// task's shared work cursor, and the claimed index *is* the rank
-    /// (the caller claims first, so rank 0 stays on the submitting
-    /// thread). Every rank is live at once on its own OS thread, so
-    /// closures may synchronize point-to-point (slots, barriers) across
-    /// ranks. If any rank panics, the panic is re-raised here after the
-    /// whole team has drained; the workers survive for the next job.
+    /// Internally this is one SPMD task: the caller runs rank 0 and
+    /// worker `r` rank `r`. Every rank is live at once on its own OS
+    /// thread, so closures may synchronize point-to-point across ranks.
+    /// If any rank panics, the panic is re-raised here after the whole
+    /// team has drained; the workers survive for the next job.
     ///
     /// Called from a thread already acting as one of this team's ranks
     /// (a nested SPMD region inside a job), the persistent ranks are
@@ -323,9 +319,6 @@ impl WorkerTeam {
         );
 
         let guard = self.submit.lock().unwrap();
-        // Claim rank 0 for the caller *before* the workers can claim.
-        let rank0 = core.claim().expect("fresh SPMD task has rank 0 free");
-        debug_assert_eq!(rank0, 0);
         for mb in &self.shared.mailboxes {
             let mut slot = mb.slot.lock().unwrap();
             debug_assert!(slot.task.is_none(), "mailbox not drained");
@@ -347,7 +340,7 @@ impl WorkerTeam {
             }
             let _unmark = Unmark(WORKER_OF.with(|c| c.replace(self.shared.id)));
             let _affinity = self.shared.pin.then(AffinityGuard::pin_to_core0);
-            core.run_claimed(rank0);
+            core.run_claimed(0);
         }
         core.wait_done();
         drop(guard);
@@ -494,9 +487,9 @@ fn worker_loop(shared: &Shared, rank: usize) {
                 slot = mb.cv.wait(slot).unwrap();
             }
         };
-        // Claim exactly one index — this worker's rank for the job.
-        // Completion is reported through the task's own done latch.
-        core.run_one();
+        // This worker's rank for the job; completion is reported through
+        // the task's own done latch.
+        core.run_claimed(rank);
     }
 }
 
@@ -615,19 +608,15 @@ mod tests {
     #[test]
     fn threads_are_reused_across_jobs() {
         let team = WorkerTeam::new(TeamConfig::new(3));
-        let sorted =
-            |v: Vec<std::thread::ThreadId>| v.into_iter().collect::<std::collections::HashSet<_>>();
-        let ids1 = sorted(team.broadcast(|_| std::thread::current().id()));
+        let ids1 = team.broadcast(|_| std::thread::current().id());
         let caller = std::thread::current().id();
         assert_eq!(team.threads_spawned(), 2);
         for _ in 0..50 {
             let ids: Vec<std::thread::ThreadId> = team.broadcast(|_| std::thread::current().id());
-            // Ranks are claimed, not bound: which worker serves rank 2
-            // may vary between jobs, but the *set* of hot threads must
-            // not, and rank 0 always stays on the submitting thread
-            // (it claims before the workers are woken).
+            // Worker `r` serves rank `r`, and rank 0 stays on the
+            // submitting thread.
             assert_eq!(ids[0], caller, "rank 0 must run on the caller");
-            assert_eq!(sorted(ids), ids1, "jobs must reuse the same threads");
+            assert_eq!(ids, ids1, "jobs must reuse the same threads");
         }
         assert_eq!(team.threads_spawned(), 2, "no new OS threads after warm-up");
     }

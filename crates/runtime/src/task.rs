@@ -3,11 +3,10 @@
 //! which is one broadcast whose ranks pop jobs from a shared cursor).
 //!
 //! A broadcast posts one type-erased [`TaskCore`] of `width` items to
-//! every worker's mailbox; each participant (the caller plus the woken
-//! workers) **claims exactly one index** of the task's atomic cursor,
-//! and that index *is* its rank. The task's done latch is the
-//! broadcast's scoped join, and its panic slot carries a rank's panic
-//! back to the caller.
+//! every worker's mailbox; each participant (the caller as rank 0, each
+//! woken worker as the rank its mailbox belongs to) runs the item of its
+//! own rank. The task's done latch is the broadcast's scoped join, and
+//! its panic slot carries a rank's panic back to the caller.
 //!
 //! Sequential execution pays nothing: width-1 teams never construct a
 //! `TaskCore` or issue an atomic — the zero-overhead single-core
@@ -17,20 +16,20 @@
 //!
 //! A task's `data` pointer refers to the submitter's stack frame. The
 //! submitter never leaves that frame until `completed == size` (the
-//! done latch), and a participant dereferences `data` only after
-//! winning a claim (`index < size`); every winning claim is counted
-//! into `completed` after its item finishes. A worker that still holds
-//! the `Arc` after its item can touch the (heap) `TaskCore`, but never
-//! `data` — so the stack borrow cannot outlive its frame.
+//! done latch), and a participant dereferences `data` only while it
+//! runs its rank's item, which is counted into `completed` after it
+//! finishes. A worker that still holds the `Arc` after its item can
+//! touch the (heap) `TaskCore`, but never `data` — so the stack borrow
+//! cannot outlive its frame.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-/// The primitives under model-checking scrutiny: the claim cursor, the
-/// completion counter, and the done latch. Under `--cfg basker_model`
-/// (the model-checking CI leg) they swap onto `basker_model`'s
+/// The primitives under model-checking scrutiny: the completion counter
+/// and the done latch. Under `--cfg basker_model` (the model-checking
+/// CI leg) they swap onto `basker_model`'s
 /// schedule-explored facades; the panic slot stays on std — its
 /// critical section contains no schedule points, so it cannot hide an
 /// interleaving.
@@ -44,17 +43,16 @@ mod msync {
     pub(super) use std::sync::{Condvar, Mutex};
 }
 
-/// The type-erased task a broadcast runs: `size` rank items handed out
-/// by an atomically claimed index, a completion latch, and a panic slot
-/// so a faulting rank surfaces at the submitter rather than in
-/// whichever thread happened to claim it.
+/// The type-erased task a broadcast runs: `size` rank items, a
+/// completion latch, and a panic slot so a faulting rank surfaces at the
+/// submitter rather than in the thread that ran it.
 pub(crate) struct TaskCore {
     data: *const (),
     // SAFETY: the trampoline's contract (a live payload behind `data`,
     // each index run at most once) is upheld by `run_claimed` — the
-    // only caller — via the claim cursor and the owner's done latch.
+    // only caller — via its callers' distinct ranks and the owner's
+    // done latch.
     run: unsafe fn(*const (), usize, usize),
-    next: msync::AtomicUsize,
     completed: msync::AtomicUsize,
     size: usize,
     done: msync::Mutex<bool>,
@@ -64,11 +62,11 @@ pub(crate) struct TaskCore {
 
 // SAFETY: `data` points at a payload of `Sync` references owned by the
 // task's submitter, which blocks on the done latch for as long as any
-// claim can still dereference it (see module docs); all other fields
+// participant can still dereference it (see module docs); all other fields
 // are plain sync primitives.
 unsafe impl Send for TaskCore {}
-// SAFETY: as above — shared access routes through the claim cursor and
-// the sync primitives; `data` dereferences are claim-guarded.
+// SAFETY: as above — shared access routes through the sync primitives;
+// `data` is dereferenced only by the one participant of each rank.
 unsafe impl Sync for TaskCore {}
 
 impl TaskCore {
@@ -82,7 +80,6 @@ impl TaskCore {
         Arc::new(TaskCore {
             data,
             run,
-            next: msync::AtomicUsize::new(0),
             completed: msync::AtomicUsize::new(0),
             size,
             done: msync::Mutex::new(false),
@@ -91,25 +88,15 @@ impl TaskCore {
         })
     }
 
-    /// Claims the next index; `None` when the task is exhausted.
-    pub(crate) fn claim(&self) -> Option<usize> {
-        // ORDER: Relaxed — the claim only needs atomicity (each index
-        // handed out once); the item's *data* visibility comes from the
-        // mailbox mutex that published the task to this thread, and
-        // completion visibility from the AcqRel counter in
-        // `run_claimed`. Verified exhaustively by
-        // `model_checks::claim_cursor_hands_out_each_item_exactly_once`.
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.size).then_some(i)
-    }
-
-    /// Runs one already-claimed item, capturing a panic into the task's
-    /// panic slot, and counts it completed.
+    /// Runs the item of rank `index` — the caller's own, which no other
+    /// participant runs — capturing a panic into the task's panic slot,
+    /// and counts it completed. The item's data reaches this thread
+    /// through the mailbox mutex that posted the task.
     pub(crate) fn run_claimed(&self, index: usize) {
-        // SAFETY: the claim made this thread the unique executor of
-        // `index`, and the owner keeps `data` alive until `completed`
-        // reaches `size` — which cannot happen before this item is
-        // counted below.
+        // SAFETY: each participant passes its own rank, so this thread
+        // is the unique executor of `index`, and the owner keeps `data`
+        // alive until `completed` reaches `size` — which cannot happen
+        // before this item is counted below.
         let r = catch_unwind(AssertUnwindSafe(|| unsafe {
             (self.run)(self.data, index, self.size)
         }));
@@ -127,18 +114,6 @@ impl TaskCore {
         if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
             *self.done.lock().unwrap() = true;
             self.done_cv.notify_all();
-        }
-    }
-
-    /// Claim-and-run one item (a worker's rank); `false` when the task
-    /// is exhausted.
-    pub(crate) fn run_one(&self) -> bool {
-        match self.claim() {
-            Some(i) => {
-                self.run_claimed(i);
-                true
-            }
-            None => false,
         }
     }
 
@@ -160,19 +135,18 @@ impl TaskCore {
     }
 }
 
-/// Exhaustive interleaving checks for the claim cursor and the done
-/// latch, runnable only under the model checker:
+/// Exhaustive interleaving checks for the completion counter and the
+/// done latch, runnable only under the model checker:
 ///
 /// ```text
 /// RUSTFLAGS="--cfg basker_model" cargo test -p basker_runtime --lib model_checks
 /// ```
 ///
-/// Under `--cfg basker_model` the cursor (`next`), the completion
-/// counter, and the done latch swap onto the model's primitives, so
-/// these tests explore every interleaving of claim / complete / latch /
-/// wait between the owner and a worker participant — including the
-/// lost-wakeup class on the latch condvar, which the model reports as
-/// a deadlock.
+/// Under `--cfg basker_model` the completion counter and the done latch
+/// swap onto the model's primitives, so these tests explore every
+/// interleaving of complete / latch / wait between the owner and its
+/// workers — including the lost-wakeup class on the latch condvar,
+/// which the model reports as a deadlock.
 #[cfg(all(test, basker_model))]
 mod model_checks {
     use super::*;
@@ -180,48 +154,50 @@ mod model_checks {
     use model::Outcome;
     use std::sync::atomic::AtomicU32;
 
-    /// Bumps the hit counter of the claimed item.
+    /// Bumps the hit counter of the item run.
     ///
     /// # Safety
     ///
-    /// `data` must point at a live `[AtomicU32; 2]`.
+    /// `data` must point at a live `[AtomicU32; 3]`.
     unsafe fn bump(data: *const (), index: usize, _size: usize) {
         // SAFETY: the owner keeps the counters alive until the done
         // latch (see `TaskCore::run_claimed`).
-        let hits = unsafe { &*(data as *const [AtomicU32; 2]) };
+        let hits = unsafe { &*(data as *const [AtomicU32; 3]) };
         hits[index].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Owner + one worker participant race the claim cursor of a 2-item
-    /// task, each claiming one item as a broadcast rank does: in every
-    /// interleaving each item runs exactly once, the owner's
-    /// `wait_done` returns only after both items finished, and no latch
-    /// wakeup is lost (a lost one would surface as a model deadlock
-    /// with the owner parked on the latch condvar).
-    #[test]
-    fn claim_cursor_hands_out_each_item_exactly_once() {
-        let outcome = model::check(model::Config::default(), || {
+    /// The owner runs rank 0 and `workers` spawned participants run
+    /// ranks `1..=workers`, as a broadcast's do: in every interleaving
+    /// each item runs exactly once, the owner's `wait_done` returns only
+    /// after all of them finished, and no latch wakeup is lost (a lost
+    /// one would surface as a model deadlock with the owner parked on
+    /// the latch condvar).
+    fn latch_joins_every_rank(workers: usize) {
+        let outcome = model::check(model::Config::default(), move || {
             // Hit counters are std atomics: they are the *oracle*, not
             // the protocol under test, so they add no schedule points.
-            let hits = [AtomicU32::new(0), AtomicU32::new(0)];
-            let core = TaskCore::new(&hits as *const [AtomicU32; 2] as *const (), bump, 2);
-            let worker = {
-                let core = core.clone();
-                model::thread::spawn(move || {
-                    core.run_one();
+            let hits = [AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)];
+            let core = TaskCore::new(
+                &hits as *const [AtomicU32; 3] as *const (),
+                bump,
+                1 + workers,
+            );
+            let spawned: Vec<_> = (1..=workers)
+                .map(|rank| {
+                    let core = core.clone();
+                    model::thread::spawn(move || core.run_claimed(rank))
                 })
-            };
-            core.run_one();
+                .collect();
+            core.run_claimed(0);
             core.wait_done();
             core.rethrow_panic();
             for (i, h) in hits.iter().enumerate() {
-                assert_eq!(
-                    h.load(Ordering::Relaxed),
-                    1,
-                    "item {i} must run exactly once"
-                );
+                let want = u32::from(i <= workers);
+                assert_eq!(h.load(Ordering::Relaxed), want, "item {i}");
             }
-            worker.join().unwrap();
+            for w in spawned {
+                w.join().unwrap();
+            }
         });
         match outcome {
             Outcome::Pass { executions } => {
@@ -229,5 +205,15 @@ mod model_checks {
             }
             other => panic!("expected exhaustive pass, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn latch_joins_the_owner_and_one_worker() {
+        latch_joins_every_rank(1);
+    }
+
+    #[test]
+    fn latch_joins_the_owner_and_two_workers() {
+        latch_joins_every_rank(2);
     }
 }

@@ -1,12 +1,7 @@
-//! Single sparse columns — the hand-off unit of Basker's pipelined
-//! separator factorization.
-//!
-//! The paper's numeric phase streams separator block columns through the
-//! thread team *one column at a time*: a leaf publishes column `c` of its
-//! `U` panel while the separator owner is still eliminating column
-//! `c − 1`. [`SparseCol`] is the payload of that hand-off, and
-//! [`cols_to_csc`] reassembles a published column sequence into the
-//! [`CscMat`] the factor storage uses.
+//! Single sparse columns: [`SparseCol`] is what a one-column sparse
+//! triangular solve returns, and [`cols_to_csc`] assembles a sequence of
+//! them into the [`CscMat`] the factor storage uses (a `U` panel of
+//! Basker's ND factorization, solved column by column).
 
 use crate::CscMat;
 

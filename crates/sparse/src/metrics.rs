@@ -43,7 +43,7 @@ pub fn pattern_hash(m: &CscMat) -> u64 {
 /// These are the classifier inputs of the per-block hybrid router: a
 /// tiny or ultra-sparse block wants fill-less Gilbert–Peierls, a dense
 /// or supernode-rich block wants the supernodal engine's dense panels,
-/// and a large block with a good separator wants the pipelined-ND
+/// and a large block with a good separator wants the ND team
 /// treatment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMetrics {

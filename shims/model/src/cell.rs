@@ -1,7 +1,7 @@
 //! Race-checked unsynchronized storage.
 //!
-//! [`ValueCell`] is the model stand-in for the `UnsafeCell<Option<T>>`
-//! payload inside `Slot`: plain non-atomic storage whose accesses are
+//! [`ValueCell`] is the model stand-in for an `UnsafeCell<Option<T>>`
+//! payload handed between threads: plain non-atomic storage whose accesses are
 //! checked against the happens-before relation instead of being
 //! schedule points. Every write records the writer's vector clock;
 //! every read records the reader's. An access races with a prior one

@@ -25,11 +25,11 @@
 //! load reordering are not simulated) and `SeqCst` is modeled as
 //! `AcqRel`; what *is* modeled precisely is the happens-before
 //! structure of Acquire/Release/Relaxed — which is exactly what the
-//! `Slot` publish/claim and `TaskCore` claim/latch protocols rely on,
-//! and exactly what a wrong `Ordering` breaks. A protocol that passes here
-//! is race-free in its synchronization skeleton; the orderings it uses
-//! are thereby *proven necessary-or-sufficient* against the explored
-//! schedules (see the ordering-audit tests in `basker::sync`).
+//! `TaskCore` completion/latch protocol relies on, and exactly what a
+//! wrong `Ordering` breaks. A protocol that passes here is race-free in
+//! its synchronization skeleton; the orderings it uses are thereby
+//! *proven sufficient* against the explored schedules (see the
+//! `model_checks` of `basker_runtime`'s task module).
 //!
 //! The production crates swap onto these primitives under
 //! `--cfg basker_model` (never in a normal build); this crate itself

@@ -11,8 +11,7 @@
 //!   it (a relaxed write publishes nothing); a read-modify-write
 //!   continues the release sequence (a relaxed RMW leaves the release
 //!   clock in place, so a later acquire still synchronizes with the
-//!   original releasing store — this is what makes the Slot claim
-//!   CAS's `Relaxed` orderings provably sufficient).
+//!   original releasing store).
 //! - **`SeqCst` is modeled as `AcqRel`.** The model gives all atomics
 //!   sequentially-consistent *value* semantics (one thread runs at a
 //!   time), so the extra total-order guarantee of real `SeqCst` is

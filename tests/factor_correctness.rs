@@ -113,27 +113,6 @@ fn auto_engine_all_classes() {
 }
 
 #[test]
-fn basker_barrier_mode_agrees_with_p2p() {
-    let a = mesh2d(14, 1);
-    let mk = |sync| {
-        let cfg = SolverConfig::new()
-            .engine(Engine::Basker)
-            .threads(2)
-            .nd_threshold(32)
-            .sync_mode(sync);
-        let solver = LinearSolver::analyze(&a, &cfg).unwrap();
-        let num = solver.factor(&a).unwrap();
-        let mut x = vec![1.0; a.ncols()];
-        num.solve_in_place(&mut x, &mut SolveWorkspace::new())
-            .unwrap();
-        x
-    };
-    let x1 = mk(SyncMode::PointToPoint);
-    let x2 = mk(SyncMode::Barrier);
-    assert_eq!(x1, x2, "sync mode must not change the arithmetic");
-}
-
-#[test]
 fn table1_suite_factors_at_test_scale() {
     use basker_matgen::{mesh_suite, table1_suite};
     let mut ws = SolveWorkspace::new();

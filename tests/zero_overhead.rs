@@ -4,7 +4,7 @@
 //! session-style factor/refactor sequences, and a [`SolverService`]
 //! stream — must execute the pure sequential path: **zero** OS threads
 //! spawned (runtime counter and, where procfs exists, the kernel's
-//! view) and zero slot-wait time on every rank. The single test in
+//! view) and zero join-wait time on every rank. The single test in
 //! this binary is kept alone so the env var and the process thread
 //! count cannot be perturbed by a concurrent test thread.
 
@@ -23,7 +23,7 @@ fn assert_sequential(stats: &SolverStats, what: &str) {
     assert_eq!(stats.threads, 1, "{what}: ran on more than one thread");
     assert!(
         stats.sync_wait_ns.iter().all(|&ns| ns == 0),
-        "{what}: non-zero slot-wait time {:?}",
+        "{what}: non-zero join-wait time {:?}",
         stats.sync_wait_ns
     );
 }
