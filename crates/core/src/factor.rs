@@ -1,65 +1,78 @@
 //! The fresh factorization: the stage list of [`crate::stages`], every
-//! item pivoting inside its own diagonal block.
+//! item pivoting inside its own diagonal block, over `A`'s image in the
+//! frozen store analyze recorded.
 //!
 //! The items are the Gilbert–Peierls kernels with partial pivoting: a
 //! run of fine-BTF blocks factors block by block
-//! ([`BlockFactor::factor_range`]); a supernodal block goes through its
-//! engine; a block column is one [`factor_block_column`] — a leaf's over
-//! `A`'s blocks, a separator's over its reduced blocks; a panel
-//! `U_{k,v}` is one [`lsolve_col`] per column (for an inner separator
-//! `k`, of `A_{k,v}` reduced over `k`'s descendants' panels first); a
-//! reduction chunk is [`reduce_block_cols`]. Pivots are chosen inside
-//! the item, so what an item computes depends on neither the rank that
-//! runs it nor the order its stage is claimed in: the factors are
-//! bit-identical at every team width.
+//! ([`BlockFactor::factor_cols`], each block a window of the store); a
+//! supernodal block copies its window and goes through its engine; a
+//! block column is one [`factor_block_column`] — a leaf's over `A`'s
+//! 2-D blocks read in place
+//! ([`NdSplit::block`](crate::structure::NdSplit::block)), a
+//! separator's over its reduced blocks; a panel `U_{k,v}` is one
+//! [`lsolve_panel`] (for an inner separator `k`, of `A_{k,v}` reduced
+//! over `k`'s descendants' panels first); a reduction chunk is
+//! [`reduce_block_cols`]. Pivots are chosen inside the item, so what an
+//! item computes depends on neither the rank that runs it nor the order
+//! its stage is claimed in: the factors are bit-identical at every team
+//! width.
 //!
 //! Each output is written once, into a `OnceLock` of its own item, and
 //! read only by later stages, whose join orders the write before every
-//! read. A reduction is cut into column chunks just before its stage
-//! runs, when the factors it reads exist and its multiply-adds can be
-//! counted. Those, and analyze's estimates for the fine-BTF runs, are
-//! the only costs known before an item runs; every other item is
-//! counted as worth a dispatch, so a stage of more than one goes to the
-//! team with its unknowns claimed first.
+//! read. A reduction's terms are settled, and a reduction cut into
+//! column chunks, just before its stage runs, when the factors it reads
+//! exist and its multiply-adds can be counted. Those, and analyze's
+//! estimates for the fine-BTF runs, are the only costs known before an
+//! item runs; every other item is counted as worth a dispatch, so a
+//! stage of more than one goes to the team with its unknowns claimed
+//! first.
+//!
+//! The factorization leaves its [`Replay`] behind: the stages it ran,
+//! each item re-weighted by the flops it did, and every reduction's
+//! terms and reduced pattern with its values — what a refactorization
+//! of the numeric replays without recording anything.
 
 use crate::hybrid::BlockStrategy;
 use crate::parnum::NdFactors;
-use crate::reduce::{product_flops, reduce_block, reduce_block_cols};
-use crate::refactor::ItemCell;
+use crate::reduce::{product_flops, reduce_block_cols};
+use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
-use crate::structure::{BlockKind, NdBlocks, NdStructure};
-use crate::{Basker, BlockFactors, NdPart, SnFactors};
-use basker_klu::gp::{factor_block_column, lsolve_col, BlockFactor, BlockLu, LsolveWorkspace};
+use crate::structure::{BlockKind, NdStructure};
+use crate::{Basker, BlockFactors, SnFactors};
+use basker_klu::gp::{factor_block_column, lsolve_panel, BlockFactor, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
-use basker_sparse::blocks::extract_range;
-use basker_sparse::col::cols_to_csc;
 use basker_sparse::{CscMat, Result, SolveWorkspace};
 use std::sync::{Mutex, OnceLock};
 
 /// The cost of an item that cannot be counted before it runs.
 const UNKNOWN: f64 = f64::INFINITY;
 
-/// Factors `ap` — `a` under the handle's permutations — on `team`, one
-/// stage at a time: the factors of every BTF block, and the nanoseconds
-/// the caller spent blocked in stage joins.
+/// Factors the matrix whose block-diagonal store holds `diag_vals` on
+/// `team`, one stage at a time: the factors of every BTF block, the
+/// replay of what ran, and the nanoseconds the caller spent blocked in
+/// stage joins.
 pub(crate) fn factor_blocks(
     sym: &Basker,
-    ap: &CscMat,
+    diag_vals: Vec<f64>,
     team: &WorkerTeam,
-) -> Result<(Vec<BlockFactors>, u64)> {
-    let (mut fresh, stages) = Fresh::new(sym, ap);
+) -> Result<(Vec<BlockFactors>, Replay, u64)> {
+    let (mut fresh, stages) = Fresh::new(sym, diag_vals);
+    let mut ran = Vec::with_capacity(stages.len());
     let mut joined = 0;
     for items in stages {
         let stage = fresh.cut(items);
         joined += run_stage(&stage, team, |work| fresh.run(work))?.unwrap_or(0);
+        ran.push(stage);
     }
-    Ok((fresh.finish(), joined))
+    let (factors, replay) = fresh.finish(ran);
+    Ok((factors, replay, joined))
 }
 
 /// One fresh factorization in flight.
 struct Fresh<'a> {
     sym: &'a Basker,
-    ap: &'a CscMat,
+    /// Values of the frozen block-diagonal store: `A`'s image.
+    diag_vals: Vec<f64>,
     /// The factors of each Gilbert–Peierls or supernodal block.
     blocks: Vec<OnceLock<BlockFactors>>,
     /// The ND blocks, ascending.
@@ -71,22 +84,16 @@ struct NdFresh<'a> {
     st: &'a NdStructure,
     /// First permuted index of the block.
     lo: usize,
-    a: NdBlocks,
+    /// Its reductions, their terms and patterns filled in by
+    /// `Fresh::finish`.
+    rec: NdReplay,
     /// Per node: its stacked block column.
     diag: Vec<OnceLock<BlockLu>>,
     /// Per node `v`, per descendant `k` (ascending): `U_{k,v}`.
     upper: Vec<Vec<OnceLock<CscMat>>>,
-    /// Every elimination target's reduction, ascending by separator.
-    reductions: Vec<Reduction>,
-}
-
-/// `Â_{t,v}` for a target `t` of separator `v`'s elimination, as the
-/// column chunks its stage cut it into.
-struct Reduction {
-    v: usize,
-    t: usize,
-    /// `(first column, the chunk)`, ascending.
-    chunks: Vec<(usize, OnceLock<CscMat>)>,
+    /// Per reduction: `(first column, the chunk)`, ascending — one
+    /// chunk of every column until a stage cuts it (a panel's never is).
+    chunks: Vec<Vec<(usize, OnceLock<CscMat>)>>,
 }
 
 /// What an earlier stage wrote.
@@ -98,10 +105,18 @@ fn put<T>(cell: &OnceLock<T>, value: T) {
     assert!(cell.set(value).is_ok(), "one item per output");
 }
 
+/// Flops of the panel solve `U = L⁻¹·B` over `U`'s pattern.
+fn panel_flops(l: &CscMat, u: &CscMat) -> f64 {
+    u.rowind()
+        .iter()
+        .map(|&t| 2.0 * (l.colptr()[t + 1] - l.colptr()[t] - 1) as f64)
+        .sum()
+}
+
 impl<'a> Fresh<'a> {
-    /// The state of a factorization of `ap` under `sym`'s plan, and its
-    /// stages with every reduction still whole.
-    fn new(sym: &'a Basker, ap: &'a CscMat) -> (Fresh<'a>, Vec<Vec<Item>>) {
+    /// The state of a factorization of `diag_vals` under `sym`'s plan,
+    /// and its stages with every reduction still whole.
+    fn new(sym: &'a Basker, diag_vals: Vec<f64>) -> (Fresh<'a>, Vec<Vec<Item>>) {
         let inner = &*sym.inner;
         let st = &inner.structure;
         let mut stages: Vec<Vec<Item>> = vec![inner
@@ -124,19 +139,48 @@ impl<'a> Fresh<'a> {
                     let BlockKind::NdBig(nds) = &st.kinds[b] else {
                         unreachable!("analyze plans Nd on ND-laid-out blocks only");
                     };
+                    assert!(nds.nd.levels <= MAX_LEVELS, "separator tree too deep");
                     let i = nd.len();
-                    let mut reductions = Vec::new();
+                    let nn = nds.nnodes();
+                    let mut rec = NdReplay {
+                        block: b,
+                        split: inner
+                            .frozen
+                            .nd
+                            .iter()
+                            .position(|&(sb, _)| sb == b)
+                            .expect("every ND-laid-out block has a split"),
+                        reductions: Vec::new(),
+                        target_of: vec![NONE; nn],
+                        panel_of: (0..nn)
+                            .map(|v| vec![NONE; v - nds.subtree_start[v]])
+                            .collect(),
+                    };
+                    let mut pending = |v: usize, tgt: usize| {
+                        let nrows = nds.nd.nodes[tgt].len();
+                        let red = Reduction {
+                            v,
+                            tgt,
+                            nrows,
+                            ..Reduction::default()
+                        };
+                        rec.reductions.push(red);
+                        rec.reductions.len() - 1
+                    };
                     layout_nd(nds, &mut stages, |item, stage| {
                         let work = match item {
                             NdItem::Column(v) => Work::Column { nd: i, v },
-                            NdItem::Panel(v, k) => Work::Panel { nd: i, v, k },
+                            NdItem::Panel(v, k) => {
+                                if !nds.nd.nodes[k].is_leaf() {
+                                    rec.panel_of[v][k - nds.subtree_start[v]] = pending(v, k);
+                                }
+                                Work::Panel { nd: i, v, k }
+                            }
                             NdItem::Reduce(v, t) => {
-                                reductions.push(Reduction {
-                                    v,
-                                    t,
-                                    chunks: Vec::new(),
-                                });
-                                let r = reductions.len() - 1;
+                                let r = pending(v, t);
+                                if t == v {
+                                    rec.target_of[v] = r;
+                                }
                                 Work::Reduce {
                                     nd: i,
                                     r,
@@ -150,30 +194,39 @@ impl<'a> Fresh<'a> {
                             flops: UNKNOWN,
                         });
                     });
-                    let lo = st.bounds[b];
+                    let nred = rec.reductions.len();
                     nd.push(NdFresh {
                         st: nds,
-                        lo,
-                        a: NdBlocks::extract(ap, lo, nds),
-                        diag: (0..nds.nnodes()).map(|_| OnceLock::new()).collect(),
-                        upper: (0..nds.nnodes())
+                        lo: st.bounds[b],
+                        rec,
+                        diag: (0..nn).map(|_| OnceLock::new()).collect(),
+                        upper: (0..nn)
                             .map(|v| nds.descendants(v).map(|_| OnceLock::new()).collect())
                             .collect(),
-                        reductions,
+                        chunks: (0..nred).map(|_| vec![(0, OnceLock::new())]).collect(),
                     });
                 }
             }
         }
         let fresh = Fresh {
             sym,
-            ap,
+            diag_vals,
             blocks: (0..st.nblocks()).map(|_| OnceLock::new()).collect(),
             nd,
         };
         (fresh, stages)
     }
 
-    /// The stage of `items`, each reduction cut into column chunks.
+    /// `A_{r,v}` of ND block `nd`, read in place.
+    fn a_block(&self, nd: usize, v: usize, r: usize) -> ColsView<'_> {
+        let (f, frozen) = (&self.nd[nd], &self.sym.inner.frozen);
+        frozen.nd[f.rec.split]
+            .1
+            .block(&frozen.btf, &self.diag_vals, f.lo, f.st, v, r)
+    }
+
+    /// The stage of `items`, each elimination target's reduction cut
+    /// into column chunks.
     fn cut(&mut self, items: Vec<Item>) -> Stage {
         let mut out = Vec::with_capacity(items.len());
         for item in items {
@@ -181,17 +234,16 @@ impl<'a> Fresh<'a> {
                 out.push(item);
                 continue;
             };
-            let f = &mut self.nd[nd];
-            let (v, t) = (f.reductions[r].v, f.reductions[r].t);
-            let a = f.a.block(f.st, v, t);
+            let (f, red) = (&self.nd[nd], &self.nd[nd].rec.reductions[r]);
+            let a = self.a_block(nd, red.v, red.tgt);
             let chunks = column_chunks(a.ncols(), |c| {
-                a.col_rows(c).len() as f64 + product_flops(f.terms(v, t), c)
+                a.col(c).len() as f64 + product_flops(f.terms(r), c)
             });
             out.extend(chunks.iter().map(|&(c0, c1, flops)| Item {
                 work: Work::Reduce { nd, r, c0, c1 },
                 flops,
             }));
-            f.reductions[r].chunks = chunks.iter().map(|c| (c.0, OnceLock::new())).collect();
+            self.nd[nd].chunks[r] = chunks.iter().map(|c| (c.0, OnceLock::new())).collect();
         }
         Stage::new(out)
     }
@@ -200,20 +252,22 @@ impl<'a> Fresh<'a> {
     fn run(&self, work: Work) -> Result<()> {
         let inner = &*self.sym.inner;
         let bounds = &inner.structure.bounds;
+        let btf = &inner.frozen.btf;
         let pivot_tol = inner.opts.pivot_tol;
         match work {
             Work::Gp { b0, b1 } => {
                 for b in b0..b1 {
+                    let (lo, hi) = (bounds[b], bounds[b + 1]);
                     // Ascending blocks: the first failure is the run's
                     // smallest failing column.
-                    let f =
-                        BlockFactor::factor_range(self.ap, bounds[b], bounds[b + 1], pivot_tol)?;
+                    let diag = btf.diag_cols(&self.diag_vals, lo..hi);
+                    let f = BlockFactor::factor_cols(diag, lo, pivot_tol)?;
                     put(&self.blocks[b], BlockFactors::Gp(f));
                 }
             }
             Work::Sn { b } => {
                 let (lo, hi) = (bounds[b], bounds[b + 1]);
-                let diag = extract_range(self.ap, lo..hi, lo..hi);
+                let diag = btf.diag_cols(&self.diag_vals, lo..hi).to_csc();
                 let num = self.sym.snlu_symbolic(b, &diag)?.factor(&diag)?;
                 let sn = SnFactors {
                     num,
@@ -222,124 +276,215 @@ impl<'a> Fresh<'a> {
                 };
                 put(&self.blocks[b], BlockFactors::Sn(Box::new(sn)));
             }
-            Work::Column { nd, v } => self.nd[nd].column(v, pivot_tol)?,
-            Work::Panel { nd, v, k } => self.nd[nd].panel(v, k),
-            Work::Reduce { nd, r, c0, c1 } => self.nd[nd].reduce(r, c0, c1),
+            Work::Column { nd, v } => self.column(nd, v, pivot_tol)?,
+            Work::Panel { nd, v, k } => self.panel(nd, v, k),
+            Work::Reduce { nd, r, c0, c1 } => {
+                let (f, red) = (&self.nd[nd], &self.nd[nd].rec.reductions[r]);
+                let a = self.a_block(nd, red.v, red.tgt);
+                put(f.chunk(r, c0), reduce_block_cols(a, f.terms(r), c0..c1));
+            }
         }
         Ok(())
     }
 
-    /// The factors of every BTF block, once every stage has run.
-    fn finish(self) -> Vec<BlockFactors> {
-        let mut nd = self.nd.into_iter();
-        self.blocks
-            .into_iter()
-            .map(|cell| {
-                cell.into_inner().unwrap_or_else(|| {
-                    let part = nd.next().expect("a block without factors is an ND block");
-                    BlockFactors::Nd(Box::new(part.finish()))
-                })
-            })
-            .collect()
-    }
-}
-
-impl NdFresh<'_> {
-    /// The terms `(L_{t,k}, U_{k,v})` of `Â_{t,v}`, ascending over the
-    /// descendants `k` of `v` — of `t`, for a target below `v`.
-    fn terms(&self, v: usize, t: usize) -> impl Iterator<Item = (&CscMat, &CscMat)> + Clone {
-        let st = self.st;
-        st.descendants(t.min(v)).map(move |k| {
-            (
-                &done(&self.diag[k]).below[st.anc_pos(k, t)],
-                done(&self.upper[v][k - st.subtree_start[v]]),
-            )
-        })
-    }
-
-    /// Factors node `v`'s stacked block column.
-    fn column(&self, v: usize, pivot_tol: f64) -> Result<()> {
-        let off = self.lo + self.st.nd.nodes[v].range.start;
-        let blu = if self.st.nd.nodes[v].is_leaf() {
-            let below: Vec<&CscMat> = self.a.lower[v].iter().collect();
-            factor_block_column(&self.a.diag[v], &below, pivot_tol, off)?
+    /// Factors node `v`'s stacked block column: a leaf's over `A`'s
+    /// blocks, a separator's over its elimination targets, assembled.
+    fn column(&self, nd: usize, v: usize, pivot_tol: f64) -> Result<()> {
+        let f = &self.nd[nd];
+        let off = f.lo + f.st.nd.nodes[v].range.start;
+        let ancestors = &f.st.ancestors[v];
+        let blu = if f.st.nd.nodes[v].is_leaf() {
+            let below: Vec<_> = ancestors.iter().map(|&a| self.a_block(nd, v, a)).collect();
+            factor_block_column(self.a_block(nd, v, v), &below, pivot_tol, off)?
         } else {
-            let first = self.reductions.partition_point(|red| red.v < v);
-            let targets = &self.reductions[first..=first + self.st.ancestors[v].len()];
-            let reduced: Vec<CscMat> = targets
-                .iter()
-                .map(|red| red.assembled(self.st.nd.nodes[red.t].len()))
-                .collect();
-            let below: Vec<&CscMat> = reduced[1..].iter().collect();
-            factor_block_column(&reduced[0], &below, pivot_tol, off)?
+            let targets = f.rec.target_of[v]..=f.rec.target_of[v] + ancestors.len();
+            let reduced: Vec<_> = targets.map(|r| f.assembled(r)).collect();
+            let blocks: Vec<_> = reduced.iter().map(ColsView::of).collect();
+            factor_block_column(blocks[0], &blocks[1..], pivot_tol, off)?
         };
-        put(&self.diag[v], blu);
+        put(&f.diag[v], blu);
         Ok(())
     }
 
     /// Solves the panel `U_{k,v} = L_kk⁻¹·P_k·Â_{k,v}`, where `Â_{k,v}`
     /// is `A_{k,v}` for a leaf `k`, else reduced over `k`'s descendants.
-    fn panel(&self, v: usize, k: usize) {
-        let a = self.a.block(self.st, v, k);
-        let reduced;
-        let b = if self.st.nd.nodes[k].is_leaf() {
-            a
-        } else {
-            let terms: Vec<_> = self.terms(v, k).collect();
-            reduced = reduce_block(a, &terms);
-            &reduced
+    fn panel(&self, nd: usize, v: usize, k: usize) {
+        let f = &self.nd[nd];
+        let slot = k - f.st.subtree_start[v];
+        let a = self.a_block(nd, v, k);
+        let b = match f.rec.panel_of[v][slot] {
+            NONE => a,
+            r => {
+                put(
+                    f.chunk(r, 0),
+                    reduce_block_cols(a, f.terms(r), 0..a.ncols()),
+                );
+                ColsView::of(done(f.chunk(r, 0)))
+            }
         };
-        let l = done(&self.diag[k]);
-        let mut ws = LsolveWorkspace::new();
-        let cols = (0..b.ncols())
-            .map(|c| lsolve_col(l, b.col_rows(c), b.col_values(c), &mut ws))
-            .collect();
-        let u = cols_to_csc(self.st.nd.nodes[k].len(), cols);
-        put(&self.upper[v][k - self.st.subtree_start[v]], u);
+        let l = done(&f.diag[k]);
+        put(&f.upper[v][slot], lsolve_panel(l, b));
     }
 
-    /// Reduces columns `c0..c1` of reduction `r`: one of its chunks.
-    fn reduce(&self, r: usize, c0: usize, c1: usize) {
-        let red = &self.reductions[r];
-        let terms: Vec<_> = self.terms(red.v, red.t).collect();
-        let chunk = red
-            .chunks
-            .binary_search_by_key(&c0, |c| c.0)
-            .expect("the stage cut this chunk");
-        let out = reduce_block_cols(self.a.block(self.st, red.v, red.t), &terms, c0..c1);
-        put(&red.chunks[chunk].1, out);
-    }
-
-    fn finish(self) -> NdPart {
-        fn take<T>(cell: OnceLock<T>) -> ItemCell<T> {
-            ItemCell::new(cell.into_inner().expect("every stage ran"))
+    /// The flops `work` did, once every stage has run.
+    fn spent(&self, work: Work) -> f64 {
+        let inner = &*self.sym.inner;
+        let (bounds, colptr) = (&inner.structure.bounds, inner.frozen.btf.diag_colptr());
+        match work {
+            // Plus two per gathered entry, so that flop-less singletons
+            // still weigh something.
+            Work::Gp { b0, b1 } => (b0..b1)
+                .map(|b| {
+                    let entries = colptr[bounds[b + 1]] - colptr[bounds[b]];
+                    done(&self.blocks[b]).flops() + 2.0 * entries as f64
+                })
+                .sum(),
+            Work::Sn { b } => done(&self.blocks[b]).flops(),
+            Work::Column { nd, v } => done(&self.nd[nd].diag[v]).flops,
+            Work::Panel { nd, v, k } => {
+                let f = &self.nd[nd];
+                let slot = k - f.st.subtree_start[v];
+                panel_flops(&done(&f.diag[k]).l, done(&f.upper[v][slot]))
+                    + match f.rec.panel_of[v][slot] {
+                        NONE => 0.0,
+                        r => f.reduced_flops(r, 0),
+                    }
+            }
+            Work::Reduce { nd, r, c0, .. } => self.nd[nd].reduced_flops(r, c0),
         }
-        NdPart {
-            f: NdFactors {
-                fact_diag: self.diag.into_iter().map(take).collect(),
-                fact_upper: self
+    }
+
+    /// The factors of every BTF block, and the replay of the stages
+    /// `ran`, once every stage has run.
+    fn finish(mut self, ran: Vec<Stage>) -> (Vec<BlockFactors>, Replay) {
+        let stages = ran
+            .into_iter()
+            .filter(|stage| !stage.items.is_empty())
+            .map(|stage| {
+                let items = stage.items.into_iter();
+                Stage::new(
+                    items
+                        .map(|i| Item {
+                            flops: self.spent(i.work),
+                            ..i
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let mut red_vals = Vec::new();
+        for f in &mut self.nd {
+            for r in 0..f.rec.reductions.len() {
+                let (m, terms) = (f.assembled(r), f.nonzero_terms(r));
+                let red = &mut f.rec.reductions[r];
+                (red.terms, red.off) = (terms, red_vals.len());
+                red.colptr = m.colptr().to_vec();
+                red.rowind = m.rowind().to_vec();
+                red_vals.extend_from_slice(m.values());
+            }
+        }
+        let (mut nd, mut nd_factors) = (Vec::new(), Vec::new());
+        for f in self.nd {
+            nd.push(f.rec);
+            nd_factors.push(NdFactors {
+                fact_diag: f.diag.into_iter().map(taken).collect(),
+                fact_upper: f
                     .upper
                     .into_iter()
-                    .map(|panels| panels.into_iter().map(take).collect())
+                    .map(|panels| panels.into_iter().map(taken).collect())
                     .collect(),
-            },
-            blocks: Some(self.a),
+            });
         }
+        let mut nd_factors = nd_factors.into_iter();
+        let factors: Vec<BlockFactors> = self
+            .blocks
+            .into_iter()
+            .map(|cell| {
+                cell.into_inner().unwrap_or_else(|| {
+                    let f = nd_factors
+                        .next()
+                        .expect("a block without factors is an ND block");
+                    BlockFactors::Nd(Box::new(f))
+                })
+            })
+            .collect();
+        let heavy = (0..factors.len())
+            .filter(|&b| !matches!(factors[b], BlockFactors::Gp(BlockFactor::Singleton(_))))
+            .collect();
+        let replay = Replay {
+            diag_vals: self.diag_vals,
+            red_vals,
+            nd,
+            stages,
+            heavy,
+        };
+        (factors, replay)
     }
 }
 
-impl Reduction {
-    /// The whole reduced block, its chunks side by side.
-    fn assembled(&self, nrows: usize) -> CscMat {
+/// What a stage wrote, for the numeric to keep.
+fn taken<T>(cell: OnceLock<T>) -> ItemCell<T> {
+    ItemCell::new(cell.into_inner().expect("every stage ran"))
+}
+
+impl NdFresh<'_> {
+    /// The `(L_{tgt,k}, U_{k,v})` pair of one reduction term.
+    fn operands(&self, v: usize, tgt: usize, k: usize) -> (&CscMat, &CscMat) {
+        let st = self.st;
+        (
+            &done(&self.diag[k]).below[st.anc_pos(k, tgt)],
+            done(&self.upper[v][k - st.subtree_start[v]]),
+        )
+    }
+
+    /// The terms of reduction `r`, in subtraction order: one per
+    /// descendant of the target — of `v`, for an ancestor target.
+    fn terms(&self, r: usize) -> impl Iterator<Item = (&CscMat, &CscMat)> + Clone {
+        let red = &self.rec.reductions[r];
+        let ks = self.st.descendants(red.tgt.min(red.v));
+        ks.map(|k| self.operands(red.v, red.tgt, k))
+    }
+
+    /// The descendants whose term in reduction `r` is structurally
+    /// nonzero: the replay skips the others.
+    fn nonzero_terms(&self, r: usize) -> Vec<usize> {
+        let red = &self.rec.reductions[r];
+        let ks = self.st.descendants(red.tgt.min(red.v));
+        ks.filter(|&k| {
+            let (l, u) = self.operands(red.v, red.tgt, k);
+            l.nnz() > 0 && u.nnz() > 0
+        })
+        .collect()
+    }
+
+    /// Reduction `r` whole, its chunks side by side.
+    fn assembled(&self, r: usize) -> CscMat {
         let (mut colptr, mut rowind, mut values) = (vec![0], Vec::new(), Vec::new());
-        for (_, chunk) in &self.chunks {
+        for (_, chunk) in &self.chunks[r] {
             let m = done(chunk);
             let base = rowind.len();
             colptr.extend(m.colptr()[1..].iter().map(|&p| base + p));
             rowind.extend_from_slice(m.rowind());
             values.extend_from_slice(m.values());
         }
+        let nrows = self.rec.reductions[r].nrows;
         CscMat::new(nrows, colptr.len() - 1, colptr, rowind, values)
             .expect("chunks of one reduced block")
+    }
+
+    /// The chunk of reduction `r` that starts at column `c0`.
+    fn chunk(&self, r: usize, c0: usize) -> &OnceLock<CscMat> {
+        let chunks = &self.chunks[r];
+        let i = chunks.binary_search_by_key(&c0, |c| c.0);
+        &chunks[i.expect("a stage cut this chunk")].1
+    }
+
+    /// The flops of the chunk of reduction `r` that starts at column
+    /// `c0`: one per reduced entry plus the multiply-adds of its terms.
+    fn reduced_flops(&self, r: usize, c0: usize) -> f64 {
+        let m = done(self.chunk(r, c0));
+        (0..m.ncols())
+            .map(|c| m.col_rows(c).len() as f64 + product_flops(self.terms(r), c0 + c))
+            .sum()
     }
 }

@@ -1,43 +1,30 @@
 //! The pattern-frozen image of a BTF-permuted matrix.
 //!
-//! A refactorization sees the sparsity pattern the factorization before
-//! it saw, so *where* each nonzero of `A` lands once the matrix is
+//! Every matrix a symbolic handle factors or refactors has the pattern
+//! it analyzed, so *where* each nonzero of `A` lands once the matrix is
 //! permuted and split along the BTF block boundaries is a fact of the
-//! pattern alone. [`FrozenBtf`] records it once per symbolic handle —
-//! the `ap_map` idiom of the supernodal engine: permute a copy of `A`
-//! whose values are their own storage indices and read the map off the
-//! result. From then on a value refresh is one gather into retained
-//! storage instead of a fresh permuted matrix, a fresh extraction per
-//! diagonal block and a fresh coupling matrix every step.
+//! pattern alone. [`FrozenBtf`] records it once, at analyze — the
+//! `ap_map` idiom of the supernodal engine: the map from every slot of
+//! the permuted matrix to the storage index of `A` it is read from.
+//! From then on a factorization's or a refactorization's image of `A`
+//! is one gather into retained storage instead of a fresh permuted
+//! matrix, a fresh extraction per diagonal block and a fresh coupling
+//! matrix every step.
 //!
 //! The permuted matrix is kept in two parts. The **block-diagonal
 //! store** holds, column by column, the entries inside the BTF diagonal
 //! blocks with their global permuted rows; every diagonal block is a
 //! window of its column pointers ([`FrozenBtf::diag_cols`]), so a
 //! matrix of 10⁵ one-by-one blocks costs no per-block header. The
-//! strictly-upper **couplings** keep the order the solve's coupling
-//! matrix stores them in.
+//! strictly-upper **couplings** are the solve's coupling matrix, whose
+//! pattern is recorded with the map ([`FrozenBtf::image`]).
 
 use basker_klu::gp::ColsView;
 use basker_sparse::{CscMat, Perm, Result, SparseError};
 use std::ops::Range;
-use std::sync::OnceLock;
 
 fn wrong_pattern() -> SparseError {
-    SparseError::InvalidStructure("refactor requires the analyzed sparsity pattern".into())
-}
-
-/// The record a symbolic handle keeps in `cell`, made by `record` on
-/// first use. A failed `record` leaves the cell empty, so a matrix with
-/// the wrong pattern is turned away without poisoning the handle.
-pub fn get_or_record<T>(cell: &OnceLock<T>, record: impl FnOnce() -> Result<T>) -> Result<&T> {
-    match cell.get() {
-        Some(recorded) => Ok(recorded),
-        None => {
-            let fresh = record()?;
-            Ok(cell.get_or_init(|| fresh))
-        }
-    }
+    SparseError::InvalidStructure("the matrix must have the analyzed sparsity pattern".into())
 }
 
 /// Where every nonzero of one sparsity pattern lands in the permuted,
@@ -52,6 +39,9 @@ pub struct FrozenBtf {
     diag_rowind: Vec<usize>,
     /// Block-diagonal slot `s` takes `A`'s value `diag_src[s]`.
     diag_src: Vec<usize>,
+    /// Pattern of the coupling matrix.
+    off_colptr: Vec<usize>,
+    off_rowind: Vec<usize>,
     /// Coupling slot `q` takes `A`'s value `off_src[q]`.
     off_src: Vec<usize>,
 }
@@ -67,31 +57,39 @@ impl FrozenBtf {
         col_perm: &Perm,
         bounds: &[usize],
     ) -> Result<FrozenBtf> {
-        // An f64 holds any index we can store exactly.
-        let mut idx = a.clone();
-        for (k, v) in idx.values_mut().iter_mut().enumerate() {
-            *v = k as f64;
-        }
-        let ap = Perm::permute_both(row_perm, col_perm, &idx);
-        let mut diag_colptr = Vec::with_capacity(ap.ncols() + 1);
-        let mut diag_rowind = Vec::new();
-        let mut diag_src = Vec::new();
-        let mut off_src = Vec::new();
+        let row_of = row_perm.inverse();
+        let n = a.ncols();
+        let mut diag_colptr = Vec::with_capacity(n + 1);
+        let mut off_colptr = Vec::with_capacity(n + 1);
+        let (mut diag_rowind, mut diag_src) = (Vec::new(), Vec::new());
+        let (mut off_rowind, mut off_src) = (Vec::new(), Vec::new());
         diag_colptr.push(0);
+        off_colptr.push(0);
+        // `(permuted row, storage index in A)` of one permuted column.
+        let mut col: Vec<(usize, usize)> = Vec::new();
         for w in bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             for j in lo..hi {
-                for (i, k) in ap.col_iter(j) {
+                let src = col_perm.as_slice()[j];
+                col.clear();
+                col.extend(
+                    (a.colptr()[src]..a.colptr()[src + 1])
+                        .map(|k| (row_of.as_slice()[a.rowind()[k]], k)),
+                );
+                col.sort_unstable();
+                for &(i, k) in &col {
                     if i < lo {
-                        off_src.push(k as usize);
+                        off_rowind.push(i);
+                        off_src.push(k);
                     } else if i < hi {
                         diag_rowind.push(i);
-                        diag_src.push(k as usize);
+                        diag_src.push(k);
                     } else {
                         return Err(wrong_pattern());
                     }
                 }
                 diag_colptr.push(diag_rowind.len());
+                off_colptr.push(off_rowind.len());
             }
         }
         Ok(FrozenBtf {
@@ -100,6 +98,8 @@ impl FrozenBtf {
             diag_colptr,
             diag_rowind,
             diag_src,
+            off_colptr,
+            off_rowind,
             off_src,
         })
     }
@@ -131,6 +131,23 @@ impl FrozenBtf {
         &self.diag_rowind
     }
 
+    /// A fresh image of `a` (which must pass [`check`](Self::check)):
+    /// the block-diagonal store's values and the coupling matrix.
+    pub fn image(&self, a: &CscMat) -> (Vec<f64>, CscMat) {
+        let n = self.off_colptr.len() - 1;
+        let mut diag = vec![0.0; self.diag_nnz()];
+        let mut couplings = CscMat::new(
+            n,
+            n,
+            self.off_colptr.clone(),
+            self.off_rowind.clone(),
+            vec![0.0; self.off_src.len()],
+        )
+        .expect("recorded from a valid matrix");
+        self.gather(a, &mut diag, couplings.values_mut());
+        (diag, couplings)
+    }
+
     /// Refreshes the values of both parts from `a` (which must
     /// pass [`check`](Self::check)): `diag` is the block-diagonal store's
     /// value array, `couplings` the coupling matrix's.
@@ -154,7 +171,7 @@ impl FrozenBtf {
         ColsView::new(
             &self.diag_colptr[cols.start..=cols.end],
             1,
-            cols.len(),
+            (cols.len(), cols.len()),
             &self.diag_rowind,
             diag,
             cols.start,
@@ -165,7 +182,7 @@ impl FrozenBtf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use basker_sparse::blocks::extract_range;
+    use basker_sparse::blocks::{extract_range, upper_block_part};
 
     /// 4x4, two 2x2 blocks under the reversing permutation, one
     /// coupling above them.
@@ -189,11 +206,9 @@ mod tests {
         for v in a2.values_mut() {
             *v = *v * 10.0 + 0.5;
         }
-        let mut diag = vec![0.0; frozen.diag_nnz()];
-        let mut off = vec![0.0; 1];
-        frozen.gather(&a2, &mut diag, &mut off);
+        let (diag, off) = frozen.image(&a2);
         let ap = Perm::permute_both(&p, &p, &a2);
-        assert_eq!(off, vec![ap.get(1, 2)]);
+        assert_eq!(off, upper_block_part(&ap, &[0, 0, 1, 1]));
         for w in bounds.windows(2) {
             let want = extract_range(&ap, w[0]..w[1], w[0]..w[1]);
             let got = frozen.diag_cols(&diag, w[0]..w[1]);

@@ -56,24 +56,22 @@ pub mod structure;
 
 pub use stats::BaskerStats;
 
-use crate::frozen::get_or_record;
 use crate::hybrid::{classify_block, BlockStrategy, HybridOptions};
 use crate::parnum::NdFactors;
 use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
 use crate::stages::gp_runs;
-use crate::structure::{BlockKind, NdBlocks, Structure};
+use crate::structure::{BlockKind, Structure};
 use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
 use basker_runtime::{shared_team, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
-use basker_sparse::blocks::{extract_range, upper_block_part};
 use basker_sparse::metrics::BlockMetrics;
 use basker_sparse::trisolve::push_columns;
 use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
-use basker_sparse::{CscMat, Perm, Result, SolveWorkspace, SparseError};
+use basker_sparse::{CscMat, Result, SolveWorkspace, SparseError};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Reads the `BASKER_NUM_THREADS` environment override used by the
@@ -168,9 +166,9 @@ struct SymInner {
     /// serves the whole stream).
     snlu: SnluOptions,
     sn_sym: Mutex<HashMap<usize, Snlu>>,
-    /// The value map of the analyzed pattern, recorded by the first
-    /// refactorization of any numeric made from this handle.
-    frozen: OnceLock<Frozen>,
+    /// The value map of the analyzed pattern, recorded by `analyze`:
+    /// every factorization and refactorization reads `A` through it.
+    frozen: Frozen,
 }
 
 /// The symbolic handle of the BTF block driver: orderings, block
@@ -207,7 +205,8 @@ impl Basker {
         };
         let structure =
             Structure::build(a, opts.use_btf, opts.use_mwcm, opts.nd_threshold, threads)?;
-        let ap = Perm::permute_both(&structure.row_perm, &structure.col_perm, a);
+        let frozen = Frozen::record(a, &structure)?;
+        let (diag_vals, _) = frozen.btf.image(a);
         let nblocks = structure.nblocks();
         let mut plan = Vec::with_capacity(nblocks);
         let mut gp_flops = Vec::with_capacity(nblocks);
@@ -218,7 +217,7 @@ impl Basker {
                 BlockKind::NdBig(nds) => Some(nds),
             };
             let diag = (hi - lo > 1 && (nds.is_none() || classify.is_some()))
-                .then(|| extract_range(&ap, lo..hi, lo..hi));
+                .then(|| frozen.btf.diag_cols(&diag_vals, lo..hi).to_csc());
             let strategy = match (classify, nds) {
                 (None, None) => BlockStrategy::Gp,
                 (None, Some(_)) => BlockStrategy::Nd,
@@ -259,7 +258,7 @@ impl Basker {
                     ..classify.map_or_else(SnluOptions::default, |o| o.snlu.clone())
                 },
                 sn_sym: Mutex::new(HashMap::new()),
-                frozen: OnceLock::new(),
+                frozen,
             }),
         })
     }
@@ -305,7 +304,10 @@ impl Basker {
     /// §V-F) — the symbolic phase is reused, the numeric phase redone.
     ///
     /// The work is the stage list of the [`stages`] module on the
-    /// handle's team, every item pivoting inside its own diagonal block.
+    /// handle's team, every item pivoting inside its own diagonal block
+    /// and reading `a` in place from one gather into the value map
+    /// `analyze` recorded. Fails with [`SparseError::InvalidStructure`]
+    /// unless `a` has the analyzed pattern.
     pub fn factor(&self, a: &CscMat) -> Result<BaskerNumeric> {
         self.factor_on(a, &self.inner.team)
     }
@@ -316,13 +318,14 @@ impl Basker {
         let t0 = Instant::now();
         let inner = &*self.inner;
         let st = &inner.structure;
-        let ap = Perm::permute_both(&st.row_perm, &st.col_perm, a);
-        let (factors, joined) = factor::factor_blocks(self, &ap, team)?;
+        inner.frozen.btf.check(a)?;
+        let (diag_vals, offdiag) = inner.frozen.btf.image(a);
+        let (factors, replay, joined) = factor::factor_blocks(self, diag_vals, team)?;
         let mut num = BaskerNumeric {
             sym: self.clone(),
             factors,
-            offdiag: upper_block_part(&ap, &st.block_of),
-            replay: None,
+            offdiag,
+            replay,
             stats: BaskerStats::default(),
         };
         let count = |s: BlockStrategy| inner.plan.iter().filter(|&&p| p == s).count();
@@ -348,19 +351,19 @@ impl Basker {
 /// The two rare, heavy variants are boxed: a power grid has 10⁵ of
 /// these and nearly all are the first.
 pub(crate) enum BlockFactors {
-    /// Gilbert–Peierls over the block's range of the permuted matrix
+    /// Gilbert–Peierls over the block's window of the frozen store
     /// (scalar fast path for 1×1 blocks).
     Gp(BlockFactor),
-    /// Supernodal factors of the extracted diagonal block.
+    /// Supernodal factors of the copied diagonal block.
     Sn(Box<SnFactors>),
     /// A block factored by the team.
-    Nd(Box<NdPart>),
+    Nd(Box<NdFactors>),
 }
 
 /// A supernodal block: its factors, a dedicated solve workspace (the
 /// supernodal solve needs its own; the mutex is uncontended and the
 /// workspace stays warm, so block solves remain allocation-free after
-/// the first), and the extracted block itself, whose values a
+/// the first), and its copy of the block, whose values a
 /// refactorization refreshes in place.
 pub(crate) struct SnFactors {
     pub(crate) num: SnluNumeric,
@@ -368,19 +371,12 @@ pub(crate) struct SnFactors {
     pub(crate) diag: CscMat,
 }
 
-/// An ND block: its factors and, until the first refactorization
-/// records their patterns, the extracted 2-D `A` blocks.
-pub(crate) struct NdPart {
-    pub(crate) blocks: Option<NdBlocks>,
-    pub(crate) f: NdFactors,
-}
-
 impl BlockFactors {
     fn lu_nnz(&self) -> usize {
         match self {
             BlockFactors::Gp(b) => b.lu_nnz(),
             BlockFactors::Sn(sn) => sn.num.lu_nnz,
-            BlockFactors::Nd(part) => part.f.lu_nnz(),
+            BlockFactors::Nd(f) => f.lu_nnz(),
         }
     }
 
@@ -388,7 +384,7 @@ impl BlockFactors {
         match self {
             BlockFactors::Gp(b) => b.flops(),
             BlockFactors::Sn(sn) => sn.num.flops,
-            BlockFactors::Nd(part) => part.f.flops(),
+            BlockFactors::Nd(f) => f.flops(),
         }
     }
 }
@@ -398,8 +394,9 @@ pub struct BaskerNumeric {
     sym: Basker,
     factors: Vec<BlockFactors>,
     offdiag: CscMat,
-    /// The recorded refactorization; `None` until the first one.
-    replay: Option<Box<Replay>>,
+    /// The stage list the factorization ran, for refactorizations to
+    /// replay.
+    replay: Replay,
     /// Statistics of the (re)factorization that produced these factors.
     pub stats: BaskerStats,
 }
@@ -458,8 +455,8 @@ impl BaskerNumeric {
             match f {
                 BlockFactors::Gp(b) => fold(b.pivot_range()),
                 BlockFactors::Sn(sn) => fold(sn.num.pivot_range()),
-                BlockFactors::Nd(part) => {
-                    for blu in &part.f.fact_diag {
+                BlockFactors::Nd(f) => {
+                    for blu in &f.fact_diag {
                         fold(blu.pivot_range());
                     }
                 }
@@ -526,11 +523,11 @@ impl BaskerNumeric {
                         }
                     }
                 }
-                BlockFactors::Nd(part) => {
+                BlockFactors::Nd(f) => {
                     let BlockKind::NdBig(nds) = &st.kinds[blk] else {
                         unreachable!("factor kind mismatch");
                     };
-                    solve_nd_in_place(nds, &part.f, &mut y[lo..hi], scratch);
+                    solve_nd_in_place(nds, f, &mut y[lo..hi], scratch);
                 }
             }
             // push contributions into earlier blocks
@@ -545,49 +542,29 @@ impl BaskerNumeric {
     /// [`SparseError::ZeroPivot`] if a pivot collapses; callers then
     /// fall back to [`Basker::factor`].
     ///
-    /// The work is the replay of a recorded stage list on the handle's
-    /// team (see the [`refactor`] module): the handle's first
-    /// refactorization records where `a`'s values go, this numeric's
-    /// first records its stage list, and every call after that performs
-    /// no heap allocation of its own.
+    /// The work is the replay, on the handle's team, of the stage list
+    /// the factorization that made this numeric ran (see the
+    /// [`refactor`] module). It records nothing, and performs no heap
+    /// allocation of its own once the thread's scratch has seen the
+    /// pattern — the first call of a numeric included.
+    // basker-lint: deny-alloc
     pub fn refactor(&mut self, a: &CscMat) -> Result<()> {
         let team = Arc::clone(&self.sym.inner.team);
         self.refactor_on(a, &team)
     }
 
     /// [`refactor`](Self::refactor) on an explicit team (a width-1 team
-    /// replays the same list inline).
-    fn refactor_on(&mut self, a: &CscMat, team: &WorkerTeam) -> Result<()> {
-        let t0 = Instant::now();
-        let sym = self.sym.clone();
-        let inner = &*sym.inner;
-        let frozen = get_or_record(&inner.frozen, || Frozen::record(a, &inner.structure))?;
-        frozen.btf.check(a)?;
-        if self.replay.is_none() {
-            self.replay = Some(Box::new(Replay::record(
-                &inner.structure,
-                frozen,
-                &mut self.factors,
-            )));
-        }
-        self.replay_on(frozen, a, team, t0)
-    }
-
-    /// The steady-state refactorization: replay, then the statistics
+    /// replays the same list inline): the replay, then the statistics
     /// that are the refactorization's own.
     // basker-lint: deny-alloc
-    fn replay_on(
-        &mut self,
-        frozen: &Frozen,
-        a: &CscMat,
-        team: &WorkerTeam,
-        t0: Instant,
-    ) -> Result<()> {
-        let replay = self.replay.as_mut().expect("recorded by refactor_on");
-        let joined = replay.run(
+    fn refactor_on(&mut self, a: &CscMat, team: &WorkerTeam) -> Result<()> {
+        let t0 = Instant::now();
+        let inner = &*self.sym.inner;
+        inner.frozen.btf.check(a)?;
+        let joined = self.replay.run(
             a,
-            &self.sym.inner.structure,
-            frozen,
+            &inner.structure,
+            &inner.frozen,
             &mut self.factors,
             self.offdiag.values_mut(),
             team,
@@ -596,8 +573,9 @@ impl BaskerNumeric {
         stats.numeric_seconds = t0.elapsed().as_secs_f64();
         // Singletons count no flops, so the fold over the rest is the
         // fold over all; `lu_nnz` is a fact of the pattern.
-        stats.flops = replay
-            .heavy_blocks()
+        stats.flops = self
+            .replay
+            .heavy
             .iter()
             .map(|&b| self.factors[b].flops())
             .sum();
@@ -783,23 +761,32 @@ mod tests {
         }
     }
 
-    /// A matrix with another pattern is turned away — before the value
-    /// map exists (nothing is recorded from it) and after.
+    /// A matrix with another pattern is turned away by `factor` and by
+    /// `refactor` alike, the handle and the numeric unharmed: the
+    /// transpose, and `a` plus one entry below the block triangle
+    /// (tiny-block row, grid column).
     #[test]
-    fn refactor_rejects_a_different_pattern() {
-        let a = heterogeneous(10, 24);
-        let sym = Basker::analyze(&a, &opts(2, 64)).unwrap();
-        let mut num = sym.factor(&a).unwrap();
-        let wrong = a.transpose();
-        for _ in 0..2 {
-            assert!(matches!(
-                num.refactor(&wrong),
-                Err(SparseError::InvalidStructure(_))
-            ));
-            num.refactor(&a).unwrap();
+    fn factor_and_refactor_reject_a_different_pattern() {
+        let (k, tiny) = (10, 24);
+        let a = heterogeneous(k, tiny);
+        let mut t = TripletMat::new(a.nrows(), a.ncols());
+        for (i, j, v) in a.iter().chain([(k * k + 3, 5, 1.0)]) {
+            t.push(i, j, v);
         }
-        assert!(num.refactor(&CscMat::identity(a.ncols())).is_err());
-        check_solve(&num, &a, 1e-11);
+        let below = t.to_csc();
+        let wrong = |r: Result<()>| matches!(r, Err(SparseError::InvalidStructure(_)));
+        for p in [1usize, 2] {
+            let sym = Basker::analyze(&a, &opts(p, 64)).unwrap();
+            let mut num = sym.factor(&a).unwrap();
+            for m in [&a.transpose(), &below] {
+                assert!(wrong(sym.factor(m).map(drop)), "p={p}");
+                assert!(wrong(num.refactor(m)), "p={p}");
+                num.refactor(&a).unwrap();
+            }
+            assert!(num.refactor(&CscMat::identity(a.ncols())).is_err());
+            check_solve(&num, &a, 1e-11);
+            check_solve(&sym.factor(&a).unwrap(), &a, 1e-11);
+        }
     }
 
     #[test]

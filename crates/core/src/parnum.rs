@@ -12,7 +12,7 @@ use basker_sparse::CscMat;
 /// Factors of one ND block. Each block column and each panel sits in
 /// an [`ItemCell`] — it reads like the plain value, and the refactor
 /// replay's stage items each rewrite their own in parallel.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NdFactors {
     /// Per node `v`: `LU_vv` plus the below parts `L_{a,v}` (ancestors
     /// ascending) inside [`BlockLu::below`].

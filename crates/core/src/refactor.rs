@@ -11,29 +11,28 @@
 //!
 //! With patterns and pivots frozen, a refactorization is the fresh
 //! factorization's stage list (the [`stages`](crate::stages) module)
-//! again — the same items in the same stages, laid out by the same rule
-//! — with every item a value refresh that chooses no pivot. `Replay`
-//! records it with each item's flops, so a stage whose recorded flops
-//! do not cover a dispatch runs inline on the caller.
+//! again — the same items in the same stages — with every item a value
+//! refresh that chooses no pivot. Each item carries the flops it cost
+//! the factorization, so a stage whose flops do not cover a dispatch
+//! runs inline on the caller.
 //!
 //! # What is recorded when
 //!
-//! * **Once per symbolic handle**, on the first refactorization
-//!   (`Frozen`; `factor` records nothing): where every nonzero of `A`
-//!   lands in the permuted matrix — one block-diagonal store every
-//!   diagonal block is a window of, the couplings in the solve's order
-//!   — and, per ND-laid-out block, the boundaries of its 2-D blocks
-//!   inside that store. A step's data movement is then one gather;
-//!   the per-step `permute_both`, block extraction and coupling rebuild
-//!   are gone.
-//! * **Once per numeric**, on its first refactorization (`Replay`):
-//!   the stage list with each item's flops, and for every reduction its
-//!   term list and the pattern of the reduced block, so a reduction is
-//!   value writes into retained storage.
+//! * **The value map, at analyze** (`Frozen`): where every nonzero of
+//!   `A` lands in the permuted matrix — one block-diagonal store every
+//!   diagonal block is a window of, and the coupling matrix's pattern —
+//!   and, per ND-laid-out block, the boundaries of its 2-D blocks
+//!   inside that store. A factorization's or a refactorization's image
+//!   of `A` is one gather.
+//! * **The stage list, by the fresh factorization** (`Replay`, left
+//!   behind by the `factor` module): its stages and items, each with
+//!   the flops it did, and for every reduction its term list and the
+//!   pattern of the reduced block, so a reduction is value writes into
+//!   retained storage.
 //!
-//! After that a refactorization allocates nothing of its own (a
-//! dispatched stage costs the scheduler its task entries, nothing per
-//! block or column).
+//! A refactorization records nothing, and allocates nothing of its own
+//! (a dispatched stage costs the scheduler its task entries, nothing
+//! per block or column).
 //!
 //! Items write disjoint factor storage through [`ItemCell`]s, and what
 //! an item computes depends on neither the thread that runs it nor the
@@ -42,22 +41,21 @@
 
 use crate::frozen::FrozenBtf;
 use crate::parnum::NdFactors;
-use crate::reduce::{product_flops, reduce_block, reduce_cols_into};
-use crate::stages::{column_chunks, gp_runs, layout_nd, run_stage, Item, NdItem, Stage, Work};
-use crate::structure::{BlockKind, NdBlocks, NdSplit, NdStructure, Structure};
+use crate::reduce::reduce_cols_into;
+use crate::stages::{run_stage, Stage, Work};
+use crate::structure::{BlockKind, NdSplit, NdStructure, Structure};
 use crate::BlockFactors;
-use basker_klu::gp::{
-    lsolve_panel_refresh, refactor_block_column, BlockFactor, ColsView, RefactorWorkspace,
-};
+use basker_klu::gp::{lsolve_panel_refresh, refactor_block_column, ColsView, RefactorWorkspace};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result};
 use std::cell::{RefCell, RefMut, UnsafeCell};
 
 /// Deepest separator tree the replay keeps trailing-block views for on
 /// the stack (2¹⁶ leaves).
-const MAX_LEVELS: usize = 16;
+pub(crate) const MAX_LEVELS: usize = 16;
 
-const NONE: usize = usize::MAX;
+/// No reduction: the panel of a leaf.
+pub(crate) const NONE: usize = usize::MAX;
 
 /// A value one stage item at a time may rewrite through a shared
 /// reference: the factor blocks of a refactorization are handed to the
@@ -143,20 +141,14 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ItemCell<T> {
     }
 }
 
-impl<T: Clone> Clone for ItemCell<T> {
-    fn clone(&self) -> Self {
-        ItemCell::new((**self).clone())
-    }
-}
-
-/// The pattern-only record of one symbolic handle: where `A`'s nonzeros
-/// land ([`FrozenBtf`]) and how every ND-laid-out block's columns split
-/// into 2-D blocks. Independent of the plan — a block keeps its place
-/// in the store whichever strategy reads it.
+/// The pattern-only record of one symbolic handle, made at analyze:
+/// where `A`'s nonzeros land ([`FrozenBtf`]) and how every ND-laid-out
+/// block's columns split into 2-D blocks. Independent of the plan — a
+/// block keeps its place in the store whichever strategy reads it.
 pub(crate) struct Frozen {
     pub(crate) btf: FrozenBtf,
     /// `(BTF block, its split)` per ND-laid-out block, ascending.
-    nd: Vec<(usize, NdSplit)>,
+    pub(crate) nd: Vec<(usize, NdSplit)>,
 }
 
 impl Frozen {
@@ -180,67 +172,32 @@ impl Frozen {
 /// One reduction `Â_{tgt,v} = A_{tgt,v} − Σ_k L_{tgt,k}·U_{k,v}` with
 /// everything but the values: the target is `v` itself, an ancestor of
 /// `v` (both feed `v`'s elimination), or an inner separator below `v`
-/// (feeding the panel `U_{tgt,v}`).
-struct Reduction {
-    v: usize,
-    tgt: usize,
+/// (feeding the panel `U_{tgt,v}`). The fresh factorization fills it
+/// in once every stage has run.
+#[derive(Default)]
+pub(crate) struct Reduction {
+    pub(crate) v: usize,
+    pub(crate) tgt: usize,
     /// The descendants `k` whose product is structurally nonzero,
     /// ascending — the order they are subtracted in.
-    terms: Vec<usize>,
-    nrows: usize,
-    /// Pattern of `Â`, as [`reduce_block`] forms it.
-    colptr: Vec<usize>,
-    rowind: Vec<usize>,
+    pub(crate) terms: Vec<usize>,
+    pub(crate) nrows: usize,
+    /// Pattern of `Â`, as the fresh factorization formed it.
+    pub(crate) colptr: Vec<usize>,
+    pub(crate) rowind: Vec<usize>,
     /// First slot of `Â`'s values in [`Replay::red_vals`].
-    off: usize,
+    pub(crate) off: usize,
 }
 
 impl Reduction {
-    fn record(
-        st: &NdStructure,
-        f: &NdFactors,
-        v: usize,
-        tgt: usize,
-        a: &CscMat,
-        red_len: &mut usize,
-    ) -> Reduction {
-        let terms: Vec<usize> = st
-            .descendants(tgt.min(v))
-            .filter(|&k| {
-                let (l, u) = operands(st, f, v, tgt, k);
-                l.nnz() > 0 && u.nnz() > 0
-            })
-            .collect();
-        let refs: Vec<(&CscMat, &CscMat)> =
-            terms.iter().map(|&k| operands(st, f, v, tgt, k)).collect();
-        let out = reduce_block(a, &refs);
-        let off = *red_len;
-        *red_len += out.nnz();
-        Reduction {
-            v,
-            tgt,
-            terms,
-            nrows: out.nrows(),
-            colptr: out.colptr().to_vec(),
-            rowind: out.rowind().to_vec(),
-            off,
-        }
-    }
-
     fn ncols(&self) -> usize {
         self.colptr.len() - 1
     }
 
-    /// Splits the columns into chunks of about one dispatch's worth of
-    /// work: `(first column, end column, flops)`.
-    fn chunks(&self, st: &NdStructure, f: &NdFactors) -> Vec<(usize, usize, f64)> {
-        let terms = self
-            .terms
-            .iter()
-            .map(|&k| operands(st, f, self.v, self.tgt, k));
-        column_chunks(self.ncols(), |c| {
-            (self.colptr[c + 1] - self.colptr[c]) as f64 + product_flops(terms.clone(), c)
-        })
+    /// `Â` over its values `vals`.
+    fn view<'a>(&'a self, vals: &'a [f64]) -> ColsView<'a> {
+        let shape = (self.nrows, self.ncols());
+        ColsView::new(&self.colptr, 1, shape, &self.rowind, vals, 0)
     }
 }
 
@@ -259,123 +216,38 @@ fn operands<'a>(
     )
 }
 
-/// Flops of the panel solve `U = L⁻¹·B` over `U`'s recorded pattern.
-fn panel_flops(l: &CscMat, u: &CscMat) -> f64 {
-    u.rowind()
-        .iter()
-        .map(|&t| 2.0 * (l.colptr()[t + 1] - l.colptr()[t] - 1) as f64)
-        .sum()
-}
-
 /// The reductions of one ND block routed to the team.
-struct NdRecord {
+pub(crate) struct NdReplay {
     /// BTF block index.
-    block: usize,
+    pub(crate) block: usize,
     /// Index of the block's [`NdSplit`] in [`Frozen::nd`].
-    split: usize,
-    reductions: Vec<Reduction>,
+    pub(crate) split: usize,
+    /// In the order the stage layout files them: per separator, its
+    /// panels' reductions, then its elimination targets.
+    pub(crate) reductions: Vec<Reduction>,
     /// Per separator: its first elimination target in `reductions`
     /// (the diagonal; the ancestors' follow in order).
-    target_of: Vec<usize>,
+    pub(crate) target_of: Vec<usize>,
     /// Per separator, per descendant: the reduction feeding that panel
     /// when the descendant is itself a separator, else [`NONE`].
-    panel_of: Vec<Vec<usize>>,
+    pub(crate) panel_of: Vec<Vec<usize>>,
 }
 
-/// What one numeric records on its first refactorization and replays
-/// on every one (see the module docs).
+/// The stage list a fresh factorization ran and leaves behind for its
+/// numeric, replayed by every refactorization (see the module docs).
 pub(crate) struct Replay {
     /// Values of the frozen block-diagonal store.
-    diag_vals: Vec<f64>,
+    pub(crate) diag_vals: Vec<f64>,
     /// Values of every reduced block, back to back.
-    red_vals: Vec<f64>,
-    nd: Vec<NdRecord>,
-    stages: Vec<Stage>,
+    pub(crate) red_vals: Vec<f64>,
+    pub(crate) nd: Vec<NdReplay>,
+    pub(crate) stages: Vec<Stage>,
     /// The blocks whose factors count flops (all but singletons),
     /// ascending.
-    heavy: Vec<usize>,
+    pub(crate) heavy: Vec<usize>,
 }
 
 impl Replay {
-    /// Records the stage list of `factors` — and takes the ND blocks'
-    /// retained `A` blocks, whose patterns it needs once and whose
-    /// values the frozen store replaces.
-    pub(crate) fn record(st: &Structure, frozen: &Frozen, factors: &mut [BlockFactors]) -> Replay {
-        let colptr = frozen.btf.diag_colptr();
-        // Gilbert–Peierls runs weigh their flops plus two per gathered
-        // entry, so that flop-less singletons still weigh something.
-        let runs = gp_runs(factors.iter().enumerate().map(|(b, f)| match f {
-            BlockFactors::Gp(blu) => {
-                Some(blu.flops() + 2.0 * (colptr[st.bounds[b + 1]] - colptr[st.bounds[b]]) as f64)
-            }
-            _ => None,
-        }));
-        let mut stages: Vec<Vec<Item>> = vec![runs
-            .into_iter()
-            .map(|(b0, b1, flops)| Item {
-                work: Work::Gp { b0, b1 },
-                flops,
-            })
-            .collect()];
-        let mut nd = Vec::new();
-        let mut heavy = Vec::new();
-        let mut red_len = 0;
-        for (b, f) in factors.iter_mut().enumerate() {
-            if !matches!(f, BlockFactors::Gp(BlockFactor::Singleton(_))) {
-                heavy.push(b);
-            }
-            match f {
-                BlockFactors::Gp(_) => {}
-                BlockFactors::Sn(sn) => stages[0].push(Item {
-                    work: Work::Sn { b },
-                    flops: sn.num.flops,
-                }),
-                BlockFactors::Nd(part) => {
-                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!("factor kind mismatch");
-                    };
-                    let blocks = part
-                        .blocks
-                        .take()
-                        .expect("A blocks are retained until the replay is recorded");
-                    let split = frozen
-                        .nd
-                        .iter()
-                        .position(|&(sb, _)| sb == b)
-                        .expect("every ND-laid-out block has a split");
-                    let rec = NdRecord::record(
-                        nd.len(),
-                        b,
-                        split,
-                        nds,
-                        &blocks,
-                        &part.f,
-                        &mut stages,
-                        &mut red_len,
-                    );
-                    nd.push(rec);
-                }
-            }
-        }
-        let stages: Vec<Stage> = stages
-            .into_iter()
-            .filter(|items| !items.is_empty())
-            .map(Stage::new)
-            .collect();
-        Replay {
-            diag_vals: vec![0.0; frozen.btf.diag_nnz()],
-            red_vals: vec![0.0; red_len],
-            nd,
-            stages,
-            heavy,
-        }
-    }
-
-    /// The blocks whose factors count flops, ascending.
-    pub(crate) fn heavy_blocks(&self) -> &[usize] {
-        &self.heavy
-    }
-
     /// Replays the stage list on `team` over the values of `a`, which
     /// has the recorded pattern. Returns the nanoseconds the caller
     /// spent blocked in stage joins, `None` if no stage was dispatched.
@@ -416,69 +288,6 @@ impl Replay {
     }
 }
 
-impl NdRecord {
-    /// Records the reductions of one ND block and files its items under
-    /// their stages.
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        nd: usize,
-        block: usize,
-        split: usize,
-        st: &NdStructure,
-        blocks: &NdBlocks,
-        f: &NdFactors,
-        stages: &mut Vec<Vec<Item>>,
-        red_len: &mut usize,
-    ) -> NdRecord {
-        assert!(st.nd.levels <= MAX_LEVELS, "separator tree too deep");
-        let nn = st.nnodes();
-        let mut rec = NdRecord {
-            block,
-            split,
-            reductions: Vec::new(),
-            target_of: vec![NONE; nn],
-            panel_of: (0..nn)
-                .map(|v| vec![NONE; v - st.subtree_start[v]])
-                .collect(),
-        };
-        layout_nd(st, stages, |item, stage| match item {
-            NdItem::Column(v) => stage.push(Item {
-                work: Work::Column { nd, v },
-                flops: f.fact_diag[v].flops,
-            }),
-            NdItem::Panel(v, k) => {
-                let start = st.subtree_start[v];
-                let mut flops = panel_flops(&f.fact_diag[k].l, &f.fact_upper[v][k - start]);
-                if !st.nd.nodes[k].is_leaf() {
-                    let red = Reduction::record(st, f, v, k, blocks.block(st, v, k), red_len);
-                    flops += red.chunks(st, f).iter().map(|c| c.2).sum::<f64>();
-                    rec.panel_of[v][k - start] = rec.reductions.len();
-                    rec.reductions.push(red);
-                }
-                stage.push(Item {
-                    work: Work::Panel { nd, v, k },
-                    flops,
-                });
-            }
-            NdItem::Reduce(v, t) => {
-                if t == v {
-                    rec.target_of[v] = rec.reductions.len();
-                }
-                let red = Reduction::record(st, f, v, t, blocks.block(st, v, t), red_len);
-                let r = rec.reductions.len();
-                for (c0, c1, flops) in red.chunks(st, f) {
-                    stage.push(Item {
-                        work: Work::Reduce { nd, r, c0, c1 },
-                        flops,
-                    });
-                }
-                rec.reductions.push(red);
-            }
-        });
-        rec
-    }
-}
-
 thread_local! {
     /// The kernels' accumulators. Thread-local because an item runs on
     /// whichever rank claims it, and items never wait, so the borrow
@@ -507,12 +316,12 @@ struct Ctx<'a> {
     diag_vals: &'a [f64],
     factors: &'a [ItemCell<BlockFactors>],
     red_vals: &'a [ItemCell<f64>],
-    nd: &'a [NdRecord],
+    nd: &'a [NdReplay],
 }
 
 /// One ND block as its items see it.
 struct NdCtx<'a> {
-    rec: &'a NdRecord,
+    rec: &'a NdReplay,
     st: &'a NdStructure,
     f: &'a NdFactors,
     /// First permuted index of the block.
@@ -525,7 +334,7 @@ impl<'a> Ctx<'a> {
         let rec = &self.nd[nd];
         // A shared read of the block's entry: its items write only the
         // cells inside it.
-        let (BlockFactors::Nd(part), BlockKind::NdBig(st)) =
+        let (BlockFactors::Nd(f), BlockKind::NdBig(st)) =
             (&*self.factors[rec.block], &self.st.kinds[rec.block])
         else {
             unreachable!("factor kind mismatch");
@@ -533,7 +342,7 @@ impl<'a> Ctx<'a> {
         NdCtx {
             rec,
             st,
-            f: &part.f,
+            f,
             lo: self.st.bounds[rec.block],
             split: &self.frozen.nd[rec.split].1,
         }
@@ -553,7 +362,7 @@ impl<'a> Ctx<'a> {
     /// A reduced block some earlier stage finished.
     fn reduced(&self, red: &'a Reduction) -> ColsView<'a> {
         let vals = ItemCell::as_slice(self.red_cells(red, 0, red.ncols()));
-        ColsView::new(&red.colptr, 1, red.ncols(), &red.rowind, vals, 0)
+        red.view(vals)
     }
 
     /// Rewrites columns `c0..c1` of `red` into `out`, their value slots.
@@ -647,7 +456,7 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
                     let vals =
                         unsafe { ItemCell::slice_mut_unchecked(cx.red_cells(red, 0, red.ncols())) };
                     cx.reduce(&nd, red, 0, red.ncols(), vals, ws);
-                    ColsView::new(&red.colptr, 1, red.ncols(), &red.rowind, vals, 0)
+                    red.view(vals)
                 }
             };
             lsolve_panel_refresh(&nd.f.fact_diag[k], b, out, ws);
@@ -675,7 +484,8 @@ mod tests {
     use basker_sparse::SparseError;
 
     /// After a value-only refresh an ND block solves the new system —
-    /// from the recording call and from the replays after it.
+    /// from the numeric's first refactorization and from the ones
+    /// after it.
     #[test]
     fn nd_refactor_matches_fresh_factor() {
         let a = grid2d_unsym(7);
@@ -692,7 +502,7 @@ mod tests {
         let a2 = revalued(&a, |v| v * 1.1 - 0.05);
         num.refactor(&a2).unwrap();
         check_solve(&num, &a2, 1e-11);
-        // And again from the recorded replay.
+        // And again.
         num.refactor(&a).unwrap();
         check_solve(&num, &a, 1e-11);
     }
@@ -756,8 +566,6 @@ mod tests {
                     // other ran inline.
                     let wide = team
                         .replay
-                        .as_ref()
-                        .unwrap()
                         .stages
                         .iter()
                         .filter(|s| s.items.len() > 1 && s.flops >= DISPATCH_BREAK_EVEN_FLOPS);

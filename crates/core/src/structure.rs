@@ -9,8 +9,8 @@
 //!    *fine ND* treatment.
 //! 2. **Fine ND** — each large block is reordered by nested dissection
 //!    into `2p - 1` sub-blocks arranged on a binary separator tree; the
-//!    2-D grid of CSC blocks over those ranges stores both `A` and the
-//!    factors.
+//!    2-D grid of CSC blocks over those ranges holds the factors, and
+//!    [`NdSplit`] reads `A`'s blocks on the same grid in place.
 //!
 //! All permutations (BTF row/col, per-small-block AMD, per-large-block ND)
 //! are composed here into one global row and one global column
@@ -46,8 +46,6 @@ pub struct NdStructure {
     /// For each tree node `v`, the start of its (contiguous) subtree:
     /// descendants of `v` are `subtree_start[v]..v`.
     pub subtree_start: Vec<usize>,
-    /// Thread owning each node (first leaf thread in its subtree).
-    pub owner: Vec<usize>,
     /// Leaf node index per thread rank.
     pub leaf_of_thread: Vec<usize>,
 }
@@ -67,23 +65,11 @@ impl NdStructure {
             let size = (1usize << (t + 1)) - 1;
             subtree_start[v] = v + 1 - size;
         }
-        let leaves: Vec<usize> = nd.leaves();
-        let mut owner = vec![0usize; nn];
-        for v in 0..nn {
-            // first leaf inside the subtree = leaf with smallest index >=
-            // subtree_start[v]
-            let first_leaf = leaves
-                .iter()
-                .position(|&l| l >= subtree_start[v])
-                .expect("subtree contains a leaf");
-            owner[v] = first_leaf;
-        }
         NdStructure {
+            leaf_of_thread: nd.leaves(),
             nd,
             ancestors,
             subtree_start,
-            owner,
-            leaf_of_thread: leaves,
         }
     }
 
@@ -118,8 +104,6 @@ pub struct Structure {
     pub bounds: Vec<usize>,
     /// Per BTF block: small or ND-structured.
     pub kinds: Vec<BlockKind>,
-    /// block id of each permuted index
-    pub block_of: Vec<usize>,
     /// Rows of the largest BTF block (sizes the solve's pivot scratch).
     pub max_block: usize,
     /// Bottleneck value of the MWCM transversal (diagnostic).
@@ -146,14 +130,15 @@ impl Structure {
         let n = a.nrows();
         let levels = p_threads.trailing_zeros() as usize;
 
-        let (row0, col0, bounds, bottleneck) = if use_btf {
+        let (row0, col0, bounds, bottleneck, ap) = if use_btf {
             let btf = btf_form_with(a, use_mwcm)?;
-            (btf.row_perm, btf.col_perm, btf.bounds, btf.bottleneck)
+            let ap = btf.permute(a);
+            (btf.row_perm, btf.col_perm, btf.bounds, btf.bottleneck, ap)
         } else {
-            (Perm::identity(n), Perm::identity(n), vec![0, n], 0.0)
+            let id = Perm::identity(n);
+            (id.clone(), id, vec![0, n], 0.0, a.clone())
         };
 
-        let ap = Perm::permute_both(&row0, &col0, a);
         let mut row_total = vec![0usize; n];
         let mut col_total = vec![0usize; n];
         let mut kinds = Vec::with_capacity(bounds.len() - 1);
@@ -199,14 +184,7 @@ impl Structure {
         let row_perm = Perm::from_vec(row_total).expect("composed row perm invalid");
         let col_perm = Perm::from_vec(col_total).expect("composed col perm invalid");
 
-        let mut block_of = vec![0usize; n];
-        let mut max_block = 0;
-        for b in 0..bounds.len() - 1 {
-            for k in bounds[b]..bounds[b + 1] {
-                block_of[k] = b;
-            }
-            max_block = max_block.max(bounds[b + 1] - bounds[b]);
-        }
+        let max_block = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
 
         Ok(Structure {
             n,
@@ -214,7 +192,6 @@ impl Structure {
             col_perm,
             bounds,
             kinds,
-            block_of,
             max_block,
             bottleneck,
         })
@@ -238,91 +215,11 @@ impl Structure {
     }
 }
 
-/// The extracted 2-D blocks of one ND-structured BTF block of `A`
-/// (the hierarchy of CSC matrices of paper §IV).
-#[derive(Debug, Clone)]
-pub struct NdBlocks {
-    /// `A_vv` per tree node.
-    pub diag: Vec<CscMat>,
-    /// `A_{a,v}` per node `v`, per ancestor `a` (ascending) — the blocks
-    /// *below* the diagonal in block column `v`.
-    pub lower: Vec<Vec<CscMat>>,
-    /// `A_{k,v}` per node `v`, per descendant `k` (ascending over
-    /// `descendants(v)`) — the blocks *above* the diagonal in block
-    /// column `v`.
-    pub upper: Vec<Vec<CscMat>>,
-}
-
-impl NdBlocks {
-    /// Extracts all 2-D blocks of the ND block spanning
-    /// `offset..offset + len` in the permuted matrix `ap`.
-    pub fn extract(ap: &CscMat, offset: usize, st: &NdStructure) -> NdBlocks {
-        let nn = st.nnodes();
-        let rng = |v: usize| offset + st.nd.nodes[v].range.start..offset + st.nd.nodes[v].range.end;
-        let mut diag = Vec::with_capacity(nn);
-        let mut lower = Vec::with_capacity(nn);
-        let mut upper = Vec::with_capacity(nn);
-        for v in 0..nn {
-            diag.push(extract_range(ap, rng(v), rng(v)));
-            let mut low = Vec::with_capacity(st.ancestors[v].len());
-            for &a in &st.ancestors[v] {
-                low.push(extract_range(ap, rng(a), rng(v)));
-            }
-            lower.push(low);
-            let desc = st.descendants(v);
-            let mut up = Vec::with_capacity(desc.len());
-            for k in desc {
-                up.push(extract_range(ap, rng(k), rng(v)));
-            }
-            upper.push(up);
-        }
-        let blocks = NdBlocks { diag, lower, upper };
-        debug_assert_eq!(
-            blocks.total_nnz(),
-            extract_range(
-                ap,
-                offset..offset + st.nd.perm.len(),
-                offset..offset + st.nd.perm.len()
-            )
-            .nnz(),
-            "ND blocks must cover every entry of the diagonal block \
-             (separator property violated)"
-        );
-        blocks
-    }
-
-    /// `A_{r,v}`: rows of node `r` — `v` itself, an ancestor or a
-    /// descendant of `v` — in the columns of node `v`.
-    pub fn block(&self, st: &NdStructure, v: usize, r: usize) -> &CscMat {
-        match r.cmp(&v) {
-            std::cmp::Ordering::Less => &self.upper[v][r - st.subtree_start[v]],
-            std::cmp::Ordering::Equal => &self.diag[v],
-            std::cmp::Ordering::Greater => &self.lower[v][st.anc_pos(v, r)],
-        }
-    }
-
-    /// Total entries stored across all blocks.
-    pub fn total_nnz(&self) -> usize {
-        let d: usize = self.diag.iter().map(|m| m.nnz()).sum();
-        let l: usize = self
-            .lower
-            .iter()
-            .flat_map(|v| v.iter().map(|m| m.nnz()))
-            .sum();
-        let u: usize = self
-            .upper
-            .iter()
-            .flat_map(|v| v.iter().map(|m| m.nnz()))
-            .sum();
-        d + l + u
-    }
-}
-
 /// Where the 2-D blocks of one ND-laid-out BTF block sit inside the
 /// frozen block-diagonal store ([`FrozenBtf`]): a pattern-only fact,
-/// recorded once, that lets a refactorization read `A_{r,v}` in place
-/// instead of extracting [`NdBlocks`] from a fresh permuted matrix
-/// every step.
+/// recorded at analyze, that lets a factorization or a refactorization
+/// read `A_{r,v}` in place instead of extracting it from a fresh
+/// permuted matrix every step.
 ///
 /// A column of node `v` holds, in ascending row order, its entries in
 /// the row ranges of `v`'s descendants, of `v` itself and of `v`'s
@@ -340,8 +237,7 @@ pub struct NdSplit {
 impl NdSplit {
     /// Records the split of the ND block starting at permuted index
     /// `offset`. Panics if a column has an entry outside its node's
-    /// relatives (the separator property [`NdBlocks::extract`] also
-    /// relies on).
+    /// relatives (the separator property).
     pub fn record(frozen: &FrozenBtf, offset: usize, st: &NdStructure) -> NdSplit {
         let (colptr, rowind) = (frozen.diag_colptr(), frozen.diag_rowind());
         let tables = (0..st.nnodes())
@@ -395,7 +291,7 @@ impl NdSplit {
         ColsView::new(
             self.tables[v].get(slot..).unwrap_or(&[]),
             ndesc + 2 + st.ancestors[v].len(),
-            st.nd.nodes[v].len(),
+            (st.nd.nodes[r].len(), st.nd.nodes[v].len()),
             frozen.diag_rowind(),
             vals,
             offset + st.nd.nodes[r].range.start,
@@ -455,12 +351,6 @@ mod tests {
         };
         assert_eq!(st.nnodes(), 7);
         assert_eq!(st.leaf_of_thread, vec![0, 1, 3, 4]);
-        // owners: leaves own themselves; sep 2 owned by thread 0 (leaf 0);
-        // sep 5 owned by thread 2 (leaf 3); root by thread 0.
-        assert_eq!(st.owner[0], 0);
-        assert_eq!(st.owner[2], 0);
-        assert_eq!(st.owner[5], 2);
-        assert_eq!(st.owner[6], 0);
         assert_eq!(st.descendants(6), 0..6);
         assert_eq!(st.descendants(2), 0..2);
         assert_eq!(st.descendants(0), 0..0);
@@ -469,52 +359,66 @@ mod tests {
         assert_eq!(st.ancestors[6], Vec::<usize>::new());
     }
 
-    #[test]
-    fn nd_blocks_cover_all_entries() {
-        let a = grid2d(9);
-        let s = Structure::build(&a, true, true, 16, 4).unwrap();
-        let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
+    /// A 4-leaf grid's ND block, its frozen store gathered from `a`,
+    /// its split and the permuted matrix.
+    fn split_grid(a: &CscMat) -> (Structure, FrozenBtf, Vec<f64>, NdSplit, CscMat) {
+        let s = Structure::build(a, true, true, 16, 4).unwrap();
         let BlockKind::NdBig(st) = &s.kinds[0] else {
             panic!("expected ND block");
         };
-        let blocks = NdBlocks::extract(&ap, 0, st);
-        assert_eq!(blocks.total_nnz(), a.nnz());
+        let frozen = FrozenBtf::record(a, &s.row_perm, &s.col_perm, &s.bounds).unwrap();
+        let split = NdSplit::record(&frozen, 0, st);
+        let (vals, _) = frozen.image(a);
+        let ap = Perm::permute_both(&s.row_perm, &s.col_perm, a);
+        (s, frozen, vals, split, ap)
+    }
+
+    /// Every pair of related nodes, `(v, r)`: `A_{r,v}` is a 2-D block.
+    fn related(st: &NdStructure) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..st.nnodes()).flat_map(move |v| {
+            st.descendants(v)
+                .chain([v])
+                .chain(st.ancestors[v].iter().copied())
+                .map(move |r| (v, r))
+        })
+    }
+
+    #[test]
+    fn nd_blocks_cover_all_entries() {
+        let a = grid2d(9);
+        let (s, frozen, vals, split, _) = split_grid(&a);
+        let BlockKind::NdBig(st) = &s.kinds[0] else {
+            panic!("expected ND block");
+        };
+        let total: usize = related(st)
+            .map(|(v, r)| {
+                let view = split.block(&frozen, &vals, 0, st, v, r);
+                (0..view.ncols()).map(|c| view.col(c).len()).sum::<usize>()
+            })
+            .sum();
+        assert_eq!(total, a.nnz());
         // Diagonal blocks are square and match node sizes.
         for (v, node) in st.nd.nodes.iter().enumerate() {
-            assert_eq!(blocks.diag[v].nrows(), node.len());
-            assert_eq!(blocks.diag[v].ncols(), node.len());
+            let diag = split.block(&frozen, &vals, 0, st, v, v);
+            assert_eq!((diag.nrows(), diag.ncols()), (node.len(), node.len()));
         }
     }
 
     /// Every 2-D block read in place from the frozen store is the block
-    /// `NdBlocks::extract` copies out of the permuted matrix.
+    /// `extract_range` copies out of the permuted matrix.
     #[test]
     fn nd_split_views_match_extracted_blocks() {
         let a = grid2d(9);
-        let s = Structure::build(&a, true, true, 16, 4).unwrap();
+        let (s, frozen, vals, split, ap) = split_grid(&a);
         let BlockKind::NdBig(st) = &s.kinds[0] else {
             panic!("expected ND block");
         };
-        let frozen = FrozenBtf::record(&a, &s.row_perm, &s.col_perm, &s.bounds).unwrap();
-        let split = NdSplit::record(&frozen, 0, st);
-        let mut vals = vec![0.0; frozen.diag_nnz()];
-        frozen.gather(&a, &mut vals, &mut []);
-        let blocks = NdBlocks::extract(&Perm::permute_both(&s.row_perm, &s.col_perm, &a), 0, st);
-        let same = |m: &CscMat, v: usize, r: usize| {
+        for (v, r) in related(st) {
+            let (rows, cols) = (st.nd.nodes[r].range.clone(), st.nd.nodes[v].range.clone());
+            let want = extract_range(&ap, rows, cols);
             let view = split.block(&frozen, &vals, 0, st, v, r);
-            assert_eq!(view.ncols(), m.ncols());
-            for c in 0..m.ncols() {
-                assert!(view.col(c).eq(m.col_iter(c)), "A[{r},{v}] column {c}");
-            }
-        };
-        for v in 0..st.nnodes() {
-            same(&blocks.diag[v], v, v);
-            for (ai, &anc) in st.ancestors[v].iter().enumerate() {
-                same(&blocks.lower[v][ai], v, anc);
-            }
-            for (ki, k) in st.descendants(v).enumerate() {
-                same(&blocks.upper[v][ki], v, k);
-            }
+            assert_eq!((view.nrows(), view.ncols()), (want.nrows(), want.ncols()));
+            assert_eq!(view.to_csc(), want, "A[{r},{v}]");
         }
     }
 

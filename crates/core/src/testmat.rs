@@ -142,15 +142,15 @@ pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
                 out.extend_from_slice(sn.num.l().values());
                 out.extend_from_slice(sn.num.u().values());
             }
-            BlockFactors::Nd(part) => {
-                for blu in &part.f.fact_diag {
+            BlockFactors::Nd(f) => {
+                for blu in &f.fact_diag {
                     out.extend_from_slice(blu.l.values());
                     out.extend_from_slice(blu.u.values());
                     for b in &blu.below {
                         out.extend_from_slice(b.values());
                     }
                 }
-                for panel in part.f.fact_upper.iter().flatten() {
+                for panel in f.fact_upper.iter().flatten() {
                     out.extend_from_slice(panel.values());
                 }
             }
@@ -167,8 +167,8 @@ pub(crate) fn factor_pivots(num: &BaskerNumeric) -> Vec<usize> {
     for f in &num.factors {
         match f {
             BlockFactors::Gp(BlockFactor::Full(blu)) => out.extend_from_slice(&blu.pinv),
-            BlockFactors::Nd(part) => {
-                for blu in &part.f.fact_diag {
+            BlockFactors::Nd(f) => {
+                for blu in &f.fact_diag {
                     out.extend_from_slice(&blu.pinv);
                 }
             }
@@ -181,7 +181,7 @@ pub(crate) fn factor_pivots(num: &BaskerNumeric) -> Vec<usize> {
 /// The factors of ND block `b`.
 pub(crate) fn nd_factors(num: &BaskerNumeric, b: usize) -> &NdFactors {
     match &num.factors[b] {
-        BlockFactors::Nd(part) => &part.f,
+        BlockFactors::Nd(f) => f,
         _ => panic!("block {b} is not an ND block"),
     }
 }

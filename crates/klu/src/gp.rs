@@ -19,7 +19,7 @@
 //! with them it is the primitive from which Basker's 2-D algorithm factors
 //! leaf and separator block columns (paper Alg. 4 lines 4–5 and 26–28).
 
-use basker_sparse::{CscMat, Perm, Result, SparseCol, SparseError};
+use basker_sparse::{CscMat, Perm, Result, SparseError};
 
 /// LU factors of one stacked block column.
 #[derive(Debug, Clone)]
@@ -170,20 +170,14 @@ impl BlockColumnFactorizer {
         }
     }
 
-    /// Eliminates the next column. `diag_rows`/`diag_vals` hold the
-    /// column of the diagonal block (original local row coordinates);
-    /// `below_cols[bi]` holds the matching column of trailing block
-    /// `bi`. Row indices must be sorted and unique.
-    pub fn factor_col(
-        &mut self,
-        diag_rows: &[usize],
-        diag_vals: &[f64],
-        below_cols: &[(&[usize], &[f64])],
-    ) -> Result<()> {
+    /// Eliminates the next column, `j`: column `j` of the diagonal
+    /// block `diag` (original local row coordinates) and of every
+    /// trailing block in `below`. Row indices must be sorted and unique.
+    pub fn factor_col(&mut self, diag: ColsView<'_>, below: &[ColsView<'_>]) -> Result<()> {
         let j = self.next_col;
         assert!(j < self.nb, "all {} columns already fed", self.nb);
-        assert_eq!(below_cols.len(), self.below_nrows.len());
-        let nbelow = below_cols.len();
+        assert_eq!(below.len(), self.below_nrows.len());
+        let nbelow = below.len();
         self.topo.clear();
         self.pattern_rows.clear();
         for p in self.bpat.iter_mut() {
@@ -191,7 +185,7 @@ impl BlockColumnFactorizer {
         }
 
         // --- scatter A(:, j) and run the DFS from each diagonal entry ---
-        for (&i, &v) in diag_rows.iter().zip(diag_vals) {
+        for (i, v) in diag.col(j) {
             self.xd[i] = v;
             if self.mark[i] == j {
                 continue;
@@ -225,8 +219,8 @@ impl BlockColumnFactorizer {
                 }
             }
         }
-        for (bi, (rows, vals)) in below_cols.iter().enumerate() {
-            for (&i, &v) in rows.iter().zip(*vals) {
+        for (bi, b) in below.iter().enumerate() {
+            for (i, v) in b.col(j) {
                 self.xb[bi][i] = v;
                 if self.bmark[bi][i] != j {
                     self.bmark[bi][i] = j;
@@ -430,8 +424,8 @@ impl BlockColumnFactorizer {
 /// over [`BlockColumnFactorizer`]; trailing blocks share the diagonal
 /// block's column space one-to-one).
 pub fn factor_block_column(
-    diag: &CscMat,
-    below: &[&CscMat],
+    diag: ColsView<'_>,
+    below: &[ColsView<'_>],
     pivot_tol: f64,
     col_offset: usize,
 ) -> Result<BlockLu> {
@@ -442,11 +436,8 @@ pub fn factor_block_column(
     }
     let below_nrows: Vec<usize> = below.iter().map(|b| b.nrows()).collect();
     let mut fac = BlockColumnFactorizer::new(nb, &below_nrows, pivot_tol, col_offset);
-    let mut below_cols: Vec<(&[usize], &[f64])> = Vec::with_capacity(below.len());
-    for j in 0..nb {
-        below_cols.clear();
-        below_cols.extend(below.iter().map(|b| (b.col_rows(j), b.col_values(j))));
-        fac.factor_col(diag.col_rows(j), diag.col_values(j), &below_cols)?;
+    for _ in 0..nb {
+        fac.factor_col(diag, below)?;
     }
     Ok(fac.finish())
 }
@@ -460,13 +451,14 @@ pub fn factor_block_column(
 /// ([`ColsView::of`]); a diagonal block of a block-diagonal store is a
 /// window of its column pointers with `row0` at the block's first row;
 /// a 2-D block of an ND-laid-out block column strides over a table of
-/// per-column block boundaries. The refactorization kernels read their
+/// per-column block boundaries. The factorization kernels read their
 /// `A` operands through this type, so pattern-frozen callers hand them
 /// slices of one retained store instead of a fresh matrix per block.
 #[derive(Debug, Clone, Copy)]
 pub struct ColsView<'a> {
     ptr: &'a [usize],
     stride: usize,
+    nrows: usize,
     ncols: usize,
     rowind: &'a [usize],
     values: &'a [f64],
@@ -478,18 +470,19 @@ impl<'a> ColsView<'a> {
     pub const EMPTY: ColsView<'static> = ColsView {
         ptr: &[],
         stride: 1,
+        nrows: 0,
         ncols: 0,
         rowind: &[],
         values: &[],
         row0: 0,
     };
 
-    /// A view of `ncols` columns over `rowind`/`values` (see the type
-    /// docs for the meaning of `ptr`, `stride` and `row0`).
+    /// A view of an `nrows x ncols` block over `rowind`/`values` (see
+    /// the type docs for the meaning of `ptr`, `stride` and `row0`).
     pub fn new(
         ptr: &'a [usize],
         stride: usize,
-        ncols: usize,
+        (nrows, ncols): (usize, usize),
         rowind: &'a [usize],
         values: &'a [f64],
         row0: usize,
@@ -499,6 +492,7 @@ impl<'a> ColsView<'a> {
         ColsView {
             ptr,
             stride,
+            nrows,
             ncols,
             rowind,
             values,
@@ -508,7 +502,14 @@ impl<'a> ColsView<'a> {
 
     /// The whole of `m`.
     pub fn of(m: &'a CscMat) -> ColsView<'a> {
-        ColsView::new(m.colptr(), 1, m.ncols(), m.rowind(), m.values(), 0)
+        let shape = (m.nrows(), m.ncols());
+        ColsView::new(m.colptr(), 1, shape, m.rowind(), m.values(), 0)
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.nrows
     }
 
     /// Number of columns.
@@ -519,11 +520,27 @@ impl<'a> ColsView<'a> {
 
     /// `(row, value)` pairs of column `c`, rows local to the view.
     #[inline]
-    pub fn col(&self, c: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
+    pub fn col(&self, c: usize) -> impl ExactSizeIterator<Item = (usize, f64)> + 'a {
         let (lo, hi) = (self.ptr[c * self.stride], self.ptr[c * self.stride + 1]);
         let row0 = self.row0;
         let (rows, vals): (&'a [usize], &'a [f64]) = (&self.rowind[lo..hi], &self.values[lo..hi]);
         rows.iter().zip(vals).map(move |(&r, &v)| (r - row0, v))
+    }
+
+    /// The view copied out as a matrix of its own.
+    pub fn to_csc(&self) -> CscMat {
+        let mut colptr = Vec::with_capacity(self.ncols + 1);
+        let (mut rowind, mut values) = (Vec::new(), Vec::new());
+        colptr.push(0);
+        for c in 0..self.ncols {
+            for (r, v) in self.col(c) {
+                rowind.push(r);
+                values.push(v);
+            }
+            colptr.push(rowind.len());
+        }
+        CscMat::new(self.nrows, self.ncols, colptr, rowind, values)
+            .expect("a view's columns are sorted and inside its rows")
     }
 }
 
@@ -677,104 +694,71 @@ pub fn refactor_block_column(
     Ok(())
 }
 
-/// Reusable scratch for [`lsolve_col`]: dense accumulator, stamp marks
-/// and DFS stacks, sized lazily to the largest diagonal block seen.
-/// One instance per worker thread serves every panel and column.
-#[derive(Default)]
-pub struct LsolveWorkspace {
-    x: Vec<f64>,
-    mark: Vec<u64>,
-    stamp: u64,
-    topo: Vec<usize>,
-    dfs: Vec<(usize, usize)>,
-}
-
-impl LsolveWorkspace {
-    /// A fresh, empty workspace.
-    pub fn new() -> LsolveWorkspace {
-        LsolveWorkspace::default()
-    }
-
-    /// Grows to dimension `n` and returns a fresh stamp.
-    fn prepare(&mut self, n: usize) -> u64 {
-        if self.x.len() < n {
-            self.x.resize(n, 0.0);
-            self.mark.resize(n, 0);
-        }
-        self.stamp += 1;
-        self.stamp
-    }
-}
-
-/// Sparse single-column solve: returns `x = L⁻¹ · P · b` where `L` is
-/// the unit lower factor of `blu` (pivotal coordinates) and `b` one
-/// sparse column with rows in the diagonal block's *original local*
-/// coordinates.
+/// Sparse panel solve: returns `X = L⁻¹ · P · B` where `L` is the unit
+/// lower factor of `blu` (pivotal coordinates) and `B` a panel with rows
+/// in the diagonal block's *original local* coordinates.
 ///
-/// This is the per-column unit of Basker's "factor upper off-diagonal
-/// submatrices `A_ij → U_ij`" step (paper Alg. 4 line 14): the DFS over
-/// `L` discovers the output pattern in time proportional to the
+/// This is Basker's "factor upper off-diagonal submatrices `A_ij →
+/// U_ij`" step (paper Alg. 4 line 14), one column at a time: the DFS
+/// over `L` discovers each column's pattern in time proportional to the
 /// arithmetic.
-pub fn lsolve_col(
-    blu: &BlockLu,
-    b_rows: &[usize],
-    b_vals: &[f64],
-    ws: &mut LsolveWorkspace,
-) -> SparseCol {
+pub fn lsolve_panel(blu: &BlockLu, b: ColsView<'_>) -> CscMat {
     let nb = blu.l.ncols();
-    let l = &blu.l;
-    let pinv = &blu.pinv;
-    let stamp = ws.prepare(nb);
-    ws.topo.clear();
-
-    // scatter P·b and DFS on L's column graph (pivotal coords)
-    for (&r0, &v) in b_rows.iter().zip(b_vals) {
-        let i = pinv[r0];
-        ws.x[i] = v;
-        if ws.mark[i] == stamp {
-            continue;
-        }
-        ws.mark[i] = stamp;
-        ws.dfs.clear();
-        ws.dfs.push((i, l.colptr()[i]));
-        while let Some(&(t, pos)) = ws.dfs.last() {
-            let hi = l.colptr()[t + 1];
-            if pos < hi {
-                ws.dfs.last_mut().unwrap().1 += 1;
-                let r = l.rowind()[pos];
-                if r != t && ws.mark[r] != stamp {
-                    ws.mark[r] = stamp;
-                    ws.dfs.push((r, l.colptr()[r]));
+    let (l, pinv) = (&blu.l, &blu.pinv);
+    let ks = basker_kernels::active();
+    let (mut x, mut mark) = (vec![0.0; nb], vec![UNSET; nb]);
+    let (mut topo, mut dfs) = (Vec::with_capacity(nb), Vec::new());
+    let mut colptr = Vec::with_capacity(b.ncols() + 1);
+    let (mut rowind, mut values) = (Vec::new(), Vec::new());
+    colptr.push(0);
+    for j in 0..b.ncols() {
+        topo.clear();
+        // scatter P·b and DFS on L's column graph (pivotal coords)
+        for (r0, v) in b.col(j) {
+            let i = pinv[r0];
+            x[i] = v;
+            if mark[i] == j {
+                continue;
+            }
+            mark[i] = j;
+            dfs.push((i, l.colptr()[i]));
+            while let Some(&(t, pos)) = dfs.last() {
+                if pos < l.colptr()[t + 1] {
+                    dfs.last_mut().unwrap().1 += 1;
+                    let r = l.rowind()[pos];
+                    if r != t && mark[r] != j {
+                        mark[r] = j;
+                        dfs.push((r, l.colptr()[r]));
+                    }
+                } else {
+                    topo.push(t);
+                    dfs.pop();
                 }
-            } else {
-                ws.topo.push(t);
-                ws.dfs.pop();
             }
         }
-    }
-    // numeric sweep in topological order
-    for ti in (0..ws.topo.len()).rev() {
-        let t = ws.topo[ti];
-        let xt = ws.x[t];
-        if xt != 0.0 {
-            let lr = l.col_rows(t);
-            let lv = l.col_values(t);
-            basker_kernels::active().scatter_axpy(&mut ws.x, &lr[1..], &lv[1..], -xt);
+        // numeric sweep in topological order
+        for &t in topo.iter().rev() {
+            let xt = x[t];
+            if xt != 0.0 {
+                ks.scatter_axpy(&mut x, &l.col_rows(t)[1..], &l.col_values(t)[1..], -xt);
+            }
         }
+        // gather (sorted pattern for a valid column)
+        topo.sort_unstable();
+        for &t in &topo {
+            rowind.push(t);
+            values.push(x[t]);
+            x[t] = 0.0;
+        }
+        colptr.push(rowind.len());
     }
-    // gather (sorted pattern for a valid column)
-    let mut rows: Vec<usize> = ws.topo.clone();
-    rows.sort_unstable();
-    let mut vals = Vec::with_capacity(rows.len());
-    for &t in &rows {
-        vals.push(ws.x[t]);
-        ws.x[t] = 0.0;
-    }
-    SparseCol { rows, vals }
+    // SAFETY: each column's rows are the DFS's distinct pivotal rows
+    // (`< nb`), sorted; `colptr` tracks `rowind.len()`.
+    unsafe { CscMat::from_parts_unchecked(nb, b.ncols(), colptr, rowind, values) }
 }
 
-/// Refreshes the values of an existing panel solve result in place, reusing
-/// its pattern (the refactorization path for separator panels). Like
+/// Refreshes the values of an existing [`lsolve_panel`] result in place,
+/// reusing its pattern (the refactorization path for separator panels). Like
 /// [`refactor_block_column`], allocation-free once `ws` is warm.
 // basker-lint: deny-alloc
 pub fn lsolve_panel_refresh(
@@ -835,8 +819,22 @@ impl BlockFactor {
             return Ok(BlockFactor::Singleton(v));
         }
         let diag = basker_sparse::blocks::extract_range(ap, lo..hi, lo..hi);
+        BlockFactor::factor_cols(ColsView::of(&diag), lo, pivot_tol)
+    }
+
+    /// [`factor_range`](Self::factor_range) for callers that keep the
+    /// permuted matrix in retained storage: `diag` is the block read in
+    /// place, `lo` its first permuted column.
+    pub fn factor_cols(diag: ColsView<'_>, lo: usize, pivot_tol: f64) -> Result<BlockFactor> {
+        if diag.ncols() == 1 {
+            let v = diag.col(0).next().map_or(0.0, |(_, v)| v);
+            if v == 0.0 {
+                return Err(SparseError::ZeroPivot { column: lo });
+            }
+            return Ok(BlockFactor::Singleton(v));
+        }
         Ok(BlockFactor::Full(Box::new(factor_block_column(
-            &diag,
+            diag,
             &[],
             pivot_tol,
             lo,
@@ -975,7 +973,7 @@ mod tests {
             [0.0, 2.0, 5.0, 1.0],
             [1.0, 0.0, 2.0, 4.0],
         ]);
-        let blu = factor_block_column(&a, &[], 1.0, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 1.0, 0).unwrap();
         check_factorization(&a, &blu, 1e-12);
     }
 
@@ -983,7 +981,7 @@ mod tests {
     fn partial_pivoting_picks_large_rows() {
         // Column 0 has a tiny diagonal; with pivot_tol = 1.0 the 100 wins.
         let a = CscMat::from_dense(&[vec![1e-10, 1.0], vec![100.0, 1.0]]);
-        let blu = factor_block_column(&a, &[], 1.0, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 1.0, 0).unwrap();
         assert_eq!(blu.row_perm.as_slice(), &[1, 0]);
         check_factorization(&a, &blu, 1e-12);
     }
@@ -992,7 +990,7 @@ mod tests {
     fn diagonal_preference_keeps_acceptable_diagonal() {
         // diag = 50, max = 100: with tol 0.1 the diagonal stays.
         let a = CscMat::from_dense(&[vec![50.0, 1.0], vec![100.0, 1.0]]);
-        let blu = factor_block_column(&a, &[], 0.1, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 0.1, 0).unwrap();
         assert_eq!(blu.row_perm.as_slice(), &[0, 1]);
         check_factorization(&a, &blu, 1e-12);
     }
@@ -1000,7 +998,7 @@ mod tests {
     #[test]
     fn zero_pivot_detected() {
         let a = CscMat::from_dense(&[vec![0.0, 1.0], vec![0.0, 1.0]]);
-        match factor_block_column(&a, &[], 1.0, 7) {
+        match factor_block_column(ColsView::of(&a), &[], 1.0, 7) {
             Err(SparseError::ZeroPivot { column }) => assert_eq!(column, 7),
             other => panic!("expected zero pivot, got {other:?}"),
         }
@@ -1014,7 +1012,7 @@ mod tests {
             [0.0, 1.0, 9.0, 2.0],
             [2.0, 0.0, 1.0, 8.0],
         ]);
-        let blu = factor_block_column(&a, &[], 0.001, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 0.001, 0).unwrap();
         let xtrue = [1.0, -2.0, 3.0, 0.5];
         let b = spmv(&a, &xtrue);
         let mut x = b.clone();
@@ -1028,7 +1026,7 @@ mod tests {
         // L_below(:,c)·U(c,c) + Σ_{t<c} L_below(:,t)·U(t,c) = B(:,c).
         let d = CscMat::from_dense(&[vec![4.0, 1.0], vec![2.0, 5.0]]);
         let b = CscMat::from_dense(&[vec![1.0, 2.0], vec![3.0, 0.0], vec![0.0, 7.0]]);
-        let blu = factor_block_column(&d, &[&b], 0.001, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&d), &[ColsView::of(&b)], 0.001, 0).unwrap();
         let lb = &blu.below[0];
         // reconstruct B = L_below · U
         let lbd = lb.to_dense();
@@ -1056,7 +1054,7 @@ mod tests {
             [0.0, 1.0, 9.0, 2.0],
             [2.0, 0.0, 1.0, 8.0],
         ]);
-        let mut blu = factor_block_column(&a, &[], 0.001, 0).unwrap();
+        let mut blu = factor_block_column(ColsView::of(&a), &[], 0.001, 0).unwrap();
         // New values, same pattern.
         let a2 = dense(&[
             [20.0, 1.0, 0.0, 2.0],
@@ -1082,7 +1080,7 @@ mod tests {
     #[test]
     fn refactor_detects_new_zero_pivot() {
         let a = CscMat::from_dense(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let mut blu = factor_block_column(&a, &[], 1.0, 0).unwrap();
+        let mut blu = factor_block_column(ColsView::of(&a), &[], 1.0, 0).unwrap();
         let bad = CscMat::from_dense(&[vec![0.0, 0.0], vec![0.0, 1.0]]);
         // Same pattern? a has entries only on the diagonal; bad stores a
         // structural zero at (0,0).
@@ -1112,7 +1110,7 @@ mod tests {
         ]);
         let d = basker_sparse::blocks::extract_range(&store, 1..3, 0..2);
         let b = basker_sparse::blocks::extract_range(&store, 3..5, 0..2);
-        let mut blu = factor_block_column(&d, &[&b], 0.001, 0).unwrap();
+        let mut blu = factor_block_column(ColsView::of(&d), &[ColsView::of(&b)], 0.001, 0).unwrap();
         let fresh = blu.clone();
         for m in [&mut blu.l, &mut blu.u, &mut blu.below[0]] {
             m.values_mut().fill(f64::NAN);
@@ -1120,7 +1118,14 @@ mod tests {
         // Per column: [start of diag rows, start of trailing rows, end].
         let table = [1usize, 3, 4, 4, 6, 8];
         let view = |slot: usize, row0: usize| {
-            ColsView::new(&table[slot..], 3, 2, store.rowind(), store.values(), row0)
+            ColsView::new(
+                &table[slot..],
+                3,
+                (2, 2),
+                store.rowind(),
+                store.values(),
+                row0,
+            )
         };
         let mut ws = RefactorWorkspace::new();
         ws.accumulator(64).fill(0.0);
@@ -1133,10 +1138,10 @@ mod tests {
         // 1x1 fast path reads its pivot through the same kind of view.
         let mut one = BlockFactor::Singleton(1.0);
         let ptr = [7usize, 8];
-        let v = ColsView::new(&ptr, 1, 1, store.rowind(), store.values(), 4);
+        let v = ColsView::new(&ptr, 1, (1, 1), store.rowind(), store.values(), 4);
         one.refactor_cols(v, 11, &mut ws).unwrap();
         assert_eq!(one.pivot_range(), (7.0, 7.0));
-        let empty = ColsView::new(&[4, 4], 1, 1, store.rowind(), store.values(), 4);
+        let empty = ColsView::new(&[4, 4], 1, (1, 1), store.rowind(), store.values(), 4);
         assert!(matches!(
             one.refactor_cols(empty, 11, &mut ws),
             Err(SparseError::ZeroPivot { column: 11 })
@@ -1151,19 +1156,14 @@ mod tests {
             [0.0, 1.0, 9.0, 2.0],
             [2.0, 0.0, 1.0, 8.0],
         ]);
-        let blu = factor_block_column(&d, &[], 1.0, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&d), &[], 1.0, 0).unwrap();
         let b = CscMat::from_dense(&[
             vec![1.0, 0.0],
             vec![0.0, 2.0],
             vec![3.0, 0.0],
             vec![0.0, 0.0],
         ]);
-        // X = L⁻¹ · P · B, one `lsolve_col` per panel column.
-        let mut ws = LsolveWorkspace::new();
-        let cols = (0..b.ncols())
-            .map(|j| lsolve_col(&blu, b.col_rows(j), b.col_values(j), &mut ws))
-            .collect();
-        let x = basker_sparse::col::cols_to_csc(4, cols);
+        let x = lsolve_panel(&blu, ColsView::of(&b));
         // Verify L·X == P·B column by column.
         let pb = blu.row_perm.permute_rows(&b);
         let ld = blu.l.to_dense();
@@ -1193,7 +1193,7 @@ mod tests {
     #[test]
     fn empty_block() {
         let a = CscMat::zero(0, 0);
-        let blu = factor_block_column(&a, &[], 1.0, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 1.0, 0).unwrap();
         assert_eq!(blu.l.ncols(), 0);
         assert_eq!(blu.row_perm, Perm::identity(0));
     }
@@ -1201,7 +1201,7 @@ mod tests {
     #[test]
     fn one_by_one_block() {
         let a = CscMat::from_dense(&[vec![5.0]]);
-        let blu = factor_block_column(&a, &[], 1.0, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 1.0, 0).unwrap();
         assert_eq!(blu.u.get(0, 0), 5.0);
         assert_eq!(blu.l.get(0, 0), 1.0);
         assert!(blu.lu_nnz() == 1);
@@ -1210,11 +1210,11 @@ mod tests {
     #[test]
     fn pivot_range_tracks_u_diagonal_extremes() {
         let a = CscMat::from_dense(&[vec![-8.0, 1.0], vec![0.0, 0.5]]);
-        let blu = factor_block_column(&a, &[], 0.001, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 0.001, 0).unwrap();
         let (lo, hi) = blu.pivot_range();
         assert_eq!((lo, hi), (0.5, 8.0));
         // Fold semantics for the degenerate cases.
-        let empty = factor_block_column(&CscMat::zero(0, 0), &[], 1.0, 0).unwrap();
+        let empty = factor_block_column(ColsView::of(&CscMat::zero(0, 0)), &[], 1.0, 0).unwrap();
         assert_eq!(empty.pivot_range(), (f64::INFINITY, 0.0));
         assert_eq!(BlockFactor::Singleton(-3.0).pivot_range(), (3.0, 3.0));
     }
@@ -1234,7 +1234,7 @@ mod tests {
             }
         }
         let a = CscMat::from_dense(&d);
-        let blu = factor_block_column(&a, &[], 0.001, 0).unwrap();
+        let blu = factor_block_column(ColsView::of(&a), &[], 0.001, 0).unwrap();
         check_factorization(&a, &blu, 1e-10);
         assert!(blu.lu_nnz() > a.nnz() / 2);
         assert!(blu.flops > 0.0);

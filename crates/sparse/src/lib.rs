@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
-pub mod col;
 pub mod csc;
 pub mod io;
 pub mod metrics;
@@ -32,7 +31,6 @@ pub mod trisolve;
 pub mod util;
 pub mod workspace;
 
-pub use col::SparseCol;
 pub use csc::CscMat;
 pub use permutation::Perm;
 pub use triplet::TripletMat;

@@ -8,8 +8,9 @@
 //! test thread can allocate in the measurement window) warms the
 //! workspace once per engine, then snapshots the counter around a burst
 //! of solves and requires it unchanged; the same for bursts of Basker
-//! refactorizations with drifting values once two of them have recorded
-//! the value map and the stage list.
+//! refactorizations with drifting values once the thread's scratch is
+//! warm, and for a numeric's very first refactorization, which records
+//! nothing.
 
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
@@ -187,8 +188,7 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
             if let Some(basker) = num.as_basker() {
                 assert!(basker.stats.nd_blocks >= 1, "{what}: no ND block to replay");
             }
-            // Warm-up: the first refactorization records the value map
-            // and the stage list, the second grows the scratch.
+            // Warm-up: grows the scratch of every rank that runs items.
             num.refactor(&ring[0]).unwrap();
             num.refactor(&ring[1]).unwrap();
             let mut step = 0;
@@ -227,6 +227,25 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
                 "{engine} x{threads} on the {what}"
             );
         }
+    }
+
+    // A numeric's first refactorization replays the stage list its
+    // factorization left behind: once an earlier numeric of the same
+    // handle has warmed the thread's scratch, it allocates nothing.
+    for m in [&a, &mesh] {
+        let ring = drifting(m);
+        let cfg = SolverConfig::new()
+            .engine(Engine::Basker)
+            .threads(1)
+            .nd_threshold(64);
+        let solver = LinearSolver::analyze(m, &cfg).unwrap();
+        solver.factor(m).unwrap().refactor(&ring[0]).unwrap();
+        let mut fresh: Vec<_> = (0..3).map(|_| solver.factor(m).unwrap()).collect();
+        let cleanest = cleanest_of_three(|| {
+            let mut num = fresh.pop().expect("one numeric per attempt");
+            num.refactor(&ring[1]).unwrap();
+        });
+        assert_eq!(cleanest, 0, "a numeric's first refactorization allocates");
     }
 
     // Past the break-even a stage is dispatched to the team, which
