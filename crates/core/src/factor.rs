@@ -357,6 +357,8 @@ impl<'a> Fresh<'a> {
     /// The factors of every BTF block, and the replay of the stages
     /// `ran`, once every stage has run.
     fn finish(mut self, ran: Vec<Stage>) -> (Vec<BlockFactors>, Replay) {
+        // Per ND block: the flops of its panels and reductions.
+        let mut update_flops = vec![0.0; self.nd.len()];
         let stages = ran
             .into_iter()
             .filter(|stage| !stage.items.is_empty())
@@ -364,9 +366,12 @@ impl<'a> Fresh<'a> {
                 let items = stage.items.into_iter();
                 Stage::new(
                     items
-                        .map(|i| Item {
-                            flops: self.spent(i.work),
-                            ..i
+                        .map(|i| {
+                            let flops = self.spent(i.work);
+                            if let Work::Panel { nd, .. } | Work::Reduce { nd, .. } = i.work {
+                                update_flops[nd] += flops;
+                            }
+                            Item { flops, ..i }
                         })
                         .collect(),
                 )
@@ -384,7 +389,7 @@ impl<'a> Fresh<'a> {
             }
         }
         let (mut nd, mut nd_factors) = (Vec::new(), Vec::new());
-        for f in self.nd {
+        for (f, update_flops) in self.nd.into_iter().zip(update_flops) {
             nd.push(f.rec);
             nd_factors.push(NdFactors {
                 fact_diag: f.diag.into_iter().map(taken).collect(),
@@ -393,6 +398,7 @@ impl<'a> Fresh<'a> {
                     .into_iter()
                     .map(|panels| panels.into_iter().map(taken).collect())
                     .collect(),
+                update_flops,
             });
         }
         let mut nd_factors = nd_factors.into_iter();

@@ -806,6 +806,28 @@ mod tests {
         }
     }
 
+    /// On a matrix that is one ND block, the numeric's flops are its
+    /// replay's: every block column's elimination, every panel and
+    /// every reduction, after the factor and after a refactor.
+    #[test]
+    fn nd_flops_count_panels_and_reductions() {
+        let a = grid2d_unsym(16);
+        for p in [2usize, 4] {
+            let one_block = BaskerOptions {
+                use_btf: false,
+                ..opts(p, 16)
+            };
+            let mut num = Basker::analyze(&a, &one_block).unwrap().factor(&a).unwrap();
+            assert_eq!(num.stats.strategy_counts(), (0, 0, 1));
+            let items = num.replay.stages.iter().flat_map(|s| &s.items);
+            let replayed: f64 = items.map(|i| i.flops).sum();
+            assert!(nd_factors(&num, 0).update_flops > 0.0, "p={p}");
+            assert_eq!(num.flops(), replayed, "p={p}");
+            num.refactor(&a).unwrap();
+            assert_eq!(num.stats.flops, replayed, "p={p}");
+        }
+    }
+
     /// A refactorization's sync counters are its own: the fresh
     /// factor's never survive it, a width-1 replay reads all zeros, and
     /// what a dispatched replay measured — the caller's time blocked in

@@ -20,6 +20,10 @@ pub struct NdFactors {
     /// Per node `v`, per descendant `k` (ascending over `descendants(v)`):
     /// the panel `U_{k,v}` in `k`'s pivotal row coordinates.
     pub fact_upper: Vec<Vec<ItemCell<CscMat>>>,
+    /// Flops of the panel solves and reductions, as the fresh
+    /// factorization counted them; a refactorization, over the same
+    /// patterns, does the same.
+    pub update_flops: f64,
 }
 
 impl NdFactors {
@@ -35,10 +39,10 @@ impl NdFactors {
         d + u
     }
 
-    /// Numeric flops of the kernels that last (re)factored the block
-    /// columns.
+    /// Numeric flops of the kernels that last (re)factored the block:
+    /// the block columns' eliminations, the panels and the reductions.
     pub fn flops(&self) -> f64 {
-        self.fact_diag.iter().map(|b| b.flops).sum()
+        self.fact_diag.iter().map(|b| b.flops).sum::<f64>() + self.update_flops
     }
 }
 

@@ -14,7 +14,12 @@
 //!   verify),
 //! * **dense-row deferral**: rows denser than `10·√n + 16` are ordered
 //!   last, which keeps circuit matrices with near-dense columns from
-//!   degrading the quotient graph.
+//!   degrading the quotient graph,
+//! * **a halo** (constrained AMD, as in Scotch's halo-AMD): a nested
+//!   dissection node is ordered together with its not-yet-ordered
+//!   neighbours, which count in degrees and element sizes but are never
+//!   eliminated or emitted, so the node's boundary vertices go late
+//!   (`amd_with_halo`; [`amd_order`] is the empty halo).
 //!
 //! The ordering operates on the symmetrized pattern `A + Aᵀ` (diagonal
 //! ignored), matching how AMD is applied ahead of an LU factorization with
@@ -42,10 +47,25 @@ enum Kind {
 /// index eliminated at step `k`; factorizing `A[perm, perm]` should incur
 /// substantially less fill than the natural order.
 pub fn amd_order(a: &CscMat) -> Perm {
+    Perm::from_vec(amd_with_halo(a, 0)).expect("AMD produced an invalid permutation")
+}
+
+/// AMD of the first `n − halo` vertices of the square matrix `a` (the
+/// *interior*), with the last `halo` vertices present but never
+/// eliminated: the order of the interior alone, in gather convention.
+///
+/// The halo stands for what is eliminated after the interior (a nested
+/// dissection node's ancestor separators): halo vertices count in every
+/// degree and element size, so interior vertices adjacent to the halo —
+/// whose elimination would spread fill into it — go late. They are never
+/// pivots, never mass-eliminated, never merged, never deferred as dense
+/// and never emitted. `halo = 0` is [`amd_order`].
+pub(crate) fn amd_with_halo(a: &CscMat, halo: usize) -> Vec<usize> {
     assert!(a.is_square(), "AMD requires a square matrix");
     let n = a.ncols();
-    if n == 0 {
-        return Perm::identity(0);
+    let interior = n - halo;
+    if interior == 0 {
+        return Vec::new();
     }
 
     // --- build symmetrized adjacency (no diagonal) ---
@@ -76,6 +96,9 @@ pub fn amd_order(a: &CscMat) -> Perm {
     let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
     for v in 0..n {
         degree[v] = vadj[v].len();
+        if v >= interior {
+            continue; // halo: never a pivot
+        }
         if degree[v] >= dense_threshold {
             deferred.push(v);
             kind[v] = Kind::Ordered; // parked; appended at the end
@@ -92,9 +115,11 @@ pub fn amd_order(a: &CscMat) -> Perm {
 
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut ordered_weight = 0usize;
-    let target_weight = n - deferred.len();
+    let target_weight = interior - deferred.len();
 
     let mut lp: Vec<usize> = Vec::new();
+    // (hash, variable) per updated member of Lp
+    let mut buckets: Vec<(u64, usize)> = Vec::new();
 
     while ordered_weight < target_weight {
         // --- select pivot ---
@@ -107,7 +132,7 @@ pub fn amd_order(a: &CscMat) -> Perm {
                 }
                 None => {
                     // Numerical guard: any still-alive variable works.
-                    let v = (0..n).find(|&v| kind[v] == Kind::Var);
+                    let v = (0..interior).find(|&v| kind[v] == Kind::Var);
                     match v {
                         Some(v) => break v,
                         None => {
@@ -168,14 +193,18 @@ pub fn amd_order(a: &CscMat) -> Perm {
         }
 
         // --- update each member of Lp ---
-        let mut hash_buckets: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
+        buckets.clear();
         for &v in &lp {
             // prune variable adjacency: drop dead/ordered/element nodes,
             // Lp members (covered by element p) and p itself.
             vadj[v].retain(|&u| kind[u] == Kind::Var && in_lp[u] != stamp);
             // prune element list: drop absorbed elements.
             velems[v].retain(|&e| kind[e] == Kind::Elem);
+            if v >= interior {
+                // halo: keeps its place in the quotient graph, nothing more
+                velems[v].push(p);
+                continue;
+            }
 
             let ext_vars: usize = vadj[v].iter().map(|&u| weight[u]).sum();
             let ext_elems: usize = velems[v]
@@ -202,37 +231,30 @@ pub fn amd_order(a: &CscMat) -> Perm {
             let d = ext_vars + ext_elems + (lp_weight - weight[v]);
             degree[v] = d.min(n.saturating_sub(ordered_weight + weight[v]));
 
-            // hash for supervariable detection
-            let mut h = 0xcbf29ce484222325u64;
-            let mut mix = |x: usize| {
-                h ^= x as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            };
-            let mut sv: Vec<usize> = vadj[v].clone();
-            sv.sort_unstable();
-            for &u in &sv {
-                mix(u + 1);
-            }
-            mix(usize::MAX);
-            let mut se: Vec<usize> = velems[v].clone();
-            se.sort_unstable();
-            for &e in &se {
-                mix(e + 1);
-            }
-            hash_buckets.entry(h).or_default().push(v);
+            // hash for supervariable detection: a sum over the
+            // neighbourhood, so equal neighbourhoods hash alike unsorted
+            let vars = vadj[v].iter().map(|&u| mix(u as u64));
+            let elems = velems[v].iter().map(|&e| mix(!(e as u64)));
+            buckets.push((vars.chain(elems).fold(0, u64::wrapping_add), v));
         }
 
-        // --- supervariable merging (verify within buckets) ---
-        for bucket in hash_buckets.values() {
-            if bucket.len() < 2 {
-                continue;
-            }
+        // --- supervariable merging (verify within equal hashes) ---
+        // A stable sort keeps each run of equal hashes in Lp order.
+        buckets.sort_by_key(|&(h, _)| h);
+        let mut start = 0;
+        while start < buckets.len() {
+            let len = buckets[start..]
+                .iter()
+                .take_while(|&&(h, _)| h == buckets[start].0)
+                .count();
+            let bucket = &buckets[start..start + len];
+            start += len;
             for idx in 0..bucket.len() {
-                let v = bucket[idx];
+                let v = bucket[idx].1;
                 if kind[v] != Kind::Var {
                     continue;
                 }
-                for &w in &bucket[idx + 1..] {
+                for &(_, w) in &bucket[idx + 1..] {
                     if kind[w] != Kind::Var {
                         continue;
                     }
@@ -263,14 +285,14 @@ pub fn amd_order(a: &CscMat) -> Perm {
 
         // push refreshed degrees
         for &v in &lp {
-            if kind[v] == Kind::Var {
+            if kind[v] == Kind::Var && v < interior {
                 heap.push(Reverse((degree[v], v)));
             }
         }
     }
 
     // --- expand supervariables into the final order ---
-    let mut perm: Vec<usize> = Vec::with_capacity(n);
+    let mut perm: Vec<usize> = Vec::with_capacity(interior);
     for &p in &order {
         perm.push(p);
         // merged children are emitted right after their representative
@@ -284,8 +306,15 @@ pub fn amd_order(a: &CscMat) -> Perm {
     deferred.sort_unstable();
     perm.extend(deferred);
 
-    debug_assert_eq!(perm.len(), n, "AMD lost vertices");
-    Perm::from_vec(perm).expect("AMD produced an invalid permutation")
+    debug_assert_eq!(perm.len(), interior, "AMD lost vertices");
+    perm
+}
+
+/// SplitMix64's finalizer: spreads node ids over the hash space.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Exact indistinguishability check: `Adj(v) ∪ {v} == Adj(w) ∪ {w}` in the
@@ -342,18 +371,20 @@ pub fn cholesky_fill_with_perm(a: &CscMat, perm: &Perm) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use basker_sparse::blocks::extract_range;
     use basker_sparse::TripletMat;
 
-    fn grid2d(k: usize) -> CscMat {
-        // k x k five-point stencil
-        let n = k * k;
+    /// `rows x k` five-point stencil, numbered row by row: the last `k`
+    /// vertices are the last row.
+    fn grid(rows: usize, k: usize) -> CscMat {
+        let n = rows * k;
         let idx = |r: usize, c: usize| r * k + c;
         let mut t = TripletMat::new(n, n);
-        for r in 0..k {
+        for r in 0..rows {
             for c in 0..k {
                 let u = idx(r, c);
                 t.push(u, u, 4.0);
-                if r + 1 < k {
+                if r + 1 < rows {
                     t.push(u, idx(r + 1, c), -1.0);
                     t.push(idx(r + 1, c), u, -1.0);
                 }
@@ -364,6 +395,10 @@ mod tests {
             }
         }
         t.to_csc()
+    }
+
+    fn grid2d(k: usize) -> CscMat {
+        grid(k, k)
     }
 
     #[test]
@@ -491,5 +526,114 @@ mod tests {
         // should stay close to the clique content (4*5/2)*2 = 20 plus the
         // bridge.
         assert!(fill <= 24, "fill {fill} too high for two cliques");
+    }
+
+    /// The halo is counted, not ordered: the output is a permutation
+    /// of the interior alone.
+    #[test]
+    fn halo_is_counted_not_ordered() {
+        for (rows, k) in [(12usize, 12usize), (2, 5), (1, 4)] {
+            let order = amd_with_halo(&grid(rows, k), k);
+            let interior = (rows - 1) * k;
+            assert_eq!(order.len(), interior);
+            let mut seen = vec![false; interior];
+            for &v in &order {
+                assert!(
+                    v < interior && !seen[v],
+                    "{v} ordered twice or from the halo"
+                );
+                seen[v] = true;
+            }
+        }
+    }
+
+    /// An empty halo is `amd_order`, and `amd_order` still returns the
+    /// permutations it always has on every matrix of this module (the
+    /// KLU lane, small BTF blocks and one-thread Basker depend on them).
+    #[test]
+    fn empty_halo_is_amd_order() {
+        let n = 30;
+        let mut tri = TripletMat::new(n, n);
+        for i in 0..n {
+            tri.push(i, i, 2.0);
+            if i + 1 < n {
+                tri.push(i, i + 1, -1.0);
+                tri.push(i + 1, i, -1.0);
+            }
+        }
+        let mut unsym = TripletMat::new(5, 5);
+        for i in 0..5 {
+            unsym.push(i, i, 1.0);
+        }
+        unsym.push(0, 4, 1.0);
+        unsym.push(3, 1, 1.0);
+        let mut star = TripletMat::new(10, 10);
+        for i in 0..10 {
+            star.push(i, i, 1.0);
+        }
+        for i in 1..10 {
+            star.push(0, i, 1.0);
+            star.push(i, 0, 1.0);
+        }
+        let mut cliques = TripletMat::new(8, 8);
+        for i in 0..8 {
+            for j in 0..8 {
+                if i / 4 == j / 4 || (i, j) == (3, 4) || (i, j) == (4, 3) {
+                    cliques.push(i, j, 1.0);
+                }
+            }
+        }
+        let id = |n: usize| (0..n).collect::<Vec<_>>();
+        // (matrix, today's fill, today's permutation where short)
+        let cases: [(CscMat, usize, Option<Vec<usize>>); 11] = [
+            (grid2d(1), 1, Some(vec![0])),
+            (grid2d(2), 9, Some(id(4))),
+            (grid2d(3), 26, Some(vec![0, 2, 6, 8, 1, 3, 7, 4, 5])),
+            (
+                grid2d(5),
+                102,
+                Some(vec![
+                    0, 4, 20, 24, 1, 3, 5, 9, 15, 19, 21, 23, 6, 8, 12, 16, 18, 2, 7, 11, 10, 17,
+                    22, 13, 14,
+                ]),
+            ),
+            (grid2d(8), 363, None),
+            (grid2d(12), 1045, None),
+            (tri.to_csc(), 59, Some(id(n))),
+            (CscMat::identity(7), 7, Some(id(7))),
+            (unsym.to_csc(), 7, Some(vec![2, 0, 4, 1, 3])),
+            (star.to_csc(), 19, Some(vec![1, 2, 3, 4, 5, 6, 7, 8, 0, 9])),
+            (cliques.to_csc(), 21, Some(id(8))),
+        ];
+        for (a, fill, perm) in cases {
+            let p = amd_order(&a);
+            assert_eq!(amd_with_halo(&a, 0), p.as_slice());
+            assert_eq!(cholesky_fill_with_perm(&a, &p), fill);
+            if let Some(perm) = perm {
+                assert_eq!(p.as_slice(), perm);
+            }
+        }
+        let dense = CscMat::from_dense(&vec![vec![1.0; 9]; 9]);
+        assert_eq!(amd_order(&dense).as_slice(), id(9));
+    }
+
+    /// Half a grid with its separator row as the halo: ordering the half
+    /// with the halo, then the separator, fills less than the half's own
+    /// AMD order followed by the separator.
+    #[test]
+    fn halo_defers_the_boundary() {
+        let (rows, k) = (11, 20);
+        let a = grid(rows, k);
+        let half = (rows - 1) * k;
+        let fill = |order: &[usize]| {
+            let perm = order.iter().copied().chain(half..rows * k).collect();
+            cholesky_fill_with_perm(&a, &Perm::from_vec(perm).unwrap())
+        };
+        let plain = amd_order(&extract_range(&a, 0..half, 0..half));
+        let (with_halo, without) = (fill(&amd_with_halo(&a, k)), fill(plain.as_slice()));
+        assert!(
+            with_halo < without,
+            "halo fill {with_halo} not below plain fill {without}"
+        );
     }
 }
