@@ -9,7 +9,11 @@
 //! block column is one [`factor_block_column`] — a leaf's over `A`'s
 //! 2-D blocks read in place
 //! ([`NdSplit::block`](crate::structure::NdSplit::block)), a
-//! separator's over its reduced blocks; a panel `U_{k,v}` is one
+//! separator's over its reduced blocks. A leaf that analyze planned
+//! supernodally goes through the kernel of [`crate::leaf`] instead,
+//! which keeps Gilbert–Peierls's pivots and patterns: it hands the tail
+//! that pivots off the diagonal to partial pivoting, or the whole leaf to
+//! [`factor_block_column`], inside the same item; a panel `U_{k,v}` is one
 //! [`lsolve_panel`] (for an inner separator `k`, of `A_{k,v}` reduced
 //! over `k`'s descendants' panels first); a reduction chunk is
 //! [`reduce_block_cols`]. Pivots are chosen inside the item, so what an
@@ -33,6 +37,7 @@
 //! of the numeric replays without recording anything.
 
 use crate::hybrid::BlockStrategy;
+use crate::leaf::factor_leaf;
 use crate::parnum::NdFactors;
 use crate::reduce::{product_flops, reduce_block_cols};
 use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
@@ -42,6 +47,7 @@ use crate::{Basker, BlockFactors, SnFactors};
 use basker_klu::gp::{factor_block_column, lsolve_panel, BlockFactor, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result, SolveWorkspace};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The cost of an item that cannot be counted before it runs.
@@ -49,13 +55,13 @@ const UNKNOWN: f64 = f64::INFINITY;
 
 /// Factors the matrix whose block-diagonal store holds `diag_vals` on
 /// `team`, one stage at a time: the factors of every BTF block, the
-/// replay of what ran, and the nanoseconds the caller spent blocked in
-/// stage joins.
+/// replay of what ran, the nanoseconds the caller spent blocked in
+/// stage joins, and the leaves the supernodal kernel factored.
 pub(crate) fn factor_blocks(
     sym: &Basker,
     diag_vals: Vec<f64>,
     team: &WorkerTeam,
-) -> Result<(Vec<BlockFactors>, Replay, u64)> {
+) -> Result<(Vec<BlockFactors>, Replay, u64, usize)> {
     let (mut fresh, stages) = Fresh::new(sym, diag_vals);
     let mut ran = Vec::with_capacity(stages.len());
     let mut joined = 0;
@@ -64,8 +70,10 @@ pub(crate) fn factor_blocks(
         joined += run_stage(&stage, team, |work| fresh.run(work))?.unwrap_or(0);
         ran.push(stage);
     }
+    // ORDER: every stage has joined.
+    let sn_leaves = fresh.sn_leaves.load(Ordering::Relaxed);
     let (factors, replay) = fresh.finish(ran);
-    Ok((factors, replay, joined))
+    Ok((factors, replay, joined, sn_leaves))
 }
 
 /// One fresh factorization in flight.
@@ -77,6 +85,8 @@ struct Fresh<'a> {
     blocks: Vec<OnceLock<BlockFactors>>,
     /// The ND blocks, ascending.
     nd: Vec<NdFresh<'a>>,
+    /// Leaves the supernodal kernel factored.
+    sn_leaves: AtomicUsize,
 }
 
 /// One ND block in flight.
@@ -213,6 +223,7 @@ impl<'a> Fresh<'a> {
             diag_vals,
             blocks: (0..st.nblocks()).map(|_| OnceLock::new()).collect(),
             nd,
+            sn_leaves: AtomicUsize::new(0),
         };
         (fresh, stages)
     }
@@ -295,7 +306,18 @@ impl<'a> Fresh<'a> {
         let ancestors = &f.st.ancestors[v];
         let blu = if f.st.nd.nodes[v].is_leaf() {
             let below: Vec<_> = ancestors.iter().map(|&a| self.a_block(nd, v, a)).collect();
-            factor_block_column(self.a_block(nd, v, v), &below, pivot_tol, off)?
+            let diag = self.a_block(nd, v, v);
+            match &f.st.leaf_plans[v] {
+                Some(plan) => {
+                    let (blu, supernodal) = factor_leaf(plan, diag, &below, pivot_tol, off)?;
+                    // ORDER: a count, read after the stage joins, which
+                    // order every item's writes before the caller's reads.
+                    self.sn_leaves
+                        .fetch_add(usize::from(supernodal), Ordering::Relaxed);
+                    blu
+                }
+                None => factor_block_column(diag, &below, pivot_tol, off)?,
+            }
         } else {
             let targets = f.rec.target_of[v]..=f.rec.target_of[v] + ancestors.len();
             let reduced: Vec<_> = targets.map(|r| f.assembled(r)).collect();

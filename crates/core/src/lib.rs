@@ -46,6 +46,7 @@
 mod factor;
 pub mod frozen;
 pub mod hybrid;
+mod leaf;
 pub mod parnum;
 pub mod reduce;
 pub mod refactor;
@@ -320,7 +321,7 @@ impl Basker {
         let st = &inner.structure;
         inner.frozen.btf.check(a)?;
         let (diag_vals, offdiag) = inner.frozen.btf.image(a);
-        let (factors, replay, joined) = factor::factor_blocks(self, diag_vals, team)?;
+        let (factors, replay, joined, sn_leaves) = factor::factor_blocks(self, diag_vals, team)?;
         let mut num = BaskerNumeric {
             sym: self.clone(),
             factors,
@@ -340,6 +341,7 @@ impl Basker {
             btf_blocks: st.nblocks(),
             sn_blocks: count(BlockStrategy::Supernodal),
             nd_blocks: count(BlockStrategy::Nd),
+            sn_leaves,
             threads: self.threads(),
             ..BaskerStats::default()
         };
@@ -602,6 +604,13 @@ mod tests {
     fn check_solver(a: &CscMat, opts: &BaskerOptions) {
         let num = Basker::analyze(a, opts).unwrap().factor(a).unwrap();
         check_solve(&num, a, 1e-11);
+    }
+
+    /// A power grid holds tens of thousands of these: the heavy
+    /// variants stay boxed.
+    #[test]
+    fn block_factors_stay_two_words() {
+        assert_eq!(std::mem::size_of::<BlockFactors>(), 16);
     }
 
     #[test]

@@ -31,6 +31,11 @@ pub struct BaskerStats {
     pub sn_blocks: usize,
     /// Number of BTF blocks handled by the ND path.
     pub nd_blocks: usize,
+    /// ND leaves the fresh factorization factored on the supernodal
+    /// kernel — whole, or up to the tail a failed diagonal pivot hands
+    /// to partial pivoting — not counting a leaf sent back to
+    /// Gilbert–Peierls whole. A refactorization keeps the count.
+    pub sn_leaves: usize,
     /// Effective thread count (power of two).
     pub threads: usize,
 }

@@ -15,8 +15,17 @@
 //! All permutations (BTF row/col, per-small-block AMD, per-large-block ND)
 //! are composed here into one global row and one global column
 //! permutation, so numeric factorization sees a single permuted matrix.
+//!
+//! Each ND leaf is also planned here, from the pattern alone: a leaf
+//! whose stacked block column `[A_ll; A_{a,l}…]` is structurally the
+//! transpose of its stacked row `[A_ll, A_{l,a}…]`, and whose
+//! symbolic-Cholesky flops lie at least [`SN_MIN_SHARE`] in fundamental
+//! supernodes at least [`SN_MIN_WIDTH`] wide, keeps its supernodal plan
+//! and is factored on the dense kernel ladder (`leaf.rs`); every
+//! other leaf stays on Gilbert–Peierls.
 
 use crate::frozen::FrozenBtf;
+use crate::leaf::LeafPlan;
 use basker_klu::gp::ColsView;
 use basker_ordering::amd::amd_order;
 use basker_ordering::btf::btf_form_with;
@@ -48,10 +57,21 @@ pub struct NdStructure {
     pub subtree_start: Vec<usize>,
     /// Leaf node index per thread rank.
     pub leaf_of_thread: Vec<usize>,
+    /// Per node: the supernodal plan of a leaf the rule takes.
+    pub(crate) leaf_plans: Vec<Option<LeafPlan>>,
 }
 
+/// Supernodes at least this wide count as supernode-rich.
+pub const SN_MIN_WIDTH: usize = 8;
+
+/// The share of a leaf's symbolic-Cholesky flops that must lie in
+/// supernodes of at least [`SN_MIN_WIDTH`] columns for the leaf to be
+/// factored supernodally.
+pub const SN_MIN_SHARE: f64 = 0.5;
+
 impl NdStructure {
-    fn build(nd: NdDecomposition) -> NdStructure {
+    /// The structure of `nd`, a dissection of `block`.
+    fn build(nd: NdDecomposition, block: &CscMat) -> NdStructure {
         let nn = nd.nodes.len();
         let mut ancestors = Vec::with_capacity(nn);
         for v in 0..nn {
@@ -65,12 +85,29 @@ impl NdStructure {
             let size = (1usize << (t + 1)) - 1;
             subtree_start[v] = v + 1 - size;
         }
+        let inv = nd.perm.inverse();
+        let leaf_plans = (0..nn)
+            .map(|v| {
+                let leaf = nd.nodes[v].is_leaf();
+                leaf.then(|| plan_leaf(&nd, &ancestors[v], v, block, inv.as_slice()))
+                    .flatten()
+            })
+            .collect();
         NdStructure {
             leaf_of_thread: nd.leaves(),
             nd,
             ancestors,
             subtree_start,
+            leaf_plans,
         }
+    }
+
+    /// For a leaf `v` factored on the supernodal kernel, its
+    /// symbolic-Cholesky flops (`Σ_j |L_j|²`, ancestor rows counted) by
+    /// supernode width, `(width, flops)` ascending; `None` for a node
+    /// that stays on Gilbert–Peierls.
+    pub fn leaf_flops_by_width(&self, v: usize) -> Option<Vec<(usize, f64)>> {
+        self.leaf_plans[v].as_ref().map(LeafPlan::flops_by_width)
     }
 
     /// Number of tree nodes (`2p - 1`).
@@ -177,7 +214,7 @@ impl Structure {
                     row_total[lo + off] = row0.as_slice()[lo + l];
                     col_total[lo + off] = col0.as_slice()[lo + l];
                 }
-                kinds.push(BlockKind::NdBig(NdStructure::build(nd)));
+                kinds.push(BlockKind::NdBig(NdStructure::build(nd, &block)));
             }
         }
 
@@ -213,6 +250,83 @@ impl Structure {
             .sum();
         covered as f64 / self.n as f64
     }
+}
+
+/// The supernodal plan of leaf `v` of `block`'s dissection `nd` (`inv`
+/// its inverse permutation), if the rule takes the leaf: its stacked
+/// block column is structurally the transpose of its stacked row, and at
+/// least [`SN_MIN_SHARE`] of its symbolic-Cholesky flops lie in
+/// supernodes [`SN_MIN_WIDTH`] or more columns wide. An unsymmetric leaf
+/// costs one pass over its columns and its ancestors'.
+fn plan_leaf(
+    nd: &NdDecomposition,
+    ancestors: &[usize],
+    v: usize,
+    block: &CscMat,
+    inv: &[usize],
+) -> Option<LeafPlan> {
+    let leaf = nd.nodes[v].range.clone();
+    let nb = leaf.len();
+    if nb == 0 {
+        return None;
+    }
+    // The stacked rows: the leaf's, then each ancestor's from `halo[b]`.
+    let mut halo = vec![nb];
+    for &u in ancestors {
+        halo.push(halo[halo.len() - 1] + nd.nodes[u].len());
+    }
+    let stacked = |i: usize| {
+        if leaf.contains(&i) {
+            return Some(i - leaf.start);
+        }
+        let b = ancestors
+            .iter()
+            .position(|&u| nd.nodes[u].range.contains(&i))?;
+        Some(halo[b] + i - nd.nodes[ancestors[b]].range.start)
+    };
+    // Rows of column j of the block in ND order, unsorted.
+    let rows_of = |j: usize| {
+        let col = block.col_rows(nd.perm.as_slice()[j]);
+        col.iter().map(|&i| inv[i])
+    };
+    // [A_ll; A_{a,l}…], column by column.
+    let (mut colptr, mut rowind) = (vec![0], Vec::new());
+    for j in leaf.clone() {
+        let start = rowind.len();
+        rowind.extend(rows_of(j).filter_map(stacked));
+        rowind[start..].sort_unstable();
+        colptr.push(rowind.len());
+    }
+    // [A_ll, A_{l,a}…]ᵀ: per leaf row, the stacked columns holding it.
+    let stacked_cols = || {
+        let anc = ancestors.iter().flat_map(|&u| nd.nodes[u].range.clone());
+        leaf.clone().chain(anc).enumerate()
+    };
+    let mut tptr = vec![0; nb + 1];
+    for (_, c) in stacked_cols() {
+        for i in rows_of(c).filter(|i| leaf.contains(i)) {
+            tptr[i - leaf.start + 1] += 1;
+        }
+    }
+    for i in 0..nb {
+        tptr[i + 1] += tptr[i];
+    }
+    if tptr != colptr {
+        return None;
+    }
+    let mut trow = vec![0; rowind.len()];
+    let mut at = tptr;
+    for (sc, c) in stacked_cols() {
+        for i in rows_of(c).filter(|i| leaf.contains(i)) {
+            trow[at[i - leaf.start]] = sc;
+            at[i - leaf.start] += 1;
+        }
+    }
+    if trow != rowind {
+        return None;
+    }
+    let plan = LeafPlan::analyze(halo, &colptr, &rowind);
+    (plan.share_from(SN_MIN_WIDTH) >= SN_MIN_SHARE).then_some(plan)
 }
 
 /// Where the 2-D blocks of one ND-laid-out BTF block sit inside the

@@ -31,6 +31,35 @@ pub(crate) fn grid2d_unsym(k: usize) -> CscMat {
     t.to_csc()
 }
 
+/// Diagonally dominant 7-point grid with unsymmetric values: one
+/// irreducible block of `k³` rows.
+pub(crate) fn grid3d_unsym(k: usize) -> CscMat {
+    let n = k * k * k;
+    let idx = |x: usize, y: usize, z: usize| (x * k + y) * k + z;
+    let mut t = TripletMat::new(n, n);
+    for x in 0..k {
+        for y in 0..k {
+            for z in 0..k {
+                let u = idx(x, y, z);
+                t.push(u, u, 12.0 + (u % 5) as f64);
+                for (v, up, down) in [
+                    (x + 1 < k).then(|| idx(x + 1, y, z)),
+                    (y + 1 < k).then(|| idx(x, y + 1, z)),
+                    (z + 1 < k).then(|| idx(x, y, z + 1)),
+                ]
+                .into_iter()
+                .zip([(-1.0, -2.0), (-1.5, -0.5), (-0.75, -1.25)])
+                .filter_map(|(v, w)| Some((v?, w.0, w.1)))
+                {
+                    t.push(u, v, up);
+                    t.push(v, u, down);
+                }
+            }
+        }
+    }
+    t.to_csc()
+}
+
 /// Heterogeneous BTF: one large grid block + a run of tiny blocks,
 /// coupled strictly upper-triangular.
 pub(crate) fn heterogeneous(k: usize, tiny: usize) -> CscMat {
