@@ -427,7 +427,8 @@ impl<S: SparseLuSolver> SolveSession<S> {
                     self.stats.refactors += 1;
                 }
                 self.state = state;
-                self.stats.last_factor = self.num.as_ref().expect("factors exist").stats();
+                let num = self.num.as_ref().expect("factors exist");
+                num.stats_into(&mut self.stats.last_factor);
                 Ok(state)
             }
             Err(e) => {
@@ -651,7 +652,8 @@ impl<S: SparseLuSolver> SolveSession<S> {
             pass = self.fresh_factor().and_then(|()| {
                 self.stats.quality_repivots += 1;
                 self.state = SessionState::Repivoted;
-                self.stats.last_factor = self.num.as_ref().expect("factors exist").stats();
+                let num = self.num.as_ref().expect("factors exist");
+                num.stats_into(&mut self.stats.last_factor);
                 xs.copy_from_slice(&self.rhs[..xs.len()]);
                 self.refined_pass(xs, out, &mut work)
             });

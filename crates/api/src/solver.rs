@@ -202,6 +202,12 @@ pub trait LuNumeric {
     /// Metrics of the last (re)factorization.
     fn stats(&self) -> SolverStats;
 
+    /// [`stats`](Self::stats) written over `out`, reusing its buffers:
+    /// how a session refreshes its copy every step without allocating.
+    fn stats_into(&self, out: &mut SolverStats) {
+        *out = self.stats();
+    }
+
     /// Numeric quality of the current factors (pivot extremes +
     /// perturbation count) — recomputed from the factors, so it reflects
     /// the last `factor`/`refactor`, not the first.
@@ -413,7 +419,15 @@ impl LuNumeric for BaskerNumeric {
     }
 
     fn stats(&self) -> SolverStats {
-        SolverStats {
+        let mut s = SolverStats::default();
+        self.stats_into(&mut s);
+        s
+    }
+
+    fn stats_into(&self, out: &mut SolverStats) {
+        let mut sync_wait_ns = std::mem::take(&mut out.sync_wait_ns);
+        sync_wait_ns.clone_from(&self.stats.sync_wait_ns);
+        *out = SolverStats {
             engine: Some(driver_engine(self.symbolic())),
             kernel: basker_kernels::active().name(),
             dimension: self.symbolic().structure().n,
@@ -423,9 +437,9 @@ impl LuNumeric for BaskerNumeric {
             threads: self.stats.threads,
             perturbed_pivots: self.perturbed_pivots(),
             sync_fraction: self.stats.sync_fraction(),
-            sync_wait_ns: self.stats.sync_wait_ns.clone(),
+            sync_wait_ns,
             factor_seconds: self.stats.numeric_seconds,
-        }
+        };
     }
 
     fn quality(&self) -> FactorQuality {
@@ -784,6 +798,15 @@ impl LuNumeric for Factorization {
 
     fn stats(&self) -> SolverStats {
         Factorization::stats(self)
+    }
+
+    fn stats_into(&self, out: &mut SolverStats) {
+        match &self.inner {
+            NumericInner::Klu(n) => LuNumeric::stats_into(n, out),
+            NumericInner::Driver(n) => LuNumeric::stats_into(n, out),
+            NumericInner::Snlu(n) => LuNumeric::stats_into(n.as_ref(), out),
+        }
+        out.factor_seconds = self.factor_seconds;
     }
 
     fn quality(&self) -> FactorQuality {

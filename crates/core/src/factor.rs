@@ -3,8 +3,8 @@
 //! frozen store analyze recorded.
 //!
 //! The items are the Gilbert–Peierls kernels with partial pivoting: a
-//! run of fine-BTF blocks factors block by block
-//! ([`BlockFactor::factor_cols`], each block a window of the store); a
+//! run of fine-BTF blocks factors block by block, each block a window of
+//! the store, into flat arrays of the run's own ([`GpRun::factor`]); a
 //! supernodal block copies its window and goes through its engine; a
 //! block column is one [`factor_block_column`] — a leaf's over `A`'s
 //! 2-D blocks read in place
@@ -36,6 +36,7 @@
 //! terms and reduced pattern with its values — what a refactorization
 //! of the numeric replays without recording anything.
 
+use crate::gp_store::{GpRun, GpStore};
 use crate::hybrid::BlockStrategy;
 use crate::leaf::factor_leaf;
 use crate::parnum::NdFactors;
@@ -44,7 +45,7 @@ use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
 use crate::structure::{BlockKind, NdStructure};
 use crate::{Basker, BlockFactors, SnFactors};
-use basker_klu::gp::{factor_block_column, lsolve_panel, BlockFactor, BlockLu, ColsView};
+use basker_klu::gp::{factor_block_column, lsolve_panel, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result, SolveWorkspace};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,14 +55,15 @@ use std::sync::{Mutex, OnceLock};
 const UNKNOWN: f64 = f64::INFINITY;
 
 /// Factors the matrix whose block-diagonal store holds `diag_vals` on
-/// `team`, one stage at a time: the factors of every BTF block, the
-/// replay of what ran, the nanoseconds the caller spent blocked in
-/// stage joins, and the leaves the supernodal kernel factored.
+/// `team`, one stage at a time: the factors of every BTF block and the
+/// store of the Gilbert–Peierls ones, the replay of what ran, the
+/// nanoseconds the caller spent blocked in stage joins, and the leaves
+/// the supernodal kernel factored.
 pub(crate) fn factor_blocks(
     sym: &Basker,
     diag_vals: Vec<f64>,
     team: &WorkerTeam,
-) -> Result<(Vec<BlockFactors>, Replay, u64, usize)> {
+) -> Result<(Vec<BlockFactors>, GpStore, Replay, u64, usize)> {
     let (mut fresh, stages) = Fresh::new(sym, diag_vals);
     let mut ran = Vec::with_capacity(stages.len());
     let mut joined = 0;
@@ -72,8 +74,8 @@ pub(crate) fn factor_blocks(
     }
     // ORDER: every stage has joined.
     let sn_leaves = fresh.sn_leaves.load(Ordering::Relaxed);
-    let (factors, replay) = fresh.finish(ran);
-    Ok((factors, replay, joined, sn_leaves))
+    let (factors, gp, replay) = fresh.finish(ran);
+    Ok((factors, gp, replay, joined, sn_leaves))
 }
 
 /// One fresh factorization in flight.
@@ -81,8 +83,10 @@ struct Fresh<'a> {
     sym: &'a Basker,
     /// Values of the frozen block-diagonal store: `A`'s image.
     diag_vals: Vec<f64>,
-    /// The factors of each Gilbert–Peierls or supernodal block.
+    /// The factors of each supernodal block.
     blocks: Vec<OnceLock<BlockFactors>>,
+    /// The factors of each fine-BTF run.
+    runs: Vec<OnceLock<GpRun>>,
     /// The ND blocks, ascending.
     nd: Vec<NdFresh<'a>>,
     /// Leaves the supernodal kernel factored.
@@ -132,8 +136,9 @@ impl<'a> Fresh<'a> {
         let mut stages: Vec<Vec<Item>> = vec![inner
             .runs
             .iter()
-            .map(|&(b0, b1, flops)| Item {
-                work: Work::Gp { b0, b1 },
+            .enumerate()
+            .map(|(run, &(.., flops))| Item {
+                work: Work::Gp { run },
                 flops,
             })
             .collect()];
@@ -222,6 +227,7 @@ impl<'a> Fresh<'a> {
             sym,
             diag_vals,
             blocks: (0..st.nblocks()).map(|_| OnceLock::new()).collect(),
+            runs: inner.runs.iter().map(|_| OnceLock::new()).collect(),
             nd,
             sn_leaves: AtomicUsize::new(0),
         };
@@ -266,15 +272,10 @@ impl<'a> Fresh<'a> {
         let btf = &inner.frozen.btf;
         let pivot_tol = inner.opts.pivot_tol;
         match work {
-            Work::Gp { b0, b1 } => {
-                for b in b0..b1 {
-                    let (lo, hi) = (bounds[b], bounds[b + 1]);
-                    // Ascending blocks: the first failure is the run's
-                    // smallest failing column.
-                    let diag = btf.diag_cols(&self.diag_vals, lo..hi);
-                    let f = BlockFactor::factor_cols(diag, lo, pivot_tol)?;
-                    put(&self.blocks[b], BlockFactors::Gp(f));
-                }
+            Work::Gp { run } => {
+                let (b0, b1, _) = inner.runs[run];
+                let f = GpRun::factor(btf, &self.diag_vals, bounds, b0..b1, pivot_tol)?;
+                put(&self.runs[run], f);
             }
             Work::Sn { b } => {
                 let (lo, hi) = (bounds[b], bounds[b + 1]);
@@ -355,12 +356,11 @@ impl<'a> Fresh<'a> {
         match work {
             // Plus two per gathered entry, so that flop-less singletons
             // still weigh something.
-            Work::Gp { b0, b1 } => (b0..b1)
-                .map(|b| {
-                    let entries = colptr[bounds[b + 1]] - colptr[bounds[b]];
-                    done(&self.blocks[b]).flops() + 2.0 * entries as f64
-                })
-                .sum(),
+            Work::Gp { run } => {
+                let (b0, b1, _) = inner.runs[run];
+                let entries = colptr[bounds[b1]] - colptr[bounds[b0]];
+                done(&self.runs[run]).tally().flops + 2.0 * entries as f64
+            }
             Work::Sn { b } => done(&self.blocks[b]).flops(),
             Work::Column { nd, v } => done(&self.nd[nd].diag[v]).flops,
             Work::Panel { nd, v, k } => {
@@ -376,9 +376,10 @@ impl<'a> Fresh<'a> {
         }
     }
 
-    /// The factors of every BTF block, and the replay of the stages
-    /// `ran`, once every stage has run.
-    fn finish(mut self, ran: Vec<Stage>) -> (Vec<BlockFactors>, Replay) {
+    /// The factors of every BTF block, the store of the Gilbert–Peierls
+    /// ones, and the replay of the stages `ran`, once every stage has
+    /// run.
+    fn finish(mut self, ran: Vec<Stage>) -> (Vec<BlockFactors>, GpStore, Replay) {
         // Per ND block: the flops of its panels and reductions.
         let mut update_flops = vec![0.0; self.nd.len()];
         let stages = ran
@@ -423,30 +424,34 @@ impl<'a> Fresh<'a> {
                 update_flops,
             });
         }
+        let inner = &*self.sym.inner;
         let mut nd_factors = nd_factors.into_iter();
-        let factors: Vec<BlockFactors> = self
-            .blocks
-            .into_iter()
-            .map(|cell| {
-                cell.into_inner().unwrap_or_else(|| {
-                    let f = nd_factors
-                        .next()
-                        .expect("a block without factors is an ND block");
+        // The runs ascend and cover every Gilbert–Peierls block.
+        let mut run = 0;
+        let factors = (self.blocks.into_iter().zip(&inner.plan).enumerate())
+            .map(|(b, (cell, strategy))| match strategy {
+                BlockStrategy::Gp => {
+                    while inner.runs[run].1 <= b {
+                        run += 1;
+                    }
+                    BlockFactors::Gp(run)
+                }
+                BlockStrategy::Supernodal => cell.into_inner().expect("every stage ran"),
+                BlockStrategy::Nd => {
+                    let f = nd_factors.next().expect("one ND factor per ND block");
                     BlockFactors::Nd(Box::new(f))
-                })
+                }
             })
             .collect();
-        let heavy = (0..factors.len())
-            .filter(|&b| !matches!(factors[b], BlockFactors::Gp(BlockFactor::Singleton(_))))
-            .collect();
+        let runs = self.runs.into_iter().map(|cell| cell.into_inner());
+        let gp = GpStore::new(runs.map(|f| f.expect("every stage ran")).collect());
         let replay = Replay {
             diag_vals: self.diag_vals,
             red_vals,
             nd,
             stages,
-            heavy,
         };
-        (factors, replay)
+        (factors, gp, replay)
     }
 }
 

@@ -45,6 +45,7 @@
 
 mod factor;
 pub mod frozen;
+mod gp_store;
 pub mod hybrid;
 mod leaf;
 pub mod parnum;
@@ -57,13 +58,13 @@ pub mod structure;
 
 pub use stats::BaskerStats;
 
+use crate::gp_store::GpStore;
 use crate::hybrid::{classify_block, BlockStrategy, HybridOptions};
 use crate::parnum::NdFactors;
 use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
 use crate::stages::gp_runs;
 use crate::structure::{BlockKind, Structure};
-use basker_klu::gp::BlockFactor;
 use basker_ordering::symbolic::symbolic_gp;
 use basker_runtime::{shared_team, WorkerTeam};
 use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
@@ -158,6 +159,10 @@ struct SymInner {
     /// Gilbert–Peierls — as the fresh factor's runs: `(first block, end
     /// block, estimated flops)`.
     runs: Vec<(usize, usize, f64)>,
+    /// The blocks the plan hands to another engine — supernodal and ND
+    /// blocks — ascending: the factors the Gilbert–Peierls store does
+    /// not hold.
+    non_gp: Vec<usize>,
     /// One strategy per BTF block, fixed by `analyze`.
     plan: Vec<BlockStrategy>,
     /// The plan came from [`classify_block`], not from the layout alone.
@@ -252,6 +257,9 @@ impl Basker {
                 // process lifetime and parked between jobs.
                 team: shared_team(threads, false),
                 runs: gp_runs(gp_flops),
+                non_gp: (0..nblocks)
+                    .filter(|&b| plan[b] != BlockStrategy::Gp)
+                    .collect(),
                 plan,
                 classified: classify.is_some(),
                 snlu: SnluOptions {
@@ -321,10 +329,12 @@ impl Basker {
         let st = &inner.structure;
         inner.frozen.btf.check(a)?;
         let (diag_vals, offdiag) = inner.frozen.btf.image(a);
-        let (factors, replay, joined, sn_leaves) = factor::factor_blocks(self, diag_vals, team)?;
+        let (factors, gp, replay, joined, sn_leaves) =
+            factor::factor_blocks(self, diag_vals, team)?;
         let mut num = BaskerNumeric {
             sym: self.clone(),
             factors,
+            gp,
             offdiag,
             replay,
             stats: BaskerStats::default(),
@@ -353,9 +363,10 @@ impl Basker {
 /// The two rare, heavy variants are boxed: a power grid has 10⁵ of
 /// these and nearly all are the first.
 pub(crate) enum BlockFactors {
-    /// Gilbert–Peierls over the block's window of the frozen store
-    /// (scalar fast path for 1×1 blocks).
-    Gp(BlockFactor),
+    /// Gilbert–Peierls over the block's window of the frozen store; the
+    /// factors are the block's window of this run of the numeric's
+    /// [`GpStore`].
+    Gp(usize),
     /// Supernodal factors of the copied diagonal block.
     Sn(Box<SnFactors>),
     /// A block factored by the team.
@@ -374,17 +385,19 @@ pub(crate) struct SnFactors {
 }
 
 impl BlockFactors {
+    /// `|L+U|` of a block the store does not hold.
     fn lu_nnz(&self) -> usize {
         match self {
-            BlockFactors::Gp(b) => b.lu_nnz(),
+            BlockFactors::Gp(_) => unreachable!("the store holds it"),
             BlockFactors::Sn(sn) => sn.num.lu_nnz,
             BlockFactors::Nd(f) => f.lu_nnz(),
         }
     }
 
+    /// Flops of a block the store does not hold.
     fn flops(&self) -> f64 {
         match self {
-            BlockFactors::Gp(b) => b.flops(),
+            BlockFactors::Gp(_) => unreachable!("the store holds it"),
             BlockFactors::Sn(sn) => sn.num.flops,
             BlockFactors::Nd(f) => f.flops(),
         }
@@ -395,6 +408,8 @@ impl BlockFactors {
 pub struct BaskerNumeric {
     sym: Basker,
     factors: Vec<BlockFactors>,
+    /// The factors of every Gilbert–Peierls block.
+    gp: GpStore,
     offdiag: CscMat,
     /// The stage list the factorization ran, for refactorizations to
     /// replay.
@@ -413,7 +428,13 @@ impl BaskerNumeric {
     /// metric; off-diagonal BTF couplings are reused from `A`, not
     /// factored, so fill density can fall below 1).
     pub fn lu_nnz(&self) -> usize {
-        self.factors.iter().map(BlockFactors::lu_nnz).sum()
+        let others = self.others().map(BlockFactors::lu_nnz);
+        self.gp.lu_nnz() + others.sum::<usize>()
+    }
+
+    /// The factors of the blocks the store does not hold.
+    fn others(&self) -> impl Iterator<Item = &BlockFactors> {
+        self.sym.inner.non_gp.iter().map(|&b| &self.factors[b])
     }
 
     /// Total stored entries including the retained off-diagonal couplings.
@@ -423,7 +444,7 @@ impl BaskerNumeric {
 
     /// Numeric flops of the factorization kernels.
     pub fn flops(&self) -> f64 {
-        self.factors.iter().map(BlockFactors::flops).sum()
+        self.gp.tally().flops + self.others().map(BlockFactors::flops).sum::<f64>()
     }
 
     /// Statically perturbed pivots across the supernodal-routed blocks
@@ -432,8 +453,7 @@ impl BaskerNumeric {
         if self.stats.sn_blocks == 0 {
             return 0;
         }
-        self.factors
-            .iter()
+        self.others()
             .map(|f| match f {
                 BlockFactors::Sn(sn) => sn.num.perturbed_pivots,
                 _ => 0,
@@ -445,17 +465,18 @@ impl BaskerNumeric {
     /// supernodal blocks and the ND tree's diagonal factors alike).
     /// `min/max` is the KLU-style reciprocal condition estimate; the
     /// extremes feed the session layer's refactor-path quality gates.
-    /// `(∞, 0)` for an empty matrix.
+    /// `(∞, 0)` for an empty matrix. The Gilbert–Peierls blocks' share
+    /// is what the last (re)factorization recorded, not a walk.
     pub fn pivot_range(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
+        let gp = self.gp.tally();
+        let (mut lo, mut hi) = (gp.min_pivot, gp.max_pivot);
         let mut fold = |(l, h): (f64, f64)| {
             lo = lo.min(l);
             hi = hi.max(h);
         };
-        for f in &self.factors {
+        for f in self.others() {
             match f {
-                BlockFactors::Gp(b) => fold(b.pivot_range()),
+                BlockFactors::Gp(_) => unreachable!("the store holds it"),
                 BlockFactors::Sn(sn) => fold(sn.num.pivot_range()),
                 BlockFactors::Nd(f) => {
                     for blu in &f.fact_diag {
@@ -506,10 +527,19 @@ impl BaskerNumeric {
         debug_assert_eq!(xs.len(), K * n);
         let (y, scratch) = ws.panels::<K>(n, st.max_block);
         gather_panel(xs, st.row_perm.as_slice(), y);
-        for blk in (0..st.nblocks()).rev() {
+        let mut blk = st.nblocks();
+        while blk > 0 {
+            blk -= 1;
             let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
             match &self.factors[blk] {
-                BlockFactors::Gp(blu) => blu.solve_in_place_with(&mut y[lo..hi], scratch),
+                &BlockFactors::Gp(run) => {
+                    // The block's whole run, each block's couplings pushed
+                    // as it is solved.
+                    blk = self
+                        .gp
+                        .solve_run(run, &st.bounds, &self.offdiag, y, scratch);
+                    continue;
+                }
                 BlockFactors::Sn(sn) => {
                     // The supernodal solve takes one plain vector:
                     // gather each lane out of the panel and back.
@@ -568,19 +598,14 @@ impl BaskerNumeric {
             &inner.structure,
             &inner.frozen,
             &mut self.factors,
+            &mut self.gp,
             self.offdiag.values_mut(),
             team,
         )?;
+        self.stats.numeric_seconds = t0.elapsed().as_secs_f64();
+        // `lu_nnz` is a fact of the pattern.
+        self.stats.flops = self.flops();
         let stats = &mut self.stats;
-        stats.numeric_seconds = t0.elapsed().as_secs_f64();
-        // Singletons count no flops, so the fold over the rest is the
-        // fold over all; `lu_nnz` is a fact of the pattern.
-        stats.flops = self
-            .replay
-            .heavy
-            .iter()
-            .map(|&b| self.factors[b].flops())
-            .sum();
         // The factorization's join waits are not this call's. What is:
         // the caller's time blocked in stage joins — nothing when every
         // stage ran inline, as at width 1.
@@ -758,6 +783,58 @@ mod tests {
                 check_solve(&n1, m, 1e-11);
                 n1.refactor(&a2).unwrap();
                 n2.refactor(&a2).unwrap();
+            }
+        }
+    }
+
+    /// The pivot range a numeric reports — the Gilbert–Peierls store's
+    /// as its last (re)factorization recorded it — is the fold over
+    /// every pivot of every block, after a factor and after refactors,
+    /// under the paper plan and plans that route blocks to the
+    /// supernodal engine.
+    #[test]
+    fn pivot_range_is_the_fold_over_every_pivot() {
+        use basker_sparse::util::u_diag_pivot_range;
+        let brute_force = |num: &BaskerNumeric| {
+            let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+            let mut fold = |(l, h): (f64, f64)| (lo, hi) = (lo.min(l), hi.max(h));
+            for c in num.gp.columns() {
+                let p = *num.gp.col(c).3.last().unwrap();
+                fold((p.abs(), p.abs()));
+            }
+            for f in &num.factors {
+                match f {
+                    BlockFactors::Gp(_) => {}
+                    BlockFactors::Sn(sn) => fold(u_diag_pivot_range(sn.num.u())),
+                    BlockFactors::Nd(f) => f.fact_diag.iter().for_each(|d| fold(d.pivot_range())),
+                }
+            }
+            (lo, hi)
+        };
+        let a = with_mid_blocks(12, 4, 40);
+        let a2 = revalued(&a, |v| v * 1.2 - 0.004);
+        for p in [1usize, 2] {
+            let base = HybridOptions {
+                base: opts(p, 64),
+                gp_small: 16,
+                ..HybridOptions::default()
+            };
+            let mids_supernodal = HybridOptions {
+                dense_threshold: 0.0,
+                ..base.clone()
+            };
+            let handles = [
+                Basker::analyze(&a, &base.base).unwrap(),
+                classified(&a, &mids_supernodal),
+            ];
+            for (sym, supernodal) in handles.into_iter().zip([false, true]) {
+                let mut num = sym.factor(&a).unwrap();
+                assert_eq!(num.stats.sn_blocks > 0, supernodal, "p={p}");
+                assert_eq!(num.pivot_range(), brute_force(&num), "p={p}: factor");
+                for m in [&a2, &a] {
+                    num.refactor(m).unwrap();
+                    assert_eq!(num.pivot_range(), brute_force(&num), "p={p}: refactor");
+                }
             }
         }
     }

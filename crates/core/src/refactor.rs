@@ -40,6 +40,7 @@
 //! every team width.
 
 use crate::frozen::FrozenBtf;
+use crate::gp_store::{GpRun, GpStore};
 use crate::parnum::NdFactors;
 use crate::reduce::reduce_cols_into;
 use crate::stages::{run_stage, Stage, Work};
@@ -242,24 +243,24 @@ pub(crate) struct Replay {
     pub(crate) red_vals: Vec<f64>,
     pub(crate) nd: Vec<NdReplay>,
     pub(crate) stages: Vec<Stage>,
-    /// The blocks whose factors count flops (all but singletons),
-    /// ascending.
-    pub(crate) heavy: Vec<usize>,
 }
 
 impl Replay {
     /// Replays the stage list on `team` over the values of `a`, which
-    /// has the recorded pattern. Returns the nanoseconds the caller
-    /// spent blocked in stage joins, `None` if no stage was dispatched.
-    /// On a collapsed pivot the error names the smallest failing
-    /// column of the first failing stage, whichever rank hit one first.
+    /// has the recorded pattern, and folds what the runs of `gp` did.
+    /// Returns the nanoseconds the caller spent blocked in stage
+    /// joins, `None` if no stage was dispatched. On a collapsed pivot
+    /// the error names the smallest failing column of the first failing
+    /// stage, whichever rank hit one first.
     // basker-lint: deny-alloc
+    #[allow(clippy::too_many_arguments)] // the numeric's parts, borrowed apart
     pub(crate) fn run(
         &mut self,
         a: &CscMat,
         st: &Structure,
         frozen: &Frozen,
         factors: &mut [BlockFactors],
+        gp: &mut GpStore,
         couplings: &mut [f64],
         team: &WorkerTeam,
     ) -> Result<Option<u64>> {
@@ -269,6 +270,7 @@ impl Replay {
             frozen,
             diag_vals: &self.diag_vals,
             factors: ItemCell::from_mut_slice(factors),
+            gp: ItemCell::from_mut_slice(gp.runs_mut()),
             red_vals: ItemCell::from_mut_slice(&mut self.red_vals),
             nd: &self.nd,
         };
@@ -284,6 +286,7 @@ impl Replay {
                 joined = Some(joined.unwrap_or(0) + idle);
             }
         }
+        gp.retally();
         Ok(joined)
     }
 }
@@ -315,6 +318,7 @@ struct Ctx<'a> {
     frozen: &'a Frozen,
     diag_vals: &'a [f64],
     factors: &'a [ItemCell<BlockFactors>],
+    gp: &'a [ItemCell<GpRun>],
     red_vals: &'a [ItemCell<f64>],
     nd: &'a [NdReplay],
 }
@@ -395,20 +399,11 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
     let bounds = &cx.st.bounds;
     let btf = &cx.frozen.btf;
     match work {
-        Work::Gp { b0, b1 } => {
-            // SAFETY: runs partition the Gilbert–Peierls blocks — one
-            // item per block — and no other item touches those entries.
-            let run = unsafe { ItemCell::slice_mut_unchecked(&cx.factors[b0..b1]) };
-            for (f, b) in run.iter_mut().zip(b0..) {
-                let BlockFactors::Gp(blu) = f else {
-                    unreachable!("factor kind mismatch");
-                };
-                let (lo, hi) = (bounds[b], bounds[b + 1]);
-                // Ascending blocks: the first failure is the run's
-                // smallest failing column.
-                blu.refactor_cols(btf.diag_cols(cx.diag_vals, lo..hi), lo, ws)?;
-            }
-            Ok(())
+        Work::Gp { run } => {
+            // SAFETY: one item per run, and no other item reads or
+            // writes a run's arrays.
+            let run = unsafe { cx.gp[run].get_mut_unchecked() };
+            run.refactor(btf, cx.diag_vals, bounds, ws)
         }
         Work::Sn { b } => {
             // SAFETY: one item per supernodal block.

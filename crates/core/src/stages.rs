@@ -61,8 +61,9 @@ pub const DISPATCH_BREAK_EVEN_FLOPS: f64 = 1.0e5;
 /// storage and read only what earlier stages wrote.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Work {
-    /// Fine-BTF blocks `b0..b1`, Gilbert–Peierls, in BTF order.
-    Gp { b0: usize, b1: usize },
+    /// A run of fine-BTF blocks (the handle's `run`-th), Gilbert–Peierls,
+    /// in BTF order.
+    Gp { run: usize },
     /// One supernodal block.
     Sn { b: usize },
     /// The stacked block column of node `v` of ND block `nd`: a leaf

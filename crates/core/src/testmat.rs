@@ -3,7 +3,6 @@
 use crate::hybrid::{HybridLu, HybridOptions};
 use crate::parnum::NdFactors;
 use crate::{Basker, BaskerNumeric, BaskerOptions, BlockFactors};
-use basker_klu::gp::BlockFactor;
 use basker_sparse::spmv::spmv;
 use basker_sparse::util::relative_residual;
 use basker_sparse::{CscMat, SolveWorkspace, TripletMat};
@@ -124,6 +123,85 @@ pub(crate) fn tiny_blocks(count: usize) -> CscMat {
     t.to_csc()
 }
 
+/// A power grid's shape: `feeders` radial feeders of `len` buses, each
+/// bus referencing the next one downstream and every feeder head the
+/// previous feeder's tail, with about one stretch in ten of 3–5 buses
+/// closed into a loop — a small irreducible block among singletons.
+/// Every third loop's first bus has a tiny diagonal: unless the
+/// weighted matching moves it off the diagonal first, partial pivoting
+/// leaves the diagonal there.
+pub(crate) fn power_grid(feeders: usize, len: usize) -> CscMat {
+    let n = feeders * len;
+    // A fixed scramble of the bus number, for values and loop sites.
+    let h = |i: usize| (i.wrapping_mul(2_654_435_761) >> 7) % 97;
+    let mut diag: Vec<f64> = (0..n).map(|i| 5.0 + (h(i) % 20) as f64 / 10.0).collect();
+    let mut t = TripletMat::new(n, n);
+    let mut loops = 0;
+    for f in 0..feeders {
+        let base = f * len;
+        let mut bus = 0;
+        while bus + 1 < len {
+            let u = base + bus;
+            if h(u) % 10 == 0 && bus + 5 < len {
+                let m = 3 + h(u + 1) % 3;
+                for k in 0..m - 1 {
+                    t.push(u + k, u + k + 1, -0.2 - (h(u + k) % 8) as f64 / 10.0);
+                    t.push(u + k + 1, u + k, -0.3 - (h(u + k + 1) % 6) as f64 / 10.0);
+                }
+                if loops % 3 == 0 {
+                    diag[u] = 1e-6;
+                }
+                loops += 1;
+                bus += m - 1;
+            }
+            let u = base + bus;
+            t.push(u, u + 1, -0.5 - (h(u) % 15) as f64 / 10.0);
+            bus += 1;
+        }
+        if f > 0 {
+            t.push(base, base - 1, -0.25);
+        }
+    }
+    for (i, d) in diag.into_iter().enumerate() {
+        t.push(i, i, d);
+    }
+    t.to_csc()
+}
+
+/// A circuit's shape: `nsub` irreducible subcircuits of `size` nodes — a
+/// ring with unsymmetric values and one-directional controlled-source
+/// stamps — each followed by a lone node; every subcircuit reads its
+/// lone node, which reads the next subcircuit, so the blocks stay apart.
+/// Every seventh node's diagonal is tiny, as in [`power_grid`].
+pub(crate) fn circuit_like(nsub: usize, size: usize) -> CscMat {
+    assert!(size >= 8, "the stamps must not meet the ring");
+    let n = nsub * (size + 1);
+    let mut t = TripletMat::new(n, n);
+    for s in 0..nsub {
+        let o = s * (size + 1);
+        for i in 0..size {
+            let d = if (o + i) % 7 == 3 {
+                1e-5
+            } else {
+                4.0 + (i % 5) as f64
+            };
+            t.push(o + i, o + i, d);
+            t.push(o + i, o + (i + 1) % size, -1.0 - (i % 3) as f64 * 0.5);
+            t.push(o + (i + 1) % size, o + i, -0.75);
+            if i % 4 == 0 {
+                t.push(o + (i + 3) % size, o + i, 2.0);
+            }
+        }
+        let lone = o + size;
+        t.push(lone, lone, 3.0);
+        t.push(o + 2, lone, 0.5);
+        if s + 1 < nsub {
+            t.push(lone, lone + 2, 0.25);
+        }
+    }
+    t.to_csc()
+}
+
 /// `a`'s pattern with every value mapped through `f`.
 pub(crate) fn revalued(a: &CscMat, f: impl Fn(f64) -> f64) -> CscMat {
     let mut m = a.clone();
@@ -157,16 +235,13 @@ pub(crate) fn classified(a: &CscMat, o: &HybridOptions) -> Basker {
     Basker::clone(&HybridLu::analyze(a, o).unwrap())
 }
 
-/// Every factor value of a numeric, in storage order.
+/// Every factor value of a numeric, in storage order: the
+/// Gilbert–Peierls store's, then every other block's.
 pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
-    let mut out = Vec::new();
+    let mut out: Vec<f64> = num.gp.values().collect();
     for f in &num.factors {
         match f {
-            BlockFactors::Gp(BlockFactor::Singleton(pivot)) => out.push(*pivot),
-            BlockFactors::Gp(BlockFactor::Full(blu)) => {
-                out.extend_from_slice(blu.l.values());
-                out.extend_from_slice(blu.u.values());
-            }
+            BlockFactors::Gp(_) => {}
             BlockFactors::Sn(sn) => {
                 out.extend_from_slice(sn.num.l().values());
                 out.extend_from_slice(sn.num.u().values());
@@ -190,18 +265,14 @@ pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
 }
 
 /// Every pivot sequence of a numeric's Gilbert–Peierls and ND blocks,
-/// in storage order.
+/// in storage order: the store's, then the ND blocks'.
 pub(crate) fn factor_pivots(num: &BaskerNumeric) -> Vec<usize> {
-    let mut out = Vec::new();
+    let mut out: Vec<usize> = num.gp.pinv().collect();
     for f in &num.factors {
-        match f {
-            BlockFactors::Gp(BlockFactor::Full(blu)) => out.extend_from_slice(&blu.pinv),
-            BlockFactors::Nd(f) => {
-                for blu in &f.fact_diag {
-                    out.extend_from_slice(&blu.pinv);
-                }
+        if let BlockFactors::Nd(f) = f {
+            for blu in &f.fact_diag {
+                out.extend_from_slice(&blu.pinv);
             }
-            _ => {}
         }
     }
     out

@@ -9,8 +9,8 @@
 //! workspace once per engine, then snapshots the counter around a burst
 //! of solves and requires it unchanged; the same for bursts of Basker
 //! refactorizations with drifting values once the thread's scratch is
-//! warm, and for a numeric's very first refactorization, which records
-//! nothing.
+//! warm, for a numeric's very first refactorization, which records
+//! nothing, and for warmed session steps.
 
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
@@ -169,6 +169,40 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
         }
     });
     assert_eq!(cleanest, 0, "solve_refined allocates");
+
+    // ---- warmed session steps ---------------------------------------
+    // A step on a stream of one pattern refactors, checks the factors'
+    // pivot range and refreshes the session's copy of the factor stats
+    // in place: once the first steps have warmed the session, nothing
+    // allocates, at one thread and on the team.
+    let grid = powergrid(&PowergridParams {
+        nfeeders: 200,
+        feeder_len: 30,
+        loop_prob: 0.1,
+        ..PowergridParams::default()
+    });
+    let ring = drifting(&grid);
+    for threads in [1usize, 2] {
+        let cfg = SessionConfig::new().engine(Engine::Basker).threads(threads);
+        let mut session = SolveSession::new(&grid, &cfg).unwrap();
+        for m in &ring {
+            session.step(m).unwrap();
+        }
+        let mut k = 0;
+        let cleanest = cleanest_of_three(|| {
+            for _ in 0..10 {
+                k += 1;
+                session.step(&ring[k % ring.len()]).unwrap();
+            }
+        });
+        assert_eq!(
+            cleanest, 0,
+            "x{threads}: at least {cleanest} allocation(s) in every window of 10 warmed steps"
+        );
+        let stats = session.stats();
+        assert_eq!(stats.factors, 1, "x{threads}: every later step refactored");
+        assert_eq!(stats.last_factor.sync_wait_ns.len(), threads);
+    }
 
     // ---- refactorizations -------------------------------------------
     // The mixed circuit again, and one irreducible mesh block: an ND
