@@ -26,10 +26,10 @@ pub enum Engine {
     /// The supernodal level-scheduled solver (static pivoting +
     /// iterative refinement).
     Snlu,
-    /// Per-BTF-block mixed-strategy factorization: each diagonal block
-    /// is classified by its own structure and routed to GP, supernodal
-    /// or the ND team independently, once, at analyze (see
-    /// [`basker::hybrid::classify_block`]).
+    /// An input alias of [`Engine::Basker`]: the block driver already
+    /// picks a kernel per block and per ND leaf, so
+    /// [`SolverConfig::resolve_engine`] maps it to `Basker`, and stats,
+    /// errors and the wire report the engine that ran.
     Hybrid,
 }
 
@@ -200,17 +200,13 @@ impl SolverConfig {
         }
     }
 
-    /// The derived hybrid-engine options: the classifier's default
-    /// thresholds over this configuration's structural knobs.
+    /// The options of [`Engine::Hybrid`]: [`basker_options`](Self::basker_options).
     pub fn hybrid_options(&self) -> HybridOptions {
-        HybridOptions {
-            base: self.basker_options(),
-            snlu: self.snlu_options(),
-            ..HybridOptions::default()
-        }
+        self.basker_options()
     }
 
-    /// Resolves [`Engine::Auto`] against a concrete matrix; concrete
+    /// Resolves [`Engine::Auto`] against a concrete matrix and
+    /// [`Engine::Hybrid`] to [`Engine::Basker`]; the other concrete
     /// requests pass through untouched.
     ///
     /// The heuristic is the paper's structure argument: circuit and
@@ -223,14 +219,11 @@ impl SolverConfig {
     /// as circuit-like when at least half its rows sit in small blocks
     /// (`AUTO_CIRCUIT_FRACTION`) **or** its largest BTF block covers at
     /// most half the rows.
-    ///
-    /// Matrices that are **both** — a large irreducible block *and* a
-    /// meaningful share of rows in small blocks — are heterogeneous:
-    /// no single strategy fits every block, so they resolve to
-    /// [`Engine::Hybrid`] and are routed per block.
     pub fn resolve_engine(&self, a: &CscMat) -> Result<Engine, SolverError> {
-        if self.engine != Engine::Auto {
-            return Ok(self.engine);
+        match self.engine {
+            Engine::Auto => {}
+            Engine::Hybrid => return Ok(Engine::Basker),
+            engine => return Ok(engine),
         }
         if !a.is_square() {
             return Err(SolverError::Sparse(SparseError::DimensionMismatch {
@@ -257,11 +250,6 @@ impl SolverConfig {
         }
         let frac = small_rows as f64 / n as f64;
         let decomposes = largest * 2 <= n;
-        // Heterogeneous shape: a block big enough for the ND treatment
-        // next to a non-trivial tail of small blocks (≥ 10% of rows).
-        if largest >= self.nd_threshold && small_rows * 10 >= n {
-            return Ok(Engine::Hybrid);
-        }
         Ok(if frac >= AUTO_CIRCUIT_FRACTION || decomposes {
             if self.nthreads > 1 {
                 Engine::Basker
@@ -332,33 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_hybrid_for_heterogeneous_shapes() {
-        // One grid2d(12) irreducible block (144 rows ≥ nd_threshold when
-        // lowered) plus 60 decoupled 1x1 blocks: both shapes at once.
-        let g = grid2d(12);
-        let tiny = 60;
-        let n = g.nrows() + tiny;
-        let mut t = TripletMat::new(n, n);
-        for (i, j, v) in g.iter() {
-            t.push(i, j, v);
-        }
-        for q in g.nrows()..n {
-            t.push(q, q, 3.0);
-        }
-        let a = t.to_csc();
-        let cfg = SolverConfig::new().engine(Engine::Auto).nd_threshold(128);
-        assert_eq!(cfg.resolve_engine(&a).unwrap(), Engine::Hybrid);
-        // Without the small-block tail it is a plain mesh.
-        assert_eq!(
-            SolverConfig::new()
-                .engine(Engine::Auto)
-                .resolve_engine(&g)
-                .unwrap(),
-            Engine::Snlu
-        );
-    }
-
-    #[test]
     fn engine_env_values_parse() {
         for (s, e) in [
             ("auto", Engine::Auto),
@@ -378,6 +339,8 @@ mod tests {
         let a = grid2d(6);
         let cfg = SolverConfig::new().engine(Engine::Klu);
         assert_eq!(cfg.resolve_engine(&a).unwrap(), Engine::Klu);
+        let cfg = SolverConfig::new().engine(Engine::Hybrid);
+        assert_eq!(cfg.resolve_engine(&a).unwrap(), Engine::Basker);
     }
 
     #[test]

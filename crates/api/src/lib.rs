@@ -22,17 +22,16 @@
 //!
 //! Engines:
 //!
-//! * [`Engine::Basker`] — the paper's threaded hierarchical solver,
+//! * [`Engine::Basker`] — the paper's threaded hierarchical solver: one
+//!   block driver that runs fine-BTF blocks on Gilbert–Peierls and large
+//!   blocks on the ND team, each ND leaf on the kernel analyze chose for
+//!   it (Gilbert–Peierls or supernodal),
 //! * [`Engine::Klu`] — the serial BTF + Gilbert–Peierls baseline,
 //! * [`Engine::Snlu`] — the supernodal level-scheduled comparator,
-//! * [`Engine::Hybrid`] — per-BTF-block mixed-strategy factorization:
-//!   each diagonal block is classified by its own structure and routed
-//!   to GP, supernodal or the ND team independently — a plan fixed at
-//!   analyze ([`LinearSolver::as_hybrid`] → `plan()`), never measured
-//!   or switched at run time,
+//! * [`Engine::Hybrid`] — an input alias of [`Engine::Basker`], which
+//!   already picks a kernel per block; it resolves to `Basker`,
 //! * [`Engine::Auto`] — pick per matrix from the BTF structure (the
-//!   paper's circuit-vs-mesh crossover heuristic); heterogeneous
-//!   matrices resolve to [`Engine::Hybrid`].
+//!   paper's circuit-vs-mesh crossover heuristic).
 //!
 //! The design goals, in order:
 //!
@@ -93,7 +92,6 @@ pub mod service;
 pub mod session;
 pub mod solver;
 
-pub use basker::hybrid::BlockStrategy;
 pub use config::{Engine, SolverConfig};
 pub use error::SolverError;
 pub use service::{

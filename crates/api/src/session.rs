@@ -270,7 +270,7 @@ pub struct SessionStats {
     /// Worst relative residual any refined solve returned (plain solves
     /// are not measured).
     pub worst_residual: f64,
-    /// Always 0: a per-block plan is fixed at analyze and no session
+    /// Always 0: every engine's plan is fixed at analyze and no session
     /// spends a factorization measuring one. The field stays because the
     /// whole-stack benchmark publishes it (`api.session.routing_probes`).
     pub routing_probes: usize,

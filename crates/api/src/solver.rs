@@ -3,9 +3,7 @@
 //!
 //! The lifecycle is the one every sparse direct solver shares (HYLU,
 //! KLU, Pardiso — and this workspace's engines: serial KLU, the
-//! supernodal solver, and the BTF block driver under its paper plan
-//! (`Engine::Basker`) or a classified per-block plan
-//! (`Engine::Hybrid`)):
+//! supernodal solver, and the BTF block driver (`Engine::Basker`)):
 //!
 //! ```text
 //! analyze(A, cfg) ─► Symbolic ─ factor(A) ─► Numeric ─ solve_in_place(x, ws)
@@ -15,13 +13,12 @@
 //! ```
 //!
 //! [`SparseLuSolver`] is implemented directly by each engine's symbolic
-//! type (`KluSymbolic`, `Basker`, `HybridLu`, `Snlu`) for static
+//! type (`KluSymbolic`, `Basker`, `Snlu`) for static
 //! dispatch, and by [`LinearSolver`] for engine-agnostic code and
 //! [`Engine::Auto`].
 
 use crate::config::{Engine, SolverConfig};
 use crate::error::{map_analyze_error, map_engine_error, SolverError};
-use basker::hybrid::{HybridLu, HybridNumeric};
 use basker::{Basker, BaskerNumeric};
 use basker_klu::{KluNumeric, KluSymbolic};
 use basker_snlu::{Snlu, SnluNumeric};
@@ -34,8 +31,7 @@ use std::time::Instant;
 /// Fields an engine does not track are zero (e.g. `perturbed_pivots` for
 /// the pivoting engines, `sync_fraction` outside the block driver,
 /// `factor_seconds` outside [`LinearSolver`]/the block driver). "Block
-/// driver" below is [`Engine::Basker`] and [`Engine::Hybrid`] alike:
-/// one driver, two plans.
+/// driver" below is [`Engine::Basker`].
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// The engine that produced the factors.
@@ -50,8 +46,7 @@ pub struct SolverStats {
     pub btf_blocks: usize,
     /// Effective worker threads.
     pub threads: usize,
-    /// Statically perturbed pivots (the supernodal engine, and blocks a
-    /// plan routes to it).
+    /// Statically perturbed pivots (the supernodal engine only).
     pub perturbed_pivots: usize,
     /// Synchronization overhead fraction of the last (re)factorization
     /// (block driver only): the caller's stage-join waits, after a factor
@@ -328,21 +323,6 @@ impl LuNumeric for KluNumeric {
 
 // ----------------------------------------- the BTF block driver --
 
-/// The engine label of a driver handle: the plan kind it was built with.
-fn driver_engine(sym: &Basker) -> Engine {
-    if sym.classified() {
-        Engine::Hybrid
-    } else {
-        Engine::Basker
-    }
-}
-
-fn driver_factor(sym: &Basker, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
-    let st = sym.structure();
-    Basker::factor(sym, a)
-        .map_err(|e| map_engine_error(driver_engine(sym), st.col_perm.as_slice(), &st.bounds, e))
-}
-
 impl SparseLuSolver for Basker {
     type Numeric = BaskerNumeric;
 
@@ -352,32 +332,13 @@ impl SparseLuSolver for Basker {
     }
 
     fn factor(&self, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
-        driver_factor(self, a)
+        let st = self.structure();
+        Basker::factor(self, a)
+            .map_err(|e| map_engine_error(Engine::Basker, st.col_perm.as_slice(), &st.bounds, e))
     }
 
     fn engine(&self) -> Engine {
-        driver_engine(self)
-    }
-
-    fn dim(&self) -> usize {
-        self.structure().n
-    }
-}
-
-impl SparseLuSolver for HybridLu {
-    type Numeric = BaskerNumeric;
-
-    fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<Self, SolverError> {
-        HybridLu::analyze(a, &cfg.hybrid_options())
-            .map_err(|e| map_analyze_error(Engine::Hybrid, a.nrows(), e))
-    }
-
-    fn factor(&self, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
-        driver_factor(self, a)
-    }
-
-    fn engine(&self) -> Engine {
-        driver_engine(self)
+        Engine::Basker
     }
 
     fn dim(&self) -> usize {
@@ -393,7 +354,7 @@ impl LuNumeric for BaskerNumeric {
             Err(e) => {
                 let st = self.symbolic().structure();
                 Err(map_engine_error(
-                    driver_engine(self.symbolic()),
+                    Engine::Basker,
                     st.col_perm.as_slice(),
                     &st.bounds,
                     e,
@@ -428,14 +389,14 @@ impl LuNumeric for BaskerNumeric {
         let mut sync_wait_ns = std::mem::take(&mut out.sync_wait_ns);
         sync_wait_ns.clone_from(&self.stats.sync_wait_ns);
         *out = SolverStats {
-            engine: Some(driver_engine(self.symbolic())),
+            engine: Some(Engine::Basker),
             kernel: basker_kernels::active().name(),
             dimension: self.symbolic().structure().n,
             lu_nnz: self.stats.lu_nnz,
             flops: self.stats.flops,
             btf_blocks: self.stats.btf_blocks,
             threads: self.stats.threads,
-            perturbed_pivots: self.perturbed_pivots(),
+            perturbed_pivots: 0,
             sync_fraction: self.stats.sync_fraction(),
             sync_wait_ns,
             factor_seconds: self.stats.numeric_seconds,
@@ -447,7 +408,7 @@ impl LuNumeric for BaskerNumeric {
         FactorQuality {
             min_pivot,
             max_pivot,
-            perturbed_pivots: self.perturbed_pivots(),
+            perturbed_pivots: 0,
         }
     }
 
@@ -547,23 +508,22 @@ pub struct LinearSolver {
 
 enum SymbolicInner {
     Klu(KluSymbolic),
-    /// The BTF block driver under the paper plan…
     Basker(Basker),
-    /// …and under a classified one.
-    Hybrid(HybridLu),
     Snlu(Snlu),
 }
 
 impl LinearSolver {
-    /// Analyzes `a`, resolving [`Engine::Auto`] from the BTF structure.
+    /// Analyzes `a`, resolving [`Engine::Auto`] from the BTF structure
+    /// and [`Engine::Hybrid`] to [`Engine::Basker`].
     pub fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<LinearSolver, SolverError> {
         let engine = cfg.resolve_engine(a)?;
         let inner = match engine {
             Engine::Klu => SymbolicInner::Klu(<KluSymbolic as SparseLuSolver>::analyze(a, cfg)?),
             Engine::Basker => SymbolicInner::Basker(<Basker as SparseLuSolver>::analyze(a, cfg)?),
             Engine::Snlu => SymbolicInner::Snlu(<Snlu as SparseLuSolver>::analyze(a, cfg)?),
-            Engine::Hybrid => SymbolicInner::Hybrid(<HybridLu as SparseLuSolver>::analyze(a, cfg)?),
-            Engine::Auto => unreachable!("resolve_engine returns a concrete engine"),
+            Engine::Auto | Engine::Hybrid => {
+                unreachable!("resolve_engine returns an engine that runs")
+            }
         };
         Ok(LinearSolver { engine, inner })
     }
@@ -574,8 +534,7 @@ impl LinearSolver {
         let t0 = Instant::now();
         let inner = match &self.inner {
             SymbolicInner::Klu(s) => NumericInner::Klu(SparseLuSolver::factor(s, a)?),
-            SymbolicInner::Basker(s) => NumericInner::Driver(SparseLuSolver::factor(s, a)?),
-            SymbolicInner::Hybrid(s) => NumericInner::Driver(SparseLuSolver::factor(s, a)?),
+            SymbolicInner::Basker(s) => NumericInner::Basker(SparseLuSolver::factor(s, a)?),
             SymbolicInner::Snlu(s) => NumericInner::Snlu(Box::new(SparseLuSolver::factor(s, a)?)),
         };
         Ok(Factorization {
@@ -596,7 +555,6 @@ impl LinearSolver {
         match &self.inner {
             SymbolicInner::Klu(s) => s.n(),
             SymbolicInner::Basker(s) => s.structure().n,
-            SymbolicInner::Hybrid(s) => s.structure().n,
             SymbolicInner::Snlu(s) => s.n(),
         }
     }
@@ -622,16 +580,6 @@ impl LinearSolver {
     pub fn as_snlu(&self) -> Option<&Snlu> {
         match &self.inner {
             SymbolicInner::Snlu(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Borrows the underlying hybrid analysis when that engine was
-    /// chosen; its `plan()` is the per-block routing every factorization
-    /// from this handle executes.
-    pub fn as_hybrid(&self) -> Option<&HybridLu> {
-        match &self.inner {
-            SymbolicInner::Hybrid(s) => Some(s),
             _ => None,
         }
     }
@@ -684,7 +632,7 @@ pub struct Factorization {
 
 enum NumericInner {
     Klu(KluNumeric),
-    Driver(BaskerNumeric),
+    Basker(BaskerNumeric),
     Snlu(Box<SnluNumeric>),
 }
 
@@ -699,7 +647,7 @@ impl Factorization {
         let t0 = Instant::now();
         match &mut self.inner {
             NumericInner::Klu(n) => LuNumeric::refactor(n, a)?,
-            NumericInner::Driver(n) => LuNumeric::refactor(n, a)?,
+            NumericInner::Basker(n) => LuNumeric::refactor(n, a)?,
             NumericInner::Snlu(n) => LuNumeric::refactor(n.as_mut(), a)?,
         }
         self.factor_seconds = t0.elapsed().as_secs_f64();
@@ -714,7 +662,7 @@ impl Factorization {
     ) -> Result<(), SolverError> {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::solve_in_place(n, x, ws),
-            NumericInner::Driver(n) => LuNumeric::solve_in_place(n, x, ws),
+            NumericInner::Basker(n) => LuNumeric::solve_in_place(n, x, ws),
             NumericInner::Snlu(n) => LuNumeric::solve_in_place(n.as_ref(), x, ws),
         }
     }
@@ -727,7 +675,7 @@ impl Factorization {
     ) -> Result<usize, SolverError> {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::solve_multi_in_place(n, xs, ws),
-            NumericInner::Driver(n) => LuNumeric::solve_multi_in_place(n, xs, ws),
+            NumericInner::Basker(n) => LuNumeric::solve_multi_in_place(n, xs, ws),
             NumericInner::Snlu(n) => LuNumeric::solve_multi_in_place(n.as_ref(), xs, ws),
         }
     }
@@ -736,7 +684,7 @@ impl Factorization {
     pub fn stats(&self) -> SolverStats {
         let mut s = match &self.inner {
             NumericInner::Klu(n) => LuNumeric::stats(n),
-            NumericInner::Driver(n) => LuNumeric::stats(n),
+            NumericInner::Basker(n) => LuNumeric::stats(n),
             NumericInner::Snlu(n) => LuNumeric::stats(n.as_ref()),
         };
         s.factor_seconds = self.factor_seconds;
@@ -747,7 +695,7 @@ impl Factorization {
     pub fn dim(&self) -> usize {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::dim(n),
-            NumericInner::Driver(n) => LuNumeric::dim(n),
+            NumericInner::Basker(n) => LuNumeric::dim(n),
             NumericInner::Snlu(n) => LuNumeric::dim(n.as_ref()),
         }
     }
@@ -757,7 +705,7 @@ impl Factorization {
     pub fn quality(&self) -> FactorQuality {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::quality(n),
-            NumericInner::Driver(n) => LuNumeric::quality(n),
+            NumericInner::Basker(n) => LuNumeric::quality(n),
             NumericInner::Snlu(n) => LuNumeric::quality(n.as_ref()),
         }
     }
@@ -765,15 +713,7 @@ impl Factorization {
     /// Borrows the Basker factors when that engine was chosen.
     pub fn as_basker(&self) -> Option<&BaskerNumeric> {
         match &self.inner {
-            NumericInner::Driver(n) if self.engine == Engine::Basker => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Borrows the hybrid per-block factors when that engine was chosen.
-    pub fn as_hybrid(&self) -> Option<&HybridNumeric> {
-        match &self.inner {
-            NumericInner::Driver(n) if self.engine == Engine::Hybrid => Some(n),
+            NumericInner::Basker(n) => Some(n),
             _ => None,
         }
     }
@@ -803,7 +743,7 @@ impl LuNumeric for Factorization {
     fn stats_into(&self, out: &mut SolverStats) {
         match &self.inner {
             NumericInner::Klu(n) => LuNumeric::stats_into(n, out),
-            NumericInner::Driver(n) => LuNumeric::stats_into(n, out),
+            NumericInner::Basker(n) => LuNumeric::stats_into(n, out),
             NumericInner::Snlu(n) => LuNumeric::stats_into(n.as_ref(), out),
         }
         out.factor_seconds = self.factor_seconds;
@@ -839,11 +779,12 @@ mod tests {
         t.to_csc()
     }
 
-    fn check_engine(engine: Engine) {
+    /// `engine` through the facade, run as `ran`.
+    fn check_engine(engine: Engine, ran: Engine) {
         let a = circuitish(30);
         let cfg = SolverConfig::new().engine(engine);
         let solver = LinearSolver::analyze(&a, &cfg).unwrap();
-        assert_eq!(solver.engine(), engine);
+        assert_eq!(solver.engine(), ran);
         assert_eq!(solver.dim(), 30);
         let num = SparseLuSolver::factor(&solver, &a).unwrap();
         let xtrue: Vec<f64> = (0..30).map(|i| 1.0 + (i % 5) as f64).collect();
@@ -853,34 +794,36 @@ mod tests {
         num.solve_in_place(&mut x, &mut ws).unwrap();
         assert!(relative_residual(&a, &x, &b) < 1e-9, "{engine}");
         let st = num.stats();
-        assert_eq!(st.engine, Some(engine));
+        assert_eq!(st.engine, Some(ran));
         assert!(st.lu_nnz > 0 && st.dimension == 30, "{engine}");
     }
 
     #[test]
     fn all_engines_through_the_facade() {
-        for e in [Engine::Klu, Engine::Basker, Engine::Snlu, Engine::Hybrid] {
-            check_engine(e);
+        for e in [Engine::Klu, Engine::Basker, Engine::Snlu] {
+            check_engine(e, e);
         }
+        check_engine(Engine::Hybrid, Engine::Basker);
     }
 
+    /// `Engine::Hybrid` asks for the block driver: the handle and the
+    /// factors are the `Basker` ones, and they report `Basker`.
     #[test]
     fn hybrid_facade_exposes_routing() {
         let a = circuitish(30);
-        let cfg = SolverConfig::new().engine(Engine::Hybrid);
-        let solver = LinearSolver::analyze(&a, &cfg).unwrap();
-        let plan = solver.as_hybrid().expect("hybrid handle").plan();
-        let num = SparseLuSolver::factor(&solver, &a).unwrap();
-        assert_eq!(plan.len(), num.stats().btf_blocks);
-        assert!(num.as_hybrid().is_some());
-        // One driver behind both engines: the accessors follow the plan
-        // kind the handle was built with.
-        assert!(solver.as_basker().is_none() && num.as_basker().is_none());
-        let cfg = SolverConfig::new().engine(Engine::Basker);
-        let solver = LinearSolver::analyze(&a, &cfg).unwrap();
-        assert!(solver.as_basker().is_some() && solver.as_hybrid().is_none());
-        let num = SparseLuSolver::factor(&solver, &a).unwrap();
-        assert!(num.as_basker().is_some() && num.as_hybrid().is_none());
+        for engine in [Engine::Hybrid, Engine::Basker] {
+            let solver = LinearSolver::analyze(&a, &SolverConfig::new().engine(engine)).unwrap();
+            assert_eq!(solver.engine(), Engine::Basker, "{engine}");
+            let num = SparseLuSolver::factor(&solver, &a).unwrap();
+            let blocks = solver
+                .as_basker()
+                .expect("driver handle")
+                .structure()
+                .nblocks();
+            assert_eq!(blocks, num.stats().btf_blocks, "{engine}");
+            assert_eq!(num.engine(), Engine::Basker, "{engine}");
+            assert!(num.as_basker().is_some(), "{engine}");
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! The items are the Gilbert–Peierls kernels with partial pivoting: a
 //! run of fine-BTF blocks factors block by block, each block a window of
 //! the store, into flat arrays of the run's own ([`GpRun::factor`]); a
-//! supernodal block copies its window and goes through its engine; a
 //! block column is one [`factor_block_column`] — a leaf's over `A`'s
 //! 2-D blocks read in place
 //! ([`NdSplit::block`](crate::structure::NdSplit::block)), a
@@ -37,19 +36,18 @@
 //! of the numeric replays without recording anything.
 
 use crate::gp_store::{GpRun, GpStore};
-use crate::hybrid::BlockStrategy;
 use crate::leaf::factor_leaf;
 use crate::parnum::NdFactors;
 use crate::reduce::{product_flops, reduce_block_cols};
 use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
 use crate::structure::{BlockKind, NdStructure};
-use crate::{Basker, BlockFactors, SnFactors};
+use crate::{Basker, BlockFactors};
 use basker_klu::gp::{factor_block_column, lsolve_panel, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
-use basker_sparse::{CscMat, Result, SolveWorkspace};
+use basker_sparse::{CscMat, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The cost of an item that cannot be counted before it runs.
 const UNKNOWN: f64 = f64::INFINITY;
@@ -83,8 +81,6 @@ struct Fresh<'a> {
     sym: &'a Basker,
     /// Values of the frozen block-diagonal store: `A`'s image.
     diag_vals: Vec<f64>,
-    /// The factors of each supernodal block.
-    blocks: Vec<OnceLock<BlockFactors>>,
     /// The factors of each fine-BTF run.
     runs: Vec<OnceLock<GpRun>>,
     /// The ND blocks, ascending.
@@ -128,8 +124,8 @@ fn panel_flops(l: &CscMat, u: &CscMat) -> f64 {
 }
 
 impl<'a> Fresh<'a> {
-    /// The state of a factorization of `diag_vals` under `sym`'s plan,
-    /// and its stages with every reduction still whole.
+    /// The state of a factorization of `diag_vals` under `sym`, and its
+    /// stages with every reduction still whole.
     fn new(sym: &'a Basker, diag_vals: Vec<f64>) -> (Fresh<'a>, Vec<Vec<Item>>) {
         let inner = &*sym.inner;
         let st = &inner.structure;
@@ -143,90 +139,72 @@ impl<'a> Fresh<'a> {
             })
             .collect()];
         let mut nd = Vec::new();
-        for (b, strategy) in inner.plan.iter().enumerate() {
-            match strategy {
-                BlockStrategy::Gp => {}
-                BlockStrategy::Supernodal => stages[0].push(Item {
-                    work: Work::Sn { b },
+        for (i, &(b, _)) in inner.frozen.nd.iter().enumerate() {
+            let BlockKind::NdBig(nds) = &st.kinds[b] else {
+                unreachable!("the value map splits ND-laid-out blocks only");
+            };
+            assert!(nds.nd.levels <= MAX_LEVELS, "separator tree too deep");
+            let nn = nds.nnodes();
+            let mut rec = NdReplay {
+                reductions: Vec::new(),
+                target_of: vec![NONE; nn],
+                panel_of: (0..nn)
+                    .map(|v| vec![NONE; v - nds.subtree_start[v]])
+                    .collect(),
+            };
+            let mut pending = |v: usize, tgt: usize| {
+                let nrows = nds.nd.nodes[tgt].len();
+                let red = Reduction {
+                    v,
+                    tgt,
+                    nrows,
+                    ..Reduction::default()
+                };
+                rec.reductions.push(red);
+                rec.reductions.len() - 1
+            };
+            layout_nd(nds, &mut stages, |item, stage| {
+                let work = match item {
+                    NdItem::Column(v) => Work::Column { nd: i, v },
+                    NdItem::Panel(v, k) => {
+                        if !nds.nd.nodes[k].is_leaf() {
+                            rec.panel_of[v][k - nds.subtree_start[v]] = pending(v, k);
+                        }
+                        Work::Panel { nd: i, v, k }
+                    }
+                    NdItem::Reduce(v, t) => {
+                        let r = pending(v, t);
+                        if t == v {
+                            rec.target_of[v] = r;
+                        }
+                        Work::Reduce {
+                            nd: i,
+                            r,
+                            c0: 0,
+                            c1: 0,
+                        }
+                    }
+                };
+                stage.push(Item {
+                    work,
                     flops: UNKNOWN,
-                }),
-                BlockStrategy::Nd => {
-                    let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                        unreachable!("analyze plans Nd on ND-laid-out blocks only");
-                    };
-                    assert!(nds.nd.levels <= MAX_LEVELS, "separator tree too deep");
-                    let i = nd.len();
-                    let nn = nds.nnodes();
-                    let mut rec = NdReplay {
-                        block: b,
-                        split: inner
-                            .frozen
-                            .nd
-                            .iter()
-                            .position(|&(sb, _)| sb == b)
-                            .expect("every ND-laid-out block has a split"),
-                        reductions: Vec::new(),
-                        target_of: vec![NONE; nn],
-                        panel_of: (0..nn)
-                            .map(|v| vec![NONE; v - nds.subtree_start[v]])
-                            .collect(),
-                    };
-                    let mut pending = |v: usize, tgt: usize| {
-                        let nrows = nds.nd.nodes[tgt].len();
-                        let red = Reduction {
-                            v,
-                            tgt,
-                            nrows,
-                            ..Reduction::default()
-                        };
-                        rec.reductions.push(red);
-                        rec.reductions.len() - 1
-                    };
-                    layout_nd(nds, &mut stages, |item, stage| {
-                        let work = match item {
-                            NdItem::Column(v) => Work::Column { nd: i, v },
-                            NdItem::Panel(v, k) => {
-                                if !nds.nd.nodes[k].is_leaf() {
-                                    rec.panel_of[v][k - nds.subtree_start[v]] = pending(v, k);
-                                }
-                                Work::Panel { nd: i, v, k }
-                            }
-                            NdItem::Reduce(v, t) => {
-                                let r = pending(v, t);
-                                if t == v {
-                                    rec.target_of[v] = r;
-                                }
-                                Work::Reduce {
-                                    nd: i,
-                                    r,
-                                    c0: 0,
-                                    c1: 0,
-                                }
-                            }
-                        };
-                        stage.push(Item {
-                            work,
-                            flops: UNKNOWN,
-                        });
-                    });
-                    let nred = rec.reductions.len();
-                    nd.push(NdFresh {
-                        st: nds,
-                        lo: st.bounds[b],
-                        rec,
-                        diag: (0..nn).map(|_| OnceLock::new()).collect(),
-                        upper: (0..nn)
-                            .map(|v| nds.descendants(v).map(|_| OnceLock::new()).collect())
-                            .collect(),
-                        chunks: (0..nred).map(|_| vec![(0, OnceLock::new())]).collect(),
-                    });
-                }
-            }
+                });
+            });
+            let nred = rec.reductions.len();
+            nd.push(NdFresh {
+                st: nds,
+                lo: st.bounds[b],
+                rec,
+                diag: (0..nn).map(|_| OnceLock::new()).collect(),
+                upper: (0..nn)
+                    .map(|v| nds.descendants(v).map(|_| OnceLock::new()).collect())
+                    .collect(),
+                chunks: (0..nred).map(|_| vec![(0, OnceLock::new())]).collect(),
+            });
         }
         let fresh = Fresh {
             sym,
             diag_vals,
-            blocks: (0..st.nblocks()).map(|_| OnceLock::new()).collect(),
             runs: inner.runs.iter().map(|_| OnceLock::new()).collect(),
             nd,
             sn_leaves: AtomicUsize::new(0),
@@ -237,7 +215,7 @@ impl<'a> Fresh<'a> {
     /// `A_{r,v}` of ND block `nd`, read in place.
     fn a_block(&self, nd: usize, v: usize, r: usize) -> ColsView<'_> {
         let (f, frozen) = (&self.nd[nd], &self.sym.inner.frozen);
-        frozen.nd[f.rec.split]
+        frozen.nd[nd]
             .1
             .block(&frozen.btf, &self.diag_vals, f.lo, f.st, v, r)
     }
@@ -276,17 +254,6 @@ impl<'a> Fresh<'a> {
                 let (b0, b1, _) = inner.runs[run];
                 let f = GpRun::factor(btf, &self.diag_vals, bounds, b0..b1, pivot_tol)?;
                 put(&self.runs[run], f);
-            }
-            Work::Sn { b } => {
-                let (lo, hi) = (bounds[b], bounds[b + 1]);
-                let diag = btf.diag_cols(&self.diag_vals, lo..hi).to_csc();
-                let num = self.sym.snlu_symbolic(b, &diag)?.factor(&diag)?;
-                let sn = SnFactors {
-                    num,
-                    ws: Mutex::new(SolveWorkspace::for_dim(hi - lo)),
-                    diag,
-                };
-                put(&self.blocks[b], BlockFactors::Sn(Box::new(sn)));
             }
             Work::Column { nd, v } => self.column(nd, v, pivot_tol)?,
             Work::Panel { nd, v, k } => self.panel(nd, v, k),
@@ -361,7 +328,6 @@ impl<'a> Fresh<'a> {
                 let entries = colptr[bounds[b1]] - colptr[bounds[b0]];
                 done(&self.runs[run]).tally().flops + 2.0 * entries as f64
             }
-            Work::Sn { b } => done(&self.blocks[b]).flops(),
             Work::Column { nd, v } => done(&self.nd[nd].diag[v]).flops,
             Work::Panel { nd, v, k } => {
                 let f = &self.nd[nd];
@@ -428,16 +394,15 @@ impl<'a> Fresh<'a> {
         let mut nd_factors = nd_factors.into_iter();
         // The runs ascend and cover every Gilbert–Peierls block.
         let mut run = 0;
-        let factors = (self.blocks.into_iter().zip(&inner.plan).enumerate())
-            .map(|(b, (cell, strategy))| match strategy {
-                BlockStrategy::Gp => {
+        let factors = (inner.structure.kinds.iter().enumerate())
+            .map(|(b, kind)| match kind {
+                BlockKind::Small => {
                     while inner.runs[run].1 <= b {
                         run += 1;
                     }
                     BlockFactors::Gp(run)
                 }
-                BlockStrategy::Supernodal => cell.into_inner().expect("every stage ran"),
-                BlockStrategy::Nd => {
+                BlockKind::NdBig(_) => {
                     let f = nd_factors.next().expect("one ND factor per ND block");
                     BlockFactors::Nd(Box::new(f))
                 }

@@ -447,7 +447,6 @@ impl GpStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::BlockStrategy;
     use crate::solve::solve_nd_in_place;
     use crate::structure::BlockKind;
     use crate::testmat::*;
@@ -463,9 +462,8 @@ mod tests {
     /// The Gilbert–Peierls blocks of `num`, as `lo..hi`.
     fn gp_blocks(num: &BaskerNumeric) -> Vec<Range<usize>> {
         let st = num.sym.structure();
-        let plan = num.sym.plan();
         (0..st.nblocks())
-            .filter(|&b| plan[b] == BlockStrategy::Gp)
+            .filter(|&b| matches!(st.kinds[b], BlockKind::Small))
             .map(|b| st.bounds[b]..st.bounds[b + 1])
             .collect()
     }
@@ -512,7 +510,7 @@ mod tests {
     /// The numeric's `K`-wide solve against the sweep the store
     /// replaces — every Gilbert–Peierls block by
     /// `BlockLu::solve_in_place_with` on its reference factors, every
-    /// other block by its own kernel, each followed by its couplings —
+    /// ND block by its own solve, each followed by its couplings —
     /// bit for bit.
     fn assert_solves_match<const K: usize>(num: &BaskerNumeric, refs: &[(Range<usize>, BlockLu)]) {
         let st = num.sym.structure();
@@ -540,7 +538,7 @@ mod tests {
                 (BlockFactors::Nd(f), BlockKind::NdBig(nds)) => {
                     solve_nd_in_place(nds, f, &mut y[lo..hi], &mut scratch)
                 }
-                _ => unreachable!("no supernodal block in these plans"),
+                _ => unreachable!("factor kind mismatch"),
             }
             push_columns(&num.offdiag, lo..hi, &mut y, lo, 0);
         }

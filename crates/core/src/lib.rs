@@ -15,11 +15,12 @@
 //!   synchronizing only at the joins between stages (the [`stages`]
 //!   module; the paper hands columns between threads point-to-point).
 //!
-//! Both levels run under **one BTF block driver** executing a per-block
-//! plan of [`BlockStrategy`] entries. [`Basker`]
-//! builds it with the paper's plan; [`hybrid::HybridLu`] builds the same
-//! driver with a plan classified block by block, which may also route a
-//! block to the supernodal engine. Both produce a [`BaskerNumeric`].
+//! Both levels run under **one BTF block driver**, [`Basker`], whose
+//! plan is the block layout itself ([`structure::BlockKind`]): fine-BTF
+//! blocks go to Gilbert–Peierls runs, ND-laid-out blocks to the team,
+//! and inside an ND block each leaf to the kernel analyze chose for it
+//! — Gilbert–Peierls, or the supernodal kernel with Gilbert–Peierls's
+//! pivots and patterns. A factorization is a [`BaskerNumeric`].
 //!
 //! ## Quickstart
 //!
@@ -59,7 +60,6 @@ pub mod structure;
 pub use stats::BaskerStats;
 
 use crate::gp_store::GpStore;
-use crate::hybrid::{classify_block, BlockStrategy, HybridOptions};
 use crate::parnum::NdFactors;
 use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
@@ -67,12 +67,9 @@ use crate::stages::gp_runs;
 use crate::structure::{BlockKind, Structure};
 use basker_ordering::symbolic::symbolic_gp;
 use basker_runtime::{shared_team, WorkerTeam};
-use basker_snlu::{Snlu, SnluNumeric, SnluOptions};
-use basker_sparse::metrics::BlockMetrics;
 use basker_sparse::trisolve::push_columns;
 use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
 use basker_sparse::{CscMat, Result, SolveWorkspace, SparseError};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -155,34 +152,20 @@ struct SymInner {
     structure: Structure,
     /// The process-shared team; its width is the effective thread count.
     team: Arc<WorkerTeam>,
-    /// Alg. 2's fine-BTF set — the blocks the plan leaves on
-    /// Gilbert–Peierls — as the fresh factor's runs: `(first block, end
-    /// block, estimated flops)`.
+    /// Alg. 2's fine-BTF set as the fresh factor's runs: `(first
+    /// block, end block, estimated flops)`.
     runs: Vec<(usize, usize, f64)>,
-    /// The blocks the plan hands to another engine — supernodal and ND
-    /// blocks — ascending: the factors the Gilbert–Peierls store does
-    /// not hold.
-    non_gp: Vec<usize>,
-    /// One strategy per BTF block, fixed by `analyze`.
-    plan: Vec<BlockStrategy>,
-    /// The plan came from [`classify_block`], not from the layout alone.
-    classified: bool,
-    /// Options (at this handle's thread count) and lazily built analyses
-    /// of the supernodal-routed blocks (pattern-stable, so one analysis
-    /// serves the whole stream).
-    snlu: SnluOptions,
-    sn_sym: Mutex<HashMap<usize, Snlu>>,
     /// The value map of the analyzed pattern, recorded by `analyze`:
     /// every factorization and refactorization reads `A` through it.
+    /// Its ND list names the blocks the Gilbert–Peierls store does not
+    /// hold.
     frozen: Frozen,
 }
 
 /// The symbolic handle of the BTF block driver: orderings, block
-/// structure, worker team and a per-block plan, reusable across a
-/// sequence of matrices with one pattern. [`Basker::analyze`] installs
-/// the paper's plan (fine-BTF blocks to Gilbert–Peierls, fine-ND blocks
-/// to the team); [`HybridLu::analyze`](hybrid::HybridLu::analyze) builds
-/// the same handle with a classified plan. Cheap to clone.
+/// structure and worker team, reusable across a sequence of matrices
+/// with one pattern. The block structure is the plan: fine-BTF blocks
+/// go to Gilbert–Peierls, fine-ND blocks to the team. Cheap to clone.
 #[derive(Clone)]
 pub struct Basker {
     inner: Arc<SymInner>,
@@ -190,19 +173,8 @@ pub struct Basker {
 
 impl Basker {
     /// Analyzes the pattern of `a` (paper Alg. 2): BTF, AMD/ND
-    /// refinement and thread partitioning, under the paper's plan.
+    /// refinement and thread partitioning.
     pub fn analyze(a: &CscMat, opts: &BaskerOptions) -> Result<Basker> {
-        Basker::analyze_with(a, opts, None)
-    }
-
-    /// The one analyze. With `classify`, every diagonal block is also
-    /// measured and routed by [`classify_block`]; the structure and the
-    /// global permutations do not depend on it.
-    fn analyze_with(
-        a: &CscMat,
-        opts: &BaskerOptions,
-        classify: Option<&HybridOptions>,
-    ) -> Result<Basker> {
         let threads = opts.nthreads.max(1);
         let threads = if threads.is_power_of_two() {
             threads
@@ -213,41 +185,19 @@ impl Basker {
             Structure::build(a, opts.use_btf, opts.use_mwcm, opts.nd_threshold, threads)?;
         let frozen = Frozen::record(a, &structure)?;
         let (diag_vals, _) = frozen.btf.image(a);
-        let nblocks = structure.nblocks();
-        let mut plan = Vec::with_capacity(nblocks);
-        let mut gp_flops = Vec::with_capacity(nblocks);
-        for b in 0..nblocks {
+        // Per-block flop estimates (Alg. 2 line 3), plus two per entry
+        // read so that flop-less singletons weigh something.
+        let runs = gp_runs((0..structure.nblocks()).map(|b| {
             let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
-            let nds = match &structure.kinds[b] {
-                BlockKind::Small => None,
-                BlockKind::NdBig(nds) => Some(nds),
-            };
-            let diag = (hi - lo > 1 && (nds.is_none() || classify.is_some()))
-                .then(|| frozen.btf.diag_cols(&diag_vals, lo..hi).to_csc());
-            let strategy = match (classify, nds) {
-                (None, None) => BlockStrategy::Gp,
-                (None, Some(_)) => BlockStrategy::Nd,
-                (Some(o), _) => {
-                    let metrics = diag.as_ref().map(BlockMetrics::compute);
-                    let sep = nds.map_or(0, |s| s.nd.nodes[s.nnodes() - 1].len());
-                    classify_block(
-                        hi - lo,
-                        metrics.as_ref(),
-                        nds.is_some(),
-                        sep as f64 / (hi - lo).max(1) as f64,
-                        threads,
-                        o,
-                    )
+            match structure.kinds[b] {
+                BlockKind::NdBig(_) => None,
+                BlockKind::Small if hi - lo > 1 => {
+                    let diag = frozen.btf.diag_cols(&diag_vals, lo..hi).to_csc();
+                    Some(symbolic_gp(&diag).flops + 2.0 * diag.nnz() as f64)
                 }
-            };
-            // Per-block flop estimates (Alg. 2 line 3), plus two per
-            // entry read so that flop-less singletons weigh something.
-            gp_flops.push((strategy == BlockStrategy::Gp).then(|| {
-                diag.as_ref()
-                    .map_or(2.0, |d| symbolic_gp(d).flops + 2.0 * d.nnz() as f64)
-            }));
-            plan.push(strategy);
-        }
+                BlockKind::Small => Some(2.0),
+            }
+        }));
 
         Ok(Basker {
             inner: Arc::new(SymInner {
@@ -256,17 +206,7 @@ impl Basker {
                 // Threads are spawned at most once per width for the
                 // process lifetime and parked between jobs.
                 team: shared_team(threads, false),
-                runs: gp_runs(gp_flops),
-                non_gp: (0..nblocks)
-                    .filter(|&b| plan[b] != BlockStrategy::Gp)
-                    .collect(),
-                plan,
-                classified: classify.is_some(),
-                snlu: SnluOptions {
-                    nthreads: threads,
-                    ..classify.map_or_else(SnluOptions::default, |o| o.snlu.clone())
-                },
-                sn_sym: Mutex::new(HashMap::new()),
+                runs,
                 frozen,
             }),
         })
@@ -282,33 +222,8 @@ impl Basker {
         &self.inner.structure
     }
 
-    /// The per-block plan fixed by `analyze`, one strategy per BTF block
-    /// in block order (zip with `structure().bounds` for the rows).
-    pub fn plan(&self) -> &[BlockStrategy] {
-        &self.inner.plan
-    }
-
-    /// Whether this handle was built with a classified plan
-    /// ([`HybridLu::analyze`](hybrid::HybridLu::analyze)) rather than
-    /// the paper's.
-    pub fn classified(&self) -> bool {
-        self.inner.classified
-    }
-
-    /// Gets or lazily builds the supernodal analysis of block `b` over
-    /// its extracted diagonal block.
-    fn snlu_symbolic(&self, b: usize, diag: &CscMat) -> Result<Snlu> {
-        let mut cache = self.inner.sn_sym.lock().expect("snlu cache lock poisoned");
-        if let Some(sym) = cache.get(&b) {
-            return Ok(sym.clone());
-        }
-        let sym = Snlu::analyze(diag, &self.inner.snlu)?;
-        cache.insert(b, sym.clone());
-        Ok(sym)
-    }
-
-    /// Numeric factorization of `a` (same pattern as analyzed) under the
-    /// handle's plan, with fresh pivoting. This is the call a circuit
+    /// Numeric factorization of `a` (same pattern as analyzed), with
+    /// fresh pivoting. This is the call a circuit
     /// simulator makes for every matrix of a transient sequence (paper
     /// §V-F) — the symbolic phase is reused, the numeric phase redone.
     ///
@@ -339,7 +254,6 @@ impl Basker {
             replay,
             stats: BaskerStats::default(),
         };
-        let count = |s: BlockStrategy| inner.plan.iter().filter(|&&p| p == s).count();
         // Only the caller waits on a stage join.
         let mut sync_wait_ns = vec![0; self.threads()];
         sync_wait_ns[0] = joined;
@@ -349,8 +263,7 @@ impl Basker {
             numeric_seconds: t0.elapsed().as_secs_f64(),
             sync_wait_ns,
             btf_blocks: st.nblocks(),
-            sn_blocks: count(BlockStrategy::Supernodal),
-            nd_blocks: count(BlockStrategy::Nd),
+            nd_blocks: inner.frozen.nd.len(),
             sn_leaves,
             threads: self.threads(),
             ..BaskerStats::default()
@@ -359,49 +272,15 @@ impl Basker {
     }
 }
 
-/// Numeric factors of one BTF block under the strategy that built them.
-/// The two rare, heavy variants are boxed: a power grid has 10⁵ of
-/// these and nearly all are the first.
+/// Numeric factors of one BTF block, by its kind. The ND variant is
+/// boxed: a power grid has 10⁵ of these and nearly all are the first.
 pub(crate) enum BlockFactors {
     /// Gilbert–Peierls over the block's window of the frozen store; the
     /// factors are the block's window of this run of the numeric's
     /// [`GpStore`].
     Gp(usize),
-    /// Supernodal factors of the copied diagonal block.
-    Sn(Box<SnFactors>),
     /// A block factored by the team.
     Nd(Box<NdFactors>),
-}
-
-/// A supernodal block: its factors, a dedicated solve workspace (the
-/// supernodal solve needs its own; the mutex is uncontended and the
-/// workspace stays warm, so block solves remain allocation-free after
-/// the first), and its copy of the block, whose values a
-/// refactorization refreshes in place.
-pub(crate) struct SnFactors {
-    pub(crate) num: SnluNumeric,
-    ws: Mutex<SolveWorkspace>,
-    pub(crate) diag: CscMat,
-}
-
-impl BlockFactors {
-    /// `|L+U|` of a block the store does not hold.
-    fn lu_nnz(&self) -> usize {
-        match self {
-            BlockFactors::Gp(_) => unreachable!("the store holds it"),
-            BlockFactors::Sn(sn) => sn.num.lu_nnz,
-            BlockFactors::Nd(f) => f.lu_nnz(),
-        }
-    }
-
-    /// Flops of a block the store does not hold.
-    fn flops(&self) -> f64 {
-        match self {
-            BlockFactors::Gp(_) => unreachable!("the store holds it"),
-            BlockFactors::Sn(sn) => sn.num.flops,
-            BlockFactors::Nd(f) => f.flops(),
-        }
-    }
 }
 
 /// The numeric factorization: factors per BTF block + BTF couplings.
@@ -428,13 +307,16 @@ impl BaskerNumeric {
     /// metric; off-diagonal BTF couplings are reused from `A`, not
     /// factored, so fill density can fall below 1).
     pub fn lu_nnz(&self) -> usize {
-        let others = self.others().map(BlockFactors::lu_nnz);
-        self.gp.lu_nnz() + others.sum::<usize>()
+        self.gp.lu_nnz() + self.nd().map(NdFactors::lu_nnz).sum::<usize>()
     }
 
-    /// The factors of the blocks the store does not hold.
-    fn others(&self) -> impl Iterator<Item = &BlockFactors> {
-        self.sym.inner.non_gp.iter().map(|&b| &self.factors[b])
+    /// The factors of the ND blocks: the blocks the store does not hold.
+    fn nd(&self) -> impl Iterator<Item = &NdFactors> {
+        let nd = &self.sym.inner.frozen.nd;
+        nd.iter().map(|&(b, _)| match &self.factors[b] {
+            BlockFactors::Nd(f) => &**f,
+            BlockFactors::Gp(_) => unreachable!("factor kind mismatch"),
+        })
     }
 
     /// Total stored entries including the retained off-diagonal couplings.
@@ -444,25 +326,11 @@ impl BaskerNumeric {
 
     /// Numeric flops of the factorization kernels.
     pub fn flops(&self) -> f64 {
-        self.gp.tally().flops + self.others().map(BlockFactors::flops).sum::<f64>()
+        self.gp.tally().flops + self.nd().map(NdFactors::flops).sum::<f64>()
     }
 
-    /// Statically perturbed pivots across the supernodal-routed blocks
-    /// (the GP/ND strategies pivot, never perturb).
-    pub fn perturbed_pivots(&self) -> usize {
-        if self.stats.sn_blocks == 0 {
-            return 0;
-        }
-        self.others()
-            .map(|f| match f {
-                BlockFactors::Sn(sn) => sn.num.perturbed_pivots,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// `(min |pivot|, max |pivot|)` over every factored block (GP and
-    /// supernodal blocks and the ND tree's diagonal factors alike).
+    /// `(min |pivot|, max |pivot|)` over every factored block (GP blocks
+    /// and the ND tree's diagonal factors alike).
     /// `min/max` is the KLU-style reciprocal condition estimate; the
     /// extremes feed the session layer's refactor-path quality gates.
     /// `(∞, 0)` for an empty matrix. The Gilbert–Peierls blocks' share
@@ -470,26 +338,16 @@ impl BaskerNumeric {
     pub fn pivot_range(&self) -> (f64, f64) {
         let gp = self.gp.tally();
         let (mut lo, mut hi) = (gp.min_pivot, gp.max_pivot);
-        let mut fold = |(l, h): (f64, f64)| {
+        for blu in self.nd().flat_map(|f| &f.fact_diag) {
+            let (l, h) = blu.pivot_range();
             lo = lo.min(l);
             hi = hi.max(h);
-        };
-        for f in self.others() {
-            match f {
-                BlockFactors::Gp(_) => unreachable!("the store holds it"),
-                BlockFactors::Sn(sn) => fold(sn.num.pivot_range()),
-                BlockFactors::Nd(f) => {
-                    for blu in &f.fact_diag {
-                        fold(blu.pivot_range());
-                    }
-                }
-            }
         }
         (lo, hi)
     }
 
     /// Solves `A·x = b` in place by block back-substitution, each
-    /// diagonal block through its strategy's solve: on entry `x` holds
+    /// diagonal block through its kind's solve: on entry `x` holds
     /// `b`, on exit the solution. After the workspace's first use at
     /// this dimension the call performs **no heap allocation** — the
     /// path a transient simulation hammers thousands of times per
@@ -540,21 +398,6 @@ impl BaskerNumeric {
                         .solve_run(run, &st.bounds, &self.offdiag, y, scratch);
                     continue;
                 }
-                BlockFactors::Sn(sn) => {
-                    // The supernodal solve takes one plain vector:
-                    // gather each lane out of the panel and back.
-                    let mut sws = sn.ws.lock().expect("supernodal ws lock poisoned");
-                    let lane = &mut basker_kernels::flat_mut(scratch)[..hi - lo];
-                    for c in 0..K {
-                        for (t, row) in lane.iter_mut().zip(&y[lo..hi]) {
-                            *t = row[c];
-                        }
-                        sn.num.solve_in_place(lane, &mut sws);
-                        for (row, t) in y[lo..hi].iter_mut().zip(lane.iter()) {
-                            row[c] = *t;
-                        }
-                    }
-                }
                 BlockFactors::Nd(f) => {
                     let BlockKind::NdBig(nds) = &st.kinds[blk] else {
                         unreachable!("factor kind mismatch");
@@ -570,7 +413,7 @@ impl BaskerNumeric {
 
     /// Refactorizes with new values (identical pattern), reusing patterns
     /// **and pivot sequences** — no graph search, no new pivoting — each
-    /// block under the strategy that built it. Fails with
+    /// block by the kernel that built it. Fails with
     /// [`SparseError::ZeroPivot`] if a pivot collapses; callers then
     /// fall back to [`Basker::factor`].
     ///
@@ -631,8 +474,8 @@ mod tests {
         check_solve(&num, a, 1e-11);
     }
 
-    /// A power grid holds tens of thousands of these: the heavy
-    /// variants stay boxed.
+    /// A power grid holds tens of thousands of these: the ND variant
+    /// stays boxed.
     #[test]
     fn block_factors_stay_two_words() {
         assert_eq!(std::mem::size_of::<BlockFactors>(), 16);
@@ -684,48 +527,26 @@ mod tests {
     }
 
     /// On a width-1 team and on the handle's own, the fresh factor
-    /// writes the same factors — values, pivots and flops — under the
-    /// paper plan and classified plans that route the grid or the
-    /// mid-size blocks to the supernodal engine.
+    /// writes the same factors — values, pivots and flops.
     #[test]
     fn fresh_factor_is_bit_identical_at_every_width() {
         let inline = basker_runtime::shared_team(1, false);
         let cases = [
-            (grid2d_unsym(32), true),
-            (heterogeneous(28, 60), true),
-            (with_mid_blocks(28, 4, 60), true),
-            (tiny_blocks(9_000), false),
+            grid2d_unsym(32),
+            heterogeneous(28, 60),
+            with_mid_blocks(28, 4, 60),
+            tiny_blocks(9_000),
         ];
-        for (a, classify) in cases {
+        for a in cases {
             for p in [1usize, 2, 4] {
-                let default = HybridOptions {
-                    base: opts(p, 64),
-                    gp_small: 16,
-                    ..HybridOptions::default()
-                };
-                let mut handles = vec![Basker::analyze(&a, &default.base).unwrap()];
-                if classify {
-                    let grid_supernodal = HybridOptions {
-                        max_separator_fraction: 0.0,
-                        ..default.clone()
-                    };
-                    let mids_supernodal = HybridOptions {
-                        dense_threshold: 0.0,
-                        ..default.clone()
-                    };
-                    for o in [&default, &grid_supernodal, &mids_supernodal] {
-                        handles.push(classified(&a, o));
-                    }
-                }
-                for sym in &handles {
-                    let serial = sym.factor_on(&a, &inline).unwrap();
-                    let team = sym.factor(&a).unwrap();
-                    assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
-                    assert_eq!(factor_pivots(&serial), factor_pivots(&team), "p={p}");
-                    assert_eq!(serial.stats.flops, team.stats.flops, "p={p}");
-                    assert_eq!(serial.stats.lu_nnz, team.stats.lu_nnz, "p={p}");
-                    check_solve(&team, &a, 1e-10);
-                }
+                let sym = Basker::analyze(&a, &opts(p, 64)).unwrap();
+                let serial = sym.factor_on(&a, &inline).unwrap();
+                let team = sym.factor(&a).unwrap();
+                assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
+                assert_eq!(factor_pivots(&serial), factor_pivots(&team), "p={p}");
+                assert_eq!(serial.stats.flops, team.stats.flops, "p={p}");
+                assert_eq!(serial.stats.lu_nnz, team.stats.lu_nnz, "p={p}");
+                check_solve(&team, &a, 1e-10);
             }
         }
     }
@@ -736,7 +557,7 @@ mod tests {
     fn factor_from_a_rank_of_its_own_team_spawns_no_thread() {
         let a = grid2d_unsym(16);
         let sym = Basker::analyze(&a, &opts(2, 32)).unwrap();
-        assert_eq!(sym.plan(), [BlockStrategy::Nd]);
+        assert!(matches!(sym.structure().kinds[..], [BlockKind::NdBig(_)]));
         let team = &sym.inner.team;
         let before = team.threads_spawned();
         team.run_worklist(2, |_| {
@@ -747,10 +568,10 @@ mod tests {
         assert_eq!(team.threads_spawned(), before);
     }
 
-    /// A classified handle whose plan equals the paper plan is the
-    /// `Basker` handle: the same fine-BTF runs — the 70–90-row blocks
-    /// included — and bit-identical factors and equal counts, after
-    /// `factor` and after `refactor`.
+    /// A handle analyzed through the `hybrid` names is the `Basker`
+    /// handle: the same fine-BTF runs — the 65–127-row blocks included —
+    /// and bit-identical factors and equal counts, after `factor` and
+    /// after `refactor`.
     #[test]
     fn plans_are_equivalent() {
         let a = with_mid_blocks(12, 4, 40);
@@ -759,20 +580,20 @@ mod tests {
             .map(|i| (i as f64 * 0.2).sin() + 1.5)
             .collect();
         for p in [1usize, 2, 4] {
-            // A serial classified plan never routes to the team, so at
-            // one thread the grid stays a fine-BTF block in both.
-            let nd_threshold = if p == 1 { usize::MAX } else { 128 };
-            let [paper, classified] = both_plan_kinds(&a, &opts(p, nd_threshold), 64);
-            assert_eq!(paper.plan(), classified.plan(), "p={p}");
-            let mids = (0..paper.plan().len())
+            let o = opts(p, 128);
+            let paper = Basker::analyze(&a, &o).unwrap();
+            let alias = crate::hybrid::HybridLu::analyze(&a, &o).unwrap();
+            let st = paper.structure();
+            let mids = (0..st.nblocks())
                 .filter(|&b| {
-                    let rows = paper.structure().bounds[b + 1] - paper.structure().bounds[b];
-                    (65..128).contains(&rows) && paper.plan()[b] == BlockStrategy::Gp
+                    let rows = st.bounds[b + 1] - st.bounds[b];
+                    (65..128).contains(&rows) && matches!(st.kinds[b], BlockKind::Small)
                 })
+                .filter(|&b| paper.inner.runs.iter().any(|r| (r.0..r.1).contains(&b)))
                 .count();
             assert_eq!(mids, 4, "p={p}: the mid-size blocks are in the runs");
-            assert_eq!(paper.inner.runs, classified.inner.runs);
-            let (mut n1, mut n2) = (paper.factor(&a).unwrap(), classified.factor(&a).unwrap());
+            assert_eq!(paper.inner.runs, alias.inner.runs);
+            let (mut n1, mut n2) = (paper.factor(&a).unwrap(), alias.factor(&a).unwrap());
             for m in [&a, &a2] {
                 assert_eq!(factor_values(&n1), factor_values(&n2), "p={p}");
                 assert_eq!(solve(&n1, &b), solve(&n2, &b), "p={p}");
@@ -789,12 +610,9 @@ mod tests {
 
     /// The pivot range a numeric reports — the Gilbert–Peierls store's
     /// as its last (re)factorization recorded it — is the fold over
-    /// every pivot of every block, after a factor and after refactors,
-    /// under the paper plan and plans that route blocks to the
-    /// supernodal engine.
+    /// every pivot of every block, after a factor and after refactors.
     #[test]
     fn pivot_range_is_the_fold_over_every_pivot() {
-        use basker_sparse::util::u_diag_pivot_range;
         let brute_force = |num: &BaskerNumeric| {
             let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
             let mut fold = |(l, h): (f64, f64)| (lo, hi) = (lo.min(l), hi.max(h));
@@ -803,10 +621,8 @@ mod tests {
                 fold((p.abs(), p.abs()));
             }
             for f in &num.factors {
-                match f {
-                    BlockFactors::Gp(_) => {}
-                    BlockFactors::Sn(sn) => fold(u_diag_pivot_range(sn.num.u())),
-                    BlockFactors::Nd(f) => f.fact_diag.iter().for_each(|d| fold(d.pivot_range())),
+                if let BlockFactors::Nd(f) = f {
+                    f.fact_diag.iter().for_each(|d| fold(d.pivot_range()));
                 }
             }
             (lo, hi)
@@ -814,27 +630,14 @@ mod tests {
         let a = with_mid_blocks(12, 4, 40);
         let a2 = revalued(&a, |v| v * 1.2 - 0.004);
         for p in [1usize, 2] {
-            let base = HybridOptions {
-                base: opts(p, 64),
-                gp_small: 16,
-                ..HybridOptions::default()
-            };
-            let mids_supernodal = HybridOptions {
-                dense_threshold: 0.0,
-                ..base.clone()
-            };
-            let handles = [
-                Basker::analyze(&a, &base.base).unwrap(),
-                classified(&a, &mids_supernodal),
-            ];
-            for (sym, supernodal) in handles.into_iter().zip([false, true]) {
-                let mut num = sym.factor(&a).unwrap();
-                assert_eq!(num.stats.sn_blocks > 0, supernodal, "p={p}");
-                assert_eq!(num.pivot_range(), brute_force(&num), "p={p}: factor");
-                for m in [&a2, &a] {
-                    num.refactor(m).unwrap();
-                    assert_eq!(num.pivot_range(), brute_force(&num), "p={p}: refactor");
-                }
+            let mut num = Basker::analyze(&a, &opts(p, 64))
+                .unwrap()
+                .factor(&a)
+                .unwrap();
+            assert_eq!(num.pivot_range(), brute_force(&num), "p={p}: factor");
+            for m in [&a2, &a] {
+                num.refactor(m).unwrap();
+                assert_eq!(num.pivot_range(), brute_force(&num), "p={p}: refactor");
             }
         }
     }
@@ -842,9 +645,7 @@ mod tests {
     #[test]
     fn refactor_matches_factor() {
         let a = heterogeneous(10, 24);
-        for sym in both_plan_kinds(&a, &opts(2, 64), 16) {
-            assert_refactor_matches_factor(&sym, &a);
-        }
+        assert_refactor_matches_factor(&Basker::analyze(&a, &opts(2, 64)).unwrap(), &a);
     }
 
     /// A matrix with another pattern is turned away by `factor` and by
@@ -878,18 +679,18 @@ mod tests {
     #[test]
     fn stats_populated() {
         let a = grid2d_unsym(8);
-        for sym in both_plan_kinds(&a, &opts(2, 16), 8) {
-            let num = sym.factor(&a).unwrap();
-            assert!(num.stats.lu_nnz >= a.nnz() / 2);
-            assert!(num.stats.flops > 0.0);
-            assert!(num.stats.numeric_seconds > 0.0);
-            assert_eq!(num.stats.threads, 2);
-            assert_eq!(num.stats.strategy_counts(), (0, 0, 1));
-            assert!(num.stats.fill_density(a.nnz()) > 0.0);
-            let (lo, hi) = num.pivot_range();
-            assert!(lo > 0.0 && lo <= hi);
-            assert_eq!(num.perturbed_pivots(), 0);
-        }
+        let num = Basker::analyze(&a, &opts(2, 16))
+            .unwrap()
+            .factor(&a)
+            .unwrap();
+        assert!(num.stats.lu_nnz >= a.nnz() / 2);
+        assert!(num.stats.flops > 0.0);
+        assert!(num.stats.numeric_seconds > 0.0);
+        assert_eq!(num.stats.threads, 2);
+        assert_eq!(num.stats.strategy_counts(), (0, 0, 1));
+        assert!(num.stats.fill_density(a.nnz()) > 0.0);
+        let (lo, hi) = num.pivot_range();
+        assert!(lo > 0.0 && lo <= hi);
     }
 
     /// On a matrix that is one ND block, the numeric's flops are its
@@ -993,11 +794,9 @@ mod tests {
         t.push(0, 0, 1.0);
         t.push(0, 1, 1.0);
         let a = t.to_csc();
-        for classify in [None, Some(&HybridOptions::default())] {
-            assert!(matches!(
-                Basker::analyze_with(&a, &BaskerOptions::default(), classify),
-                Err(SparseError::StructurallySingular { .. })
-            ));
-        }
+        assert!(matches!(
+            Basker::analyze(&a, &BaskerOptions::default()),
+            Err(SparseError::StructurallySingular { .. })
+        ));
     }
 }

@@ -144,8 +144,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ItemCell<T> {
 
 /// The pattern-only record of one symbolic handle, made at analyze:
 /// where `A`'s nonzeros land ([`FrozenBtf`]) and how every ND-laid-out
-/// block's columns split into 2-D blocks. Independent of the plan — a
-/// block keeps its place in the store whichever strategy reads it.
+/// block's columns split into 2-D blocks.
 pub(crate) struct Frozen {
     pub(crate) btf: FrozenBtf,
     /// `(BTF block, its split)` per ND-laid-out block, ascending.
@@ -217,12 +216,9 @@ fn operands<'a>(
     )
 }
 
-/// The reductions of one ND block routed to the team.
+/// The reductions of one ND block, the one [`Frozen::nd`] lists at the
+/// same index.
 pub(crate) struct NdReplay {
-    /// BTF block index.
-    pub(crate) block: usize,
-    /// Index of the block's [`NdSplit`] in [`Frozen::nd`].
-    pub(crate) split: usize,
     /// In the order the stage layout files them: per separator, its
     /// panels' reductions, then its elimination targets.
     pub(crate) reductions: Vec<Reduction>,
@@ -335,20 +331,20 @@ struct NdCtx<'a> {
 
 impl<'a> Ctx<'a> {
     fn nd(&self, nd: usize) -> NdCtx<'a> {
-        let rec = &self.nd[nd];
+        let (block, split) = &self.frozen.nd[nd];
         // A shared read of the block's entry: its items write only the
         // cells inside it.
         let (BlockFactors::Nd(f), BlockKind::NdBig(st)) =
-            (&*self.factors[rec.block], &self.st.kinds[rec.block])
+            (&*self.factors[*block], &self.st.kinds[*block])
         else {
             unreachable!("factor kind mismatch");
         };
         NdCtx {
-            rec,
+            rec: &self.nd[nd],
             st,
             f,
-            lo: self.st.bounds[rec.block],
-            split: &self.frozen.nd[rec.split].1,
+            lo: self.st.bounds[*block],
+            split,
         }
     }
 
@@ -404,15 +400,6 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
             // writes a run's arrays.
             let run = unsafe { cx.gp[run].get_mut_unchecked() };
             run.refactor(btf, cx.diag_vals, bounds, ws)
-        }
-        Work::Sn { b } => {
-            // SAFETY: one item per supernodal block.
-            let BlockFactors::Sn(sn) = (unsafe { cx.factors[b].get_mut_unchecked() }) else {
-                unreachable!("factor kind mismatch");
-            };
-            let slots = btf.diag_colptr()[bounds[b]]..btf.diag_colptr()[bounds[b + 1]];
-            sn.diag.values_mut().copy_from_slice(&cx.diag_vals[slots]);
-            sn.num.refactor(&sn.diag)
         }
         Work::Column { nd, v } => {
             let nd = cx.nd(nd);
@@ -471,7 +458,6 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
 
 #[cfg(test)]
 mod tests {
-    use crate::hybrid::HybridOptions;
     use crate::stages::DISPATCH_BREAK_EVEN_FLOPS;
     use crate::testmat::*;
     use crate::Basker;
@@ -505,69 +491,38 @@ mod tests {
     /// Inline on a width-1 team and dispatched on the handle's own, the
     /// replay writes the same bits — on an ND block with a wide
     /// separator, on an ND block with a tail of tiny blocks, with
-    /// mid-size blocks in between and on nothing but tiny blocks, under
-    /// the paper plan, the classified plan and classified plans whose
-    /// thresholds send the ND-laid-out or the mid-size blocks to the
-    /// supernodal engine — and what it writes solves like a fresh
-    /// factor.
+    /// mid-size blocks in between and on nothing but tiny blocks — and
+    /// what it writes solves like a fresh factor.
     #[test]
     fn replay_is_bit_identical_at_every_width() {
         let inline = shared_team(1, false);
-        // A matrix of tiny blocks classifies to the paper plan again.
         let cases = [
-            (grid2d_unsym(32), true),
-            (heterogeneous(28, 60), true),
-            (with_mid_blocks(28, 4, 60), true),
-            (tiny_blocks(9_000), false),
+            grid2d_unsym(32),
+            heterogeneous(28, 60),
+            with_mid_blocks(28, 4, 60),
+            tiny_blocks(9_000),
         ];
-        for (a, classify) in cases {
+        for a in cases {
             let a2 = revalued(&a, |v| v * 1.25 + 0.001);
             for p in [1usize, 2, 4] {
-                let default = HybridOptions {
-                    base: opts(p, 64),
-                    gp_small: 16,
-                    ..HybridOptions::default()
-                };
-                let mut handles = vec![Basker::analyze(&a, &default.base).unwrap()];
-                if classify {
-                    let grid_supernodal = HybridOptions {
-                        max_separator_fraction: 0.0,
-                        ..default.clone()
-                    };
-                    let mids_supernodal = HybridOptions {
-                        dense_threshold: 0.0,
-                        ..default.clone()
-                    };
-                    for o in [&default, &grid_supernodal, &mids_supernodal] {
-                        handles.push(classified(&a, o));
-                    }
+                let sym = Basker::analyze(&a, &opts(p, 64)).unwrap();
+                let mut serial = sym.factor(&a).unwrap();
+                let mut team = sym.factor(&a).unwrap();
+                for m in [&a2, &a, &a2] {
+                    serial.refactor_on(m, &inline).unwrap();
+                    team.refactor(m).unwrap();
+                    assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
+                    assert_eq!(serial.stats.flops, team.stats.flops);
                 }
-                let (mut sn_seen, mut nd_seen) = (0, 0);
-                for (k, sym) in handles.iter().enumerate() {
-                    let mut serial = sym.factor(&a).unwrap();
-                    let mut team = sym.factor(&a).unwrap();
-                    for m in [&a2, &a, &a2] {
-                        serial.refactor_on(m, &inline).unwrap();
-                        team.refactor(m).unwrap();
-                        assert_eq!(factor_values(&serial), factor_values(&team), "p={p}");
-                        assert_eq!(serial.stats.flops, team.stats.flops);
-                    }
-                    assert_solves_like_fresh(&team, &sym.factor(&a2).unwrap(), &a2);
-                    sn_seen += team.stats.sn_blocks;
-                    nd_seen += team.stats.nd_blocks;
-                    // The comparison means something: past one thread,
-                    // the team's replay of the paper plan and of the
-                    // default classified one dispatched stages the
-                    // other ran inline.
-                    let wide = team
-                        .replay
-                        .stages
-                        .iter()
-                        .filter(|s| s.items.len() > 1 && s.flops >= DISPATCH_BREAK_EVEN_FLOPS);
-                    assert!(p == 1 || k > 1 || wide.count() > 0, "p={p}");
-                }
-                // Supernodal and team items were replayed, not only runs.
-                assert!(!classify || (sn_seen > 0 && nd_seen > 0), "p={p}");
+                assert_solves_like_fresh(&team, &sym.factor(&a2).unwrap(), &a2);
+                // The comparison means something: past one thread, the
+                // team's replay dispatched stages the other ran inline.
+                let wide = team
+                    .replay
+                    .stages
+                    .iter()
+                    .filter(|s| s.items.len() > 1 && s.flops >= DISPATCH_BREAK_EVEN_FLOPS);
+                assert!(p == 1 || wide.count() > 0, "p={p}");
             }
         }
     }

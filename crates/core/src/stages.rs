@@ -5,10 +5,9 @@
 //! block tasks, read off Basker's own structure — as a list of
 //! **stages**, each a bag of independent items:
 //!
-//! 1. every ND leaf's stacked block column `[A_ll; A_{a,l}…]`, every
+//! 1. every ND leaf's stacked block column `[A_ll; A_{a,l}…]` and every
 //!    fine-BTF block (coalesced, in BTF order, into runs worth a
-//!    dispatch: `gp_runs`) and every supernodal block — nothing here
-//!    depends on anything;
+//!    dispatch: `gp_runs`) — nothing here depends on anything;
 //! 2. then per separator level `ℓ`, for every separator `v` on it:
 //!    the panels `U_{k,v}`, one stage per tree level of the descendant
 //!    `k` (an inner separator's panel reduces over its own descendants'
@@ -64,8 +63,6 @@ pub(crate) enum Work {
     /// A run of fine-BTF blocks (the handle's `run`-th), Gilbert–Peierls,
     /// in BTF order.
     Gp { run: usize },
-    /// One supernodal block.
-    Sn { b: usize },
     /// The stacked block column of node `v` of ND block `nd`: a leaf
     /// over `A`'s blocks, a separator over its reduced blocks.
     Column { nd: usize, v: usize },
@@ -154,8 +151,8 @@ pub(crate) fn layout_nd<T>(
 
 /// Coalesces the Gilbert–Peierls blocks, in BTF order, into runs of
 /// about one dispatch's worth of work: `weights` holds each block's
-/// flops, `None` for a block of another strategy (which ends the open
-/// run). Returns `(first block, end block, flops)` per run.
+/// flops, `None` for an ND block (which ends the open run). Returns
+/// `(first block, end block, flops)` per run.
 pub(crate) fn gp_runs(weights: impl IntoIterator<Item = Option<f64>>) -> Vec<(usize, usize, f64)> {
     let mut runs = Vec::new();
     let mut open: Option<(usize, f64)> = None;

@@ -1,6 +1,5 @@
 //! Matrices and checks shared by this crate's unit tests.
 
-use crate::hybrid::{HybridLu, HybridOptions};
 use crate::parnum::NdFactors;
 use crate::{Basker, BaskerNumeric, BaskerOptions, BlockFactors};
 use basker_sparse::spmv::spmv;
@@ -79,9 +78,8 @@ pub(crate) fn heterogeneous(k: usize, tiny: usize) -> CscMat {
 }
 
 /// [`heterogeneous`] with `mids` irreducible ring blocks of 70, 77, …
-/// rows (above the classifier's default `gp_small`, below the default
-/// `nd_threshold`; sparse, so classified Gilbert–Peierls) between the
-/// grid and the tiny tail.
+/// rows (below the default `nd_threshold`, so fine-BTF blocks) between
+/// the grid and the tiny tail.
 pub(crate) fn with_mid_blocks(k: usize, mids: usize, tiny: usize) -> CscMat {
     let h = heterogeneous(k, tiny);
     let sizes: Vec<usize> = (0..mids).map(|q| 70 + 7 * q).collect();
@@ -219,22 +217,6 @@ pub(crate) fn opts(nthreads: usize, nd_threshold: usize) -> BaskerOptions {
     }
 }
 
-/// One handle per plan kind over the same options: the paper plan and
-/// the classified plan (tiny blocks up to `gp_small` rows pinned to GP).
-pub(crate) fn both_plan_kinds(a: &CscMat, base: &BaskerOptions, gp_small: usize) -> [Basker; 2] {
-    let o = HybridOptions {
-        base: base.clone(),
-        gp_small,
-        ..HybridOptions::default()
-    };
-    [Basker::analyze(a, base).unwrap(), classified(a, &o)]
-}
-
-/// The driver handle of a plan classified under `o`.
-pub(crate) fn classified(a: &CscMat, o: &HybridOptions) -> Basker {
-    Basker::clone(&HybridLu::analyze(a, o).unwrap())
-}
-
 /// Every factor value of a numeric, in storage order: the
 /// Gilbert–Peierls store's, then every other block's.
 pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
@@ -242,10 +224,6 @@ pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
     for f in &num.factors {
         match f {
             BlockFactors::Gp(_) => {}
-            BlockFactors::Sn(sn) => {
-                out.extend_from_slice(sn.num.l().values());
-                out.extend_from_slice(sn.num.u().values());
-            }
             BlockFactors::Nd(f) => {
                 for blu in &f.fact_diag {
                     out.extend_from_slice(blu.l.values());
@@ -300,7 +278,7 @@ pub(crate) fn check_solve(num: &BaskerNumeric, a: &CscMat, tol: f64) {
     assert!(res < tol, "residual {res}");
 }
 
-/// The refactor contract under `sym`'s plan: after `factor(a)`,
+/// The refactor contract of `sym`: after `factor(a)`,
 /// a value-only `refactor(a2)` solves like a fresh `factor(a2)`.
 pub(crate) fn assert_refactor_matches_factor(sym: &Basker, a: &CscMat) {
     let a2 = revalued(a, |v| v * 1.25 + 0.001);

@@ -10,8 +10,8 @@
 //!   application to matrices and vectors.
 //! * Block extraction ([`blocks`]), sparse matrix–vector products
 //!   ([`spmv`]), sparse triangular solves ([`trisolve`]), Matrix Market I/O
-//!   ([`io`]), norm/residual utilities ([`util`]) and pattern-level
-//!   structure metrics + the shared pattern hash ([`metrics`]).
+//!   ([`io`]), norm/residual utilities ([`util`]) and the shared
+//!   pattern hash ([`metrics`]).
 //!
 //! All matrices hold `f64` values and use `usize` indices. Row indices
 //! within each column are kept **sorted and unique** by every constructor;

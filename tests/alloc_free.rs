@@ -90,7 +90,7 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
     let b = spmv(&a, &xtrue);
     let mut x = vec![0.0; n];
 
-    for engine in [Engine::Klu, Engine::Basker, Engine::Snlu, Engine::Hybrid] {
+    for engine in [Engine::Klu, Engine::Basker, Engine::Snlu] {
         let cfg = SolverConfig::new().engine(engine).threads(2);
         let solver = LinearSolver::analyze(&a, &cfg).unwrap();
         let num = solver.factor(&a).unwrap();
@@ -117,7 +117,7 @@ fn warmed_solves_do_not_allocate_for_any_engine() {
     // ---- multi-RHS panel solves --------------------------------------
     // 8 right-hand sides are one panel, 5 a panel of 4 and one of 1;
     // the first call at each width may grow the workspace's panel.
-    for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid] {
+    for engine in [Engine::Klu, Engine::Basker] {
         let cfg = SolverConfig::new().engine(engine).threads(2);
         let num = LinearSolver::analyze(&a, &cfg).unwrap().factor(&a).unwrap();
         let mut ws = SolveWorkspace::for_dim(n);

@@ -4,7 +4,6 @@
 
 mod common;
 
-use basker::hybrid::{HybridLu, HybridOptions};
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
 use basker_sparse::util::approx_eq_vec;
@@ -75,10 +74,8 @@ fn agreement_on_mesh3d() {
 }
 
 /// A circuit, then one irreducible mesh block, then a run of 1×1
-/// blocks, coupled strictly upper-triangular: every block kind the
-/// driver has (fine-BTF GP blocks, an ND block, and — under a
-/// classified plan whose thresholds send it there — a supernodal
-/// block) in one matrix.
+/// blocks, coupled strictly upper-triangular: both block kinds the
+/// driver has (fine-BTF GP blocks and an ND block) in one matrix.
 fn circuit_with_mesh_tail() -> CscMat {
     let c = circuit(&CircuitParams {
         nsub: 4,
@@ -179,7 +176,6 @@ fn multi_rhs_consistency() {
         ("one-block mesh", mesh2d(14, 2)),
     ];
     for threads in [1, 2, 4] {
-        let mut sn_blocks_solved = 0;
         for (what, a) in &cases {
             let n = a.ncols();
             let cfg = |engine| {
@@ -188,42 +184,15 @@ fn multi_rhs_consistency() {
                     .threads(threads)
                     .nd_threshold(64)
             };
-            for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid, Engine::Snlu] {
+            for engine in [Engine::Klu, Engine::Basker, Engine::Snlu] {
                 let num = LinearSolver::analyze(a, &cfg(engine))
                     .unwrap()
                     .factor(a)
                     .unwrap();
-                if let Some(h) = num.as_hybrid() {
-                    sn_blocks_solved += h.stats.sn_blocks;
-                }
                 let at = format!("{what}, {engine} x{threads}");
                 check_panels(&num, n, engine == Engine::Snlu, &at);
             }
-            // The classified plan again, under thresholds that send
-            // the ND-laid-out blocks, then the mid-size ones, to the
-            // supernodal engine.
-            let default = cfg(Engine::Hybrid).hybrid_options();
-            let forced = [
-                HybridOptions {
-                    max_separator_fraction: 0.0,
-                    ..default.clone()
-                },
-                HybridOptions {
-                    dense_threshold: 0.0,
-                    ..default
-                },
-            ];
-            for (i, o) in forced.iter().enumerate() {
-                let num = HybridLu::analyze(a, o).unwrap().factor(a).unwrap();
-                sn_blocks_solved += num.stats.sn_blocks;
-                let at = format!("{what}, forced plan {i} x{threads}");
-                check_panels(&num, n, false, &at);
-            }
         }
-        assert!(
-            sn_blocks_solved > 0,
-            "x{threads}: no plan routed a block to the supernodal kernel"
-        );
     }
 
     // ... and a panic through the engines' inherent methods.
@@ -244,4 +213,45 @@ fn multi_rhs_consistency() {
     };
     assert!(ragged(&|xs, ws| klu.solve_multi_in_place(xs, ws)).is_err());
     assert!(ragged(&|xs, ws| basker.solve_multi_in_place(xs, ws)).is_err());
+}
+
+/// One irreducible mesh block, then `tiny` 1×1 blocks it couples to.
+fn mesh_with_tail(k: usize, tiny: usize) -> CscMat {
+    let g = mesh2d(k, 3);
+    let gn = g.nrows();
+    let mut t = TripletMat::new(gn + tiny, gn + tiny);
+    for (i, j, v) in g.iter() {
+        t.push(i, j, v);
+    }
+    for q in gn..gn + tiny {
+        t.push(q, q, 5.0 + (q % 4) as f64);
+        t.push(q % gn, q, -0.25);
+    }
+    t.to_csc()
+}
+
+/// `Engine::Hybrid` is an input alias of `Engine::Basker`: through
+/// `LinearSolver`, at every width, both run the block driver and give
+/// bit-identical solutions and equal counts — on a mesh block with a
+/// tail of tiny blocks and on a lone mesh block, whose mesh a serial
+/// hybrid plan once sent whole to the supernodal engine.
+#[test]
+fn hybrid_is_the_basker_driver() {
+    for a in [mesh_with_tail(12, 40), mesh2d(14, 2)] {
+        let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.3).sin()).collect();
+        for threads in [1, 2, 4] {
+            let run = |engine| {
+                let cfg = SolverConfig::new().engine(engine).threads(threads);
+                let solver = LinearSolver::analyze(&a, &cfg).unwrap();
+                assert_eq!(solver.engine(), Engine::Basker, "{engine} x{threads}");
+                let num = solver.factor(&a).unwrap();
+                let x = common::solve_fresh(&num, &b);
+                assert!(relative_residual(&a, &x, &b) < 1e-10, "{engine} x{threads}");
+                let st = num.stats();
+                let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                (bits, st.engine, st.lu_nnz, st.flops, st.btf_blocks)
+            };
+            assert_eq!(run(Engine::Hybrid), run(Engine::Basker), "x{threads}");
+        }
+    }
 }

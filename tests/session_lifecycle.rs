@@ -6,6 +6,7 @@
 //! contract: one residual-gate re-pivot per call with every column
 //! re-solved, and `xs` restored on an error.
 
+use basker::structure::BlockKind;
 use basker_repro::prelude::*;
 
 /// A 13×13 matrix of 2×2 BTF blocks plus one **forced-transversal
@@ -434,7 +435,7 @@ fn failed_gate_repivot_restores_every_column() {
 #[test]
 fn solve_sweeps_count_panels_not_columns() {
     let a = drifting(10.0, 8.0);
-    for engine in [Engine::Klu, Engine::Basker, Engine::Hybrid, Engine::Snlu] {
+    for engine in [Engine::Klu, Engine::Basker, Engine::Snlu] {
         let mut session =
             SolveSession::new(&a, &SessionConfig::new().engine(engine).threads(2)).unwrap();
         session.step(&a).unwrap();
@@ -467,8 +468,8 @@ fn solve_sweeps_count_panels_not_columns() {
     }
 }
 
-/// One irreducible mesh block, then a tail of 1×1 blocks: the shapes
-/// the classifier routes apart.
+/// One irreducible mesh block, then a tail of 1×1 blocks: both block
+/// kinds of the driver.
 fn heterogeneous() -> CscMat {
     let g = mesh2d(12, 3);
     let (gn, tiny) = (g.nrows(), 40);
@@ -490,15 +491,30 @@ fn scaled(a: &CscMat, f: f64) -> CscMat {
     m
 }
 
-/// The `(gp, supernodal, nd)` counts of a plan.
-fn counts(plan: &[basker::hybrid::BlockStrategy]) -> (usize, usize, usize) {
-    use basker::hybrid::BlockStrategy::*;
-    let of = |s| plan.iter().filter(|&&p| p == s).count();
-    (of(Gp), of(Supernodal), of(Nd))
+/// The plan a driver handle executes, read off its block layout: per
+/// BTF block, its rows and its ND leaves (0 for a fine-BTF block).
+fn plan(sym: &Basker) -> Vec<(usize, usize)> {
+    let st = sym.structure();
+    (0..st.nblocks())
+        .map(|b| {
+            let leaves = match &st.kinds[b] {
+                BlockKind::Small => 0,
+                BlockKind::NdBig(nds) => nds.leaf_of_thread.len(),
+            };
+            (st.bounds[b + 1] - st.bounds[b], leaves)
+        })
+        .collect()
 }
 
-/// A hybrid session's first step is an ordinary factor and every later
-/// one an ordinary refactor: no step is spent measuring a plan.
+/// The `(gp, 0, nd)` counts of a plan.
+fn counts(plan: &[(usize, usize)]) -> (usize, usize, usize) {
+    let nd = plan.iter().filter(|&&(_, leaves)| leaves > 0).count();
+    (plan.len() - nd, 0, nd)
+}
+
+/// A hybrid session is a `Basker` session: its first step is an
+/// ordinary factor and every later one an ordinary refactor — no step is
+/// spent measuring a plan.
 #[test]
 fn hybrid_session_steps_are_the_reuse_policy_and_nothing_else() {
     let a = heterogeneous();
@@ -515,17 +531,21 @@ fn hybrid_session_steps_are_the_reuse_policy_and_nothing_else() {
     let st = session.stats();
     assert_eq!((st.factors, st.refactors), (1, 2));
     assert_eq!(st.routing_probes, 0);
-    let num = session.numeric().unwrap().as_hybrid().unwrap();
+    assert_eq!(session.solver().engine(), Engine::Basker);
+    let num = session.numeric().unwrap().as_basker().unwrap();
     let (gp, sn, nd) = num.stats.strategy_counts();
-    assert!(gp > 0 && sn + nd > 0, "mixed plan: {:?}", (gp, sn, nd));
+    assert!(
+        gp > 0 && sn == 0 && nd == 1,
+        "both kinds: {:?}",
+        (gp, sn, nd)
+    );
 }
 
 /// Same-pattern sessions at different thread counts, opened in either
-/// order, each execute `classify_block`'s plan for their own thread
-/// count: nothing learned by one session reaches another.
+/// order, each execute the plan their own analyze fixed for their own
+/// thread count: nothing learned by one session reaches another.
 #[test]
 fn hybrid_sessions_execute_their_own_analyze_time_plan() {
-    use basker::hybrid::HybridLu;
     let a = heterogeneous();
     let mut executed = Vec::new();
     for threads in [1, 2, 2, 1] {
@@ -534,17 +554,23 @@ fn hybrid_sessions_execute_their_own_analyze_time_plan() {
         for k in 0..2 {
             session.step(&scaled(&a, 1.0 + 0.01 * k as f64)).unwrap();
         }
-        let plan = session.solver().as_hybrid().unwrap().plan().to_vec();
-        let own = HybridLu::analyze(&a, &cfg.solver_config().hybrid_options()).unwrap();
-        assert_eq!(plan, own.plan(), "x{threads}");
-        let num = session.numeric().unwrap().as_hybrid().unwrap();
-        assert_eq!(num.stats.strategy_counts(), counts(&plan), "x{threads}");
+        let executing = plan(session.solver().as_basker().unwrap());
+        let own = Basker::analyze(&a, &cfg.solver_config().hybrid_options()).unwrap();
+        assert_eq!(executing, plan(&own), "x{threads}");
+        let num = session.numeric().unwrap().as_basker().unwrap();
+        assert_eq!(
+            num.stats.strategy_counts(),
+            counts(&executing),
+            "x{threads}"
+        );
         assert_eq!(session.stats().routing_probes, 0);
-        executed.push(plan);
+        executed.push(executing);
     }
     assert_eq!(executed[0], executed[3], "one plan per thread count");
     assert_eq!(executed[1], executed[2]);
-    // The mesh block goes to the team only where there is one.
-    assert_eq!(counts(&executed[0]).2, 0);
-    assert_eq!(counts(&executed[1]).2, 1);
+    // The mesh block goes to the team at either width, with one leaf
+    // per rank.
+    let leaves = |plan: &[(usize, usize)]| plan.iter().map(|p| p.1).max();
+    assert_eq!(leaves(&executed[0]), Some(1));
+    assert_eq!(leaves(&executed[1]), Some(2));
 }
