@@ -30,8 +30,8 @@
 //! * [`Engine::Snlu`] — the supernodal level-scheduled comparator,
 //! * [`Engine::Hybrid`] — an input alias of [`Engine::Basker`], which
 //!   already picks a kernel per block; it resolves to `Basker`,
-//! * [`Engine::Auto`] — pick per matrix from the BTF structure (the
-//!   paper's circuit-vs-mesh crossover heuristic).
+//! * [`Engine::Auto`] — the default: the block driver, [`Engine::Basker`],
+//!   on every matrix (it already picks a kernel per block and per leaf).
 //!
 //! The design goals, in order:
 //!

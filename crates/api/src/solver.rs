@@ -14,8 +14,7 @@
 //!
 //! [`SparseLuSolver`] is implemented directly by each engine's symbolic
 //! type (`KluSymbolic`, `Basker`, `Snlu`) for static
-//! dispatch, and by [`LinearSolver`] for engine-agnostic code and
-//! [`Engine::Auto`].
+//! dispatch, and by [`LinearSolver`] for engine-agnostic code.
 
 use crate::config::{Engine, SolverConfig};
 use crate::error::{map_analyze_error, map_engine_error, SolverError};
@@ -485,9 +484,9 @@ impl LuNumeric for SnluNumeric {
 
 /// An engine-agnostic symbolic handle.
 ///
-/// `analyze` resolves [`Engine::Auto`] against the matrix structure and
-/// dispatches to the chosen engine; the same calling code then drives
-/// KLU, Basker or the supernodal solver identically.
+/// `analyze` dispatches to the requested engine ([`Engine::Auto`] is the
+/// block driver); the same calling code then drives KLU, Basker or the
+/// supernodal solver identically.
 ///
 /// ```
 /// use basker_api::{Engine, LinearSolver, SolverConfig, SparseLuSolver, LuNumeric};
@@ -513,8 +512,8 @@ enum SymbolicInner {
 }
 
 impl LinearSolver {
-    /// Analyzes `a`, resolving [`Engine::Auto`] from the BTF structure
-    /// and [`Engine::Hybrid`] to [`Engine::Basker`].
+    /// Analyzes `a` on the requested engine, [`Engine::Auto`] and
+    /// [`Engine::Hybrid`] being [`Engine::Basker`].
     pub fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<LinearSolver, SolverError> {
         let engine = cfg.resolve_engine(a)?;
         let inner = match engine {

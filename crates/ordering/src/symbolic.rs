@@ -148,7 +148,10 @@ pub fn fundamental_supernodes(p: &FactorPattern, relax: usize) -> Vec<usize> {
             bounds.push(j);
         }
     }
-    bounds.push(n);
+    // An empty pattern has no supernodes, not one empty one.
+    if n > 0 {
+        bounds.push(n);
+    }
     bounds
 }
 
@@ -293,6 +296,12 @@ mod tests {
         let p = symbolic_cholesky(&CscMat::from_dense(&d));
         let s = fundamental_supernodes(&p, 0);
         assert_eq!(s, vec![0, 4]);
+    }
+
+    #[test]
+    fn empty_pattern_has_no_supernodes() {
+        let p = symbolic_cholesky(&CscMat::zero(0, 0));
+        assert_eq!(fundamental_supernodes(&p, 0), vec![0]);
     }
 
     #[test]

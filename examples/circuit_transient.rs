@@ -43,7 +43,7 @@ fn main() {
         .policy(ReusePolicy::adaptive())
         .target_residual(1e-10);
     let mut session = SolveSession::new(&a0, &cfg).expect("analyze");
-    println!("Engine::Auto selected `{}`", session.engine());
+    println!("Engine::Auto runs `{}`", session.engine());
 
     // The "simulation": each step refreshes the Jacobian and solves.
     // The session decides factor vs refactor vs re-pivot; each solve is

@@ -1,8 +1,8 @@
 //! Power-grid contingency screening: repeatedly solve a grid system with
 //! single-branch outages. Power grids are the extreme BTF case (100 % of
-//! rows in tiny blocks — paper Table I's `RS_*` rows), so `Engine::Auto`
-//! routes them to a Gilbert–Peierls engine, which factors them almost
-//! entirely through the embarrassingly parallel fine-BTF path.
+//! rows in tiny blocks — paper Table I's `RS_*` rows), so the block
+//! driver that `Engine::Auto` runs factors them almost entirely through
+//! its embarrassingly parallel fine-BTF path.
 //!
 //! Run with: `cargo run --release --example power_grid_contingency`
 
@@ -21,7 +21,7 @@ fn main() {
 
     let cfg = SessionConfig::new().engine(Engine::Auto).threads(2);
     let mut session = SolveSession::new(&grid, &cfg).expect("analyze");
-    println!("Engine::Auto selected `{}`", session.engine());
+    println!("Engine::Auto runs `{}`", session.engine());
 
     session.step(&grid).expect("base factor");
     let stats = session.stats().last_factor.clone();

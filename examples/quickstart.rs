@@ -33,7 +33,7 @@ fn main() {
     // --- one lifecycle, any engine: analyze once, factor, solve -------
     let cfg = SolverConfig::new().engine(Engine::Auto).threads(2);
     let solver = LinearSolver::analyze(&a, &cfg).expect("analyze");
-    println!("Engine::Auto selected the `{}` engine", solver.engine());
+    println!("Engine::Auto runs the `{}` engine", solver.engine());
 
     let num = solver.factor(&a).expect("factor");
     let stats = num.stats();

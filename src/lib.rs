@@ -4,8 +4,8 @@
 //! integration tests read like downstream user code. The recommended
 //! entry point is the [`SolveSession`](basker_api::SolveSession)
 //! lifecycle — a policy-driven factor/refactor session over a stream of
-//! same-pattern matrices, with [`Engine::Auto`](basker_api::Engine)
-//! picking the engine from the matrix structure:
+//! same-pattern matrices, run by default on the block driver
+//! ([`Engine::Auto`](basker_api::Engine) is `Engine::Basker`):
 //!
 //! ```
 //! use basker_repro::prelude::*;

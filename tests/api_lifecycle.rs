@@ -1,5 +1,5 @@
-//! Integration: the unified `LinearSolver` lifecycle — engine
-//! auto-selection, per-engine refactor-then-solve round-trips, unified
+//! Integration: the unified `LinearSolver` lifecycle — what
+//! `Engine::Auto` runs, per-engine refactor-then-solve round-trips, unified
 //! singular-pivot reporting with global context, and workspace reuse
 //! across engines and dimensions.
 
@@ -25,47 +25,35 @@ fn scaled_values(a: &CscMat, f: impl Fn(usize, f64) -> f64) -> CscMat {
 }
 
 #[test]
-fn auto_selects_different_engines_for_circuit_vs_mesh() {
-    // Power grids are the extreme BTF case (everything in tiny blocks);
-    // 2-D meshes are one irreducible block. Auto must split them.
-    let circuit_like = powergrid(&PowergridParams {
+fn auto_is_the_block_driver_on_grid_circuit_and_mesh() {
+    // Power grids are the extreme BTF case (everything in tiny blocks),
+    // circuits sit in between, and 2-D meshes are one irreducible block:
+    // Auto runs the block driver on each at every width. The supernodal
+    // engine's own run on meshes is `factor_correctness::snlu_all_classes`.
+    let grid = powergrid(&PowergridParams {
         nfeeders: 20,
         feeder_len: 25,
         loop_prob: 0.2,
         seed: 9,
     });
-    let mesh_like = mesh2d(16, 1);
-
-    // Engine pinned to Auto explicitly: the default honours the
-    // BASKER_ENGINE override, and CI runs this suite under pinned
-    // engines too.
-    let cfg = SolverConfig::new().engine(Engine::Auto).threads(2);
-    let c = LinearSolver::analyze(&circuit_like, &cfg).unwrap();
-    let m = LinearSolver::analyze(&mesh_like, &cfg).unwrap();
-    assert_eq!(c.engine(), Engine::Basker, "powergrid should go to Basker");
-    assert_eq!(
-        m.engine(),
-        Engine::Snlu,
-        "mesh should go to the supernodal engine"
-    );
-
-    // Serial circuit-like work goes to KLU instead.
-    let serial = LinearSolver::analyze(
-        &circuit_like,
-        &SolverConfig::new().engine(Engine::Auto).threads(1),
-    )
-    .unwrap();
-    assert_eq!(serial.engine(), Engine::Klu);
-
-    // A real circuit matrix also classifies as circuit-like.
     let circ = circuit(&CircuitParams {
         nsub: 8,
         sub_size: 32,
         feedthrough: 0.4,
         ..CircuitParams::default()
     });
-    let c2 = LinearSolver::analyze(&circ, &cfg).unwrap();
-    assert_ne!(c2.engine(), Engine::Snlu, "circuit must not go supernodal");
+    for a in [&grid, &circ, &mesh2d(16, 1)] {
+        for p in [1, 2] {
+            let cfg = SolverConfig::new().engine(Engine::Auto).threads(p);
+            let solver = LinearSolver::analyze(a, &cfg).unwrap();
+            assert_eq!(
+                solver.engine(),
+                Engine::Basker,
+                "n = {}, T = {p}",
+                a.nrows()
+            );
+        }
+    }
 }
 
 #[test]

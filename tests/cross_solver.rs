@@ -33,7 +33,7 @@ fn agree_on(a: &CscMat, tol: f64) {
     assert!(approx_eq_vec(&xs, &xtrue, tol * 100.0), "snlu vs truth");
     assert!(approx_eq_vec(&xb, &xk, tol), "basker vs klu");
 
-    // Auto must agree too, whichever engine it picks.
+    // Auto (the block driver) must agree too.
     let (picked, xa) = common::analyze_factor_solve(Engine::Auto, a, &b);
     assert!(
         approx_eq_vec(&xa, &xtrue, tol * 100.0),

@@ -127,6 +127,38 @@ fn numerically_singular_block_is_an_error_not_garbage() {
     }
 }
 
+/// 0×0 and 1×1 through both front-ends, for every engine at one and two
+/// threads: analyze, factor, refactor and solve all succeed.
+#[test]
+fn empty_and_one_by_one_on_every_engine() {
+    for (a, b, want) in [
+        (CscMat::zero(0, 0), vec![], vec![]),
+        (CscMat::from_dense(&[vec![4.0]]), vec![8.0], vec![2.0]),
+    ] {
+        let n = a.nrows();
+        for engine in [Engine::Auto, Engine::Basker, Engine::Klu, Engine::Snlu] {
+            for p in [1, 2] {
+                let cfg = SolverConfig::new().engine(engine).threads(p);
+                let solver = LinearSolver::analyze(&a, &cfg)
+                    .unwrap_or_else(|e| panic!("{engine}, n = {n}, T = {p}: {e}"));
+                assert_eq!(solver.dim(), n);
+                let mut num = solver.factor(&a).unwrap();
+                num.refactor(&a).unwrap();
+                assert_eq!(solved(&num, &b), want, "{engine}, n = {n}, T = {p}");
+
+                let cfg = SessionConfig::new().engine(engine).threads(p);
+                let mut session = SolveSession::new(&a, &cfg).unwrap();
+                for _ in 0..3 {
+                    session.step(&a).unwrap();
+                    let mut x = b.clone();
+                    assert!(session.solve_refined(&mut x).unwrap().converged);
+                    assert_eq!(x, want, "{engine} session, n = {n}, T = {p}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn rectangular_matrices_rejected_everywhere() {
     let a = CscMat::zero(3, 4);

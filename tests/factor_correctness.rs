@@ -99,9 +99,9 @@ fn snlu_all_classes() {
 fn auto_engine_all_classes() {
     let mut ws = SolveWorkspace::new();
     for (name, a) in workloads() {
-        // Auto pinned explicitly: the default engine honours the
-        // BASKER_ENGINE override, and CI runs this suite under pinned
-        // engines too.
+        // Auto is the block driver at its default `nd_threshold`; the
+        // supernodal engine's run over the same classes is
+        // `snlu_all_classes`.
         check(
             &SolverConfig::new().engine(Engine::Auto).threads(2),
             name,

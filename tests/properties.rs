@@ -100,7 +100,7 @@ proptest! {
     }
 
     /// Cross-engine agreement on the paper's workload families: all
-    /// three engines and whatever `Engine::Auto` picks must solve the
+    /// three engines and `Engine::Auto` (the block driver) must solve the
     /// same system to the same answer within tolerance.
     #[test]
     fn engines_agree_on_workload_families(a in arb_workload()) {

@@ -73,6 +73,8 @@ fn snlu_tracks_sequence_with_static_pivoting() {
     track_sequence(Engine::Snlu, 25, 1e-6);
 }
 
+/// `Auto` is the block driver; the supernodal engine's run over this
+/// sequence is `snlu_tracks_sequence_with_static_pivoting`.
 #[test]
 fn auto_tracks_sequence() {
     track_sequence(Engine::Auto, 25, 1e-6);
