@@ -57,7 +57,7 @@ pub mod stages;
 pub mod stats;
 pub mod structure;
 
-pub use stats::BaskerStats;
+pub use stats::{AnalyzeProfile, BaskerStats};
 
 use crate::gp_store::GpStore;
 use crate::parnum::NdFactors;
@@ -65,13 +65,12 @@ use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
 use crate::stages::gp_runs;
 use crate::structure::{BlockKind, Structure};
-use basker_ordering::symbolic::symbolic_gp;
 use basker_runtime::{shared_team, WorkerTeam};
 use basker_sparse::trisolve::push_columns;
 use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
 use basker_sparse::{CscMat, Result, SolveWorkspace, SparseError};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reads the `BASKER_NUM_THREADS` environment override used by the
 /// default configurations (CI runs the whole suite under
@@ -100,6 +99,13 @@ pub(crate) fn keep_smallest_column(slot: &Mutex<Option<SparseError>>, e: SparseE
     if kept.as_ref().map_or(true, |k| column_of(&e) < column_of(k)) {
         *kept = Some(e);
     }
+}
+
+/// The time since `*mark`, moving `*mark` to now: one clock read per
+/// phase of a profile.
+pub(crate) fn lap(mark: &mut Instant) -> Duration {
+    let now = Instant::now();
+    now - std::mem::replace(mark, now)
 }
 
 /// Tuning options for Basker.
@@ -160,6 +166,8 @@ struct SymInner {
     /// Its ND list names the blocks the Gilbert–Peierls store does not
     /// hold.
     frozen: Frozen,
+    /// The phases of the analyze that built this handle.
+    profile: AnalyzeProfile,
 }
 
 /// The symbolic handle of the BTF block driver: orderings, block
@@ -174,42 +182,48 @@ pub struct Basker {
 impl Basker {
     /// Analyzes the pattern of `a` (paper Alg. 2): BTF, AMD/ND
     /// refinement and thread partitioning.
+    ///
+    /// The BTF runs on the caller; then the ND blocks' bisections and
+    /// the small blocks' AMD orders and flop estimates, every ND node's
+    /// halo-AMD order, and every ND leaf's plan run as three stages of
+    /// independent items on the handle's team (the `structure` module),
+    /// with the same result at every width; the value map is recorded
+    /// on the caller. [`analyze_profile`](Self::analyze_profile) reports
+    /// the four phases' wall times.
     pub fn analyze(a: &CscMat, opts: &BaskerOptions) -> Result<Basker> {
+        let mut clock = Instant::now();
         let threads = opts.nthreads.max(1);
         let threads = if threads.is_power_of_two() {
             threads
         } else {
             threads.next_power_of_two() / 2
         };
-        let structure =
-            Structure::build(a, opts.use_btf, opts.use_mwcm, opts.nd_threshold, threads)?;
+        // Threads are spawned at most once per width for the process
+        // lifetime and parked between jobs.
+        let team = shared_team(threads, false);
+        let mut profile = AnalyzeProfile::default();
+        let (structure, estimates) =
+            Structure::build(a, opts, threads, &team, &mut clock, &mut profile)?;
         let frozen = Frozen::record(a, &structure)?;
-        let (diag_vals, _) = frozen.btf.image(a);
-        // Per-block flop estimates (Alg. 2 line 3), plus two per entry
-        // read so that flop-less singletons weigh something.
-        let runs = gp_runs((0..structure.nblocks()).map(|b| {
-            let (lo, hi) = (structure.bounds[b], structure.bounds[b + 1]);
-            match structure.kinds[b] {
-                BlockKind::NdBig(_) => None,
-                BlockKind::Small if hi - lo > 1 => {
-                    let diag = frozen.btf.diag_cols(&diag_vals, lo..hi).to_csc();
-                    Some(symbolic_gp(&diag).flops + 2.0 * diag.nnz() as f64)
-                }
-                BlockKind::Small => Some(2.0),
-            }
-        }));
+        let runs = gp_runs(estimates);
+        profile.record = lap(&mut clock);
 
         Ok(Basker {
             inner: Arc::new(SymInner {
                 opts: opts.clone(),
                 structure,
-                // Threads are spawned at most once per width for the
-                // process lifetime and parked between jobs.
-                team: shared_team(threads, false),
+                team,
                 runs,
                 frozen,
+                profile,
             }),
         })
+    }
+
+    /// Where the [`analyze`](Self::analyze) that made this handle spent
+    /// its wall time. Read-only; factor, refactor and solve leave it be.
+    pub fn analyze_profile(&self) -> AnalyzeProfile {
+        self.inner.profile
     }
 
     /// The effective (power-of-two) thread count.
@@ -566,6 +580,25 @@ mod tests {
             }
         });
         assert_eq!(team.threads_spawned(), before);
+    }
+
+    /// The profile splits one analyze's wall time into its four phases,
+    /// and no factor moves it.
+    #[test]
+    fn analyze_profile_splits_the_wall_time() {
+        for a in [with_mid_blocks(16, 3, 40), tiny_blocks(500)] {
+            let t0 = Instant::now();
+            let sym = Basker::analyze(&a, &opts(2, 64)).unwrap();
+            let wall = t0.elapsed();
+            let p = sym.analyze_profile();
+            assert!(
+                p.btf + p.blocks + p.nodes + p.record <= wall,
+                "{p:?} in {wall:?}"
+            );
+            assert!(p.btf > Duration::ZERO && p.blocks > Duration::ZERO, "{p:?}");
+            sym.factor(&a).unwrap();
+            assert_eq!(sym.analyze_profile(), p);
+        }
     }
 
     /// A handle analyzed through the `hybrid` names is the `Basker`

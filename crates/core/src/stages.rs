@@ -242,6 +242,27 @@ pub(crate) fn run_stage(
     }
 }
 
+/// Runs `work` once on every item, claimed in the order given, on
+/// `team` when there are two or more items carrying `flops` of at least
+/// a dispatch's worth, else inline — where the items take no lock. Each
+/// item owns the slots it writes, so the result is the same at every
+/// width.
+pub(crate) fn run_items<P: Send>(
+    team: &WorkerTeam,
+    flops: f64,
+    mut items: Vec<P>,
+    work: impl Fn(&mut P) + Sync,
+) {
+    if team.width() == 1 || items.len() < 2 || flops < DISPATCH_BREAK_EVEN_FLOPS {
+        items.iter_mut().for_each(work);
+        return;
+    }
+    let items: Vec<Mutex<P>> = items.into_iter().map(Mutex::new).collect();
+    team.run_worklist(items.len(), |i| {
+        work(&mut items[i].lock().expect("each item is claimed once"))
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,7 @@
-//! Factorization statistics reported by the block driver.
+//! Factorization statistics reported by `Basker`, and the phases of
+//! its analyze.
+
+use std::time::Duration;
 
 /// Metrics of one (re)factorization: what the paper's experiments
 /// report (Table I memory, §IV sync overhead, speedups).
@@ -61,6 +64,22 @@ impl BaskerStats {
     pub fn strategy_counts(&self) -> (usize, usize, usize) {
         (self.btf_blocks - self.nd_blocks, 0, self.nd_blocks)
     }
+}
+
+/// Where one [`Basker::analyze`](crate::Basker::analyze) spent its wall
+/// time, phase by phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AnalyzeProfile {
+    /// The MWCM transversal and the BTF, on the caller.
+    pub btf: Duration,
+    /// Stage 1 on the team: the ND blocks' bisections, and the small
+    /// blocks' AMD orders with their flop estimates.
+    pub blocks: Duration,
+    /// Stages 2 and 3 on the team: the ND nodes' halo-AMD orders, then
+    /// the ND leaves' plans.
+    pub nodes: Duration,
+    /// The value map and the fine-BTF runs, on the caller.
+    pub record: Duration,
 }
 
 #[cfg(test)]

@@ -29,20 +29,29 @@
 //! 243 rows to 150, one grid line.
 //!
 //! **Halo-aware nodes.** Each leaf and separator is ordered by AMD
-//! together with its *halo*: its neighbours not yet in the permutation.
-//! Because nodes are emitted in recursive block order (left subtree,
-//! right subtree, then the separator), those are exactly the vertices of
-//! the ancestor separators the node couples to, so the halo is empty for
-//! the root and at `levels = 0`. Halo vertices weigh in AMD's degrees but
-//! are never ordered (Scotch's hybrid ND + halo-AMD, Pellegrini, Roman &
-//! Amestoy 2000), so boundary vertices are eliminated late instead of
-//! spreading the ancestors' rows through `L_{a,l}` and `U_{l,a}`.
+//! together with its *halo*: its neighbours owned by a later node in
+//! recursive block order (left subtree, right subtree, then the
+//! separator). The separator property makes those exactly the vertices
+//! of the ancestor separators the node couples to, so the halo is empty
+//! for the root and at `levels = 0`. Halo vertices weigh in AMD's
+//! degrees but are never ordered (Scotch's hybrid ND + halo-AMD,
+//! Pellegrini, Roman & Amestoy 2000), so boundary vertices are
+//! eliminated late instead of spreading the ancestors' rows through
+//! `L_{a,l}` and `U_{l,a}`.
 //!
 //! On `mesh2d(150)` the symbolic Cholesky flops (`Σ|L_j|²`) of the
 //! one-level order went from 9.38e7 to 6.77e7 with FM alone and to
 //! 5.70e7 with the halo too; whole-matrix AMD takes 4.76e7. What is left
 //! is mostly AMD's tie-breaking: the same separator, one column instead
 //! of one row of the grid, gives 4.74e7.
+//!
+//! **Three parts.** A node's halo is a fact of the tree alone, so no
+//! node's order depends on another's: [`nested_dissection`] is the
+//! serial composition of [`dissect`] (the bisections), one
+//! [`Dissection::order_node`] per node, and [`Dissection::finish`].
+//! `Basker::analyze` runs the bisections of its ND blocks, then all
+//! their node orders, as independent items on its team; the result is
+//! the serial one whatever the schedule.
 //!
 //! **No ND below the thread level.** The tree stops at `log₂ p` levels
 //! and each leaf is AMD-ordered whole. Dissecting `mesh2d(150)` two to
@@ -54,6 +63,7 @@
 use crate::amd::amd_with_halo;
 use basker_sparse::blocks::extract_general;
 use basker_sparse::{CscMat, Perm};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// One node of the separator tree, in *recursive block order* (left
@@ -155,35 +165,133 @@ fn collect_subtree(nodes: &[NdNode], node: usize, out: &mut Vec<usize>) {
 
 /// Computes a nested-dissection decomposition with `2^levels` leaves.
 ///
-/// `a` must be square; its symmetrized pattern defines the graph.
+/// `a` must be square; its symmetrized pattern defines the graph. The
+/// serial composition of the three parts a caller with a team runs
+/// apart: [`dissect`], every node's [`Dissection::order_node`], and
+/// [`Dissection::finish`].
 pub fn nested_dissection(a: &CscMat, levels: usize) -> NdDecomposition {
-    assert!(a.is_square(), "nested dissection requires a square matrix");
-    let sym = if a.is_pattern_symmetric() {
-        a.clone()
-    } else {
-        a.symmetrize()
-    };
-    let n = sym.ncols();
+    let d = dissect(a, levels);
+    let mut perm = vec![0; d.owner.len()];
+    for (v, out) in d.node_slices(&mut perm).into_iter().enumerate() {
+        d.order_node(v, out);
+    }
+    d.finish(perm)
+}
 
-    let mut builder = Builder {
-        graph: &sym,
+/// Bisects the symmetrized graph of the square matrix `a` into a tree
+/// of `2^levels` leaves, leaving every node's vertices unordered.
+pub fn dissect(a: &CscMat, levels: usize) -> Dissection<'_> {
+    assert!(a.is_square(), "nested dissection requires a square matrix");
+    let graph = if a.is_pattern_symmetric() {
+        Cow::Borrowed(a)
+    } else {
+        Cow::Owned(a.symmetrize())
+    };
+    let n = graph.ncols();
+    let mut dissector = Dissector {
+        graph: &graph,
         mark: vec![0; n],
         seen: vec![0; n],
         local: vec![0; n],
         stamp: 0,
-        placed: vec![false; n],
-        perm: Vec::with_capacity(n),
+        verts: Vec::with_capacity(n),
         nodes: Vec::with_capacity((1 << (levels + 1)) - 1),
     };
-    let all: Vec<usize> = (0..n).collect();
-    builder.dissect(all, levels, 0);
-
-    debug_assert_eq!(builder.perm.len(), n);
-    NdDecomposition {
-        perm: Perm::from_vec(builder.perm).expect("ND produced an invalid permutation"),
-        nodes: builder.nodes,
-        p_leaves: 1 << levels,
+    dissector.dissect((0..n).collect(), levels, 0);
+    let Dissector { verts, nodes, .. } = dissector;
+    debug_assert_eq!(verts.len(), n);
+    let mut owner = vec![0; n];
+    for (v, node) in nodes.iter().enumerate() {
+        for &x in &verts[node.range.clone()] {
+            owner[x] = v;
+        }
+    }
+    Dissection {
+        graph,
+        nodes,
+        verts,
+        owner,
         levels,
+    }
+}
+
+/// A separator tree whose nodes are not yet ordered: [`dissect`]'s
+/// output. Nodes come in recursive block order with their final
+/// ranges. A node's *halo* — its neighbours that AMD counts but does
+/// not order — is exactly its neighbours owned by a later node, which
+/// the separator property makes its ancestors; so every node's order
+/// depends on the tree alone, and the `2p − 1` orders are independent.
+pub struct Dissection<'a> {
+    /// The symmetrized graph (`a` itself when its pattern is symmetric).
+    graph: Cow<'a, CscMat>,
+    nodes: Vec<NdNode>,
+    /// Every node's vertices, unordered, at the node's range.
+    verts: Vec<usize>,
+    /// The node each vertex belongs to.
+    owner: Vec<usize>,
+    levels: usize,
+}
+
+impl Dissection<'_> {
+    /// The tree's nodes, in recursive block order.
+    pub fn nodes(&self) -> &[NdNode] {
+        &self.nodes
+    }
+
+    /// Splits a permutation buffer of the graph's dimension into one
+    /// window per node, at the node's range, for
+    /// [`order_node`](Self::order_node) to fill.
+    pub fn node_slices<'p>(&self, mut perm: &'p mut [usize]) -> Vec<&'p mut [usize]> {
+        assert_eq!(perm.len(), self.verts.len(), "one slot per vertex");
+        self.nodes
+            .iter()
+            .map(|node| {
+                let (head, tail) = std::mem::take(&mut perm).split_at_mut(node.len());
+                perm = tail;
+                head
+            })
+            .collect()
+    }
+
+    /// Writes node `v`'s vertices into `out` in the AMD order of the
+    /// subgraph induced by them and their halo, which AMD counts but
+    /// does not order.
+    pub fn order_node(&self, v: usize, out: &mut [usize]) {
+        let verts = &self.verts[self.nodes[v].range.clone()];
+        assert_eq!(out.len(), verts.len(), "one slot per vertex of the node");
+        if verts.len() <= 2 {
+            out.copy_from_slice(verts);
+            return;
+        }
+        let mut with_halo = verts.to_vec();
+        // The root has no halo; any other node stamps its halo once met.
+        if self.nodes[v].parent.is_some() {
+            let mut in_halo = vec![false; self.owner.len()];
+            for &x in verts {
+                for &u in self.graph.col_rows(x) {
+                    if self.owner[u] > v && !in_halo[u] {
+                        in_halo[u] = true;
+                        with_halo.push(u);
+                    }
+                }
+            }
+        }
+        let sub = extract_general(&self.graph, &with_halo, &with_halo);
+        let order = amd_with_halo(&sub, with_halo.len() - verts.len());
+        for (slot, local) in out.iter_mut().zip(order) {
+            *slot = verts[local];
+        }
+    }
+
+    /// The decomposition, `perm` holding every node's order at its
+    /// range.
+    pub fn finish(self, perm: Vec<usize>) -> NdDecomposition {
+        NdDecomposition {
+            perm: Perm::from_vec(perm).expect("ND produced an invalid permutation"),
+            nodes: self.nodes,
+            p_leaves: 1 << self.levels,
+            levels: self.levels,
+        }
     }
 }
 
@@ -191,19 +299,18 @@ pub fn nested_dissection(a: &CscMat, levels: usize) -> NdDecomposition {
 /// belongs to the set stamped `s` while its entry equals `s`, so a new
 /// set costs one counter bump and no clearing. `local` is a vertex's
 /// index inside whichever set last numbered it.
-struct Builder<'a> {
+struct Dissector<'a> {
     graph: &'a CscMat,
     mark: Vec<usize>,
     seen: Vec<usize>,
     local: Vec<usize>,
     stamp: usize,
-    /// Per vertex: already in `perm`.
-    placed: Vec<bool>,
-    perm: Vec<usize>,
+    /// Every placed node's vertices, in node order.
+    verts: Vec<usize>,
     nodes: Vec<NdNode>,
 }
 
-impl<'a> Builder<'a> {
+impl<'a> Dissector<'a> {
     fn next_stamp(&mut self) -> usize {
         self.stamp += 1;
         self.stamp
@@ -213,63 +320,28 @@ impl<'a> Builder<'a> {
     /// for this subtree's top block (leaf or separator).
     fn dissect(&mut self, verts: Vec<usize>, levels_left: usize, depth: usize) -> usize {
         if levels_left == 0 {
-            let start = self.perm.len();
-            self.emit_ordered(&verts);
-            self.nodes.push(NdNode {
-                parent: None,
-                children: None,
-                depth,
-                range: start..self.perm.len(),
-            });
-            return self.nodes.len() - 1;
+            return self.place(&verts, None, depth);
         }
-
         let (half_a, half_b, sep) = self.bisect(&verts);
         let left = self.dissect(half_a, levels_left - 1, depth + 1);
         let right = self.dissect(half_b, levels_left - 1, depth + 1);
-        let start = self.perm.len();
-        self.emit_ordered(&sep);
-        self.nodes.push(NdNode {
-            parent: None,
-            children: Some((left, right)),
-            depth,
-            range: start..self.perm.len(),
-        });
-        let me = self.nodes.len() - 1;
+        let me = self.place(&sep, Some((left, right)), depth);
         self.nodes[left].parent = Some(me);
         self.nodes[right].parent = Some(me);
         me
     }
 
-    /// Appends `verts` to the permutation in the AMD order of the
-    /// subgraph induced by `verts` and its halo — the neighbours not yet
-    /// placed, which AMD counts but does not order.
-    fn emit_ordered(&mut self, verts: &[usize]) {
-        if verts.len() <= 2 {
-            self.perm.extend_from_slice(verts);
-            for &v in verts {
-                self.placed[v] = true;
-            }
-            return;
-        }
-        let stamp = self.next_stamp();
-        for &v in verts {
-            self.mark[v] = stamp;
-        }
-        let mut with_halo = verts.to_vec();
-        for &v in verts {
-            for &u in self.graph.col_rows(v) {
-                if self.mark[u] != stamp && !self.placed[u] {
-                    self.mark[u] = stamp;
-                    with_halo.push(u);
-                }
-            }
-        }
-        let sub = extract_general(self.graph, &with_halo, &with_halo);
-        for local in amd_with_halo(&sub, with_halo.len() - verts.len()) {
-            self.perm.push(verts[local]);
-            self.placed[verts[local]] = true;
-        }
+    /// Appends a node holding `verts` after every node placed so far.
+    fn place(&mut self, verts: &[usize], children: Option<(usize, usize)>, depth: usize) -> usize {
+        let start = self.verts.len();
+        self.verts.extend_from_slice(verts);
+        self.nodes.push(NdNode {
+            parent: None,
+            children,
+            depth,
+            range: start..self.verts.len(),
+        });
+        self.nodes.len() - 1
     }
 
     /// Splits `verts` into `(A, B, S)`: no edge joins A and B directly.
@@ -1037,6 +1109,118 @@ mod tests {
         let total: usize = nd.nodes.iter().map(|x| x.len()).sum();
         assert_eq!(total, 4);
         check_separator_property(&a, &nd);
+    }
+
+    /// A random pattern with an unsymmetric part: a path through `n`
+    /// vertices plus about `n` random edges, one in four of them two-way.
+    fn random_pattern(n: usize, seed: u64) -> CscMat {
+        let mut s = seed;
+        let mut rnd = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        let mut t = TripletMat::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 1.0);
+            if i + 1 < n {
+                t.push(i, i + 1, 1.0);
+            }
+        }
+        for e in 0..n {
+            let (i, j) = (rnd() % n, rnd() % n);
+            if i != j {
+                t.push(i, j, 1.0);
+                if e % 4 == 0 {
+                    t.push(j, i, 1.0);
+                }
+            }
+        }
+        t.to_csc()
+    }
+
+    /// FNV-1a over a decomposition's permutation and node ranges.
+    fn digest(nd: &NdDecomposition) -> u64 {
+        let words = nd.perm.as_slice().iter().copied().chain(
+            nd.nodes
+                .iter()
+                .flat_map(|node| [node.range.start, node.range.end]),
+        );
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The orders `nested_dissection` produces, pinned: a split of the
+    /// bisections from the node orders must not move a single index.
+    #[test]
+    fn orders_are_pinned() {
+        let cases = [grid2d(12), random_pattern(90, 5), random_pattern(300, 11)];
+        let got: Vec<u64> = cases
+            .iter()
+            .flat_map(|a| (0..=3).map(|levels| digest(&nested_dissection(a, levels))))
+            .collect();
+        // Per case, levels 0 to 3, as the one-pass recursion left them.
+        let want: [u64; 12] = [
+            0xbab1f9f7449e9693,
+            0x99fd4c5d6bd89685,
+            0x0b03ef340ddd8059,
+            0x14d1c082cebc333d,
+            0x06696c5ab2ccd4ea,
+            0xf0aa69695421df22,
+            0x60c8c9f8b080f476,
+            0xb1dbe563927014d8,
+            0x593c992fa90813c7,
+            0x26e1bc5c5c483c73,
+            0x7481ae31a9ce9945,
+            0x4d0977af3eaf362f,
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// The halo rule: a neighbour outside a node belongs to one of its
+    /// ancestors or descendants, and one owned by a later node to an
+    /// ancestor — over random patterns, levels and sizes. The node orders
+    /// are those of the one-pass `nested_dissection`.
+    #[test]
+    fn later_neighbours_are_ancestors() {
+        for case in 0..40u64 {
+            let n = 20 + (case as usize * 37) % 260;
+            let a = if case % 5 == 0 {
+                grid2d(4 + case as usize % 9)
+            } else {
+                random_pattern(n, case)
+            };
+            let levels = 1 + case as usize % 3;
+            let d = dissect(&a, levels);
+            let is_ancestor = |up: usize, mut v: usize| {
+                while let Some(p) = d.nodes[v].parent {
+                    if p == up {
+                        return true;
+                    }
+                    v = p;
+                }
+                false
+            };
+            for (v, node) in d.nodes().iter().enumerate() {
+                for &x in &d.verts[node.range.clone()] {
+                    for &u in d.graph.col_rows(x) {
+                        let w = d.owner[u];
+                        if w > v {
+                            assert!(is_ancestor(w, v), "case {case}: {v} meets later {w}");
+                        } else if w < v {
+                            assert!(is_ancestor(v, w), "case {case}: {v} meets {w}");
+                        }
+                    }
+                }
+            }
+            let mut perm = vec![0; a.ncols()];
+            for (v, out) in d.node_slices(&mut perm).into_iter().enumerate() {
+                d.order_node(v, out);
+            }
+            assert_eq!(d.finish(perm).perm, nested_dissection(&a, levels).perm);
+        }
     }
 
     #[test]

@@ -5,12 +5,48 @@
 //! — measured two ways: the runtime's own spawn counter
 //! ([`basker_runtime::os_threads_spawned`]) and the kernel's view via
 //! `/proc/self/status` `Threads:` (skipped on targets without procfs).
-//! The single test in this binary is kept alone so no concurrent test
-//! thread can perturb the process thread count in the measurement
-//! window.
+//! The tests in this binary take turns (`ALONE`) so no concurrent test
+//! thread can perturb the process thread count in a measurement window.
+//! Analyze runs on the team as well: warm analyzes spawn nothing, and
+//! one called from inside a team job runs inline.
 
+use basker_repro::basker_runtime::{os_threads_spawned, shared_team};
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
+use std::sync::{Mutex, PoisonError};
+
+/// Held by each test for its whole run.
+static ALONE: Mutex<()> = Mutex::new(());
+
+fn alone() -> std::sync::MutexGuard<'static, ()> {
+    ALONE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A circuit with two ND blocks at two and at four threads.
+fn two_nd_block_circuit() -> CscMat {
+    circuit(&CircuitParams {
+        nsub: 16,
+        sub_size: 220,
+        feedthrough: 0.3,
+        seed: 5,
+        ..CircuitParams::default()
+    })
+}
+
+fn basker_opts(nthreads: usize) -> BaskerOptions {
+    BaskerOptions {
+        nthreads,
+        ..BaskerOptions::default()
+    }
+}
+
+fn nd_blocks(sym: &Basker) -> usize {
+    let kinds = &sym.structure().kinds;
+    kinds
+        .iter()
+        .filter(|k| matches!(k, basker_repro::basker::structure::BlockKind::NdBig(_)))
+        .count()
+}
 
 /// Kernel-reported thread count of this process, if procfs is available.
 fn os_thread_count() -> Option<usize> {
@@ -23,6 +59,7 @@ fn os_thread_count() -> Option<usize> {
 
 #[test]
 fn warm_team_spawns_no_new_threads() {
+    let _alone = alone();
     let a = mesh2d(16, 7);
     let scaled = |f: f64| {
         // SAFETY: pattern arrays are copied from the valid matrix `a`;
@@ -96,4 +133,64 @@ fn warm_team_spawns_no_new_threads() {
     let stats = solver4.factor(&a).unwrap().stats();
     assert_eq!(stats.threads, 4);
     assert_eq!(stats.sync_wait_ns.len(), 4);
+}
+
+#[test]
+fn warm_analyzes_spawn_no_threads() {
+    let _alone = alone();
+    let a = two_nd_block_circuit();
+    for t in [2, 4] {
+        let sym = Basker::analyze(&a, &basker_opts(t)).unwrap();
+        assert_eq!(nd_blocks(&sym), 2, "two ND blocks at {t} threads");
+    }
+    let spawned_before = os_threads_spawned();
+    let os_before = os_thread_count();
+    for _ in 0..5 {
+        for t in [2, 4] {
+            let sym = Basker::analyze(&a, &basker_opts(t)).unwrap();
+            assert_eq!(sym.threads(), t);
+        }
+    }
+    assert_eq!(
+        os_threads_spawned(),
+        spawned_before,
+        "analyze spawned OS threads"
+    );
+    if let (Some(before), Some(after)) = (os_before, os_thread_count()) {
+        assert!(
+            after <= before,
+            "process thread count grew: {before} -> {after}"
+        );
+    }
+}
+
+/// An analyze called from inside a job of its own team finds the ranks
+/// busy and runs its stages inline: no spawn, no deadlock, the same
+/// structure.
+#[test]
+fn analyze_inside_a_team_job_runs_inline() {
+    let _alone = alone();
+    let a = two_nd_block_circuit();
+    let want = Basker::analyze(&a, &basker_opts(2)).unwrap();
+    let team = shared_team(2, false);
+    let spawned_before = team.threads_spawned();
+    let got: Vec<Mutex<Option<Basker>>> = (0..2).map(|_| Mutex::new(None)).collect();
+    team.run_worklist(2, |i| {
+        let sym = Basker::analyze(&a, &basker_opts(2)).unwrap();
+        *got[i].lock().unwrap() = Some(sym);
+    });
+    assert_eq!(
+        team.threads_spawned(),
+        spawned_before,
+        "a nested analyze spawned"
+    );
+    for cell in got {
+        let sym = cell.into_inner().unwrap().expect("every job ran");
+        let (s, w) = (sym.structure(), want.structure());
+        assert_eq!(
+            (&s.row_perm, &s.col_perm, &s.bounds),
+            (&w.row_perm, &w.col_perm, &w.bounds)
+        );
+        assert_eq!(nd_blocks(&sym), 2);
+    }
 }
