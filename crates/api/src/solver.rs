@@ -558,27 +558,10 @@ impl LinearSolver {
         }
     }
 
-    /// Borrows the underlying KLU analysis when that engine was chosen.
-    pub fn as_klu(&self) -> Option<&KluSymbolic> {
-        match &self.inner {
-            SymbolicInner::Klu(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Borrows the underlying Basker analysis when that engine was chosen.
     pub fn as_basker(&self) -> Option<&Basker> {
         match &self.inner {
             SymbolicInner::Basker(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Borrows the underlying supernodal analysis when that engine was
-    /// chosen.
-    pub fn as_snlu(&self) -> Option<&Snlu> {
-        match &self.inner {
-            SymbolicInner::Snlu(s) => Some(s),
             _ => None,
         }
     }

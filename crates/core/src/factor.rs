@@ -41,8 +41,8 @@ use crate::parnum::NdFactors;
 use crate::reduce::{product_flops, reduce_block_cols};
 use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
-use crate::structure::{BlockKind, NdStructure};
-use crate::{Basker, BlockFactors};
+use crate::structure::NdStructure;
+use crate::Basker;
 use basker_klu::gp::{factor_block_column, lsolve_panel, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result};
@@ -53,15 +53,15 @@ use std::sync::OnceLock;
 const UNKNOWN: f64 = f64::INFINITY;
 
 /// Factors the matrix whose block-diagonal store holds `diag_vals` on
-/// `team`, one stage at a time: the factors of every BTF block and the
-/// store of the Gilbert–Peierls ones, the replay of what ran, the
+/// `team`, one stage at a time: the factors of every ND block, the
+/// store of the Gilbert–Peierls blocks, the replay of what ran, the
 /// nanoseconds the caller spent blocked in stage joins, and the leaves
 /// the supernodal kernel factored.
 pub(crate) fn factor_blocks(
     sym: &Basker,
     diag_vals: Vec<f64>,
     team: &WorkerTeam,
-) -> Result<(Vec<BlockFactors>, GpStore, Replay, u64, usize)> {
+) -> Result<(Vec<NdFactors>, GpStore, Replay, u64, usize)> {
     let (mut fresh, stages) = Fresh::new(sym, diag_vals);
     let mut ran = Vec::with_capacity(stages.len());
     let mut joined = 0;
@@ -72,8 +72,8 @@ pub(crate) fn factor_blocks(
     }
     // ORDER: every stage has joined.
     let sn_leaves = fresh.sn_leaves.load(Ordering::Relaxed);
-    let (factors, gp, replay) = fresh.finish(ran);
-    Ok((factors, gp, replay, joined, sn_leaves))
+    let (nd, gp, replay) = fresh.finish(ran);
+    Ok((nd, gp, replay, joined, sn_leaves))
 }
 
 /// One fresh factorization in flight.
@@ -83,7 +83,7 @@ struct Fresh<'a> {
     diag_vals: Vec<f64>,
     /// The factors of each fine-BTF run.
     runs: Vec<OnceLock<GpRun>>,
-    /// The ND blocks, ascending.
+    /// The blocks of the structure's ND list, at the same index.
     nd: Vec<NdFresh<'a>>,
     /// Leaves the supernodal kernel factored.
     sn_leaves: AtomicUsize,
@@ -139,10 +139,8 @@ impl<'a> Fresh<'a> {
             })
             .collect()];
         let mut nd = Vec::new();
-        for (i, &(b, _)) in inner.frozen.nd.iter().enumerate() {
-            let BlockKind::NdBig(nds) = &st.kinds[b] else {
-                unreachable!("the value map splits ND-laid-out blocks only");
-            };
+        for (i, block) in st.nd_blocks.iter().enumerate() {
+            let nds = &block.st;
             assert!(nds.nd.levels <= MAX_LEVELS, "separator tree too deep");
             let nn = nds.nnodes();
             let mut rec = NdReplay {
@@ -193,7 +191,7 @@ impl<'a> Fresh<'a> {
             let nred = rec.reductions.len();
             nd.push(NdFresh {
                 st: nds,
-                lo: st.bounds[b],
+                lo: st.bounds[block.block],
                 rec,
                 diag: (0..nn).map(|_| OnceLock::new()).collect(),
                 upper: (0..nn)
@@ -215,9 +213,7 @@ impl<'a> Fresh<'a> {
     /// `A_{r,v}` of ND block `nd`, read in place.
     fn a_block(&self, nd: usize, v: usize, r: usize) -> ColsView<'_> {
         let (f, frozen) = (&self.nd[nd], &self.sym.inner.frozen);
-        frozen.nd[nd]
-            .1
-            .block(&frozen.btf, &self.diag_vals, f.lo, f.st, v, r)
+        frozen.nd[nd].block(&frozen.btf, &self.diag_vals, f.lo, f.st, v, r)
     }
 
     /// The stage of `items`, each elimination target's reduction cut
@@ -342,10 +338,10 @@ impl<'a> Fresh<'a> {
         }
     }
 
-    /// The factors of every BTF block, the store of the Gilbert–Peierls
-    /// ones, and the replay of the stages `ran`, once every stage has
+    /// The factors of every ND block, the store of the Gilbert–Peierls
+    /// blocks, and the replay of the stages `ran`, once every stage has
     /// run.
-    fn finish(mut self, ran: Vec<Stage>) -> (Vec<BlockFactors>, GpStore, Replay) {
+    fn finish(mut self, ran: Vec<Stage>) -> (Vec<NdFactors>, GpStore, Replay) {
         // Per ND block: the flops of its panels and reductions.
         let mut update_flops = vec![0.0; self.nd.len()];
         let stages = ran
@@ -390,24 +386,6 @@ impl<'a> Fresh<'a> {
                 update_flops,
             });
         }
-        let inner = &*self.sym.inner;
-        let mut nd_factors = nd_factors.into_iter();
-        // The runs ascend and cover every Gilbert–Peierls block.
-        let mut run = 0;
-        let factors = (inner.structure.kinds.iter().enumerate())
-            .map(|(b, kind)| match kind {
-                BlockKind::Small => {
-                    while inner.runs[run].1 <= b {
-                        run += 1;
-                    }
-                    BlockFactors::Gp(run)
-                }
-                BlockKind::NdBig(_) => {
-                    let f = nd_factors.next().expect("one ND factor per ND block");
-                    BlockFactors::Nd(Box::new(f))
-                }
-            })
-            .collect();
         let runs = self.runs.into_iter().map(|cell| cell.into_inner());
         let gp = GpStore::new(runs.map(|f| f.expect("every stage ran")).collect());
         let replay = Replay {
@@ -416,7 +394,7 @@ impl<'a> Fresh<'a> {
             nd,
             stages,
         };
-        (factors, gp, replay)
+        (nd_factors, gp, replay)
     }
 }
 

@@ -448,9 +448,8 @@ impl GpStore {
 mod tests {
     use super::*;
     use crate::solve::solve_nd_in_place;
-    use crate::structure::BlockKind;
     use crate::testmat::*;
-    use crate::{Basker, BaskerNumeric, BaskerOptions, BlockFactors};
+    use crate::{Basker, BaskerNumeric, BaskerOptions};
     use basker_klu::gp::{refactor_block_column, BlockLu, ColsView};
     use basker_sparse::workspace::{gather_panel, scatter_panel};
     use basker_sparse::SolveWorkspace;
@@ -463,7 +462,7 @@ mod tests {
     fn gp_blocks(num: &BaskerNumeric) -> Vec<Range<usize>> {
         let st = num.sym.structure();
         (0..st.nblocks())
-            .filter(|&b| matches!(st.kinds[b], BlockKind::Small))
+            .filter(|&b| st.nd_block(b).is_none())
             .map(|b| st.bounds[b]..st.bounds[b + 1])
             .collect()
     }
@@ -529,16 +528,16 @@ mod tests {
         let mut refs = refs.iter().rev();
         for blk in (0..st.nblocks()).rev() {
             let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
-            match (&num.factors[blk], &st.kinds[blk]) {
-                (BlockFactors::Gp(_), _) => {
+            match st.nd_blocks.iter().position(|nd| nd.block == blk) {
+                None => {
                     let (cols, blu) = refs.next().unwrap();
                     assert_eq!(cols.start, lo);
                     blu.solve_in_place_with(&mut y[lo..hi], &mut scratch);
                 }
-                (BlockFactors::Nd(f), BlockKind::NdBig(nds)) => {
-                    solve_nd_in_place(nds, f, &mut y[lo..hi], &mut scratch)
+                Some(i) => {
+                    let nds = &st.nd_blocks[i].st;
+                    solve_nd_in_place(nds, &num.nd[i], &mut y[lo..hi], &mut scratch)
                 }
-                _ => unreachable!("factor kind mismatch"),
             }
             push_columns(&num.offdiag, lo..hi, &mut y, lo, 0);
         }

@@ -1063,7 +1063,7 @@ fn contributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::{BlockKind, NdStructure};
+    use crate::structure::NdStructure;
     use crate::testmat::*;
     use crate::{Basker, BaskerOptions};
     use basker_sparse::{SolveWorkspace, SparseError};
@@ -1081,10 +1081,7 @@ mod tests {
     }
 
     fn nd_structure(sym: &Basker) -> &NdStructure {
-        match &sym.structure().kinds[0] {
-            BlockKind::NdBig(st) => st,
-            BlockKind::Small => panic!("one ND block"),
-        }
+        sym.structure().nd_block(0).expect("one ND block")
     }
 
     /// Leaf `v`'s stacked block column over `vals`, as the fresh factor
@@ -1095,7 +1092,7 @@ mod tests {
         v: usize,
     ) -> (ColsView<'a>, Vec<ColsView<'a>>, usize) {
         let (st, frozen) = (nd_structure(sym), &sym.inner.frozen);
-        let split = &frozen.nd[0].1;
+        let split = &frozen.nd[0];
         let block = |r| split.block(&frozen.btf, vals, 0, st, v, r);
         let below = st.ancestors[v].iter().map(|&a| block(a)).collect();
         (block(v), below, st.nd.nodes[v].range.start)

@@ -16,11 +16,14 @@
 //!   module; the paper hands columns between threads point-to-point).
 //!
 //! Both levels run under **one BTF block driver**, [`Basker`], whose
-//! plan is the block layout itself ([`structure::BlockKind`]): fine-BTF
-//! blocks go to Gilbert–Peierls runs, ND-laid-out blocks to the team,
-//! and inside an ND block each leaf to the kernel analyze chose for it
-//! — Gilbert–Peierls, or the supernodal kernel with Gilbert–Peierls's
-//! pivots and patterns. A factorization is a [`BaskerNumeric`].
+//! plan is the block layout itself: the structure lists its ND-laid-out
+//! blocks ([`structure::Structure::nd_blocks`]), which go to the team,
+//! and every other block is a fine-BTF block, which goes to a
+//! Gilbert–Peierls run. Inside an ND block each leaf goes to the kernel
+//! analyze chose for it — Gilbert–Peierls, or the supernodal kernel
+//! with Gilbert–Peierls's pivots and patterns. A factorization is a
+//! [`BaskerNumeric`]: the runs' factors in one store, and one
+//! [`parnum::NdFactors`] per ND block at the ND list's index.
 //!
 //! ## Quickstart
 //!
@@ -64,7 +67,7 @@ use crate::parnum::NdFactors;
 use crate::refactor::{Frozen, Replay};
 use crate::solve::solve_nd_in_place;
 use crate::stages::gp_runs;
-use crate::structure::{BlockKind, Structure};
+use crate::structure::Structure;
 use basker_runtime::{shared_team, WorkerTeam};
 use basker_sparse::trisolve::push_columns;
 use basker_sparse::workspace::{gather_panel, packed_columns, panel_chunks, scatter_panel};
@@ -159,12 +162,11 @@ struct SymInner {
     /// The process-shared team; its width is the effective thread count.
     team: Arc<WorkerTeam>,
     /// Alg. 2's fine-BTF set as the fresh factor's runs: `(first
-    /// block, end block, estimated flops)`.
+    /// block, end block, estimated flops)`, ascending. With the
+    /// structure's ND blocks they cover every block once.
     runs: Vec<(usize, usize, f64)>,
     /// The value map of the analyzed pattern, recorded by `analyze`:
     /// every factorization and refactorization reads `A` through it.
-    /// Its ND list names the blocks the Gilbert–Peierls store does not
-    /// hold.
     frozen: Frozen,
     /// The phases of the analyze that built this handle.
     profile: AnalyzeProfile,
@@ -258,11 +260,10 @@ impl Basker {
         let st = &inner.structure;
         inner.frozen.btf.check(a)?;
         let (diag_vals, offdiag) = inner.frozen.btf.image(a);
-        let (factors, gp, replay, joined, sn_leaves) =
-            factor::factor_blocks(self, diag_vals, team)?;
+        let (nd, gp, replay, joined, sn_leaves) = factor::factor_blocks(self, diag_vals, team)?;
         let mut num = BaskerNumeric {
             sym: self.clone(),
-            factors,
+            nd,
             gp,
             offdiag,
             replay,
@@ -277,7 +278,7 @@ impl Basker {
             numeric_seconds: t0.elapsed().as_secs_f64(),
             sync_wait_ns,
             btf_blocks: st.nblocks(),
-            nd_blocks: inner.frozen.nd.len(),
+            nd_blocks: st.nd_blocks.len(),
             sn_leaves,
             threads: self.threads(),
             ..BaskerStats::default()
@@ -286,22 +287,13 @@ impl Basker {
     }
 }
 
-/// Numeric factors of one BTF block, by its kind. The ND variant is
-/// boxed: a power grid has 10⁵ of these and nearly all are the first.
-pub(crate) enum BlockFactors {
-    /// Gilbert–Peierls over the block's window of the frozen store; the
-    /// factors are the block's window of this run of the numeric's
-    /// [`GpStore`].
-    Gp(usize),
-    /// A block factored by the team.
-    Nd(Box<NdFactors>),
-}
-
 /// The numeric factorization: factors per BTF block + BTF couplings.
 pub struct BaskerNumeric {
     sym: Basker,
-    factors: Vec<BlockFactors>,
-    /// The factors of every Gilbert–Peierls block.
+    /// The factors of each block of the structure's ND list, at the
+    /// same index.
+    nd: Vec<NdFactors>,
+    /// The factors of every Gilbert–Peierls block, run by run.
     gp: GpStore,
     offdiag: CscMat,
     /// The stage list the factorization ran, for refactorizations to
@@ -321,16 +313,7 @@ impl BaskerNumeric {
     /// metric; off-diagonal BTF couplings are reused from `A`, not
     /// factored, so fill density can fall below 1).
     pub fn lu_nnz(&self) -> usize {
-        self.gp.lu_nnz() + self.nd().map(NdFactors::lu_nnz).sum::<usize>()
-    }
-
-    /// The factors of the ND blocks: the blocks the store does not hold.
-    fn nd(&self) -> impl Iterator<Item = &NdFactors> {
-        let nd = &self.sym.inner.frozen.nd;
-        nd.iter().map(|&(b, _)| match &self.factors[b] {
-            BlockFactors::Nd(f) => &**f,
-            BlockFactors::Gp(_) => unreachable!("factor kind mismatch"),
-        })
+        self.gp.lu_nnz() + self.nd.iter().map(NdFactors::lu_nnz).sum::<usize>()
     }
 
     /// Total stored entries including the retained off-diagonal couplings.
@@ -340,7 +323,7 @@ impl BaskerNumeric {
 
     /// Numeric flops of the factorization kernels.
     pub fn flops(&self) -> f64 {
-        self.gp.tally().flops + self.nd().map(NdFactors::flops).sum::<f64>()
+        self.gp.tally().flops + self.nd.iter().map(NdFactors::flops).sum::<f64>()
     }
 
     /// `(min |pivot|, max |pivot|)` over every factored block (GP blocks
@@ -352,7 +335,7 @@ impl BaskerNumeric {
     pub fn pivot_range(&self) -> (f64, f64) {
         let gp = self.gp.tally();
         let (mut lo, mut hi) = (gp.min_pivot, gp.max_pivot);
-        for blu in self.nd().flat_map(|f| &f.fact_diag) {
+        for blu in self.nd.iter().flat_map(|f| &f.fact_diag) {
             let (l, h) = blu.pivot_range();
             lo = lo.min(l);
             hi = hi.max(h);
@@ -361,7 +344,8 @@ impl BaskerNumeric {
     }
 
     /// Solves `A·x = b` in place by block back-substitution, each
-    /// diagonal block through its kind's solve: on entry `x` holds
+    /// Gilbert–Peierls run and each ND block through its own solve: on
+    /// entry `x` holds
     /// `b`, on exit the solution. After the workspace's first use at
     /// this dimension the call performs **no heap allocation** — the
     /// path a transient simulation hammers thousands of times per
@@ -392,35 +376,36 @@ impl BaskerNumeric {
     /// panel, BTF blocks are solved in reverse order with each solution
     /// row pushed into the earlier blocks `K` lanes at a time, and the
     /// column permutation scatters the panel back out column-major.
+    ///
+    /// The reverse order walks the Gilbert–Peierls runs and the ND
+    /// blocks backwards, merged by block index: the last block not yet
+    /// solved ends either the last ND block left or the last run left.
     // basker-lint: deny-alloc
     fn solve_panel<const K: usize>(&self, xs: &mut [f64], ws: &mut SolveWorkspace) {
-        let st = &self.sym.inner.structure;
+        let inner = &*self.sym.inner;
+        let st = &inner.structure;
         let n = st.n;
         debug_assert_eq!(xs.len(), K * n);
         let (y, scratch) = ws.panels::<K>(n, st.max_block);
         gather_panel(xs, st.row_perm.as_slice(), y);
-        let mut blk = st.nblocks();
+        let (mut blk, mut nd, mut run) = (st.nblocks(), st.nd_blocks.len(), inner.runs.len());
         while blk > 0 {
-            blk -= 1;
-            let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
-            match &self.factors[blk] {
-                &BlockFactors::Gp(run) => {
-                    // The block's whole run, each block's couplings pushed
-                    // as it is solved.
-                    blk = self
-                        .gp
-                        .solve_run(run, &st.bounds, &self.offdiag, y, scratch);
-                    continue;
-                }
-                BlockFactors::Nd(f) => {
-                    let BlockKind::NdBig(nds) = &st.kinds[blk] else {
-                        unreachable!("factor kind mismatch");
-                    };
-                    solve_nd_in_place(nds, f, &mut y[lo..hi], scratch);
-                }
+            if nd > 0 && st.nd_blocks[nd - 1].block + 1 == blk {
+                nd -= 1;
+                blk -= 1;
+                let (lo, hi) = (st.bounds[blk], st.bounds[blk + 1]);
+                solve_nd_in_place(&st.nd_blocks[nd].st, &self.nd[nd], &mut y[lo..hi], scratch);
+                // push contributions into earlier blocks
+                push_columns(&self.offdiag, lo..hi, y, lo, 0);
+            } else {
+                // The whole run, each block's couplings pushed as it is
+                // solved.
+                run -= 1;
+                debug_assert_eq!(inner.runs[run].1, blk);
+                blk = self
+                    .gp
+                    .solve_run(run, &st.bounds, &self.offdiag, y, scratch);
             }
-            // push contributions into earlier blocks
-            push_columns(&self.offdiag, lo..hi, y, lo, 0);
         }
         scatter_panel(y, st.col_perm.as_slice(), xs);
     }
@@ -454,7 +439,7 @@ impl BaskerNumeric {
             a,
             &inner.structure,
             &inner.frozen,
-            &mut self.factors,
+            &mut self.nd,
             &mut self.gp,
             self.offdiag.values_mut(),
             team,
@@ -486,13 +471,6 @@ mod tests {
     fn check_solver(a: &CscMat, opts: &BaskerOptions) {
         let num = Basker::analyze(a, opts).unwrap().factor(a).unwrap();
         check_solve(&num, a, 1e-11);
-    }
-
-    /// A power grid holds tens of thousands of these: the ND variant
-    /// stays boxed.
-    #[test]
-    fn block_factors_stay_two_words() {
-        assert_eq!(std::mem::size_of::<BlockFactors>(), 16);
     }
 
     #[test]
@@ -571,7 +549,8 @@ mod tests {
     fn factor_from_a_rank_of_its_own_team_spawns_no_thread() {
         let a = grid2d_unsym(16);
         let sym = Basker::analyze(&a, &opts(2, 32)).unwrap();
-        assert!(matches!(sym.structure().kinds[..], [BlockKind::NdBig(_)]));
+        let st = sym.structure();
+        assert!(st.nblocks() == 1 && st.nd_block(0).is_some());
         let team = &sym.inner.team;
         let before = team.threads_spawned();
         team.run_worklist(2, |_| {
@@ -620,7 +599,7 @@ mod tests {
             let mids = (0..st.nblocks())
                 .filter(|&b| {
                     let rows = st.bounds[b + 1] - st.bounds[b];
-                    (65..128).contains(&rows) && matches!(st.kinds[b], BlockKind::Small)
+                    (65..128).contains(&rows) && st.nd_block(b).is_none()
                 })
                 .filter(|&b| paper.inner.runs.iter().any(|r| (r.0..r.1).contains(&b)))
                 .count();
@@ -653,10 +632,8 @@ mod tests {
                 let p = *num.gp.col(c).3.last().unwrap();
                 fold((p.abs(), p.abs()));
             }
-            for f in &num.factors {
-                if let BlockFactors::Nd(f) = f {
-                    f.fact_diag.iter().for_each(|d| fold(d.pivot_range()));
-                }
+            for f in &num.nd {
+                f.fact_diag.iter().for_each(|d| fold(d.pivot_range()));
             }
             (lo, hi)
         };
@@ -741,7 +718,7 @@ mod tests {
             assert_eq!(num.stats.strategy_counts(), (0, 0, 1));
             let items = num.replay.stages.iter().flat_map(|s| &s.items);
             let replayed: f64 = items.map(|i| i.flops).sum();
-            assert!(nd_factors(&num, 0).update_flops > 0.0, "p={p}");
+            assert!(num.nd[0].update_flops > 0.0, "p={p}");
             assert_eq!(num.flops(), replayed, "p={p}");
             num.refactor(&a).unwrap();
             assert_eq!(num.stats.flops, replayed, "p={p}");

@@ -49,8 +49,8 @@ impl NdFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::{BlockKind, NdStructure};
-    use crate::testmat::{grid2d_unsym, nd_factors, opts};
+    use crate::structure::NdStructure;
+    use crate::testmat::{grid2d_unsym, opts};
     use crate::{Basker, BaskerOptions};
     use basker_sparse::{Perm, SparseError, TripletMat};
 
@@ -128,12 +128,12 @@ mod tests {
     fn run_case(a: &CscMat, p: usize) {
         let sym = Basker::analyze(a, &nd_only(p)).unwrap();
         let s = sym.structure();
-        let BlockKind::NdBig(st) = &s.kinds[0] else {
-            panic!("expected one ND block (nd_threshold = 0)");
-        };
+        let st = s
+            .nd_block(0)
+            .expect("expected one ND block (nd_threshold = 0)");
         let ap = Perm::permute_both(&s.row_perm, &s.col_perm, a);
         let num = sym.factor(a).unwrap();
-        verify_nd_factorization(&ap, st, nd_factors(&num, 0), 1e-9);
+        verify_nd_factorization(&ap, st, &num.nd[0], 1e-9);
     }
 
     /// The whole matrix as one ND block with `p` leaves.
@@ -191,9 +191,7 @@ mod tests {
         for p in [2usize, 4] {
             let sym = Basker::analyze(&a, &nd_only(p)).unwrap();
             let s = sym.structure();
-            let BlockKind::NdBig(st) = &s.kinds[0] else {
-                panic!();
-            };
+            let st = s.nd_block(0).unwrap();
             let leaves = st.leaf_of_thread.iter().map(|&v| &st.nd.nodes[v].range);
             let first = leaves.clone().min_by_key(|r| r.start).unwrap();
             let last = leaves.max_by_key(|r| r.start).unwrap();

@@ -44,8 +44,7 @@ use crate::gp_store::{GpRun, GpStore};
 use crate::parnum::NdFactors;
 use crate::reduce::reduce_cols_into;
 use crate::stages::{run_stage, Stage, Work};
-use crate::structure::{BlockKind, NdSplit, NdStructure, Structure};
-use crate::BlockFactors;
+use crate::structure::{NdSplit, NdStructure, Structure};
 use basker_klu::gp::{lsolve_panel_refresh, refactor_block_column, ColsView, RefactorWorkspace};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result};
@@ -147,8 +146,9 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ItemCell<T> {
 /// block's columns split into 2-D blocks.
 pub(crate) struct Frozen {
     pub(crate) btf: FrozenBtf,
-    /// `(BTF block, its split)` per ND-laid-out block, ascending.
-    pub(crate) nd: Vec<(usize, NdSplit)>,
+    /// The split of each block of [`Structure::nd_blocks`], at the same
+    /// index.
+    pub(crate) nd: Vec<NdSplit>,
 }
 
 impl Frozen {
@@ -156,14 +156,8 @@ impl Frozen {
     /// cannot have the analyzed pattern.
     pub(crate) fn record(a: &CscMat, st: &Structure) -> Result<Frozen> {
         let btf = FrozenBtf::record(a, &st.row_perm, &st.col_perm, &st.bounds)?;
-        let nd = st
-            .kinds
-            .iter()
-            .enumerate()
-            .filter_map(|(b, kind)| match kind {
-                BlockKind::NdBig(nds) => Some((b, NdSplit::record(&btf, st.bounds[b], nds))),
-                BlockKind::Small => None,
-            })
+        let nd = (st.nd_blocks.iter())
+            .map(|nd| NdSplit::record(&btf, st.bounds[nd.block], &nd.st))
             .collect();
         Ok(Frozen { btf, nd })
     }
@@ -216,8 +210,8 @@ fn operands<'a>(
     )
 }
 
-/// The reductions of one ND block, the one [`Frozen::nd`] lists at the
-/// same index.
+/// The reductions of one ND block, the one [`Structure::nd_blocks`]
+/// lists at the same index.
 pub(crate) struct NdReplay {
     /// In the order the stage layout files them: per separator, its
     /// panels' reductions, then its elimination targets.
@@ -237,13 +231,15 @@ pub(crate) struct Replay {
     pub(crate) diag_vals: Vec<f64>,
     /// Values of every reduced block, back to back.
     pub(crate) red_vals: Vec<f64>,
+    /// Per block of [`Structure::nd_blocks`], at the same index.
     pub(crate) nd: Vec<NdReplay>,
     pub(crate) stages: Vec<Stage>,
 }
 
 impl Replay {
     /// Replays the stage list on `team` over the values of `a`, which
-    /// has the recorded pattern, and folds what the runs of `gp` did.
+    /// has the recorded pattern, into the ND blocks' factors `nd` and
+    /// the store `gp`, and folds what the runs of `gp` did.
     /// Returns the nanoseconds the caller spent blocked in stage
     /// joins, `None` if no stage was dispatched. On a collapsed pivot
     /// the error names the smallest failing column of the first failing
@@ -255,7 +251,7 @@ impl Replay {
         a: &CscMat,
         st: &Structure,
         frozen: &Frozen,
-        factors: &mut [BlockFactors],
+        nd: &mut [NdFactors],
         gp: &mut GpStore,
         couplings: &mut [f64],
         team: &WorkerTeam,
@@ -265,7 +261,7 @@ impl Replay {
             st,
             frozen,
             diag_vals: &self.diag_vals,
-            factors: ItemCell::from_mut_slice(factors),
+            factors: nd,
             gp: ItemCell::from_mut_slice(gp.runs_mut()),
             red_vals: ItemCell::from_mut_slice(&mut self.red_vals),
             nd: &self.nd,
@@ -313,7 +309,9 @@ struct Ctx<'a> {
     st: &'a Structure,
     frozen: &'a Frozen,
     diag_vals: &'a [f64],
-    factors: &'a [ItemCell<BlockFactors>],
+    /// The ND blocks' factors: read only, each item writing through
+    /// the cells of its own node or panel.
+    factors: &'a [NdFactors],
     gp: &'a [ItemCell<GpRun>],
     red_vals: &'a [ItemCell<f64>],
     nd: &'a [NdReplay],
@@ -331,20 +329,13 @@ struct NdCtx<'a> {
 
 impl<'a> Ctx<'a> {
     fn nd(&self, nd: usize) -> NdCtx<'a> {
-        let (block, split) = &self.frozen.nd[nd];
-        // A shared read of the block's entry: its items write only the
-        // cells inside it.
-        let (BlockFactors::Nd(f), BlockKind::NdBig(st)) =
-            (&*self.factors[*block], &self.st.kinds[*block])
-        else {
-            unreachable!("factor kind mismatch");
-        };
+        let block = &self.st.nd_blocks[nd];
         NdCtx {
             rec: &self.nd[nd],
-            st,
-            f,
-            lo: self.st.bounds[*block],
-            split,
+            st: &block.st,
+            f: &self.factors[nd],
+            lo: self.st.bounds[block.block],
+            split: &self.frozen.nd[nd],
         }
     }
 
@@ -458,11 +449,36 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
 
 #[cfg(test)]
 mod tests {
+    use super::ItemCell;
     use crate::stages::DISPATCH_BREAK_EVEN_FLOPS;
     use crate::testmat::*;
     use crate::Basker;
     use basker_runtime::shared_team;
     use basker_sparse::SparseError;
+
+    /// Two disjoint windows of one run of cells, written at once
+    /// through `slice_mut_unchecked`, read back through `as_slice` and
+    /// through each cell's `Deref`, then through the slice itself.
+    #[test]
+    fn item_cell_windows_round_trip() {
+        let want: Vec<f64> = (0..10).map(|i| i as f64 * 1.5 - 2.0).collect();
+        let mut vals = vec![0.0; want.len()];
+        let cells = ItemCell::from_mut_slice(&mut vals);
+        let (front, back) = cells.split_at(4);
+        // SAFETY: the windows are disjoint, and nothing else reads or
+        // writes the cells while the two borrows live.
+        let (front, back) = unsafe {
+            (
+                ItemCell::slice_mut_unchecked(front),
+                ItemCell::slice_mut_unchecked(back),
+            )
+        };
+        front.copy_from_slice(&want[..4]);
+        back.copy_from_slice(&want[4..]);
+        assert_eq!(ItemCell::as_slice(cells), want);
+        assert!(cells.iter().map(|c| **c).eq(want.iter().copied()));
+        assert_eq!(vals, want);
+    }
 
     /// After a value-only refresh an ND block solves the new system —
     /// from the numeric's first refactorization and from the ones
@@ -543,9 +559,7 @@ mod tests {
                 .unwrap();
             // The last column of the ND block's second leaf (of its
             // only leaf at p = 1), and of the last tiny block.
-            let crate::structure::BlockKind::NdBig(nds) = &st.kinds[nd_block] else {
-                panic!("expected the grid to be ND-laid-out");
-            };
+            let nds = (st.nd_block(nd_block)).expect("expected the grid to be ND-laid-out");
             let leaf = *nds.leaf_of_thread.get(1).unwrap_or(&0);
             let in_leaf = st.bounds[nd_block] + nds.nd.nodes[leaf].range.end - 1;
             let tiny = st.bounds[st.nblocks()] - 1;

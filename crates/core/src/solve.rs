@@ -94,8 +94,7 @@ pub fn solve_nd_in_place<const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::BlockKind;
-    use crate::testmat::{grid2d_unsym, nd_factors, opts};
+    use crate::testmat::{grid2d_unsym, opts};
     use crate::{Basker, BaskerOptions};
     use basker_sparse::spmv::spmv;
     use basker_sparse::util::relative_residual;
@@ -112,9 +111,7 @@ mod tests {
             };
             let sym = Basker::analyze(&a, &o).unwrap();
             let s = sym.structure();
-            let BlockKind::NdBig(st) = &s.kinds[0] else {
-                panic!();
-            };
+            let st = s.nd_block(0).unwrap();
             let ap = Perm::permute_both(&s.row_perm, &s.col_perm, &a);
             let num = sym.factor(&a).unwrap();
             // Solve ap · x = b
@@ -125,7 +122,7 @@ mod tests {
             let mut z = b.clone();
             let mut scratch = vec![[0.0]; z.len()];
             let z1 = basker_kernels::rows_mut::<1>(&mut z);
-            solve_nd_in_place(st, nd_factors(&num, 0), z1, &mut scratch);
+            solve_nd_in_place(st, &num.nd[0], z1, &mut scratch);
             assert!(
                 relative_residual(&ap, &z, &b) < 1e-12,
                 "k={k} p={p} residual too large"

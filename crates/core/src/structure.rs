@@ -49,15 +49,16 @@ use basker_sparse::{CscMat, Perm, Result, SparseError};
 use std::ops::Range;
 use std::time::Instant;
 
-/// How a BTF diagonal block is handled.
+/// A large BTF diagonal block: its 2-D ND structure, factored by the
+/// whole thread team (fine ND structure, paper §III-C). Every other
+/// block is small, factored by one thread with serial Gilbert–Peierls
+/// (fine BTF structure, paper §III-B).
 #[derive(Debug, Clone)]
-pub enum BlockKind {
-    /// Small block: factored by one thread with serial Gilbert–Peierls
-    /// (fine BTF structure, paper §III-B).
-    Small,
-    /// Large block: 2-D ND structure factored by the whole thread team
-    /// (fine ND structure, paper §III-C).
-    NdBig(NdStructure),
+pub struct NdBlock {
+    /// Its index among the BTF blocks.
+    pub block: usize,
+    /// Its ND structure.
+    pub st: NdStructure,
 }
 
 /// The ND structure of one large diagonal block.
@@ -148,12 +149,12 @@ pub struct Structure {
     pub col_perm: Perm,
     /// BTF block boundaries in the permuted matrix.
     pub bounds: Vec<usize>,
-    /// Per BTF block: small or ND-structured.
-    pub kinds: Vec<BlockKind>,
+    /// The ND-structured blocks, ascending; every other block is small.
+    /// The value map, the numeric's ND factors and the replay index
+    /// their ND blocks by position in this list.
+    pub nd_blocks: Vec<NdBlock>,
     /// Rows of the largest BTF block (sizes the solve's pivot scratch).
     pub max_block: usize,
-    /// Bottleneck value of the MWCM transversal (diagnostic).
-    pub bottleneck: f64,
 }
 
 impl Structure {
@@ -189,13 +190,13 @@ impl Structure {
         let n = a.nrows();
         let levels = p_threads.trailing_zeros() as usize;
 
-        let (row0, col0, bounds, bottleneck, ap) = if opts.use_btf {
+        let (row0, col0, bounds, ap) = if opts.use_btf {
             let btf = btf_form_with(a, opts.use_mwcm)?;
             let ap = btf.permute(a);
-            (btf.row_perm, btf.col_perm, btf.bounds, btf.bottleneck, ap)
+            (btf.row_perm, btf.col_perm, btf.bounds, ap)
         } else {
             let id = Perm::identity(n);
-            (id.clone(), id, vec![0, n], 0.0, a.clone())
+            (id.clone(), id, vec![0, n], a.clone())
         };
         profile.btf = lap(clock);
         let (row0, col0) = (row0.as_slice(), col0.as_slice());
@@ -294,12 +295,10 @@ impl Structure {
             compose(st.nd.perm.as_slice(), btf, rows, cols);
         }
 
-        let mut nds = nds.into_iter();
-        let kinds = (0..nblocks)
-            .map(|b| match is_nd(b) {
-                true => BlockKind::NdBig(nds.next().expect("one structure per ND block")),
-                false => BlockKind::Small,
-            })
+        let nd_blocks = nd_blocks
+            .iter()
+            .zip(nds)
+            .map(|(&(block, _), st)| NdBlock { block, st })
             .collect();
         let row_perm = Perm::from_vec(row_total).expect("composed row perm invalid");
         let col_perm = Perm::from_vec(col_total).expect("composed col perm invalid");
@@ -309,9 +308,8 @@ impl Structure {
             row_perm,
             col_perm,
             bounds,
-            kinds,
+            nd_blocks,
             max_block,
-            bottleneck,
         };
         Ok((structure, flops))
     }
@@ -321,16 +319,21 @@ impl Structure {
         self.bounds.len() - 1
     }
 
+    /// The ND structure of BTF block `b`, `None` for a small block.
+    pub fn nd_block(&self, b: usize) -> Option<&NdStructure> {
+        let i = self.nd_blocks.binary_search_by_key(&b, |nd| nd.block);
+        i.ok().map(|i| &self.nd_blocks[i].st)
+    }
+
     /// Fraction of rows in small blocks (Table I's "BTF %").
     pub fn small_block_fraction(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        let covered: usize = (0..self.nblocks())
-            .filter(|&b| matches!(self.kinds[b], BlockKind::Small))
-            .map(|b| self.bounds[b + 1] - self.bounds[b])
+        let nd_rows: usize = (self.nd_blocks.iter())
+            .map(|nd| self.bounds[nd.block + 1] - self.bounds[nd.block])
             .sum();
-        covered as f64 / self.n as f64
+        (self.n - nd_rows) as f64 / self.n as f64
     }
 }
 
@@ -660,7 +663,9 @@ impl NdSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testmat::{self, circuit_like, grid2d_unsym, power_grid, with_mid_blocks};
+    use crate::testmat::{
+        self, circuit_like, grid2d_unsym, heterogeneous, power_grid, with_mid_blocks,
+    };
     use basker_runtime::shared_team;
     use basker_sparse::TripletMat;
 
@@ -708,7 +713,7 @@ mod tests {
         let a = grid2d(8);
         let s = build(&a, 16, 4);
         assert_eq!(s.nblocks(), 1);
-        assert!(matches!(s.kinds[0], BlockKind::NdBig(_)));
+        assert!(s.nd_block(0).is_some());
         assert_eq!(s.small_block_fraction(), 0.0);
     }
 
@@ -716,7 +721,7 @@ mod tests {
     fn small_matrix_stays_small() {
         let a = grid2d(3);
         let s = build(&a, 100, 4);
-        assert!(matches!(s.kinds[0], BlockKind::Small));
+        assert!(s.nd_block(0).is_none());
         assert_eq!(s.small_block_fraction(), 1.0);
     }
 
@@ -724,9 +729,7 @@ mod tests {
     fn nd_structure_metadata_consistent() {
         let a = grid2d(10);
         let s = build(&a, 16, 4);
-        let BlockKind::NdBig(st) = &s.kinds[0] else {
-            panic!("expected ND block");
-        };
+        let st = s.nd_block(0).expect("expected ND block");
         assert_eq!(st.nnodes(), 7);
         assert_eq!(st.leaf_of_thread, vec![0, 1, 3, 4]);
         assert_eq!(st.descendants(6), 0..6);
@@ -741,9 +744,7 @@ mod tests {
     /// its split and the permuted matrix.
     fn split_grid(a: &CscMat) -> (Structure, FrozenBtf, Vec<f64>, NdSplit, CscMat) {
         let s = build(a, 16, 4);
-        let BlockKind::NdBig(st) = &s.kinds[0] else {
-            panic!("expected ND block");
-        };
+        let st = s.nd_block(0).expect("expected ND block");
         let frozen = FrozenBtf::record(a, &s.row_perm, &s.col_perm, &s.bounds).unwrap();
         let split = NdSplit::record(&frozen, 0, st);
         let (vals, _) = frozen.image(a);
@@ -765,9 +766,7 @@ mod tests {
     fn nd_blocks_cover_all_entries() {
         let a = grid2d(9);
         let (s, frozen, vals, split, _) = split_grid(&a);
-        let BlockKind::NdBig(st) = &s.kinds[0] else {
-            panic!("expected ND block");
-        };
+        let st = s.nd_block(0).expect("expected ND block");
         let total: usize = related(st)
             .map(|(v, r)| {
                 let view = split.block(&frozen, &vals, 0, st, v, r);
@@ -788,9 +787,7 @@ mod tests {
     fn nd_split_views_match_extracted_blocks() {
         let a = grid2d(9);
         let (s, frozen, vals, split, ap) = split_grid(&a);
-        let BlockKind::NdBig(st) = &s.kinds[0] else {
-            panic!("expected ND block");
-        };
+        let st = s.nd_block(0).expect("expected ND block");
         for (v, r) in related(st) {
             let (rows, cols) = (st.nd.nodes[r].range.clone(), st.nd.nodes[v].range.clone());
             let want = extract_range(&ap, rows, cols);
@@ -829,12 +826,7 @@ mod tests {
         let a = t.to_csc();
         let s = build(&a, 32, 2);
         assert!(s.nblocks() >= 7, "blocks: {}", s.nblocks());
-        let n_big = s
-            .kinds
-            .iter()
-            .filter(|k| matches!(k, BlockKind::NdBig(_)))
-            .count();
-        assert_eq!(n_big, 1);
+        assert_eq!(s.nd_blocks.len(), 1);
         assert!(s.small_block_fraction() > 0.0);
     }
 
@@ -864,8 +856,9 @@ mod tests {
     }
 
     /// Everything analyze decides, as one list of words: the composed
-    /// permutations, the bounds, per ND block its order, node ranges and
-    /// leaf plans' flops by width, and every block's flop estimate.
+    /// permutations, the bounds, per ND block its index, order, node
+    /// ranges and leaf plans' flops by width, and every block's flop
+    /// estimate.
     fn words(s: &Structure, flops: &[Option<f64>]) -> Vec<u64> {
         let mut w: Vec<u64> = s
             .row_perm
@@ -875,11 +868,8 @@ mod tests {
             .chain(&s.bounds)
             .map(|&x| x as u64)
             .collect();
-        for kind in &s.kinds {
-            let BlockKind::NdBig(st) = kind else {
-                w.push(u64::MAX);
-                continue;
-            };
+        for NdBlock { block, st } in &s.nd_blocks {
+            w.push(*block as u64);
             w.extend(st.nd.perm.as_slice().iter().map(|&x| x as u64));
             for (v, node) in st.nd.nodes.iter().enumerate() {
                 w.extend([node.range.start as u64, node.range.end as u64]);
@@ -908,8 +898,7 @@ mod tests {
         ];
         for (a, nd_threshold, p, nd) in &cases {
             let (s, flops) = build_on(a, *nd_threshold, *p, 1).unwrap();
-            let nds = s.kinds.iter().filter(|k| matches!(k, BlockKind::NdBig(_)));
-            assert_eq!(nds.count(), *nd, "ND blocks at {p} leaves");
+            assert_eq!(s.nd_blocks.len(), *nd, "ND blocks at {p} leaves");
             let (want, runs) = (words(&s, &flops), gp_runs(flops));
             for width in [2, 4] {
                 let (s, flops) = build_on(a, *nd_threshold, *p, width).unwrap();
@@ -919,12 +908,40 @@ mod tests {
         }
         // The first matrix has AMD-refined small blocks beside its ND ones.
         let (s, _) = build_on(&cases[0].0, 100, 4, 1).unwrap();
-        let rows = s.bounds.windows(2).map(|w| w[1] - w[0]);
-        assert!(s
-            .kinds
-            .iter()
-            .zip(rows)
-            .any(|(k, r)| matches!(k, BlockKind::Small) && r > 2));
+        let rows = |b: usize| s.bounds[b + 1] - s.bounds[b];
+        assert!((0..s.nblocks()).any(|b| s.nd_block(b).is_none() && rows(b) > 2));
+    }
+
+    /// The Gilbert–Peierls runs analyze's estimates coalesce into and
+    /// the ND blocks, merged by block index, cover every block exactly
+    /// once in ascending order: what the solve's backward walk over the
+    /// two lists relies on.
+    #[test]
+    fn runs_and_nd_blocks_tile_the_blocks() {
+        let cases = [
+            (heterogeneous(12, 30), 64),
+            (with_mid_blocks(12, 3, 30), 64),
+            (power_grid(40, 30), 16),
+            (circuit_like(6, 60), 32),
+        ];
+        let mut mixed = 0;
+        for (a, nd_threshold) in &cases {
+            for t in [1, 2, 4] {
+                let (s, flops) = build_on(a, *nd_threshold, t, t).unwrap();
+                let runs = gp_runs(flops);
+                mixed += usize::from(!runs.is_empty() && !s.nd_blocks.is_empty());
+                let mut spans: Vec<Range<usize>> = runs.iter().map(|r| r.0..r.1).collect();
+                spans.extend(s.nd_blocks.iter().map(|nd| nd.block..nd.block + 1));
+                spans.sort_by_key(|r| r.start);
+                let mut next = 0;
+                for r in spans {
+                    assert!(r.start == next && r.end > next, "T={t}: {r:?} after {next}");
+                    next = r.end;
+                }
+                assert_eq!(next, s.nblocks(), "T={t}");
+            }
+        }
+        assert!(mixed >= 3, "runs beside ND blocks in {mixed} cases");
     }
 
     #[test]

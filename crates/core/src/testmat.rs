@@ -1,7 +1,6 @@
 //! Matrices and checks shared by this crate's unit tests.
 
-use crate::parnum::NdFactors;
-use crate::{Basker, BaskerNumeric, BaskerOptions, BlockFactors};
+use crate::{Basker, BaskerNumeric, BaskerOptions};
 use basker_sparse::spmv::spmv;
 use basker_sparse::util::relative_residual;
 use basker_sparse::{CscMat, SolveWorkspace, TripletMat};
@@ -221,21 +220,16 @@ pub(crate) fn opts(nthreads: usize, nd_threshold: usize) -> BaskerOptions {
 /// Gilbert–Peierls store's, then every other block's.
 pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
     let mut out: Vec<f64> = num.gp.values().collect();
-    for f in &num.factors {
-        match f {
-            BlockFactors::Gp(_) => {}
-            BlockFactors::Nd(f) => {
-                for blu in &f.fact_diag {
-                    out.extend_from_slice(blu.l.values());
-                    out.extend_from_slice(blu.u.values());
-                    for b in &blu.below {
-                        out.extend_from_slice(b.values());
-                    }
-                }
-                for panel in f.fact_upper.iter().flatten() {
-                    out.extend_from_slice(panel.values());
-                }
+    for f in &num.nd {
+        for blu in &f.fact_diag {
+            out.extend_from_slice(blu.l.values());
+            out.extend_from_slice(blu.u.values());
+            for b in &blu.below {
+                out.extend_from_slice(b.values());
             }
+        }
+        for panel in f.fact_upper.iter().flatten() {
+            out.extend_from_slice(panel.values());
         }
     }
     out.extend_from_slice(num.offdiag.values());
@@ -246,22 +240,10 @@ pub(crate) fn factor_values(num: &BaskerNumeric) -> Vec<f64> {
 /// in storage order: the store's, then the ND blocks'.
 pub(crate) fn factor_pivots(num: &BaskerNumeric) -> Vec<usize> {
     let mut out: Vec<usize> = num.gp.pinv().collect();
-    for f in &num.factors {
-        if let BlockFactors::Nd(f) = f {
-            for blu in &f.fact_diag {
-                out.extend_from_slice(&blu.pinv);
-            }
-        }
+    for blu in num.nd.iter().flat_map(|f| &f.fact_diag) {
+        out.extend_from_slice(&blu.pinv);
     }
     out
-}
-
-/// The factors of ND block `b`.
-pub(crate) fn nd_factors(num: &BaskerNumeric, b: usize) -> &NdFactors {
-    match &num.factors[b] {
-        BlockFactors::Nd(f) => f,
-        _ => panic!("block {b} is not an ND block"),
-    }
 }
 
 pub(crate) fn solve(num: &BaskerNumeric, b: &[f64]) -> Vec<f64> {

@@ -819,26 +819,8 @@ impl BlockFactor {
             return Ok(BlockFactor::Singleton(v));
         }
         let diag = basker_sparse::blocks::extract_range(ap, lo..hi, lo..hi);
-        BlockFactor::factor_cols(ColsView::of(&diag), lo, pivot_tol)
-    }
-
-    /// [`factor_range`](Self::factor_range) for callers that keep the
-    /// permuted matrix in retained storage: `diag` is the block read in
-    /// place, `lo` its first permuted column.
-    pub fn factor_cols(diag: ColsView<'_>, lo: usize, pivot_tol: f64) -> Result<BlockFactor> {
-        if diag.ncols() == 1 {
-            let v = diag.col(0).next().map_or(0.0, |(_, v)| v);
-            if v == 0.0 {
-                return Err(SparseError::ZeroPivot { column: lo });
-            }
-            return Ok(BlockFactor::Singleton(v));
-        }
-        Ok(BlockFactor::Full(Box::new(factor_block_column(
-            diag,
-            &[],
-            pivot_tol,
-            lo,
-        )?)))
+        let blu = factor_block_column(ColsView::of(&diag), &[], pivot_tol, lo)?;
+        Ok(BlockFactor::Full(Box::new(blu)))
     }
 
     /// Refreshes values from the `lo..hi` diagonal block of the permuted
@@ -863,29 +845,6 @@ impl BlockFactor {
                 let diag = basker_sparse::blocks::extract_range(ap, lo..hi, lo..hi);
                 refactor_block_column(blu, ColsView::of(&diag), &[], lo, ws)
             }
-        }
-    }
-
-    /// [`refactor_range`](Self::refactor_range) for callers that keep
-    /// the permuted matrix in retained storage: `diag` is the block read
-    /// in place, `lo` its first permuted column.
-    // basker-lint: deny-alloc
-    pub fn refactor_cols(
-        &mut self,
-        diag: ColsView<'_>,
-        lo: usize,
-        ws: &mut RefactorWorkspace,
-    ) -> Result<()> {
-        match self {
-            BlockFactor::Singleton(v) => {
-                let nv = diag.col(0).next().map_or(0.0, |(_, nv)| nv);
-                if nv == 0.0 {
-                    return Err(SparseError::ZeroPivot { column: lo });
-                }
-                *v = nv;
-                Ok(())
-            }
-            BlockFactor::Full(blu) => refactor_block_column(blu, diag, &[], lo, ws),
         }
     }
 
@@ -1134,18 +1093,6 @@ mod tests {
         assert_eq!(blu.u.values(), fresh.u.values());
         assert_eq!(blu.below[0].values(), fresh.below[0].values());
         assert!(ws.accumulator(64).iter().all(|&v| v == 0.0));
-
-        // 1x1 fast path reads its pivot through the same kind of view.
-        let mut one = BlockFactor::Singleton(1.0);
-        let ptr = [7usize, 8];
-        let v = ColsView::new(&ptr, 1, (1, 1), store.rowind(), store.values(), 4);
-        one.refactor_cols(v, 11, &mut ws).unwrap();
-        assert_eq!(one.pivot_range(), (7.0, 7.0));
-        let empty = ColsView::new(&[4, 4], 1, (1, 1), store.rowind(), store.values(), 4);
-        assert!(matches!(
-            one.refactor_cols(empty, 11, &mut ws),
-            Err(SparseError::ZeroPivot { column: 11 })
-        ));
     }
 
     #[test]

@@ -40,37 +40,6 @@ pub fn etree(a: &CscMat) -> Vec<usize> {
     parent
 }
 
-/// Column elimination tree of an unsymmetric matrix: the etree of `AᵀA`
-/// computed without forming the product (each row of `A` links its columns
-/// into a clique through the smallest one).
-pub fn col_etree(a: &CscMat) -> Vec<usize> {
-    let n = a.ncols();
-    let mut parent = vec![NONE; n];
-    let mut ancestor = vec![NONE; n];
-    // prev_col[i]: the last column seen containing row i (clique chaining).
-    let mut prev_col = vec![NONE; a.nrows()];
-    for j in 0..n {
-        for &i in a.col_rows(j) {
-            // Chain from the previous column containing row i.
-            let mut k = prev_col[i];
-            prev_col[i] = j;
-            if k == NONE {
-                continue;
-            }
-            while ancestor[k] != NONE && ancestor[k] != j {
-                let next = ancestor[k];
-                ancestor[k] = j;
-                k = next;
-            }
-            if ancestor[k] == NONE && k != j {
-                ancestor[k] = j;
-                parent[k] = j;
-            }
-        }
-    }
-    parent
-}
-
 /// Postorder of a forest given as a parent array. Children are visited in
 /// ascending index order, so the result is deterministic.
 pub fn postorder(parent: &[usize]) -> Vec<usize> {
@@ -137,20 +106,6 @@ pub fn level_sets(parent: &[usize]) -> Vec<Vec<usize>> {
         sets[level[v]].push(v);
     }
     sets
-}
-
-/// Depth of each vertex from its root (root depth 0).
-pub fn depths(parent: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    let mut depth = vec![0usize; n];
-    // parent[v] > v, so sweep from the top down.
-    for v in (0..n).rev() {
-        let p = parent[v];
-        if p != NONE {
-            depth[v] = depth[p] + 1;
-        }
-    }
-    depth
 }
 
 #[cfg(test)]
@@ -236,21 +191,5 @@ mod tests {
         assert_eq!(ls[0], vec![0, 1, 3, 4]);
         assert_eq!(ls[1], vec![2, 5]);
         assert_eq!(ls[2], vec![6]);
-    }
-
-    #[test]
-    fn depths_of_chain() {
-        let parent = vec![1, 2, NONE];
-        assert_eq!(depths(&parent), vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn col_etree_matches_etree_for_symmetric_spd_pattern() {
-        // For a symmetric positive pattern with zero-free diagonal, the
-        // column etree of the Cholesky factorization context is a
-        // supertree; for tridiagonal they coincide.
-        let a = tridiag(5);
-        let ce = col_etree(&a);
-        assert_eq!(ce, vec![1, 2, 3, 4, NONE]);
     }
 }

@@ -99,27 +99,6 @@ pub fn extract_general(a: &CscMat, rows: &[usize], cols: &[usize]) -> CscMat {
     unsafe { CscMat::from_parts_unchecked(rows.len(), cols.len(), colptr, rowind, values) }
 }
 
-/// Splits a square matrix into a 2-D grid of blocks along the given
-/// boundaries (`bounds` = cumulative offsets, starting 0 and ending n).
-/// Returns blocks in row-major block order: `result[bi * nblocks + bj]`.
-pub fn partition_grid(a: &CscMat, bounds: &[usize]) -> Vec<CscMat> {
-    assert!(a.is_square());
-    assert_eq!(*bounds.first().unwrap(), 0);
-    assert_eq!(*bounds.last().unwrap(), a.nrows());
-    let nb = bounds.len() - 1;
-    let mut out = Vec::with_capacity(nb * nb);
-    for bi in 0..nb {
-        for bj in 0..nb {
-            out.push(extract_range(
-                a,
-                bounds[bi]..bounds[bi + 1],
-                bounds[bj]..bounds[bj + 1],
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +158,5 @@ mod tests {
         assert_eq!(b.get(0, 0), 7.0);
         assert_eq!(b.get(1, 1), 1.0);
         assert_eq!(b.nnz(), 2);
-    }
-
-    #[test]
-    fn grid_partition_covers_all_entries() {
-        let a = sample();
-        let blocks = partition_grid(&a, &[0, 2, 4]);
-        assert_eq!(blocks.len(), 4);
-        let total: usize = blocks.iter().map(|b| b.nnz()).sum();
-        assert_eq!(total, a.nnz());
-        // diag block (0,0): entries A[0,0], A[1,1]
-        assert_eq!(blocks[0].get(0, 0), 1.0);
-        assert_eq!(blocks[0].get(1, 1), 3.0);
-        // off-diag block (1,0): A[2,0]=5
-        assert_eq!(blocks[2].get(0, 0), 5.0);
     }
 }

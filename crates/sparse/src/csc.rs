@@ -289,30 +289,6 @@ impl CscMat {
         add_patterns(self, &t)
     }
 
-    /// Drops entries with `|value| <= tol`, returning the pruned matrix.
-    pub fn drop_tolerance(&self, tol: f64) -> CscMat {
-        let mut colptr = Vec::with_capacity(self.ncols + 1);
-        let mut rowind = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        colptr.push(0);
-        for j in 0..self.ncols {
-            for (i, v) in self.col_iter(j) {
-                if v.abs() > tol {
-                    rowind.push(i);
-                    values.push(v);
-                }
-            }
-            colptr.push(rowind.len());
-        }
-        CscMat {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            colptr,
-            rowind,
-            values,
-        }
-    }
-
     /// Densifies into row-major storage. Intended for tests and tiny blocks.
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut d = vec![vec![0.0; self.ncols]; self.nrows];
@@ -345,14 +321,6 @@ impl CscMat {
             colptr,
             rowind,
             values,
-        }
-    }
-
-    /// Scales column `j` by `s`.
-    pub fn scale_col(&mut self, j: usize, s: f64) {
-        let (lo, hi) = (self.colptr[j], self.colptr[j + 1]);
-        for v in &mut self.values[lo..hi] {
-            *v *= s;
         }
     }
 
@@ -501,16 +469,6 @@ mod tests {
         assert_eq!(s.get(0, 2), 6.0);
         assert_eq!(s.get(2, 0), 6.0);
         assert_eq!(s.get(0, 0), 2.0);
-    }
-
-    #[test]
-    fn drop_tolerance_prunes() {
-        let a = small();
-        let p = a.drop_tolerance(2.5);
-        assert_eq!(p.nnz(), 3); // 4.0, 3.0 and 5.0 survive
-        assert_eq!(p.get(2, 0), 4.0);
-        assert_eq!(p.get(1, 1), 3.0);
-        assert_eq!(p.get(2, 2), 5.0);
     }
 
     #[test]

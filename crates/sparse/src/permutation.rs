@@ -41,12 +41,6 @@ impl Perm {
         Ok(Perm { perm })
     }
 
-    /// Builds without validation (debug-asserted).
-    pub fn from_vec_unchecked(perm: Vec<usize>) -> Self {
-        debug_assert!(Perm::from_vec(perm.clone()).is_ok());
-        Perm { perm }
-    }
-
     /// Length of the permuted range.
     #[inline]
     pub fn len(&self) -> usize {

@@ -74,33 +74,6 @@ pub fn spmv_sub_cols<const K: usize>(a: &CscMat, x: &[f64], y: &mut [f64]) -> [f
     xnorm
 }
 
-/// Sparse-input variant: `y -= A·x` where `x` is given as pattern +
-/// values over the columns of `A`. Only touches columns in the pattern —
-/// this is the inner loop of the block reductions, where `x` is one column
-/// of a freshly factored `U` block.
-pub fn spmv_sub_sparse(a: &CscMat, xpat: &[usize], xval: &[f64], y: &mut [f64]) {
-    assert_eq!(xpat.len(), xval.len());
-    assert_eq!(y.len(), a.nrows());
-    let ks = basker_kernels::active();
-    for (&j, &xj) in xpat.iter().zip(xval.iter()) {
-        if xj == 0.0 {
-            continue;
-        }
-        ks.scatter_axpy(y, a.col_rows(j), a.col_values(j), -xj);
-    }
-}
-
-/// `y = Aᵀ·x` without forming the transpose.
-pub fn spmv_t(a: &CscMat, x: &[f64]) -> Vec<f64> {
-    assert_eq!(x.len(), a.nrows());
-    let mut y = vec![0.0; a.ncols()];
-    let ks = basker_kernels::active();
-    for j in 0..a.ncols() {
-        y[j] = ks.gather_dot(x, a.col_rows(j), a.col_values(j));
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,22 +96,6 @@ mod tests {
         spmv_acc(&m, &x, &mut y);
         spmv_sub(&m, &x, &mut y);
         assert_eq!(y, vec![5.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn sparse_input_matches_dense_input() {
-        let m = a();
-        let mut y1 = vec![0.0; 3];
-        spmv_sub(&m, &[0.0, 7.0], &mut y1);
-        let mut y2 = vec![0.0; 3];
-        spmv_sub_sparse(&m, &[1], &[7.0], &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn transpose_product() {
-        let y = spmv_t(&a(), &[1.0, 1.0, 1.0]);
-        assert_eq!(y, vec![4.0, 11.0]);
     }
 
     #[test]

@@ -8,11 +8,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, &v| m.max(v.abs()))
 }
 
-/// One norm of a vector.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Matrix infinity norm (max absolute row sum).
 pub fn mat_norm_inf(a: &CscMat) -> f64 {
     let mut rowsum = vec![0.0f64; a.nrows()];
@@ -29,13 +24,6 @@ pub fn mat_norm_inf_with(a: &CscMat, rowsum: &mut [f64]) -> f64 {
         rowsum[i] += v.abs();
     }
     norm_inf(rowsum)
-}
-
-/// Matrix one norm (max absolute column sum).
-pub fn mat_norm1(a: &CscMat) -> f64 {
-    (0..a.ncols())
-        .map(|j| a.col_values(j).iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
 }
 
 /// Relative residual `‖A·x − b‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)`, the standard
@@ -79,32 +67,6 @@ pub fn approx_eq_vec(a: &[f64], b: &[f64], tol: f64) -> bool {
             .all(|(x, y)| (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())))
 }
 
-/// `‖A − B‖∞` over the union pattern; matrices must be the same shape.
-pub fn mat_diff_norm(a: &CscMat, b: &CscMat) -> f64 {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let mut max = 0.0f64;
-    for j in 0..a.ncols() {
-        let (ar, av) = (a.col_rows(j), a.col_values(j));
-        let (br, bv) = (b.col_rows(j), b.col_values(j));
-        let (mut x, mut y) = (0usize, 0usize);
-        while x < ar.len() || y < br.len() {
-            if y >= br.len() || (x < ar.len() && ar[x] < br[y]) {
-                max = max.max(av[x].abs());
-                x += 1;
-            } else if x >= ar.len() || br[y] < ar[x] {
-                max = max.max(bv[y].abs());
-                y += 1;
-            } else {
-                max = max.max((av[x] - bv[y]).abs());
-                x += 1;
-                y += 1;
-            }
-        }
-    }
-    max
-}
-
 /// Fill-in density `|L+U| / |A|` as reported in the paper's Table I.
 pub fn fill_density(nnz_lu: usize, nnz_a: usize) -> f64 {
     nnz_lu as f64 / nnz_a.max(1) as f64
@@ -117,10 +79,8 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(norm_inf(&[1.0, -3.0, 2.0]), 3.0);
-        assert_eq!(norm1(&[1.0, -3.0, 2.0]), 6.0);
         let a = CscMat::from_dense(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
         assert_eq!(mat_norm_inf(&a), 7.0); // row 1: 3+4
-        assert_eq!(mat_norm1(&a), 6.0); // col 1: 2+4
     }
 
     #[test]
@@ -129,13 +89,6 @@ mod tests {
         let x = [1.0, 0.5];
         let b = [2.0, 2.0];
         assert!(relative_residual(&a, &x, &b) < 1e-16);
-    }
-
-    #[test]
-    fn diff_norm_union_pattern() {
-        let a = CscMat::from_dense(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
-        let b = CscMat::from_dense(&[vec![1.0, 5.0], vec![0.0, 2.5]]);
-        assert_eq!(mat_diff_norm(&a, &b), 5.0);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! contract: one residual-gate re-pivot per call with every column
 //! re-solved, and `xs` restored on an error.
 
-use basker::structure::BlockKind;
 use basker_repro::prelude::*;
 
 /// A 13×13 matrix of 2×2 BTF blocks plus one **forced-transversal
@@ -102,7 +101,6 @@ fn hard_pivot_collapse_triggers_fallback_without_escaping() {
 /// nonsingular, so the fresh factorization picks another row.
 #[test]
 fn nd_leaf_pivot_collapse_on_the_team_triggers_one_fallback() {
-    use basker_repro::basker::structure::BlockKind;
     use basker_repro::basker::Basker;
 
     // 1 296 rows: each leaf carries enough recorded flops that the
@@ -114,9 +112,7 @@ fn nd_leaf_pivot_collapse_on_the_team_triggers_one_fallback() {
         .nd_threshold(32);
     let sym = Basker::analyze(&a0, &solver.basker_options()).unwrap();
     let st = sym.structure();
-    let BlockKind::NdBig(nds) = &st.kinds[0] else {
-        panic!("the mesh must be one ND-laid-out block");
-    };
+    let nds = (st.nd_block(0)).expect("the mesh must be one ND-laid-out block");
     assert_eq!(nds.nnodes(), 3, "two leaves under one separator");
     let k = st.bounds[0] + nds.nd.nodes[nds.leaf_of_thread[1]].range.start;
     let (row, col) = (st.row_perm.as_slice()[k], st.col_perm.as_slice()[k]);
@@ -497,10 +493,7 @@ fn plan(sym: &Basker) -> Vec<(usize, usize)> {
     let st = sym.structure();
     (0..st.nblocks())
         .map(|b| {
-            let leaves = match &st.kinds[b] {
-                BlockKind::Small => 0,
-                BlockKind::NdBig(nds) => nds.leaf_of_thread.len(),
-            };
+            let leaves = st.nd_block(b).map_or(0, |nds| nds.leaf_of_thread.len());
             (st.bounds[b + 1] - st.bounds[b], leaves)
         })
         .collect()

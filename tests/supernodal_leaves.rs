@@ -8,7 +8,7 @@
 //! leaf's flop shares by supernode width and `sn_leaves`. The test pins
 //! the decision, not timings.
 
-use basker_repro::basker::structure::{BlockKind, SN_MIN_WIDTH};
+use basker_repro::basker::structure::SN_MIN_WIDTH;
 use basker_repro::basker::{Basker, BaskerOptions};
 use basker_repro::basker_matgen::{circuit, mesh2d, CircuitParams};
 use basker_repro::basker_sparse::CscMat;
@@ -22,10 +22,7 @@ fn sn_leaves(what: &str, a: &CscMat, nthreads: usize) -> usize {
     };
     let sym = Basker::analyze(a, &opts).unwrap();
     let s = sym.structure();
-    for kind in &s.kinds {
-        let BlockKind::NdBig(st) = kind else {
-            continue;
-        };
+    for st in s.nd_blocks.iter().map(|nd| &nd.st) {
         for &v in &st.leaf_of_thread {
             let rows = st.nd.nodes[v].len();
             let Some(by) = st.leaf_flops_by_width(v) else {

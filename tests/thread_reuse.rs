@@ -41,11 +41,7 @@ fn basker_opts(nthreads: usize) -> BaskerOptions {
 }
 
 fn nd_blocks(sym: &Basker) -> usize {
-    let kinds = &sym.structure().kinds;
-    kinds
-        .iter()
-        .filter(|k| matches!(k, basker_repro::basker::structure::BlockKind::NdBig(_)))
-        .count()
+    sym.structure().nd_blocks.len()
 }
 
 /// Kernel-reported thread count of this process, if procfs is available.
