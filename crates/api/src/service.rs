@@ -226,7 +226,11 @@ pub struct ServiceStats {
     pub solves: usize,
     /// Sweeps over the factors those solves took (see
     /// [`SessionStats::solve_sweeps`]); `solves / solve_sweeps` is the
-    /// mean right-hand-side panel width the service ran at.
+    /// mean right-hand-side panel width the service ran at. A refined
+    /// solve dealt to a team counts each rank's panel (8 columns at
+    /// width 2 are 2 sweeps), but a stream's engine is forced serial,
+    /// so the service never deals one: 8 right-hand sides are 1 sweep
+    /// here.
     pub solve_sweeps: usize,
     /// Worst refined residual any stream's session has reported.
     pub worst_residual: f64,

@@ -62,6 +62,9 @@ use crate::error::SolverError;
 use crate::solver::{
     packed_rhs_count, FactorQuality, LinearSolver, LuNumeric, SolverStats, SparseLuSolver,
 };
+use basker::refactor::ItemCell;
+use basker::stages::DISPATCH_BREAK_EVEN_FLOPS;
+use basker_runtime::WorkerTeam;
 use basker_sparse::spmv::{spmv_sub, spmv_sub_cols};
 use basker_sparse::util::{mat_norm_inf_with, norm_inf};
 use basker_sparse::workspace::panel_chunks;
@@ -261,8 +264,12 @@ pub struct SessionStats {
     /// `L`, `U` and the couplings once per row-major panel of up to 8
     /// right-hand sides, so `solves / solve_sweeps` is the mean panel
     /// width (8 right-hand sides are 1 sweep, 13 are 3; a single solve
-    /// is 1). Counts a gate-discarded pass too; the one-column
-    /// correction sweeps of refinement are
+    /// is 1). A refined solve dealt to the team counts each rank's
+    /// panel: 8 columns at width 2 on a matrix big enough to dispatch
+    /// are 2 sweeps of 4 (see
+    /// [`solve_refined_multi`](SolveSession::solve_refined_multi)).
+    /// Counts a gate-discarded pass too; the one-column correction
+    /// sweeps of refinement are
     /// [`refine_iterations`](Self::refine_iterations), not these.
     pub solve_sweeps: usize,
     /// Total iterative-refinement sweeps across all refined solves.
@@ -312,6 +319,10 @@ pub struct SolveSession<S: SparseLuSolver = LinearSolver> {
     /// Refinement scratch: the saved right-hand side and the residual.
     rhs: Vec<f64>,
     resid: Vec<f64>,
+    /// A refined pass dealt to the team: its panels, and one slot per
+    /// rank, grown on the first such pass.
+    panels: Vec<(usize, usize)>,
+    ranks: Vec<RankPass>,
 }
 
 impl SolveSession<LinearSolver> {
@@ -347,6 +358,8 @@ impl<S: SparseLuSolver> SolveSession<S> {
             ws: SolveWorkspace::for_dim(n),
             rhs: vec![0.0; n],
             resid: vec![0.0; n],
+            panels: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 
@@ -606,6 +619,25 @@ impl<S: SparseLuSolver> SolveSession<S> {
     /// and only columns still above the target go on through the
     /// single-column correction loop.
     ///
+    /// * **On the team.** On the block driver the panels are dealt to
+    ///   the ranks of the team the handle owns, one subset of columns
+    ///   per rank, each with its own workspace, copies, sweep, residual
+    ///   pass and correction loop; the residual gate and the stats
+    ///   commit stay on the caller after the join. A panel of 8 or 4
+    ///   is halved until every rank has one, never into panels of 1,
+    ///   so every solution and quality is bit-identical to the
+    ///   caller's at every width; only
+    ///   [`solve_sweeps`](SessionStats::solve_sweeps) counts the
+    ///   ranks' panels. The pass stays on the caller on a width-1
+    ///   team, when called from one of the team's ranks (a
+    ///   [`SolverService`](crate::SolverService) job), and when
+    ///   `k × (|L+U| + nnz(A))` is under the stage list's
+    ///   [`DISPATCH_BREAK_EVEN_FLOPS`]. The extra ranks' workspaces
+    ///   live in the session and grow on its first dealt pass; after
+    ///   it, a dealt call allocates the returned `Vec` and the
+    ///   scheduler's two task entries, as a dispatched refactor stage
+    ///   does, and nothing else.
+    ///
     /// * **On `Err`** every column of `xs` holds its `b` again and
     ///   nothing is counted in [`SessionStats`].
     /// * **The residual gate fires at most once per call**: if any
@@ -639,37 +671,42 @@ impl<S: SparseLuSolver> SolveSession<S> {
             self.rhs.resize(xs.len(), 0.0);
             self.resid.resize(xs.len(), 0.0);
         }
-        let mut work = BatchWork::default();
-        let mut pass = self.refined_pass(xs, out, &mut work);
-        if pass.is_ok() && self.residual_gate_trips(out) {
-            // Reuse cost too much accuracy: re-pivot and redo the whole
-            // batch from the retained right-hand sides, so no returned
-            // column comes from factors no longer installed. (The
-            // refactored factors are valid, just inaccurate, so a
-            // fresh-factor failure here keeps them installed and
-            // propagates; the re-pivot is counted only when one was
-            // installed.)
-            pass = self.fresh_factor().and_then(|()| {
-                self.stats.quality_repivots += 1;
-                self.state = SessionState::Repivoted;
-                let num = self.num.as_ref().expect("factors exist");
-                num.stats_into(&mut self.stats.last_factor);
+        let mut work = self.refined_pass(xs, out);
+        if let Ok((sweeps, iterations)) = work {
+            if self.residual_gate_trips(out) {
+                // Reuse cost too much accuracy: re-pivot and redo the
+                // whole batch from the retained right-hand sides, so no
+                // returned column comes from factors no longer
+                // installed. (The refactored factors are valid, just
+                // inaccurate, so a fresh-factor failure here keeps them
+                // installed and propagates; the re-pivot is counted only
+                // when one was installed.)
+                work = self.fresh_factor().and_then(|()| {
+                    self.stats.quality_repivots += 1;
+                    self.state = SessionState::Repivoted;
+                    let num = self.num.as_ref().expect("factors exist");
+                    num.stats_into(&mut self.stats.last_factor);
+                    xs.copy_from_slice(&self.rhs[..xs.len()]);
+                    let (more_sweeps, more_iterations) = self.refined_pass(xs, out)?;
+                    Ok((sweeps + more_sweeps, iterations + more_iterations))
+                });
+            }
+        }
+        let (sweeps, iterations) = match work {
+            Ok(done) => done,
+            Err(e) => {
+                // A pass retains every `b` before anything in it can
+                // fail.
                 xs.copy_from_slice(&self.rhs[..xs.len()]);
-                self.refined_pass(xs, out, &mut work)
-            });
-        }
-        if let Err(e) = pass {
-            // Columns the failed pass never reached were never
-            // retained — and still hold their `b`.
-            xs[..work.retained].copy_from_slice(&self.rhs[..work.retained]);
-            return Err(e);
-        }
+                return Err(e);
+            }
+        };
         // One solve per column, sweeps for all work performed, but
         // worst_residual only for the solutions actually returned (a
         // gate-discarded pass must not poison it).
         self.stats.solves += out.len();
-        self.stats.solve_sweeps += work.sweeps;
-        self.stats.refine_iterations += work.iterations;
+        self.stats.solve_sweeps += sweeps;
+        self.stats.refine_iterations += iterations;
         for q in out.iter() {
             self.stats.worst_residual = self.stats.worst_residual.max(q.residual);
         }
@@ -687,96 +724,227 @@ impl<S: SparseLuSolver> SolveSession<S> {
     }
 
     /// One solve + refinement pass over every column against the
-    /// current factors and the retained matrix, panel by panel. Does
-    /// **not** touch the stats.
+    /// current factors and the retained matrix, panel by panel, every
+    /// panel retaining its `b` first. Returns the sweeps and correction
+    /// sweeps it took; does **not** touch the stats.
+    ///
+    /// The panels go to the team the handle owns
+    /// ([`SparseLuSolver::team`]), dealt by `deal_panels`, when it is
+    /// wider than one rank, the caller is not one of its ranks, and the
+    /// `k` columns' sweeps and residual passes, `k × (|L+U| + nnz(A))`
+    /// flops, cover a dispatch ([`DISPATCH_BREAK_EVEN_FLOPS`]);
+    /// otherwise they run here, [`panel_chunks`]'s in order. The stage
+    /// list's figure holds here too: at `T` = 2 on two CPUs, the
+    /// lightest dealt calls, `powergrid(200, 30)` at `K` = 5 (1.1·10⁵)
+    /// and the default circuit at `K` = 8 (1.2·10⁵), took 268 against
+    /// 406 µs and 129 against 165 µs inline (medians).
     fn refined_pass(
         &mut self,
         xs: &mut [f64],
         out: &mut [SolveQuality],
-        work: &mut BatchWork,
-    ) -> Result<(), SolverError> {
-        let n = self.solver.dim();
-        for (first, w) in panel_chunks(out.len()) {
-            let cols = first * n..(first + w) * n;
-            let out = &mut out[first..first + w];
-            basker_sparse::with_panel_width!(
-                w,
-                K => self.refined_panel::<K>(&mut xs[cols.clone()], cols.start, out, work)
-            )?;
+    ) -> Result<(usize, usize), SolverError> {
+        let cx = Refine {
+            num: self.num.as_ref().expect("refined_batch checked"),
+            a: self
+                .current
+                .as_ref()
+                .expect("factors imply a retained matrix"),
+            a_norm: self.a_norm,
+            params: self.refine,
+        };
+        let k = out.len();
+        let flops = k as f64 * (self.stats.last_factor.lu_nnz + cx.a.nnz()) as f64;
+        let team = self.solver.team().filter(|t| {
+            t.width() > 1 && !t.on_worker_thread() && flops >= DISPATCH_BREAK_EVEN_FLOPS
+        });
+        let width = team.map_or(1, WorkerTeam::width);
+        deal_panels(k, width, &mut self.panels);
+        let jobs = self.panels.len().clamp(1, width);
+        if self.ranks.len() < jobs {
+            self.ranks.resize_with(jobs, RankPass::default);
         }
-        Ok(())
-    }
-
-    /// One panel of `K` columns (`xs`, starting at offset `at` of the
-    /// batch): retain the `K` `b`, one panel solve, the `K` residuals
-    /// from one pass over `A` (which also yields every `‖x‖∞`), then
-    /// the single-column correction loop for every column still above
-    /// the target.
-    fn refined_panel<const K: usize>(
-        &mut self,
-        xs: &mut [f64],
-        at: usize,
-        out: &mut [SolveQuality],
-        work: &mut BatchWork,
-    ) -> Result<(), SolverError> {
-        let n = self.solver.dim();
-        let num = self.num.as_ref().expect("refined_batch checked");
-        let a = self
-            .current
-            .as_ref()
-            .expect("factors imply a retained matrix");
-        let target = self.refine.target_residual;
-        let a_norm = self.a_norm;
-        let b = &mut self.rhs[at..at + K * n];
-        let resid = &mut self.resid[at..at + K * n];
-
-        // Two bulk copies and a read-only norm pass: measured faster
-        // than one fused loop, whose plain stores read every
-        // destination line before overwriting it.
-        b.copy_from_slice(xs);
-        resid.copy_from_slice(xs);
-        let bnorm: [f64; K] = std::array::from_fn(|c| norm_inf(&xs[c * n..(c + 1) * n]));
-        work.retained = at + K * n;
-        work.sweeps += num.solve_multi_in_place(xs, &mut self.ws)?;
-        let xnorm = spmv_sub_cols::<K>(a, xs, resid);
-
-        for c in 0..K {
-            let col = c * n..(c + 1) * n;
-            let (x, b, resid) = (&mut xs[col.clone()], &b[col.clone()], &mut resid[col]);
-            let mut rel = relative_to(norm_inf(resid), a_norm * xnorm[c] + bnorm[c]);
-            let initial_residual = rel;
-            let mut iterations = 0usize;
-            while rel > target && iterations < self.refine.max_iterations {
-                // d = A⁻¹ r, then x += d and re-measure.
-                num.solve_in_place(resid, &mut self.ws)?;
-                for (xi, di) in x.iter_mut().zip(resid.iter()) {
-                    *xi += *di;
-                }
-                rel = residual_into(a, x, b, resid, a_norm, bnorm[c]);
-                iterations += 1;
-            }
-            work.iterations += iterations;
-            out[c] = SolveQuality {
-                iterations,
-                initial_residual,
-                residual: rel,
-                converged: rel <= target,
-            };
-        }
-        Ok(())
+        let ranks = &mut self.ranks[..jobs];
+        // Rank slot 0 lends the session's own workspace.
+        std::mem::swap(&mut self.ws, &mut ranks[0].ws);
+        let cols = Columns {
+            b: &mut self.rhs[..xs.len()],
+            resid: &mut self.resid[..xs.len()],
+            xs,
+            out,
+        };
+        let done = deal(team, &cx, &self.panels, cols, ranks);
+        std::mem::swap(&mut self.ws, &mut ranks[0].ws);
+        done
     }
 }
 
-/// What one `refined_batch` call has done so far, across both passes
-/// of a gated call.
+/// What every panel of a refined pass reads: the factors, the retained
+/// matrix, its `‖A‖∞` and the refinement target.
+struct Refine<'a, N> {
+    num: &'a N,
+    a: &'a CscMat,
+    a_norm: f64,
+    params: RefineParams,
+}
+
+/// The packed columns of a refined pass, or of one panel of it: `b` in
+/// and the solution out (`xs`), the retained `b`, the residuals and a
+/// quality per column.
+struct Columns<'a> {
+    xs: &'a mut [f64],
+    b: &'a mut [f64],
+    resid: &'a mut [f64],
+    out: &'a mut [SolveQuality],
+}
+
+/// One panel of `K` columns: retain the `K` `b`, one panel solve, the
+/// `K` residuals from one pass over `A` (which also yields every
+/// `‖x‖∞`), then the single-column correction loop for every column
+/// still above the target. Returns the sweeps and correction sweeps it
+/// took.
+fn refined_panel<const K: usize, N: LuNumeric>(
+    cx: &Refine<'_, N>,
+    cols: Columns<'_>,
+    ws: &mut SolveWorkspace,
+) -> Result<(usize, usize), SolverError> {
+    let Columns { xs, b, resid, out } = cols;
+    let n = xs.len() / K;
+    let (a, a_norm, target) = (cx.a, cx.a_norm, cx.params.target_residual);
+
+    // Two bulk copies and a read-only norm pass: measured faster than
+    // one fused loop, whose plain stores read every destination line
+    // before overwriting it.
+    b.copy_from_slice(xs);
+    resid.copy_from_slice(xs);
+    let bnorm: [f64; K] = std::array::from_fn(|c| norm_inf(&xs[c * n..(c + 1) * n]));
+    let sweeps = cx.num.solve_multi_in_place(xs, ws)?;
+    let xnorm = spmv_sub_cols::<K>(a, xs, resid);
+
+    let mut total = 0;
+    for c in 0..K {
+        let col = c * n..(c + 1) * n;
+        let (x, b, resid) = (&mut xs[col.clone()], &b[col.clone()], &mut resid[col]);
+        let mut rel = relative_to(norm_inf(resid), a_norm * xnorm[c] + bnorm[c]);
+        let initial_residual = rel;
+        let mut iterations = 0usize;
+        while rel > target && iterations < cx.params.max_iterations {
+            // d = A⁻¹ r, then x += d and re-measure.
+            cx.num.solve_in_place(resid, ws)?;
+            for (xi, di) in x.iter_mut().zip(resid.iter()) {
+                *xi += *di;
+            }
+            rel = residual_into(a, x, b, resid, a_norm, bnorm[c]);
+            iterations += 1;
+        }
+        total += iterations;
+        out[c] = SolveQuality {
+            iterations,
+            initial_residual,
+            residual: rel,
+            converged: rel <= target,
+        };
+    }
+    Ok((sweeps, total))
+}
+
+/// Cuts `k` columns into the panels a refined pass deals to `ranks`
+/// ranks: [`panel_chunks`]'s, the first of the widest halved while
+/// there are fewer panels than ranks and it is at least 4 wide. A
+/// panel's lanes round the same at every width but 1 (`K = 1` takes
+/// `scatter_axpy`'s run detection), and no halving makes a 1, so every
+/// column is solved to the bit it is on the caller.
+fn deal_panels(k: usize, ranks: usize, panels: &mut Vec<(usize, usize)>) {
+    panels.clear();
+    panels.extend(panel_chunks(k));
+    while panels.len() < ranks {
+        let widest = panels.iter().map(|&(_, w)| w).max().unwrap_or(0);
+        if widest < 4 {
+            break;
+        }
+        let i = panels.iter().position(|&(_, w)| w == widest);
+        let i = i.expect("the widest is in the list");
+        let (first, w) = panels[i];
+        panels[i] = (first, w / 2);
+        panels.insert(i + 1, (first + w / 2, w / 2));
+    }
+}
+
+/// One rank's share of a dealt pass: its workspace and what it did.
+/// The session keeps one per rank, so a warmed pass allocates none.
 #[derive(Default)]
-struct BatchWork {
-    /// Leading values of `xs` whose `b` is retained in `self.rhs`.
-    retained: usize,
-    /// Panel sweeps over the factors.
+struct RankPass {
+    ws: SolveWorkspace,
     sweeps: usize,
-    /// Correction sweeps of the refinement loops.
     iterations: usize,
+    /// The rank's first failing panel, and its error.
+    failed: Option<(usize, SolverError)>,
+}
+
+/// Runs a refined pass's `panels` of `cols`, one job per rank slot, on
+/// `team` or else here: job `r` takes panels `r`, `r + jobs`, … with
+/// slot `r`'s workspace. Each job runs all of its panels even past an
+/// error, so every `b` is retained and the caller can restore all of
+/// `xs`: a failing pass, inline ones included, solves every panel after
+/// the one that failed before it returns. Returns the sweeps and
+/// correction sweeps taken, or the error of the first failing panel.
+fn deal<N: LuNumeric>(
+    team: Option<&WorkerTeam>,
+    cx: &Refine<'_, N>,
+    panels: &[(usize, usize)],
+    cols: Columns<'_>,
+    ranks: &mut [RankPass],
+) -> Result<(usize, usize), SolverError> {
+    let (n, jobs) = (cx.a.ncols(), ranks.len());
+    let slots = ItemCell::from_mut_slice(ranks);
+    let xs = ItemCell::from_mut_slice(cols.xs);
+    let b = ItemCell::from_mut_slice(cols.b);
+    let resid = ItemCell::from_mut_slice(cols.resid);
+    let out = ItemCell::from_mut_slice(cols.out);
+    let job = |r: usize| {
+        // SAFETY: job `r` is the only one to take slot `r`.
+        let rank = unsafe { slots[r].get_mut_unchecked() };
+        (rank.sweeps, rank.iterations, rank.failed) = (0, 0, None);
+        for (p, &(first, w)) in panels.iter().enumerate().skip(r).step_by(jobs) {
+            let at = first * n..(first + w) * n;
+            // SAFETY: the panels are disjoint column ranges and each is
+            // dealt to one job, so no two jobs share a column of `xs`,
+            // `b`, `resid` or `out`, and the caller touches none until
+            // the join.
+            let cols = unsafe {
+                Columns {
+                    xs: ItemCell::slice_mut_unchecked(&xs[at.clone()]),
+                    b: ItemCell::slice_mut_unchecked(&b[at.clone()]),
+                    resid: ItemCell::slice_mut_unchecked(&resid[at]),
+                    out: ItemCell::slice_mut_unchecked(&out[first..first + w]),
+                }
+            };
+            let done = basker_sparse::with_panel_width!(
+                w,
+                K => refined_panel::<K, _>(cx, cols, &mut rank.ws)
+            );
+            match done {
+                Ok((sweeps, iterations)) => {
+                    rank.sweeps += sweeps;
+                    rank.iterations += iterations;
+                }
+                Err(e) => {
+                    rank.failed.get_or_insert((p, e));
+                }
+            }
+        }
+    };
+    match team {
+        Some(team) => team.run_worklist(jobs, job),
+        None => (0..jobs).for_each(job),
+    }
+    let done = ranks.iter().fold((0, 0), |(s, i), rank| {
+        (s + rank.sweeps, i + rank.iterations)
+    });
+    let failed = ranks.iter_mut().filter_map(|rank| rank.failed.take());
+    match failed.min_by_key(|&(p, _)| p) {
+        Some((_, e)) => Err(e),
+        None => Ok(done),
+    }
 }
 
 /// Placeholder a refined solve overwrites for every column it returns.
@@ -904,6 +1072,41 @@ mod tests {
         assert!(q.residual <= q.initial_residual);
         for (u, v) in x.iter().zip(&xtrue) {
             assert!((u - v).abs() < 1e-6, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn deal_panels_halve_the_first_widest_and_never_make_a_one() {
+        let dealt = |k: usize, ranks: usize| {
+            let mut panels = Vec::new();
+            deal_panels(k, ranks, &mut panels);
+            panels
+        };
+        assert_eq!(dealt(8, 1), [(0, 8)]);
+        assert_eq!(dealt(8, 2), [(0, 4), (4, 4)]);
+        assert_eq!(dealt(8, 4), [(0, 2), (2, 2), (4, 2), (6, 2)]);
+        assert_eq!(dealt(12, 4), [(0, 2), (2, 2), (4, 4), (8, 4)]);
+        assert_eq!(dealt(13, 2), [(0, 8), (8, 4), (12, 1)]);
+        assert_eq!(dealt(13, 4), [(0, 4), (4, 4), (8, 4), (12, 1)]);
+        assert_eq!(dealt(5, 4), [(0, 2), (2, 2), (4, 1)]);
+        assert_eq!(dealt(2, 4), [(0, 2)]);
+        assert_eq!(dealt(1, 4), [(0, 1)]);
+        assert!(dealt(0, 4).is_empty());
+        // Every column once, in order, and a column of a panel wider
+        // than 1 never lands in a panel of 1.
+        for k in 0..40 {
+            for ranks in [1, 2, 4, 8] {
+                let panels = dealt(k, ranks);
+                let mut next = 0;
+                for &(first, w) in &panels {
+                    assert_eq!(first, next, "k={k} ranks={ranks}");
+                    next += w;
+                }
+                assert_eq!(next, k);
+                let ones = |p: &[(usize, usize)]| p.iter().filter(|p| p.1 == 1).count();
+                let today: Vec<_> = panel_chunks(k).collect();
+                assert_eq!(ones(&panels), ones(&today), "k={k} ranks={ranks}");
+            }
         }
     }
 

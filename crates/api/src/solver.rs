@@ -20,6 +20,7 @@ use crate::config::{Engine, SolverConfig};
 use crate::error::{map_analyze_error, map_engine_error, SolverError};
 use basker::{Basker, BaskerNumeric};
 use basker_klu::{KluNumeric, KluSymbolic};
+use basker_runtime::WorkerTeam;
 use basker_snlu::{Snlu, SnluNumeric};
 use basker_sparse::workspace::panel_chunks;
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
@@ -139,6 +140,14 @@ pub trait SparseLuSolver: Sized {
     /// Matrix dimension this analysis is for.
     fn dim(&self) -> usize;
 
+    /// The team this handle owns, which a session's batched refined
+    /// solve may deal its right-hand-side panels to. Only the block
+    /// driver has one; the default, `None`, keeps every solve on the
+    /// caller.
+    fn team(&self) -> Option<&WorkerTeam> {
+        None
+    }
+
     /// Lifts this symbolic handle into a [`SolveSession`] — the
     /// policy-driven transient-simulation surface (statically dispatched
     /// for a concrete engine; [`LinearSolver`] sessions usually come
@@ -156,8 +165,9 @@ pub trait SparseLuSolver: Sized {
 }
 
 /// The numeric side of the lifecycle: value-only refactorization and
-/// allocation-free solves.
-pub trait LuNumeric {
+/// allocation-free solves. `Sync`, so the ranks of a team can solve
+/// against one set of factors at once.
+pub trait LuNumeric: Sync {
     /// Refreshes the factors from new values on the **same pattern**,
     /// reusing patterns and pivot sequences (no graph search). Fails with
     /// [`SolverError::SingularPivot`] when a frozen pivot collapses;
@@ -342,6 +352,10 @@ impl SparseLuSolver for Basker {
 
     fn dim(&self) -> usize {
         self.structure().n
+    }
+
+    fn team(&self) -> Option<&WorkerTeam> {
+        Some(Basker::team(self))
     }
 }
 
@@ -584,6 +598,10 @@ impl SparseLuSolver for LinearSolver {
 
     fn dim(&self) -> usize {
         LinearSolver::dim(self)
+    }
+
+    fn team(&self) -> Option<&WorkerTeam> {
+        self.as_basker().map(Basker::team)
     }
 }
 

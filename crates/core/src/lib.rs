@@ -233,6 +233,12 @@ impl Basker {
         self.inner.team.width()
     }
 
+    /// The process-shared team this handle's analyze, factorizations
+    /// and refactorizations run on.
+    pub fn team(&self) -> &WorkerTeam {
+        &self.inner.team
+    }
+
     /// The underlying block structure.
     pub fn structure(&self) -> &Structure {
         &self.inner.structure

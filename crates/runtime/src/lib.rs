@@ -21,7 +21,9 @@
 //!   from the caller's stack;
 //! * optional **core pinning** ([`TeamConfig::pin`]) via a direct
 //!   `sched_setaffinity` syscall (no libc dependency; a no-op on
-//!   non-Linux/x86-64 targets);
+//!   non-Linux/x86-64 targets), and without it **unpinned workers that
+//!   keep off rank 0's CPU** whenever the team fits the CPUs the
+//!   process may use (see `Placement`);
 //! * a process-wide [`shared_team`] registry so every caller asking for
 //!   the same width reuses one warm team instead of spawning its own;
 //! * an [`os_threads_spawned`] counter that regression tests use to
@@ -147,6 +149,9 @@ struct Shared {
     /// OS threads spawned on behalf of this team (its workers plus any
     /// transient nested-broadcast ranks).
     spawned: AtomicUsize,
+    /// The CPU the latest broadcast's caller was running on
+    /// (`usize::MAX` when unknown), which unpinned workers keep off.
+    caller_cpu: AtomicUsize,
 }
 
 impl Shared {
@@ -229,6 +234,7 @@ impl WorkerTeam {
             pin: config.pin,
             mailboxes: (1..config.width).map(|_| Mailbox::new()).collect(),
             spawned: AtomicUsize::new(0),
+            caller_cpu: AtomicUsize::new(usize::MAX),
         });
         let mut handles = Vec::new();
         let ncores = std::thread::available_parallelism()
@@ -319,6 +325,11 @@ impl WorkerTeam {
         );
 
         let guard = self.submit.lock().unwrap();
+        // ORDER: Relaxed — a placement hint; it reaches the workers
+        // through the mailbox hand-off below.
+        self.shared
+            .caller_cpu
+            .store(current_cpu().unwrap_or(usize::MAX), Ordering::Relaxed);
         for mb in &self.shared.mailboxes {
             let mut slot = mb.slot.lock().unwrap();
             debug_assert!(slot.task.is_none(), "mailbox not drained");
@@ -474,6 +485,7 @@ impl Drop for WorkerTeam {
 
 fn worker_loop(shared: &Shared, rank: usize) {
     let mb = &shared.mailboxes[rank - 1];
+    let mut placement = Placement::new(shared);
     loop {
         let core = {
             let mut slot = mb.slot.lock().unwrap();
@@ -487,9 +499,57 @@ fn worker_loop(shared: &Shared, rank: usize) {
                 slot = mb.cv.wait(slot).unwrap();
             }
         };
+        // ORDER: Relaxed — written before the task was posted, read
+        // after taking it from the mailbox under the same lock.
+        placement.keep_off(shared.caller_cpu.load(Ordering::Relaxed));
         // This worker's rank for the job; completion is reported through
         // the task's own done latch.
         core.run_claimed(rank);
+    }
+}
+
+/// Keeps an unpinned worker off the CPU its team's rank 0 runs on.
+///
+/// On a 2-vCPU guest the scheduler at times wakes a parked worker on
+/// the CPU of the thread that woke it and then keeps the two together
+/// for minutes while the other CPU idles (`ps -Lo psr` shows both
+/// threads on one CPU, and a run's CPU time per step equals its wall
+/// time). Every job split across the ranks then costs its serial time
+/// plus the split. So before each job a worker takes the mask it
+/// started with minus the caller's CPU — one `sched_setaffinity` when
+/// the caller's CPU changes, none while it stays. Measured on
+/// `powergrid_contingency` (`T` = 2) in that state, alternating runs:
+/// `speedup_vs_klu` 2.55–2.76 against 1.67–1.69 without it (1.77–1.82
+/// with the refined solve not dealt at all). Skipped on pinned teams,
+/// on teams wider than the CPUs the worker may use (a rank per CPU is
+/// then impossible anyway), and where the CPU cannot be read.
+struct Placement {
+    /// The worker's starting mask, or `None` when placement is skipped.
+    allowed: Option<[u64; 16]>,
+    /// The CPU the worker's mask leaves out now.
+    off: usize,
+}
+
+impl Placement {
+    fn new(shared: &Shared) -> Placement {
+        let cpus = |mask: &[u64; 16]| mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let allowed = current_thread_affinity().filter(|m| !shared.pin && cpus(m) >= shared.width);
+        Placement {
+            allowed,
+            off: usize::MAX,
+        }
+    }
+
+    fn keep_off(&mut self, cpu: usize) {
+        let Some(mut mask) = self.allowed else {
+            return;
+        };
+        if cpu == self.off || cpu >= mask.len() * 64 {
+            return;
+        }
+        mask[cpu / 64] &= !(1u64 << (cpu % 64));
+        self.off = cpu;
+        let _ = set_current_thread_affinity(&mask);
     }
 }
 
@@ -551,6 +611,35 @@ fn set_current_thread_affinity(mask: &[u64; 16]) -> bool {
     {
         let _ = mask;
         false
+    }
+}
+
+/// The CPU the calling thread is running on (raw `getcpu`; `None` off
+/// Linux/x86-64 or on failure).
+fn current_cpu() -> Option<usize> {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        let mut cpu = 0u32;
+        let ret: isize;
+        // SAFETY: getcpu writes one `u32` to its first pointer; the node
+        // and cache pointers are null, which it accepts.
+        unsafe {
+            std::arch::asm!(
+                "syscall",
+                inlateout("rax") 309isize => ret, // SYS_getcpu
+                in("rdi") &mut cpu as *mut u32,
+                in("rsi") 0usize,
+                in("rdx") 0usize,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        (ret == 0).then_some(cpu as usize)
+    }
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    {
+        None
     }
 }
 
@@ -699,6 +788,26 @@ mod tests {
         if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
             assert!(pin_current_thread_to(0));
         }
+    }
+
+    #[test]
+    fn unpinned_workers_keep_off_the_callers_cpu() {
+        let team = WorkerTeam::new(TeamConfig::new(2));
+        let masks = team.broadcast(|_| current_thread_affinity());
+        let cpu = team.shared.caller_cpu.load(Ordering::Relaxed);
+        let (Some(caller), Some(worker)) = (masks[0], masks[1]) else {
+            return; // no affinity syscall on this target
+        };
+        let cpus: u32 = caller.iter().map(|w| w.count_ones()).sum();
+        if cpus < 2 || cpu == usize::MAX {
+            assert_eq!(worker, caller, "nothing to keep off");
+            return;
+        }
+        // The worker may use every CPU the caller may, but the one the
+        // caller ran on when it posted the job.
+        let mut want = caller;
+        want[cpu / 64] &= !(1u64 << (cpu % 64));
+        assert_eq!(worker, want);
     }
 
     #[test]

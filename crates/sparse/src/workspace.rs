@@ -146,10 +146,14 @@ pub fn scatter_panel<const K: usize>(y: &[[f64; K]], perm: &[usize], xs: &mut [f
 /// first (13 columns are an 8, a 4 and a 1). A constant, not an option:
 /// on `powergrid(1600, 60, 0.1)` (n = 96 000, 75 070 BTF blocks) eight
 /// right-hand sides take 3.0 ms as one `K = 8` sweep, 4.5–4.9 ms as two
-/// `K = 4` sweeps and 12–13 ms as eight `K = 1` sweeps — the walk over
-/// the factors is latency-bound, so every lane added to a row is nearly
-/// free up to the 64-byte line (and the four 256-bit registers) a row
-/// of 8 fills; 16 would spill both.
+/// `K = 4` sweeps one after the other and 12–13 ms as eight `K = 1`
+/// sweeps, all serial on one thread — the walk over the factors is
+/// latency-bound, so every lane added to a row is nearly free up to the
+/// 64-byte line (and the four 256-bit registers) a row of 8 fills; 16
+/// would spill both. Two `K = 4` sweeps on two ranks running on two
+/// CPUs take 2.5–3.1 ms against 3.5 ms for the one `K = 8` in the same
+/// probe, which is why a session's refined solve deals a panel of 8 to
+/// two ranks as two of 4.
 pub const PANEL_WIDTHS: [usize; 4] = [8, 4, 2, 1];
 
 /// `(first column, width)` of each panel `k` packed columns are solved

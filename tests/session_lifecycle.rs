@@ -567,3 +567,101 @@ fn hybrid_sessions_execute_their_own_analyze_time_plan() {
     assert_eq!(leaves(&executed[0]), Some(1));
     assert_eq!(leaves(&executed[1]), Some(2));
 }
+
+/// The bits a refined solve returns: every solution entry, then every
+/// quality field.
+fn refined_bits(xs: &[f64], qs: &[SolveQuality]) -> Vec<u64> {
+    let q = qs.iter().flat_map(|q| {
+        [
+            q.iterations as u64,
+            q.initial_residual.to_bits(),
+            q.residual.to_bits(),
+            q.converged as u64,
+        ]
+    });
+    xs.iter().map(|v| v.to_bits()).chain(q).collect()
+}
+
+/// Satellite: a batched refined solve dealt to the team's ranks returns
+/// what the same call returns run inline, bit for bit, for every `K` —
+/// with no refinement and with one correction sweep per column, on a
+/// power grid of tiny blocks, one ND mesh block and a circuit of both
+/// kinds, at widths 1, 2 and 4. The mesh's and the circuit's factors
+/// depend on the width (an ND leaf per rank), so the inline run is the
+/// same session called again from a rank of its own team, where the
+/// pass stays on the caller.
+#[test]
+fn refined_multi_is_bit_identical_at_every_width() {
+    let grid = powergrid(&PowergridParams {
+        nfeeders: 200,
+        feeder_len: 30,
+        loop_prob: 0.1,
+        seed: 1,
+    });
+    let mixed = circuit(&CircuitParams::default());
+    // Each with whether it has Gilbert–Peierls blocks and ND blocks.
+    let cases = [
+        ("power grid", grid, (true, false)),
+        ("mesh", mesh2d(40, 3), (false, true)),
+        ("circuit", mixed, (true, true)),
+    ];
+    for (what, a, kinds) in &cases {
+        let n = a.ncols();
+        let rhs = |k: usize| -> Vec<f64> {
+            (0..k * n)
+                .map(|t| 1.0 + ((t * 7919) % 1000) as f64 / 250.0)
+                .collect()
+        };
+        for (target, iterations) in [(1e-10, 4), (0.0, 1)] {
+            for threads in [1usize, 2, 4] {
+                let cfg = SessionConfig::new()
+                    .engine(Engine::Basker)
+                    .threads(threads)
+                    .target_residual(target)
+                    .max_refine_iterations(iterations);
+                let mut session = SolveSession::new(a, &cfg).unwrap();
+                session.step(a).unwrap();
+                let num = session.numeric().unwrap().as_basker().unwrap();
+                let (gp, _, nd) = num.stats.strategy_counts();
+                assert_eq!((gp > 0, nd > 0), *kinds, "{what}");
+                let team = basker_repro::basker_runtime::shared_team(threads, false);
+                // A call's bits, and the sweeps and refinement
+                // iterations it added to the stats.
+                let call = |session: &mut SolveSession, k: usize| {
+                    let before = session.stats().clone();
+                    let mut xs = rhs(k);
+                    let qs = session.solve_refined_multi(&mut xs).unwrap();
+                    let st = session.stats();
+                    let added = (
+                        st.solve_sweeps - before.solve_sweeps,
+                        st.refine_iterations - before.refine_iterations,
+                    );
+                    (refined_bits(&xs, &qs), added)
+                };
+                for k in [1usize, 2, 3, 5, 8, 13] {
+                    let at = format!("{what}, target {target}, x{threads}, K = {k}");
+                    let (dealt, (sweeps, refined)) = call(&mut session, k);
+                    let shared = std::sync::Mutex::new(&mut session);
+                    let inline = std::sync::OnceLock::new();
+                    team.run_worklist(2, |job| {
+                        if job == 0 {
+                            inline.get_or_init(|| call(&mut shared.lock().unwrap(), k));
+                        }
+                    });
+                    let (want, (inline_sweeps, inline_refined)) = inline.into_inner().unwrap();
+                    assert!(dealt == want, "{at}");
+                    assert_eq!(refined, inline_refined, "{at}");
+                    // From a rank of its own team the call swept today's
+                    // panels (8 + 4 + 1 for 13 columns).
+                    assert_eq!(inline_sweeps, k / 8 + (k % 8).count_ones() as usize, "{at}");
+                    // The comparison means something: on two ranks 8
+                    // columns were dealt as two panels of 4, on four as
+                    // four of 2.
+                    if k == 8 {
+                        assert_eq!(sweeps, threads, "{at}");
+                    }
+                }
+            }
+        }
+    }
+}

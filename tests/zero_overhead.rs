@@ -68,6 +68,24 @@ fn single_thread_is_pure_sequential() {
         assert_sequential(&fresh.stats(), "fresh factor");
     }
 
+    // --- a batched refined solve big enough to deal to a team ----------
+    // On a width-1 session its 8 columns stay one panel on the caller.
+    let grid = powergrid(&PowergridParams {
+        nfeeders: 200,
+        feeder_len: 30,
+        loop_prob: 0.1,
+        ..PowergridParams::default()
+    });
+    let mut session =
+        SolveSession::new(&grid, &SessionConfig::new().engine(Engine::Basker)).unwrap();
+    session.step(&grid).unwrap();
+    let n = grid.ncols();
+    let mut xs = spmv(&grid, &vec![1.0; n]).repeat(8);
+    let qs = session.solve_refined_multi(&mut xs).unwrap();
+    assert!(qs.iter().all(|q| q.converged), "refined panel");
+    assert_eq!(session.stats().solve_sweeps, 1, "8 columns are one panel");
+    assert_sequential(&session.stats().last_factor, "refined panel");
+
     // --- a SolverService stream on the width-1 shared team -------------
     let seq = XyceSequence::new(&XyceSequenceParams {
         circuit: CircuitParams {
