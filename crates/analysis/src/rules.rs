@@ -264,10 +264,10 @@ fn rule_order(path: &str, lines: &[Line], mask: &[bool], out: &mut Vec<Diagnosti
 
 // ---- rule: spawn ----
 
-/// Path prefixes allowed to call `thread::spawn` directly: the
-/// scheduler substrate, the serving tier's process plumbing, and the
-/// model checker's own engine. Everything else goes through the
-/// runtime's team/scope APIs.
+/// Path prefixes allowed to spawn OS threads directly (`thread::spawn`,
+/// `thread::Builder`, `thread::scope`): the scheduler substrate, the
+/// serving tier's process plumbing, and the model checker's own
+/// engine. Everything else goes through the runtime's team APIs.
 const SPAWN_ALLOWED: &[&str] = &["crates/runtime/", "crates/serve/", "shims/model/"];
 
 fn rule_spawn(path: &str, lines: &[Line], mask: &[bool], out: &mut Vec<Diagnostic>) {
@@ -278,13 +278,16 @@ fn rule_spawn(path: &str, lines: &[Line], mask: &[bool], out: &mut Vec<Diagnosti
         if mask[i] {
             continue;
         }
-        if has_token(&l.code, "thread::spawn") || has_token(&l.code, "thread::Builder") {
+        if ["thread::spawn", "thread::Builder", "thread::scope"]
+            .iter()
+            .any(|pat| has_token(&l.code, pat))
+        {
             out.push(Diagnostic {
                 path: path.to_string(),
                 line: l.number,
                 rule: "spawn",
                 message: "raw thread spawn outside crates/runtime, crates/serve, \
-                          shims/model — use the runtime's team/scope APIs so the \
+                          shims/model — use the runtime's team APIs so the \
                           scheduler substrate owns all parallelism"
                     .to_string(),
             });
@@ -521,6 +524,15 @@ mod tests {
         let d = run(
             "crates/core/src/lib.rs",
             "fn f() {\n    std::thread::spawn(|| {});\n}\n",
+        );
+        assert_eq!(rules_of(&d), ["spawn"]);
+    }
+
+    #[test]
+    fn scoped_spawn_outside_runtime_flagged() {
+        let d = run(
+            "crates/core/src/lib.rs",
+            "fn f() {\n    std::thread::scope(|s| {\n        s.spawn(|| {});\n    });\n}\n",
         );
         assert_eq!(rules_of(&d), ["spawn"]);
     }

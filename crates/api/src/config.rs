@@ -64,7 +64,6 @@ pub struct SolverConfig {
     nthreads: usize,
     pivot_tol: f64,
     use_btf: bool,
-    use_mwcm: bool,
     nd_threshold: usize,
 }
 
@@ -75,7 +74,6 @@ impl Default for SolverConfig {
             nthreads: basker::env_default_threads().unwrap_or(2),
             pivot_tol: 0.001,
             use_btf: true,
-            use_mwcm: true,
             nd_threshold: 128,
         }
     }
@@ -116,13 +114,6 @@ impl SolverConfig {
         self
     }
 
-    /// Uses the bottleneck MWCM transversal rather than any maximum
-    /// transversal when forming the BTF.
-    pub fn use_mwcm(mut self, yes: bool) -> Self {
-        self.use_mwcm = yes;
-        self
-    }
-
     /// BTF blocks at least this large get Basker's fine ND treatment.
     pub fn nd_threshold(mut self, t: usize) -> Self {
         self.nd_threshold = t;
@@ -140,18 +131,11 @@ impl SolverConfig {
         self.engine
     }
 
-    /// Requested worker threads.
-    pub fn requested_threads(&self) -> usize {
-        self.nthreads
-    }
-
     /// The derived KLU options.
     pub fn klu_options(&self) -> KluOptions {
         KluOptions {
             pivot_tol: self.pivot_tol,
             use_btf: self.use_btf,
-            use_mwcm: self.use_mwcm,
-            use_amd: true,
         }
     }
 
@@ -161,7 +145,6 @@ impl SolverConfig {
             nthreads: self.nthreads,
             pivot_tol: self.pivot_tol,
             use_btf: self.use_btf,
-            use_mwcm: self.use_mwcm,
             nd_threshold: self.nd_threshold,
         }
     }

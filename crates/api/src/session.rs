@@ -192,11 +192,6 @@ impl SessionConfig {
     pub fn solver_config(&self) -> &SolverConfig {
         &self.solver
     }
-
-    /// The configured reuse policy.
-    pub fn reuse_policy(&self) -> ReusePolicy {
-        self.policy
-    }
 }
 
 /// Where the session's factors came from (the lifecycle states of the

@@ -563,12 +563,13 @@ mod tests {
         let mut ws = RefactorWorkspace::new();
         for (what, a, multi_row) in cases {
             let a2 = revalued(&a, |v| v * 1.25 + 0.001);
-            // Without the weighted matching the tiny diagonals stay on
-            // the diagonal, and partial pivoting leaves them.
-            for (p, use_mwcm) in [(1usize, true), (2, true), (4, true), (2, false)] {
-                let what = format!("{what}, p={p}, mwcm {use_mwcm}");
+            // The weighted matching puts large entries on the diagonal,
+            // which the default threshold keeps; classic partial pivoting
+            // (`pivot_tol` 1.0) still leaves some of them.
+            for (p, tol) in [(1usize, 0.001), (2, 0.001), (4, 0.001), (2, 1.0)] {
+                let what = format!("{what}, p={p}, pivot_tol {tol}");
                 let o = BaskerOptions {
-                    use_mwcm,
+                    pivot_tol: tol,
                     ..opts(p, 64)
                 };
                 let sym = Basker::analyze(&a, &o).unwrap();
@@ -579,7 +580,7 @@ mod tests {
                 let mut refs: Vec<_> = blocks
                     .into_iter()
                     .map(|cols| {
-                        let blu = factor_block_column(diag_of(&num, cols.clone()), &[], 0.001, 0);
+                        let blu = factor_block_column(diag_of(&num, cols.clone()), &[], tol, 0);
                         (cols, blu.unwrap())
                     })
                     .collect();
@@ -594,7 +595,7 @@ mod tests {
                     let mut perm = blu.row_perm.as_slice().iter().enumerate();
                     perm.any(|(k, &r)| k != r)
                 });
-                assert_eq!(off_diagonal, multi_row && !use_mwcm, "{what}");
+                assert_eq!(off_diagonal, multi_row && tol == 1.0, "{what}");
                 assert_solves_match::<1>(&num, &refs);
                 assert_solves_match::<8>(&num, &refs);
                 let fresh_refs = refs.clone();

@@ -121,10 +121,9 @@ pub struct BaskerOptions {
     /// Threshold partial-pivoting tolerance (diagonal kept when within
     /// `pivot_tol` of the column max).
     pub pivot_tol: f64,
-    /// Apply the coarse BTF structure.
+    /// Apply the coarse BTF structure (always on the bottleneck MWCM
+    /// transversal).
     pub use_btf: bool,
-    /// Use the bottleneck MWCM transversal for the BTF.
-    pub use_mwcm: bool,
     /// BTF blocks at least this large get the fine ND treatment; smaller
     /// ones use the fine BTF path.
     pub nd_threshold: usize,
@@ -149,7 +148,6 @@ impl Default for BaskerOptions {
             nthreads: env_default_threads().unwrap_or(2),
             pivot_tol: 0.001,
             use_btf: true,
-            use_mwcm: true,
             nd_threshold: 128,
         }
     }

@@ -140,7 +140,6 @@ mod tests {
     fn nd_only(p: usize) -> BaskerOptions {
         BaskerOptions {
             use_btf: false,
-            use_mwcm: false,
             ..opts(p, 0)
         }
     }

@@ -52,7 +52,7 @@ pub fn solve_nd_in_place<const K: usize>(
         let y = &mut scratch[..r.len()];
         blu.row_perm.apply_vec_into(&z[r.clone()], y);
         z[r.clone()].copy_from_slice(y);
-        lower_solve_in_place(&blu.l, &mut z[r.clone()], true);
+        lower_solve_in_place(&blu.l, &mut z[r.clone()]);
         // push contributions into ancestor row blocks (their original
         // local coordinates — ancestors have not been pivoted yet)
         for (ai, &a) in st.ancestors[v].iter().enumerate() {
@@ -106,7 +106,6 @@ mod tests {
             let a = grid2d_unsym(k);
             let o = BaskerOptions {
                 use_btf: false,
-                use_mwcm: false,
                 ..opts(p, 0)
             };
             let sym = Basker::analyze(&a, &o).unwrap();

@@ -191,7 +191,7 @@ impl Structure {
         let levels = p_threads.trailing_zeros() as usize;
 
         let (row0, col0, bounds, ap) = if opts.use_btf {
-            let btf = btf_form_with(a, opts.use_mwcm)?;
+            let btf = btf_form_with(a, true)?;
             let ap = btf.permute(a);
             (btf.row_perm, btf.col_perm, btf.bounds, ap)
         } else {

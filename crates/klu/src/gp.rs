@@ -84,7 +84,7 @@ impl BlockLu {
         let n = x.len();
         self.row_perm.apply_vec_into(x, &mut scratch[..n]);
         x.copy_from_slice(&scratch[..n]);
-        basker_sparse::trisolve::lower_solve_in_place(&self.l, x, true);
+        basker_sparse::trisolve::lower_solve_in_place(&self.l, x);
         basker_sparse::trisolve::upper_solve_in_place(&self.u, x);
     }
 }
@@ -93,9 +93,9 @@ const UNSET: usize = usize::MAX;
 
 /// Incremental Gilbert–Peierls factorization of a stacked block column,
 /// fed **one column at a time** through
-/// [`factor_col`](BlockColumnFactorizer::factor_col).
-/// [`factor_block_column`] is the all-at-once wrapper over this type.
-pub struct BlockColumnFactorizer {
+/// [`factor_col`](BlockColumnFactorizer::factor_col) by
+/// [`factor_block_column`], the all-at-once wrapper over this type.
+struct BlockColumnFactorizer {
     nb: usize,
     pivot_tol: f64,
     col_offset: usize,
@@ -135,7 +135,7 @@ impl BlockColumnFactorizer {
     /// `pivot_tol` ∈ (0, 1]: the diagonal entry is kept as pivot when
     /// its magnitude is at least `pivot_tol` times the column maximum
     /// (KLU default 0.001); `1.0` forces classic partial pivoting.
-    pub fn new(
+    fn new(
         nb: usize,
         below_nrows: &[usize],
         pivot_tol: f64,
@@ -173,7 +173,7 @@ impl BlockColumnFactorizer {
     /// Eliminates the next column, `j`: column `j` of the diagonal
     /// block `diag` (original local row coordinates) and of every
     /// trailing block in `below`. Row indices must be sorted and unique.
-    pub fn factor_col(&mut self, diag: ColsView<'_>, below: &[ColsView<'_>]) -> Result<()> {
+    fn factor_col(&mut self, diag: ColsView<'_>, below: &[ColsView<'_>]) -> Result<()> {
         let j = self.next_col;
         assert!(j < self.nb, "all {} columns already fed", self.nb);
         assert_eq!(below.len(), self.below_nrows.len());
@@ -335,7 +335,7 @@ impl BlockColumnFactorizer {
 
     /// Finalizes the factors: renumbers `L` into pivotal coordinates and
     /// sorts every column. Panics unless all `nb` columns were fed.
-    pub fn finish(self) -> BlockLu {
+    fn finish(self) -> BlockLu {
         let nb = self.nb;
         assert_eq!(self.next_col, nb, "factorizer finished early");
         let row_perm = Perm::from_vec(self.prow_of).expect("pivot rows form a permutation");
@@ -420,9 +420,9 @@ impl BlockColumnFactorizer {
 }
 
 /// Factors the stacked block column `[diag; below...]` with threshold
-/// partial pivoting confined to `diag`'s rows (the all-at-once wrapper
-/// over [`BlockColumnFactorizer`]; trailing blocks share the diagonal
-/// block's column space one-to-one).
+/// partial pivoting confined to `diag`'s rows, one column at a time
+/// (trailing blocks share the diagonal block's column space
+/// one-to-one).
 pub fn factor_block_column(
     diag: ColsView<'_>,
     below: &[ColsView<'_>],

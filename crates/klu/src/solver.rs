@@ -20,13 +20,9 @@ pub struct KluOptions {
     /// Threshold partial-pivoting tolerance (diagonal preferred when its
     /// magnitude is at least `pivot_tol`·column max). KLU's default 0.001.
     pub pivot_tol: f64,
-    /// Permute to block triangular form first (KLU's defining step).
+    /// Permute to block triangular form first (KLU's defining step),
+    /// on the bottleneck MWCM transversal.
     pub use_btf: bool,
-    /// Use the bottleneck MWCM transversal rather than any maximum
-    /// transversal when forming the BTF.
-    pub use_mwcm: bool,
-    /// Apply AMD to each diagonal block.
-    pub use_amd: bool,
 }
 
 impl Default for KluOptions {
@@ -34,8 +30,6 @@ impl Default for KluOptions {
         KluOptions {
             pivot_tol: 0.001,
             use_btf: true,
-            use_mwcm: true,
-            use_amd: true,
         }
     }
 }
@@ -67,7 +61,7 @@ impl KluSymbolic {
         }
         let n = a.nrows();
         let (mut row_perm, mut col_perm, bounds, bottleneck) = if opts.use_btf {
-            let btf = btf_form_with(a, opts.use_mwcm)?;
+            let btf = btf_form_with(a, true)?;
             (
                 btf.row_perm.clone(),
                 btf.col_perm.clone(),
@@ -78,7 +72,7 @@ impl KluSymbolic {
             (Perm::identity(n), Perm::identity(n), vec![0, n], 0.0)
         };
 
-        if opts.use_amd && n > 0 {
+        if n > 0 {
             // Refine each diagonal block with AMD (applied symmetrically so
             // the zero-free diagonal survives).
             let ap = Perm::permute_both(&row_perm, &col_perm, a);
@@ -357,20 +351,6 @@ mod tests {
         };
         let sym = KluSymbolic::analyze(&a, &opts).unwrap();
         assert_eq!(sym.nblocks(), 1);
-        let num = sym.factor(&a).unwrap();
-        let b = vec![1.0; a.ncols()];
-        let x = solve(&num, &b);
-        assert!(relative_residual(&a, &x, &b) < 1e-12);
-    }
-
-    #[test]
-    fn no_amd_path_works() {
-        let a = reducible_matrix(4);
-        let opts = KluOptions {
-            use_amd: false,
-            ..KluOptions::default()
-        };
-        let sym = KluSymbolic::analyze(&a, &opts).unwrap();
         let num = sym.factor(&a).unwrap();
         let b = vec![1.0; a.ncols()];
         let x = solve(&num, &b);

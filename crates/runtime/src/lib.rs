@@ -3,7 +3,7 @@
 //!
 //! Basker's parallel numeric phase runs on a *static team*: `p` threads
 //! share the stages of one factorization, and the paper's speedups
-//! assume those threads already exist, stay pinned to their cores, and
+//! assume those threads already exist, keep to their own cores, and
 //! cost nothing to re-enter. A pool that spawns fresh OS threads per
 //! parallel region pays a `clone(2)` + page-fault storm on every
 //! `factor`/`refactor` call — fatal for the transient-simulation
@@ -19,11 +19,10 @@
 //!   job to every mailbox, runs rank 0 inline, and blocks until all
 //!   workers report done — a scoped join, so the job closure may borrow
 //!   from the caller's stack;
-//! * optional **core pinning** ([`TeamConfig::pin`]) via a direct
-//!   `sched_setaffinity` syscall (no libc dependency; a no-op on
-//!   non-Linux/x86-64 targets), and without it **unpinned workers that
-//!   keep off rank 0's CPU** whenever the team fits the CPUs the
-//!   process may use (see `Placement`);
+//! * **workers that keep off rank 0's CPU** whenever the team fits the
+//!   CPUs the process may use (see `Placement`), through direct
+//!   `getcpu`/`sched_{get,set}affinity` syscalls (no libc dependency; a
+//!   no-op on non-Linux/x86-64 targets);
 //! * a process-wide [`shared_team`] registry so every caller asking for
 //!   the same width reuses one warm team instead of spawning its own;
 //! * an [`os_threads_spawned`] counter that regression tests use to
@@ -33,6 +32,11 @@
 //! OS thread (except the width-1 fast path, which runs inline on the
 //! caller), so a broadcast's ranks may wait on one another. The solver
 //! itself only submits worklists, whose jobs never do.
+//!
+//! One nesting rule: a call from one of the team's own ranks never wakes
+//! the team. [`WorkerTeam::run_worklist`] runs such a call's jobs inline
+//! on the issuing rank; [`WorkerTeam::broadcast`], whose ranks must all be
+//! live at once, panics instead.
 //!
 //! Both entry points run on **one SPMD task loop** (the `task` module):
 //! a broadcast is a `TaskCore` whose participants each run the item of
@@ -51,23 +55,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use task::TaskCore;
-
-/// Configuration of a [`WorkerTeam`].
-#[derive(Debug, Clone, Copy)]
-pub struct TeamConfig {
-    /// Number of worker threads (ranks). Must be at least 1.
-    pub width: usize,
-    /// Pin worker `r` to core `r mod available_parallelism`. Best-effort:
-    /// silently skipped on targets without an affinity syscall binding.
-    pub pin: bool,
-}
-
-impl TeamConfig {
-    /// A team of `width` unpinned workers.
-    pub fn new(width: usize) -> TeamConfig {
-        TeamConfig { width, pin: false }
-    }
-}
 
 /// Per-rank context handed to [`WorkerTeam::broadcast`] closures.
 #[derive(Debug, Clone, Copy)]
@@ -143,26 +130,10 @@ impl Mailbox {
 struct Shared {
     id: u64,
     width: usize,
-    /// Pin ranks to cores (workers at spawn; rank 0 per job).
-    pin: bool,
     mailboxes: Vec<Mailbox>,
-    /// OS threads spawned on behalf of this team (its workers plus any
-    /// transient nested-broadcast ranks).
-    spawned: AtomicUsize,
     /// The CPU the latest broadcast's caller was running on
-    /// (`usize::MAX` when unknown), which unpinned workers keep off.
+    /// (`usize::MAX` when unknown), which the workers keep off.
     caller_cpu: AtomicUsize,
-}
-
-impl Shared {
-    /// Records one OS-thread spawn, on this team and process-wide.
-    fn count_spawn(&self) {
-        // ORDER: Relaxed — monotonic diagnostic counters (see
-        // `os_threads_spawned`); the spawn itself, or the scope join
-        // for transient ranks, is the real synchronization point.
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-        SPAWNED.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// A cell written by exactly one rank and read by the submitter only
@@ -206,9 +177,9 @@ where
 /// `width − 1` parked worker threads serve ranks `1..width`.
 ///
 /// ```
-/// use basker_runtime::{TeamConfig, WorkerTeam};
+/// use basker_runtime::WorkerTeam;
 ///
-/// let team = WorkerTeam::new(TeamConfig::new(2));
+/// let team = WorkerTeam::new(2);
 /// let doubled = team.broadcast(|ctx| ctx.rank() * 2);
 /// assert_eq!(doubled, vec![0, 2]);
 /// // The same threads serve every subsequent job.
@@ -225,31 +196,25 @@ pub struct WorkerTeam {
 impl WorkerTeam {
     /// Spawns the team's `width − 1` worker threads (rank 0 is always
     /// the submitting thread, so width-1 teams spawn none).
-    pub fn new(config: TeamConfig) -> WorkerTeam {
-        assert!(config.width >= 1, "team width must be at least 1");
+    pub fn new(width: usize) -> WorkerTeam {
+        assert!(width >= 1, "team width must be at least 1");
         let shared = Arc::new(Shared {
             // ORDER: Relaxed — id generation only needs uniqueness.
             id: NEXT_TEAM_ID.fetch_add(1, Ordering::Relaxed),
-            width: config.width,
-            pin: config.pin,
-            mailboxes: (1..config.width).map(|_| Mailbox::new()).collect(),
-            spawned: AtomicUsize::new(0),
+            width,
+            mailboxes: (1..width).map(|_| Mailbox::new()).collect(),
             caller_cpu: AtomicUsize::new(usize::MAX),
         });
         let mut handles = Vec::new();
-        let ncores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        for rank in 1..config.width {
+        for rank in 1..width {
             let sh = shared.clone();
-            let pin = config.pin;
-            shared.count_spawn();
+            // ORDER: Relaxed — a monotonic diagnostic counter (see
+            // `os_threads_spawned`); the spawn itself is the real
+            // synchronization point.
+            SPAWNED.fetch_add(1, Ordering::Relaxed);
             let h = std::thread::Builder::new()
                 .name(format!("basker-worker-{rank}"))
                 .spawn(move || {
-                    if pin {
-                        let _ = pin_current_thread_to(rank % ncores);
-                    }
                     WORKER_OF.with(|c| c.set(sh.id));
                     worker_loop(&sh, rank);
                 })
@@ -268,15 +233,12 @@ impl WorkerTeam {
         self.shared.width
     }
 
-    /// OS threads spawned on behalf of **this team** since it was
-    /// built: its `width − 1` workers plus every transient rank of a
-    /// nested [`broadcast`](Self::broadcast). The per-team view of
+    /// OS threads spawned on behalf of **this team**: its `width − 1`
+    /// workers, all spawned when it was built. The per-team view of
     /// [`os_threads_spawned`], for callers that share their process
     /// with other teams (concurrently running tests, for one).
     pub fn threads_spawned(&self) -> usize {
-        // ORDER: Relaxed — diagnostic counter; readers look at it after
-        // the job that could have spawned has been joined.
-        self.shared.spawned.load(Ordering::Relaxed)
+        self.shared.width - 1
     }
 
     /// True when the calling thread is one of this team's workers.
@@ -295,10 +257,14 @@ impl WorkerTeam {
     /// If any rank panics, the panic is re-raised here after the whole
     /// team has drained; the workers survive for the next job.
     ///
-    /// Called from a thread already acting as one of this team's ranks
-    /// (a nested SPMD region inside a job), the persistent ranks are
-    /// busy, so the broadcast falls back to transient scoped threads —
-    /// still one live thread per rank, just not hot ones.
+    /// # Panics
+    ///
+    /// When called from one of this team's own ranks (a nested SPMD
+    /// region inside a job): those ranks are busy, and a call from a
+    /// rank never wakes its team. The panic comes before anything is
+    /// posted. Nested work goes through
+    /// [`run_worklist`](Self::run_worklist), which runs it inline on
+    /// the issuing rank.
     pub fn broadcast<OP, R>(&self, op: OP) -> Vec<R>
     where
         OP: Fn(TeamContext) -> R + Sync,
@@ -309,9 +275,11 @@ impl WorkerTeam {
             // Inline fast path: no task entry, no parked thread to wake.
             return vec![op(TeamContext { rank: 0, width: 1 })];
         }
-        if self.on_worker_thread() {
-            return nested_scoped_broadcast(&self.shared, &op);
-        }
+        assert!(
+            !self.on_worker_thread(),
+            "WorkerTeam::broadcast called from one of the team's own ranks; \
+             submit nested work through run_worklist, which runs it inline"
+        );
         let results: Vec<ResultCell<R>> =
             (0..n).map(|_| ResultCell(UnsafeCell::new(None))).collect();
         let payload = BroadcastPayload {
@@ -337,11 +305,8 @@ impl WorkerTeam {
             mb.cv.notify_one();
         }
         // Rank 0 on the caller, marked as a team rank for the duration
-        // so a nested broadcast from inside the job detours to scoped
-        // threads instead of deadlocking, and pinned to core 0 (with
-        // the previous affinity restored afterwards) when the team is
-        // pinned — the root-separator elimination, the factorization's
-        // serial bottleneck, runs on rank 0.
+        // so a nested call from inside the job runs inline (a worklist)
+        // or panics (a broadcast) instead of deadlocking.
         {
             struct Unmark(u64);
             impl Drop for Unmark {
@@ -350,7 +315,6 @@ impl WorkerTeam {
                 }
             }
             let _unmark = Unmark(WORKER_OF.with(|c| c.replace(self.shared.id)));
-            let _affinity = self.shared.pin.then(AffinityGuard::pin_to_core0);
             core.run_claimed(0);
         }
         core.wait_done();
@@ -415,61 +379,6 @@ impl WorkerTeam {
     }
 }
 
-/// Fallback for a broadcast issued from inside one of the team's own
-/// jobs: the persistent ranks are occupied, so run the nested region on
-/// transient scoped threads (rank 0 inline on the caller). Counted in
-/// [`os_threads_spawned`] and [`WorkerTeam::threads_spawned`] —
-/// warm-path code never takes this branch, and
-/// queue-style work should use [`WorkerTeam::run_worklist`], whose
-/// re-entrant fallback executes inline without spawning at all.
-fn nested_scoped_broadcast<OP, R>(team: &Shared, op: &OP) -> Vec<R>
-where
-    OP: Fn(TeamContext) -> R + Sync,
-    R: Send,
-{
-    let n = team.width;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..n)
-            .map(|rank| {
-                team.count_spawn();
-                scope.spawn(move || op(TeamContext { rank, width: n }))
-            })
-            .collect();
-        let first = op(TeamContext { rank: 0, width: n });
-        std::iter::once(first)
-            .chain(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("nested broadcast rank panicked")),
-            )
-            .collect()
-    })
-}
-
-/// Pins the current thread to core 0 for a scope, restoring the
-/// previous affinity mask on drop (no-op off Linux/x86-64).
-struct AffinityGuard {
-    previous: Option<[u64; 16]>,
-}
-
-impl AffinityGuard {
-    fn pin_to_core0() -> AffinityGuard {
-        let previous = current_thread_affinity();
-        if previous.is_some() {
-            let _ = pin_current_thread_to(0);
-        }
-        AffinityGuard { previous }
-    }
-}
-
-impl Drop for AffinityGuard {
-    fn drop(&mut self) {
-        if let Some(mask) = self.previous {
-            let _ = set_current_thread_affinity(&mask);
-        }
-    }
-}
-
 impl Drop for WorkerTeam {
     fn drop(&mut self) {
         for mb in &self.shared.mailboxes {
@@ -508,7 +417,7 @@ fn worker_loop(shared: &Shared, rank: usize) {
     }
 }
 
-/// Keeps an unpinned worker off the CPU its team's rank 0 runs on.
+/// Keeps a worker off the CPU its team's rank 0 runs on.
 ///
 /// On a 2-vCPU guest the scheduler at times wakes a parked worker on
 /// the CPU of the thread that woke it and then keeps the two together
@@ -520,9 +429,9 @@ fn worker_loop(shared: &Shared, rank: usize) {
 /// the caller's CPU changes, none while it stays. Measured on
 /// `powergrid_contingency` (`T` = 2) in that state, alternating runs:
 /// `speedup_vs_klu` 2.55–2.76 against 1.67–1.69 without it (1.77–1.82
-/// with the refined solve not dealt at all). Skipped on pinned teams,
-/// on teams wider than the CPUs the worker may use (a rank per CPU is
-/// then impossible anyway), and where the CPU cannot be read.
+/// with the refined solve not dealt at all). Skipped on teams wider
+/// than the CPUs the worker may use (a rank per CPU is then impossible
+/// anyway) and where the CPU cannot be read.
 struct Placement {
     /// The worker's starting mask, or `None` when placement is skipped.
     allowed: Option<[u64; 16]>,
@@ -533,7 +442,7 @@ struct Placement {
 impl Placement {
     fn new(shared: &Shared) -> Placement {
         let cpus = |mask: &[u64; 16]| mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        let allowed = current_thread_affinity().filter(|m| !shared.pin && cpus(m) >= shared.width);
+        let allowed = current_thread_affinity().filter(|m| cpus(m) >= shared.width);
         Placement {
             allowed,
             off: usize::MAX,
@@ -554,35 +463,17 @@ impl Placement {
 }
 
 /// Returns a process-wide shared team of the given width, creating (and
-/// caching) it on first use. All callers asking for the same
-/// `(width, pin)` get the *same* hot threads — this is what makes
-/// repeated `analyze` calls spawn zero new OS threads.
-pub fn shared_team(width: usize, pin: bool) -> Arc<WorkerTeam> {
-    static REGISTRY: OnceLock<Mutex<HashMap<(usize, bool), Arc<WorkerTeam>>>> = OnceLock::new();
+/// caching) it on first use. All callers asking for the same width get
+/// the *same* hot threads — this is what makes repeated `analyze` calls
+/// spawn zero new OS threads. `_pin` is ignored: `Placement` is the one
+/// CPU-placement rule, and the argument stays for existing callers.
+pub fn shared_team(width: usize, _pin: bool) -> Arc<WorkerTeam> {
+    static REGISTRY: OnceLock<Mutex<HashMap<usize, Arc<WorkerTeam>>>> = OnceLock::new();
     let reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
     let mut g = reg.lock().unwrap();
-    g.entry((width.max(1), pin))
-        .or_insert_with(|| {
-            Arc::new(WorkerTeam::new(TeamConfig {
-                width: width.max(1),
-                pin,
-            }))
-        })
+    g.entry(width.max(1))
+        .or_insert_with(|| Arc::new(WorkerTeam::new(width.max(1))))
         .clone()
-}
-
-/// Pins the calling thread to one CPU core. Returns `true` on success.
-///
-/// Implemented as a raw `sched_setaffinity(0, ..)` syscall on
-/// Linux/x86-64 (the workspace carries no libc binding); on other
-/// targets this is a no-op returning `false`.
-pub fn pin_current_thread_to(core: usize) -> bool {
-    let mut mask = [0u64; 16]; // cpu_set_t is 1024 bits on Linux
-    if core >= mask.len() * 64 {
-        return false;
-    }
-    mask[core / 64] |= 1u64 << (core % 64);
-    set_current_thread_affinity(&mask)
 }
 
 /// Applies an affinity mask to the calling thread (raw
@@ -681,7 +572,7 @@ mod tests {
 
     #[test]
     fn broadcast_runs_every_rank_concurrently() {
-        let team = WorkerTeam::new(TeamConfig::new(4));
+        let team = WorkerTeam::new(4);
         // Hand-rolled barrier: passes only if all 4 ranks are live at once.
         let arrived = AtomicUsize::new(0);
         let ranks = team.broadcast(|ctx| {
@@ -696,7 +587,7 @@ mod tests {
 
     #[test]
     fn threads_are_reused_across_jobs() {
-        let team = WorkerTeam::new(TeamConfig::new(3));
+        let team = WorkerTeam::new(3);
         let ids1 = team.broadcast(|_| std::thread::current().id());
         let caller = std::thread::current().id();
         assert_eq!(team.threads_spawned(), 2);
@@ -712,7 +603,7 @@ mod tests {
 
     #[test]
     fn width_one_runs_inline_without_threads() {
-        let team = WorkerTeam::new(TeamConfig::new(1));
+        let team = WorkerTeam::new(1);
         let caller = std::thread::current().id();
         let ids = team.broadcast(|ctx| {
             assert_eq!(ctx.width(), 1);
@@ -724,7 +615,7 @@ mod tests {
 
     #[test]
     fn scoped_borrow_from_caller_stack() {
-        let team = WorkerTeam::new(TeamConfig::new(2));
+        let team = WorkerTeam::new(2);
         let data = [10usize, 20];
         let out = team.broadcast(|ctx| data[ctx.rank()] + 1);
         assert_eq!(out, vec![11, 21]);
@@ -732,7 +623,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_team_survives() {
-        let team = WorkerTeam::new(TeamConfig::new(2));
+        let team = WorkerTeam::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             team.broadcast(|ctx| {
                 if ctx.rank() == 1 {
@@ -747,23 +638,32 @@ mod tests {
     }
 
     #[test]
-    fn nested_broadcast_on_same_team_detours_to_scoped_threads() {
-        // A job that broadcasts on its own team cannot use the (busy)
-        // persistent ranks; it must still complete — on transient
-        // scoped threads — rather than panic or deadlock.
-        let team = Arc::new(WorkerTeam::new(TeamConfig::new(2)));
+    fn nested_broadcast_on_same_team_panics_at_the_outer_caller() {
+        // A job that broadcasts on its own team, from the caller's rank
+        // 0 or from a worker, finds every rank busy; the nested call
+        // panics before posting anything, the outer
+        // broadcast re-raises it, and no thread is spawned for it.
+        let team = Arc::new(WorkerTeam::new(2));
+        let nested_ranks = AtomicUsize::new(0);
         let t2 = team.clone();
-        let sums = team.broadcast(move |ctx| {
-            let inner = t2.broadcast(|ictx| ictx.rank() * 10);
-            assert_eq!(inner, vec![0, 10]);
-            ctx.rank()
-        });
-        assert_eq!(sums, vec![0, 1]);
-        assert_eq!(
-            team.threads_spawned(),
-            3,
-            "one worker, plus one transient rank per nested region"
-        );
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            team.broadcast(|_| t2.broadcast(|_| nested_ranks.fetch_add(1, Ordering::SeqCst)))
+        }));
+        let err = caught.expect_err("the nested broadcast must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(msg.contains("run_worklist"), "{msg}");
+        assert_eq!(nested_ranks.load(Ordering::SeqCst), 0, "nothing was posted");
+        assert_eq!(team.threads_spawned(), 1, "no transient rank");
+        // The team still works, and nested work still runs as a worklist.
+        assert_eq!(team.broadcast(|ctx| ctx.rank()), vec![0, 1]);
+        let inner = AtomicUsize::new(0);
+        let t3 = team.clone();
+        team.broadcast(|_| t3.run_worklist(2, |_| _ = inner.fetch_add(1, Ordering::SeqCst)));
+        assert_eq!(inner.load(Ordering::SeqCst), 4);
     }
 
     #[test]
@@ -777,22 +677,15 @@ mod tests {
     }
 
     #[test]
-    fn pinning_smoke() {
-        // Pinning to core 0 must succeed on Linux/x86-64 and be a clean
-        // no-op elsewhere; either way the team stays functional.
-        let team = WorkerTeam::new(TeamConfig {
-            width: 2,
-            pin: true,
-        });
-        assert_eq!(team.broadcast(|ctx| ctx.rank()), vec![0, 1]);
-        if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-            assert!(pin_current_thread_to(0));
+    fn shared_team_ignores_the_pin_flag() {
+        for w in [1, 2, 3] {
+            assert!(Arc::ptr_eq(&shared_team(w, true), &shared_team(w, false)));
         }
     }
 
     #[test]
-    fn unpinned_workers_keep_off_the_callers_cpu() {
-        let team = WorkerTeam::new(TeamConfig::new(2));
+    fn workers_keep_off_the_callers_cpu() {
+        let team = WorkerTeam::new(2);
         let masks = team.broadcast(|_| current_thread_affinity());
         let cpu = team.shared.caller_cpu.load(Ordering::Relaxed);
         let (Some(caller), Some(worker)) = (masks[0], masks[1]) else {
@@ -812,7 +705,7 @@ mod tests {
 
     #[test]
     fn worklist_runs_every_job_exactly_once() {
-        let team = WorkerTeam::new(TeamConfig::new(3));
+        let team = WorkerTeam::new(3);
         let hits: Vec<AtomicUsize> = (0..20).map(|_| AtomicUsize::new(0)).collect();
         team.run_worklist(hits.len(), |i| {
             hits[i].fetch_add(1, Ordering::SeqCst);
@@ -826,7 +719,7 @@ mod tests {
     fn worklist_uses_multiple_ranks_for_parallel_jobs() {
         // Two jobs that each wait for the other to start can only finish
         // when the worklist genuinely runs them concurrently.
-        let team = WorkerTeam::new(TeamConfig::new(2));
+        let team = WorkerTeam::new(2);
         let arrived = AtomicUsize::new(0);
         team.run_worklist(2, |_| {
             arrived.fetch_add(1, Ordering::SeqCst);
@@ -839,7 +732,7 @@ mod tests {
 
     #[test]
     fn worklist_panic_surfaces_at_the_caller() {
-        let team = WorkerTeam::new(TeamConfig::new(2));
+        let team = WorkerTeam::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             team.run_worklist(4, |i| {
                 if i == 2 {
@@ -861,7 +754,7 @@ mod tests {
         // A worklist job that submits another worklist to the same team
         // (the serving-layer re-entrance scenario) must complete without
         // deadlock and without creating any OS thread.
-        let team = Arc::new(WorkerTeam::new(TeamConfig::new(2)));
+        let team = Arc::new(WorkerTeam::new(2));
         let inner_runs = AtomicUsize::new(0);
         let t2 = team.clone();
         team.run_worklist(2, |_| {
@@ -880,7 +773,7 @@ mod tests {
 
     #[test]
     fn worklist_on_width_one_team_runs_inline() {
-        let team = WorkerTeam::new(TeamConfig::new(1));
+        let team = WorkerTeam::new(1);
         let caller = std::thread::current().id();
         let ran = AtomicUsize::new(0);
         team.run_worklist(5, |_| {
@@ -893,7 +786,7 @@ mod tests {
 
     #[test]
     fn concurrent_broadcasts_from_many_threads_serialize() {
-        let team = Arc::new(WorkerTeam::new(TeamConfig::new(2)));
+        let team = Arc::new(WorkerTeam::new(2));
         std::thread::scope(|s| {
             for i in 0..4 {
                 let team = team.clone();

@@ -583,7 +583,7 @@ impl SnluNumeric {
     fn solve_once_into(&self, rhs: &[f64], work: &mut [f64], out: &mut [f64], add: bool) {
         self.sym.row_perm.apply_vec_into(rhs, work);
         let rows = basker_kernels::rows_mut::<1>(work);
-        lower_solve_in_place(&self.l, rows, true);
+        lower_solve_in_place(&self.l, rows);
         upper_solve_in_place(&self.u, rows);
         for (k, &orig) in self.sym.col_perm.as_slice().iter().enumerate() {
             if add {

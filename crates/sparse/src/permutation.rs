@@ -82,30 +82,13 @@ impl Perm {
         }
     }
 
-    /// Applies to a vector: `y[k] = x[perm[k]]`.
-    pub fn apply_vec<T: Copy>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.perm.len());
-        self.perm.iter().map(|&old| x[old]).collect()
-    }
-
-    /// Applies into a caller-provided buffer: `y[k] = x[perm[k]]`.
-    /// Allocation-free counterpart of [`Perm::apply_vec`]; `x` and `y`
-    /// must not alias.
+    /// Applies into a caller-provided buffer: `y[k] = x[perm[k]]`,
+    /// without allocating; `x` and `y` must not alias.
     pub fn apply_vec_into<T: Copy>(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.perm.len());
         assert_eq!(y.len(), self.perm.len());
         for (yk, &old) in y.iter_mut().zip(self.perm.iter()) {
             *yk = x[old];
-        }
-    }
-
-    /// Scatters into a caller-provided buffer: `y[perm[k]] = x[k]`, i.e.
-    /// applies the inverse without allocating.
-    pub fn apply_inv_vec_into<T: Copy>(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.perm.len());
-        assert_eq!(y.len(), self.perm.len());
-        for (new, &old) in self.perm.iter().enumerate() {
-            y[old] = x[new];
         }
     }
 
@@ -188,10 +171,11 @@ mod tests {
     fn vector_application() {
         let p = Perm::from_vec(vec![2, 0, 1]).unwrap();
         let x = [10.0, 20.0, 30.0];
-        assert_eq!(p.apply_vec(&x), vec![30.0, 10.0, 20.0]);
-        let y = p.apply_vec(&x);
+        let mut y = [0.0; 3];
+        p.apply_vec_into(&x, &mut y);
+        assert_eq!(y, [30.0, 10.0, 20.0]);
         let mut back = [0.0; 3];
-        p.apply_inv_vec_into(&y, &mut back);
+        p.inverse().apply_vec_into(&y, &mut back);
         assert_eq!(back, x);
     }
 

@@ -15,10 +15,10 @@ use crate::csc::CscMat;
 /// single-RHS forward substitution (view a `&mut [f64]` through
 /// [`basker_kernels::rows_mut`]).
 ///
-/// `unit_diag`: when true the diagonal is implicitly 1 and any stored
-/// diagonal entry is ignored.
+/// The diagonal is implicitly 1 (the factorizations' unit `L`); the
+/// stored diagonal entry is ignored.
 // basker-lint: deny-alloc
-pub fn lower_solve_in_place<const K: usize>(l: &CscMat, b: &mut [[f64; K]], unit_diag: bool) {
+pub fn lower_solve_in_place<const K: usize>(l: &CscMat, b: &mut [[f64; K]]) {
     let n = l.ncols();
     assert_eq!(l.nrows(), n);
     assert_eq!(b.len(), n);
@@ -30,9 +30,6 @@ pub fn lower_solve_in_place<const K: usize>(l: &CscMat, b: &mut [[f64; K]], unit
             continue;
         }
         debug_assert_eq!(rows[0], j, "L column {j} must start at the diagonal");
-        if !unit_diag {
-            b[j] = b[j].map(|v| v / vals[0]);
-        }
         let xj = b[j];
         if xj.iter().any(|&v| v != 0.0) {
             ks.scatter_axpy_rows(b, &rows[1..], &vals[1..], &xj.map(|v| -v));
@@ -101,9 +98,9 @@ mod tests {
 
     fn lower() -> CscMat {
         CscMat::from_dense(&[
-            vec![2.0, 0.0, 0.0],
-            vec![1.0, 4.0, 0.0],
-            vec![3.0, 5.0, 6.0],
+            vec![1.0, 0.0, 0.0],
+            vec![1.0, 1.0, 0.0],
+            vec![3.0, 5.0, 1.0],
         ])
     }
 
@@ -120,7 +117,7 @@ mod tests {
         let l = lower();
         let x = [1.0, -2.0, 0.5];
         let mut b = spmv(&l, &x);
-        lower_solve_in_place(&l, rows_mut::<1>(&mut b), false);
+        lower_solve_in_place(&l, rows_mut::<1>(&mut b));
         for (got, want) in b.iter().zip(x.iter()) {
             assert!((got - want).abs() < 1e-12);
         }
@@ -128,13 +125,13 @@ mod tests {
 
     #[test]
     fn unit_lower_solve() {
-        // L with implicit unit diagonal: stored diag values should be ignored.
+        // L with implicit unit diagonal: stored diag values are ignored.
         let l = CscMat::from_dense(&[
-            vec![1.0, 0.0],
-            vec![7.0, 1.0], // the 7 is the only meaningful off-diag
+            vec![3.0, 0.0],
+            vec![7.0, 5.0], // the 7 is the only meaningful entry
         ]);
         let mut b = vec![2.0, 15.0];
-        lower_solve_in_place(&l, rows_mut::<1>(&mut b), true);
+        lower_solve_in_place(&l, rows_mut::<1>(&mut b));
         assert_eq!(b, vec![2.0, 1.0]);
     }
 
@@ -221,14 +218,12 @@ mod tests {
         let exact = !dense_tail;
         macro_rules! width {
             ($K:literal) => {
-                for unit in [false, true] {
-                    panel_matches_columns::<$K>(
-                        n,
-                        exact,
-                        |b| lower_solve_in_place(&l, b, unit),
-                        |b| lower_solve_in_place(&l, b, unit),
-                    );
-                }
+                panel_matches_columns::<$K>(
+                    n,
+                    exact,
+                    |b| lower_solve_in_place(&l, b),
+                    |b| lower_solve_in_place(&l, b),
+                );
                 panel_matches_columns::<$K>(
                     n,
                     exact,
@@ -257,16 +252,9 @@ mod tests {
     #[test]
     fn transpose_solves() {
         let x = [1.0, 2.0, 3.0];
-        let (lt, ut) = (lower().transpose(), upper().transpose());
-        // Lᵀ x
+        let lt = lower().transpose();
         let mut b: Vec<[f64; 1]> = spmv(&lt, &x).into_iter().map(|v| [v]).collect();
         upper_solve_in_place(&lt, &mut b);
-        for (got, want) in b.iter().zip(x.iter()) {
-            assert!((got[0] - want).abs() < 1e-12);
-        }
-        // Uᵀ x
-        let mut b: Vec<[f64; 1]> = spmv(&ut, &x).into_iter().map(|v| [v]).collect();
-        lower_solve_in_place(&ut, &mut b, false);
         for (got, want) in b.iter().zip(x.iter()) {
             assert!((got[0] - want).abs() < 1e-12);
         }
@@ -276,7 +264,7 @@ mod tests {
     fn empty_matrix_solves_trivially() {
         let l = CscMat::zero(0, 0);
         let mut b: Vec<[f64; 8]> = vec![];
-        lower_solve_in_place(&l, &mut b, false);
+        lower_solve_in_place(&l, &mut b);
         upper_solve_in_place(&l, &mut b);
     }
 }

@@ -2,6 +2,7 @@
 
 mod common;
 
+use basker_repro::basker_ordering::btf::btf_form_with;
 use basker_repro::prelude::*;
 use basker_sparse::io::{read_matrix_market, write_matrix_market};
 use basker_sparse::spmv::spmv;
@@ -234,15 +235,21 @@ fn mwcm_toggle_changes_nothing_functionally() {
         sub_size: 24,
         ..CircuitParams::default()
     });
+    // The solvers form their BTF on the bottleneck matching; any maximum
+    // transversal yields the same diagonal blocks (the fine block
+    // triangular form is unique up to the order of independent blocks).
+    let block_sizes = |weighted| {
+        let btf = btf_form_with(&a, weighted).unwrap();
+        let mut sizes: Vec<usize> = btf.bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        sizes.sort_unstable();
+        sizes
+    };
+    assert_eq!(block_sizes(true), block_sizes(false));
     let b = vec![1.0; a.ncols()];
-    for use_mwcm in [true, false] {
-        let cfg = SolverConfig::new()
-            .engine(Engine::Basker)
-            .use_mwcm(use_mwcm);
-        let num = LinearSolver::analyze(&a, &cfg).unwrap().factor(&a).unwrap();
-        let x = solved(&num, &b);
-        assert!(relative_residual(&a, &x, &b) < 1e-10, "mwcm={use_mwcm}");
-    }
+    let cfg = SolverConfig::new().engine(Engine::Basker);
+    let num = LinearSolver::analyze(&a, &cfg).unwrap().factor(&a).unwrap();
+    let x = solved(&num, &b);
+    assert!(relative_residual(&a, &x, &b) < 1e-10);
 }
 
 #[test]
