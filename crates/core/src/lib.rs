@@ -547,24 +547,6 @@ mod tests {
         }
     }
 
-    /// A factor issued from inside a job on the handle's own team runs
-    /// its stages inline instead of spawning ranks for them.
-    #[test]
-    fn factor_from_a_rank_of_its_own_team_spawns_no_thread() {
-        let a = grid2d_unsym(16);
-        let sym = Basker::analyze(&a, &opts(2, 32)).unwrap();
-        let st = sym.structure();
-        assert!(st.nblocks() == 1 && st.nd_block(0).is_some());
-        let team = &sym.inner.team;
-        let before = team.threads_spawned();
-        team.run_worklist(2, |_| {
-            for _ in 0..5 {
-                check_solve(&sym.factor(&a).unwrap(), &a, 1e-11);
-            }
-        });
-        assert_eq!(team.threads_spawned(), before);
-    }
-
     /// The profile splits one analyze's wall time into its four phases,
     /// and no factor moves it.
     #[test]

@@ -233,14 +233,6 @@ impl WorkerTeam {
         self.shared.width
     }
 
-    /// OS threads spawned on behalf of **this team**: its `width − 1`
-    /// workers, all spawned when it was built. The per-team view of
-    /// [`os_threads_spawned`], for callers that share their process
-    /// with other teams (concurrently running tests, for one).
-    pub fn threads_spawned(&self) -> usize {
-        self.shared.width - 1
-    }
-
     /// True when the calling thread is one of this team's workers.
     pub fn on_worker_thread(&self) -> bool {
         WORKER_OF.with(|c| c.get()) == self.shared.id
@@ -590,7 +582,6 @@ mod tests {
         let team = WorkerTeam::new(3);
         let ids1 = team.broadcast(|_| std::thread::current().id());
         let caller = std::thread::current().id();
-        assert_eq!(team.threads_spawned(), 2);
         for _ in 0..50 {
             let ids: Vec<std::thread::ThreadId> = team.broadcast(|_| std::thread::current().id());
             // Worker `r` serves rank `r`, and rank 0 stays on the
@@ -598,7 +589,6 @@ mod tests {
             assert_eq!(ids[0], caller, "rank 0 must run on the caller");
             assert_eq!(ids, ids1, "jobs must reuse the same threads");
         }
-        assert_eq!(team.threads_spawned(), 2, "no new OS threads after warm-up");
     }
 
     #[test]
@@ -610,7 +600,6 @@ mod tests {
             std::thread::current().id()
         });
         assert_eq!(ids, vec![caller]);
-        assert_eq!(team.threads_spawned(), 0);
     }
 
     #[test]
@@ -657,7 +646,6 @@ mod tests {
             .unwrap_or("");
         assert!(msg.contains("run_worklist"), "{msg}");
         assert_eq!(nested_ranks.load(Ordering::SeqCst), 0, "nothing was posted");
-        assert_eq!(team.threads_spawned(), 1, "no transient rank");
         // The team still works, and nested work still runs as a worklist.
         assert_eq!(team.broadcast(|ctx| ctx.rank()), vec![0, 1]);
         let inner = AtomicUsize::new(0);
@@ -759,16 +747,14 @@ mod tests {
         let t2 = team.clone();
         team.run_worklist(2, |_| {
             assert!(t2.on_worker_thread(), "worklist jobs run as team ranks");
+            let outer = std::thread::current().id();
             t2.run_worklist(3, |_| {
+                // The inline guard: the nested jobs run right here.
+                assert_eq!(std::thread::current().id(), outer);
                 inner_runs.fetch_add(1, Ordering::SeqCst);
             });
         });
         assert_eq!(inner_runs.load(Ordering::SeqCst), 6);
-        assert_eq!(
-            team.threads_spawned(),
-            1,
-            "re-entrant worklists must take the inline guard, not spawn"
-        );
     }
 
     #[test]
@@ -781,7 +767,6 @@ mod tests {
             ran.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 5);
-        assert_eq!(team.threads_spawned(), 0);
     }
 
     #[test]

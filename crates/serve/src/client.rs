@@ -3,14 +3,16 @@
 //! One [`Client`] owns one connection and issues requests
 //! synchronously ([`request`](Client::request)) or pipelined
 //! ([`send`](Client::send) N frames, then [`recv`](Client::recv) N
-//! replies — the server answers in order). The router uses the
-//! split form to keep a shard's scheduler batch full; the benchmark's
-//! `shard_fleet` workload opens many clients instead.
+//! replies — the server answers in order). The benchmark's
+//! `shard_fleet` workload pipelines through the split form; the router
+//! forwards `Step` frames as bytes through [`exchange`](Client::exchange)
+//! and sends its other requests typed.
 
 use crate::proto::{
-    decode_response, encode_request, OpenRequest, Request, Response, WireError, WireStats,
+    decode_response, encode_request, encode_step, kind, OpenRequest, Request, Response, WireError,
+    WireStats,
 };
-use crate::wire::{read_frame, write_frame, Addr, Conn};
+use crate::wire::{read_frame_into, write_frame, Addr, Conn};
 use basker_api::{SessionState, SolveQuality};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::time::Duration;
@@ -60,6 +62,8 @@ pub struct Client {
     r: BufReader<Conn>,
     w: BufWriter<Conn>,
     next_req: u64,
+    /// The last reply's payload; reused so a reply costs no allocation.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -71,6 +75,7 @@ impl Client {
             r: BufReader::new(rd),
             w: BufWriter::new(conn),
             next_req: 1,
+            frame: Vec::new(),
         })
     }
 
@@ -81,18 +86,22 @@ impl Client {
 
     /// Sends one request, returning its `req_id`. Does not wait.
     pub fn send(&mut self, req: &Request) -> io::Result<u64> {
+        let (kind, payload) = encode_request(req);
+        self.send_frame(kind, &payload)
+    }
+
+    fn send_frame(&mut self, kind: u8, payload: &[u8]) -> io::Result<u64> {
         let id = self.next_req;
         self.next_req += 1;
-        let (kind, payload) = encode_request(req);
-        write_frame(&mut self.w, kind, id, &payload)?;
+        write_frame(&mut self.w, kind, id, payload)?;
         self.w.flush()?;
         Ok(id)
     }
 
     /// Receives the next reply as `(req_id, response)`.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
-        let (kind, req_id, payload) = read_frame(&mut self.r)?;
-        let resp = decode_response(kind, &payload).map_err(ClientError::Protocol)?;
+        let (kind, req_id) = read_frame_into(&mut self.r, &mut self.frame)?;
+        let resp = decode_response(kind, &self.frame).map_err(ClientError::Protocol)?;
         Ok((req_id, resp))
     }
 
@@ -100,12 +109,24 @@ impl Client {
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
         let id = self.send(req)?;
         let (got, resp) = self.recv()?;
-        if got != id {
-            return Err(ClientError::Protocol(format!(
-                "response id {got} for request {id} (pipelining misuse)"
-            )));
-        }
+        echoed(id, got)?;
         Ok(resp)
+    }
+
+    /// Sends one frame of `kind` carrying `payload` as it stands and
+    /// waits for the reply, whose payload lands in `reply` (resized to
+    /// fit) undecoded; returns the reply's kind. This is how the router
+    /// forwards a `Step`.
+    pub fn exchange(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        reply: &mut Vec<u8>,
+    ) -> Result<u8, ClientError> {
+        let id = self.send_frame(kind, payload)?;
+        let (reply_kind, got) = read_frame_into(&mut self.r, reply)?;
+        echoed(id, got)?;
+        Ok(reply_kind)
     }
 
     /// Pings the peer, returning its epoch.
@@ -137,12 +158,9 @@ impl Client {
         values: &[f64],
         rhs: &[f64],
     ) -> Result<StepReply, ClientError> {
-        let resp = self.request(&Request::Step {
-            stream,
-            refined,
-            values: values.to_vec(),
-            rhs: rhs.to_vec(),
-        })?;
+        let id = self.send_frame(kind::STEP, &encode_step(stream, refined, values, rhs))?;
+        let (got, resp) = self.recv()?;
+        echoed(id, got)?;
         step_reply(resp)
     }
 
@@ -180,6 +198,17 @@ pub fn step_reply(resp: Response) -> Result<StepReply, ClientError> {
         Response::Step { state, x, quality } => Ok(StepReply { state, x, quality }),
         Response::Err(e) => Err(ClientError::Remote(e)),
         other => Err(unexpected("Step", &other)),
+    }
+}
+
+/// Checks that a synchronous request's reply echoes its id.
+fn echoed(id: u64, got: u64) -> Result<(), ClientError> {
+    if got == id {
+        Ok(())
+    } else {
+        Err(ClientError::Protocol(format!(
+            "response id {got} for request {id} (pipelining misuse)"
+        )))
     }
 }
 

@@ -464,13 +464,7 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
             refined,
             values,
             rhs,
-        } => {
-            w.u64(*stream);
-            w.u8(u8::from(*refined));
-            w.f64_slice(values);
-            w.f64_slice(rhs);
-            kind::STEP
-        }
+        } => return (kind::STEP, encode_step(*stream, *refined, values, rhs)),
         Request::Close { stream } => {
             w.u64(*stream);
             kind::CLOSE
@@ -479,6 +473,18 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
         Request::Shutdown => kind::SHUTDOWN,
     };
     (kind, w.into_bytes())
+}
+
+/// Encodes a `Step` request's payload from borrowed slices: the bytes
+/// [`encode_request`] writes for [`Request::Step`], in one allocation.
+pub fn encode_step(stream: u64, refined: bool, values: &[f64], rhs: &[f64]) -> Vec<u8> {
+    let mut w = Wr::new();
+    w.reserve(8 + 1 + 4 + 8 * values.len() + 4 + 8 * rhs.len());
+    w.u64(stream);
+    w.u8(u8::from(refined));
+    w.f64_slice(values);
+    w.f64_slice(rhs);
+    w.into_bytes()
 }
 
 /// Decodes a request frame.
@@ -515,6 +521,9 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request, String> {
     Ok(req)
 }
 
+/// Bytes of one [`SolveQuality`] on the wire.
+const QUALITY_BYTES: usize = 4 + 8 + 8 + 1;
+
 fn quality_to_wire(w: &mut Wr, q: &SolveQuality) {
     w.u32(q.iterations as u32);
     w.f64(q.initial_residual);
@@ -548,6 +557,7 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             kind::OPENED
         }
         Response::Step { state, x, quality } => {
+            w.reserve(1 + 4 + 8 * x.len() + 4 + QUALITY_BYTES * quality.len());
             w.u8(state_to_u8(*state));
             w.f64_slice(x);
             w.u32(quality.len() as u32);
@@ -655,14 +665,14 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, String> {
 }
 
 /// Converts a step outcome into its wire response.
-pub fn step_response(result: &Result<StepResult, SolverError>) -> Response {
+pub fn step_response(result: Result<StepResult, SolverError>) -> Response {
     match result {
         Ok(sr) => Response::Step {
             state: sr.state,
-            x: sr.x.clone(),
-            quality: sr.quality.clone(),
+            x: sr.x,
+            quality: sr.quality,
         },
-        Err(e) => Response::Err(WireError::from(e)),
+        Err(e) => Response::Err(WireError::from(&e)),
     }
 }
 
@@ -837,6 +847,50 @@ mod tests {
         let (k, mut p) = encode_request(&Request::Stats);
         p.push(0);
         assert!(decode_request(k, &p).is_err());
+    }
+
+    #[test]
+    fn step_payload_rejects_every_truncation() {
+        let values: Vec<f64> = (0..13).map(|i| 1.0 + i as f64).collect();
+        let rhs = vec![0.5, -0.0, f64::NAN, f64::INFINITY, 3.0];
+        let req = Request::Step {
+            stream: 42,
+            refined: true,
+            values: values.clone(),
+            rhs: rhs.clone(),
+        };
+        let (k, p) = encode_request(&req);
+        assert_eq!(k, kind::STEP);
+        // The layout element by element: id, flag, then each slice as a
+        // u32 count and its elements' LE bits.
+        let mut want = Wr::new();
+        want.u64(42);
+        want.u8(1);
+        for slice in [&values, &rhs] {
+            want.u32(slice.len() as u32);
+            for &v in slice {
+                want.f64(v);
+            }
+        }
+        assert_eq!(p, want.into_bytes());
+        for cut in 0..p.len() {
+            assert!(decode_request(k, &p[..cut]).is_err(), "cut {cut}");
+        }
+        let mut long = p.clone();
+        long.push(0);
+        assert!(decode_request(k, &long).is_err(), "trailing byte");
+        let Request::Step {
+            stream,
+            refined,
+            values: v2,
+            rhs: r2,
+        } = decode_request(k, &p).unwrap()
+        else {
+            panic!("not a step");
+        };
+        assert_eq!((stream, refined), (42, true));
+        let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!((bits(&v2), bits(&r2)), (bits(&values), bits(&rhs)));
     }
 
     #[test]

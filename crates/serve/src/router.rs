@@ -11,6 +11,17 @@
 //! shard connections, so concurrency scales with client connections
 //! while every single connection keeps strict request/response order.
 //!
+//! A `Step` is forwarded as bytes, never decoded: the router reads the
+//! stream id from the payload's first 8 bytes, overwrites it with the
+//! shard-local id, sends the frame on, and passes the shard's reply
+//! kind and payload back under the client's `req_id`. The shard is the
+//! one that checks the rest of the payload. A payload too short to hold
+//! a stream id, or naming a stream this connection never opened, the
+//! router answers itself with a `Protocol` error. `Open`, `Close`,
+//! `Stats`, `Ping` and `Shutdown` are decoded: `Open` needs the pattern
+//! hash, and the router keeps the decoded request for failover. Router
+//! and shard links read frames into one reused buffer each.
+//!
 //! ## Failover contract
 //!
 //! "Zero ticket loss" means **every accepted request is answered** —
@@ -27,10 +38,11 @@
 
 use crate::client::{Client, ClientError};
 use crate::proto::{
-    pattern_hash, OpenRequest, Request, Response, RouterWireStats, WireError, WireStats,
+    decode_request, encode_response, kind, pattern_hash, OpenRequest, Request, Response,
+    RouterWireStats, WireError, WireStats,
 };
 use crate::shard::ShardSet;
-use crate::wire::{read_frame, write_frame, Addr, Conn, Listener};
+use crate::wire::{read_frame_into, write_frame, Addr, Conn, Listener, Rd};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -180,29 +192,27 @@ impl ShardLinks {
     fn get(&mut self, shards: &ShardSet, i: usize) -> Result<(u64, &mut Client), ClientError> {
         for _attempt in 0..2 {
             let epoch = shards.epoch(i);
-            let stale = match self.conns.get(&i) {
-                Some((e, _)) => *e != epoch,
-                None => true,
-            };
-            if stale {
-                match Client::connect(&shards.addr(i)) {
-                    Ok(c) => {
-                        let _ = c.set_read_timeout(Some(Duration::from_secs(120)));
-                        self.conns.insert(i, (epoch, c));
-                    }
-                    Err(_) => {
-                        self.conns.remove(&i);
-                        shards.report_down(i, epoch);
-                        continue;
-                    }
+            if self.conns.get(&i).is_some_and(|(e, _)| *e == epoch) {
+                break;
+            }
+            match Client::connect(&shards.addr(i)) {
+                Ok(c) => {
+                    let _ = c.set_read_timeout(Some(Duration::from_secs(120)));
+                    self.conns.insert(i, (epoch, c));
+                    break;
+                }
+                Err(_) => {
+                    self.conns.remove(&i);
+                    shards.report_down(i, epoch);
                 }
             }
-            let (e, c) = self.conns.get_mut(&i).expect("just inserted");
-            return Ok((*e, c));
         }
-        Err(ClientError::Remote(WireError::unavailable(format!(
-            "shard {i} unreachable after respawn"
-        ))))
+        match self.conns.get_mut(&i) {
+            Some((e, c)) => Ok((*e, c)),
+            None => Err(ClientError::Remote(WireError::unavailable(format!(
+                "shard {i} unreachable after respawn"
+            )))),
+        }
     }
 
     /// Drops the cached link to shard `i` (after an I/O failure).
@@ -223,63 +233,71 @@ fn handle_client(conn: Conn, shards: &Arc<ShardSet>, counters: &Arc<Counters>) {
     };
     let mut routes: HashMap<u64, StreamRoute> = HashMap::new();
     let mut next_local: u64 = 1;
+    // Both reused across frames: a steady stream of steps allocates
+    // nothing here.
+    let mut frame = Vec::new();
+    let mut shard_reply = Vec::new();
 
-    while let Ok((kind, req_id, payload)) = read_frame(&mut conn) {
-        let req = match crate::proto::decode_request(kind, &payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let resp = Response::Err(WireError::protocol(e));
-                if reply(&mut w, req_id, &resp).is_err() {
+    while let Ok((kind, req_id)) = read_frame_into(&mut conn, &mut frame) {
+        let resp = if kind == kind::STEP {
+            match forward_step(
+                shards,
+                &mut links,
+                &mut routes,
+                counters,
+                &mut frame,
+                &mut shard_reply,
+            ) {
+                Ok(reply_kind) => {
+                    if reply_kind == kind::ERR {
+                        // ORDER: Relaxed — monotonic diagnostic (see `counters`).
+                        counters.errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if send(&mut w, reply_kind, req_id, &shard_reply).is_err() {
+                        break;
+                    }
+                    continue;
+                }
+                Err(e) => Response::Err(e),
+            }
+        } else {
+            match decode_request(kind, &frame) {
+                Err(e) => Response::Err(WireError::protocol(e)),
+                Ok(Request::Ping) => Response::Pong { epoch: 0 },
+                Ok(Request::Open(open)) => route_open(
+                    shards,
+                    &mut links,
+                    &mut routes,
+                    &mut next_local,
+                    counters,
+                    open,
+                ),
+                Ok(Request::Step { .. }) => unreachable!("step frames are forwarded as bytes"),
+                Ok(Request::Close { stream }) => {
+                    route_close(shards, &mut links, &mut routes, stream)
+                }
+                Ok(Request::Stats) => gather_stats(shards, &mut links, counters),
+                Ok(Request::Shutdown) => {
+                    let (ack, payload) = encode_response(&Response::ShutdownAck);
+                    let _ = send(&mut w, ack, req_id, &payload);
                     break;
                 }
-                continue;
-            }
-        };
-        let resp = match req {
-            Request::Ping => Response::Pong { epoch: 0 },
-            Request::Open(open) => route_open(
-                shards,
-                &mut links,
-                &mut routes,
-                &mut next_local,
-                counters,
-                open,
-            ),
-            Request::Step {
-                stream,
-                refined,
-                values,
-                rhs,
-            } => route_step(
-                shards,
-                &mut links,
-                &mut routes,
-                counters,
-                stream,
-                refined,
-                values,
-                rhs,
-            ),
-            Request::Close { stream } => route_close(shards, &mut links, &mut routes, stream),
-            Request::Stats => gather_stats(shards, &mut links, counters),
-            Request::Shutdown => {
-                let _ = reply(&mut w, req_id, &Response::ShutdownAck);
-                break;
             }
         };
         if matches!(resp, Response::Err(_)) {
             // ORDER: Relaxed — monotonic diagnostic (see `counters`).
             counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if reply(&mut w, req_id, &resp).is_err() {
+        let (reply_kind, payload) = encode_response(&resp);
+        if send(&mut w, reply_kind, req_id, &payload).is_err() {
             break;
         }
     }
 }
 
-fn reply(w: &mut BufWriter<Conn>, req_id: u64, resp: &Response) -> std::io::Result<()> {
-    let (kind, payload) = crate::proto::encode_response(resp);
-    write_frame(w, kind, req_id, &payload)?;
+/// Writes one reply frame and flushes it.
+fn send(w: &mut BufWriter<Conn>, kind: u8, req_id: u64, payload: &[u8]) -> std::io::Result<()> {
+    write_frame(w, kind, req_id, payload)?;
     w.flush()
 }
 
@@ -313,7 +331,7 @@ fn route_open(
                 pattern_hash: hash,
             }
         }
-        Err(e) => error_response(counters, links, shards, shard, e),
+        Err(e) => Response::Err(shard_failure(counters, links, shards, shard, e)),
     }
 }
 
@@ -329,49 +347,57 @@ fn open_on(
     Ok((epoch, remote_id))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn route_step(
+/// Forwards one `Step` frame to its stream's shard as bytes: the
+/// payload's leading stream id is overwritten with the shard-local id,
+/// the shard's reply payload lands in `reply` undecoded, and its kind is
+/// returned. A failure the router answers itself is the `Err`.
+fn forward_step(
     shards: &ShardSet,
     links: &mut ShardLinks,
     routes: &mut HashMap<u64, StreamRoute>,
     counters: &Counters,
-    stream: u64,
-    refined: bool,
-    values: Vec<f64>,
-    rhs: Vec<f64>,
-) -> Response {
+    payload: &mut [u8],
+    reply: &mut Vec<u8>,
+) -> Result<u8, WireError> {
+    let stream = Rd::new(payload).u64().map_err(|_| {
+        WireError::protocol(format!(
+            "step payload of {} bytes has no stream id",
+            payload.len()
+        ))
+    })?;
     let Some(route) = routes.get_mut(&stream) else {
-        return Response::Err(WireError::protocol(format!("unknown stream {stream}")));
+        return Err(WireError::protocol(format!("unknown stream {stream}")));
     };
     // ORDER: Relaxed — monotonic diagnostic (see `counters`).
     counters.steps.fetch_add(1, Ordering::Relaxed);
     let shard = route.shard;
-    let attempt = (|| -> Result<Response, ClientError> {
-        let cur_epoch = shards.epoch(shard);
-        if cur_epoch != route.epoch {
-            // The shard was respawned since this stream was opened:
-            // re-establish it from the retained open request before
-            // forwarding. The fresh session re-analyzes and re-factors
-            // on this step.
-            let (epoch, remote_id) = open_on(shards, links, shard, &route.open)?;
-            route.epoch = epoch;
-            route.remote_id = remote_id;
-            // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-            counters.reopens.fetch_add(1, Ordering::Relaxed);
-        }
-        let (_, client) = links.get(shards, shard)?;
-        let resp = client.request(&Request::Step {
-            stream: route.remote_id,
-            refined,
-            values,
-            rhs,
-        })?;
-        Ok(resp)
-    })();
-    match attempt {
-        Ok(resp) => resp,
-        Err(e) => error_response(counters, links, shards, shard, e),
+    step_on(shards, links, route, counters, payload, reply)
+        .map_err(|e| shard_failure(counters, links, shards, shard, e))
+}
+
+/// The shard round trip of [`forward_step`].
+fn step_on(
+    shards: &ShardSet,
+    links: &mut ShardLinks,
+    route: &mut StreamRoute,
+    counters: &Counters,
+    payload: &mut [u8],
+    reply: &mut Vec<u8>,
+) -> Result<u8, ClientError> {
+    if shards.epoch(route.shard) != route.epoch {
+        // The shard was respawned since this stream was opened:
+        // re-establish it from the retained open request before
+        // forwarding. The fresh session re-analyzes and re-factors on
+        // this step.
+        let (epoch, remote_id) = open_on(shards, links, route.shard, &route.open)?;
+        route.epoch = epoch;
+        route.remote_id = remote_id;
+        // ORDER: Relaxed — monotonic diagnostic (see `counters`).
+        counters.reopens.fetch_add(1, Ordering::Relaxed);
     }
+    payload[..8].copy_from_slice(&route.remote_id.to_le_bytes());
+    let (_, client) = links.get(shards, route.shard)?;
+    client.exchange(kind::STEP, payload, reply)
 }
 
 fn route_close(
@@ -415,18 +441,18 @@ fn gather_stats(shards: &ShardSet, links: &mut ShardLinks, counters: &Counters) 
     Response::Stats(stats)
 }
 
-/// Converts a shard-side failure into the client's error response,
-/// reporting the shard down on transport failures (which respawns it
-/// and lets the *next* request route cleanly).
-fn error_response(
+/// Converts a shard-side failure into the client's error, reporting the
+/// shard down on transport failures (which respawns it and lets the
+/// *next* request route cleanly).
+fn shard_failure(
     counters: &Counters,
     links: &mut ShardLinks,
     shards: &ShardSet,
     shard: usize,
     e: ClientError,
-) -> Response {
+) -> WireError {
     match e {
-        ClientError::Remote(we) => Response::Err(we),
+        ClientError::Remote(we) => we,
         ClientError::Io(io) => {
             // ORDER: Relaxed — monotonic diagnostic (see `counters`).
             counters.failovers.fetch_add(1, Ordering::Relaxed);
@@ -437,15 +463,11 @@ fn error_response(
                 .unwrap_or_else(|| shards.epoch(shard));
             links.invalidate(shard);
             shards.report_down(shard, epoch);
-            Response::Err(WireError::unavailable(format!(
-                "shard {shard} connection failed mid-request: {io}"
-            )))
+            WireError::unavailable(format!("shard {shard} connection failed mid-request: {io}"))
         }
         ClientError::Protocol(m) => {
             links.invalidate(shard);
-            Response::Err(WireError::protocol(format!(
-                "shard {shard} protocol error: {m}"
-            )))
+            WireError::protocol(format!("shard {shard} protocol error: {m}"))
         }
     }
 }

@@ -213,9 +213,14 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, req_id: u64, payload: &[u8]) -
     w.write_all(payload)
 }
 
-/// Reads one frame; `Err(UnexpectedEof)` on a cleanly closed peer,
-/// `Err(InvalidData)` on bad magic or an oversized length.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, u64, Vec<u8>)> {
+/// Reads one frame into `payload`, returning `(kind, req_id)`;
+/// `Err(UnexpectedEof)` on a cleanly closed peer, `Err(InvalidData)` on
+/// bad magic or an oversized length.
+///
+/// `payload` is resized to the frame's length, so a connection that
+/// reuses one buffer across frames allocates and zero-fills only when a
+/// frame is longer than every frame before it.
+pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<(u8, u64)> {
     let mut head = [0u8; 17];
     r.read_exact(&mut head)?;
     if head[..4] != MAGIC {
@@ -237,8 +242,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, u64, Vec<u8>)> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    Ok((kind, req_id))
+}
+
+/// Reads one frame into a fresh buffer (see [`read_frame_into`]).
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, u64, Vec<u8>)> {
+    let mut payload = Vec::new();
+    let (kind, req_id) = read_frame_into(r, &mut payload)?;
     Ok((kind, req_id, payload))
 }
 
@@ -254,6 +266,11 @@ impl Wr {
     /// An empty payload buffer.
     pub fn new() -> Wr {
         Wr::default()
+    }
+    /// Makes room for `n` more bytes, so a payload of known size is
+    /// written without regrowing the buffer.
+    pub fn reserve(&mut self, n: usize) {
+        self.buf.reserve(n);
     }
     /// The serialized bytes.
     pub fn into_bytes(self) -> Vec<u8> {
@@ -283,17 +300,31 @@ impl Wr {
     /// Appends a length-prefixed `usize` slice as `u32`s.
     pub fn idx_slice(&mut self, v: &[usize]) {
         self.u32(v.len() as u32);
-        for &x in v {
-            self.u32(x as u32);
+        for (dst, &x) in self.grow(4 * v.len()).chunks_exact_mut(4).zip(v) {
+            dst.copy_from_slice(&(x as u32).to_le_bytes());
         }
     }
     /// Appends a length-prefixed `f64` slice.
     pub fn f64_slice(&mut self, v: &[f64]) {
         self.u32(v.len() as u32);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
+        for (dst, &x) in self.grow(8 * v.len()).chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
+    /// Extends the buffer by `n` bytes in one step and returns them.
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+}
+
+/// A `chunks_exact(N)` chunk as an array, for the `from_le_bytes`
+/// decoders.
+fn le<const N: usize>(c: &[u8]) -> [u8; N] {
+    let mut a = [0u8; N];
+    a.copy_from_slice(c);
+    a
 }
 
 /// Little-endian payload reader; every accessor fails loudly on a
@@ -320,16 +351,9 @@ impl<'a> Rd<'a> {
         Ok(s)
     }
 
-    /// Four payload bytes as an array (for the LE integer decoders).
-    fn take4(&mut self) -> Result<[u8; 4], String> {
-        let s = self.take(4)?;
-        Ok([s[0], s[1], s[2], s[3]])
-    }
-
-    /// Eight payload bytes as an array.
-    fn take8(&mut self) -> Result<[u8; 8], String> {
-        let s = self.take(8)?;
-        Ok([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
+    /// `N` payload bytes as an array (for the LE decoders).
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(le(self.take(N)?))
     }
 
     /// Reads a `u8`.
@@ -338,15 +362,15 @@ impl<'a> Rd<'a> {
     }
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take4()?))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take8()?))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
     /// Reads an `f64`.
     pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take8()?))
+        Ok(f64::from_le_bytes(self.take_array()?))
     }
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, String> {
@@ -354,30 +378,47 @@ impl<'a> Rd<'a> {
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| "invalid utf-8 in string field".into())
     }
+    /// Reads a slice's `u32` length prefix and checks that `n` elements
+    /// of `width` bytes fit in what is left of the payload, before
+    /// anything is reserved for them.
+    fn slice_len(&mut self, width: usize, what: &str) -> Result<usize, String> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / width {
+            return Err(format!("{what} slice length {n} exceeds payload"));
+        }
+        Ok(n)
+    }
     /// Reads a length-prefixed index slice.
     pub fn idx_slice(&mut self) -> Result<Vec<usize>, String> {
-        let n = self.u32()? as usize;
-        // Bound the reservation by what the payload can actually hold.
-        if n > self.buf.len().saturating_sub(self.pos) / 4 {
-            return Err(format!("index slice length {n} exceeds payload"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()? as usize);
-        }
-        Ok(out)
+        let n = self.slice_len(4, "index")?;
+        let bytes = self.take(4 * n)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(le(c)) as usize)
+            .collect())
     }
     /// Reads a length-prefixed `f64` slice.
     pub fn f64_slice(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len().saturating_sub(self.pos) / 8 {
-            return Err(format!("f64 slice length {n} exceeds payload"));
+        let n = self.f64_len()?;
+        let bytes = self.take(8 * n)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(le(c)))
+            .collect())
+    }
+    /// Reads the length prefix of an `f64` slice, checked against the
+    /// rest of the payload; [`f64s_into`](Self::f64s_into) then reads
+    /// its elements into a buffer the caller already holds.
+    pub fn f64_len(&mut self) -> Result<usize, String> {
+        self.slice_len(8, "f64")
+    }
+    /// Reads `out.len()` `f64`s (no length prefix) into `out`.
+    pub fn f64s_into(&mut self, out: &mut [f64]) -> Result<(), String> {
+        let bytes = self.take(8 * out.len())?;
+        for (x, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *x = f64::from_le_bytes(le(c));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        Ok(())
     }
     /// Asserts the payload was fully consumed.
     pub fn finish(self) -> Result<(), String> {
@@ -486,14 +527,138 @@ mod tests {
 
     #[test]
     fn length_bomb_rejected_without_allocation() {
-        // A slice header claiming 1 billion entries inside a 12-byte
-        // payload must error before reserving memory.
+        // A slice header claiming 1 billion (or u32::MAX) entries inside
+        // a 12-byte payload must error before reserving memory: a
+        // reservation of 32 GiB would abort the test process.
+        for claim in [1_000_000_000, u32::MAX] {
+            let mut w = Wr::new();
+            w.u32(claim);
+            w.u64(0);
+            let bytes = w.into_bytes();
+            assert!(Rd::new(&bytes).idx_slice().is_err(), "{claim}");
+            assert!(Rd::new(&bytes).f64_slice().is_err(), "{claim}");
+            assert!(Rd::new(&bytes).f64_len().is_err(), "{claim}");
+        }
+    }
+
+    /// The slice lengths the bulk codec must get right: empty, one
+    /// element, either side of a power of two, and a long odd run.
+    const LENGTHS: [usize; 6] = [0, 1, 7, 8, 9, 4099];
+
+    #[test]
+    fn f64_slice_roundtrips_every_bit_pattern() {
+        let specials = [
+            f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_dead_beef_0000), // negative NaN, payload
+            -0.0,
+            0.0,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -1.5e-300,
+        ];
+        for n in LENGTHS {
+            let v: Vec<f64> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => specials[i / 3 % specials.len()],
+                    1 => f64::from_bits((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                    _ => i as f64 * -0.25,
+                })
+                .collect();
+            let mut w = Wr::new();
+            w.u8(9);
+            w.f64_slice(&v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), 1 + 4 + 8 * n);
+            let mut r = Rd::new(&bytes);
+            assert_eq!(r.u8().unwrap(), 9);
+            let back = r.f64_slice().unwrap();
+            r.finish().unwrap();
+            let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&v), "n = {n}");
+            // The per-element layout is the scalar one: LE bits in order.
+            for (i, x) in v.iter().enumerate() {
+                let at = 1 + 4 + 8 * i;
+                assert_eq!(bytes[at..at + 8], x.to_le_bytes(), "n = {n}, i = {i}");
+            }
+            // The same values read into a caller's buffer.
+            let mut r = Rd::new(&bytes[1..]);
+            let mut into = vec![7.0; r.f64_len().unwrap()];
+            r.f64s_into(&mut into).unwrap();
+            r.finish().unwrap();
+            assert_eq!(bits(&into), bits(&v), "n = {n} (into)");
+        }
+    }
+
+    #[test]
+    fn idx_slice_roundtrips_every_bit_pattern() {
+        for n in LENGTHS {
+            let v: Vec<usize> = (0..n)
+                .map(|i| match i % 4 {
+                    0 => u32::MAX as usize,
+                    1 => 0,
+                    2 => (i as u32).wrapping_mul(0x9e37_79b9) as usize,
+                    _ => 1 << 31,
+                })
+                .collect();
+            let mut w = Wr::new();
+            w.idx_slice(&v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), 4 + 4 * n);
+            for (i, &x) in v.iter().enumerate() {
+                let at = 4 + 4 * i;
+                assert_eq!(bytes[at..at + 4], (x as u32).to_le_bytes(), "n = {n}");
+            }
+            let mut r = Rd::new(&bytes);
+            assert_eq!(r.idx_slice().unwrap(), v, "n = {n}");
+            r.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn slices_reject_short_payloads_and_trailing_bytes() {
         let mut w = Wr::new();
-        w.u32(1_000_000_000);
-        w.u64(0);
+        w.idx_slice(&[1, 2, 3]);
+        w.f64_slice(&[0.5, -0.0, f64::NAN]);
+        w.u8(0);
         let bytes = w.into_bytes();
-        assert!(Rd::new(&bytes).idx_slice().is_err());
-        assert!(Rd::new(&bytes).f64_slice().is_err());
+        let mut r = Rd::new(&bytes);
+        r.idx_slice().unwrap();
+        r.f64_slice().unwrap();
+        assert!(r.finish().is_err(), "a trailing byte must be an error");
+        // A prefix one element longer than the bytes that follow.
+        let mut w = Wr::new();
+        w.u32(2);
+        w.f64(1.0);
+        assert!(Rd::new(&w.into_bytes()).f64_slice().is_err());
+        // Reading into a buffer longer than what is left.
+        let mut w = Wr::new();
+        w.f64(1.0);
+        let b = w.into_bytes();
+        assert!(Rd::new(&b).f64s_into(&mut [0.0; 2]).is_err());
+    }
+
+    #[test]
+    fn read_frame_into_reuses_one_buffer() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, 1, &[7u8; 40]).unwrap();
+        write_frame(&mut buf, 2, 2, b"abc").unwrap();
+        write_frame(&mut buf, 3, 3, &[9u8; 20]).unwrap();
+        let mut r = &buf[..];
+        let mut payload = Vec::new();
+        assert_eq!(read_frame_into(&mut r, &mut payload).unwrap(), (1, 1));
+        assert_eq!(payload, [7u8; 40]);
+        let cap = payload.capacity();
+        assert_eq!(read_frame_into(&mut r, &mut payload).unwrap(), (2, 2));
+        assert_eq!(payload, b"abc");
+        assert_eq!(read_frame_into(&mut r, &mut payload).unwrap(), (3, 3));
+        assert_eq!(payload, [9u8; 20]);
+        assert_eq!(payload.capacity(), cap, "no frame outgrew the first");
+        assert!(read_frame_into(&mut r, &mut payload).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use basker_api::{Engine, ReusePolicy};
 use basker_serve::client::{Client, ClientError};
-use basker_serve::proto::{ErrCode, OpenRequest};
+use basker_serve::proto::{decode_response, encode_step, kind, ErrCode, OpenRequest, Response};
 use basker_serve::shard::{ShardSet, ShardSpec};
 use basker_serve::wire::{Addr, Listener};
 use basker_serve::Router;
@@ -89,6 +89,104 @@ fn direct_shard_roundtrip() {
     }
     assert_eq!(cl.ping().expect("conn still usable"), 0);
     drop(cl);
+    set.shutdown_all();
+}
+
+/// The error a raw exchange was answered with; panics on anything else.
+fn exchanged_error(cl: &mut Client, payload: &[u8]) -> basker_serve::WireError {
+    let mut reply = Vec::new();
+    let k = cl
+        .exchange(kind::STEP, payload, &mut reply)
+        .expect("answered under the request's id");
+    match decode_response(k, &reply).expect("a well-formed reply") {
+        Response::Err(e) => e,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// The router forwards `Step` frames as bytes: a malformed one comes
+/// back as the shard's protocol error under the client's `req_id`, a
+/// frame the router cannot route is answered by the router itself, and
+/// a forwarded step is bit-identical to the same step sent straight to
+/// the shard.
+#[test]
+fn router_forwards_step_frames_as_bytes() {
+    let set = fleet("forward", 1);
+    let listener =
+        Listener::bind(&Addr::Uds(temp_dir("forward").join("router.sock"))).expect("bind router");
+    let router = Router::start(listener, set.clone()).expect("start router");
+    let mut routed = Client::connect(&router.addr()).expect("router conn");
+    let mut direct = Client::connect(&set.addr(0)).expect("shard conn");
+    for cl in [&mut routed, &mut direct] {
+        cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    }
+    let n = 30;
+    let (stream, _) = routed.open_stream(&open_request(n)).expect("open routed");
+    let (direct_stream, _) = direct.open_stream(&open_request(n)).expect("open direct");
+
+    let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for s in 0..3 {
+        let m = tridiag(n, 1.0 + 0.02 * s as f64);
+        let rhs: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let a = routed.step(stream, true, m.values(), &rhs).expect("routed");
+        let b = direct
+            .step(direct_stream, true, m.values(), &rhs)
+            .expect("direct");
+        assert_eq!(a.state, b.state, "step {s}");
+        assert_eq!(bits(&a.x), bits(&b.x), "step {s}: x");
+        assert_eq!(a.quality.len(), b.quality.len());
+        for (qa, qb) in a.quality.iter().zip(&b.quality) {
+            assert_eq!((qa.iterations, qa.converged), (qb.iterations, qb.converged));
+            assert_eq!(
+                (qa.initial_residual.to_bits(), qa.residual.to_bits()),
+                (qb.initial_residual.to_bits(), qb.residual.to_bits()),
+                "step {s}: quality"
+            );
+        }
+    }
+
+    // A values slice cut short: the shard's decode rejects it, and the
+    // router passes the error back and counts it.
+    let m = tridiag(n, 1.5);
+    let rhs = vec![1.0; n];
+    let before = routed.stats().expect("stats").router;
+    let full = encode_step(stream, true, m.values(), &rhs);
+    let cut = 8 + 1 + 4 + 8 * (m.nnz() / 2);
+    let e = exchanged_error(&mut routed, &full[..cut]);
+    assert_eq!(e.code, ErrCode::Protocol, "{e}");
+    let after = routed.stats().expect("stats").router;
+    assert_eq!(after.errors, before.errors + 1);
+    assert_eq!(after.steps, before.steps + 1, "the frame was forwarded");
+    assert_eq!((after.respawns, after.failovers), (0, 0));
+    let ok = routed
+        .step(stream, true, m.values(), &rhs)
+        .expect("next step");
+    assert!(ok.quality[0].converged);
+
+    // Too short to hold a stream id, and an unknown stream: the router
+    // answers both itself, forwarding nothing.
+    let before = routed.stats().expect("stats").router;
+    let e = exchanged_error(&mut routed, &full[..7]);
+    assert_eq!(e.code, ErrCode::Protocol, "{e}");
+    assert!(e.message.contains("no stream id"), "{e}");
+    let mut unknown = full.clone();
+    unknown[..8].copy_from_slice(&9999u64.to_le_bytes());
+    let e = exchanged_error(&mut routed, &unknown);
+    assert_eq!(e.code, ErrCode::Protocol, "{e}");
+    assert!(e.message.contains("unknown stream 9999"), "{e}");
+    let after = routed.stats().expect("stats").router;
+    assert_eq!(after.errors, before.errors + 2);
+    assert_eq!(after.steps, before.steps, "nothing was forwarded");
+    assert!(
+        routed
+            .step(stream, true, m.values(), &rhs)
+            .expect("still usable")
+            .quality[0]
+            .converged
+    );
+
+    drop((routed, direct));
+    drop(router);
     set.shutdown_all();
 }
 

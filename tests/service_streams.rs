@@ -3,8 +3,18 @@
 //! threads, and the zero-OS-threads-after-warm-up property of the
 //! shared-team scheduler.
 
+use basker_repro::basker_runtime::os_threads_spawned;
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by each test for its whole run, so no sibling test builds a
+/// team inside another's spawn-count window.
+static ALONE: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ALONE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn circuitish(n: usize, shift: f64) -> CscMat {
     let mut t = TripletMat::new(n, n);
@@ -50,6 +60,7 @@ fn stream_cfg(engine: Engine) -> SessionConfig {
 /// correct residuals, and the victim recovers on its next healthy step.
 #[test]
 fn hard_failure_in_one_stream_is_isolated() {
+    let _alone = alone();
     // The pivoting engines report the collapse as an error; exercise
     // each as the victim while siblings span all three engines.
     for victim_engine in [Engine::Klu, Engine::Basker] {
@@ -109,6 +120,7 @@ fn hard_failure_in_one_stream_is_isolated() {
 /// step whose matrix no longer matches the analyzed pattern.
 #[test]
 fn snlu_stream_errors_are_isolated_too() {
+    let _alone = alone();
     let service = SolverService::new(&ServiceConfig::new().threads(2));
     let a = circuitish(16, 0.0);
     let mut victim = service.stream(&a, &stream_cfg(Engine::Snlu)).unwrap();
@@ -139,6 +151,7 @@ fn snlu_stream_errors_are_isolated_too() {
 /// team, spawning **zero** OS threads after warm-up.
 #[test]
 fn concurrent_callers_share_one_warm_team() {
+    let _alone = alone();
     let service = SolverService::new(&ServiceConfig::new().threads(2));
     let nstreams = 6usize;
     let nsteps = 8usize;
@@ -154,10 +167,9 @@ fn concurrent_callers_share_one_warm_team() {
             h
         })
         .collect();
-    // Per team, not process-wide: sibling tests in this binary build
-    // services meanwhile. Streams run their engines serially, so the
-    // service's team is the only one this traffic can spawn on.
-    let spawned = service.team().threads_spawned();
+    // Process-wide: the tests of this binary take turns (`ALONE`), so
+    // only this traffic can spawn in the window.
+    let spawned = os_threads_spawned();
 
     std::thread::scope(|scope| {
         for (k, mut h) in handles.drain(..).enumerate() {
@@ -190,7 +202,7 @@ fn concurrent_callers_share_one_warm_team() {
     });
 
     assert_eq!(
-        service.team().threads_spawned(),
+        os_threads_spawned(),
         spawned,
         "steady-state service traffic must not spawn OS threads"
     );
@@ -205,6 +217,7 @@ fn concurrent_callers_share_one_warm_team() {
 /// and `drain` settles everything a caller never awaited.
 #[test]
 fn pipelined_bursts_respect_order_and_bounds() {
+    let _alone = alone();
     let service = SolverService::new(&ServiceConfig::new().threads(2).queue_capacity(2));
     let a = circuitish(14, 0.0);
     let mut h = service.stream(&a, &stream_cfg(Engine::Klu)).unwrap();

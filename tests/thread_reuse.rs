@@ -8,7 +8,7 @@
 //! The tests in this binary take turns (`ALONE`) so no concurrent test
 //! thread can perturb the process thread count in a measurement window.
 //! Analyze runs on the team as well: warm analyzes spawn nothing, and
-//! one called from inside a team job runs inline.
+//! one called from inside a team job runs inline, as does a factor.
 
 use basker_repro::basker_runtime::{os_threads_spawned, shared_team};
 use basker_repro::prelude::*;
@@ -169,14 +169,14 @@ fn analyze_inside_a_team_job_runs_inline() {
     let a = two_nd_block_circuit();
     let want = Basker::analyze(&a, &basker_opts(2)).unwrap();
     let team = shared_team(2, false);
-    let spawned_before = team.threads_spawned();
+    let spawned_before = os_threads_spawned();
     let got: Vec<Mutex<Option<Basker>>> = (0..2).map(|_| Mutex::new(None)).collect();
     team.run_worklist(2, |i| {
         let sym = Basker::analyze(&a, &basker_opts(2)).unwrap();
         *got[i].lock().unwrap() = Some(sym);
     });
     assert_eq!(
-        team.threads_spawned(),
+        os_threads_spawned(),
         spawned_before,
         "a nested analyze spawned"
     );
@@ -189,4 +189,36 @@ fn analyze_inside_a_team_job_runs_inline() {
         );
         assert_eq!(nd_blocks(&sym), 2);
     }
+}
+
+/// A factor issued from inside a job on the handle's own team runs its
+/// stages inline instead of spawning ranks for them.
+#[test]
+fn factor_from_a_rank_of_its_own_team_spawns_no_thread() {
+    let _alone = alone();
+    let a = mesh2d(16, 7);
+    let opts = BaskerOptions {
+        nd_threshold: 32,
+        ..basker_opts(2)
+    };
+    let sym = Basker::analyze(&a, &opts).unwrap();
+    let st = sym.structure();
+    assert!(st.nblocks() == 1 && st.nd_block(0).is_some());
+    let xtrue: Vec<f64> = (0..a.ncols()).map(|i| 0.5 + (i % 5) as f64).collect();
+    let b = spmv(&a, &xtrue);
+    let spawned_before = os_threads_spawned();
+    sym.team().run_worklist(2, |_| {
+        let mut ws = SolveWorkspace::for_dim(a.ncols());
+        for _ in 0..5 {
+            let mut x = b.clone();
+            sym.factor(&a).unwrap().solve_in_place(&mut x, &mut ws);
+            let res = relative_residual(&a, &x, &b);
+            assert!(res < 1e-11, "residual {res}");
+        }
+    });
+    assert_eq!(
+        os_threads_spawned(),
+        spawned_before,
+        "a nested factor spawned"
+    );
 }
