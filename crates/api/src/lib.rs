@@ -38,8 +38,7 @@
 //! 1. **One lifecycle.** The [`SparseLuSolver`] / [`LuNumeric`] trait
 //!    pair is implemented by every engine, so driver code (benchmark
 //!    harnesses, transient simulators, batching layers) is written once
-//!    — and [`SolveSession`] is generic over it, running statically
-//!    dispatched on a concrete engine or type-erased via
+//!    — and [`SolveSession`] drives it through the type-erased
 //!    [`LinearSolver`].
 //! 2. **Allocation-free hot path.** Solves work entirely in pooled
 //!    [`SolveWorkspace`] scratch; after warm-up, a session's
@@ -96,6 +95,7 @@ pub use config::{Engine, SolverConfig};
 pub use error::SolverError;
 pub use service::{
     ServiceConfig, ServiceStats, SolverService, StepResult, StepTicket, StreamHandle, StreamStats,
+    STREAM_QUEUE_BOUND,
 };
 pub use session::{
     ReusePolicy, SessionConfig, SessionState, SessionStats, SolveQuality, SolveSession,

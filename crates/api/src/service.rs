@@ -49,7 +49,7 @@
 //!   width, not the stream count
 //!   ([`SolveSession::swap_workspace`]).
 //! * **Fairness and backpressure.** Per-stream queues are bounded
-//!   ([`ServiceConfig::queue_capacity`]); a submitter hitting the bound
+//!   ([`STREAM_QUEUE_BOUND`] steps); a submitter hitting the bound
 //!   blocks (helping dispatch if nobody else is). The scheduler picks
 //!   round-robin across streams in creation order: every stream with a
 //!   pending job gets a rank before any stream gets two.
@@ -87,25 +87,30 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+/// Steps a stream may have queued before [`StreamHandle::submit`]
+/// exerts backpressure (blocks, helping dispatch). It also bounds each
+/// stream's pool of recycled step matrices. Four keeps a pipelining
+/// client's next steps queued behind the running one without letting
+/// one stream's backlog grow unbounded.
+pub const STREAM_QUEUE_BOUND: usize = 4;
+
 /// Builder-style configuration of a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     threads: usize,
-    queue_capacity: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: basker::env_default_threads().unwrap_or(2),
-            queue_capacity: 4,
         }
     }
 }
 
 impl ServiceConfig {
     /// The default service: a shared team of `BASKER_NUM_THREADS` (or 2)
-    /// ranks and 4 queued steps per stream.
+    /// ranks.
     pub fn new() -> ServiceConfig {
         ServiceConfig::default()
     }
@@ -114,14 +119,6 @@ impl ServiceConfig {
     /// (default: the `BASKER_NUM_THREADS` environment override, else 2).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Maximum steps a stream may have queued before
-    /// [`StreamHandle::submit`] exerts backpressure (blocks; minimum 1,
-    /// default 4).
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap.max(1);
         self
     }
 }
@@ -149,38 +146,15 @@ pub struct StepTicket {
     slot: Arc<TicketSlot>,
 }
 
+/// A ticket's result: `None` until the job has run.
+#[derive(Default)]
 struct TicketSlot {
-    done: Mutex<TicketState>,
-}
-
-enum TicketState {
-    /// The job has not run yet.
-    Pending,
-    /// The job ran; the result awaits pickup.
-    Ready(Box<Result<StepResult, SolverError>>),
-    /// The result was already taken (by `try_wait`).
-    Taken,
+    done: Mutex<Option<Result<StepResult, SolverError>>>,
 }
 
 impl TicketSlot {
-    fn new() -> TicketSlot {
-        TicketSlot {
-            done: Mutex::new(TicketState::Pending),
-        }
-    }
-
     fn fulfill(&self, result: Result<StepResult, SolverError>) {
-        *self.done.lock().unwrap() = TicketState::Ready(Box::new(result));
-    }
-
-    /// Takes the result if ready; `Pending` and `Taken` pass through.
-    fn poll(&self) -> TicketState {
-        let mut g = self.done.lock().unwrap();
-        match &*g {
-            TicketState::Pending => TicketState::Pending,
-            TicketState::Taken => TicketState::Taken,
-            TicketState::Ready(_) => std::mem::replace(&mut *g, TicketState::Taken),
-        }
+        *self.done.lock().unwrap() = Some(result);
     }
 }
 
@@ -309,7 +283,6 @@ impl Drop for SolverService {
 
 struct ServiceInner {
     team: Arc<WorkerTeam>,
-    queue_capacity: usize,
     state: Mutex<SchedState>,
     /// Signalled after every committed batch (results landed, the driver
     /// seat freed) — step waiters and `drain` park here.
@@ -348,9 +321,6 @@ struct SchedState {
     /// Warm solve workspaces shared across all streams, ≤ team width of
     /// them in steady state.
     pool: Vec<SolveWorkspace>,
-    /// Bound on each stream's recycled-matrix pool (mirrors the
-    /// service's queue capacity).
-    spare_cap: usize,
     stats: Counters,
 }
 
@@ -363,8 +333,9 @@ struct StreamEntry {
     /// works while the session is out executing.
     session_stats: SessionStats,
     queue: VecDeque<PendingJob>,
-    /// Matrices recycled from completed jobs: `submit` reuses one with
-    /// a matching pattern (values-only copy) instead of cloning.
+    /// Matrices recycled from completed jobs, at most
+    /// [`STREAM_QUEUE_BOUND`]: `submit` reuses one with a matching
+    /// pattern (values-only copy) instead of cloning.
     spare: Vec<CscMat>,
     running: bool,
     closed: bool,
@@ -385,7 +356,7 @@ impl StreamEntry {
             poisoned: self.poisoned,
             steps: self.steps,
             errors: self.errors,
-            session: self.session_stats.clone(),
+            session: self.session_stats,
         }
     }
 }
@@ -426,7 +397,6 @@ impl SolverService {
         SolverService {
             inner: Arc::new(ServiceInner {
                 team: shared_team(cfg.threads, false),
-                queue_capacity: cfg.queue_capacity,
                 state: Mutex::new(SchedState {
                     streams: HashMap::new(),
                     order: Vec::new(),
@@ -435,7 +405,6 @@ impl SolverService {
                     driver: false,
                     shutdown: false,
                     pool: Vec::new(),
-                    spare_cap: cfg.queue_capacity,
                     stats: Counters::default(),
                 }),
                 done: Condvar::new(),
@@ -493,11 +462,6 @@ impl SolverService {
         })
     }
 
-    /// The shared worker team jobs run on.
-    pub fn team(&self) -> &Arc<WorkerTeam> {
-        &self.inner.team
-    }
-
     /// Runs queued jobs until no stream has pending or executing work.
     /// Useful after a burst of [`StreamHandle::submit`]s whose tickets
     /// are collected later (or were dropped).
@@ -536,12 +500,6 @@ impl SolverService {
     /// invoked automatically when the last `SolverService` handle drops.
     pub fn shutdown(&self) {
         self.inner.shutdown();
-    }
-
-    /// Whether [`shutdown`](Self::shutdown) has run (no new work is
-    /// accepted).
-    pub fn is_shut_down(&self) -> bool {
-        self.inner.state.lock().unwrap().shutdown
     }
 
     /// A consistent snapshot of the service's aggregate and per-stream
@@ -674,7 +632,7 @@ impl StreamHandle {
                 found: (rhs.len(), 1),
             }));
         }
-        let slot = Arc::new(TicketSlot::new());
+        let slot = Arc::new(TicketSlot::default());
         let mut rhs = Some(rhs);
         let mut st = self.inner.state.lock().unwrap();
         loop {
@@ -689,7 +647,7 @@ impl StreamHandle {
                     "stream was poisoned by a panicked job".into(),
                 ));
             }
-            if entry.queue.len() < self.inner.queue_capacity {
+            if entry.queue.len() < STREAM_QUEUE_BOUND {
                 // Recycle a completed job's matrix when the pattern
                 // matches (the steady state: a stream's pattern is
                 // fixed), copying only the values — the hot submit path
@@ -759,14 +717,8 @@ impl StepTicket {
     pub fn wait(self) -> Result<StepResult, SolverError> {
         let mut st = self.inner.state.lock().unwrap();
         loop {
-            match self.slot.poll() {
-                TicketState::Ready(r) => return *r,
-                TicketState::Taken => {
-                    return Err(SolverError::Config(
-                        "step result was already taken by try_wait".into(),
-                    ))
-                }
-                TicketState::Pending => {}
+            if let Some(result) = self.slot.done.lock().unwrap().take() {
+                return result;
             }
             if !st.driver {
                 let (st2, ran) = self.inner.dispatch(st);
@@ -776,26 +728,6 @@ impl StepTicket {
                 }
             }
             st = self.inner.done.wait(st).unwrap();
-        }
-    }
-
-    /// Polling probe: the result if the job has run, else `None` without
-    /// parking. A polling-only caller still makes progress: when nobody
-    /// holds the driver seat, the probe dispatches one batch of queued
-    /// work (finite, no condvar wait) before re-checking.
-    pub fn try_wait(&self) -> Option<Result<StepResult, SolverError>> {
-        match self.slot.poll() {
-            TicketState::Ready(r) => return Some(*r),
-            TicketState::Taken => return None,
-            TicketState::Pending => {}
-        }
-        let st = self.inner.state.lock().unwrap();
-        if !st.driver {
-            let _ = self.inner.dispatch(st);
-        }
-        match self.slot.poll() {
-            TicketState::Ready(r) => Some(*r),
-            _ => None,
         }
     }
 }
@@ -935,12 +867,12 @@ impl SchedState {
             if fin.result.is_err() {
                 e.errors += 1;
             }
-            if e.spare.len() < self.spare_cap {
+            if e.spare.len() < STREAM_QUEUE_BOUND {
                 e.spare.push(fin.matrix);
             }
             match fin.session {
                 Some(s) => {
-                    e.session_stats = s.stats().clone();
+                    e.session_stats = *s.stats();
                     e.session = Some(s);
                 }
                 None => {
@@ -1162,7 +1094,7 @@ mod tests {
 
     #[test]
     fn backpressure_bounds_the_queue() {
-        let service = SolverService::new(&ServiceConfig::new().threads(1).queue_capacity(2));
+        let service = SolverService::new(&ServiceConfig::new().threads(1));
         let a = circuitish(10, 0.0);
         let mut h = service
             .stream(&a, &SessionConfig::new().engine(Engine::Klu))
@@ -1177,9 +1109,10 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!(stats.steps, 10);
-        assert!(
-            stats.max_queue_depth <= 2,
-            "queue overflowed: {}",
+        // Nobody else drives, so the queue fills to the bound exactly.
+        assert_eq!(
+            stats.max_queue_depth, STREAM_QUEUE_BOUND,
+            "queue depth {} against the bound",
             stats.max_queue_depth
         );
     }
@@ -1194,32 +1127,6 @@ mod tests {
         assert!(h.submit(&circuitish(9, 0.0), vec![]).is_err());
         assert!(h.submit(&a, vec![1.0; 11]).is_err());
         assert_eq!(service.stats().steps, 0);
-    }
-
-    #[test]
-    fn polling_only_caller_makes_progress() {
-        // A caller that only ever calls try_wait (never wait/drain) must
-        // still see its job complete: the probe itself dispatches queued
-        // work when the driver seat is free.
-        let service = SolverService::new(&ServiceConfig::new().threads(2));
-        let a = circuitish(12, 0.0);
-        let mut h = service
-            .stream(&a, &SessionConfig::new().engine(Engine::Klu))
-            .unwrap();
-        let t = h.submit(&a, vec![1.0; 12]).unwrap();
-        let mut polls = 0usize;
-        let r = loop {
-            if let Some(r) = t.try_wait() {
-                break r;
-            }
-            polls += 1;
-            assert!(polls < 100, "polling-only caller starved");
-        };
-        assert_eq!(r.unwrap().x.len(), 12);
-        // The result is gone after the successful probe; a late wait()
-        // reports that instead of parking forever.
-        let err = t.wait().unwrap_err();
-        assert!(matches!(err, SolverError::Config(_)), "{err:?}");
     }
 
     #[test]
@@ -1238,18 +1145,17 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_tickets_and_rejects_new_work() {
-        let service = SolverService::new(&ServiceConfig::new().threads(1).queue_capacity(8));
+        let service = SolverService::new(&ServiceConfig::new().threads(1));
         let a = circuitish(12, 0.0);
         let mut h = service
             .stream(&a, &SessionConfig::new().engine(Engine::Klu))
             .unwrap();
         // Queue steps without waiting: no caller takes the driver seat,
         // so every job is still pending when shutdown drains them.
-        let tickets: Vec<StepTicket> = (0..4)
+        let tickets: Vec<StepTicket> = (0..STREAM_QUEUE_BOUND)
             .map(|_| h.submit(&a, vec![1.0; 12]).unwrap())
             .collect();
         service.shutdown();
-        assert!(service.is_shut_down());
         for t in tickets {
             assert!(matches!(t.wait(), Err(SolverError::ServiceShutdown)));
         }
@@ -1264,15 +1170,16 @@ mod tests {
         // Idempotent, and counters account the drained steps as errors.
         service.shutdown();
         let stats = service.stats();
-        assert_eq!((stats.steps, stats.errors, stats.queued), (4, 4, 0));
+        let k = STREAM_QUEUE_BOUND;
+        assert_eq!((stats.steps, stats.errors, stats.queued), (k, k, 0));
     }
 
     #[test]
     fn shutdown_releases_concurrent_submitters() {
-        // A submitter hammering a capacity-1 queue from another thread
-        // must come back (with ServiceShutdown) instead of staying
-        // parked when the service shuts down under it.
-        let service = SolverService::new(&ServiceConfig::new().threads(1).queue_capacity(1));
+        // A submitter hammering its queue from another thread must come
+        // back (with ServiceShutdown) instead of staying parked when the
+        // service shuts down under it.
+        let service = SolverService::new(&ServiceConfig::new().threads(1));
         let a = circuitish(10, 0.0);
         let mut h = service
             .stream(&a, &SessionConfig::new().engine(Engine::Klu))
@@ -1299,12 +1206,22 @@ mod tests {
             }
             outcomes
         });
-        // Let a few steps land, then pull the plug mid-stream.
-        while service.stats().steps < 3 {
+        // Let a few steps land, then pull the plug mid-stream. Bounded
+        // waits: a stuck submitter fails the test instead of hanging it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let bounded = |what: &str| {
+            let late = std::time::Instant::now() >= deadline;
+            assert!(!late, "{what} after 60 s: {:?}", service.stats());
             std::thread::yield_now();
+        };
+        while service.stats().steps < 3 && !submitter.is_finished() {
+            bounded("fewer than 3 steps");
         }
         service.shutdown();
-        let (completed, shutdown) = submitter.join().expect("submitter must not hang");
+        while !submitter.is_finished() {
+            bounded("submitter still parked");
+        }
+        let (completed, shutdown) = submitter.join().expect("submitter thread");
         assert!(completed >= 3);
         // Either the submitter saw the shutdown, or it had already
         // finished all 200 steps before shutdown landed.
@@ -1321,7 +1238,11 @@ mod tests {
         let t = h.submit(&a, vec![1.0; 10]).unwrap();
         let clone = service.clone();
         drop(service);
-        assert!(!clone.is_shut_down(), "a live clone keeps the service up");
+        let cfg = SessionConfig::new().engine(Engine::Klu);
+        assert!(
+            clone.stream(&a, &cfg).is_ok(),
+            "a live clone keeps the service up"
+        );
         drop(clone);
         // The ticket and handle keep the shared state alive, but the
         // last *service* handle going away drained the queue.

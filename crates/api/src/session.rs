@@ -59,9 +59,7 @@
 
 use crate::config::{Engine, SolverConfig};
 use crate::error::SolverError;
-use crate::solver::{
-    packed_rhs_count, FactorQuality, LinearSolver, LuNumeric, SolverStats, SparseLuSolver,
-};
+use crate::solver::{packed_rhs_count, FactorQuality, Factorization, LinearSolver, SolverStats};
 use basker::refactor::ItemCell;
 use basker::stages::DISPATCH_BREAK_EVEN_FLOPS;
 use basker_runtime::WorkerTeam;
@@ -238,7 +236,7 @@ pub struct SolveQuality {
 /// Per-session counters: every lifecycle decision the policy made, plus
 /// aggregate solve quality. All counters are cumulative over the
 /// session's lifetime.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
     /// Matrices fed through [`step`](SolveSession::step).
     pub steps: usize,
@@ -289,23 +287,19 @@ struct QualityBaseline {
     perturbed: usize,
 }
 
-/// A long-lived solving session over a stream of same-pattern matrices.
-///
-/// Generic over the symbolic handle so it runs statically dispatched
-/// over a concrete engine (`SolveSession<Basker>` via
-/// [`SparseLuSolver::into_session`]) or type-erased over
-/// [`LinearSolver`] (the default, via [`SolveSession::new`]).
-pub struct SolveSession<S: SparseLuSolver = LinearSolver> {
-    solver: S,
-    num: Option<S::Numeric>,
+/// A long-lived solving session over a stream of same-pattern matrices,
+/// driving one [`LinearSolver`] handle.
+pub struct SolveSession {
+    solver: LinearSolver,
+    num: Option<Factorization>,
     policy: ReusePolicy,
     refine: RefineParams,
     state: SessionState,
     stats: SessionStats,
-    /// The current step's matrix (pattern captured once, values
+    /// The current step's matrix (the analyzed pattern, values
     /// refreshed per step) — refinement and the residual gate correct
     /// against it.
-    current: Option<CscMat>,
+    current: CscMat,
     /// `‖A‖∞` of the current step's matrix.
     a_norm: f64,
     baseline: Option<QualityBaseline>,
@@ -320,34 +314,22 @@ pub struct SolveSession<S: SparseLuSolver = LinearSolver> {
     ranks: Vec<RankPass>,
 }
 
-impl SolveSession<LinearSolver> {
+impl SolveSession {
     /// Analyzes `a`'s pattern (resolving [`Engine::Auto`]) and opens a
     /// session for matrices sharing it. No numeric factorization happens
     /// yet — feed the first matrix (usually `a` itself) through
     /// [`step`](Self::step).
     pub fn new(a: &CscMat, cfg: &SessionConfig) -> Result<SolveSession, SolverError> {
         let solver = LinearSolver::analyze(a, &cfg.solver)?;
-        let mut s = SolveSession::over(solver, cfg);
-        s.capture_pattern(a);
-        Ok(s)
-    }
-}
-
-impl<S: SparseLuSolver> SolveSession<S> {
-    /// Wraps an already-analyzed symbolic handle in a session (the
-    /// statically dispatched entry; engine settings inside
-    /// `cfg.solver_config()` are ignored — the handle already embeds
-    /// its own).
-    pub fn over(solver: S, cfg: &SessionConfig) -> SolveSession<S> {
         let n = solver.dim();
-        SolveSession {
+        Ok(SolveSession {
             solver,
             num: None,
             policy: cfg.policy,
             refine: cfg.refine,
             state: SessionState::Analyzed,
             stats: SessionStats::default(),
-            current: None,
+            current: a.clone(),
             a_norm: 0.0,
             baseline: None,
             ws: SolveWorkspace::for_dim(n),
@@ -355,7 +337,7 @@ impl<S: SparseLuSolver> SolveSession<S> {
             resid: vec![0.0; n],
             panels: Vec::new(),
             ranks: Vec::new(),
-        }
+        })
     }
 
     /// The concrete engine driving this session.
@@ -379,24 +361,18 @@ impl<S: SparseLuSolver> SolveSession<S> {
     }
 
     /// The underlying symbolic handle.
-    pub fn solver(&self) -> &S {
+    pub fn solver(&self) -> &LinearSolver {
         &self.solver
     }
 
     /// The current numeric factors, if any step has run.
-    pub fn numeric(&self) -> Option<&S::Numeric> {
+    pub fn numeric(&self) -> Option<&Factorization> {
         self.num.as_ref()
     }
 
     /// Pivot quality of the current factors, if any step has run.
     pub fn quality(&self) -> Option<FactorQuality> {
         self.num.as_ref().map(|n| n.quality())
-    }
-
-    /// Seeds `current` with the pattern (and values) of `a` without any
-    /// numeric work.
-    fn capture_pattern(&mut self, a: &CscMat) {
-        self.current = Some(a.clone());
     }
 
     /// Exchanges the session's pooled solve workspace with `ws`.
@@ -430,13 +406,12 @@ impl<S: SparseLuSolver> SolveSession<S> {
         self.stats.steps += 1;
 
         match self.factor_phase(m) {
-            Ok(state) => {
+            Ok((state, last_factor)) => {
                 if state == SessionState::Refactored {
                     self.stats.refactors += 1;
                 }
                 self.state = state;
-                let num = self.num.as_ref().expect("factors exist");
-                num.stats_into(&mut self.stats.last_factor);
+                self.stats.last_factor = last_factor;
                 Ok(state)
             }
             Err(e) => {
@@ -448,39 +423,36 @@ impl<S: SparseLuSolver> SolveSession<S> {
         }
     }
 
-    /// The factor-vs-refactor decision of one step. Any error out of
-    /// here may leave `self.num` partially overwritten (in-place
-    /// refactorization) — `step` invalidates the factors on that path.
-    fn factor_phase(&mut self, m: &CscMat) -> Result<SessionState, SolverError> {
-        if self.num.is_none() || self.policy == ReusePolicy::AlwaysFactor {
+    /// The factor-vs-refactor decision of one step, and the stats of the
+    /// factors it leaves installed. Any error out of here may leave
+    /// `self.num` partially overwritten (in-place refactorization) —
+    /// `step` invalidates the factors on that path.
+    fn factor_phase(&mut self, m: &CscMat) -> Result<(SessionState, SolverStats), SolverError> {
+        let refactored = match self.num.as_mut() {
+            Some(num) if self.policy != ReusePolicy::AlwaysFactor => {
+                num.refactor(m).map(|()| (num.quality(), num.stats()))
+            }
             // First step, or pivoting rerun on schedule (not as a
             // recovery) — either way a plain Factored.
-            self.fresh_factor()?;
-            return Ok(SessionState::Factored);
-        }
-        let refactor_result = self
-            .num
-            .as_mut()
-            .expect("factors exist past the first step")
-            .refactor(m);
-        match refactor_result {
-            Ok(()) => {
+            _ => return Ok((SessionState::Factored, self.fresh_factor()?)),
+        };
+        match refactored {
+            Ok((q, stats)) => {
                 if let ReusePolicy::Adaptive { growth_limit, .. } = self.policy {
-                    let q = self.num.as_ref().expect("just refactored").quality();
                     if self.pivot_quality_degraded(&q, growth_limit) {
                         // Count the re-pivot only once it succeeded — a
                         // failed forced factorization installs nothing.
-                        self.fresh_factor()?;
+                        let stats = self.fresh_factor()?;
                         self.stats.quality_repivots += 1;
-                        return Ok(SessionState::Repivoted);
+                        return Ok((SessionState::Repivoted, stats));
                     }
                 }
-                Ok(SessionState::Refactored)
+                Ok((SessionState::Refactored, stats))
             }
             Err(e) if e.is_pivot_failure() => {
-                self.fresh_factor()?;
+                let stats = self.fresh_factor()?;
                 self.stats.repivot_fallbacks += 1;
-                Ok(SessionState::Repivoted)
+                Ok((SessionState::Repivoted, stats))
             }
             Err(e) => Err(e),
         }
@@ -496,42 +468,36 @@ impl<S: SparseLuSolver> SolveSession<S> {
                 found: (m.nrows(), m.ncols()),
             }));
         }
-        match &mut self.current {
-            Some(cur) => {
-                if cur.colptr() != m.colptr() || cur.rowind() != m.rowind() {
-                    return Err(SolverError::Sparse(SparseError::InvalidStructure(
-                        "session step: sparsity pattern differs from the analyzed pattern \
-                         (open a new session per pattern)"
-                            .into(),
-                    )));
-                }
-                cur.values_mut().copy_from_slice(m.values());
-            }
-            None => self.current = Some(m.clone()),
+        let cur = &mut self.current;
+        if cur.colptr() != m.colptr() || cur.rowind() != m.rowind() {
+            return Err(SolverError::Sparse(SparseError::InvalidStructure(
+                "session step: sparsity pattern differs from the analyzed pattern \
+                 (open a new session per pattern)"
+                    .into(),
+            )));
         }
+        cur.values_mut().copy_from_slice(m.values());
         // `rhs` doubles as the row-sum scratch here; it is dead between
         // solves and at least `n` long.
         self.a_norm = mat_norm_inf_with(m, &mut self.rhs);
         Ok(())
     }
 
-    /// Runs a fresh pivoting factorization of the retained matrix and
-    /// re-baselines the quality gates.
-    fn fresh_factor(&mut self) -> Result<(), SolverError> {
-        let a = self
-            .current
-            .as_ref()
-            .expect("step() retains the matrix before factoring");
-        let num = self.solver.factor(a)?;
+    /// Runs a fresh pivoting factorization of the retained matrix,
+    /// re-baselines the quality gates, and returns the new factors'
+    /// stats.
+    fn fresh_factor(&mut self) -> Result<SolverStats, SolverError> {
+        let num = self.solver.factor(&self.current)?;
         let q = num.quality();
         self.baseline = Some(QualityBaseline {
             growth: q.pivot_growth(self.a_norm),
             rcond: q.rcond_estimate(),
             perturbed: q.perturbed_pivots,
         });
+        let stats = num.stats();
         self.num = Some(num);
         self.stats.factors += 1;
-        Ok(())
+        Ok(stats)
     }
 
     /// The adaptive pivot-growth gate: did this refactorization's
@@ -548,20 +514,11 @@ impl<S: SparseLuSolver> SolveSession<S> {
             || q.perturbed_pivots > base.perturbed
     }
 
-    fn require_factors(&self) -> Result<&S::Numeric, SolverError> {
-        self.num.as_ref().ok_or_else(|| {
-            SolverError::Config(
-                "session has no factors yet: feed a matrix through step() first".into(),
-            )
-        })
-    }
-
     /// Plain in-place solve against the current factors: `x` holds `b`
     /// on entry, the solution on exit. Allocation-free once the pooled
     /// workspace is warm.
     pub fn solve(&mut self, x: &mut [f64]) -> Result<(), SolverError> {
-        self.require_factors()?;
-        let num = self.num.as_ref().expect("checked above");
+        let num = self.num.as_ref().ok_or_else(no_factors)?;
         num.solve_in_place(x, &mut self.ws)?;
         self.stats.solves += 1;
         self.stats.solve_sweeps += 1;
@@ -575,9 +532,8 @@ impl<S: SparseLuSolver> SolveSession<S> {
     /// of up to 8 — one sweep over the factors per panel, counted in
     /// [`solve_sweeps`](SessionStats::solve_sweeps).
     pub fn solve_multi(&mut self, xs: &mut [f64]) -> Result<(), SolverError> {
-        self.require_factors()?;
         let n = self.solver.dim();
-        let num = self.num.as_ref().expect("checked above");
+        let num = self.num.as_ref().ok_or_else(no_factors)?;
         self.stats.solve_sweeps += num.solve_multi_in_place(xs, &mut self.ws)?;
         self.stats.solves += xs.len().checked_div(n).unwrap_or(0);
         Ok(())
@@ -661,7 +617,7 @@ impl<S: SparseLuSolver> SolveSession<S> {
         xs: &mut [f64],
         out: &mut [SolveQuality],
     ) -> Result<(), SolverError> {
-        self.require_factors()?;
+        self.num.as_ref().ok_or_else(no_factors)?;
         if self.rhs.len() < xs.len() {
             self.rhs.resize(xs.len(), 0.0);
             self.resid.resize(xs.len(), 0.0);
@@ -676,11 +632,10 @@ impl<S: SparseLuSolver> SolveSession<S> {
                 // inaccurate, so a fresh-factor failure here keeps them
                 // installed and propagates; the re-pivot is counted only
                 // when one was installed.)
-                work = self.fresh_factor().and_then(|()| {
+                work = self.fresh_factor().and_then(|last_factor| {
                     self.stats.quality_repivots += 1;
                     self.state = SessionState::Repivoted;
-                    let num = self.num.as_ref().expect("factors exist");
-                    num.stats_into(&mut self.stats.last_factor);
+                    self.stats.last_factor = last_factor;
                     xs.copy_from_slice(&self.rhs[..xs.len()]);
                     let (more_sweeps, more_iterations) = self.refined_pass(xs, out)?;
                     Ok((sweeps + more_sweeps, iterations + more_iterations))
@@ -724,7 +679,7 @@ impl<S: SparseLuSolver> SolveSession<S> {
     /// sweeps it took; does **not** touch the stats.
     ///
     /// The panels go to the team the handle owns
-    /// ([`SparseLuSolver::team`]), dealt by `deal_panels`, when it is
+    /// (`LinearSolver::team`), dealt by `deal_panels`, when it is
     /// wider than one rank, the caller is not one of its ranks, and the
     /// `k` columns' sweeps and residual passes, `k × (|L+U| + nnz(A))`
     /// flops, cover a dispatch ([`DISPATCH_BREAK_EVEN_FLOPS`]);
@@ -739,11 +694,8 @@ impl<S: SparseLuSolver> SolveSession<S> {
         out: &mut [SolveQuality],
     ) -> Result<(usize, usize), SolverError> {
         let cx = Refine {
-            num: self.num.as_ref().expect("refined_batch checked"),
-            a: self
-                .current
-                .as_ref()
-                .expect("factors imply a retained matrix"),
+            num: self.num.as_ref().ok_or_else(no_factors)?,
+            a: &self.current,
             a_norm: self.a_norm,
             params: self.refine,
         };
@@ -775,8 +727,8 @@ impl<S: SparseLuSolver> SolveSession<S> {
 
 /// What every panel of a refined pass reads: the factors, the retained
 /// matrix, its `‖A‖∞` and the refinement target.
-struct Refine<'a, N> {
-    num: &'a N,
+struct Refine<'a> {
+    num: &'a Factorization,
     a: &'a CscMat,
     a_norm: f64,
     params: RefineParams,
@@ -797,8 +749,8 @@ struct Columns<'a> {
 /// `‖x‖∞`), then the single-column correction loop for every column
 /// still above the target. Returns the sweeps and correction sweeps it
 /// took.
-fn refined_panel<const K: usize, N: LuNumeric>(
-    cx: &Refine<'_, N>,
+fn refined_panel<const K: usize>(
+    cx: &Refine<'_>,
     cols: Columns<'_>,
     ws: &mut SolveWorkspace,
 ) -> Result<(usize, usize), SolverError> {
@@ -882,9 +834,9 @@ struct RankPass {
 /// `xs`: a failing pass, inline ones included, solves every panel after
 /// the one that failed before it returns. Returns the sweeps and
 /// correction sweeps taken, or the error of the first failing panel.
-fn deal<N: LuNumeric>(
+fn deal(
     team: Option<&WorkerTeam>,
-    cx: &Refine<'_, N>,
+    cx: &Refine<'_>,
     panels: &[(usize, usize)],
     cols: Columns<'_>,
     ranks: &mut [RankPass],
@@ -915,7 +867,7 @@ fn deal<N: LuNumeric>(
             };
             let done = basker_sparse::with_panel_width!(
                 w,
-                K => refined_panel::<K, _>(cx, cols, &mut rank.ws)
+                K => refined_panel::<K>(cx, cols, &mut rank.ws)
             );
             match done {
                 Ok((sweeps, iterations)) => {
@@ -942,6 +894,11 @@ fn deal<N: LuNumeric>(
     }
 }
 
+/// The error of a solve on a session that holds no factors.
+fn no_factors() -> SolverError {
+    SolverError::Config("session has no factors yet: feed a matrix through step() first".into())
+}
+
 /// Placeholder a refined solve overwrites for every column it returns.
 const UNSOLVED: SolveQuality = SolveQuality {
     iterations: 0,
@@ -950,7 +907,7 @@ const UNSOLVED: SolveQuality = SolveQuality {
     converged: false,
 };
 
-impl<S: SparseLuSolver> std::fmt::Debug for SolveSession<S> {
+impl std::fmt::Debug for SolveSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveSession")
             .field("engine", &self.engine())
@@ -1201,20 +1158,5 @@ mod tests {
         s.step(&a).unwrap();
         let mut x = vec![1.0, 1.0];
         s.solve(&mut x).unwrap();
-    }
-
-    #[test]
-    fn generic_session_over_concrete_engine() {
-        use basker::Basker;
-        let a = circuitish(18);
-        let cfg = SessionConfig::new();
-        let solver =
-            <Basker as SparseLuSolver>::analyze(&a, &SolverConfig::new().threads(2)).unwrap();
-        let mut s: SolveSession<Basker> = solver.into_session(&cfg);
-        s.step(&a).unwrap();
-        let mut x = vec![1.0; 18];
-        let q = s.solve_refined(&mut x).unwrap();
-        assert!(q.converged);
-        assert_eq!(s.engine(), Engine::Basker);
     }
 }

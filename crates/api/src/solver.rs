@@ -26,13 +26,14 @@ use basker_sparse::workspace::panel_chunks;
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
 use std::time::Instant;
 
-/// Uniform post-factorization metrics across engines.
+/// Uniform post-factorization metrics across engines: plain data, so a
+/// session copies them every step without allocating.
 ///
 /// Fields an engine does not track are zero (e.g. `perturbed_pivots` for
 /// the pivoting engines, `sync_fraction` outside the block driver,
 /// `factor_seconds` outside [`LinearSolver`]/the block driver). "Block
 /// driver" below is [`Engine::Basker`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SolverStats {
     /// The engine that produced the factors.
     pub engine: Option<Engine>,
@@ -52,12 +53,11 @@ pub struct SolverStats {
     /// (block driver only): the caller's stage-join waits, after a factor
     /// as after a refactor.
     pub sync_fraction: f64,
-    /// Per-thread nanoseconds spent blocked on synchronization during
-    /// the last (re)factorization (block driver only: one entry per worker
-    /// rank of the persistent team, `len() == threads`, of which only
-    /// the caller's — entry 0 — waits on stage joins; empty for the
-    /// other engines).
-    pub sync_wait_ns: Vec<u64>,
+    /// Nanoseconds the caller spent blocked in stage joins during the
+    /// last (re)factorization (block driver only; 0 when every stage ran
+    /// inline, as at width 1). Only the caller waits on a join, so no
+    /// other rank has a figure.
+    pub join_wait_ns: u64,
     /// Wall-clock seconds of the last (re)factorization, when measured.
     pub factor_seconds: f64,
     /// The dense micro-kernel rung the process dispatched (`"scalar"`,
@@ -139,29 +139,6 @@ pub trait SparseLuSolver: Sized {
 
     /// Matrix dimension this analysis is for.
     fn dim(&self) -> usize;
-
-    /// The team this handle owns, which a session's batched refined
-    /// solve may deal its right-hand-side panels to. Only the block
-    /// driver has one; the default, `None`, keeps every solve on the
-    /// caller.
-    fn team(&self) -> Option<&WorkerTeam> {
-        None
-    }
-
-    /// Lifts this symbolic handle into a [`SolveSession`] — the
-    /// policy-driven transient-simulation surface (statically dispatched
-    /// for a concrete engine; [`LinearSolver`] sessions usually come
-    /// from [`SolveSession::new`] instead). Engine settings inside the
-    /// session config are ignored: this handle already embeds its own.
-    ///
-    /// [`SolveSession`]: crate::session::SolveSession
-    /// [`SolveSession::new`]: crate::session::SolveSession::new
-    fn into_session(self, cfg: &crate::session::SessionConfig) -> crate::session::SolveSession<Self>
-    where
-        Self: Sized,
-    {
-        crate::session::SolveSession::over(self, cfg)
-    }
 }
 
 /// The numeric side of the lifecycle: value-only refactorization and
@@ -205,12 +182,6 @@ pub trait LuNumeric: Sync {
 
     /// Metrics of the last (re)factorization.
     fn stats(&self) -> SolverStats;
-
-    /// [`stats`](Self::stats) written over `out`, reusing its buffers:
-    /// how a session refreshes its copy every step without allocating.
-    fn stats_into(&self, out: &mut SolverStats) {
-        *out = self.stats();
-    }
 
     /// Numeric quality of the current factors (pivot extremes +
     /// perturbation count) — recomputed from the factors, so it reflects
@@ -353,10 +324,6 @@ impl SparseLuSolver for Basker {
     fn dim(&self) -> usize {
         self.structure().n
     }
-
-    fn team(&self) -> Option<&WorkerTeam> {
-        Some(Basker::team(self))
-    }
 }
 
 impl LuNumeric for BaskerNumeric {
@@ -393,15 +360,7 @@ impl LuNumeric for BaskerNumeric {
     }
 
     fn stats(&self) -> SolverStats {
-        let mut s = SolverStats::default();
-        self.stats_into(&mut s);
-        s
-    }
-
-    fn stats_into(&self, out: &mut SolverStats) {
-        let mut sync_wait_ns = std::mem::take(&mut out.sync_wait_ns);
-        sync_wait_ns.clone_from(&self.stats.sync_wait_ns);
-        *out = SolverStats {
+        SolverStats {
             engine: Some(Engine::Basker),
             kernel: basker_kernels::active().name(),
             dimension: self.symbolic().structure().n,
@@ -411,9 +370,10 @@ impl LuNumeric for BaskerNumeric {
             threads: self.stats.threads,
             perturbed_pivots: 0,
             sync_fraction: self.stats.sync_fraction(),
-            sync_wait_ns,
+            // Entry 0 is the caller's, the only rank that joins.
+            join_wait_ns: self.stats.sync_wait_ns.first().copied().unwrap_or(0),
             factor_seconds: self.stats.numeric_seconds,
-        };
+        }
     }
 
     fn quality(&self) -> FactorQuality {
@@ -579,6 +539,13 @@ impl LinearSolver {
             _ => None,
         }
     }
+
+    /// The team the handle owns, which a session's batched refined
+    /// solve may deal its right-hand-side panels to: only the block
+    /// driver has one.
+    pub(crate) fn team(&self) -> Option<&WorkerTeam> {
+        self.as_basker().map(Basker::team)
+    }
 }
 
 impl SparseLuSolver for LinearSolver {
@@ -598,10 +565,6 @@ impl SparseLuSolver for LinearSolver {
 
     fn dim(&self) -> usize {
         LinearSolver::dim(self)
-    }
-
-    fn team(&self) -> Option<&WorkerTeam> {
-        self.as_basker().map(Basker::team)
     }
 }
 
@@ -738,15 +701,6 @@ impl LuNumeric for Factorization {
 
     fn stats(&self) -> SolverStats {
         Factorization::stats(self)
-    }
-
-    fn stats_into(&self, out: &mut SolverStats) {
-        match &self.inner {
-            NumericInner::Klu(n) => LuNumeric::stats_into(n, out),
-            NumericInner::Basker(n) => LuNumeric::stats_into(n, out),
-            NumericInner::Snlu(n) => LuNumeric::stats_into(n.as_ref(), out),
-        }
-        out.factor_seconds = self.factor_seconds;
     }
 
     fn quality(&self) -> FactorQuality {

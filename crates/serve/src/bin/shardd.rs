@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! shardd --listen uds:/run/basker/shard0.sock [--shard 0] [--epoch 0]
-//!        [--threads N] [--queue-cap K]
+//!        [--threads N]
 //! ```
 //!
 //! Exits cleanly when a client sends the wire `Shutdown` request (the
@@ -19,7 +19,6 @@ struct Args {
     shard: u32,
     epoch: u64,
     threads: usize,
-    queue_cap: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -27,7 +26,6 @@ fn parse_args() -> Result<Args, String> {
     let mut shard = 0u32;
     let mut epoch = 0u64;
     let mut threads = 0usize;
-    let mut queue_cap = 0usize;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -48,15 +46,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
             }
-            "--queue-cap" => {
-                queue_cap = val("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?;
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: shardd --listen <tcp:HOST:PORT|uds:PATH> [--shard N] [--epoch N] \
-                     [--threads N] [--queue-cap K]"
+                     [--threads N]"
                         .into(),
                 );
             }
@@ -69,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         shard,
         epoch,
         threads,
-        queue_cap,
     })
 }
 
@@ -84,9 +76,6 @@ fn main() -> ExitCode {
     let mut cfg = ServiceConfig::new();
     if args.threads > 0 {
         cfg = cfg.threads(args.threads);
-    }
-    if args.queue_cap > 0 {
-        cfg = cfg.queue_capacity(args.queue_cap);
     }
     let service = SolverService::new(&cfg);
     let listener = match Listener::bind(&args.listen) {

@@ -681,8 +681,9 @@ pub fn step_response(result: Result<StepResult, SolverError>) -> Response {
 /// The shared FNV-1a pattern hash (dimensions + colptr + rowind,
 /// ignoring values): two matrices of the same pattern hash identically,
 /// which is the property the router shards on — same-pattern streams
-/// co-locate on one shard and share its symbolic analysis and
-/// workspace pools.
+/// co-locate on one shard, sharing its worker team and pooled solve
+/// workspaces. Each stream still analyzes its pattern afresh: nothing
+/// caches an analysis across streams.
 pub use basker_sparse::metrics::pattern_hash;
 
 #[cfg(test)]

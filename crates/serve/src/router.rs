@@ -2,10 +2,11 @@
 //! processes.
 //!
 //! Streams are placed by `pattern_hash(matrix) % shards`, so streams
-//! sharing a sparsity pattern **co-locate** on one shard and share its
-//! symbolic analysis and workspace pools — the serving-tier analogue of
-//! the in-process same-pattern fast path. Values differ per stream and
-//! per step; only the pattern decides placement.
+//! sharing a sparsity pattern **co-locate** on one shard, where they
+//! share its service's worker team and pooled solve workspaces. Each
+//! stream still analyzes its pattern afresh when it opens: no analysis
+//! is cached across streams. Values differ per stream and per step;
+//! only the pattern decides placement.
 //!
 //! Each client connection gets its own handler thread with its own
 //! shard connections, so concurrency scales with client connections

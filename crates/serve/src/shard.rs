@@ -34,8 +34,6 @@ pub struct ShardSpec {
     pub shards: usize,
     /// Worker threads per shard (0 = the shard's default).
     pub threads: usize,
-    /// Per-stream queue capacity inside each shard (0 = default).
-    pub queue_cap: usize,
     /// Directory for the shards' Unix sockets.
     pub dir: PathBuf,
 }
@@ -47,7 +45,6 @@ impl ShardSpec {
             shardd: shardd.into(),
             shards,
             threads: 0,
-            queue_cap: 0,
             dir: dir.into(),
         }
     }
@@ -97,9 +94,6 @@ fn spawn_child(spec: &ShardSpec, i: usize, epoch: u64) -> io::Result<Slot> {
         .stderr(Stdio::inherit());
     if spec.threads > 0 {
         cmd.arg("--threads").arg(spec.threads.to_string());
-    }
-    if spec.queue_cap > 0 {
-        cmd.arg("--queue-cap").arg(spec.queue_cap.to_string());
     }
     let child = cmd.spawn()?;
     let slot = Slot { addr, child, epoch };
@@ -195,20 +189,9 @@ impl ShardSet {
         if slots[i].epoch != epoch || self.inner.stop.load(Ordering::SeqCst) {
             return slots[i].epoch; // already respawned (or shutting down)
         }
-        let next = epoch + 1;
         let _ = slots[i].child.kill();
         let _ = slots[i].child.wait();
-        match spawn_child(&self.inner.spec, i, next) {
-            Ok(slot) => {
-                slots[i] = slot;
-                // ORDER: SeqCst — crash-recovery accounting (see
-                // `respawns`).
-                self.inner.respawns.fetch_add(1, Ordering::SeqCst);
-            }
-            Err(e) => {
-                eprintln!("shard {i}: respawn failed: {e}");
-            }
-        }
+        respawn(&self.inner, &mut slots, i);
         slots[i].epoch
     }
 
@@ -263,19 +246,22 @@ fn health_loop(inner: &Inner) {
             if inner.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let next = slots[i].epoch + 1;
-            match spawn_child(&inner.spec, i, next) {
-                Ok(slot) => {
-                    slots[i] = slot;
-                    // ORDER: SeqCst — crash-recovery accounting
-                    // (see `respawns`).
-                    inner.respawns.fetch_add(1, Ordering::SeqCst);
-                }
-                Err(e) => {
-                    eprintln!("shard {i}: health respawn failed: {e}");
-                }
-            }
+            respawn(inner, &mut slots, i);
         }
+    }
+}
+
+/// Spawns slot `i`'s next epoch over its dead process and counts the
+/// respawn; a failed spawn is logged and leaves the slot as it was, so
+/// the next health pass or `report_down` tries again.
+fn respawn(inner: &Inner, slots: &mut [Slot], i: usize) {
+    match spawn_child(&inner.spec, i, slots[i].epoch + 1) {
+        Ok(slot) => {
+            slots[i] = slot;
+            // ORDER: SeqCst — crash-recovery accounting (see `respawns`).
+            inner.respawns.fetch_add(1, Ordering::SeqCst);
+        }
+        Err(e) => eprintln!("shard {i}: respawn failed: {e}"),
     }
 }
 

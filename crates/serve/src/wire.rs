@@ -247,13 +247,6 @@ pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<
     Ok((kind, req_id))
 }
 
-/// Reads one frame into a fresh buffer (see [`read_frame_into`]).
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, u64, Vec<u8>)> {
-    let mut payload = Vec::new();
-    let (kind, req_id) = read_frame_into(r, &mut payload)?;
-    Ok((kind, req_id, payload))
-}
-
 // --------------------------------------------------- payload codec ----
 
 /// Little-endian payload writer.
@@ -443,10 +436,11 @@ mod tests {
         write_frame(&mut buf, 3, 42, b"hello").unwrap();
         write_frame(&mut buf, 7, u64::MAX, b"").unwrap();
         let mut r = &buf[..];
-        let (k, id, p) = read_frame(&mut r).unwrap();
-        assert_eq!((k, id, p.as_slice()), (3, 42, &b"hello"[..]));
-        let (k, id, p) = read_frame(&mut r).unwrap();
-        assert_eq!((k, id, p.len()), (7, u64::MAX, 0));
+        let mut p = Vec::new();
+        assert_eq!(read_frame_into(&mut r, &mut p).unwrap(), (3, 42));
+        assert_eq!(p, b"hello");
+        assert_eq!(read_frame_into(&mut r, &mut p).unwrap(), (7, u64::MAX));
+        assert!(p.is_empty());
         assert!(r.is_empty());
     }
 
@@ -455,8 +449,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, 1, 0, b"x").unwrap();
         buf[0] = b'Z';
+        let mut p = Vec::new();
         assert_eq!(
-            read_frame(&mut &buf[..]).unwrap_err().kind(),
+            read_frame_into(&mut &buf[..], &mut p).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
 
@@ -465,7 +460,7 @@ mod tests {
         huge.extend_from_slice(&0u64.to_le_bytes());
         huge.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         assert_eq!(
-            read_frame(&mut &huge[..]).unwrap_err().kind(),
+            read_frame_into(&mut &huge[..], &mut p).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }
@@ -474,9 +469,10 @@ mod tests {
     fn truncated_frame_is_eof() {
         let mut buf = Vec::new();
         write_frame(&mut buf, 1, 9, b"payload").unwrap();
+        let mut p = Vec::new();
         for cut in 0..buf.len() {
             let mut r = &buf[..cut];
-            assert!(read_frame(&mut r).is_err(), "cut {cut}");
+            assert!(read_frame_into(&mut r, &mut p).is_err(), "cut {cut}");
         }
     }
 
@@ -678,13 +674,15 @@ mod tests {
         let l = Listener::bind(&addr).unwrap();
         let srv = std::thread::spawn(move || {
             let mut c = l.accept().unwrap();
-            let (k, id, p) = read_frame(&mut c).unwrap();
+            let mut p = Vec::new();
+            let (k, id) = read_frame_into(&mut c, &mut p).unwrap();
             write_frame(&mut c, k + 1, id, &p).unwrap();
         });
         let mut c = Conn::connect(&addr).unwrap();
         write_frame(&mut c, 10, 77, b"ping").unwrap();
-        let (k, id, p) = read_frame(&mut c).unwrap();
-        assert_eq!((k, id, p.as_slice()), (11, 77, &b"ping"[..]));
+        let mut p = Vec::new();
+        assert_eq!(read_frame_into(&mut c, &mut p).unwrap(), (11, 77));
+        assert_eq!(p, b"ping");
         srv.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

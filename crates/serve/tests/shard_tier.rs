@@ -17,7 +17,7 @@ use basker_sparse::{CscMat, TripletMat};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A nonsingular tridiagonal pattern of dimension `n`; distinct `n`
 /// gives distinct pattern hashes, spreading streams across shards.
@@ -49,10 +49,52 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn fleet(tag: &str, shards: usize) -> Arc<ShardSet> {
+/// A test's shard fleet, shut down when the test ends, a failing one
+/// included: a router handler stuck on a request keeps its `Arc` alive,
+/// so the `ShardSet`'s own `Drop` would never run and the shard
+/// processes would outlive the test.
+struct Fleet(Arc<ShardSet>);
+
+impl std::ops::Deref for Fleet {
+    type Target = Arc<ShardSet>;
+    fn deref(&self) -> &Arc<ShardSet> {
+        &self.0
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        self.0.shutdown_all();
+    }
+}
+
+fn fleet(tag: &str, shards: usize) -> Fleet {
     let mut spec = ShardSpec::new(env!("CARGO_BIN_EXE_shardd"), shards, temp_dir(tag));
     spec.threads = 2;
-    Arc::new(ShardSet::spawn(spec).expect("spawn fleet"))
+    Fleet(Arc::new(ShardSet::spawn(spec).expect("spawn fleet")))
+}
+
+/// Joins `workers`, failing the test with `status()` if they have not
+/// all finished within `limit`: a worker stuck on a request must fail
+/// the test, not hang it.
+fn join_within<T>(
+    workers: Vec<thread::JoinHandle<T>>,
+    limit: Duration,
+    status: impl Fn() -> String,
+) -> Vec<T> {
+    let deadline = Instant::now() + limit;
+    while !workers.iter().all(|w| w.is_finished()) {
+        assert!(
+            Instant::now() < deadline,
+            "workers still running after {limit:?}: {}",
+            status()
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+    workers
+        .into_iter()
+        .map(|w| w.join().expect("worker thread"))
+        .collect()
 }
 
 /// Talk straight to one shard: open, step, stats, close — the wire
@@ -88,8 +130,6 @@ fn direct_shard_roundtrip() {
         other => panic!("expected protocol error, got {other:?}"),
     }
     assert_eq!(cl.ping().expect("conn still usable"), 0);
-    drop(cl);
-    set.shutdown_all();
 }
 
 /// The error a raw exchange was answered with; panics on anything else.
@@ -184,10 +224,6 @@ fn router_forwards_step_frames_as_bytes() {
             .quality[0]
             .converged
     );
-
-    drop((routed, direct));
-    drop(router);
-    set.shutdown_all();
 }
 
 /// The headline test: crash a shard under concurrent load through the
@@ -260,18 +296,34 @@ fn induced_shard_crash_loses_no_tickets() {
         })
         .collect();
 
+    let counts = || {
+        format!(
+            "{} requests, {} answered, {} clean errors",
+            requests.load(Ordering::SeqCst),
+            answered.load(Ordering::SeqCst),
+            clean_errors.load(Ordering::SeqCst)
+        )
+    };
+
     // Hard-kill the victim shard once half the load is through, so
-    // requests are genuinely in flight on it.
+    // requests are genuinely in flight on it. A worker that is done
+    // already (finished or panicked) ends the wait: the join reports
+    // a panic.
     let halfway = (dims.len() * rounds / 2) as u64;
-    while answered.load(Ordering::SeqCst) < halfway {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while answered.load(Ordering::SeqCst) < halfway && !workers.iter().any(|w| w.is_finished()) {
+        assert!(
+            Instant::now() < deadline,
+            "load stalled short of halfway ({halfway}): {}",
+            counts()
+        );
         thread::sleep(Duration::from_millis(2));
     }
     set.kill(victim);
 
-    let mut finished = Vec::new();
-    for w in workers {
-        finished.push(w.join().expect("worker thread"));
-    }
+    // Past the workers' 60 s read timeout, so a stuck request surfaces
+    // as that worker's own failure first.
+    let finished = join_within(workers, Duration::from_secs(120), counts);
 
     // Zero ticket loss: every request was answered, success or clean
     // error — nothing dropped, nothing hung.
@@ -282,8 +334,8 @@ fn induced_shard_crash_loses_no_tickets() {
     );
     // The crash was observed and repaired (the router's report_down or
     // the supervisor's health loop — whichever saw it first).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while set.respawns() == 0 && std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while set.respawns() == 0 && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(20));
     }
     assert!(
@@ -328,7 +380,4 @@ fn induced_shard_crash_loses_no_tickets() {
     let stats = probe.stats().expect("stats");
     assert!(stats.router.respawns >= 1);
     assert_eq!(stats.shards.len(), 2);
-    drop(probe);
-    drop(router);
-    set.shutdown_all();
 }

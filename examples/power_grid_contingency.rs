@@ -24,7 +24,7 @@ fn main() {
     println!("Engine::Auto runs `{}`", session.engine());
 
     session.step(&grid).expect("base factor");
-    let stats = session.stats().last_factor.clone();
+    let stats = session.stats().last_factor;
     println!(
         "base case factored: |L+U| = {} (fill density {:.2}), {} BTF blocks",
         stats.lu_nnz,

@@ -5,14 +5,29 @@
 //! runs, so this adds seconds, not a rebuild).
 
 use std::process::Command;
+use std::sync::mpsc;
+use std::time::Duration;
+
+/// How long one example may run, a `cargo run` rebuild included; past
+/// it the test fails instead of hanging.
+const LIMIT: Duration = Duration::from_secs(600);
 
 fn run_example(name: &str) {
-    let cargo = env!("CARGO");
-    let out = Command::new(cargo)
+    let mut cargo = Command::new(env!("CARGO"));
+    cargo
         .args(["run", "--quiet", "--example", name])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn cargo for example {name}: {e}"));
+        .current_dir(env!("CARGO_MANIFEST_DIR"));
+    // The wait runs on a thread of its own, so the test can stop
+    // waiting; a timed-out cargo is left to finish on its own.
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(cargo.output());
+    });
+    let out = rx
+        .recv_timeout(LIMIT)
+        .unwrap_or_else(|_| panic!("example {name} still running after {LIMIT:?}"));
+    waiter.join().expect("waiter thread");
+    let out = out.unwrap_or_else(|e| panic!("failed to spawn cargo for example {name}: {e}"));
     assert!(
         out.status.success(),
         "example {name} exited with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",

@@ -3,10 +3,12 @@
 //! threads, and the zero-OS-threads-after-warm-up property of the
 //! shared-team scheduler.
 
+use basker_repro::basker_api::STREAM_QUEUE_BOUND;
 use basker_repro::basker_runtime::os_threads_spawned;
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Held by each test for its whole run, so no sibling test builds a
 /// team inside another's spawn-count window.
@@ -171,10 +173,12 @@ fn concurrent_callers_share_one_warm_team() {
     // only this traffic can spawn in the window.
     let spawned = os_threads_spawned();
 
-    std::thread::scope(|scope| {
-        for (k, mut h) in handles.drain(..).enumerate() {
+    let callers: Vec<_> = handles
+        .drain(..)
+        .enumerate()
+        .map(|(k, mut h)| {
             let service = service.clone();
-            scope.spawn(move || {
+            std::thread::spawn(move || {
                 let n = h.dim();
                 let xtrue: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
                 for s in 1..nsteps {
@@ -197,9 +201,22 @@ fn concurrent_callers_share_one_warm_team() {
                 // still busy elsewhere.
                 drop(h);
                 let _ = service.stats();
-            });
-        }
-    });
+            })
+        })
+        .collect();
+    // A caller stuck on a step must fail the test, not hang it.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !callers.iter().all(|c| c.is_finished()) {
+        assert!(
+            Instant::now() < deadline,
+            "callers still running after 120 s: {:?}",
+            service.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for c in callers {
+        c.join().expect("caller thread");
+    }
 
     assert_eq!(
         os_threads_spawned(),
@@ -218,7 +235,7 @@ fn concurrent_callers_share_one_warm_team() {
 #[test]
 fn pipelined_bursts_respect_order_and_bounds() {
     let _alone = alone();
-    let service = SolverService::new(&ServiceConfig::new().threads(2).queue_capacity(2));
+    let service = SolverService::new(&ServiceConfig::new().threads(2));
     let a = circuitish(14, 0.0);
     let mut h = service.stream(&a, &stream_cfg(Engine::Klu)).unwrap();
 
@@ -247,7 +264,7 @@ fn pipelined_bursts_respect_order_and_bounds() {
     assert_eq!(stats.steps, 10);
     assert_eq!((stats.queued, stats.running), (0, 0));
     assert!(
-        stats.max_queue_depth <= 2,
+        stats.max_queue_depth <= STREAM_QUEUE_BOUND,
         "bound: {}",
         stats.max_queue_depth
     );

@@ -278,20 +278,21 @@ fn gate_rhs(c: usize) -> Vec<f64> {
     b
 }
 
-/// A session two steps in, on factors reused across a collapse of
-/// block 0's frozen pivot (10 → 1e-9) that the step-time gates are told
-/// to tolerate — only the residual gate can object — with refinement
-/// off so it has to.
-fn on_decayed_pivot<S: SparseLuSolver>(solver: S) -> (SolveSession<S>, CscMat) {
+/// A session on `solver` two steps in, the second `m`: factors reused
+/// across a collapse of block 0's frozen pivot (10 → 1e-9) that the
+/// step-time gates are told to tolerate — only the residual gate can
+/// object — with refinement off so it has to.
+fn on_decayed_pivot(solver: SolverConfig, m: CscMat) -> (SolveSession, CscMat) {
     let cfg = SessionConfig::new()
+        .solver(solver)
         .policy(ReusePolicy::Adaptive {
             growth_limit: f64::INFINITY,
             residual_limit: 1e-10,
         })
         .max_refine_iterations(0);
-    let mut session = solver.into_session(&cfg);
-    session.step(&drifting(10.0, 8.0)).unwrap();
-    let m = drifting(1e-9, 8.0);
+    let a = drifting(10.0, 8.0);
+    let mut session = SolveSession::new(&a, &cfg).unwrap();
+    session.step(&a).unwrap();
     assert_eq!(session.step(&m).unwrap(), SessionState::Refactored);
     (session, m)
 }
@@ -303,8 +304,7 @@ fn on_decayed_pivot<S: SparseLuSolver>(solver: S) -> (SolveSession<S>, CscMat) {
 fn residual_gate_fires_once_and_resolves_the_whole_batch() {
     for engine in [Engine::Klu, Engine::Basker] {
         let cfg = SolverConfig::new().engine(engine).threads(2);
-        let solver = LinearSolver::analyze(&drifting(10.0, 8.0), &cfg).unwrap();
-        let (mut session, m) = on_decayed_pivot(solver);
+        let (mut session, m) = on_decayed_pivot(cfg, drifting(1e-9, 8.0));
         let b: Vec<f64> = (0..5).flat_map(gate_rhs).collect();
 
         // The scenario is what it claims: on the reused factors only
@@ -353,36 +353,22 @@ fn residual_gate_fires_once_and_resolves_the_whole_batch() {
     }
 }
 
-/// KLU, except that `factor` fails while the switch is on.
-struct FailingFactor {
-    inner: KluSymbolic,
-    fail: std::rc::Rc<std::cell::Cell<bool>>,
-}
-
-impl SparseLuSolver for FailingFactor {
-    type Numeric = KluNumeric;
-
-    fn analyze(a: &CscMat, cfg: &SolverConfig) -> Result<Self, SolverError> {
-        Ok(FailingFactor {
-            inner: <KluSymbolic as SparseLuSolver>::analyze(a, cfg)?,
-            fail: Default::default(),
-        })
+/// `drifting(1e-9, 8.0)` with its last block, rows and columns 11 and
+/// 12, set to `[[h, h], [1, 1]]` for `h = 49·2⁻²⁰`: singular, but only
+/// a fresh pivoting factorization finds out. Below the pivot tolerance
+/// `h` loses column 11 to the 1 under it, and the elimination leaves
+/// exactly `h − h·1 = 0` in column 12; the frozen order keeps `h` and
+/// leaves `1 − fl(1/h)·h`, which rounding keeps nonzero, so a
+/// refactor succeeds.
+fn singular_to_a_fresh_factor() -> CscMat {
+    let h = 49.0 * 2f64.powi(-20);
+    let mut m = drifting(1e-9, 8.0);
+    let (colptr, rowind) = (m.colptr().to_vec(), m.rowind().to_vec());
+    for (i, j, v) in [(11, 11, h), (11, 12, h), (12, 12, 1.0)] {
+        let p = (colptr[j]..colptr[j + 1]).find(|&p| rowind[p] == i);
+        m.values_mut()[p.expect("in the pattern")] = v;
     }
-
-    fn factor(&self, a: &CscMat) -> Result<KluNumeric, SolverError> {
-        if self.fail.get() {
-            return Err(SolverError::Config("factor switched off".into()));
-        }
-        SparseLuSolver::factor(&self.inner, a)
-    }
-
-    fn engine(&self) -> Engine {
-        Engine::Klu
-    }
-
-    fn dim(&self) -> usize {
-        SparseLuSolver::dim(&self.inner)
-    }
+    m
 }
 
 /// Satellite: the gate's fresh factorization fails mid-call. The error
@@ -390,16 +376,14 @@ impl SparseLuSolver for FailingFactor {
 /// counted, and the (valid, inaccurate) reused factors still installed.
 #[test]
 fn failed_gate_repivot_restores_every_column() {
-    let solver = FailingFactor::analyze(&drifting(10.0, 8.0), &SolverConfig::new()).unwrap();
-    let fail = solver.fail.clone();
-    let (mut session, _) = on_decayed_pivot(solver);
-    let before = session.stats().clone();
+    let klu = SolverConfig::new().engine(Engine::Klu);
+    let (mut session, _) = on_decayed_pivot(klu, singular_to_a_fresh_factor());
+    let before = *session.stats();
 
     let b: Vec<f64> = (0..5).flat_map(gate_rhs).collect();
     let mut xs = b.clone();
-    fail.set(true);
     let err = session.solve_refined_multi(&mut xs).unwrap_err();
-    assert!(matches!(err, SolverError::Config(_)), "{err}");
+    assert!(matches!(err, SolverError::SingularPivot { .. }), "{err}");
     assert_eq!(
         xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -418,8 +402,9 @@ fn failed_gate_repivot_restores_every_column() {
     assert_eq!(st.worst_residual, before.worst_residual);
     assert_eq!(session.state(), SessionState::Refactored);
 
-    // The same call succeeds once factoring works again.
-    fail.set(false);
+    // The same call succeeds once the stream steps a matrix a fresh
+    // factorization can take.
+    session.step(&drifting(1e-9, 8.0)).unwrap();
     let qs = session.solve_refined_multi(&mut xs).unwrap();
     assert!(qs.iter().all(|q| q.converged));
     assert_eq!(session.stats().solves, before.solves + 5);
@@ -628,7 +613,7 @@ fn refined_multi_is_bit_identical_at_every_width() {
                 // A call's bits, and the sweeps and refinement
                 // iterations it added to the stats.
                 let call = |session: &mut SolveSession, k: usize| {
-                    let before = session.stats().clone();
+                    let before = *session.stats();
                     let mut xs = rhs(k);
                     let qs = session.solve_refined_multi(&mut xs).unwrap();
                     let st = session.stats();
