@@ -81,6 +81,7 @@ use crate::config::Engine;
 use crate::error::SolverError;
 use crate::session::{SessionConfig, SessionState, SessionStats, SolveQuality, SolveSession};
 use basker_runtime::{shared_team, WorkerTeam};
+use basker_sparse::util::max_or_nan;
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -535,7 +536,7 @@ impl SolverService {
             worst_residual: per_stream
                 .iter()
                 .map(|s| s.session.worst_residual)
-                .fold(0.0, f64::max),
+                .fold(0.0, max_or_nan),
             columns_assisted: 0,
             steal_attempts: 0,
             kernel: basker_kernels::active().name(),

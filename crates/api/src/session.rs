@@ -64,7 +64,7 @@ use basker::refactor::ItemCell;
 use basker::stages::DISPATCH_BREAK_EVEN_FLOPS;
 use basker_runtime::WorkerTeam;
 use basker_sparse::spmv::{spmv_sub, spmv_sub_cols};
-use basker_sparse::util::{mat_norm_inf_with, norm_inf};
+use basker_sparse::util::{mat_norm_inf_with, max_or_nan, norm_inf};
 use basker_sparse::workspace::panel_chunks;
 use basker_sparse::{CscMat, SolveWorkspace, SparseError};
 
@@ -229,7 +229,11 @@ pub struct SolveQuality {
     pub initial_residual: f64,
     /// Relative residual of the returned solution.
     pub residual: f64,
-    /// Whether `residual` meets the session's target.
+    /// Whether `residual` meets the session's target. A solve that met
+    /// a NaN or an infinity (in `A`, `b` or the solution) reports a NaN
+    /// `residual` and is never converged; a NaN residual also trips the
+    /// adaptive policy's `residual_limit` and is the largest value
+    /// [`worst_residual`](SessionStats::worst_residual) can hold.
     pub converged: bool,
 }
 
@@ -268,7 +272,7 @@ pub struct SessionStats {
     /// Total iterative-refinement sweeps across all refined solves.
     pub refine_iterations: usize,
     /// Worst relative residual any refined solve returned (plain solves
-    /// are not measured).
+    /// are not measured); NaN once one returned NaN.
     pub worst_residual: f64,
     /// Always 0: every engine's plan is fixed at analyze and no session
     /// spends a factorization measuring one. The field stays because the
@@ -658,7 +662,7 @@ impl SolveSession {
         self.stats.solve_sweeps += sweeps;
         self.stats.refine_iterations += iterations;
         for q in out.iter() {
-            self.stats.worst_residual = self.stats.worst_residual.max(q.residual);
+            self.stats.worst_residual = max_or_nan(self.stats.worst_residual, q.residual);
         }
         Ok(())
     }
@@ -670,7 +674,7 @@ impl SolveSession {
     fn residual_gate_trips(&self, out: &[SolveQuality]) -> bool {
         matches!(self.policy, ReusePolicy::Adaptive { residual_limit, .. }
             if self.state == SessionState::Refactored
-                && out.iter().any(|q| q.residual > residual_limit))
+                && out.iter().any(|q| q.residual > residual_limit || q.residual.is_nan()))
     }
 
     /// One solve + refinement pass over every column against the
@@ -934,9 +938,13 @@ fn residual_into(
     relative_to(norm_inf(resid), a_norm * norm_inf(x) + bnorm)
 }
 
-/// `r / denom`, or `r` itself for an all-zero system.
+/// `r / denom`, or `r` itself for an all-zero system; NaN when either
+/// is not finite, so a solve that met a NaN or an infinity in `A`, `b`
+/// or `x` never reads as converged.
 fn relative_to(r: f64, denom: f64) -> f64 {
-    if denom == 0.0 {
+    if !(r.is_finite() && denom.is_finite()) {
+        f64::NAN
+    } else if denom == 0.0 {
         r
     } else {
         r / denom

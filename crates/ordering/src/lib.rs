@@ -8,7 +8,9 @@
 //! * [`mwcm`] — maximum weight-cardinality matching in the **bottleneck**
 //!   sense: among all full transversals, maximize the smallest pivot
 //!   magnitude. The paper: "Our MWCM implementation is similar to MC64
-//!   bottleneck ordering".
+//!   bottleneck ordering". Bound first: one matching at the largest
+//!   threshold any perfect matching can reach, a binary search over the
+//!   smaller magnitudes only when that one is not perfect.
 //! * [`scc`] — Tarjan's strongly connected components (iterative).
 //! * [`btf`] — permutation to upper **block triangular form** by matching +
 //!   SCC condensation (Duff / Pothen–Fan).

@@ -196,7 +196,8 @@ impl ShardSet {
     }
 
     /// Gracefully shuts down every shard (wire `Shutdown`, then kill
-    /// stragglers) and stops the health thread. Idempotent.
+    /// stragglers: a shard that does not exit within 5 s of its
+    /// acknowledgement) and stops the health thread. Idempotent.
     pub fn shutdown_all(&self) {
         // ORDER: SeqCst — one-shot shutdown latch (cold path); the
         // monitor and routers re-check it after every blocking step.
@@ -207,18 +208,38 @@ impl ShardSet {
         let mut slots = self.inner.slots.lock().unwrap();
         for slot in slots.iter_mut() {
             let polite = Client::connect(&slot.addr).ok().and_then(|mut c| {
-                let _ = c.set_read_timeout(Some(Duration::from_secs(5)));
+                let _ = c.set_read_timeout(Some(EXIT_GRACE));
                 c.shutdown().ok()
             });
-            if polite.is_none() {
-                let _ = slot.child.kill();
-            }
-            let _ = slot.child.wait();
+            let grace = if polite.is_some() {
+                EXIT_GRACE
+            } else {
+                Duration::ZERO
+            };
+            reap_within(&mut slot.child, grace);
             if let Addr::Uds(p) = &slot.addr {
                 let _ = std::fs::remove_file(p);
             }
         }
     }
+}
+
+/// How long a shard that acknowledged `Shutdown` has to exit before it
+/// is killed: the shutdown client's read timeout.
+const EXIT_GRACE: Duration = Duration::from_secs(5);
+
+/// Waits up to `grace` for `child` to exit, polling `try_wait`, kills it
+/// if it is still running then, and reaps it either way.
+fn reap_within(child: &mut Child, grace: Duration) {
+    let deadline = Instant::now() + grace;
+    while let Ok(None) = child.try_wait() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            break;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+    let _ = child.wait();
 }
 
 impl Drop for ShardSet {
@@ -288,4 +309,25 @@ pub fn sibling_shardd() -> io::Result<PathBuf> {
         io::ErrorKind::NotFound,
         format!("shardd binary not found near {}", me.display()),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::process::ExitStatusExt;
+
+    #[test]
+    fn reap_within_kills_a_child_that_does_not_exit() {
+        let mut child = Command::new("sleep").arg("30").spawn().unwrap();
+        let grace = Duration::from_millis(300);
+        let t0 = Instant::now();
+        reap_within(&mut child, grace);
+        let took = t0.elapsed();
+        assert!(
+            took >= grace && took < grace + Duration::from_secs(1),
+            "{took:?}"
+        );
+        let status = child.try_wait().unwrap().expect("reaped");
+        assert_eq!(status.signal(), Some(9), "{status:?}");
+    }
 }

@@ -3,9 +3,33 @@
 use crate::csc::CscMat;
 use crate::spmv::spmv;
 
-/// Infinity norm of a vector.
+/// Infinity norm of a vector; NaN if any entry is NaN.
 pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, &v| m.max(v.abs()))
+    // Four independent folds: one fold's compare-and-select chain is
+    // latency-bound, about 3× slower than a fold with `f64::max`.
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = x.chunks_exact(4);
+    for c in &mut chunks {
+        for l in 0..4 {
+            lanes[l] = max_or_nan(lanes[l], c[l].abs());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0, |m, &v| max_or_nan(m, v.abs()));
+    lanes.into_iter().fold(tail, max_or_nan)
+}
+
+/// The larger of `m` and `v`, or NaN if either is NaN: a fold with it
+/// keeps a NaN it meets, where one with `f64::max` drops it.
+#[inline]
+pub fn max_or_nan(m: f64, v: f64) -> f64 {
+    if v > m || v.is_nan() {
+        v
+    } else {
+        m
+    }
 }
 
 /// Matrix infinity norm (max absolute row sum).
@@ -32,7 +56,7 @@ pub fn relative_residual(a: &CscMat, x: &[f64], b: &[f64]) -> f64 {
     let ax = spmv(a, x);
     let mut rmax = 0.0f64;
     for (axi, bi) in ax.iter().zip(b.iter()) {
-        rmax = rmax.max((axi - bi).abs());
+        rmax = max_or_nan(rmax, (axi - bi).abs());
     }
     let denom = mat_norm_inf(a) * norm_inf(x) + norm_inf(b);
     if denom == 0.0 {
@@ -79,6 +103,17 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(norm_inf(&[1.0, -3.0, 2.0]), 3.0);
+        for at in 0..7 {
+            let mut x = [1.0, -3.0, 2.0, 0.5, -0.25, 4.0, 1.5];
+            assert_eq!(
+                norm_inf(&x[..at]),
+                x[..at].iter().fold(0.0, |m, v| v.abs().max(m))
+            );
+            x[at] = f64::NAN;
+            assert!(norm_inf(&x).is_nan(), "NaN at {at}");
+            x[at] = f64::NEG_INFINITY;
+            assert_eq!(norm_inf(&x), f64::INFINITY, "-inf at {at}");
+        }
         let a = CscMat::from_dense(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
         assert_eq!(mat_norm_inf(&a), 7.0); // row 1: 3+4
     }

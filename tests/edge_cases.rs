@@ -252,6 +252,60 @@ fn mwcm_toggle_changes_nothing_functionally() {
     assert!(relative_residual(&a, &x, &b) < 1e-10);
 }
 
+/// One NaN, `+∞` or `−∞` entry, on the diagonal or off it, through the
+/// session of every engine: nothing panics. A factorization may refuse
+/// the matrix with an error (a NaN reaches a pivot as a singular one);
+/// every refined solve that runs, single or batched, reports a NaN
+/// residual and `!converged`, and so does the session's
+/// `worst_residual`. Each value is solved by at least one engine.
+#[test]
+fn non_finite_entries_never_read_as_converged() {
+    let a = circuit(&CircuitParams {
+        nsub: 3,
+        sub_size: 12,
+        ..CircuitParams::default()
+    });
+    let n = a.ncols();
+    let off = (0..a.nnz())
+        .find(|&k| a.rowind()[k] != col_of(&a, k))
+        .unwrap();
+    let diag = (0..a.nnz())
+        .find(|&k| a.rowind()[k] == col_of(&a, k))
+        .unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut solved = 0;
+        for at in [off, diag] {
+            let mut m = a.clone();
+            m.values_mut()[at] = bad;
+            for engine in [Engine::Auto, Engine::Basker, Engine::Klu, Engine::Snlu] {
+                let what = format!("{engine}, {bad} at entry {at}");
+                let cfg = SessionConfig::new().engine(engine);
+                let Ok(mut session) = SolveSession::new(&m, &cfg) else {
+                    continue;
+                };
+                if session.step(&m).is_err() {
+                    continue;
+                }
+                let mut x = vec![1.0; n];
+                let q = session.solve_refined(&mut x).unwrap();
+                assert!(!q.converged && q.residual.is_nan(), "{what}: {q:?}");
+                let mut xs = vec![1.0; 3 * n];
+                for q in session.solve_refined_multi(&mut xs).unwrap() {
+                    assert!(!q.converged && q.residual.is_nan(), "{what}: {q:?}");
+                }
+                assert!(session.stats().worst_residual.is_nan(), "{what}");
+                solved += 1;
+            }
+        }
+        assert!(solved > 0, "{bad}: no engine solved");
+    }
+}
+
+/// The column of stored entry `k`.
+fn col_of(a: &CscMat, k: usize) -> usize {
+    a.colptr().partition_point(|&p| p <= k) - 1
+}
+
 #[test]
 fn huge_thread_request_is_clamped_and_works() {
     let a = mesh2d(10, 3);

@@ -8,6 +8,7 @@ mod common;
 
 use basker_ordering::btf::{btf_form, is_upper_block_triangular};
 use basker_ordering::matching::max_transversal;
+use basker_ordering::mwcm_bottleneck;
 use basker_repro::prelude::*;
 use basker_sparse::spmv::spmv;
 use common::analyze_factor_solve as unified_solve;
@@ -66,8 +67,73 @@ fn arb_workload() -> impl Strategy<Value = CscMat> {
     })
 }
 
+/// Strategy: a random square matrix of dimension 1..=6 as a dense grid
+/// of optional entries (stored zeros included), values from a small set
+/// so magnitudes tie.
+fn arb_small_grid() -> impl Strategy<Value = Vec<Vec<Option<f64>>>> {
+    (1usize..7, proptest::collection::vec(0usize..12, 36..37)).prop_map(|(n, cells)| {
+        const VALUES: [f64; 7] = [0.0, 1.0, -1.0, 2.5, -4.0, 0.25, 8.0];
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| VALUES.get(cells[i * 6 + j]).copied())
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// Every permutation of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![vec![]];
+    }
+    let mut out = Vec::new();
+    for p in permutations(n - 1) {
+        for at in 0..n {
+            let mut q = p.clone();
+            q.insert(at, n - 1);
+            out.push(q);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The bottleneck matching against brute force over every
+    /// permutation: a perfect matching exactly when one exists, on
+    /// stored entries only, with the largest smallest magnitude.
+    #[test]
+    fn bottleneck_matching_is_optimal_by_brute_force(grid in arb_small_grid()) {
+        let n = grid.len();
+        let mut t = TripletMat::new(n, n);
+        for (i, row) in grid.iter().enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                if let Some(v) = v {
+                    t.push(i, j, *v);
+                }
+            }
+        }
+        let r = mwcm_bottleneck(&t.to_csc());
+        let best = permutations(n)
+            .iter()
+            .filter_map(|p| {
+                p.iter()
+                    .enumerate()
+                    .map(|(j, &i)| grid[i][j].map(f64::abs))
+                    .try_fold(f64::INFINITY, |m, v| v.map(|v| m.min(v)))
+            })
+            .fold(None, |b: Option<f64>, m| Some(b.map_or(m, |b| b.max(m))));
+        prop_assert_eq!(r.matching.is_perfect(), best.is_some());
+        if let Some(best) = best {
+            prop_assert_eq!(r.bottleneck, best);
+            for (j, &i) in r.matching.row_of_col.iter().enumerate() {
+                prop_assert!(grid[i][j].is_some_and(|v| v.abs() >= best));
+            }
+        }
+    }
 
     #[test]
     fn basker_solves_random_dominant_systems(a in arb_matrix()) {
