@@ -8,7 +8,7 @@
 //! stamp instead of reverse-engineering an engine's internal ordering.
 
 use crate::config::Engine;
-use basker_sparse::SparseError;
+use basker_sparse::{CscMat, SparseError};
 
 /// Unified error for analyze / factor / refactor / solve across engines.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,17 +102,25 @@ impl From<SparseError> for SolverError {
     }
 }
 
-/// Translates an engine-level error into the unified type, resolving
-/// pivot failures to global coordinates via the engine's column
-/// permutation (`col_perm[permuted] = original`) and BTF `bounds`.
+/// Translates an engine-level error from factoring or refactoring `a`
+/// into the unified type. A pivot failure of a matrix that holds a NaN
+/// or an infinite value names the first such entry instead: that value
+/// is the cause, wherever the elimination happened to trip over it.
+/// Otherwise a pivot failure is resolved to global coordinates via the
+/// engine's column permutation (`col_perm[permuted] = original`) and
+/// BTF `bounds`. Only the error path scans `a`.
 pub(crate) fn map_engine_error(
     engine: Engine,
     col_perm: &[usize],
     bounds: &[usize],
+    a: &CscMat,
     e: SparseError,
 ) -> SolverError {
     match e {
         SparseError::ZeroPivot { column } => {
+            if let Some((row, column)) = a.first_non_finite() {
+                return SolverError::Sparse(SparseError::NonFinite { row, column });
+            }
             let global_column = col_perm.get(column).copied().unwrap_or(column);
             // `bounds` partitions 0..n; the block of `column` is the last
             // boundary at or below it.
@@ -152,6 +160,7 @@ mod tests {
             Engine::Klu,
             &[4, 5, 6, 7, 8],
             &[0, 2, 5],
+            &CscMat::identity(5),
             SparseError::ZeroPivot { column: 3 },
         );
         assert_eq!(
@@ -178,10 +187,31 @@ mod tests {
             Engine::Basker,
             &[0, 1],
             &[0, 2],
+            &CscMat::identity(2),
             SparseError::InvalidStructure("x".into()),
         );
         assert!(matches!(e, SolverError::Sparse(_)));
         assert!(!e.is_pivot_failure());
+    }
+
+    #[test]
+    fn a_pivot_failure_on_a_non_finite_matrix_names_the_entry() {
+        let mut a = CscMat::identity(4);
+        a.values_mut()[3] = f64::INFINITY;
+        a.values_mut()[2] = f64::NAN;
+        let e = map_engine_error(
+            Engine::Basker,
+            &[0, 1, 2, 3],
+            &[0, 4],
+            &a,
+            SparseError::ZeroPivot { column: 1 },
+        );
+        assert_eq!(
+            e,
+            SolverError::Sparse(SparseError::NonFinite { row: 2, column: 2 })
+        );
+        assert!(!e.is_pivot_failure());
+        assert!(e.to_string().contains("(2, 2)"), "{e}");
     }
 
     #[test]

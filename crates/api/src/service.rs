@@ -633,6 +633,25 @@ impl StreamHandle {
                 found: (rhs.len(), 1),
             }));
         }
+        // Recycle a completed job's matrix when the pattern matches (the
+        // steady state: a stream's pattern is fixed), copying only the
+        // values — the hot submit path then allocates nothing for the
+        // matrix. The spare is taken under the lock but compared and
+        // filled with it released: two O(nnz) scans and a copy that the
+        // other streams' submitters and the dispatcher need not wait on.
+        let spare = {
+            let mut st = self.inner.state.lock().unwrap();
+            st.streams.get_mut(&self.id).and_then(|e| e.spare.pop())
+        };
+        let mut matrix = Some(match spare {
+            Some(mut sp)
+                if sp.nrows() == n && sp.colptr() == m.colptr() && sp.rowind() == m.rowind() =>
+            {
+                sp.values_mut().copy_from_slice(m.values());
+                sp
+            }
+            _ => m.clone(),
+        });
         let slot = Arc::new(TicketSlot::default());
         let mut rhs = Some(rhs);
         let mut st = self.inner.state.lock().unwrap();
@@ -649,23 +668,8 @@ impl StreamHandle {
                 ));
             }
             if entry.queue.len() < STREAM_QUEUE_BOUND {
-                // Recycle a completed job's matrix when the pattern
-                // matches (the steady state: a stream's pattern is
-                // fixed), copying only the values — the hot submit path
-                // then allocates nothing for the matrix.
-                let matrix = match entry.spare.pop() {
-                    Some(mut sp)
-                        if sp.nrows() == n
-                            && sp.colptr() == m.colptr()
-                            && sp.rowind() == m.rowind() =>
-                    {
-                        sp.values_mut().copy_from_slice(m.values());
-                        sp
-                    }
-                    _ => m.clone(),
-                };
                 entry.queue.push_back(PendingJob {
-                    matrix,
+                    matrix: matrix.take().expect("matrix pushed once"),
                     rhs: rhs.take().expect("rhs pushed once"),
                     refined,
                     slot: slot.clone(),
@@ -1116,6 +1120,45 @@ mod tests {
             "queue depth {} against the bound",
             stats.max_queue_depth
         );
+    }
+
+    /// A step whose matrix has the stream's nnz but another pattern is
+    /// refused with `InvalidStructure`, though a recycled spare of the
+    /// stream's own pattern was on hand; the stream then steps on
+    /// exactly as before, through the spare pool.
+    #[test]
+    fn another_pattern_of_the_same_nnz_is_refused() {
+        let service = SolverService::new(&ServiceConfig::new().threads(1));
+        let a = circuitish(16, 0.0);
+        let mut h = service
+            .stream(&a, &SessionConfig::new().engine(Engine::Klu))
+            .unwrap();
+        let b = vec![1.0; 16];
+        let want = h.step(&a, b.clone()).unwrap();
+        // The same entries, every off-diagonal one moved a row down
+        // where that row is free: the same nnz, another pattern.
+        let mut t = TripletMat::new(16, 16);
+        for j in 0..16 {
+            for (i, v) in a.col_iter(j) {
+                let moved = i != j && i + 1 < 16 && i + 1 != j && a.get(i + 1, j) == 0.0;
+                t.push(if moved { i + 1 } else { i }, j, v);
+            }
+        }
+        let other = t.to_csc();
+        assert_eq!(other.nnz(), a.nnz());
+        assert_ne!(other.rowind(), a.rowind());
+        for _ in 0..2 {
+            match h.step(&other, b.clone()) {
+                Err(SolverError::Sparse(SparseError::InvalidStructure(_))) => {}
+                r => panic!("expected InvalidStructure, got {:?}", r.map(|r| r.state)),
+            }
+        }
+        for _ in 0..3 {
+            let got = h.step(&a, b.clone()).unwrap();
+            assert_eq!(got.x, want.x, "the stream steps on unchanged");
+        }
+        let stats = service.stats();
+        assert_eq!((stats.steps, stats.errors), (6, 2));
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl SparseLuSolver for KluSymbolic {
 
     fn factor(&self, a: &CscMat) -> Result<KluNumeric, SolverError> {
         KluSymbolic::factor(self, a).map_err(|e| {
-            map_engine_error(Engine::Klu, self.col_perm().as_slice(), self.bounds(), e)
+            map_engine_error(Engine::Klu, self.col_perm().as_slice(), self.bounds(), a, e)
         })
     }
 
@@ -252,6 +252,7 @@ impl LuNumeric for KluNumeric {
                     Engine::Klu,
                     s.col_perm().as_slice(),
                     s.bounds(),
+                    a,
                     e,
                 ))
             }
@@ -314,7 +315,7 @@ impl SparseLuSolver for Basker {
     fn factor(&self, a: &CscMat) -> Result<BaskerNumeric, SolverError> {
         let st = self.structure();
         Basker::factor(self, a)
-            .map_err(|e| map_engine_error(Engine::Basker, st.col_perm.as_slice(), &st.bounds, e))
+            .map_err(|e| map_engine_error(Engine::Basker, st.col_perm.as_slice(), &st.bounds, a, e))
     }
 
     fn engine(&self) -> Engine {
@@ -337,6 +338,7 @@ impl LuNumeric for BaskerNumeric {
                     Engine::Basker,
                     st.col_perm.as_slice(),
                     &st.bounds,
+                    a,
                     e,
                 ))
             }

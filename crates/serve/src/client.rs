@@ -4,9 +4,10 @@
 //! synchronously ([`request`](Client::request)) or pipelined
 //! ([`send`](Client::send) N frames, then [`recv`](Client::recv) N
 //! replies — the server answers in order). The benchmark's
-//! `shard_fleet` workload pipelines through the split form; the router
-//! forwards `Step` frames as bytes through [`exchange`](Client::exchange)
-//! and sends its other requests typed.
+//! `shard_fleet` workload pipelines through the split form.
+//! [`split`](Client::split) hands the two directions to two threads:
+//! the router's reader sends `Step` frames on a [`Sender`] as bytes
+//! while its replier takes the answers off the [`Receiver`], in order.
 
 use crate::proto::{
     decode_response, encode_request, encode_step, kind, OpenRequest, Request, Response, WireError,
@@ -14,7 +15,7 @@ use crate::proto::{
 };
 use crate::wire::{read_frame_into, write_frame, Addr, Conn};
 use basker_api::{SessionState, SolveQuality};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader};
 use std::time::Duration;
 
 /// A client-side failure.
@@ -59,9 +60,20 @@ pub struct StepReply {
 
 /// One connection to a shard or router.
 pub struct Client {
-    r: BufReader<Conn>,
-    w: BufWriter<Conn>,
+    tx: Sender,
+    rx: Receiver,
+}
+
+/// The sending half of a [`Client`]: numbers requests and writes each
+/// frame straight to the socket.
+pub struct Sender {
+    w: Conn,
     next_req: u64,
+}
+
+/// The receiving half of a [`Client`].
+pub struct Receiver {
+    r: BufReader<Conn>,
     /// The last reply's payload; reused so a reply costs no allocation.
     frame: Vec<u8>,
 }
@@ -72,61 +84,53 @@ impl Client {
         let conn = Conn::connect(addr)?;
         let rd = conn.try_clone()?;
         Ok(Client {
-            r: BufReader::new(rd),
-            w: BufWriter::new(conn),
-            next_req: 1,
-            frame: Vec::new(),
+            tx: Sender {
+                w: conn,
+                next_req: 1,
+            },
+            rx: Receiver {
+                r: BufReader::new(rd),
+                frame: Vec::new(),
+            },
         })
     }
 
     /// Bounds every blocking read; `None` blocks forever.
     pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        self.r.get_ref().set_read_timeout(t)
+        self.rx.r.get_ref().set_read_timeout(t)
+    }
+
+    /// The two directions of the connection, for two threads.
+    pub fn split(self) -> (Sender, Receiver) {
+        (self.tx, self.rx)
     }
 
     /// Sends one request, returning its `req_id`. Does not wait.
     pub fn send(&mut self, req: &Request) -> io::Result<u64> {
-        let (kind, payload) = encode_request(req);
-        self.send_frame(kind, &payload)
-    }
-
-    fn send_frame(&mut self, kind: u8, payload: &[u8]) -> io::Result<u64> {
-        let id = self.next_req;
-        self.next_req += 1;
-        write_frame(&mut self.w, kind, id, payload)?;
-        self.w.flush()?;
-        Ok(id)
+        self.tx.send(req)
     }
 
     /// Receives the next reply as `(req_id, response)`.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
-        let (kind, req_id) = read_frame_into(&mut self.r, &mut self.frame)?;
-        let resp = decode_response(kind, &self.frame).map_err(ClientError::Protocol)?;
-        Ok((req_id, resp))
+        self.rx.recv()
     }
 
     /// Sends a request and waits for its reply, checking the id echo.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let id = self.send(req)?;
-        let (got, resp) = self.recv()?;
-        echoed(id, got)?;
-        Ok(resp)
+        request(&mut self.tx, &mut self.rx, req)
     }
 
     /// Sends one frame of `kind` carrying `payload` as it stands and
     /// waits for the reply, whose payload lands in `reply` (resized to
-    /// fit) undecoded; returns the reply's kind. This is how the router
-    /// forwards a `Step`.
+    /// fit) undecoded; returns the reply's kind.
     pub fn exchange(
         &mut self,
         kind: u8,
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Result<u8, ClientError> {
-        let id = self.send_frame(kind, payload)?;
-        let (reply_kind, got) = read_frame_into(&mut self.r, reply)?;
-        echoed(id, got)?;
-        Ok(reply_kind)
+        let id = self.tx.send_frame(kind, payload)?;
+        self.rx.recv_frame(id, reply)
     }
 
     /// Pings the peer, returning its epoch.
@@ -158,7 +162,9 @@ impl Client {
         values: &[f64],
         rhs: &[f64],
     ) -> Result<StepReply, ClientError> {
-        let id = self.send_frame(kind::STEP, &encode_step(stream, refined, values, rhs))?;
+        let id = self
+            .tx
+            .send_frame(kind::STEP, &encode_step(stream, refined, values, rhs))?;
         let (got, resp) = self.recv()?;
         echoed(id, got)?;
         step_reply(resp)
@@ -190,6 +196,54 @@ impl Client {
             other => Err(unexpected("ShutdownAck", &other)),
         }
     }
+}
+
+impl Sender {
+    /// Sends one request, returning its `req_id`. Does not wait.
+    pub fn send(&mut self, req: &Request) -> io::Result<u64> {
+        let (kind, payload) = encode_request(req);
+        self.send_frame(kind, &payload)
+    }
+
+    /// Sends one frame of `kind` carrying `payload` as it stands,
+    /// returning its `req_id`. This is how the router forwards a `Step`.
+    pub fn send_frame(&mut self, kind: u8, payload: &[u8]) -> io::Result<u64> {
+        let id = self.next_req;
+        self.next_req += 1;
+        write_frame(&mut self.w, kind, id, payload)?;
+        Ok(id)
+    }
+}
+
+impl Receiver {
+    /// Receives the next reply as `(req_id, response)`.
+    pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
+        let (kind, req_id) = read_frame_into(&mut self.r, &mut self.frame)?;
+        let resp = decode_response(kind, &self.frame).map_err(ClientError::Protocol)?;
+        Ok((req_id, resp))
+    }
+
+    /// Receives the reply to request `id`: its payload lands in `reply`
+    /// (resized to fit) undecoded, and its kind is returned. A reply
+    /// under another id is a protocol error.
+    pub fn recv_frame(&mut self, id: u64, reply: &mut Vec<u8>) -> Result<u8, ClientError> {
+        let (kind, got) = read_frame_into(&mut self.r, reply)?;
+        echoed(id, got)?;
+        Ok(kind)
+    }
+}
+
+/// Sends `req` on `tx` and waits for its reply on `rx`, checking the id
+/// echo; the connection must have nothing else in flight.
+pub(crate) fn request(
+    tx: &mut Sender,
+    rx: &mut Receiver,
+    req: &Request,
+) -> Result<Response, ClientError> {
+    let id = tx.send(req)?;
+    let (got, resp) = rx.recv()?;
+    echoed(id, got)?;
+    Ok(resp)
 }
 
 /// Interprets a response to a step request.

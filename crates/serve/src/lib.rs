@@ -27,11 +27,13 @@
 //!   processes, pings them up, reaps and respawns crashes, bumps the
 //!   epoch each respawn.
 //! * [`router`] — the pattern-hash [`Router`]: same-pattern streams
-//!   co-locate on one shard; crashed shards answer in-flight requests
-//!   with clean `ShardUnavailable` errors and streams re-open lazily
-//!   on the respawned process from retained open requests.
+//!   co-locate on one shard; a connection's steps are forwarded as
+//!   they arrive and answered in request order; crashed shards answer
+//!   in-flight requests with clean `ShardUnavailable` errors and
+//!   streams re-open lazily on the respawned process from retained
+//!   open requests.
 //! * [`client`] — the blocking [`Client`] used by routers, harnesses,
-//!   and tests.
+//!   and tests, which splits into a send and a receive half.
 //!
 //! The `shardd` binary wraps these: `shardd --listen uds:/path` hosts
 //! one shard. A fleet plus router under load is the benchmark's

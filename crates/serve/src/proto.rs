@@ -540,9 +540,11 @@ fn quality_from_wire(r: &mut Rd) -> Result<SolveQuality, String> {
     })
 }
 
-/// Encodes a response into `(kind, payload)`.
-pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
-    let mut w = Wr::new();
+/// Encodes a response's payload into `buf`, replacing what it held,
+/// and returns the kind. A connection that answers through one buffer
+/// allocates only when a reply outgrows every reply before it.
+pub fn encode_response_into(resp: &Response, buf: &mut Vec<u8>) -> u8 {
+    let mut w = Wr::reuse(std::mem::take(buf));
     let kind = match resp {
         Response::Pong { epoch } => {
             w.u64(*epoch);
@@ -597,7 +599,8 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             kind::ERR
         }
     };
-    (kind, w.into_bytes())
+    *buf = w.into_bytes();
+    kind
 }
 
 /// Decodes a response frame.
@@ -758,9 +761,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn response_roundtrip() {
-        let resps = vec![
+    /// One response of every kind.
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Pong { epoch: 3 },
             Response::Opened {
                 stream: 9,
@@ -804,9 +807,15 @@ mod tests {
                 code: ErrCode::SingularPivot,
                 message: "column 3".into(),
             }),
-        ];
-        for resp in resps {
-            let (k, p) = encode_response(&resp);
+        ]
+    }
+
+    #[test]
+    fn response_roundtrip() {
+        // One buffer for every reply, as a connection's writer uses it.
+        let mut p = Vec::new();
+        for resp in sample_responses() {
+            let k = encode_response_into(&resp, &mut p);
             let back = decode_response(k, &p).unwrap();
             match (&resp, &back) {
                 (Response::Stats(a), Response::Stats(b)) => assert_eq!(a, b),
@@ -826,6 +835,42 @@ mod tests {
                 }
                 _ => assert_eq!(std::mem::discriminant(&resp), std::mem::discriminant(&back)),
             }
+        }
+    }
+
+    /// The frame bytes of every response kind, pinned: a reused encode
+    /// buffer and the one-write frame must put on the wire exactly the
+    /// bytes the codec always has.
+    #[test]
+    fn response_frames_are_pinned() {
+        let pinned = [
+            "42534b31 81 8877665544332211 08000000 \
+             0300000000000000",
+            "42534b31 82 8877665544332211 10000000 \
+             0900000000000000adde000000000000",
+            "42534b31 83 8877665544332211 2e000000 \
+             0202000000000000000000f03f0000000000000040010000 \
+             00020000008dedb5a0f7c6b03e11ea2d819997713d01",
+            "42534b31 84 8877665544332211 00000000",
+            "42534b31 85 8877665544332211 7c000000 \
+             01000000010000000200000000000000040000000a000000 \
+             00000000640000000000000001000000000000000a000000 \
+             000000005900000000000000000000000000e83f95d626e8 \
+             0b2e113e0a00000000000000640000000000000001000000 \
+             000000000100000000000000020000000000000001000000 \
+             00000000",
+            "42534b31 86 8877665544332211 00000000",
+            "42534b31 ff 8877665544332211 0d000000 \
+             0108000000636f6c756d6e2033",
+        ];
+        let mut p = Vec::new();
+        for (resp, want) in sample_responses().iter().zip(pinned) {
+            let k = encode_response_into(resp, &mut p);
+            let mut frame = Vec::new();
+            crate::wire::write_frame(&mut frame, k, 0x1122_3344_5566_7788, &p).unwrap();
+            let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            let want: String = want.split_whitespace().collect();
+            assert_eq!(hex, want, "{resp:?}");
         }
     }
 

@@ -8,9 +8,21 @@
 //! is cached across streams. Values differ per stream and per step;
 //! only the pattern decides placement.
 //!
-//! Each client connection gets its own handler thread with its own
-//! shard connections, so concurrency scales with client connections
-//! while every single connection keeps strict request/response order.
+//! ## One connection, pipelined
+//!
+//! Each client connection gets a **reader** thread and a **replier**
+//! thread, and its own link to each shard it uses. The reader forwards
+//! every `Step` the moment it is read, so a client's in-flight steps
+//! reach their shards together: the shards work on up to
+//! [`MAX_OUTSTANDING`] steps of one connection at once, and
+//! concurrency no longer scales only with the number of connections.
+//! The replier answers the connection's requests **strictly in request
+//! order**, taking each step's reply off its shard link; that works
+//! because a shard answers each link in order. So every single
+//! connection still keeps strict request/response order, as the wire
+//! contract says. `Open`, `Close`, `Stats`, `Ping` and `Shutdown` wait
+//! until the connection has nothing outstanding, then run synchronously
+//! on the links.
 //!
 //! A `Step` is forwarded as bytes, never decoded: the router reads the
 //! stream id from the payload's first 8 bytes, overwrites it with the
@@ -20,36 +32,60 @@
 //! a stream id, or naming a stream this connection never opened, the
 //! router answers itself with a `Protocol` error. `Open`, `Close`,
 //! `Stats`, `Ping` and `Shutdown` are decoded: `Open` needs the pattern
-//! hash, and the router keeps the decoded request for failover. Router
-//! and shard links read frames into one reused buffer each.
+//! hash, and the router keeps the decoded request for failover. The
+//! reader reads frames into one reused buffer, and the replier reads
+//! and encodes replies into another.
 //!
 //! ## Failover contract
 //!
 //! "Zero ticket loss" means **every accepted request is answered** —
 //! never dropped, never hung:
 //!
-//! * a step in flight on a shard that dies answers with a clean
-//!   [`ErrCode::ShardUnavailable`](crate::proto::ErrCode) error and the
-//!   supervisor respawns the shard (the router reports the failure
+//! * an I/O failure on a shard link answers every step outstanding on
+//!   that link with a clean
+//!   [`ErrCode::ShardUnavailable`](crate::proto::ErrCode) error, each in
+//!   its place in the order; the shard is reported down once and the
+//!   supervisor respawns it (the router reports the failure
 //!   synchronously, so the respawn races no one);
 //! * the stream's [`OpenRequest`] is retained by the router, and the
-//!   next step on that stream transparently **re-opens** it on the
-//!   respawned process (fresh epoch, fresh factors) before forwarding;
+//!   next step on that stream transparently **re-opens** it on a fresh
+//!   link to the respawned process (fresh epoch, fresh factors) before
+//!   forwarding;
 //! * requests for other shards never notice.
 
-use crate::client::{Client, ClientError};
+use crate::client::{self, Client, ClientError, Receiver, Sender};
 use crate::proto::{
-    decode_request, encode_response, kind, pattern_hash, OpenRequest, Request, Response,
+    decode_request, encode_response_into, kind, pattern_hash, OpenRequest, Request, Response,
     RouterWireStats, WireError, WireStats,
 };
 use crate::shard::ShardSet;
 use crate::wire::{read_frame_into, write_frame, Addr, Conn, Listener, Rd};
+use basker_api::STREAM_QUEUE_BOUND;
 use std::collections::HashMap;
-use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
+
+/// The most requests one client connection may have outstanding at the
+/// router: forwarded or answered by the router, but not yet replied to.
+/// The reader holds the next request back until one is answered, so a
+/// client that writes without reading fills its own socket, not the
+/// router's memory or a shard's queues.
+///
+/// The bound is the service's per-stream queue bound. A connection's
+/// streams live on the shard under that connection's link alone, so
+/// its outstanding steps can never fill one of their queues: the
+/// shard's reader never parks in `submit`'s backpressure on its behalf
+/// and keeps reading, and the router's reader never waits on a shard
+/// longer than the shard takes to take a frame in. The shard's writer
+/// may still block on a full socket, when the replier cannot pass a
+/// reply on to a client that is not reading; the shard's service still
+/// makes progress, because its jobs run on whichever waiter or
+/// submitter holds the driver seat, and none of them waits on a
+/// socket. A client that keeps `STREAM_QUEUE_BOUND` steps in flight is
+/// never held back.
+pub const MAX_OUTSTANDING: usize = STREAM_QUEUE_BOUND;
 
 /// Router-wide counters, shared across connection handlers.
 #[derive(Default)]
@@ -85,8 +121,10 @@ struct StreamRoute {
     open: OpenRequest,
     /// The shard-local stream id of the current incarnation.
     remote_id: u64,
-    /// The shard epoch the stream was opened on.
-    epoch: u64,
+    /// The generation of the link the stream was opened on: a shard
+    /// closes a link's streams when the link goes, so a stream whose
+    /// link was replaced must be re-opened.
+    link: u64,
 }
 
 /// A running router. Dropping it stops the listener and shuts down the
@@ -180,295 +218,429 @@ fn accept_loop(
     }
 }
 
-/// Per-connection shard links, cached by `(slot, epoch)`.
+/// One link of a client connection to one shard incarnation. The
+/// reader sends on `tx`; the answers are taken off `rx` in order.
+struct Link {
+    /// Distinguishes this link from every other of its connection.
+    generation: u64,
+    tx: Sender,
+    rx: Arc<LinkRx>,
+}
+
+impl Link {
+    /// A synchronous request on a link with nothing outstanding.
+    fn request(
+        &mut self,
+        req: &Request,
+        shards: &ShardSet,
+        counters: &Counters,
+    ) -> Result<Response, WireError> {
+        match client::request(&mut self.tx, &mut lock(&self.rx.rx), req) {
+            Ok(Response::Err(e)) => Err(e),
+            Ok(resp) => Ok(resp),
+            Err(e) => Err(self.rx.failure(shards, counters, e)),
+        }
+    }
+}
+
+/// The receiving end of a shard link, shared by the connection's
+/// reader (control requests, once nothing is outstanding) and its
+/// replier (step replies, in order).
+struct LinkRx {
+    shard: usize,
+    /// The shard epoch the link was connected to.
+    epoch: u64,
+    rx: Mutex<Receiver>,
+    /// Set once the link failed: its outstanding steps are answered
+    /// `ShardUnavailable` without reading, and the reader replaces it.
+    failed: AtomicBool,
+}
+
+/// Locks `m`, taking the data of a poisoned lock as it stands: every
+/// critical section here leaves its data consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl LinkRx {
+    fn has_failed(&self) -> bool {
+        // ORDER: Relaxed — the flag guards no other data; a reader or
+        // replier that misses a fresh store meets the dead socket.
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// Reads the reply to the step sent under `sent` into `reply` and
+    /// returns its kind. A link that failed answers `ShardUnavailable`
+    /// without reading.
+    fn reply(
+        &self,
+        sent: u64,
+        reply: &mut Vec<u8>,
+        shards: &ShardSet,
+        counters: &Counters,
+    ) -> Result<u8, WireError> {
+        if self.has_failed() {
+            return Err(self.unavailable("failed earlier"));
+        }
+        let got = lock(&self.rx).recv_frame(sent, reply);
+        got.map_err(|e| self.failure(shards, counters, e))
+    }
+
+    /// Converts a failure on this link into the client's error. An I/O
+    /// failure marks the link failed, and the first to see it reports
+    /// the shard down (which respawns it and lets the *next* request
+    /// route cleanly) and counts the failover; a reply out of step
+    /// marks it failed without blaming the shard.
+    fn failure(&self, shards: &ShardSet, counters: &Counters, e: ClientError) -> WireError {
+        match e {
+            ClientError::Remote(we) => we,
+            ClientError::Io(io) => {
+                // ORDER: Relaxed ×2 — the swap elects one reporter and
+                // guards no other data; the counter is a diagnostic.
+                if !self.failed.swap(true, Ordering::Relaxed) {
+                    counters.failovers.fetch_add(1, Ordering::Relaxed);
+                    shards.report_down(self.shard, self.epoch);
+                }
+                self.unavailable(&io.to_string())
+            }
+            ClientError::Protocol(m) => {
+                // ORDER: Relaxed — see `has_failed`.
+                self.failed.store(true, Ordering::Relaxed);
+                WireError::protocol(format!("shard {} protocol error: {m}", self.shard))
+            }
+        }
+    }
+
+    fn unavailable(&self, why: &str) -> WireError {
+        WireError::unavailable(format!(
+            "shard {} connection failed mid-request: {why}",
+            self.shard
+        ))
+    }
+}
+
+/// A connection's links, one per shard, owned by its reader.
 struct ShardLinks {
-    conns: HashMap<usize, (u64, Client)>,
+    links: HashMap<usize, Link>,
+    next_generation: u64,
 }
 
 impl ShardLinks {
-    /// A connected client for shard `i` at its current epoch,
-    /// reconnecting if the cached link is stale or absent. On connect
-    /// failure the shard is reported down (respawning it) and the new
-    /// epoch is retried once.
-    fn get(&mut self, shards: &ShardSet, i: usize) -> Result<(u64, &mut Client), ClientError> {
+    /// A link to shard `i` at its current epoch, reconnecting if the
+    /// cached link is stale, failed or absent. On connect failure the
+    /// shard is reported down (respawning it) and the new epoch is
+    /// retried once.
+    fn get(&mut self, shards: &ShardSet, i: usize) -> Result<&mut Link, WireError> {
         for _attempt in 0..2 {
             let epoch = shards.epoch(i);
-            if self.conns.get(&i).is_some_and(|(e, _)| *e == epoch) {
+            if self
+                .links
+                .get(&i)
+                .is_some_and(|l| l.rx.epoch == epoch && !l.rx.has_failed())
+            {
                 break;
             }
+            self.links.remove(&i);
             match Client::connect(&shards.addr(i)) {
                 Ok(c) => {
                     let _ = c.set_read_timeout(Some(Duration::from_secs(120)));
-                    self.conns.insert(i, (epoch, c));
+                    let (tx, rx) = c.split();
+                    self.next_generation += 1;
+                    let link = Link {
+                        generation: self.next_generation,
+                        tx,
+                        rx: Arc::new(LinkRx {
+                            shard: i,
+                            epoch,
+                            rx: Mutex::new(rx),
+                            failed: AtomicBool::new(false),
+                        }),
+                    };
+                    self.links.insert(i, link);
                     break;
                 }
                 Err(_) => {
-                    self.conns.remove(&i);
                     shards.report_down(i, epoch);
                 }
             }
         }
-        match self.conns.get_mut(&i) {
-            Some((e, c)) => Ok((*e, c)),
-            None => Err(ClientError::Remote(WireError::unavailable(format!(
-                "shard {i} unreachable after respawn"
-            )))),
+        self.links
+            .get_mut(&i)
+            .ok_or_else(|| WireError::unavailable(format!("shard {i} unreachable after respawn")))
+    }
+}
+
+/// Counts a connection's outstanding requests: taken in by the reader,
+/// released by the replier once answered.
+#[derive(Default)]
+struct Window {
+    outstanding: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl Window {
+    /// Waits until fewer than `limit` requests are outstanding, then
+    /// counts one more.
+    fn take(&self, limit: usize) {
+        let mut n = lock(&self.outstanding);
+        while *n >= limit {
+            n = self.changed.wait(n).unwrap_or_else(PoisonError::into_inner);
         }
+        *n += 1;
     }
 
-    /// Drops the cached link to shard `i` (after an I/O failure).
-    fn invalidate(&mut self, i: usize) {
-        self.conns.remove(&i);
+    /// Counts one request answered.
+    fn release(&self) {
+        *lock(&self.outstanding) -= 1;
+        self.changed.notify_all();
     }
+}
+
+/// What the reader hands the replier, in request order.
+enum Item {
+    /// A step forwarded on `link` under the link's id `sent`; its reply
+    /// goes back under `req_id`.
+    Step {
+        req_id: u64,
+        sent: u64,
+        link: Arc<LinkRx>,
+    },
+    /// A reply the router made itself.
+    Now(u64, Response),
+}
+
+/// What one client connection's reader keeps.
+struct Routing<'a> {
+    shards: &'a ShardSet,
+    counters: &'a Counters,
+    links: ShardLinks,
+    routes: HashMap<u64, StreamRoute>,
+    next_local: u64,
+    window: Arc<Window>,
 }
 
 fn handle_client(conn: Conn, shards: &Arc<ShardSet>, counters: &Arc<Counters>) {
-    let writer_conn = match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => return,
+    let Ok(writer) = conn.try_clone() else {
+        return;
     };
-    let mut w = BufWriter::new(writer_conn);
+    let window = Arc::new(Window::default());
+    let (queue, items) = mpsc::channel::<Item>();
+    let replier = {
+        let (shards, counters, window) = (shards.clone(), counters.clone(), window.clone());
+        thread::spawn(move || reply_in_order(writer, &items, &shards, &counters, &window))
+    };
+    let mut routing = Routing {
+        shards,
+        counters,
+        links: ShardLinks {
+            links: HashMap::new(),
+            next_generation: 0,
+        },
+        routes: HashMap::new(),
+        next_local: 1,
+        window,
+    };
     let mut conn = conn;
-    let mut links = ShardLinks {
-        conns: HashMap::new(),
-    };
-    let mut routes: HashMap<u64, StreamRoute> = HashMap::new();
-    let mut next_local: u64 = 1;
-    // Both reused across frames: a steady stream of steps allocates
-    // nothing here.
+    // Reused across frames.
     let mut frame = Vec::new();
-    let mut shard_reply = Vec::new();
-
     while let Ok((kind, req_id)) = read_frame_into(&mut conn, &mut frame) {
-        let resp = if kind == kind::STEP {
-            match forward_step(
-                shards,
-                &mut links,
-                &mut routes,
-                counters,
-                &mut frame,
-                &mut shard_reply,
-            ) {
-                Ok(reply_kind) => {
-                    if reply_kind == kind::ERR {
-                        // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-                        counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if send(&mut w, reply_kind, req_id, &shard_reply).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                Err(e) => Response::Err(e),
+        let mut last = false;
+        let item = if kind == kind::STEP {
+            routing.window.take(MAX_OUTSTANDING);
+            match routing.forward_step(&mut frame) {
+                Ok((sent, link)) => Item::Step { req_id, sent, link },
+                Err(e) => Item::Now(req_id, Response::Err(e)),
             }
         } else {
-            match decode_request(kind, &frame) {
+            // Nothing may be outstanding while a request uses the links
+            // synchronously.
+            routing.window.take(1);
+            let resp = match decode_request(kind, &frame) {
                 Err(e) => Response::Err(WireError::protocol(e)),
                 Ok(Request::Ping) => Response::Pong { epoch: 0 },
-                Ok(Request::Open(open)) => route_open(
-                    shards,
-                    &mut links,
-                    &mut routes,
-                    &mut next_local,
-                    counters,
-                    open,
-                ),
+                Ok(Request::Open(open)) => routing.open(open),
                 Ok(Request::Step { .. }) => unreachable!("step frames are forwarded as bytes"),
-                Ok(Request::Close { stream }) => {
-                    route_close(shards, &mut links, &mut routes, stream)
-                }
-                Ok(Request::Stats) => gather_stats(shards, &mut links, counters),
+                Ok(Request::Close { stream }) => routing.close(stream),
+                Ok(Request::Stats) => routing.stats(),
                 Ok(Request::Shutdown) => {
-                    let (ack, payload) = encode_response(&Response::ShutdownAck);
-                    let _ = send(&mut w, ack, req_id, &payload);
-                    break;
+                    last = true;
+                    Response::ShutdownAck
                 }
-            }
+            };
+            Item::Now(req_id, resp)
         };
-        if matches!(resp, Response::Err(_)) {
-            // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-            counters.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        let (reply_kind, payload) = encode_response(&resp);
-        if send(&mut w, reply_kind, req_id, &payload).is_err() {
+        if queue.send(item).is_err() || last {
             break;
         }
     }
+    // The replier answers what is still queued, then ends.
+    drop(queue);
+    let _ = replier.join();
 }
 
-/// Writes one reply frame and flushes it.
-fn send(w: &mut BufWriter<Conn>, kind: u8, req_id: u64, payload: &[u8]) -> std::io::Result<()> {
-    write_frame(w, kind, req_id, payload)?;
-    w.flush()
-}
-
-fn route_open(
+/// The replier: answers each item in order, releasing its window slot
+/// once its reply is written. A client that went away gets nothing
+/// more written, but every item is still taken and released, so the
+/// reader never waits on a slot that will not come back.
+fn reply_in_order(
+    mut w: Conn,
+    items: &mpsc::Receiver<Item>,
     shards: &ShardSet,
-    links: &mut ShardLinks,
-    routes: &mut HashMap<u64, StreamRoute>,
-    next_local: &mut u64,
     counters: &Counters,
-    open: OpenRequest,
-) -> Response {
-    let hash = pattern_hash(&open.matrix);
-    let shard = (hash % shards.num_shards() as u64) as usize;
-    match open_on(shards, links, shard, &open) {
-        Ok((epoch, remote_id)) => {
-            let local = *next_local;
-            *next_local += 1;
-            routes.insert(
-                local,
-                StreamRoute {
-                    shard,
-                    open,
-                    remote_id,
-                    epoch,
-                },
-            );
-            // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-            counters.routed_streams.fetch_add(1, Ordering::Relaxed);
-            Response::Opened {
-                stream: local,
-                pattern_hash: hash,
+    window: &Window,
+) {
+    // Every reply, forwarded or made here, passes through this buffer.
+    let mut payload = Vec::new();
+    let mut client_gone = false;
+    for item in items {
+        let (req_id, kind) = match item {
+            Item::Now(req_id, resp) => (req_id, encode_response_into(&resp, &mut payload)),
+            Item::Step { req_id, sent, link } => {
+                match link.reply(sent, &mut payload, shards, counters) {
+                    Ok(kind) => (req_id, kind),
+                    Err(e) => (
+                        req_id,
+                        encode_response_into(&Response::Err(e), &mut payload),
+                    ),
+                }
             }
+        };
+        if kind == kind::ERR {
+            // ORDER: Relaxed — monotonic diagnostic (see `counters`).
+            counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        Err(e) => Response::Err(shard_failure(counters, links, shards, shard, e)),
+        if !client_gone && write_frame(&mut w, kind, req_id, &payload).is_err() {
+            // Wake the reader, which is likely blocked reading.
+            client_gone = true;
+            w.shutdown();
+        }
+        window.release();
     }
 }
 
-/// Opens `open` on shard `i`, returning `(epoch, remote stream id)`.
-fn open_on(
-    shards: &ShardSet,
-    links: &mut ShardLinks,
-    i: usize,
-    open: &OpenRequest,
-) -> Result<(u64, u64), ClientError> {
-    let (epoch, client) = links.get(shards, i)?;
-    let (remote_id, _hash) = client.open_stream(open)?;
-    Ok((epoch, remote_id))
-}
+impl Routing<'_> {
+    fn open(&mut self, open: OpenRequest) -> Response {
+        let hash = pattern_hash(&open.matrix);
+        let shard = (hash % self.shards.num_shards() as u64) as usize;
+        match self.open_on(shard, &open) {
+            Ok((link, remote_id)) => {
+                let local = self.next_local;
+                self.next_local += 1;
+                self.routes.insert(
+                    local,
+                    StreamRoute {
+                        shard,
+                        open,
+                        remote_id,
+                        link,
+                    },
+                );
+                // ORDER: Relaxed — monotonic diagnostic (see `counters`).
+                self.counters.routed_streams.fetch_add(1, Ordering::Relaxed);
+                Response::Opened {
+                    stream: local,
+                    pattern_hash: hash,
+                }
+            }
+            Err(e) => Response::Err(e),
+        }
+    }
 
-/// Forwards one `Step` frame to its stream's shard as bytes: the
-/// payload's leading stream id is overwritten with the shard-local id,
-/// the shard's reply payload lands in `reply` undecoded, and its kind is
-/// returned. A failure the router answers itself is the `Err`.
-fn forward_step(
-    shards: &ShardSet,
-    links: &mut ShardLinks,
-    routes: &mut HashMap<u64, StreamRoute>,
-    counters: &Counters,
-    payload: &mut [u8],
-    reply: &mut Vec<u8>,
-) -> Result<u8, WireError> {
-    let stream = Rd::new(payload).u64().map_err(|_| {
-        WireError::protocol(format!(
-            "step payload of {} bytes has no stream id",
-            payload.len()
-        ))
-    })?;
-    let Some(route) = routes.get_mut(&stream) else {
-        return Err(WireError::protocol(format!("unknown stream {stream}")));
-    };
-    // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-    counters.steps.fetch_add(1, Ordering::Relaxed);
-    let shard = route.shard;
-    step_on(shards, links, route, counters, payload, reply)
-        .map_err(|e| shard_failure(counters, links, shards, shard, e))
-}
+    /// Opens `open` on shard `i`, returning the link's generation and
+    /// the shard-local stream id. Nothing may be outstanding.
+    fn open_on(&mut self, i: usize, open: &OpenRequest) -> Result<(u64, u64), WireError> {
+        let (shards, counters) = (self.shards, self.counters);
+        let link = self.links.get(shards, i)?;
+        let req = Request::Open(open.clone());
+        match link.request(&req, shards, counters)? {
+            Response::Opened { stream, .. } => Ok((link.generation, stream)),
+            _ => Err(WireError::protocol(format!(
+                "shard {i} answered an open with another response"
+            ))),
+        }
+    }
 
-/// The shard round trip of [`forward_step`].
-fn step_on(
-    shards: &ShardSet,
-    links: &mut ShardLinks,
-    route: &mut StreamRoute,
-    counters: &Counters,
-    payload: &mut [u8],
-    reply: &mut Vec<u8>,
-) -> Result<u8, ClientError> {
-    if shards.epoch(route.shard) != route.epoch {
-        // The shard was respawned since this stream was opened:
-        // re-establish it from the retained open request before
-        // forwarding. The fresh session re-analyzes and re-factors on
-        // this step.
-        let (epoch, remote_id) = open_on(shards, links, route.shard, &route.open)?;
-        route.epoch = epoch;
-        route.remote_id = remote_id;
+    /// Forwards one `Step` frame to its stream's shard as bytes: the
+    /// payload's leading stream id is overwritten with the shard-local
+    /// id, and the link and the id the frame was sent under are
+    /// returned for the replier. A failure the router answers itself is
+    /// the `Err`.
+    fn forward_step(&mut self, payload: &mut [u8]) -> Result<(u64, Arc<LinkRx>), WireError> {
+        let stream = Rd::new(payload).u64().map_err(|_| {
+            WireError::protocol(format!(
+                "step payload of {} bytes has no stream id",
+                payload.len()
+            ))
+        })?;
+        let Some(route) = self.routes.get(&stream) else {
+            return Err(WireError::protocol(format!("unknown stream {stream}")));
+        };
         // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-        counters.reopens.fetch_add(1, Ordering::Relaxed);
-    }
-    payload[..8].copy_from_slice(&route.remote_id.to_le_bytes());
-    let (_, client) = links.get(shards, route.shard)?;
-    client.exchange(kind::STEP, payload, reply)
-}
-
-fn route_close(
-    shards: &ShardSet,
-    links: &mut ShardLinks,
-    routes: &mut HashMap<u64, StreamRoute>,
-    stream: u64,
-) -> Response {
-    let Some(route) = routes.remove(&stream) else {
-        return Response::Err(WireError::protocol(format!("unknown stream {stream}")));
-    };
-    // Best effort: if the shard died since, the respawned process never
-    // heard of the stream — closed is closed either way.
-    if shards.epoch(route.shard) == route.epoch {
-        if let Ok((_, client)) = links.get(shards, route.shard) {
-            let _ = client.close_stream(route.remote_id);
-        }
-    }
-    Response::Closed
-}
-
-fn gather_stats(shards: &ShardSet, links: &mut ShardLinks, counters: &Counters) -> Response {
-    let mut stats = WireStats::default();
-    for i in 0..shards.num_shards() {
-        if let Ok((_, client)) = links.get(shards, i) {
-            if let Ok(s) = client.stats() {
-                stats.shards.extend(s.shards);
-                continue;
+        self.counters.steps.fetch_add(1, Ordering::Relaxed);
+        let (shard, opened_on) = (route.shard, route.link);
+        if self.links.get(self.shards, shard)?.generation != opened_on {
+            // The link the stream was opened on is gone (its shard was
+            // respawned, or it failed): re-establish the stream from
+            // the retained open request before forwarding, once the
+            // requests still outstanding on the old link are answered.
+            // The fresh session re-analyzes and re-factors on this step.
+            self.window.release();
+            self.window.take(1);
+            let open = self.routes[&stream].open.clone();
+            let (link, remote_id) = self.open_on(shard, &open)?;
+            if let Some(route) = self.routes.get_mut(&stream) {
+                route.link = link;
+                route.remote_id = remote_id;
             }
-            links.invalidate(i);
-        }
-        // Unreachable shard: report an empty row so the shape is
-        // stable for dashboards.
-        stats.shards.push(crate::proto::ShardStatsWire {
-            shard: i as u32,
-            epoch: shards.epoch(i),
-            ..Default::default()
-        });
-    }
-    stats.router = counters.wire(shards.respawns());
-    Response::Stats(stats)
-}
-
-/// Converts a shard-side failure into the client's error, reporting the
-/// shard down on transport failures (which respawns it and lets the
-/// *next* request route cleanly).
-fn shard_failure(
-    counters: &Counters,
-    links: &mut ShardLinks,
-    shards: &ShardSet,
-    shard: usize,
-    e: ClientError,
-) -> WireError {
-    match e {
-        ClientError::Remote(we) => we,
-        ClientError::Io(io) => {
             // ORDER: Relaxed — monotonic diagnostic (see `counters`).
-            counters.failovers.fetch_add(1, Ordering::Relaxed);
-            let epoch = links
-                .conns
-                .get(&shard)
-                .map(|(e, _)| *e)
-                .unwrap_or_else(|| shards.epoch(shard));
-            links.invalidate(shard);
-            shards.report_down(shard, epoch);
-            WireError::unavailable(format!("shard {shard} connection failed mid-request: {io}"))
+            self.counters.reopens.fetch_add(1, Ordering::Relaxed);
         }
-        ClientError::Protocol(m) => {
-            links.invalidate(shard);
-            WireError::protocol(format!("shard {shard} protocol error: {m}"))
+        let remote_id = self.routes[&stream].remote_id;
+        payload[..8].copy_from_slice(&remote_id.to_le_bytes());
+        let (shards, counters) = (self.shards, self.counters);
+        let link = self.links.get(shards, shard)?;
+        match link.tx.send_frame(kind::STEP, payload) {
+            Ok(sent) => Ok((sent, link.rx.clone())),
+            Err(e) => Err(link.rx.failure(shards, counters, ClientError::Io(e))),
         }
+    }
+
+    fn close(&mut self, stream: u64) -> Response {
+        let Some(route) = self.routes.remove(&stream) else {
+            return Response::Err(WireError::protocol(format!("unknown stream {stream}")));
+        };
+        // Best effort, on the link the stream lives on: if that link is
+        // gone, so is the stream — closed is closed either way.
+        if let Some(link) = self.links.links.get_mut(&route.shard) {
+            if link.generation == route.link && !link.rx.has_failed() {
+                let req = Request::Close {
+                    stream: route.remote_id,
+                };
+                let _ = link.request(&req, self.shards, self.counters);
+            }
+        }
+        Response::Closed
+    }
+
+    fn stats(&mut self) -> Response {
+        let (shards, counters) = (self.shards, self.counters);
+        let mut stats = WireStats::default();
+        for i in 0..shards.num_shards() {
+            if let Ok(link) = self.links.get(shards, i) {
+                if let Ok(Response::Stats(s)) = link.request(&Request::Stats, shards, counters) {
+                    stats.shards.extend(s.shards);
+                    continue;
+                }
+            }
+            // Unreachable shard: report an empty row so the shape is
+            // stable for dashboards.
+            stats.shards.push(crate::proto::ShardStatsWire {
+                shard: i as u32,
+                epoch: shards.epoch(i),
+                ..Default::default()
+            });
+        }
+        stats.router = counters.wire(shards.respawns());
+        Response::Stats(stats)
     }
 }

@@ -23,14 +23,14 @@
 //! sessions.
 
 use crate::proto::{
-    self, decode_request, encode_response, kind, pattern_hash, Request, Response, ShardStatsWire,
-    WireError, WireStats,
+    self, decode_request, encode_response_into, kind, pattern_hash, Request, Response,
+    ShardStatsWire, WireError, WireStats,
 };
 use crate::wire::{read_frame_into, write_frame, Addr, Conn, Listener, Rd};
 use basker_api::{ServiceStats, SolverService, StepTicket};
 use basker_sparse::CscMat;
 use std::collections::HashMap;
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -121,18 +121,17 @@ fn handle_conn(conn: Conn, service: &SolverService, shard: u32, epoch: u64, ctl:
     // service's driver seat, which is exactly the cooperative
     // scheduling the in-process tier uses.
     let writer = thread::spawn(move || {
-        let mut w = BufWriter::new(writer_conn);
+        let mut w = writer_conn;
+        // Every reply is encoded into this one buffer.
+        let mut payload = Vec::new();
         while let Ok(out) = rx.recv() {
             let (req_id, resp) = match out {
                 Out::Now(id, resp) => (id, resp),
                 Out::Ticket(id, t) => (id, proto::step_response(t.wait())),
             };
-            let (kind, payload) = encode_response(&resp);
+            let kind = encode_response_into(&resp, &mut payload);
             if write_frame(&mut w, kind, req_id, &payload).is_err() {
                 break; // client gone; keep draining tickets below
-            }
-            if w.flush().is_err() {
-                break;
             }
         }
         // Client vanished mid-pipeline: still wait the remaining

@@ -26,7 +26,7 @@
 //! * `len` bounds the payload ([`MAX_FRAME`]); an oversized length is a
 //!   protocol error, not an allocation attempt.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -34,6 +34,9 @@ use std::time::Duration;
 
 /// The frame magic: `b"BSK1"`.
 pub const MAGIC: [u8; 4] = *b"BSK1";
+
+/// Bytes of a frame header: magic, kind, `req_id` and `len`.
+const HEADER_BYTES: usize = 4 + 1 + 8 + 4;
 
 /// Maximum accepted payload size (64 MiB) — far above any matrix this
 /// tier serves, far below an allocation bomb.
@@ -188,6 +191,12 @@ impl Write for Conn {
             Conn::Uds(s) => s.write(buf),
         }
     }
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.write_vectored(bufs),
+            Conn::Uds(s) => s.write_vectored(bufs),
+        }
+    }
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.flush(),
@@ -196,9 +205,11 @@ impl Write for Conn {
     }
 }
 
-/// Writes one frame (header + payload) and flushes nothing — callers
-/// batch frames behind a `BufWriter` and flush at their pipeline
-/// boundary.
+/// Writes one frame (header + payload) as one vectored write, so a
+/// frame written straight to a socket costs one system call however
+/// large its payload (a short write is resumed where it stopped). No
+/// writer on a request path buffers: each frame goes out as it is
+/// written, and `w` sees the frame's bytes once, uncopied.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, req_id: u64, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME as usize {
         return Err(io::Error::new(
@@ -206,11 +217,26 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, req_id: u64, payload: &[u8]) -
             format!("frame payload {} exceeds MAX_FRAME", payload.len()),
         ));
     }
-    w.write_all(&MAGIC)?;
-    w.write_all(&[kind])?;
-    w.write_all(&req_id.to_le_bytes())?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    let mut head = [0u8; HEADER_BYTES];
+    head[..4].copy_from_slice(&MAGIC);
+    head[4] = kind;
+    head[5..13].copy_from_slice(&req_id.to_le_bytes());
+    head[13..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut done = 0;
+    while done < HEADER_BYTES + payload.len() {
+        let wrote = if done < HEADER_BYTES {
+            w.write_vectored(&[IoSlice::new(&head[done..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[done - HEADER_BYTES..])
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one frame into `payload`, returning `(kind, req_id)`;
@@ -221,7 +247,7 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, req_id: u64, payload: &[u8]) -
 /// reuses one buffer across frames allocates and zero-fills only when a
 /// frame is longer than every frame before it.
 pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<(u8, u64)> {
-    let mut head = [0u8; 17];
+    let mut head = [0u8; HEADER_BYTES];
     r.read_exact(&mut head)?;
     if head[..4] != MAGIC {
         return Err(io::Error::new(
@@ -259,6 +285,11 @@ impl Wr {
     /// An empty payload buffer.
     pub fn new() -> Wr {
         Wr::default()
+    }
+    /// A writer over `buf`'s allocation, emptied first.
+    pub fn reuse(mut buf: Vec<u8>) -> Wr {
+        buf.clear();
+        Wr { buf }
     }
     /// Makes room for `n` more bytes, so a payload of known size is
     /// written without regrowing the buffer.
@@ -442,6 +473,61 @@ mod tests {
         assert_eq!(read_frame_into(&mut r, &mut p).unwrap(), (7, u64::MAX));
         assert!(p.is_empty());
         assert!(r.is_empty());
+    }
+
+    /// A writer that counts its calls and keeps what it is given,
+    /// taking at most `limit` bytes a call.
+    struct Counting {
+        calls: usize,
+        bytes: Vec<u8>,
+        limit: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.limit - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A frame far larger than a `BufWriter`'s 8 KiB is one write of
+    /// header and payload together; a writer that takes less per call
+    /// gets the rest resumed where it stopped, byte for byte.
+    #[test]
+    fn an_oversized_frame_is_one_write() {
+        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let mut want = Vec::new();
+        want.extend_from_slice(b"BSK1");
+        want.push(4);
+        want.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        want.extend_from_slice(&200_000u32.to_le_bytes());
+        want.extend_from_slice(&payload);
+        for (limit, calls) in [
+            (usize::MAX, 1),
+            (4096, want.len().div_ceil(4096)),
+            (5, want.len().div_ceil(5)),
+        ] {
+            let mut w = Counting {
+                calls: 0,
+                bytes: Vec::new(),
+                limit,
+            };
+            write_frame(&mut w, 4, 0x0102_0304_0506_0708, &payload).unwrap();
+            assert_eq!(w.calls, calls, "{limit} bytes a call");
+            assert!(w.bytes == want, "{limit} bytes a call: the bytes differ");
+        }
     }
 
     #[test]

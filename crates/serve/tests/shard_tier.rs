@@ -9,10 +9,14 @@
 
 use basker_api::{Engine, ReusePolicy};
 use basker_serve::client::{Client, ClientError};
-use basker_serve::proto::{decode_response, encode_step, kind, ErrCode, OpenRequest, Response};
+use basker_serve::proto::{
+    decode_response, encode_step, kind, pattern_hash, ErrCode, OpenRequest, Request, Response,
+};
+use basker_serve::router::MAX_OUTSTANDING;
 use basker_serve::shard::{ShardSet, ShardSpec};
 use basker_serve::wire::{Addr, Listener};
 use basker_serve::Router;
+use basker_sparse::spmv::spmv;
 use basker_sparse::{CscMat, TripletMat};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -380,4 +384,260 @@ fn induced_shard_crash_loses_no_tickets() {
     let stats = probe.stats().expect("stats");
     assert!(stats.router.respawns >= 1);
     assert_eq!(stats.shards.len(), 2);
+}
+
+/// Streams over distinct patterns through `cl` until both shards of a
+/// two-shard fleet host `per_shard` of them: `(stream, n)` pairs.
+fn streams_on_both_shards(cl: &mut Client, per_shard: usize) -> Vec<(u64, usize)> {
+    let mut hosted = [0usize; 2];
+    let mut streams = Vec::new();
+    for n in 20..80 {
+        if hosted.iter().all(|&h| h >= per_shard) {
+            break;
+        }
+        let shard = (pattern_hash(&tridiag(n, 1.0)) % 2) as usize;
+        if hosted[shard] < per_shard {
+            let (stream, _) = cl.open_stream(&open_request(n)).expect("open");
+            streams.push((stream, n));
+            hosted[shard] += 1;
+        }
+    }
+    assert_eq!(hosted, [per_shard; 2], "patterns for both shards");
+    streams
+}
+
+/// Drives `total` steps round robin over `streams` on one connection,
+/// keeping `depth` in flight, and returns each step's outcome in
+/// request order: the reply's relative residual, or the error code it
+/// was answered with. Every reply must come back in request order;
+/// `answered` counts them as they arrive.
+fn pipelined(
+    cl: &mut Client,
+    streams: &[(u64, usize)],
+    total: usize,
+    depth: usize,
+    answered: &AtomicU64,
+) -> Vec<Result<f64, ErrCode>> {
+    let mut inflight = std::collections::VecDeque::new();
+    let mut outcomes = Vec::with_capacity(total);
+    let mut sent = 0;
+    while outcomes.len() < total {
+        while inflight.len() < depth && sent < total {
+            let (stream, n) = streams[sent % streams.len()];
+            let a = tridiag(n, 1.0 + 0.003 * sent as f64);
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+            let id = cl
+                .send(&Request::Step {
+                    stream,
+                    refined: true,
+                    values: a.values().to_vec(),
+                    rhs: b.clone(),
+                })
+                .expect("send");
+            inflight.push_back((id, a, b));
+            sent += 1;
+        }
+        let (id, a, b) = inflight.pop_front().expect("a step in flight");
+        let (got, resp) = cl.recv().expect("every request is answered");
+        assert_eq!(got, id, "replies come back in request order");
+        answered.fetch_add(1, Ordering::SeqCst);
+        outcomes.push(match resp {
+            Response::Step { x, .. } => {
+                let ax = spmv(&a, &x);
+                let r = ax
+                    .iter()
+                    .zip(&b)
+                    .map(|(u, v)| (u - v).abs())
+                    .fold(0.0, f64::max);
+                Ok(r / b.iter().fold(0.0, |m: f64, v| m.max(v.abs())))
+            }
+            Response::Err(e) => Err(e.code),
+            other => panic!("step {id} answered with {other:?}"),
+        });
+    }
+    outcomes
+}
+
+/// One connection keeps more steps in flight than the router lets
+/// through at once, over streams on both shards: every reply comes
+/// back in request order with a solution that checks out.
+#[test]
+fn pipelined_steps_answer_in_request_order() {
+    let set = fleet("pipeline", 2);
+    let listener =
+        Listener::bind(&Addr::Uds(temp_dir("pipeline").join("router.sock"))).expect("bind router");
+    let router = Router::start(listener, set.clone()).expect("start router");
+    let addr = router.addr();
+    let answered = Arc::new(AtomicU64::new(0));
+    let worker = {
+        let answered = answered.clone();
+        thread::spawn(move || {
+            let mut cl = Client::connect(&addr).expect("conn");
+            cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            let streams = streams_on_both_shards(&mut cl, 3);
+            let outcomes = pipelined(&mut cl, &streams, 120, MAX_OUTSTANDING + 2, &answered);
+            (outcomes, cl.stats().expect("stats"))
+        })
+    };
+    let mut done = join_within(vec![worker], Duration::from_secs(120), || {
+        format!("{} answered", answered.load(Ordering::SeqCst))
+    });
+    let (outcomes, stats) = done.remove(0);
+    for (k, o) in outcomes.iter().enumerate() {
+        match o {
+            Ok(r) => assert!(*r < 1e-9, "step {k}: residual {r:.2e}"),
+            Err(code) => panic!("step {k} failed: {code:?}"),
+        }
+    }
+    assert_eq!(stats.router.steps, 120);
+    assert_eq!((stats.router.errors, stats.router.failovers), (0, 0));
+    assert!(
+        stats.shards.iter().all(|s| s.steps > 0),
+        "both shards served"
+    );
+}
+
+/// A shard is killed while one connection keeps steps in flight on
+/// both shards: every request is answered, in order, with a solution
+/// or a clean `ShardUnavailable`, and later steps re-open their
+/// streams on the respawned shard.
+#[test]
+fn shard_crash_with_steps_outstanding_answers_in_order() {
+    let set = fleet("pipecrash", 2);
+    let listener =
+        Listener::bind(&Addr::Uds(temp_dir("pipecrash").join("router.sock"))).expect("bind router");
+    let router = Router::start(listener, set.clone()).expect("start router");
+    let addr = router.addr();
+    let answered = Arc::new(AtomicU64::new(0));
+    let total = 400;
+    let worker = {
+        let answered = answered.clone();
+        thread::spawn(move || {
+            let mut cl = Client::connect(&addr).expect("conn");
+            cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            let streams = streams_on_both_shards(&mut cl, 2);
+            let outcomes = pipelined(&mut cl, &streams, total, MAX_OUTSTANDING, &answered);
+            (outcomes, streams, cl)
+        })
+    };
+    let count = || format!("{} of {total} answered", answered.load(Ordering::SeqCst));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while answered.load(Ordering::SeqCst) < total as u64 / 4 && !worker.is_finished() {
+        assert!(Instant::now() < deadline, "load stalled: {}", count());
+        thread::sleep(Duration::from_millis(1));
+    }
+    set.kill(0);
+    let (outcomes, streams, mut cl) = join_within(vec![worker], Duration::from_secs(120), count)
+        .pop()
+        .expect("one worker");
+
+    // Each outcome is a solution or a clean error; every step on the
+    // surviving shard succeeded.
+    let mut unavailable = 0;
+    for (k, o) in outcomes.iter().enumerate() {
+        let (_, n) = streams[k % streams.len()];
+        let on_victim = pattern_hash(&tridiag(n, 1.0)) % 2 == 0;
+        match o {
+            Ok(r) => assert!(*r < 1e-9, "step {k}: residual {r:.2e}"),
+            Err(ErrCode::ShardUnavailable) if on_victim => unavailable += 1,
+            Err(code) => panic!("step {k} (victim's: {on_victim}): {code:?}"),
+        }
+    }
+    assert!(unavailable > 0, "the kill caught steps outstanding");
+
+    // Later steps on every stream succeed, re-opened on the respawned
+    // shard.
+    for &(stream, n) in &streams {
+        let m = tridiag(n, 2.0);
+        let rhs = vec![1.0; n];
+        let ok = (0..20).any(|_| match cl.step(stream, true, m.values(), &rhs) {
+            Ok(reply) => reply.quality[0].converged,
+            Err(ClientError::Remote(e)) if e.code == ErrCode::ShardUnavailable => {
+                thread::sleep(Duration::from_millis(100));
+                false
+            }
+            Err(e) => panic!("stream {stream}: {e}"),
+        });
+        assert!(ok, "stream {stream} steps again after the respawn");
+    }
+    let stats = cl.stats().expect("stats");
+    assert!(stats.router.respawns >= 1 && stats.router.failovers >= 1);
+    assert!(stats.router.reopens >= 1, "{:?}", stats.router);
+}
+
+/// A client writes ten times the router's bound of steps without
+/// reading, with replies too large for the sockets to hold. Nothing
+/// deadlocks: the router stops reading the connection, and another
+/// connection's step goes through the same shard meanwhile. Once the
+/// client reads, every request is answered, in order.
+#[test]
+fn a_client_that_floods_without_reading_wedges_nothing() {
+    let set = fleet("flood", 1);
+    let listener =
+        Listener::bind(&Addr::Uds(temp_dir("flood").join("router.sock"))).expect("bind router");
+    let router = Router::start(listener, set.clone()).expect("start router");
+    let n = 20_000;
+    let a = tridiag(n, 1.0);
+    let b = vec![1.0; n];
+    let cl = Client::connect(&router.addr()).expect("flood conn");
+    cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut cl = cl;
+    let (stream, _) = cl.open_stream(&open_request(n)).expect("open");
+    let (mut tx, mut rx) = cl.split();
+
+    let flood = 10 * MAX_OUTSTANDING;
+    let written = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let written = written.clone();
+        let payload = encode_step(stream, true, a.values(), &b);
+        thread::spawn(move || {
+            for _ in 0..flood {
+                tx.send_frame(kind::STEP, &payload).expect("write");
+                written.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Let the flood fill every buffer on the way.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut last = (0, Instant::now());
+    while !writer.is_finished() && last.1.elapsed() < Duration::from_millis(500) {
+        assert!(Instant::now() < deadline, "the flood never settled");
+        let w = written.load(Ordering::SeqCst);
+        if w != last.0 {
+            last = (w, Instant::now());
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+
+    // Meanwhile another connection steps through the same shard.
+    let other = {
+        let addr = router.addr();
+        thread::spawn(move || {
+            let mut cl = Client::connect(&addr).expect("second conn");
+            cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            let (s, _) = cl.open_stream(&open_request(64)).expect("open");
+            let m = tridiag(64, 1.0);
+            cl.step(s, true, m.values(), &vec![1.0; 64]).expect("step")
+        })
+    };
+    let reply = join_within(vec![other], Duration::from_secs(60), || {
+        "the second connection is wedged".into()
+    });
+    assert!(reply[0].quality[0].converged);
+
+    // Now read: every request is answered, in order.
+    let reader = thread::spawn(move || {
+        for id in 0..flood as u64 {
+            match rx.recv() {
+                Ok((got, Response::Step { quality, .. })) => {
+                    assert_eq!(got, id + 2, "in request order (1 was the open)");
+                    assert!(quality[0].converged, "step {got}");
+                }
+                other => panic!("request {}: {other:?}", id + 2),
+            }
+        }
+    });
+    join_within(vec![writer, reader], Duration::from_secs(120), || {
+        format!("{} of {flood} written", written.load(Ordering::SeqCst))
+    });
 }

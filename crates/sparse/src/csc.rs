@@ -235,6 +235,14 @@ impl CscMat {
         (0..self.ncols).flat_map(move |j| self.col_iter(j).map(move |(i, v)| (i, j, v)))
     }
 
+    /// The `(row, col)` of the first NaN or infinite value in column
+    /// order, if any.
+    pub fn first_non_finite(&self) -> Option<(usize, usize)> {
+        let k = self.values.iter().position(|v| !v.is_finite())?;
+        let j = self.colptr.partition_point(|&p| p <= k) - 1;
+        Some((self.rowind[k], j))
+    }
+
     /// Looks up entry `(i, j)`, returning 0.0 when not stored.
     ///
     /// Binary search over the (sorted) column — O(log nnz(col)).

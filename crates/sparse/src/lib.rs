@@ -68,6 +68,14 @@ pub enum SparseError {
     },
     /// Parse or I/O failure while reading an external matrix file.
     Io(String),
+    /// The matrix holds a NaN or an infinite value; this is the first
+    /// such entry in column order.
+    NonFinite {
+        /// Row of the entry.
+        row: usize,
+        /// Column of the entry.
+        column: usize,
+    },
 }
 
 impl std::fmt::Display for SparseError {
@@ -89,6 +97,9 @@ impl std::fmt::Display for SparseError {
                 write!(f, "structurally singular matrix (structural rank {rank})")
             }
             SparseError::Io(msg) => write!(f, "I/O error: {msg}"),
+            SparseError::NonFinite { row, column } => {
+                write!(f, "non-finite value at entry ({row}, {column})")
+            }
         }
     }
 }

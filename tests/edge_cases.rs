@@ -254,10 +254,12 @@ fn mwcm_toggle_changes_nothing_functionally() {
 
 /// One NaN, `+∞` or `−∞` entry, on the diagonal or off it, through the
 /// session of every engine: nothing panics. A factorization may refuse
-/// the matrix with an error (a NaN reaches a pivot as a singular one);
-/// every refined solve that runs, single or batched, reports a NaN
-/// residual and `!converged`, and so does the session's
-/// `worst_residual`. Each value is solved by at least one engine.
+/// the matrix (a NaN reaches a pivot as a singular one), and then its
+/// error names the bad entry's row and column, not the pivot it
+/// tripped; every refined solve that runs, single or batched, reports
+/// a NaN residual and `!converged`, and so does the session's
+/// `worst_residual`. Each value is solved by at least one engine, and
+/// some refusal names an entry.
 #[test]
 fn non_finite_entries_never_read_as_converged() {
     let a = circuit(&CircuitParams {
@@ -272,6 +274,7 @@ fn non_finite_entries_never_read_as_converged() {
     let diag = (0..a.nnz())
         .find(|&k| a.rowind()[k] == col_of(&a, k))
         .unwrap();
+    let mut named = 0;
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let mut solved = 0;
         for at in [off, diag] {
@@ -283,7 +286,14 @@ fn non_finite_entries_never_read_as_converged() {
                 let Ok(mut session) = SolveSession::new(&m, &cfg) else {
                     continue;
                 };
-                if session.step(&m).is_err() {
+                if let Err(e) = session.step(&m) {
+                    let (row, column) = (m.rowind()[at], col_of(&m, at));
+                    assert_eq!(
+                        e,
+                        SolverError::Sparse(SparseError::NonFinite { row, column }),
+                        "{what}"
+                    );
+                    named += 1;
                     continue;
                 }
                 let mut x = vec![1.0; n];
@@ -299,6 +309,7 @@ fn non_finite_entries_never_read_as_converged() {
         }
         assert!(solved > 0, "{bad}: no engine solved");
     }
+    assert!(named > 0, "no factorization refused a non-finite entry");
 }
 
 /// The column of stored entry `k`.
