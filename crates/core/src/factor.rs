@@ -14,7 +14,9 @@
 //! that pivots off the diagonal to partial pivoting, or the whole leaf to
 //! [`factor_block_column`], inside the same item; a panel `U_{k,v}` is one
 //! [`lsolve_panel`] (for an inner separator `k`, of `A_{k,v}` reduced
-//! over `k`'s descendants' panels first); a reduction chunk is
+//! over `k`'s descendants' panels first) over the supernodes of `L_kk`,
+//! which the column item that factored `k` found from `L_kk`'s pattern
+//! and left on its [`BlockLu`]; a reduction chunk is
 //! [`reduce_block_cols`]. Pivots are chosen inside the item, so what an
 //! item computes depends on neither the rank that runs it nor the order
 //! its stage is claimed in: the factors are bit-identical at every team
@@ -42,8 +44,9 @@ use crate::reduce::{product_flops, reduce_block_cols};
 use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
 use crate::structure::NdStructure;
+use crate::supernode::{lsolve_panel, supernodes};
 use crate::Basker;
-use basker_klu::gp::{factor_block_column, lsolve_panel, BlockLu, ColsView};
+use basker_klu::gp::{factor_block_column, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -263,12 +266,13 @@ impl<'a> Fresh<'a> {
     }
 
     /// Factors node `v`'s stacked block column: a leaf's over `A`'s
-    /// blocks, a separator's over its elimination targets, assembled.
+    /// blocks, a separator's over its elimination targets, assembled;
+    /// the factor carries its `L`'s supernodes for the panels `U_{v,a}`.
     fn column(&self, nd: usize, v: usize, pivot_tol: f64) -> Result<()> {
         let f = &self.nd[nd];
         let off = f.lo + f.st.nd.nodes[v].range.start;
         let ancestors = &f.st.ancestors[v];
-        let blu = if f.st.nd.nodes[v].is_leaf() {
+        let mut blu = if f.st.nd.nodes[v].is_leaf() {
             let below: Vec<_> = ancestors.iter().map(|&a| self.a_block(nd, v, a)).collect();
             let diag = self.a_block(nd, v, v);
             match &f.st.leaf_plans[v] {
@@ -288,12 +292,14 @@ impl<'a> Fresh<'a> {
             let blocks: Vec<_> = reduced.iter().map(ColsView::of).collect();
             factor_block_column(blocks[0], &blocks[1..], pivot_tol, off)?
         };
+        blu.supernodes = supernodes(&blu.l);
         put(&f.diag[v], blu);
         Ok(())
     }
 
     /// Solves the panel `U_{k,v} = L_kk⁻¹·P_k·Â_{k,v}`, where `Â_{k,v}`
-    /// is `A_{k,v}` for a leaf `k`, else reduced over `k`'s descendants.
+    /// is `A_{k,v}` for a leaf `k`, else reduced over `k`'s descendants,
+    /// supernode by supernode of `L_kk`.
     fn panel(&self, nd: usize, v: usize, k: usize) {
         let f = &self.nd[nd];
         let slot = k - f.st.subtree_start[v];

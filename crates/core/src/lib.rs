@@ -59,6 +59,7 @@ pub mod solve;
 pub mod stages;
 pub mod stats;
 pub mod structure;
+mod supernode;
 
 pub use stats::{AnalyzeProfile, BaskerStats};
 

@@ -39,6 +39,12 @@ pub struct BlockLu {
     pub row_perm: Perm,
     /// Floating-point operations spent in the numeric phase.
     pub flops: f64,
+    /// The supernodes of `l` in pivotal order — supernode `s` is columns
+    /// `supernodes[s]..supernodes[s + 1]`, each column's rows below the
+    /// diagonal being the next column of its supernode and then the rows
+    /// its supernode shares — for an owner that solves by supernode;
+    /// empty until that owner finds them from `l`'s pattern.
+    pub supernodes: Vec<usize>,
 }
 
 impl BlockLu {
@@ -415,6 +421,7 @@ impl BlockColumnFactorizer {
             pinv,
             row_perm,
             flops: self.flops,
+            supernodes: Vec::new(),
         }
     }
 }
@@ -694,71 +701,12 @@ pub fn refactor_block_column(
     Ok(())
 }
 
-/// Sparse panel solve: returns `X = L⁻¹ · P · B` where `L` is the unit
-/// lower factor of `blu` (pivotal coordinates) and `B` a panel with rows
-/// in the diagonal block's *original local* coordinates.
-///
-/// This is Basker's "factor upper off-diagonal submatrices `A_ij →
-/// U_ij`" step (paper Alg. 4 line 14), one column at a time: the DFS
-/// over `L` discovers each column's pattern in time proportional to the
-/// arithmetic.
-pub fn lsolve_panel(blu: &BlockLu, b: ColsView<'_>) -> CscMat {
-    let nb = blu.l.ncols();
-    let (l, pinv) = (&blu.l, &blu.pinv);
-    let ks = basker_kernels::active();
-    let (mut x, mut mark) = (vec![0.0; nb], vec![UNSET; nb]);
-    let (mut topo, mut dfs) = (Vec::with_capacity(nb), Vec::new());
-    let mut colptr = Vec::with_capacity(b.ncols() + 1);
-    let (mut rowind, mut values) = (Vec::new(), Vec::new());
-    colptr.push(0);
-    for j in 0..b.ncols() {
-        topo.clear();
-        // scatter P·b and DFS on L's column graph (pivotal coords)
-        for (r0, v) in b.col(j) {
-            let i = pinv[r0];
-            x[i] = v;
-            if mark[i] == j {
-                continue;
-            }
-            mark[i] = j;
-            dfs.push((i, l.colptr()[i]));
-            while let Some(&(t, pos)) = dfs.last() {
-                if pos < l.colptr()[t + 1] {
-                    dfs.last_mut().unwrap().1 += 1;
-                    let r = l.rowind()[pos];
-                    if r != t && mark[r] != j {
-                        mark[r] = j;
-                        dfs.push((r, l.colptr()[r]));
-                    }
-                } else {
-                    topo.push(t);
-                    dfs.pop();
-                }
-            }
-        }
-        // numeric sweep in topological order
-        for &t in topo.iter().rev() {
-            let xt = x[t];
-            if xt != 0.0 {
-                ks.scatter_axpy(&mut x, &l.col_rows(t)[1..], &l.col_values(t)[1..], -xt);
-            }
-        }
-        // gather (sorted pattern for a valid column)
-        topo.sort_unstable();
-        for &t in &topo {
-            rowind.push(t);
-            values.push(x[t]);
-            x[t] = 0.0;
-        }
-        colptr.push(rowind.len());
-    }
-    // SAFETY: each column's rows are the DFS's distinct pivotal rows
-    // (`< nb`), sorted; `colptr` tracks `rowind.len()`.
-    unsafe { CscMat::from_parts_unchecked(nb, b.ncols(), colptr, rowind, values) }
-}
-
-/// Refreshes the values of an existing [`lsolve_panel`] result in place,
-/// reusing its pattern (the refactorization path for separator panels). Like
+/// Refreshes the values of a sparse panel solve `X = L⁻¹ · P · B` in
+/// place, reusing its pattern — `L` the unit lower factor of `blu`
+/// (pivotal coordinates), `B` a panel with rows in the diagonal block's
+/// *original local* coordinates, and `out`'s pattern any set of rows
+/// closed under `L`'s column graph that holds `B`'s reach (the
+/// refactorization path for separator panels). Like
 /// [`refactor_block_column`], allocation-free once `ws` is warm.
 // basker-lint: deny-alloc
 pub fn lsolve_panel_refresh(
@@ -1095,8 +1043,11 @@ mod tests {
         assert!(ws.accumulator(64).iter().all(|&v| v == 0.0));
     }
 
+    /// The refresh over a dense pattern — every row is closed under any
+    /// `L`'s column graph — solves `L·X = P·B`, and a second refresh
+    /// rewrites every value the same.
     #[test]
-    fn lsolve_panel_matches_dense_solve() {
+    fn lsolve_panel_refresh_matches_dense_solve() {
         let d = dense(&[
             [10.0, 2.0, 0.0, 1.0],
             [3.0, 12.0, 4.0, 0.0],
@@ -1110,7 +1061,10 @@ mod tests {
             vec![3.0, 0.0],
             vec![0.0, 0.0],
         ]);
-        let x = lsolve_panel(&blu, ColsView::of(&b));
+        let rows: Vec<usize> = (0..2).flat_map(|_| 0..4).collect();
+        let mut x = CscMat::new(4, 2, vec![0, 4, 8], rows, vec![f64::NAN; 8]).unwrap();
+        let mut ws = RefactorWorkspace::new();
+        lsolve_panel_refresh(&blu, ColsView::of(&b), &mut x, &mut ws);
         // Verify L·X == P·B column by column.
         let pb = blu.row_perm.permute_rows(&b);
         let ld = blu.l.to_dense();
@@ -1125,15 +1079,9 @@ mod tests {
                 assert!((acc - pbd[i][j]).abs() < 1e-12);
             }
         }
-        // Refresh path gives the same values.
         let mut x2 = x.clone();
         x2.values_mut().fill(f64::NAN);
-        lsolve_panel_refresh(
-            &blu,
-            ColsView::of(&b),
-            &mut x2,
-            &mut RefactorWorkspace::new(),
-        );
+        lsolve_panel_refresh(&blu, ColsView::of(&b), &mut x2, &mut ws);
         assert_eq!(x.values(), x2.values());
     }
 

@@ -13,7 +13,11 @@
 //!   bytes once and allocates only its right-hand side;
 //! * the writer drains an in-order queue of tickets and immediate
 //!   replies, waiting each [`StepTicket`] (taking the service's driver
-//!   seat when idle) and encoding the response.
+//!   seat when idle) and encoding the response. The queue is bounded
+//!   ([`REPLY_QUEUE_BOUND`]): a client that writes requests without
+//!   reading the replies stops the reader once the queue is full, so
+//!   the socket pushes back on the client instead of finished steps
+//!   piling up in the shard.
 //!
 //! Responses therefore come back **in request order per connection**,
 //! while concurrency comes from many connections and from pipelining
@@ -34,6 +38,13 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
+
+/// Replies the reader may queue for the writer before it stops reading
+/// the connection. A router keeps at most
+/// [`MAX_OUTSTANDING`](crate::router::MAX_OUTSTANDING) requests
+/// outstanding on one link, one of which the writer holds while it
+/// waits and writes, so it never finds the queue full.
+pub const REPLY_QUEUE_BOUND: usize = crate::router::MAX_OUTSTANDING;
 
 /// What the reader hands the writer, in request order.
 enum Out {
@@ -115,7 +126,12 @@ fn handle_conn(conn: Conn, service: &SolverService, shard: u32, epoch: u64, ctl:
         Ok(c) => c,
         Err(_) => return,
     };
-    let (tx, rx) = mpsc::channel::<Out>();
+    // The reader blocks on a full queue, and the writer empties it
+    // without the reader: waiting a ticket needs only the service, and
+    // a write only the client. So a full queue waits for the client to
+    // read and nothing else, and the writer's draining loop below
+    // frees the reader even after the client has gone.
+    let (tx, rx) = mpsc::sync_channel::<Out>(REPLY_QUEUE_BOUND);
 
     // Writer: strictly in-order replies; waiting a ticket may take the
     // service's driver seat, which is exactly the cooperative

@@ -59,6 +59,12 @@ struct Slot {
 struct Inner {
     spec: ShardSpec,
     slots: Mutex<Vec<Slot>>,
+    /// Per slot: its epoch, written under the `slots` lock once the new
+    /// process answers pings. Routers read it on every forwarded step
+    /// without the lock, so a respawn that holds the lock while it
+    /// spawns and pings the next process stalls only that slot's
+    /// requests.
+    epochs: Vec<AtomicU64>,
     stop: AtomicBool,
     respawns: AtomicU64,
 }
@@ -132,6 +138,7 @@ impl ShardSet {
             slots.push(spawn_child(&spec, i, 0)?);
         }
         let inner = Arc::new(Inner {
+            epochs: slots.iter().map(|s| AtomicU64::new(s.epoch)).collect(),
             spec,
             slots: Mutex::new(slots),
             stop: AtomicBool::new(false),
@@ -152,14 +159,17 @@ impl ShardSet {
         self.inner.spec.shards
     }
 
-    /// The socket address of slot `i`.
+    /// The socket address of slot `i`, the same at every epoch.
     pub fn addr(&self, i: usize) -> Addr {
-        self.inner.slots.lock().unwrap()[i].addr.clone()
+        Addr::Uds(sock_path(&self.inner.spec.dir, i))
     }
 
-    /// The current epoch of slot `i`.
+    /// The current epoch of slot `i`, read without waiting for a respawn
+    /// in progress on any slot.
     pub fn epoch(&self, i: usize) -> u64 {
-        self.inner.slots.lock().unwrap()[i].epoch
+        // ORDER: Acquire — pairs with the Release store in `respawn`,
+        // which publishes the epoch once its process answers pings.
+        self.inner.epochs[i].load(Ordering::Acquire)
     }
 
     /// Total respawns performed so far.
@@ -278,6 +288,8 @@ fn health_loop(inner: &Inner) {
 fn respawn(inner: &Inner, slots: &mut [Slot], i: usize) {
     match spawn_child(&inner.spec, i, slots[i].epoch + 1) {
         Ok(slot) => {
+            // ORDER: Release — pairs with the Acquire load in `epoch`.
+            inner.epochs[i].store(slot.epoch, Ordering::Release);
             slots[i] = slot;
             // ORDER: SeqCst — crash-recovery accounting (see `respawns`).
             inner.respawns.fetch_add(1, Ordering::SeqCst);

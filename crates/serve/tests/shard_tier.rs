@@ -7,12 +7,14 @@
 //! respawns the shard, and subsequent steps on the same patterns
 //! succeed after the router transparently re-establishes the streams.
 
+use basker_api::STREAM_QUEUE_BOUND;
 use basker_api::{Engine, ReusePolicy};
 use basker_serve::client::{Client, ClientError};
 use basker_serve::proto::{
     decode_response, encode_step, kind, pattern_hash, ErrCode, OpenRequest, Request, Response,
 };
 use basker_serve::router::MAX_OUTSTANDING;
+use basker_serve::server::REPLY_QUEUE_BOUND;
 use basker_serve::shard::{ShardSet, ShardSpec};
 use basker_serve::wire::{Addr, Listener};
 use basker_serve::Router;
@@ -640,4 +642,168 @@ fn a_client_that_floods_without_reading_wedges_nothing() {
     join_within(vec![writer, reader], Duration::from_secs(120), || {
         format!("{} of {flood} written", written.load(Ordering::SeqCst))
     });
+}
+
+/// A respawn holds the supervisor's slot table while the next `shardd`
+/// starts and answers pings. Shard 0 respawns through a wrapper that
+/// sleeps before it starts `shardd`; meanwhile every step on shard 1's
+/// streams answers within a fraction of that sleep.
+#[test]
+fn a_respawn_stalls_no_other_shard() {
+    const SLEEP: Duration = Duration::from_secs(2);
+    const DEADLINE: Duration = Duration::from_millis(400);
+    let dir = temp_dir("slowspawn");
+    let (wrapper, respawning) = (dir.join("slow-shardd.sh"), dir.join("respawning"));
+    let _ = std::fs::remove_file(&respawning);
+    // Epoch 0 starts at once; a respawn marks its start, then sleeps.
+    let script = format!(
+        "#!/bin/sh\ncase \"$*\" in *\"--epoch 0\"*) ;; *) touch '{}'; sleep {} ;; esac\nexec '{}' \"$@\"\n",
+        respawning.display(),
+        SLEEP.as_secs(),
+        env!("CARGO_BIN_EXE_shardd"),
+    );
+    std::fs::write(&wrapper, script).expect("wrapper script");
+    {
+        use std::os::unix::fs::PermissionsExt;
+        let mode = std::fs::Permissions::from_mode(0o755);
+        std::fs::set_permissions(&wrapper, mode).expect("chmod");
+    }
+    let mut spec = ShardSpec::new(&wrapper, 2, &dir);
+    spec.threads = 1;
+    let set = Fleet(Arc::new(ShardSet::spawn(spec).expect("spawn fleet")));
+    let listener = Listener::bind(&Addr::Uds(dir.join("router.sock"))).expect("bind router");
+    let router = Router::start(listener, set.clone()).expect("start router");
+    let mut cl = Client::connect(&router.addr()).expect("conn");
+    cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let streams: Vec<(u64, usize)> = (20..80)
+        .filter(|&n| pattern_hash(&tridiag(n, 1.0)) % 2 == 1)
+        .take(2)
+        .map(|n| (cl.open_stream(&open_request(n)).expect("open").0, n))
+        .collect();
+    let step = |cl: &mut Client, (stream, n): (u64, usize), s: usize| {
+        let m = tridiag(n, 1.0 + 0.001 * s as f64);
+        let t = Instant::now();
+        let reply = cl.step(stream, true, m.values(), &vec![1.0; n]);
+        assert!(reply.expect("step").quality[0].converged);
+        t.elapsed()
+    };
+    for &st in &streams {
+        step(&mut cl, st, 0);
+    }
+
+    // Respawn shard 0 and wait until its wrapper has started: the slot
+    // table stays locked for the rest of its sleep.
+    let respawner = {
+        let set = set.0.clone();
+        thread::spawn(move || {
+            set.kill(0);
+            let t = Instant::now();
+            (set.report_down(0, 0), t.elapsed())
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !respawning.exists() {
+        assert!(Instant::now() < deadline, "the respawn never started");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let stepping = Instant::now();
+    let worker = thread::spawn(move || {
+        let mut slowest = Duration::ZERO;
+        for s in 1..=50 {
+            slowest = slowest.max(step(&mut cl, streams[s % 2], s));
+            if stepping.elapsed() > SLEEP / 2 {
+                break;
+            }
+        }
+        slowest
+    });
+    let slowest = join_within(vec![worker], Duration::from_secs(60), || {
+        "steps on shard 1 are stuck".into()
+    });
+    assert!(
+        slowest[0] < DEADLINE,
+        "a step on shard 1 took {:?} while shard 0 respawned",
+        slowest[0]
+    );
+    let (epoch, took) = join_within(vec![respawner], Duration::from_secs(60), || {
+        "the respawn is stuck".into()
+    })
+    .remove(0);
+    assert_eq!(epoch, 1, "shard 0 respawned once");
+    assert!(took >= SLEEP, "the respawn slept: {took:?}");
+}
+
+/// A client connected straight to a shard writes ten times the reply
+/// queue's bound of large steps without reading. The shard stops
+/// reading it once the queue is full: another connection's `Stats`
+/// shows no more steps executed than the queue, the stream's own queue
+/// and the replies the sockets hold. Once the client reads, every
+/// request is answered, in order.
+#[test]
+fn a_direct_client_that_floods_without_reading_is_held_back() {
+    // The replies the two sockets' buffers hold: a reply carries a
+    // 160 KB solution, and a Unix socket buffers some 200 KB.
+    const SOCKET_REPLIES: usize = 2;
+    let set = fleet("backpressure", 1);
+    let n = 20_000;
+    let a = tridiag(n, 1.0);
+    let b = vec![1.0; n];
+    let mut cl = Client::connect(&set.addr(0)).expect("flood conn");
+    cl.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let (stream, _) = cl.open_stream(&open_request(n)).expect("open");
+    let (mut tx, mut rx) = cl.split();
+
+    let flood = 10 * REPLY_QUEUE_BOUND;
+    let written = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let written = written.clone();
+        let payload = encode_step(stream, true, a.values(), &b);
+        thread::spawn(move || {
+            for _ in 0..flood {
+                tx.send_frame(kind::STEP, &payload).expect("write");
+                written.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Let the flood fill every buffer on the way: nothing written for
+    // half a second.
+    let mut stats = Client::connect(&set.addr(0)).expect("stats conn");
+    stats
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut last = (0, Instant::now());
+    while last.1.elapsed() < Duration::from_millis(500) {
+        assert!(Instant::now() < deadline, "the flood never settled");
+        let w = written.load(Ordering::SeqCst);
+        if w != last.0 {
+            last = (w, Instant::now());
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert!(!writer.is_finished(), "the shard read the whole flood");
+    let executed = stats.stats().expect("stats").shards[0].steps as usize;
+    let bound = REPLY_QUEUE_BOUND + STREAM_QUEUE_BOUND + SOCKET_REPLIES;
+    assert!(
+        executed <= bound,
+        "{executed} of {flood} steps executed with nothing read (bound {bound})"
+    );
+
+    // Now read: every request is answered, in order.
+    let reader = thread::spawn(move || {
+        for id in 0..flood as u64 {
+            match rx.recv() {
+                Ok((got, Response::Step { quality, .. })) => {
+                    assert_eq!(got, id + 2, "in request order (1 was the open)");
+                    assert!(quality[0].converged, "step {got}");
+                }
+                other => panic!("request {}: {other:?}", id + 2),
+            }
+        }
+    });
+    join_within(vec![writer, reader], Duration::from_secs(120), || {
+        format!("{} of {flood} written", written.load(Ordering::SeqCst))
+    });
+    let done = stats.stats().expect("stats").shards[0].steps as usize;
+    assert_eq!(done, flood, "every step ran once");
 }

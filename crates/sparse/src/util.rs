@@ -40,11 +40,12 @@ pub fn mat_norm_inf(a: &CscMat) -> f64 {
 
 /// Allocation-free variant of [`mat_norm_inf`] for hot loops (e.g. a
 /// session recomputing `‖A‖∞` per transient step): `rowsum` must be at
-/// least `a.nrows()` long and is clobbered.
+/// least `a.nrows()` long and is clobbered. One pass over the stored
+/// rows and values side by side, in storage order.
 pub fn mat_norm_inf_with(a: &CscMat, rowsum: &mut [f64]) -> f64 {
     let rowsum = &mut rowsum[..a.nrows()];
     rowsum.fill(0.0);
-    for (i, _, v) in a.iter() {
+    for (&i, &v) in a.rowind().iter().zip(a.values()) {
         rowsum[i] += v.abs();
     }
     norm_inf(rowsum)
@@ -116,6 +117,47 @@ mod tests {
         }
         let a = CscMat::from_dense(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
         assert_eq!(mat_norm_inf(&a), 7.0); // row 1: 3+4
+    }
+
+    /// The pass over the stored slices sums each row in the order the
+    /// column-by-column entry walk did, so the norm is that walk's bit
+    /// for bit — a NaN or an infinity included.
+    #[test]
+    fn mat_norm_inf_is_the_entry_walk_bit_for_bit() {
+        let walk = |a: &CscMat| {
+            let mut rowsum = vec![0.0f64; a.nrows()];
+            for (i, _, v) in a.iter() {
+                rowsum[i] += v.abs();
+            }
+            norm_inf(&rowsum)
+        };
+        let d = |k: usize| 0.1 + (k % 7) as f64 / 3.0;
+        let dense: Vec<Vec<f64>> = (0..9)
+            .map(|i| {
+                (0..7)
+                    .map(|j| {
+                        if (i + 2 * j) % 3 == 0 {
+                            d(i * 7 + j)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let a = CscMat::from_dense(&dense);
+        let mut rowsum = vec![f64::NAN; 12];
+        assert_eq!(
+            mat_norm_inf_with(&a, &mut rowsum).to_bits(),
+            walk(&a).to_bits()
+        );
+        for bad in [f64::NAN, f64::INFINITY, -f64::INFINITY] {
+            let mut b = a.clone();
+            b.values_mut()[5] = bad;
+            let (got, want) = (mat_norm_inf_with(&b, &mut rowsum), walk(&b));
+            assert_eq!(got.to_bits(), want.to_bits(), "{bad}");
+        }
+        assert_eq!(mat_norm_inf(&CscMat::zero(3, 0)), 0.0);
     }
 
     #[test]

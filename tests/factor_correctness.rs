@@ -123,3 +123,30 @@ fn table1_suite_factors_at_test_scale() {
         check(&cfg, e.name, &a, 1e-9, &mut ws);
     }
 }
+
+/// The benchmark's `mesh_factor` matrix, `mesh2d(150)`, factored by the
+/// block driver at `T` = 2 on seeds 1 and 7: `|L+U|` and the flop count
+/// are pinned. The driver keeps Gilbert–Peierls's pivots and patterns
+/// however its leaves, tails and panels compute them, so these move
+/// only with the ordering or the pivot rule.
+#[test]
+fn mesh_factor_counts_are_pinned() {
+    for (seed, lu_nnz, flops) in [(1, 1_181_269, 116_552_689.0), (7, 1_198_116, 120_908_968.0)] {
+        let a = mesh2d(150, seed);
+        let opts = BaskerOptions {
+            nthreads: 2,
+            ..BaskerOptions::default()
+        };
+        let num = Basker::analyze(&a, &opts).unwrap().factor(&a).unwrap();
+        assert_eq!(
+            (num.stats.lu_nnz, num.stats.flops),
+            (lu_nnz, flops),
+            "seed {seed}"
+        );
+        let (_, b) = rhs_for(&a);
+        let mut y = b.clone();
+        num.solve_in_place(&mut y, &mut SolveWorkspace::new());
+        let r = relative_residual(&a, &y, &b);
+        assert!(r < 1e-10, "seed {seed}: residual {r:.2e}");
+    }
+}
