@@ -5,22 +5,30 @@
 //! The items are the Gilbert–Peierls kernels with partial pivoting: a
 //! run of fine-BTF blocks factors block by block, each block a window of
 //! the store, into flat arrays of the run's own ([`GpRun::factor`]); a
-//! block column is one [`factor_block_column`] — a leaf's over `A`'s
-//! 2-D blocks read in place
-//! ([`NdSplit::block`](crate::structure::NdSplit::block)), a
-//! separator's over its reduced blocks. A leaf that analyze planned
-//! supernodally goes through the kernel of [`crate::leaf`] instead,
-//! which keeps Gilbert–Peierls's pivots and patterns: it hands the tail
-//! that pivots off the diagonal to partial pivoting, or the whole leaf to
-//! [`factor_block_column`], inside the same item; a panel `U_{k,v}` is one
+//! leaf's block column is one [`factor_block_column`] over `A`'s 2-D
+//! blocks read in place
+//! ([`NdSplit::block`](crate::structure::NdSplit::block)). A leaf that
+//! analyze planned supernodally goes through the kernel of
+//! [`crate::leaf`] instead, which keeps Gilbert–Peierls's pivots and
+//! patterns: it hands the tail that pivots off the diagonal to partial
+//! pivoting, or the whole leaf to [`factor_block_column`], inside the
+//! same item. A separator's block column — its reduced diagonal block,
+//! the reduced ancestor blocks stacked below as the halo — goes through
+//! [`factor_stacked`], the helper the leaf tails use too: the bitset
+//! kernel `tail_gp` of [`crate::supernode`] when the column's reach
+//! bitsets fit in its entries (a mesh's separators reduce to near-dense
+//! blocks), else [`factor_block_column`]; either keeps Gilbert–Peierls's
+//! pivots, patterns, flops and error columns. The column item leaves on
+//! its [`BlockLu`] the supernodes of its `L`, for the panels, and the
+//! runs of each below block's columns that share one row pattern
+//! ([`pattern_runs`]), for the reductions. A panel `U_{k,v}` is one
 //! [`lsolve_panel`] (for an inner separator `k`, of `A_{k,v}` reduced
-//! over `k`'s descendants' panels first) over the supernodes of `L_kk`,
-//! which the column item that factored `k` found from `L_kk`'s pattern
-//! and left on its [`BlockLu`]; a reduction chunk is
-//! [`reduce_block_cols`]. Pivots are chosen inside the item, so what an
-//! item computes depends on neither the rank that runs it nor the order
-//! its stage is claimed in: the factors are bit-identical at every team
-//! width.
+//! over `k`'s descendants' panels first) over the supernodes of `L_kk`;
+//! a reduction chunk is [`reduce_block_cols`], whose product applies
+//! each run of `L_{t,k}` as a dense panel. Pivots are chosen inside the
+//! item, so what an item computes depends on neither the rank that runs
+//! it nor the order its stage is claimed in: the factors are
+//! bit-identical at every team width.
 //!
 //! Each output is written once, into a `OnceLock` of its own item, and
 //! read only by later stages, whose join orders the write before every
@@ -40,11 +48,11 @@
 use crate::gp_store::{GpRun, GpStore};
 use crate::leaf::factor_leaf;
 use crate::parnum::NdFactors;
-use crate::reduce::{product_flops, reduce_block_cols};
+use crate::reduce::{pattern_runs, product_flops, reduce_block_cols, Term};
 use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
 use crate::structure::NdStructure;
-use crate::supernode::{lsolve_panel, supernodes};
+use crate::supernode::{factor_stacked, lsolve_panel, supernodes};
 use crate::Basker;
 use basker_klu::gp::{factor_block_column, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
@@ -267,7 +275,8 @@ impl<'a> Fresh<'a> {
 
     /// Factors node `v`'s stacked block column: a leaf's over `A`'s
     /// blocks, a separator's over its elimination targets, assembled;
-    /// the factor carries its `L`'s supernodes for the panels `U_{v,a}`.
+    /// the factor carries its `L`'s supernodes for the panels `U_{v,a}`
+    /// and its below blocks' runs for the reductions that read them.
     fn column(&self, nd: usize, v: usize, pivot_tol: f64) -> Result<()> {
         let f = &self.nd[nd];
         let off = f.lo + f.st.nd.nodes[v].range.start;
@@ -289,10 +298,12 @@ impl<'a> Fresh<'a> {
         } else {
             let targets = f.rec.target_of[v]..=f.rec.target_of[v] + ancestors.len();
             let reduced: Vec<_> = targets.map(|r| f.assembled(r)).collect();
+            let nnz = reduced.iter().map(CscMat::nnz).sum();
             let blocks: Vec<_> = reduced.iter().map(ColsView::of).collect();
-            factor_block_column(blocks[0], &blocks[1..], pivot_tol, off)?
+            factor_stacked(blocks[0], &blocks[1..], nnz, pivot_tol, off)?
         };
         blu.supernodes = supernodes(&blu.l);
+        blu.below_runs = blu.below.iter().map(pattern_runs).collect();
         put(&f.diag[v], blu);
         Ok(())
     }
@@ -410,18 +421,20 @@ fn taken<T>(cell: OnceLock<T>) -> ItemCell<T> {
 }
 
 impl NdFresh<'_> {
-    /// The `(L_{tgt,k}, U_{k,v})` pair of one reduction term.
-    fn operands(&self, v: usize, tgt: usize, k: usize) -> (&CscMat, &CscMat) {
-        let st = self.st;
-        (
-            &done(&self.diag[k]).below[st.anc_pos(k, tgt)],
-            done(&self.upper[v][k - st.subtree_start[v]]),
-        )
+    /// The term `L_{tgt,k}·U_{k,v}` of a reduction.
+    fn operands(&self, v: usize, tgt: usize, k: usize) -> Term<'_> {
+        let (st, blu) = (self.st, done(&self.diag[k]));
+        let at = st.anc_pos(k, tgt);
+        Term {
+            l: &blu.below[at],
+            runs: &blu.below_runs[at],
+            u: done(&self.upper[v][k - st.subtree_start[v]]),
+        }
     }
 
     /// The terms of reduction `r`, in subtraction order: one per
     /// descendant of the target — of `v`, for an ancestor target.
-    fn terms(&self, r: usize) -> impl Iterator<Item = (&CscMat, &CscMat)> + Clone {
+    fn terms(&self, r: usize) -> impl Iterator<Item = Term<'_>> + Clone {
         let red = &self.rec.reductions[r];
         let ks = self.st.descendants(red.tgt.min(red.v));
         ks.map(|k| self.operands(red.v, red.tgt, k))
@@ -433,8 +446,8 @@ impl NdFresh<'_> {
         let red = &self.rec.reductions[r];
         let ks = self.st.descendants(red.tgt.min(red.v));
         ks.filter(|&k| {
-            let (l, u) = self.operands(red.v, red.tgt, k);
-            l.nnz() > 0 && u.nnz() > 0
+            let term = self.operands(red.v, red.tgt, k);
+            term.l.nnz() > 0 && term.u.nnz() > 0
         })
         .collect()
     }

@@ -29,20 +29,23 @@
 //! applies the earlier supernodes' updates to the tail's columns, which
 //! leaves the Schur complement `[S_tt; S_{a,t}]` in exactly the pattern
 //! Gilbert–Peierls's search reaches, and factors that with partial
-//! pivoting (`tail_gp`: Gilbert–Peierls with each column's reach taken
-//! as a bitset instead of a depth-first search). On a 2-D mesh that is
-//! large enough, the tail is the top few percent of a leaf's columns
-//! and half or more of its flops, and its `L` is supernodes tens of
-//! columns wide even across the off-diagonal pivots: `tail_gp` packs
-//! each column into the dense panel of the supernode it joins — the
-//! last one, when the column's pattern is the last column's less its
-//! own pivot row — and a later column takes each supernode's update,
-//! the growing one's included, as a reached suffix through
-//! [`apply`]: a dense unit-lower solve and one product into the rows
-//! the supernode shares, in the scalar sweep's order. A leaf
-//! whose first supernode fails, or with an exactly zero `U` entry whose
-//! column reaches the halo (where Gilbert–Peierls skips the update and
-//! perhaps rows of `L_{a,l}`), goes to [`factor_block_column`] whole.
+//! pivoting through [`factor_stacked`] — by
+//! [`tail_gp`](crate::supernode::tail_gp) (Gilbert–Peierls with each
+//! column's reach taken as a bitset instead of a depth-first search)
+//! when its bitsets fit in the leaf's `L`, as the separators do. On a
+//! 2-D mesh that is large enough, the tail is the top few percent of a
+//! leaf's columns and half or more of its flops, and its `L` is
+//! supernodes tens of columns wide even across the off-diagonal pivots:
+//! `tail_gp` packs each column into the dense panel of the supernode it
+//! joins — the last one, when the column's pattern is the last column's
+//! less its own pivot row — and a later column takes each supernode's
+//! update, the growing one's included, as a reached suffix through
+//! [`apply`](crate::supernode::apply): a dense unit-lower solve and one
+//! product into the rows the supernode shares, in the scalar sweep's
+//! order. A leaf whose first supernode fails, or with an exactly zero
+//! `U` entry whose column reaches the halo (where Gilbert–Peierls skips
+//! the update and perhaps rows of `L_{a,l}`), goes to
+//! [`factor_block_column`] whole.
 //! So the pivots, the `L`/`U`/`below` patterns, `|L+U|`, the flops
 //! (counted as Gilbert–Peierls counts them) and the error columns are
 //! always Gilbert–Peierls's, and the result is a [`BlockLu`] that the
@@ -56,9 +59,9 @@
 //! that later supernodes read live as long as the leaf's factorization,
 //! beside the factors it builds.
 
-use crate::supernode::apply;
+use crate::supernode::{factor_stacked, split_rows};
 use basker_klu::gp::{factor_block_column, BlockLu, ColsView};
-use basker_sparse::{CscMat, Perm, Result, SparseError};
+use basker_sparse::{CscMat, Perm, Result};
 
 const NONE: usize = usize::MAX;
 
@@ -314,9 +317,10 @@ impl LeafPlan {
 /// ascending) under `plan`: on the supernodal kernel up to the first
 /// supernode holding a diagonal that fails Gilbert–Peierls's test, and
 /// the Schur complement from that supernode on — the tail — by
-/// `tail_gp`, or by [`factor_block_column`] when its bitsets would
-/// outgrow the leaf's own `L`. A leaf whose first supernode fails goes
-/// to [`factor_block_column`] whole. Returns the factors and whether the
+/// [`factor_stacked`]: [`tail_gp`](crate::supernode::tail_gp), or
+/// [`factor_block_column`] when its bitsets would outgrow the leaf's own
+/// `L`. A leaf whose first supernode fails goes to
+/// [`factor_block_column`] whole. Returns the factors and whether the
 /// kernel took part.
 pub(crate) fn factor_leaf(
     plan: &LeafPlan,
@@ -334,15 +338,11 @@ pub(crate) fn factor_leaf(
     match head {
         Head::Done => Ok((out.finish(plan, None), true)),
         Head::Tail(t0, schur, halo) => {
-            let (m, off) = (schur.ncols(), col_offset + t0);
             let cuts: Vec<usize> = plan.halo.iter().map(|&h| h - nb).collect();
-            let tail = if m * m.div_ceil(64) <= plan.l_nnz {
-                tail_gp(&schur, &halo, &cuts, pivot_tol, off)?
-            } else {
-                let below = split_rows(&halo, &cuts);
-                let views: Vec<_> = below.iter().map(ColsView::of).collect();
-                factor_block_column(ColsView::of(&schur), &views, pivot_tol, off)?
-            };
+            let below = split_rows(&halo, &cuts);
+            let views: Vec<_> = below.iter().map(ColsView::of).collect();
+            let (diag, off) = (ColsView::of(&schur), col_offset + t0);
+            let tail = factor_stacked(diag, &views, plan.l_nnz, pivot_tol, off)?;
             Ok((out.finish(plan, Some((t0, tail))), true))
         }
         Head::Back => Ok((
@@ -479,346 +479,6 @@ impl Leaf<'_, '_> {
         let halo = CscMat::new(nh, m, hp, hi, hx).expect("the ancestors' rows, ascending");
         Head::Tail(t0, schur, halo)
     }
-}
-
-/// Gilbert–Peierls on the tail's stacked block column `[diag; halo]`:
-/// column by column, threshold partial pivoting with diagonal
-/// preference, so the same pivots, patterns, flops and error columns as
-/// [`factor_block_column`]. Each column's reach is a bitset grown in one
-/// sweep over the earlier pivots in pivot order — a topological order of
-/// the unit-lower factor — instead of a depth-first search: the tail is
-/// the top of the leaf, a few thousand rows that fill in, where the
-/// search costs as much as the arithmetic. The sweep goes supernode by
-/// supernode: the pivot columns that share one pattern below their run
-/// are one dense panel of [`TailPanels`]; column `j` reaches a suffix of
-/// each panel it touches, and [`apply`] applies that suffix — the
-/// supernode still growing included, so every earlier column updates
-/// column `j` the same way.
-/// `halo` stacks the ancestors' rows, ancestor `b`'s being
-/// `cuts[b]..cuts[b + 1]`; the factors split them back.
-fn tail_gp(
-    diag: &CscMat,
-    halo: &CscMat,
-    cuts: &[usize],
-    pivot_tol: f64,
-    col_offset: usize,
-) -> Result<BlockLu> {
-    let (m, nh) = (diag.ncols(), halo.nrows());
-    let (words, hwords) = (m.div_ceil(64), nh.div_ceil(64));
-    // Per pivot t: the rows of L(:, t) (unpivoted at t, original) and of
-    // its below blocks (halo-stacked), as bitsets.
-    let (mut lpat, mut bpat) = (vec![0u64; m * words], vec![0u64; m * hwords]);
-    let mut panels = TailPanels::new(m);
-    let (mut up, mut ui, mut ux) = (vec![0], Vec::new(), Vec::new());
-    let (mut pinv, mut prow) = (vec![NONE; m], vec![NONE; m]);
-    let (mut x, mut xb) = (vec![0.0; m], vec![0.0; nh]);
-    let (mut reach, mut hreach) = (vec![0u64; words], vec![0u64; hwords]);
-    let (mut xs, mut rest) = (Vec::new(), Vec::new());
-    let mut flops = 0.0;
-    let zero_pivot = |j: usize| SparseError::ZeroPivot {
-        column: col_offset + j,
-    };
-    let has = |bits: &[u64], r: usize| bits[r / 64] & (1 << (r % 64)) != 0;
-    for j in 0..m {
-        reach.fill(0);
-        hreach.fill(0);
-        for (r, v) in diag.col_iter(j) {
-            x[r] = v;
-            reach[r / 64] |= 1 << (r % 64);
-        }
-        for (h, v) in halo.col_iter(j) {
-            xb[h] = v;
-            hreach[h / 64] |= 1 << (h % 64);
-        }
-        for s in 0..panels.len() {
-            // The reached columns of s: a suffix, from the first whose
-            // pivot row the reach holds, whose pattern holds the rest.
-            let (t0, t1) = panels.cols(s, j);
-            let Some(ta) = (t0..t1).find(|&t| has(&reach, prow[t])) else {
-                continue;
-            };
-            for (w, l) in reach.iter_mut().zip(&lpat[ta * words..(ta + 1) * words]) {
-                *w |= l;
-            }
-            let sn = panels.sn[s];
-            let (leaf, hrows) = panels.shared(s, t1 - t0);
-            xs.clear();
-            xs.extend(prow[ta..t1].iter().map(|&r| x[r]));
-            rest.clear();
-            rest.extend(leaf.iter().map(|&r| x[r]));
-            rest.extend(hrows.iter().map(|&h| xb[h]));
-            let vals = &panels.vals[sn.v0..];
-            let c0 = ta - t0;
-            apply(&mut xs, &mut rest, |i| {
-                let c = c0 + i;
-                &vals[c * sn.ld + c + 1..(c + 1) * sn.ld]
-            });
-            for (&r, &v) in leaf.iter().zip(&rest) {
-                x[r] = v;
-            }
-            for (&h, &v) in hrows.iter().zip(&rest[leaf.len()..]) {
-                xb[h] = v;
-            }
-            let mut updated = false;
-            for (t, &v) in (ta..t1).zip(&xs) {
-                ui.push(t);
-                ux.push(v);
-                if v != 0.0 {
-                    // Two per entry of L(:, t) and of its below blocks.
-                    flops += 2.0 * (sn.ld - (t - t0) - 1) as f64;
-                    updated = true;
-                }
-            }
-            if updated {
-                for (w, b) in hreach.iter_mut().zip(&bpat[ta * hwords..(ta + 1) * hwords]) {
-                    *w |= b;
-                }
-            }
-        }
-        // The largest unpivoted row, the lowest on ties; the diagonal
-        // when it passes the threshold.
-        let (mut maxabs, mut argmax) = (0.0f64, NONE);
-        for r in ones(&reach).filter(|&r| pinv[r] == NONE) {
-            if x[r].abs() > maxabs {
-                (maxabs, argmax) = (x[r].abs(), r);
-            }
-        }
-        if argmax == NONE {
-            return Err(zero_pivot(j));
-        }
-        let diagonal = pinv[j] == NONE && has(&reach, j);
-        let p = if diagonal && x[j].abs() >= pivot_tol * maxabs && x[j] != 0.0 {
-            j
-        } else {
-            argmax
-        };
-        let pivot = x[p];
-        if pivot == 0.0 || maxabs == 0.0 {
-            return Err(zero_pivot(j));
-        }
-        (pinv[p], prow[j]) = (j, p);
-        ui.push(j);
-        ux.push(pivot);
-        up.push(ui.len());
-        let lj = &mut lpat[j * words..(j + 1) * words];
-        for r in ones(&reach).filter(|&r| pinv[r] == NONE) {
-            lj[r / 64] |= 1 << (r % 64);
-        }
-        bpat[j * hwords..(j + 1) * hwords].copy_from_slice(&hreach);
-        // Column j joins j − 1's supernode when L(:, j − 1) holds p and
-        // otherwise exactly L(:, j)'s rows, over the same halo rows.
-        let joins = j > 0 && has(&lpat[(j - 1) * words..j * words], p) && {
-            let (prev, this) = lpat[(j - 1) * words..(j + 1) * words].split_at(words);
-            let bit = |k: usize| if k == p / 64 { 1 << (p % 64) } else { 0 };
-            let hp = &bpat[(j - 1) * hwords..(j + 1) * hwords];
-            (0..words).all(|k| prev[k] & !bit(k) == this[k]) && hp[..hwords] == hp[hwords..]
-        };
-        if joins {
-            panels.join(p);
-        } else {
-            panels.start(j, p, ones(&lpat[j * words..(j + 1) * words]), ones(&hreach));
-        }
-        flops += panels.push_col(|r| x[r] / pivot, |h| xb[h] / pivot) as f64;
-        for r in ones(&reach) {
-            x[r] = 0.0;
-        }
-        for h in ones(&hreach) {
-            xb[h] = 0.0;
-        }
-    }
-    let (l, halo) = panels.finish(&pinv, nh);
-    let u = CscMat::new(m, m, up, ui, ux).expect("U in pivot order, the pivot last");
-    Ok(BlockLu {
-        l,
-        u,
-        below: split_rows(&halo, cuts),
-        pinv,
-        row_perm: Perm::from_vec(prow).expect("pivot rows form a permutation"),
-        flops,
-        supernodes: Vec::new(),
-    })
-}
-
-/// The tail's `L` and below blocks as they grow, supernode by supernode:
-/// each supernode one dense column-major panel over its leaf rows — its
-/// columns' pivot rows first, in pivot order, then the rows its columns
-/// share — and its halo rows. A column that joins the last supernode
-/// swaps its pivot row up to the panel's next pivot position and adds
-/// one column to the panel.
-struct TailPanels {
-    sn: Vec<TailSn>,
-    /// Each supernode's leaf rows (original) and halo rows
-    /// (halo-stacked, ascending).
-    rows: Vec<usize>,
-    hrows: Vec<usize>,
-    vals: Vec<f64>,
-    /// Leaf row → its position among the last supernode's rows.
-    at: Vec<usize>,
-}
-
-/// One supernode of [`TailPanels`].
-#[derive(Clone, Copy)]
-struct TailSn {
-    /// Its first column, and where its leaf rows, halo rows and panel
-    /// start.
-    t0: usize,
-    r0: usize,
-    h0: usize,
-    v0: usize,
-    /// Its leaf rows, and all its rows: the panel's leading dimension.
-    nleaf: usize,
-    ld: usize,
-}
-
-impl TailPanels {
-    fn new(m: usize) -> TailPanels {
-        TailPanels {
-            sn: Vec::new(),
-            rows: Vec::new(),
-            hrows: Vec::new(),
-            vals: Vec::new(),
-            at: vec![NONE; m],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.sn.len()
-    }
-
-    /// Supernode `s`'s columns before column `j`.
-    fn cols(&self, s: usize, j: usize) -> (usize, usize) {
-        let t1 = self.sn.get(s + 1).map_or(j, |next| next.t0);
-        (self.sn[s].t0, t1)
-    }
-
-    /// The leaf rows and halo rows that supernode `s`'s first `w`
-    /// columns share below their diagonal block.
-    fn shared(&self, s: usize, w: usize) -> (&[usize], &[usize]) {
-        let sn = &self.sn[s];
-        let hcount = sn.ld - sn.nleaf;
-        (
-            &self.rows[sn.r0 + w..sn.r0 + sn.nleaf],
-            &self.hrows[sn.h0..sn.h0 + hcount],
-        )
-    }
-
-    /// Starts a supernode at column `t0`, pivot row `p`, over the leaf
-    /// rows `p` and `below` and the halo rows `halo`.
-    fn start(
-        &mut self,
-        t0: usize,
-        p: usize,
-        below: impl Iterator<Item = usize>,
-        halo: impl Iterator<Item = usize>,
-    ) {
-        let (r0, h0) = (self.rows.len(), self.hrows.len());
-        self.rows.push(p);
-        self.rows.extend(below);
-        self.hrows.extend(halo);
-        for (i, &r) in self.rows[r0..].iter().enumerate() {
-            self.at[r] = i;
-        }
-        let nleaf = self.rows.len() - r0;
-        self.sn.push(TailSn {
-            t0,
-            r0,
-            h0,
-            v0: self.vals.len(),
-            nleaf,
-            ld: nleaf + self.hrows.len() - h0,
-        });
-    }
-
-    /// The next column joins the last supernode with pivot row `p`: its
-    /// row moves up to the next pivot position in every column so far.
-    fn join(&mut self, p: usize) {
-        let sn = *self.sn.last().expect("a supernode to join");
-        let w = (self.vals.len() - sn.v0) / sn.ld;
-        let (q, rows) = (self.at[p], &mut self.rows[sn.r0..sn.r0 + sn.nleaf]);
-        self.at[rows[w]] = q;
-        self.at[p] = w;
-        rows.swap(q, w);
-        for col in self.vals[sn.v0..].chunks_exact_mut(sn.ld) {
-            col.swap(q, w);
-        }
-    }
-
-    /// Adds the last supernode's next column, its leaf and halo rows
-    /// below the pivot valued by `leaf` and `halo`; returns how many
-    /// there are.
-    fn push_col(&mut self, leaf: impl Fn(usize) -> f64, halo: impl Fn(usize) -> f64) -> usize {
-        let sn = *self.sn.last().expect("a supernode");
-        let w = (self.vals.len() - sn.v0) / sn.ld;
-        self.vals.resize(self.vals.len() + w, 0.0);
-        self.vals.push(1.0);
-        let rows = &self.rows[sn.r0 + w + 1..sn.r0 + sn.nleaf];
-        self.vals.extend(rows.iter().map(|&r| leaf(r)));
-        let hrows = &self.hrows[sn.h0..sn.h0 + sn.ld - sn.nleaf];
-        self.vals.extend(hrows.iter().map(|&h| halo(h)));
-        sn.ld - w - 1
-    }
-
-    /// `L` in pivot order — unit diagonal first, rows ascending — and
-    /// its `nh` halo rows, from the panels.
-    fn finish(&self, pinv: &[usize], nh: usize) -> (CscMat, CscMat) {
-        let m = pinv.len();
-        let (mut lp, mut li, mut lx) = (vec![0], Vec::new(), Vec::new());
-        let (mut bp, mut bi, mut bx) = (vec![0], Vec::new(), Vec::new());
-        let mut col = Vec::new();
-        for (s, sn) in self.sn.iter().enumerate() {
-            let (t0, t1) = self.cols(s, m);
-            let (rows, hrows) = self.shared(s, 0);
-            for c in 0..t1 - t0 {
-                let vals = &self.vals[sn.v0 + c * sn.ld..][..sn.ld];
-                col.clear();
-                col.push((t0 + c, 1.0));
-                let below = rows[c + 1..].iter().zip(&vals[c + 1..sn.nleaf]);
-                col.extend(below.map(|(&r, &v)| (pinv[r], v)));
-                col.sort_unstable_by_key(|e| e.0);
-                li.extend(col.iter().map(|e| e.0));
-                lx.extend(col.iter().map(|e| e.1));
-                lp.push(li.len());
-                bi.extend_from_slice(hrows);
-                bx.extend_from_slice(&vals[sn.nleaf..]);
-                bp.push(bi.len());
-            }
-        }
-        let l = CscMat::new(m, m, lp, li, lx).expect("L in pivot order");
-        let halo = CscMat::new(nh, m, bp, bi, bx).expect("the ancestors' rows, ascending");
-        (l, halo)
-    }
-}
-
-/// `m`'s rows cut at `cuts` (ascending, `0` to `m.nrows()`): one matrix
-/// per range, its rows counted from the range's start.
-fn split_rows(m: &CscMat, cuts: &[usize]) -> Vec<CscMat> {
-    let cut = |lo: usize, hi: usize| {
-        let (mut p, mut i, mut x) = (vec![0], Vec::new(), Vec::new());
-        for j in 0..m.ncols() {
-            let rows = m.col_rows(j);
-            let (a, b) = (
-                rows.partition_point(|&r| r < lo),
-                rows.partition_point(|&r| r < hi),
-            );
-            i.extend(rows[a..b].iter().map(|&r| r - lo));
-            x.extend_from_slice(&m.col_values(j)[a..b]);
-            p.push(i.len());
-        }
-        CscMat::new(hi - lo, m.ncols(), p, i, x).expect("rows ascending inside the cut")
-    };
-    cuts.windows(2).map(|w| cut(w[0], w[1])).collect()
-}
-
-/// The set bits of a bitset, ascending.
-fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    bits.iter().enumerate().flat_map(|(w, &word)| {
-        let mut left = word;
-        std::iter::from_fn(move || {
-            let bit = (left != 0).then(|| left.trailing_zeros() as usize)?;
-            left &= left - 1;
-            Some(w * 64 + bit)
-        })
-    })
 }
 
 /// The kernel's scratch for one leaf, sized by its plan and reused
@@ -1154,6 +814,7 @@ impl Factors {
             row_perm: Perm::from_vec(prow).expect("pivot rows form a permutation"),
             flops: self.flops,
             supernodes: Vec::new(),
+            below_runs: Vec::new(),
         }
     }
 }
@@ -1245,6 +906,7 @@ fn contributed(
 mod tests {
     use super::*;
     use crate::structure::NdStructure;
+    use crate::supernode::{bitsets_fit, ones, tail_gp};
     use crate::testmat::*;
     use crate::{Basker, BaskerOptions};
     use basker_sparse::{SolveWorkspace, SparseError};
@@ -1413,7 +1075,7 @@ mod tests {
             let second = plan.bounds[1];
             let bitsets = |k: usize| {
                 let t0 = plan.bounds[plan.bounds.partition_point(|&b| b <= k) - 1];
-                (nb - t0) * (nb - t0).div_ceil(64) <= plan.l_nnz
+                bitsets_fit(nb - t0, plan.l_nnz)
             };
             assert!(bitsets(nb * 2 / 3), "p={p}");
             searched |= !bitsets(second);
@@ -1580,6 +1242,7 @@ mod tests {
             row_perm: Perm::from_vec(prow).expect("pivot rows form a permutation"),
             flops,
             supernodes: Vec::new(),
+            below_runs: Vec::new(),
         })
     }
 
@@ -1641,9 +1304,11 @@ mod tests {
                     panic!("p={p} leaf {v}: no tail");
                 };
                 let m = schur.ncols();
-                assert!(m * m.div_ceil(64) <= plan.l_nnz, "p={p} leaf {v}: bitsets");
+                assert!(bitsets_fit(m, plan.l_nnz), "p={p} leaf {v}: bitsets");
                 let cuts: Vec<usize> = plan.halo.iter().map(|&h| h - plan.nb()).collect();
-                let sn = tail_gp(&schur, &halo, &cuts, 1.0, off + t0).unwrap();
+                let halos = split_rows(&halo, &cuts);
+                let views: Vec<_> = halos.iter().map(ColsView::of).collect();
+                let sn = tail_gp(ColsView::of(&schur), &views, 1.0, off + t0).unwrap();
                 let old = tail_gp_scalar(&schur, &halo, &cuts, 1.0, off + t0).unwrap();
                 let moved = old
                     .pinv

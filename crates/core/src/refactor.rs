@@ -42,7 +42,7 @@
 use crate::frozen::FrozenBtf;
 use crate::gp_store::{GpRun, GpStore};
 use crate::parnum::NdFactors;
-use crate::reduce::reduce_cols_into;
+use crate::reduce::{reduce_cols_into, Term};
 use crate::stages::{run_stage, Stage, Work};
 use crate::structure::{NdSplit, NdStructure, Structure};
 use basker_klu::gp::{lsolve_panel_refresh, refactor_block_column, ColsView, RefactorWorkspace};
@@ -195,19 +195,15 @@ impl Reduction {
     }
 }
 
-/// The `(L_{tgt,k}, U_{k,v})` pair of one reduction term.
+/// The term `L_{tgt,k}·U_{k,v}` of a reduction.
 #[inline]
-fn operands<'a>(
-    st: &NdStructure,
-    f: &'a NdFactors,
-    v: usize,
-    tgt: usize,
-    k: usize,
-) -> (&'a CscMat, &'a CscMat) {
-    (
-        &f.fact_diag[k].below[st.anc_pos(k, tgt)],
-        &f.fact_upper[v][k - st.subtree_start[v]],
-    )
+fn operands<'a>(st: &NdStructure, f: &'a NdFactors, v: usize, tgt: usize, k: usize) -> Term<'a> {
+    let (blu, at) = (&f.fact_diag[k], st.anc_pos(k, tgt));
+    Term {
+        l: &blu.below[at],
+        runs: &blu.below_runs[at],
+        u: &f.fact_upper[v][k - st.subtree_start[v]],
+    }
 }
 
 /// The reductions of one ND block, the one [`Structure::nd_blocks`]
@@ -368,6 +364,7 @@ impl<'a> Ctx<'a> {
         ws: &mut RefactorWorkspace,
     ) {
         let (st, f, v, tgt) = (nd.st, nd.f, red.v, red.tgt);
+        let (x, buf) = ws.split(red.nrows, red.nrows);
         reduce_cols_into(
             self.a_block(nd, v, tgt),
             red.terms.iter().map(move |&k| operands(st, f, v, tgt, k)),
@@ -375,7 +372,8 @@ impl<'a> Ctx<'a> {
             &red.colptr,
             &red.rowind,
             out,
-            ws.accumulator(red.nrows),
+            x,
+            buf,
         );
     }
 }

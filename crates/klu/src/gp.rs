@@ -45,6 +45,12 @@ pub struct BlockLu {
     /// its supernode shares — for an owner that solves by supernode;
     /// empty until that owner finds them from `l`'s pattern.
     pub supernodes: Vec<usize>,
+    /// Per block of `below`: the runs of its consecutive columns that
+    /// share one row pattern — run `s` of block `b` is columns
+    /// `below_runs[b][s]..below_runs[b][s + 1]`, whose values are one
+    /// dense column-major panel — for an owner that multiplies by them;
+    /// empty until that owner finds them from the pattern.
+    pub below_runs: Vec<Vec<usize>>,
 }
 
 impl BlockLu {
@@ -422,6 +428,7 @@ impl BlockColumnFactorizer {
             row_perm,
             flops: self.flops,
             supernodes: Vec::new(),
+            below_runs: Vec::new(),
         }
     }
 }
@@ -552,10 +559,10 @@ impl<'a> ColsView<'a> {
 }
 
 /// Reusable dense accumulators of the refactorization kernels
-/// ([`refactor_block_column`], [`lsolve_panel_refresh`]), grown lazily
-/// to the largest block seen and **all-zero between calls** — every
-/// kernel clears exactly what it touched. One per thread (or per serial
-/// solver) serves every block.
+/// ([`refactor_block_column`], [`lsolve_panel_refresh`], and the ND
+/// blocks' reductions), grown lazily to the largest block seen and
+/// **all-zero between calls** — every kernel clears exactly what it
+/// touched. One per thread (or per serial solver) serves every block.
 #[derive(Debug, Default, Clone)]
 pub struct RefactorWorkspace {
     xd: Vec<f64>,
@@ -584,9 +591,10 @@ impl RefactorWorkspace {
         self.xb.fill(0.0);
     }
 
-    /// Both accumulators: `nd` entries for the diagonal block, `nb` for
-    /// the stacked trailing blocks.
-    fn split(&mut self, nd: usize, nb: usize) -> (&mut [f64], &mut [f64]) {
+    /// Both accumulators, all zero: `nd` entries of the primary one (the
+    /// diagonal block's) and `nb` of the second (the stacked trailing
+    /// blocks'); the borrower must hand them back all zero.
+    pub fn split(&mut self, nd: usize, nb: usize) -> (&mut [f64], &mut [f64]) {
         if self.xd.len() < nd {
             self.xd.resize(nd, 0.0);
         }

@@ -124,29 +124,44 @@ fn table1_suite_factors_at_test_scale() {
     }
 }
 
-/// The benchmark's `mesh_factor` matrix, `mesh2d(150)`, factored by the
-/// block driver at `T` = 2 on seeds 1 and 7: `|L+U|` and the flop count
-/// are pinned. The driver keeps Gilbert–Peierls's pivots and patterns
-/// however its leaves, tails and panels compute them, so these move
-/// only with the ordering or the pivot rule.
+/// The benchmark's `mesh_factor` matrix, `mesh2d(150)`, factored by
+/// `Basker` at `T` = 2 and 4 on seeds 1 and 7: `|L+U|` and the flop
+/// count are pinned. `Basker` keeps Gilbert–Peierls's pivots and
+/// patterns however its leaves, tails, panels, reductions and
+/// separators compute them, so these move only with the ordering or the
+/// pivot rule. At `T` = 4 the inner separators carry the root's rows as
+/// their halo.
 #[test]
 fn mesh_factor_counts_are_pinned() {
-    for (seed, lu_nnz, flops) in [(1, 1_181_269, 116_552_689.0), (7, 1_198_116, 120_908_968.0)] {
+    let pinned = [
+        (
+            2,
+            [(1, 1_181_269, 116_552_689.0), (7, 1_198_116, 120_908_968.0)],
+        ),
+        (
+            4,
+            [(1, 1_130_506, 101_539_228.0), (7, 1_136_625, 103_125_542.0)],
+        ),
+    ];
+    for (seed, lu_nnz, flops, nthreads) in pinned
+        .into_iter()
+        .flat_map(|(t, rows)| rows.map(|(seed, nnz, flops)| (seed, nnz, flops, t)))
+    {
         let a = mesh2d(150, seed);
         let opts = BaskerOptions {
-            nthreads: 2,
+            nthreads,
             ..BaskerOptions::default()
         };
         let num = Basker::analyze(&a, &opts).unwrap().factor(&a).unwrap();
         assert_eq!(
             (num.stats.lu_nnz, num.stats.flops),
             (lu_nnz, flops),
-            "seed {seed}"
+            "seed {seed}, T = {nthreads}"
         );
         let (_, b) = rhs_for(&a);
         let mut y = b.clone();
         num.solve_in_place(&mut y, &mut SolveWorkspace::new());
         let r = relative_residual(&a, &y, &b);
-        assert!(r < 1e-10, "seed {seed}: residual {r:.2e}");
+        assert!(r < 1e-10, "seed {seed}, T = {nthreads}: residual {r:.2e}");
     }
 }
