@@ -14,17 +14,20 @@
 //! pivoting, or the whole leaf to [`factor_block_column`], inside the
 //! same item. A separator's block column — its reduced diagonal block,
 //! the reduced ancestor blocks stacked below as the halo — goes through
-//! [`factor_stacked`], the helper the leaf tails use too: the bitset
-//! kernel `tail_gp` of [`crate::supernode`] when the column's reach
-//! bitsets fit in its entries (a mesh's separators reduce to near-dense
-//! blocks), else [`factor_block_column`]; either keeps Gilbert–Peierls's
-//! pivots, patterns, flops and error columns. The column item leaves on
-//! its [`BlockLu`] the supernodes of its `L`, for the panels, and the
-//! runs of each below block's columns that share one row pattern
-//! ([`pattern_runs`]), for the reductions. A panel `U_{k,v}` is one
-//! [`lsolve_panel`] (for an inner separator `k`, of `A_{k,v}` reduced
-//! over `k`'s descendants' panels first) over the supernodes of `L_kk`;
-//! a reduction chunk is [`reduce_block_cols`], whose product applies
+//! [`factor_stacked`], the helper the leaf tails use too: the blocked
+//! bitset kernel `tail_gp` of [`crate::supernode`] when the column's
+//! reach bitsets fit in its entries (a mesh's separators reduce to
+//! near-dense blocks), its blocks the runs of columns that share one
+//! pattern ([`pattern_blocks`]), else [`factor_block_column`]; either
+//! keeps Gilbert–Peierls's pivots, patterns, flops and error columns.
+//! The column item leaves on its [`BlockLu`] the supernodes of its `L`,
+//! for the panels, and the runs of each below block's columns that
+//! share one row pattern ([`pattern_runs`]), for the reductions. A
+//! panel `U_{k,v}` is one [`lsolve_panel`] (for an inner separator `k`,
+//! of `A_{k,v}` reduced over `k`'s descendants' panels first) over the
+//! supernodes of `L_kk`, each supernode updating all the panel's
+//! columns that reach it at once; a reduction chunk is
+//! [`reduce_block_cols`], whose product applies
 //! each run of `L_{t,k}` as a dense panel. Pivots are chosen inside the
 //! item, so what an item computes depends on neither the rank that runs
 //! it nor the order its stage is claimed in: the factors are
@@ -52,7 +55,7 @@ use crate::reduce::{pattern_runs, product_flops, reduce_block_cols, Term};
 use crate::refactor::{ItemCell, NdReplay, Reduction, Replay, MAX_LEVELS, NONE};
 use crate::stages::{column_chunks, layout_nd, run_stage, Item, NdItem, Stage, Work};
 use crate::structure::NdStructure;
-use crate::supernode::{factor_stacked, lsolve_panel, supernodes};
+use crate::supernode::{factor_stacked, lsolve_panel, pattern_blocks, supernodes};
 use crate::Basker;
 use basker_klu::gp::{factor_block_column, BlockLu, ColsView};
 use basker_runtime::WorkerTeam;
@@ -300,7 +303,9 @@ impl<'a> Fresh<'a> {
             let reduced: Vec<_> = targets.map(|r| f.assembled(r)).collect();
             let nnz = reduced.iter().map(CscMat::nnz).sum();
             let blocks: Vec<_> = reduced.iter().map(ColsView::of).collect();
-            factor_stacked(blocks[0], &blocks[1..], nnz, pivot_tol, off)?
+            let (diag, below) = (blocks[0], &blocks[1..]);
+            let cols = pattern_blocks(diag, below, nnz);
+            factor_stacked(diag, below, &cols, nnz, pivot_tol, off)?
         };
         blu.supernodes = supernodes(&blu.l);
         blu.below_runs = blu.below.iter().map(pattern_runs).collect();

@@ -38,11 +38,13 @@
 //! supernodes tens of columns wide even across the off-diagonal pivots:
 //! `tail_gp` packs each column into the dense panel of the supernode it
 //! joins — the last one, when the column's pattern is the last column's
-//! less its own pivot row — and a later column takes each supernode's
-//! update, the growing one's included, as a reached suffix through
-//! [`apply`](crate::supernode::apply): a dense unit-lower solve and one
-//! product into the rows the supernode shares, in the scalar sweep's
-//! order. A leaf whose first supernode fails, or with an exactly zero
+//! less its own pivot row. It loads the tail's columns a block at a
+//! time, the blocks being the plan's supernodes from the tail on, and
+//! each supernode updates all of a block's columns that reach it at
+//! once through [`apply_block`](crate::supernode::apply_block): a dense
+//! unit-lower solve and one product into the rows the supernode shares,
+//! on `gemm_sub`, in the scalar sweep's order for every entry. A leaf
+//! whose first supernode fails, or with an exactly zero
 //! `U` entry whose column reaches the halo (where Gilbert–Peierls skips
 //! the update and perhaps rows of `L_{a,l}`), goes to
 //! [`factor_block_column`] whole.
@@ -342,7 +344,12 @@ pub(crate) fn factor_leaf(
             let below = split_rows(&halo, &cuts);
             let views: Vec<_> = below.iter().map(ColsView::of).collect();
             let (diag, off) = (ColsView::of(&schur), col_offset + t0);
-            let tail = factor_stacked(diag, &views, plan.l_nnz, pivot_tol, off)?;
+            let blocks: Vec<usize> = plan
+                .bounds
+                .iter()
+                .filter_map(|&b| b.checked_sub(t0))
+                .collect();
+            let tail = factor_stacked(diag, &views, &blocks, plan.l_nnz, pivot_tol, off)?;
             Ok((out.finish(plan, Some((t0, tail))), true))
         }
         Head::Back => Ok((
@@ -428,12 +435,22 @@ impl Leaf<'_, '_> {
         let (nb, t0) = (plan.nb(), plan.bounds[ts]);
         let (mut sp, mut si, mut sx) = (vec![0], Vec::new(), Vec::new());
         let (mut hp, mut hi, mut hx) = (vec![0], Vec::new(), Vec::new());
+        let mut roots = Vec::new();
         for s in ts..plan.nsn() {
             let (nr, _) = self.load(s, ts, &out.panels, ar);
             if !out.tail_u(plan, s, ts, nr, ar) {
                 ar.lay_out(plan, s, true);
                 return Head::Back;
             }
+            // The fill comes from the supernodes before the tail that
+            // reach a column of s. A supernode's rows from the tail on
+            // are its parent's when that is before the tail too, so the
+            // roots of the head's subtrees carry all of it.
+            roots.clear();
+            roots.extend(
+                (plan.contributors(s).iter())
+                    .filter(|e| e.0 < ts && plan.rows(e.0).first().map_or(true, |&r| r >= t0)),
+            );
             let (s0, s1) = plan.cols(s);
             for j in s0..s1 {
                 // A's entries and the earlier supernodes' fill: the rows
@@ -448,9 +465,9 @@ impl Leaf<'_, '_> {
                         ar.mark[plan.halo[b] + i] = stamp;
                     }
                 }
-                for &(k, q0, q1) in plan.contributors(s).iter().filter(|e| e.0 < ts) {
+                for &(k, q0, q1) in &roots {
                     if plan.rows[q0..q1].binary_search(&j).is_ok() {
-                        for &r in plan.rows(k).iter().filter(|&&r| r >= t0) {
+                        for &r in plan.rows(k) {
                             ar.mark[r] = stamp;
                         }
                     }
@@ -636,6 +653,11 @@ struct Factors {
 }
 
 impl Factors {
+    /// The factors of a leaf under `plan`, their arrays sized for the
+    /// kernel's own pattern. `L` and `U` have room for the plan's whole
+    /// `|L+U|` each: a tail's pivots change the pattern after the head
+    /// has filled them, and growing a filled array would copy it all.
+    /// [`finish`](Self::finish) returns the room left unused.
     fn with_capacity(plan: &LeafPlan) -> Factors {
         let nb = plan.nb();
         let with_zero = |cap: usize| {
@@ -643,13 +665,14 @@ impl Factors {
             p.push(0);
             p
         };
+        let room = plan.l_nnz + plan.u_nnz;
         Factors {
             lp: with_zero(nb + 1),
-            li: Vec::with_capacity(plan.l_nnz),
-            lx: Vec::with_capacity(plan.l_nnz),
+            li: Vec::with_capacity(room),
+            lx: Vec::with_capacity(room),
             up: with_zero(nb + 1),
-            ui: Vec::with_capacity(plan.u_nnz),
-            ux: Vec::with_capacity(plan.u_nnz),
+            ui: Vec::with_capacity(room),
+            ux: Vec::with_capacity(room),
             bp: plan.below_nnz.iter().map(|_| with_zero(nb + 1)).collect(),
             bi: plan
                 .below_nnz
@@ -753,8 +776,8 @@ impl Factors {
                     (self.li[p], self.lx[p]) = (r, x);
                 }
             }
-            // The plan sized the arrays for the kernel's own pattern; the
-            // tail's pivots change it, and the factors outlive this call.
+            // Room enough, unless the tail's pivots filled in more than
+            // the plan's pattern holds.
             self.li.reserve_exact(tail.l.nnz());
             self.lx.reserve_exact(tail.l.nnz());
             self.ui.reserve_exact(self.ti.len() + tail.u.nnz());
@@ -780,12 +803,14 @@ impl Factors {
                 }
             }
             self.flops += tail.flops;
-            for v in [&mut self.li, &mut self.ui].into_iter().chain(&mut self.bi) {
-                v.shrink_to_fit();
-            }
-            for v in [&mut self.lx, &mut self.ux].into_iter().chain(&mut self.bx) {
-                v.shrink_to_fit();
-            }
+        }
+        // The factors outlive this call: the room they did not use goes
+        // back.
+        for v in [&mut self.li, &mut self.ui].into_iter().chain(&mut self.bi) {
+            v.shrink_to_fit();
+        }
+        for v in [&mut self.lx, &mut self.ux].into_iter().chain(&mut self.bx) {
+            v.shrink_to_fit();
         }
         // SAFETY: each L column is its unit diagonal and its rows below,
         // ascending in pivot order — the tail's re-sorted above — all
@@ -906,6 +931,7 @@ fn contributed(
 mod tests {
     use super::*;
     use crate::structure::NdStructure;
+    use crate::supernode::tests::{assert_same_tail, tail_gp_by_column};
     use crate::supernode::{bitsets_fit, ones, tail_gp};
     use crate::testmat::*;
     use crate::{Basker, BaskerOptions};
@@ -1308,7 +1334,12 @@ mod tests {
                 let cuts: Vec<usize> = plan.halo.iter().map(|&h| h - plan.nb()).collect();
                 let halos = split_rows(&halo, &cuts);
                 let views: Vec<_> = halos.iter().map(ColsView::of).collect();
-                let sn = tail_gp(ColsView::of(&schur), &views, 1.0, off + t0).unwrap();
+                let blocks: Vec<usize> = plan
+                    .bounds
+                    .iter()
+                    .filter_map(|&b| b.checked_sub(t0))
+                    .collect();
+                let sn = tail_gp(ColsView::of(&schur), &views, &blocks, 1.0, off + t0).unwrap();
                 let old = tail_gp_scalar(&schur, &halo, &cuts, 1.0, off + t0).unwrap();
                 let moved = old
                     .pinv
@@ -1418,5 +1449,103 @@ mod tests {
         let num = sym2.factor(&lopsided).unwrap();
         assert_eq!(num.stats.sn_leaves, 1);
         check_solve(&num, &lopsided, 1e-10);
+    }
+
+    /// The mesh of the benchmark's `mesh_factor` at two leaves, its
+    /// store values, and per leaf that has a tail: the leaf, the tail's
+    /// first column, its Schur complement, its halo rows and its blocks.
+    #[allow(clippy::type_complexity)]
+    fn mesh_tails(
+        seed: u64,
+    ) -> (
+        Basker,
+        CscMat,
+        Vec<(usize, usize, CscMat, CscMat, Vec<usize>)>,
+    ) {
+        let a = mesh2d(150, seed);
+        let o = BaskerOptions {
+            nthreads: 2,
+            ..BaskerOptions::default()
+        };
+        let sym = Basker::analyze(&a, &o).unwrap();
+        let (vals, _) = sym.inner.frozen.btf.image(&a);
+        let st = nd_structure(&sym);
+        let mut tails = Vec::new();
+        for &v in &st.leaf_of_thread {
+            let plan = st.leaf_plans[v].as_ref().expect("a planned leaf");
+            let (diag, below, _) = leaf_views(&sym, &vals, v);
+            let leaf = Leaf {
+                plan,
+                diag,
+                below: &below,
+            };
+            let mut out = Factors::with_capacity(plan);
+            let tol = sym.inner.opts.pivot_tol;
+            if let Head::Tail(t0, schur, halo) = leaf.run(&mut out, tol, &mut Arena::new(plan)) {
+                let blocks = plan
+                    .bounds
+                    .iter()
+                    .filter_map(|&b| b.checked_sub(t0))
+                    .collect();
+                tails.push((v, t0, schur, halo, blocks));
+            }
+        }
+        (sym, a, tails)
+    }
+
+    /// The tails the benchmark's mesh leaves at two leaves — seed 1's
+    /// 450 columns, seed 7's 263 and 1 955 — through the blocked
+    /// `tail_gp`, blocked by the leaf plan's supernodes, and through the
+    /// column-at-a-time oracle: the same pivots, patterns and flops, the
+    /// values bit for bit on the scalar rung.
+    #[test]
+    fn blocked_mesh_tails_match_the_column_at_a_time_tail() {
+        let mut widths = Vec::new();
+        for seed in [1, 7] {
+            let (sym, _, tails) = mesh_tails(seed);
+            let (st, tol) = (nd_structure(&sym), sym.inner.opts.pivot_tol);
+            for (v, t0, schur, halo, blocks) in tails {
+                let plan = st.leaf_plans[v].as_ref().unwrap();
+                let cuts: Vec<usize> = plan.halo.iter().map(|&h| h - plan.nb()).collect();
+                let halos = split_rows(&halo, &cuts);
+                let views: Vec<_> = halos.iter().map(ColsView::of).collect();
+                let off = st.nd.nodes[v].range.start + t0;
+                let diag = ColsView::of(&schur);
+                assert!(blocks.len() > 2, "seed {seed} leaf {v}: one block");
+                let got = tail_gp(diag, &views, &blocks, tol, off).unwrap();
+                let want = tail_gp_by_column(diag, &views, tol, off).unwrap();
+                assert_same_tail(&got, &want, &format!("seed {seed} leaf {v}"));
+                widths.push((seed, schur.ncols()));
+            }
+        }
+        widths.sort_unstable();
+        assert_eq!(widths, [(1, 450), (7, 263), (7, 1955)], "the probe tails");
+    }
+
+    /// A pivot that collapses in the middle of a tail block — its column
+    /// zero in the leaf's rows — is named by Gilbert–Peierls's column on
+    /// teams of width 1, 2 and 4.
+    #[test]
+    fn a_pivot_collapsing_mid_block_fails_like_gilbert_peierls() {
+        let (sym, a, tails) = mesh_tails(1);
+        let (v, t0, _, _, blocks) = &tails[0];
+        let st = nd_structure(&sym);
+        let leaf = st.nd.nodes[*v].range.clone();
+        let j = leaf.start + t0 + (blocks[1] + blocks[2]) / 2;
+        assert!(blocks[2] - blocks[1] > 2, "a block with a middle");
+        let bad = revalue_col(&sym, &a, j, leaf, |_, _| 0.0);
+        let (_, gp) = both(&sym, &bad, *v);
+        let want = match gp {
+            Err(SparseError::ZeroPivot { column }) => column,
+            other => panic!("{:?}", other.map(drop)),
+        };
+        assert_eq!(want, j, "the collapsed column");
+        for width in [1, 2, 4] {
+            let team = basker_runtime::shared_team(width, false);
+            match sym.factor_on(&bad, &team) {
+                Err(SparseError::ZeroPivot { column }) => assert_eq!(column, want, "width {width}"),
+                other => panic!("width {width}: {:?}", other.map(drop)),
+            }
+        }
     }
 }

@@ -45,7 +45,8 @@ use crate::parnum::NdFactors;
 use crate::reduce::{reduce_cols_into, Term};
 use crate::stages::{run_stage, Stage, Work};
 use crate::structure::{NdSplit, NdStructure, Structure};
-use basker_klu::gp::{lsolve_panel_refresh, refactor_block_column, ColsView, RefactorWorkspace};
+use crate::supernode::panel_values;
+use basker_klu::gp::{refactor_block_column, ColsView, RefactorWorkspace};
 use basker_runtime::WorkerTeam;
 use basker_sparse::{CscMat, Result};
 use std::cell::{RefCell, RefMut, UnsafeCell};
@@ -265,10 +266,7 @@ impl Replay {
         let mut joined = None;
         for stage in &self.stages {
             let idle = run_stage(stage, team, |work| {
-                WORKSPACE.with(|ws| {
-                    let mut ws = ScrubOnUnwind(ws.borrow_mut());
-                    run_item(&cx, work, &mut ws.0)
-                })
+                with_workspace(|ws| run_item(&cx, work, ws))
             })?;
             if let Some(idle) = idle {
                 joined = Some(joined.unwrap_or(0) + idle);
@@ -284,6 +282,12 @@ thread_local! {
     /// whichever rank claims it, and items never wait, so the borrow
     /// cannot re-enter.
     static WORKSPACE: RefCell<RefactorWorkspace> = RefCell::new(RefactorWorkspace::new());
+}
+
+/// Runs `f` on the thread's accumulators: one item's kernels, of a
+/// refactorization or of a fresh factorization's panels, at a time.
+pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut RefactorWorkspace) -> R) -> R {
+    WORKSPACE.with(|ws| f(&mut ScrubOnUnwind(ws.borrow_mut()).0))
 }
 
 /// The thread's accumulators are shared by every refactorization the
@@ -430,7 +434,8 @@ fn run_item(cx: &Ctx<'_>, work: Work, ws: &mut RefactorWorkspace) -> Result<()> 
                     red.view(vals)
                 }
             };
-            lsolve_panel_refresh(&nd.f.fact_diag[k], b, out, ws);
+            let (colptr, rowind, values) = out.parts_mut();
+            panel_values(&nd.f.fact_diag[k], b, colptr, rowind, values, ws);
             Ok(())
         }
         Work::Reduce { nd, r, c0, c1 } => {

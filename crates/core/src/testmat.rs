@@ -28,6 +28,34 @@ pub(crate) fn grid2d_unsym(k: usize) -> CscMat {
     t.to_csc()
 }
 
+/// The benchmark's `mesh_factor` matrix, `basker_matgen::mesh2d(k,
+/// seed)`, built here the same way draw for draw: this crate does not
+/// depend on the generators' crate.
+pub(crate) fn mesh2d(k: usize, seed: u64) -> CscMat {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let n = k * k;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x2d2d);
+    let idx = |r: usize, c: usize| r * k + c;
+    let mut t = TripletMat::with_capacity(n, n, 5 * n);
+    for r in 0..k {
+        for c in 0..k {
+            let u = idx(r, c);
+            t.push(u, u, 4.0 + rng.gen_range(0.0..0.5));
+            if r + 1 < k {
+                let w = 1.0 + rng.gen_range(0.0..0.3);
+                t.push(u, idx(r + 1, c), -w);
+                t.push(idx(r + 1, c), u, -(w - rng.gen_range(0.0..0.2)));
+            }
+            if c + 1 < k {
+                let w = 1.0 + rng.gen_range(0.0..0.3);
+                t.push(u, idx(r, c + 1), -w);
+                t.push(idx(r, c + 1), u, -(w - rng.gen_range(0.0..0.2)));
+            }
+        }
+    }
+    t.to_csc()
+}
+
 /// Diagonally dominant 7-point grid with unsymmetric values: one
 /// irreducible block of `k³` rows.
 pub(crate) fn grid3d_unsym(k: usize) -> CscMat {

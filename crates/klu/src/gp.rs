@@ -559,14 +559,18 @@ impl<'a> ColsView<'a> {
 }
 
 /// Reusable dense accumulators of the refactorization kernels
-/// ([`refactor_block_column`], [`lsolve_panel_refresh`], and the ND
-/// blocks' reductions), grown lazily to the largest block seen and
+/// ([`refactor_block_column`], and the ND blocks' reductions and panel
+/// refreshes), grown lazily to the largest block seen and
 /// **all-zero between calls** — every kernel clears exactly what it
 /// touched. One per thread (or per serial solver) serves every block.
 #[derive(Debug, Default, Clone)]
 pub struct RefactorWorkspace {
     xd: Vec<f64>,
     xb: Vec<f64>,
+    /// Scratch of no fixed contents, for a kernel that needs more than
+    /// the accumulators (the supernodal panel refresh).
+    idx: Vec<usize>,
+    vals: Vec<f64>,
 }
 
 impl RefactorWorkspace {
@@ -582,6 +586,18 @@ impl RefactorWorkspace {
             self.xd.resize(n, 0.0);
         }
         &mut self.xd[..n]
+    }
+
+    /// `nidx` indices and `nvals` values of scratch, of no fixed
+    /// contents; the borrower need not clear them.
+    pub fn scratch(&mut self, nidx: usize, nvals: usize) -> (&mut [usize], &mut [f64]) {
+        if self.idx.len() < nidx {
+            self.idx.resize(nidx, 0);
+        }
+        if self.vals.len() < nvals {
+            self.vals.resize(nvals, 0.0);
+        }
+        (&mut self.idx[..nidx], &mut self.vals[..nvals])
     }
 
     /// Zeroes both accumulators — for a workspace some kernel may have
@@ -707,46 +723,6 @@ pub fn refactor_block_column(
     }
     *factor_flops = flops;
     Ok(())
-}
-
-/// Refreshes the values of a sparse panel solve `X = L⁻¹ · P · B` in
-/// place, reusing its pattern — `L` the unit lower factor of `blu`
-/// (pivotal coordinates), `B` a panel with rows in the diagonal block's
-/// *original local* coordinates, and `out`'s pattern any set of rows
-/// closed under `L`'s column graph that holds `B`'s reach (the
-/// refactorization path for separator panels). Like
-/// [`refactor_block_column`], allocation-free once `ws` is warm.
-// basker-lint: deny-alloc
-pub fn lsolve_panel_refresh(
-    blu: &BlockLu,
-    b: ColsView<'_>,
-    out: &mut CscMat,
-    ws: &mut RefactorWorkspace,
-) {
-    let l = &blu.l;
-    let pinv = &blu.pinv;
-    let x = ws.accumulator(l.ncols());
-    let ks = basker_kernels::active();
-    let (colptr, rows, vals) = out.parts_mut();
-    for j in 0..b.ncols() {
-        for (r0, v) in b.col(j) {
-            x[pinv[r0]] = v;
-        }
-        let (lo, hi) = (colptr[j], colptr[j + 1]);
-        // ascending pivotal order is topologically valid
-        for &t in &rows[lo..hi] {
-            let xt = x[t];
-            if xt != 0.0 {
-                let lr = l.col_rows(t);
-                let lv = l.col_values(t);
-                ks.scatter_axpy(x, &lr[1..], &lv[1..], -xt);
-            }
-        }
-        for p in lo..hi {
-            vals[p] = x[rows[p]];
-            x[rows[p]] = 0.0;
-        }
-    }
 }
 
 /// A factored BTF diagonal block with a fast path for 1×1 blocks.
@@ -1049,48 +1025,6 @@ mod tests {
         assert_eq!(blu.u.values(), fresh.u.values());
         assert_eq!(blu.below[0].values(), fresh.below[0].values());
         assert!(ws.accumulator(64).iter().all(|&v| v == 0.0));
-    }
-
-    /// The refresh over a dense pattern — every row is closed under any
-    /// `L`'s column graph — solves `L·X = P·B`, and a second refresh
-    /// rewrites every value the same.
-    #[test]
-    fn lsolve_panel_refresh_matches_dense_solve() {
-        let d = dense(&[
-            [10.0, 2.0, 0.0, 1.0],
-            [3.0, 12.0, 4.0, 0.0],
-            [0.0, 1.0, 9.0, 2.0],
-            [2.0, 0.0, 1.0, 8.0],
-        ]);
-        let blu = factor_block_column(ColsView::of(&d), &[], 1.0, 0).unwrap();
-        let b = CscMat::from_dense(&[
-            vec![1.0, 0.0],
-            vec![0.0, 2.0],
-            vec![3.0, 0.0],
-            vec![0.0, 0.0],
-        ]);
-        let rows: Vec<usize> = (0..2).flat_map(|_| 0..4).collect();
-        let mut x = CscMat::new(4, 2, vec![0, 4, 8], rows, vec![f64::NAN; 8]).unwrap();
-        let mut ws = RefactorWorkspace::new();
-        lsolve_panel_refresh(&blu, ColsView::of(&b), &mut x, &mut ws);
-        // Verify L·X == P·B column by column.
-        let pb = blu.row_perm.permute_rows(&b);
-        let ld = blu.l.to_dense();
-        let xd = x.to_dense();
-        let pbd = pb.to_dense();
-        for j in 0..2 {
-            for i in 0..4 {
-                let mut acc = 0.0;
-                for k in 0..4 {
-                    acc += ld[i][k] * xd[k][j];
-                }
-                assert!((acc - pbd[i][j]).abs() < 1e-12);
-            }
-        }
-        let mut x2 = x.clone();
-        x2.values_mut().fill(f64::NAN);
-        lsolve_panel_refresh(&blu, ColsView::of(&b), &mut x2, &mut ws);
-        assert_eq!(x.values(), x2.values());
     }
 
     #[test]
