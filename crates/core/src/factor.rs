@@ -9,10 +9,12 @@
 //! blocks read in place
 //! ([`NdSplit::block`](crate::structure::NdSplit::block)). A leaf that
 //! analyze planned supernodally goes through the kernel of
-//! [`crate::leaf`] instead, which keeps Gilbert–Peierls's pivots and
-//! patterns: it hands the tail that pivots off the diagonal to partial
-//! pivoting, or the whole leaf to [`factor_block_column`], inside the
-//! same item. A separator's block column — its reduced diagonal block,
+//! [`crate::leaf`] instead, which keeps Gilbert–Peierls's threshold
+//! test, diagonal first, but takes a failing diagonal's replacement from
+//! its own supernode's rows, so the leaf keeps symbolic Cholesky's
+//! pattern: it hands the tail from a supernode where no row of its own
+//! passes to partial pivoting, or the whole leaf to
+//! [`factor_block_column`], inside the same item. A separator's block column — its reduced diagonal block,
 //! the reduced ancestor blocks stacked below as the halo — goes through
 //! [`factor_stacked`], the helper the leaf tails use too: the blocked
 //! bitset kernel `tail_gp` of [`crate::supernode`] when the column's

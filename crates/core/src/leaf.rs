@@ -17,25 +17,36 @@
 //!   `gemm_sub` carries the solved block into `K`'s rows below, ancestor
 //!   rows included, so `L_{a,l}` comes out of the same update.
 //! * `S` is then eliminated column by column: a `trsv_lower_unit` for
-//!   its own `U` rows, a `gemv_sub` for the rest, and the scaling by the
-//!   pivot.
+//!   its own `U` rows, a `gemv_sub` for the rest, the pivot, and the
+//!   scaling by it.
 //!
-//! Every pivot is the diagonal, kept under Gilbert–Peierls's own test
-//! (`|x_jj| ≥ pivot_tol ×` the largest unpivoted leaf row of the column,
-//! and `x_jj ≠ 0`), so up to the first column that fails it the kernel
-//! computes what Gilbert–Peierls would, in another order. From the
-//! supernode of that column on — the tail — Gilbert–Peierls pivots off
-//! the diagonal and the pattern is no longer Cholesky's: the kernel
-//! applies the earlier supernodes' updates to the tail's columns, which
-//! leaves the Schur complement `[S_tt; S_{a,t}]` in exactly the pattern
-//! Gilbert–Peierls's search reaches, and factors that with partial
-//! pivoting through [`factor_stacked`] — by
+//! The pivots follow Gilbert–Peierls's threshold test (`|x_p| ≥
+//! pivot_tol ×` the largest unpivoted leaf row of the column, and
+//! `x_p ≠ 0`), restricted to the supernode's diagonal block — the
+//! restricted pivoting of the supernodal solvers, PARDISO's among them,
+//! one level below Basker's own restriction to the leaf. A column keeps
+//! its diagonal when that passes; otherwise it takes the largest of
+//! `S`'s own unpivoted rows, if that passes, and swaps the two rows
+//! across the whole packed panel, as LAPACK's `getf2` does. A
+//! fundamental supernode's diagonal block is dense, its columns share
+//! one row set below it, and a later column's `U(S, j)` is dense over
+//! `S` or empty, so a swap keeps symbolic Cholesky's pattern, `|L+U|`
+//! and flops, and every multiplier stays within `1/pivot_tol`. A later
+//! supernode's update gathers its column's `x(K)` in `K`'s pivot order
+//! before `K`'s `trsv_lower_unit`, and the finished factors renumber a
+//! swapped supernode's rows in its contributors' `L` columns. Where no
+//! row moves, the kernel computes what Gilbert–Peierls would, in another
+//! order.
+//!
+//! From a supernode with a column where no row of its own passes — the
+//! tail; in a supernode's last column the diagonal is the only row left
+//! — the kernel applies the earlier supernodes' updates to the
+//! tail's columns, which leaves the Schur complement `[S_tt; S_{a,t}]`
+//! in exactly the pattern Gilbert–Peierls's search reaches, and factors
+//! that with partial pivoting through [`factor_stacked`] — by
 //! [`tail_gp`](crate::supernode::tail_gp) (Gilbert–Peierls with each
 //! column's reach taken as a bitset instead of a depth-first search)
-//! when its bitsets fit in the leaf's `L`, as the separators do. On a
-//! 2-D mesh that is large enough, the tail is the top few percent of a
-//! leaf's columns and half or more of its flops, and its `L` is
-//! supernodes tens of columns wide even across the off-diagonal pivots:
+//! when its bitsets fit in the leaf's `L`, as the separators do.
 //! `tail_gp` packs each column into the dense panel of the supernode it
 //! joins — the last one, when the column's pattern is the last column's
 //! less its own pivot row. It loads the tail's columns a block at a
@@ -43,15 +54,17 @@
 //! each supernode updates all of a block's columns that reach it at
 //! once through [`apply_block`](crate::supernode::apply_block): a dense
 //! unit-lower solve and one product into the rows the supernode shares,
-//! on `gemm_sub`, in the scalar sweep's order for every entry. A leaf
-//! whose first supernode fails, or with an exactly zero
-//! `U` entry whose column reaches the halo (where Gilbert–Peierls skips
-//! the update and perhaps rows of `L_{a,l}`), goes to
-//! [`factor_block_column`] whole.
-//! So the pivots, the `L`/`U`/`below` patterns, `|L+U|`, the flops
-//! (counted as Gilbert–Peierls counts them) and the error columns are
-//! always Gilbert–Peierls's, and the result is a [`BlockLu`] that the
-//! refactor replay, the panels, the reductions and the solve read
+//! on `gemm_sub`, in the scalar sweep's order for every entry. On the
+//! benchmark's `mesh2d(150)` at `T` = 2, 4 and 7 of the 16 value sets of
+//! seeds 1 and 7 leave a tail in some leaf, late in it. A leaf whose
+//! first supernode fails, or with an exactly zero `U` entry whose column
+//! reaches the halo (where Gilbert–Peierls skips the update and perhaps
+//! rows of `L_{a,l}`), goes to [`factor_block_column`] whole.
+//! So every pivot passes Gilbert–Peierls's threshold test — the diagonal
+//! first, then a row of its supernode, then, in a tail, any leaf row —
+//! the flops are counted as Gilbert–Peierls counts them, the error
+//! columns are Gilbert–Peierls's, and the result is a [`BlockLu`] that
+//! the refactor replay, the panels, the reductions and the solve read
 //! unchanged.
 //!
 //! The accumulator is that one packed panel — as tall as the largest
@@ -316,14 +329,15 @@ impl LeafPlan {
 }
 
 /// Factors the leaf's stacked block column `[diag; below…]` (ancestors
-/// ascending) under `plan`: on the supernodal kernel up to the first
-/// supernode holding a diagonal that fails Gilbert–Peierls's test, and
-/// the Schur complement from that supernode on — the tail — by
-/// [`factor_stacked`]: [`tail_gp`](crate::supernode::tail_gp), or
-/// [`factor_block_column`] when its bitsets would outgrow the leaf's own
-/// `L`. A leaf whose first supernode fails goes to
-/// [`factor_block_column`] whole. Returns the factors and whether the
-/// kernel took part.
+/// ascending) under `plan`: on the supernodal kernel, each column
+/// pivoting on its diagonal or a row of its own supernode under
+/// Gilbert–Peierls's threshold test, up to the first supernode with a
+/// column where no row of its own passes; the Schur complement from that
+/// supernode on — the tail — by [`factor_stacked`]:
+/// [`tail_gp`](crate::supernode::tail_gp), or [`factor_block_column`]
+/// when its bitsets would outgrow the leaf's own `L`. A leaf whose first
+/// supernode fails goes to [`factor_block_column`] whole. Returns the
+/// factors and whether the kernel took part.
 pub(crate) fn factor_leaf(
     plan: &LeafPlan,
     diag: ColsView<'_>,
@@ -379,24 +393,40 @@ struct Leaf<'a, 'v> {
 }
 
 impl Leaf<'_, '_> {
-    /// Factors supernode after supernode until one fails the pivot test.
+    /// Factors supernode after supernode until one has a column where no
+    /// row of its own passes the pivot test.
     fn run(&self, out: &mut Factors, pivot_tol: f64, ar: &mut Arena) -> Head {
         let plan = self.plan;
         for s in 0..plan.nsn() {
-            let (nr, u0) = self.load(s, s, &out.panels, ar);
-            let eliminated = eliminate(plan, s, nr, u0, pivot_tol, ar);
-            let emitted = eliminated && out.emit(plan, s, nr, u0, ar);
-            if emitted && plan.panel_at[s] != NONE {
-                let (w, m) = (plan.width(s), nr - u0);
-                let panel = &mut out.panels[plan.panel_at[s]..][..m * w];
-                for (c, dst) in panel.chunks_exact_mut(m).enumerate() {
-                    dst.copy_from_slice(&ar.acc[c * nr + u0..(c + 1) * nr]);
-                }
-            }
+            let (nr, u0) = self.load(s, s, out, ar);
+            let pivots = eliminate(plan, s, nr, u0, pivot_tol, ar);
+            let kept = pivots.is_some_and(|swapped| out.keep(plan, s, nr, u0, swapped, ar));
             ar.lay_out(plan, s, true);
-            match (eliminated, emitted) {
-                (true, true) => {}
-                (false, _) if s > 0 => return self.tail(s, out, ar),
+            match (pivots, kept) {
+                (_, true) => {}
+                (None, _) if s > 0 => return self.tail(s, out, ar),
+                _ => return Head::Back,
+            }
+        }
+        Head::Done
+    }
+
+    /// [`run`](Self::run) under the diagonal-only rule: the head up to
+    /// the first supernode with a diagonal that fails Gilbert–Peierls's
+    /// test, and the Schur complement from there. The tail tests take
+    /// their large Schur complements from it: on the benchmark mesh's
+    /// own values the kernel leaves none.
+    #[cfg(test)]
+    fn diagonal_tail(&self, out: &mut Factors, pivot_tol: f64, ar: &mut Arena) -> Head {
+        let plan = self.plan;
+        for s in 0..plan.nsn() {
+            let (nr, u0) = self.load(s, s, out, ar);
+            let pivots = eliminate(plan, s, nr, u0, pivot_tol, ar);
+            let kept = pivots == Some(false) && out.keep(plan, s, nr, u0, false, ar);
+            ar.lay_out(plan, s, true);
+            match (pivots, kept) {
+                (_, true) => {}
+                (Some(true) | None, _) if s > 0 => return self.tail(s, out, ar),
                 _ => return Head::Back,
             }
         }
@@ -406,7 +436,7 @@ impl Leaf<'_, '_> {
     /// Lays out supernode `s`'s panel, gathers `A` into it and applies
     /// the updates of its contributors before supernode `k_end`; returns
     /// the panel's height and the row of its diagonal block.
-    fn load(&self, s: usize, k_end: usize, panels: &[f64], ar: &mut Arena) -> (usize, usize) {
+    fn load(&self, s: usize, k_end: usize, head: &Factors, ar: &mut Arena) -> (usize, usize) {
         let plan = self.plan;
         let (nr, u0) = ar.lay_out(plan, s, false);
         let (s0, w) = (plan.bounds[s], plan.width(s));
@@ -422,7 +452,7 @@ impl Leaf<'_, '_> {
                 }
             }
         }
-        update(plan, s, nr, k_end, panels, ar);
+        update(plan, s, nr, k_end, head, ar);
         (nr, u0)
     }
 
@@ -437,7 +467,7 @@ impl Leaf<'_, '_> {
         let (mut hp, mut hi, mut hx) = (vec![0], Vec::new(), Vec::new());
         let mut roots = Vec::new();
         for s in ts..plan.nsn() {
-            let (nr, _) = self.load(s, ts, &out.panels, ar);
+            let (nr, _) = self.load(s, ts, out, ar);
             if !out.tail_u(plan, s, ts, nr, ar) {
                 ar.lay_out(plan, s, true);
                 return Head::Back;
@@ -512,6 +542,8 @@ struct Arena {
     prod: Vec<f64>,
     /// Per column of the supernode in flight: where its `U` goes next.
     cursor: Vec<usize>,
+    /// The supernode in flight's own rows in pivot order, from its first.
+    perm: Vec<usize>,
     /// Per stacked row: the stamp of the last tail column that reached
     /// it; the stamps only grow.
     mark: Vec<usize>,
@@ -528,6 +560,7 @@ impl Arena {
             useg: vec![0.0; plan.useg_len],
             prod: vec![0.0; plan.prod_len],
             cursor: vec![0; widest],
+            perm: vec![0; widest],
             mark: vec![0; n],
             stamp: 0,
         }
@@ -553,11 +586,13 @@ impl Arena {
 }
 
 /// Applies to supernode `s`'s panel the updates of its contributors
-/// before supernode `k_end`, whose factored panels are in `panels`: per
-/// contributor `K`, `U(K, j) = L_KK⁻¹·x(K)` for each receiving column
-/// `j`, then one rank-k update of `K`'s rows below.
+/// before supernode `k_end`, whose factored panels are in `head`: per
+/// contributor `K`, `U(K, j) = L_KK⁻¹·P_K·x(K)` for each receiving column
+/// `j`, then one rank-k update of `K`'s rows below. The panel holds
+/// `x(K)` in `K`'s own row order and leaves with `U(K, j)` in its pivot
+/// order.
 // basker-lint: deny-alloc
-fn update(plan: &LeafPlan, s: usize, nr: usize, k_end: usize, panels: &[f64], ar: &mut Arena) {
+fn update(plan: &LeafPlan, s: usize, nr: usize, k_end: usize, head: &Factors, ar: &mut Arena) {
     let ks = basker_kernels::active();
     let Arena {
         acc,
@@ -570,12 +605,21 @@ fn update(plan: &LeafPlan, s: usize, nr: usize, k_end: usize, panels: &[f64], ar
     for &(k, q0, q1) in plan.contributors(s).iter().take_while(|e| e.0 < k_end) {
         let (k0, wk, rk) = (plan.bounds[k], plan.width(k), plan.rows(k));
         let (nbk, ldk, p) = (rk.len(), wk + rk.len(), q1 - q0);
-        let lk = &panels[plan.panel_at[k]..][..ldk * wk];
+        let lk = &head.panels[plan.panel_at[k]..][..ldk * wk];
         let kpos = pos[k0];
         for (q, &j) in plan.rows[q0..q1].iter().enumerate() {
             let x = &mut acc[(j - s0) * nr + kpos..][..wk];
-            ks.trsv_lower_unit(x, lk, ldk);
-            useg[q * wk..][..wk].copy_from_slice(x);
+            let u = &mut useg[q * wk..][..wk];
+            if head.pivoted[k] {
+                for (u, &r) in u.iter_mut().zip(&head.prow[k0..k0 + wk]) {
+                    *u = x[r - k0];
+                }
+                ks.trsv_lower_unit(u, lk, ldk);
+                x.copy_from_slice(u);
+            } else {
+                ks.trsv_lower_unit(x, lk, ldk);
+                u.copy_from_slice(x);
+            }
         }
         let prod = &mut prod[..nbk * p];
         prod.fill(0.0);
@@ -591,8 +635,14 @@ fn update(plan: &LeafPlan, s: usize, nr: usize, k_end: usize, panels: &[f64], ar
 
 /// Eliminates supernode `s` in its updated panel, column by column:
 /// its own `U` rows by `trsv_lower_unit`, the rest by `gemv_sub`, then
-/// the pivot test and the scaling. False at the first diagonal that
-/// fails Gilbert–Peierls's pivot test.
+/// the pivot and the scaling. A column keeps its diagonal when that
+/// passes Gilbert–Peierls's test (`|x_jj| ≥ pivot_tol ×` the largest
+/// unpivoted leaf row of the column, and `x_jj ≠ 0`); otherwise the
+/// largest of `s`'s own unpivoted rows, the first on ties, if it passes
+/// the same test, is swapped with the diagonal across the whole panel,
+/// as LAPACK's `getf2` does, and `ar.perm` records the swap. `None` at
+/// the first column where no row of `s` passes; otherwise whether any
+/// row moved.
 // basker-lint: deny-alloc
 fn eliminate(
     plan: &LeafPlan,
@@ -601,11 +651,15 @@ fn eliminate(
     u0: usize,
     pivot_tol: f64,
     ar: &mut Arena,
-) -> bool {
+) -> Option<bool> {
     let ks = basker_kernels::active();
     let w = plan.width(s);
     // The leaf rows of a column of s end here; the halo rows follow.
     let leaf_end = w + plan.rows(s).partition_point(|&r| r < plan.nb());
+    for (c, p) in ar.perm[..w].iter_mut().enumerate() {
+        *p = c;
+    }
+    let mut swapped = false;
     for c in 0..w {
         let (head, tail) = ar.acc.split_at_mut(c * nr);
         let (ucol, lcol) = tail[u0..nr].split_at_mut(c);
@@ -614,20 +668,38 @@ fn eliminate(
             ks.trsv_lower_unit(ucol, head, nr);
             ks.gemv_sub(lcol, &head[c..], nr, ucol);
         }
-        let maxabs =
-            lcol[..leaf_end - c]
-                .iter()
-                .fold(0.0f64, |m, x| if x.abs() > m { x.abs() } else { m });
-        let pivot = lcol[0];
-        let kept = pivot != 0.0 && pivot.abs() >= pivot_tol * maxabs;
-        if !kept {
-            return false;
+        let maxabs = largest(&lcol[..leaf_end - c]).1;
+        let passes = |x: f64| x != 0.0 && x.abs() >= pivot_tol * maxabs;
+        if !passes(lcol[0]) {
+            let p = largest(&lcol[..w - c]).0;
+            if !passes(lcol[p]) {
+                return None;
+            }
+            for col in ar.acc[..w * nr].chunks_exact_mut(nr) {
+                col.swap(u0 + c, u0 + c + p);
+            }
+            ar.perm.swap(c, c + p);
+            swapped = true;
         }
+        let lcol = &mut ar.acc[c * nr + u0 + c..(c + 1) * nr];
+        let pivot = lcol[0];
         for x in &mut lcol[1..] {
             *x /= pivot;
         }
     }
-    true
+    Some(swapped)
+}
+
+/// The first of the largest magnitudes in `xs`, and that magnitude; `(0,
+/// 0.0)` when all are zero.
+fn largest(xs: &[f64]) -> (usize, f64) {
+    let mut at = (0, 0.0f64);
+    for (i, x) in xs.iter().enumerate() {
+        if x.abs() > at.1 {
+            at = (i, x.abs());
+        }
+    }
+    at
 }
 
 /// The leaf's factors as they grow, in [`BlockLu`]'s layout.
@@ -643,8 +715,13 @@ struct Factors {
     bi: Vec<Vec<usize>>,
     bx: Vec<Vec<f64>>,
     /// The factored supernodes' `[L_SS; L_{R,S}]` panels that later
-    /// supernodes read, at their `panel_at`.
+    /// supernodes read, at their `panel_at`, each `L_SS` in its pivot
+    /// order.
     panels: Vec<f64>,
+    /// The leaf's row at each pivot position so far, and per supernode
+    /// whether any of its rows moved.
+    prow: Vec<usize>,
+    pivoted: Vec<bool>,
     /// Per tail column: its `U` rows above the tail.
     tp: Vec<usize>,
     ti: Vec<usize>,
@@ -654,10 +731,10 @@ struct Factors {
 
 impl Factors {
     /// The factors of a leaf under `plan`, their arrays sized for the
-    /// kernel's own pattern. `L` and `U` have room for the plan's whole
-    /// `|L+U|` each: a tail's pivots change the pattern after the head
-    /// has filled them, and growing a filled array would copy it all.
-    /// [`finish`](Self::finish) returns the room left unused.
+    /// kernel's own pattern: a leaf without a tail fills them exactly.
+    /// A tail's pivots change its pattern, so [`finish`](Self::finish)
+    /// grows them for the tail if need be and returns the room left
+    /// unused.
     fn with_capacity(plan: &LeafPlan) -> Factors {
         let nb = plan.nb();
         let with_zero = |cap: usize| {
@@ -665,14 +742,13 @@ impl Factors {
             p.push(0);
             p
         };
-        let room = plan.l_nnz + plan.u_nnz;
         Factors {
             lp: with_zero(nb + 1),
-            li: Vec::with_capacity(room),
-            lx: Vec::with_capacity(room),
+            li: Vec::with_capacity(plan.l_nnz),
+            lx: Vec::with_capacity(plan.l_nnz),
             up: with_zero(nb + 1),
-            ui: Vec::with_capacity(room),
-            ux: Vec::with_capacity(room),
+            ui: Vec::with_capacity(plan.u_nnz),
+            ux: Vec::with_capacity(plan.u_nnz),
             bp: plan.below_nnz.iter().map(|_| with_zero(nb + 1)).collect(),
             bi: plan
                 .below_nnz
@@ -685,6 +761,8 @@ impl Factors {
                 .map(|&m| Vec::with_capacity(m))
                 .collect(),
             panels: vec![0.0; plan.panels_len],
+            prow: (0..nb).collect(),
+            pivoted: vec![false; plan.nsn()],
             tp: with_zero(1),
             ti: Vec::new(),
             tx: Vec::new(),
@@ -744,6 +822,37 @@ impl Factors {
         true
     }
 
+    /// Keeps eliminated supernode `s`: its columns by
+    /// [`emit`](Self::emit), its panel for the supernodes that read it,
+    /// and its pivot order when `swapped`. False where `emit` is.
+    fn keep(
+        &mut self,
+        plan: &LeafPlan,
+        s: usize,
+        nr: usize,
+        u0: usize,
+        swapped: bool,
+        ar: &mut Arena,
+    ) -> bool {
+        if !self.emit(plan, s, nr, u0, ar) {
+            return false;
+        }
+        let (s0, w, m) = (plan.bounds[s], plan.width(s), nr - u0);
+        if plan.panel_at[s] != NONE {
+            let panel = &mut self.panels[plan.panel_at[s]..][..m * w];
+            for (c, dst) in panel.chunks_exact_mut(m).enumerate() {
+                dst.copy_from_slice(&ar.acc[c * nr + u0..(c + 1) * nr]);
+            }
+        }
+        if swapped {
+            for (r, &p) in self.prow[s0..s0 + w].iter_mut().zip(&ar.perm[..w]) {
+                *r = s0 + p;
+            }
+            self.pivoted[s] = true;
+        }
+        true
+    }
+
     /// Appends the `U` rows that the supernodes before `ts` gave tail
     /// supernode `s`'s columns, counting their flops. False where
     /// [`put`] is.
@@ -752,29 +861,37 @@ impl Factors {
         contributed(&mut self.flops, plan, s, ts, nr, ar, (tp, ti, tx), false)
     }
 
-    /// The factors, the tail's `(first column, factors)` spliced in:
-    /// its pivots permute the tail's rows of every earlier `L` column.
+    /// The factors, the tail's `(first column, factors)` spliced in. A
+    /// supernode's swapped rows, and the tail's pivots, permute those
+    /// rows of every earlier `L` column.
     fn finish(mut self, plan: &LeafPlan, tail: Option<(usize, BlockLu)>) -> BlockLu {
         let nb = plan.nb();
-        let mut pinv: Vec<usize> = (0..nb).collect();
-        let mut prow = pinv.clone();
-        if let Some((t0, tail)) = tail {
-            for (i, &p) in tail.pinv.iter().enumerate() {
-                pinv[t0 + i] = t0 + p;
-            }
+        let mut prow = std::mem::take(&mut self.prow);
+        if let Some((t0, tail)) = &tail {
             for (k, &r) in tail.row_perm.as_slice().iter().enumerate() {
                 prow[t0 + k] = t0 + r;
             }
-            let mut moved = Vec::new();
-            for j in 0..t0 {
-                let (lo, hi) = (self.lp[j], self.lp[j + 1]);
-                let from = lo + self.li[lo..hi].partition_point(|&r| r < t0);
-                moved.clear();
-                moved.extend((from..hi).map(|p| (pinv[self.li[p]], self.lx[p])));
-                moved.sort_unstable_by_key(|e| e.0);
-                for (p, &(r, x)) in (from..hi).zip(&moved) {
-                    (self.li[p], self.lx[p]) = (r, x);
+        }
+        let mut pinv = vec![0; nb];
+        for (k, &r) in prow.iter().enumerate() {
+            pinv[r] = k;
+        }
+        // A supernode's rows sit in the earlier columns of its
+        // contributors only.
+        let mut moved = Vec::new();
+        let pivoted = std::mem::take(&mut self.pivoted);
+        for s in (0..plan.nsn()).filter(|&s| pivoted[s]) {
+            let (s0, s1) = plan.cols(s);
+            for &(k, ..) in plan.contributors(s) {
+                let (k0, k1) = plan.cols(k);
+                for j in k0..k1 {
+                    self.renumber(j, s0..s1, &pinv, &mut moved);
                 }
+            }
+        }
+        if let Some((t0, tail)) = tail {
+            for j in 0..t0 {
+                self.renumber(j, t0..nb, &pinv, &mut moved);
             }
             // Room enough, unless the tail's pivots filled in more than
             // the plan's pattern holds.
@@ -813,11 +930,12 @@ impl Factors {
             v.shrink_to_fit();
         }
         // SAFETY: each L column is its unit diagonal and its rows below,
-        // ascending in pivot order — the tail's re-sorted above — all
-        // below `nb`; `lp` tracks `li.len()`.
+        // ascending in pivot order — the swapped supernodes' and the
+        // tail's re-sorted above — all below `nb`; `lp` tracks
+        // `li.len()`.
         let l = unsafe { CscMat::from_parts_unchecked(nb, nb, self.lp, self.li, self.lx) };
-        // SAFETY: each U column is its contributors' column runs in
-        // ascending order, then its own supernode's rows — or the tail's
+        // SAFETY: each U column is its contributors' pivot positions in
+        // ascending order, then its own supernode's — or the tail's
         // pivot rows — up to the diagonal, all below `nb`; `up` tracks
         // the column ends.
         let u = unsafe { CscMat::from_parts_unchecked(nb, nb, self.up, self.ui, self.ux) };
@@ -840,6 +958,26 @@ impl Factors {
             flops: self.flops,
             supernodes: Vec::new(),
             below_runs: Vec::new(),
+        }
+    }
+
+    /// Renumbers the rows of `L(:, j)` in `rows`, a range `pinv` maps
+    /// onto itself, to their pivot positions, and sorts them again.
+    fn renumber(
+        &mut self,
+        j: usize,
+        rows: std::ops::Range<usize>,
+        pinv: &[usize],
+        moved: &mut Vec<(usize, f64)>,
+    ) {
+        let (lo, hi) = (self.lp[j], self.lp[j + 1]);
+        let from = lo + self.li[lo..hi].partition_point(|&r| r < rows.start);
+        let to = from + self.li[from..hi].partition_point(|&r| r < rows.end);
+        moved.clear();
+        moved.extend((from..to).map(|p| (pinv[self.li[p]], self.lx[p])));
+        moved.sort_unstable_by_key(|e| e.0);
+        for (p, &(r, x)) in (from..to).zip(moved.iter()) {
+            (self.li[p], self.lx[p]) = (r, x);
         }
     }
 }
@@ -1080,60 +1218,249 @@ mod tests {
         (kernel, factor_block_column(diag, &below, 0.001, off))
     }
 
-    /// A diagonal that fails the pivot test hands the tail — from its
-    /// supernode on — to partial pivoting: the pivots, patterns, `|L+U|`
-    /// and flops stay Gilbert–Peierls's, which now leave the diagonal,
-    /// whichever of `tail_gp` and `factor_block_column` takes the tail.
-    /// In the first supernode, the whole leaf goes back, bit for bit.
+    /// `a` with every unknown split into two coupled ones, each entry a
+    /// dense 2×2 block: every fundamental supernode is at least two
+    /// columns wide. The blocks' weights vary with the entry, so no
+    /// update cancels exactly.
+    fn paired(a: &CscMat) -> CscMat {
+        let mut t = basker_sparse::TripletMat::new(2 * a.nrows(), 2 * a.ncols());
+        for (q, (i, j, x)) in a.iter().enumerate() {
+            let w = |m: f64| 1.0 + 0.3 * (q as f64 * m).fract();
+            let (c, d) = if i == j { (0.5, 0.25) } else { (0.3, 0.2) };
+            t.push(2 * i, 2 * j, x);
+            t.push(2 * i + 1, 2 * j + 1, 0.9 * w(0.618) * x);
+            t.push(2 * i, 2 * j + 1, c * w(0.414) * x);
+            t.push(2 * i + 1, 2 * j, d * w(0.732) * x);
+        }
+        t.to_csc()
+    }
+
+    /// The supernode holding leaf column `k`.
+    fn sn_of(plan: &LeafPlan, k: usize) -> usize {
+        plan.bounds.partition_point(|&b| b <= k) - 1
+    }
+
+    /// The columns the failing-pivot tests collapse: the first of the
+    /// supernode holding the leaf's column `nb·2/3`, of the second
+    /// supernode, and of the first.
+    fn scenarios(plan: &LeafPlan) -> [usize; 3] {
+        let k = plan.bounds[sn_of(plan, plan.nb() * 2 / 3)];
+        [k, plan.bounds[1], 0]
+    }
+
+    /// `a` with leaf `v`'s column `k` left with a ten-millionth of the
+    /// values that `clean`, the leaf's factors under diagonal pivots,
+    /// gives its rows `rows` at elimination, each an entry of `A`: the
+    /// updates into them do not move.
+    fn collapse(
+        sym: &Basker,
+        a: &CscMat,
+        v: usize,
+        clean: &BlockLu,
+        k: usize,
+        rows: std::ops::Range<usize>,
+    ) -> CscMat {
+        assert!(clean.pinv[..rows.end]
+            .iter()
+            .enumerate()
+            .all(|(i, &q)| i == q));
+        let pivot = clean.u.col_values(k)[clean.u.col_values(k).len() - 1];
+        let at = |i: usize| match i - k {
+            0 => pivot,
+            _ => {
+                let (lr, lv) = (clean.l.col_rows(k), clean.l.col_values(k));
+                pivot * lv[lr.binary_search(&i).expect("a row of L(:, k)")]
+            }
+        };
+        let r0 = nd_structure(sym).nd.nodes[v].range.start;
+        let seen = std::cell::Cell::new(0);
+        let bad = revalue_col(sym, a, r0 + k, r0 + rows.start..r0 + rows.end, |i, x| {
+            seen.set(seen.get() + 1);
+            x - at(i - r0) * (1.0 - 1e-7)
+        });
+        assert_eq!(seen.get(), rows.len(), "k={k}: every row an entry of A");
+        bad
+    }
+
+    /// The largest entry of `[P·A_vv; A_{a,v}] − [L; L_{a,v}]·U`
+    /// relative to `A`'s largest, column by column.
+    fn rebuild_error(f: &BlockLu, diag: ColsView<'_>, below: &[ColsView<'_>]) -> f64 {
+        let nb = diag.ncols();
+        let mut x = vec![0.0; nb + below.iter().map(|b| b.nrows()).sum::<usize>()];
+        let (mut err, mut big) = (0.0f64, 0.0f64);
+        for j in 0..nb {
+            x.fill(0.0);
+            for (r, v) in diag.col(j) {
+                x[f.pinv[r]] += v;
+            }
+            let mut off = nb;
+            for b in below {
+                for (r, v) in b.col(j) {
+                    x[off + r] += v;
+                }
+                off += b.nrows();
+            }
+            big = x.iter().fold(big, |m, v| m.max(v.abs()));
+            for (&t, &u) in f.u.col_rows(j).iter().zip(f.u.col_values(j)) {
+                for (&r, &l) in f.l.col_rows(t).iter().zip(f.l.col_values(t)) {
+                    x[r] -= l * u;
+                }
+                let mut off = nb;
+                for m in &f.below {
+                    for (&r, &l) in m.col_rows(t).iter().zip(m.col_values(t)) {
+                        x[off + r] -= l * u;
+                    }
+                    off += m.nrows();
+                }
+            }
+            err = x.iter().fold(err, |m, v| m.max(v.abs()));
+        }
+        err / big
+    }
+
+    /// A diagonal that alone fails the pivot test swaps with the largest
+    /// row of its own supernode, at the columns of
+    /// `a_failing_pivot_keeps_gilbert_peierls_pivots` on a grid whose
+    /// supernodes are all two or more columns wide: no tail, every row
+    /// stays in its supernode, every pivot passes Gilbert–Peierls's test
+    /// against its column's leaf rows (`|L| ≤ 1/pivot_tol`), `|L+U|` and
+    /// flops are the unmodified leaf's, `P·A = L·U` holds to `1e-12`,
+    /// and the whole factor solves and refactors.
     #[test]
-    fn a_failing_pivot_keeps_gilbert_peierls_pivots() {
-        let a = grid2d_unsym(40);
-        let mut searched = false;
+    fn a_failing_diagonal_swaps_inside_its_supernode() {
+        let a = paired(&grid2d_unsym(28));
+        let tol = 0.001;
         for p in [1usize, 2, 4] {
             let (sym, vals) = nd_block(&a, p);
             let v = nd_structure(&sym).leaf_of_thread[0];
             let (diag, below, off) = leaf_views(&sym, &vals, v);
-            let gp = factor_block_column(diag, &below, 0.001, off).unwrap();
-            let nb = diag.ncols();
-            // Two tails — the top third, small enough for bitsets, and
-            // all but the first supernode, too big — and the whole leaf.
             let plan = plan_of(diag, &below);
-            let second = plan.bounds[1];
-            let bitsets = |k: usize| {
-                let t0 = plan.bounds[plan.bounds.partition_point(|&b| b <= k) - 1];
-                bitsets_fit(nb - t0, plan.l_nnz)
-            };
-            assert!(bitsets(nb * 2 / 3), "p={p}");
-            searched |= !bitsets(second);
-            for k in [nb * 2 / 3, second, 0] {
-                // Leave a ten-millionth of the pivot Gilbert–Peierls took
-                // at k: the updates into the diagonal do not move.
-                let pivot = gp.u.col_values(k)[gp.u.col_values(k).len() - 1];
-                let r0 = nd_structure(&sym).nd.nodes[v].range.start;
-                let diag_row = r0 + k..r0 + k + 1;
-                let bad = revalue_col(&sym, &a, r0 + k, diag_row, |_, x| x - pivot * (1.0 - 1e-7));
-                let (kernel, gp) = both(&sym, &bad, v);
-                let ((sn, supernodal), gp) = (kernel.unwrap(), gp.unwrap());
-                assert_ne!(
-                    gp.pinv[k], k,
-                    "p={p} k={k}: the test must leave the diagonal"
-                );
-                assert_eq!(supernodal, k > 0, "p={p} k={k}");
-                assert_eq!(sn.pinv, gp.pinv, "p={p} k={k}");
-                assert_eq!(sn.row_perm.as_slice(), gp.row_perm.as_slice());
-                assert_eq!(
-                    (sn.lu_nnz(), sn.flops),
-                    (gp.lu_nnz(), gp.flops),
+            let (clean, _) = factor_leaf(&plan, diag, &below, tol, off).unwrap();
+            for k in scenarios(&plan) {
+                let bad = collapse(&sym, &a, v, &clean, k, k..k + 1);
+                let (vals, _) = sym.inner.frozen.btf.image(&bad);
+                let (diag, below, off) = leaf_views(&sym, &vals, v);
+                let leaf = Leaf {
+                    plan: &plan,
+                    diag,
+                    below: &below,
+                };
+                let mut out = Factors::with_capacity(&plan);
+                let head = leaf.run(&mut out, tol, &mut Arena::new(&plan));
+                assert!(matches!(head, Head::Done), "p={p} k={k}: a tail");
+                let (sn, kernel) = factor_leaf(&plan, diag, &below, tol, off).unwrap();
+                assert!(kernel, "p={p} k={k}");
+                assert_ne!(sn.pinv[k], k, "p={p} k={k}: the diagonal must move");
+                for (r, &q) in sn.pinv.iter().enumerate() {
+                    assert_eq!(sn_of(&plan, r), sn_of(&plan, q), "p={p} k={k}: row {r}");
+                }
+                let bound = (1.0 + 1e-12) / tol;
+                assert!(
+                    sn.l.values().iter().all(|l| l.abs() <= bound),
                     "p={p} k={k}"
                 );
-                assert_close(&sn.l, &gp.l, "L");
-                assert_close(&sn.u, &gp.u, "U");
-                for (x, y) in sn.below.iter().zip(&gp.below) {
-                    assert_close(x, y, "below");
-                }
-                if k == 0 {
-                    assert_eq!(sn.l.values(), gp.l.values(), "p={p}: bit for bit");
-                    assert_eq!(sn.u.values(), gp.u.values(), "p={p}: bit for bit");
+                assert_eq!(
+                    (sn.lu_nnz(), sn.flops),
+                    (clean.lu_nnz(), clean.flops),
+                    "p={p} k={k}"
+                );
+                let err = rebuild_error(&sn, diag, &below);
+                assert!(err <= 1e-12, "p={p} k={k}: P·A − L·U at {err:.1e}");
+                check_solve(&sym.factor(&bad).unwrap(), &bad, 1e-10);
+                assert_refactor_matches_factor(&sym, &bad);
+            }
+        }
+    }
+
+    /// A column of the paired grid that is zero in the leaf's rows,
+    /// after a diagonal that swapped inside its supernode: the next
+    /// column of that supernode, which then falls back to the tail, and
+    /// the first of the supernode after it, which keeps the swap. Either
+    /// fails with Gilbert–Peierls's column at every width, through the
+    /// kernel and through the whole factorization.
+    #[test]
+    fn a_zero_pivot_after_a_swap_fails_like_gilbert_peierls() {
+        let a = paired(&grid2d_unsym(28));
+        for p in [1usize, 2, 4] {
+            let (sym, vals) = nd_block(&a, p);
+            let v = nd_structure(&sym).leaf_of_thread[0];
+            let (diag, below, off) = leaf_views(&sym, &vals, v);
+            let plan = plan_of(diag, &below);
+            let clean = factor_block_column(diag, &below, 0.001, off).unwrap();
+            let k = scenarios(&plan)[0];
+            let swapped = collapse(&sym, &a, v, &clean, k, k..k + 1);
+            let (sn, _) = both(&sym, &swapped, v).0.unwrap();
+            assert_ne!(sn.pinv[k], k, "p={p}: the diagonal must move");
+            let leaf = nd_structure(&sym).nd.nodes[v].range.clone();
+            for j in [k + 1, plan.bounds[sn_of(&plan, k) + 1]] {
+                let bad = revalue_col(&sym, &swapped, leaf.start + j, leaf.clone(), |_, _| 0.0);
+                let (kernel, gp) = both(&sym, &bad, v);
+                let column = |r: Result<()>| match r {
+                    Err(SparseError::ZeroPivot { column }) => column,
+                    other => panic!("p={p} j={j}: {other:?}"),
+                };
+                let want = column(gp.map(drop));
+                assert_eq!(want, leaf.start + j, "p={p}: the zero column");
+                assert_eq!(column(kernel.map(drop)), want, "p={p} j={j}");
+                assert_eq!(column(sym.factor(&bad).map(drop)), want, "p={p} j={j}");
+            }
+        }
+    }
+
+    /// When the supernode's other rows in that column collapse with the
+    /// diagonal, no row of the supernode passes: the tail — from that
+    /// supernode on — goes to partial pivoting, and the pivots, patterns,
+    /// `|L+U|` and flops stay Gilbert–Peierls's, which now leave the
+    /// supernode, whichever of `tail_gp` and `factor_block_column` takes
+    /// the tail. In the first supernode, the whole leaf goes back, bit
+    /// for bit. On a 2-D grid, whose supernodes at these columns are one
+    /// column wide, and on its paired grid, two wide.
+    #[test]
+    fn a_failing_pivot_keeps_gilbert_peierls_pivots() {
+        let mut searched = false;
+        for a in [grid2d_unsym(40), paired(&grid2d_unsym(28))] {
+            for p in [1usize, 2, 4] {
+                let (sym, vals) = nd_block(&a, p);
+                let v = nd_structure(&sym).leaf_of_thread[0];
+                let (diag, below, off) = leaf_views(&sym, &vals, v);
+                let clean = factor_block_column(diag, &below, 0.001, off).unwrap();
+                let nb = diag.ncols();
+                // Two tails — the top third, small enough for bitsets, and
+                // all but the first supernode, too big — and the whole leaf.
+                let plan = plan_of(diag, &below);
+                let second = plan.bounds[1];
+                let bitsets = |k: usize| {
+                    let t0 = plan.bounds[sn_of(&plan, k)];
+                    bitsets_fit(nb - t0, plan.l_nnz)
+                };
+                assert!(bitsets(nb * 2 / 3), "p={p}");
+                searched |= !bitsets(second);
+                for k in scenarios(&plan) {
+                    let s1 = plan.bounds[sn_of(&plan, k) + 1];
+                    let bad = collapse(&sym, &a, v, &clean, k, k..s1);
+                    let (kernel, gp) = both(&sym, &bad, v);
+                    let ((sn, supernodal), gp) = (kernel.unwrap(), gp.unwrap());
+                    assert!(
+                        gp.row_perm.as_slice()[k] >= s1,
+                        "p={p} k={k}: the test must leave the supernode"
+                    );
+                    assert_eq!(supernodal, k > 0, "p={p} k={k}");
+                    assert_eq!(sn.pinv, gp.pinv, "p={p} k={k}");
+                    assert_eq!(sn.row_perm.as_slice(), gp.row_perm.as_slice());
+                    assert_eq!(
+                        (sn.lu_nnz(), sn.flops),
+                        (gp.lu_nnz(), gp.flops),
+                        "p={p} k={k}"
+                    );
+                    assert_close(&sn.l, &gp.l, "L");
+                    assert_close(&sn.u, &gp.u, "U");
+                    for (x, y) in sn.below.iter().zip(&gp.below) {
+                        assert_close(x, y, "below");
+                    }
+                    if k == 0 {
+                        assert_eq!(sn.l.values(), gp.l.values(), "p={p}: bit for bit");
+                        assert_eq!(sn.u.values(), gp.u.values(), "p={p}: bit for bit");
+                    }
                 }
             }
         }
@@ -1481,7 +1808,8 @@ mod tests {
             };
             let mut out = Factors::with_capacity(plan);
             let tol = sym.inner.opts.pivot_tol;
-            if let Head::Tail(t0, schur, halo) = leaf.run(&mut out, tol, &mut Arena::new(plan)) {
+            let head = leaf.diagonal_tail(&mut out, tol, &mut Arena::new(plan));
+            if let Head::Tail(t0, schur, halo) = head {
                 let blocks = plan
                     .bounds
                     .iter()

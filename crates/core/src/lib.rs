@@ -20,8 +20,9 @@
 //! blocks ([`structure::Structure::nd_blocks`]), which go to the team,
 //! and every other block is a fine-BTF block, which goes to a
 //! Gilbert–Peierls run. Inside an ND block each leaf goes to the kernel
-//! analyze chose for it — Gilbert–Peierls, or the supernodal kernel
-//! with Gilbert–Peierls's pivots and patterns. A factorization is a
+//! analyze chose for it — Gilbert–Peierls, or the supernodal kernel,
+//! which pivots under Gilbert–Peierls's threshold test inside each
+//! supernode's diagonal block. A factorization is a
 //! [`BaskerNumeric`]: the runs' factors in one store, and one
 //! [`parnum::NdFactors`] per ND block at the ND list's index.
 //!
